@@ -11,10 +11,9 @@
 //! `--list` prints the full experiment index (E1–E17) with one-line
 //! descriptions and paper-section anchors.
 //!
-//! `--json-out` writes a machine-readable result file alongside the
-//! rendered table for the experiments that support it (`table4`,
-//! `table5`, `queueing`) — the benchmark trajectory the committed
-//! `BENCH_*.json` files record.
+//! `--json-out` writes the same results as JSON: one document for one
+//! experiment, an array of them for several. The committed
+//! `BENCH_<experiment>.json` baselines are these documents.
 //!
 //! `--trace` writes structured JSONL event traces (see the `ld-trace`
 //! crate) for the traced experiments (`table4`, `table5`) and appends a
@@ -39,159 +38,91 @@
 //! `queueing` (E17). See `DESIGN.md` for the index and `EXPERIMENTS.md`
 //! for recorded results.
 
-use ld_bench::exp::{self, Opts};
+use std::path::PathBuf;
 
-const ALL: &[&str] = &[
-    "calibrate",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "recovery",
-    "lists",
-    "segsize",
-    "inodes",
-    "compression",
-    "loge",
-    "nvram",
-    "hotcold",
-    "ablate",
-    "faults",
-    "queueing",
+use ld_bench::exp::{
+    ablate, calibrate, compression, faults, hotcold, inodes, lists, loge_cmp, nvram_exp, queueing,
+    recovery, segsize, table2, table3, table4, table5, table6, Opts,
+};
+use ld_bench::report::Report;
+
+/// CLI name, experiment id, a one-line description with its paper-section
+/// anchor, and the entry point.
+type Experiment = (&'static str, &'static str, &'static str, fn(Opts) -> Report);
+
+/// Every experiment, in `repro all` order; `repro --list` prints them by id.
+const EXPERIMENTS: &[Experiment] = &[
+    ("calibrate", "E12", "disk-model calibration: 2400 vs ~300 KB/s raw streams (§4.2)", calibrate::run),
+    ("table2", "E1", "Table 2 — LLD main memory per GB of disk (§2.3)", table2::run),
+    ("table3", "E2", "Table 3 — % cost LLD adds to a disk (§2.3)", table3::run),
+    ("table4", "E3", "Table 4 — small-file create/read/delete, files/s (§4.2)", table4::run),
+    ("table5", "E4", "Table 5 — 80 MB large-file five-phase I/O, KB/s (§4.2)", table5::run),
+    ("table6", "E5", "Table 6 — blocks written per op vs Sprite LFS (§5.1)", table6::run),
+    ("recovery", "E6", "recovery time after failure: 12 s, 788 summaries (§4.2)", recovery::run),
+    ("lists", "E7", "the cost of supporting lists: ~15% on create/delete (§4.2)", lists::run),
+    ("segsize", "E8", "segment-size sweep: 512/256/128 KB within a few % (§4.2)", segsize::run),
+    ("inodes", "E9", "small-i-node-block variant: reads worse, writes same (§4.2)", inodes::run),
+    ("compression", "E10", "compression: 1600 KB/s write, 800 KB/s read (§4.2)", compression::run),
+    ("loge", "E11", "Loge comparison: write streams + ≥10x faster recovery (§5.2)", loge_cmp::run),
+    ("nvram", "E14", "extension: NVRAM flush absorption, Baker et al. (§5.3)", nvram_exp::run),
+    ("hotcold", "E15", "extension: adaptive block rearrangement, Akyürek & Salem (§5.3)", hotcold::run),
+    ("ablate", "E13", "ablations: cleaner policy, partial-segment threshold (§3.5, §3.2)", ablate::run),
+    ("faults", "E16", "extension: media faults — throughput, scrub, remap (§4.2 rig)", faults::run),
+    ("queueing", "E17", "command queueing: scheduler x depth sweep, write-behind (§4.2)", queueing::run),
 ];
 
-/// The experiment index: CLI name, experiment id, one-line description
-/// with its paper-section anchor. `repro --list` prints this.
-const INDEX: &[(&str, &str, &str)] = &[
-    ("table2", "E1", "Table 2 — LLD main memory per GB of disk (§2.3)"),
-    ("table3", "E2", "Table 3 — % cost LLD adds to a disk (§2.3)"),
-    ("table4", "E3", "Table 4 — small-file create/read/delete, files/s (§4.2)"),
-    ("table5", "E4", "Table 5 — 80 MB large-file five-phase I/O, KB/s (§4.2)"),
-    ("table6", "E5", "Table 6 — blocks written per op vs Sprite LFS (§5.1)"),
-    ("recovery", "E6", "recovery time after failure: 12 s, 788 summaries (§4.2)"),
-    ("lists", "E7", "the cost of supporting lists: ~15% on create/delete (§4.2)"),
-    ("segsize", "E8", "segment-size sweep: 512/256/128 KB within a few % (§4.2)"),
-    ("inodes", "E9", "small-i-node-block variant: reads worse, writes same (§4.2)"),
-    ("compression", "E10", "compression: 1600 KB/s write, 800 KB/s read (§4.2)"),
-    ("loge", "E11", "Loge comparison: write streams + ≥10x faster recovery (§5.2)"),
-    ("calibrate", "E12", "disk-model calibration: 2400 vs ~300 KB/s raw streams (§4.2)"),
-    ("ablate", "E13", "ablations: cleaner policy, partial-segment threshold (§3.5, §3.2)"),
-    ("nvram", "E14", "extension: NVRAM flush absorption, Baker et al. (§5.3)"),
-    ("hotcold", "E15", "extension: adaptive block rearrangement, Akyürek & Salem (§5.3)"),
-    ("faults", "E16", "extension: media faults — throughput, scrub, remap (§4.2 rig)"),
-    ("queueing", "E17", "command queueing: scheduler x depth sweep, write-behind (§4.2)"),
-];
+/// Prints `msg` and exits with the usage-error status.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
 
-/// Runs one experiment; the second element is the machine-readable JSON
-/// document for the experiments that emit one.
-fn dispatch(name: &str, opts: Opts) -> Option<(String, Option<String>)> {
-    Some(match name {
-        "calibrate" => (exp::calibrate::run(opts), None),
-        "table2" => (exp::table2::run(opts), None),
-        "table3" => (exp::table3::run(opts), None),
-        "table4" => {
-            let (out, json) = exp::table4::run_json(opts);
-            (out, Some(json))
-        }
-        "table5" => {
-            let (out, json) = exp::table5::run_json(opts);
-            (out, Some(json))
-        }
-        "table6" => (exp::table6::run(opts), None),
-        "recovery" => (exp::recovery::run(opts), None),
-        "lists" => (exp::lists::run(opts), None),
-        "segsize" => (exp::segsize::run(opts), None),
-        "inodes" => (exp::inodes::run(opts), None),
-        "compression" => (exp::compression::run(opts), None),
-        "loge" => (exp::loge_cmp::run(opts), None),
-        "nvram" => (exp::nvram_exp::run(opts), None),
-        "hotcold" => (exp::hotcold::run(opts), None),
-        "ablate" => (exp::ablate::run(opts), None),
-        "faults" => (exp::faults::run(opts), None),
-        "queueing" => {
-            let (out, json) = exp::queueing::run_json(opts);
-            (out, Some(json))
-        }
-        _ => return None,
-    })
+/// The flags that take a value.
+const VALUE_FLAGS: [&str; 3] = ["--trace", "--faults", "--json-out"];
+
+/// The value after `flag`, if the flag is given; exits when it is missing.
+fn flag_value<'a>(args: &'a [String], flag: &str, what: &str) -> Option<&'a str> {
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Some(v),
+        _ => fail(&format!("{flag} requires {what}")),
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let names = || EXPERIMENTS.iter().map(|e| e.0).collect::<Vec<_>>().join(" ");
     if args.iter().any(|a| a == "--list") {
         println!("experiments (run with `repro [--quick] <name>...`):");
-        for (name, id, desc) in INDEX {
+        let mut index: Vec<_> = EXPERIMENTS.iter().collect();
+        index.sort_by_key(|e| e.1[1..].parse::<u32>().unwrap_or(0));
+        for (name, id, desc, _) in index {
             println!("  {id:<4} {name:<12} {desc}");
         }
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let trace = match args.iter().position(|a| a == "--trace") {
-        Some(i) => match args.get(i + 1) {
-            Some(p) if !p.starts_with("--") => Some(std::path::PathBuf::from(p)),
-            _ => {
-                eprintln!("--trace requires a file argument");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
+    let trace = flag_value(&args, "--trace", "a file argument").map(PathBuf::from);
     if let Some(path) = &trace {
         // Start each invocation with a fresh file; experiments append.
         if let Err(e) = std::fs::write(path, b"") {
-            eprintln!("cannot write trace file {}: {e}", path.display());
-            std::process::exit(2);
+            fail(&format!("cannot write trace file {}: {e}", path.display()));
         }
     }
-    let faults = match args.iter().position(|a| a == "--faults") {
-        Some(i) => match args.get(i + 1) {
-            Some(spec) if !spec.starts_with("--") => {
-                match ld_bench::faultctl::parse_spec(spec) {
-                    Ok(cfg) => Some(cfg),
-                    Err(msg) => {
-                        eprintln!("{msg}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            _ => {
-                eprintln!("--faults requires a spec argument (e.g. seed=7,transient=2000)");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-    let json_out = match args.iter().position(|a| a == "--json-out") {
-        Some(i) => match args.get(i + 1) {
-            Some(p) if !p.starts_with("--") => Some(std::path::PathBuf::from(p)),
-            _ => {
-                eprintln!("--json-out requires a file argument");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
+    let faults = flag_value(&args, "--faults", "a spec argument (e.g. seed=7,transient=2000)")
+        .map(|spec| ld_bench::faultctl::parse_spec(spec).unwrap_or_else(|msg| fail(&msg)));
+    let json_out = flag_value(&args, "--json-out", "a file argument").map(PathBuf::from);
     let opts = Opts {
-        quick,
+        quick: args.iter().any(|a| a == "--quick"),
         trace,
         faults,
     };
-    let mut skip_next = false;
     let wanted: Vec<&str> = args
         .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--trace" || *a == "--faults" || *a == "--json-out" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
+        .enumerate()
+        .filter(|&(i, a)| {
+            !a.starts_with("--") && (i == 0 || !VALUE_FLAGS.contains(&args[i - 1].as_str()))
         })
-        .map(String::as_str)
+        .map(|(_, a)| a.as_str())
         .collect();
 
     if wanted.is_empty() || wanted.contains(&"help") {
@@ -199,58 +130,38 @@ fn main() {
             "usage: repro [--quick] [--trace <file>] [--faults <spec>] \
              [--json-out <file>] <experiment>... | all | --list"
         );
-        eprintln!("experiments: {}", ALL.join(" "));
+        eprintln!("experiments: {}", names());
         std::process::exit(if wanted.is_empty() { 2 } else { 0 });
     }
 
     let list: Vec<&str> = if wanted.contains(&"all") {
-        ALL.to_vec()
+        EXPERIMENTS.iter().map(|e| e.0).collect()
     } else {
         wanted
     };
 
     let mut json_docs: Vec<String> = Vec::new();
     for (i, name) in list.iter().enumerate() {
-        match dispatch(name, opts.clone()) {
-            Some((out, json)) => {
-                if i > 0 {
-                    println!("\n{}\n", "=".repeat(72));
-                }
-                println!("{out}");
-                if json_out.is_some() {
-                    if let Some(j) = json {
-                        json_docs.push(j);
-                    }
-                }
-            }
-            None => {
-                eprintln!("unknown experiment '{name}'; known: {}", ALL.join(" "));
-                std::process::exit(2);
-            }
+        let Some(&(_, _, _, run)) = EXPERIMENTS.iter().find(|e| e.0 == *name) else {
+            fail(&format!("unknown experiment '{name}'; known: {}", names()));
+        };
+        let report = run(opts.clone());
+        if i > 0 {
+            println!("\n{}\n", "=".repeat(72));
         }
+        println!("{}", report.text());
+        json_docs.push(report.json());
     }
     if let Some(path) = &json_out {
-        let doc = match json_docs.len() {
-            0 => {
-                eprintln!(
-                    "--json-out: none of the requested experiments emit JSON \
-                     (supported: table4 table5 queueing)"
-                );
-                std::process::exit(2);
-            }
-            1 => json_docs.pop().expect("one doc"),
-            _ => format!(
+        let doc = match json_docs.as_slice() {
+            [one] => one.clone(),
+            docs => format!(
                 "[\n{}\n]\n",
-                json_docs
-                    .iter()
-                    .map(|d| d.trim_end())
-                    .collect::<Vec<_>>()
-                    .join(",\n")
+                docs.iter().map(|d| d.trim_end()).collect::<Vec<_>>().join(",\n")
             ),
         };
         if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(2);
+            fail(&format!("cannot write {}: {e}", path.display()));
         }
         eprintln!("wrote {}", path.display());
     }

@@ -5,8 +5,11 @@
 //! the rig is misconfigured, and there is nothing useful to continue with.
 
 use ffs::Ffs;
-use minix_fs::MinixFs;
+use minix_fs::{LdStore, MinixFs, RawStore};
 use simdisk::{DiskStats, SimDisk};
+
+use crate::exp::Opts;
+use crate::rig;
 
 /// What a benchmark needs from a file system.
 pub trait Bencher {
@@ -44,118 +47,128 @@ pub trait Bencher {
     /// system, disk manager if any, simulated disk) so their events
     /// interleave into a single timeline.
     fn attach_tracer(&mut self, tracer: ld_trace::Tracer);
+
+    /// The LD store under this file system, if it has one. It is the only
+    /// stack with retry machinery, so the only one `repro --faults` runs
+    /// on faulty media.
+    fn ld_store(&mut self) -> Option<&mut LdStore<SimDisk>> {
+        None
+    }
 }
 
-/// MINIX over the raw store, with disk-stat access.
-pub struct MinixRaw(pub MinixFs<minix_fs::RawStore<SimDisk>>);
-/// MINIX over the LD store, with disk-stat access.
-pub struct MinixLld(pub MinixFs<minix_fs::LdStore<SimDisk>>);
+/// The three file systems of Tables 4 and 5, in column order, each built
+/// on a fresh rig disk of the given size.
+pub const PAPER_STACKS: [fn(u64) -> Box<dyn Bencher>; 3] = [
+    |bytes| Box::new(MinixLld(rig::minix_lld(bytes))),
+    |bytes| Box::new(MinixRaw(rig::minix(bytes))),
+    |bytes| Box::new(Sunos(rig::sunos(bytes))),
+];
+
+/// Runs `work` once on each of the [`PAPER_STACKS`], with `repro`'s fault
+/// injection and tracing applied. Returns each stack's label and result,
+/// plus the footnotes tracing and faults add (empty when both are off).
+pub fn on_paper_stacks<R>(
+    disk_bytes: u64,
+    opts: &Opts,
+    exp: &str,
+    mut work: impl FnMut(&mut dyn Bencher) -> R,
+) -> (Vec<(&'static str, R)>, String) {
+    let mut results = Vec::new();
+    let mut footnotes = String::new();
+    for build in PAPER_STACKS {
+        let mut fs = build(disk_bytes);
+        crate::faultctl::inject(fs.as_mut(), opts);
+        let tr = crate::tracectl::maybe_attach(fs.as_mut(), opts);
+        results.push((fs.label(), work(fs.as_mut())));
+        footnotes.push_str(&crate::tracectl::finish(tr, fs.as_ref(), opts, exp));
+        footnotes.push_str(&crate::faultctl::finish(fs.as_mut(), opts));
+    }
+    (results, footnotes)
+}
+
+/// MINIX over the raw store.
+pub struct MinixRaw(pub MinixFs<RawStore<SimDisk>>);
+/// MINIX over the LD store.
+pub struct MinixLld(pub MinixFs<LdStore<SimDisk>>);
 /// The FFS baseline.
 pub struct Sunos(pub Ffs<SimDisk>);
 
-macro_rules! delegate_minix {
-    ($t:ty, $label:expr, $attach:expr) => {
-        impl Bencher for $t {
-            fn label(&self) -> &'static str {
-                $label
-            }
-            fn create(&mut self, path: &str) -> u32 {
-                self.0.create(path).expect("create")
-            }
-            fn open(&mut self, path: &str) -> u32 {
-                self.0.lookup(path).expect("lookup")
-            }
-            fn write(&mut self, handle: u32, offset: u64, data: &[u8]) {
-                self.0.write(handle, offset, data).expect("write");
-            }
-            fn read(&mut self, handle: u32, offset: u64, buf: &mut [u8]) -> usize {
-                self.0.read(handle, offset, buf).expect("read")
-            }
-            fn unlink(&mut self, path: &str) {
-                self.0.unlink(path).expect("unlink");
-            }
-            fn sync(&mut self) {
-                self.0.sync().expect("sync");
-            }
-            fn drop_caches(&mut self) {
-                self.0.drop_caches().expect("drop_caches");
-            }
-            fn now_us(&self) -> u64 {
-                self.0.now_us()
-            }
-            fn disk_stats(&self) -> DiskStats {
-                *self.0.store().disk().stats()
-            }
-            fn attach_tracer(&mut self, tracer: ld_trace::Tracer) {
-                ($attach)(&mut self.0, tracer);
-            }
+/// The [`Bencher`] file operations, delegated to the wrapped file system
+/// (MINIX and FFS name them alike).
+macro_rules! delegate_ops {
+    () => {
+        fn create(&mut self, path: &str) -> u32 {
+            self.0.create(path).expect("create")
+        }
+        fn open(&mut self, path: &str) -> u32 {
+            self.0.lookup(path).expect("lookup")
+        }
+        fn write(&mut self, handle: u32, offset: u64, data: &[u8]) {
+            self.0.write(handle, offset, data).expect("write");
+        }
+        fn read(&mut self, handle: u32, offset: u64, buf: &mut [u8]) -> usize {
+            self.0.read(handle, offset, buf).expect("read")
+        }
+        fn unlink(&mut self, path: &str) {
+            self.0.unlink(path).expect("unlink");
+        }
+        fn sync(&mut self) {
+            self.0.sync().expect("sync");
+        }
+        fn drop_caches(&mut self) {
+            self.0.drop_caches().expect("drop_caches");
+        }
+        fn now_us(&self) -> u64 {
+            self.0.now_us()
         }
     };
 }
 
-fn attach_raw(fs: &mut MinixFs<minix_fs::RawStore<SimDisk>>, t: ld_trace::Tracer) {
-    fs.store_mut().disk_mut().set_tracer(t.clone());
-    fs.set_tracer(t);
-}
+impl Bencher for MinixRaw {
+    delegate_ops!();
 
-fn attach_lld(fs: &mut MinixFs<minix_fs::LdStore<SimDisk>>, t: ld_trace::Tracer) {
-    fs.store_mut().lld_mut().disk_mut().set_tracer(t.clone());
-    fs.store_mut().lld_mut().set_tracer(t.clone());
-    fs.set_tracer(t);
-}
+    fn label(&self) -> &'static str {
+        "MINIX"
+    }
 
-delegate_minix!(MinixRaw, "MINIX", attach_raw);
-delegate_minix!(MinixLld, "MINIX LLD", attach_lld);
+    fn disk_stats(&self) -> DiskStats {
+        *self.0.store().disk().stats()
+    }
 
-impl MinixRaw {
-    /// Direct store access.
-    pub fn store(&self) -> &minix_fs::RawStore<SimDisk> {
-        self.0.store()
+    fn attach_tracer(&mut self, tracer: ld_trace::Tracer) {
+        self.0.store_mut().disk_mut().set_tracer(tracer.clone());
+        self.0.set_tracer(tracer);
     }
 }
 
-impl MinixLld {
-    /// Direct store access (for LLD stats).
-    pub fn store(&self) -> &minix_fs::LdStore<SimDisk> {
-        self.0.store()
+impl Bencher for MinixLld {
+    delegate_ops!();
+
+    fn label(&self) -> &'static str {
+        "MINIX LLD"
+    }
+
+    fn disk_stats(&self) -> DiskStats {
+        *self.0.store().disk().stats()
+    }
+
+    fn attach_tracer(&mut self, tracer: ld_trace::Tracer) {
+        let lld = self.0.store_mut().lld_mut();
+        lld.disk_mut().set_tracer(tracer.clone());
+        lld.set_tracer(tracer.clone());
+        self.0.set_tracer(tracer);
+    }
+
+    fn ld_store(&mut self) -> Option<&mut LdStore<SimDisk>> {
+        Some(self.0.store_mut())
     }
 }
 
 impl Bencher for Sunos {
+    delegate_ops!();
+
     fn label(&self) -> &'static str {
         "SunOS"
-    }
-
-    fn create(&mut self, path: &str) -> u32 {
-        self.0.create(path).expect("create")
-    }
-
-    fn open(&mut self, path: &str) -> u32 {
-        self.0.lookup(path).expect("lookup")
-    }
-
-    fn write(&mut self, handle: u32, offset: u64, data: &[u8]) {
-        self.0.write(handle, offset, data).expect("write");
-    }
-
-    fn read(&mut self, handle: u32, offset: u64, buf: &mut [u8]) -> usize {
-        self.0.read(handle, offset, buf).expect("read")
-    }
-
-    fn unlink(&mut self, path: &str) {
-        self.0.unlink(path).expect("unlink");
-    }
-
-    fn sync(&mut self) {
-        self.0.sync().expect("sync");
-    }
-
-    fn drop_caches(&mut self) {
-        self.0.drop_caches().expect("drop_caches");
-    }
-
-    fn now_us(&self) -> u64 {
-        self.0.now_us()
     }
 
     fn disk_stats(&self) -> DiskStats {

@@ -12,11 +12,9 @@
 use ld_core::{FailureSet, ListHints, LogicalDisk, Pred, PredList};
 use lld::{CleaningPolicy, Lld, LldConfig};
 
-use crate::report::Table;
+use crate::report::{col, num, with_suffix, Report, Table};
 use crate::rig;
-use crate::workload::{compressible_data, rng};
-
-use rand::Rng;
+use crate::workload::{compressible_data, fill_list, hot_cold_pick, rng};
 
 /// Hot/cold overwrite workload: 90 % of writes hit 10 % of blocks.
 fn hot_cold(policy: CleaningPolicy, disk_bytes: u64, writes: usize) -> (f64, u64) {
@@ -26,29 +24,14 @@ fn hot_cold(policy: CleaningPolicy, disk_bytes: u64, writes: usize) -> (f64, u64
         ..rig::lld_config()
     };
     let mut ld = Lld::format(rig::disk_sized(disk_bytes), config).expect("format");
-    let lid = ld
-        .new_list(PredList::Start, ListHints::default())
-        .expect("list");
     // Fill ~70 % of the disk.
     let nblocks = (ld.capacity_bytes() * 7 / 10 / 4096) as usize;
     let data = compressible_data(4096, 0xAB);
-    let mut bids = Vec::with_capacity(nblocks);
-    let mut pred = Pred::Start;
-    for _ in 0..nblocks {
-        let b = ld.new_block(lid, pred).expect("alloc");
-        ld.write(b, &data).expect("fill");
-        bids.push(b);
-        pred = Pred::After(b);
-    }
+    let bids = fill_list(&mut ld, nblocks, Some(&data));
     ld.reset_stats();
-    let hot = nblocks / 10;
     let mut r = rng(0xC01D);
     for _ in 0..writes {
-        let idx = if r.gen_bool(0.9) {
-            r.gen_range(0..hot)
-        } else {
-            r.gen_range(hot..nblocks)
-        };
+        let idx = hot_cold_pick(&mut r, nblocks / 10, nblocks);
         ld.write(bids[idx], &data).expect("overwrite");
     }
     ld.flush(FailureSet::PowerFailure).expect("flush");
@@ -86,57 +69,54 @@ fn flush_heavy(threshold_pct: u32, disk_bytes: u64, ops: usize) -> (u64, u64, u6
 }
 
 /// Runs both ablations.
-pub fn run(opts: super::Opts) -> String {
+pub fn run(opts: super::Opts) -> Report {
     let (disk_bytes, writes, flush_ops) = if opts.quick {
         (24u64 << 20, 4_000usize, 40usize)
     } else {
         (48 << 20, 20_000, 150)
     };
 
-    let (amp_greedy, cleaned_greedy) = hot_cold(CleaningPolicy::Greedy, disk_bytes, writes);
-    let (amp_cb, cleaned_cb) = hot_cold(CleaningPolicy::CostBenefit, disk_bytes, writes);
-    let mut t1 = Table::new(vec![
-        "cleaner policy",
-        "write amplification",
-        "segments cleaned",
-    ]);
-    t1.row(vec![
-        "greedy".to_string(),
-        format!("{amp_greedy:.2}x"),
-        cleaned_greedy.to_string(),
-    ]).expect("row width");
-    t1.row(vec![
-        "cost-benefit".to_string(),
-        format!("{amp_cb:.2}x"),
-        cleaned_cb.to_string(),
-    ]).expect("row width");
-
-    let mut t2 = Table::new(vec![
-        "flush threshold",
-        "partial writes",
-        "seals",
-        "disk MB written",
-    ]);
-    for pct in [50u32, 75, 90] {
-        let (partials, seals, sectors) = flush_heavy(pct, 96 << 20, flush_ops);
-        t2.row(vec![
-            format!("{pct}%"),
-            partials.to_string(),
-            seals.to_string(),
-            format!("{:.1}", sectors as f64 * 512.0 / (1 << 20) as f64),
-        ]).expect("row width");
+    let mut t1 = Table::new(
+        "(a) cleaner policy under a 90/10 hot/cold overwrite workload",
+        [
+            col("cleaner policy", "policy", ""),
+            col("write amplification", "write_amplification", "x"),
+            col("segments cleaned", "segments_cleaned", ""),
+        ],
+    );
+    for (label, policy) in [
+        ("greedy", CleaningPolicy::Greedy),
+        ("cost-benefit", CleaningPolicy::CostBenefit),
+    ] {
+        let (amp, cleaned) = hot_cold(policy, disk_bytes, writes);
+        t1.row([label.into(), with_suffix(amp, 2, "x"), cleaned.into()]);
     }
 
-    format!(
-        "E13: ablations\n\n\
-         (a) cleaner policy under a 90/10 hot/cold overwrite workload\n{}\n\
-         (b) partial-segment threshold under frequent Flush (~96 KB between\n\
+    let mut t2 = Table::new(
+        "(b) partial-segment threshold under frequent Flush (~96 KB between\n\
          flushes, 512 KB segments; higher thresholds mean more partial\n\
          writes — whose data is written again at the eventual seal — while\n\
-         lower thresholds seal early and pad the segment)\n{}",
-        t1.render(),
-        t2.render()
-    )
+         lower thresholds seal early and pad the segment)",
+        [
+            col("flush threshold", "threshold_pct", "%"),
+            col("partial writes", "partial_writes", ""),
+            col("seals", "seals", ""),
+            col("disk MB written", "disk_mb_written", "MB"),
+        ],
+    );
+    for pct in [50u32, 75, 90] {
+        let (partials, seals, sectors) = flush_heavy(pct, 96 << 20, flush_ops);
+        t2.row([
+            with_suffix(f64::from(pct), 0, "%"),
+            partials.into(),
+            seals.into(),
+            num(sectors as f64 * 512.0 / (1 << 20) as f64, 1),
+        ]);
+    }
+
+    let mut report = Report::new("ablate", opts.quick);
+    report.note("E13: ablations\n\n").table(t1).note("\n").table(t2);
+    report
 }
 
 #[cfg(test)]

@@ -6,11 +6,11 @@
 
 use simdisk::{BlockDev, SimDisk, SECTOR_SIZE};
 
-use crate::report::{kb_per_s, Table};
+use crate::report::{col, kb_per_s, num, Report, Table};
 use crate::rig;
 
-/// Runs the calibration and returns the rendered report.
-pub fn run(_opts: super::Opts) -> String {
+/// Runs the calibration.
+pub fn run(opts: super::Opts) -> Report {
     // 0.5 MB sequential segment writes.
     let mut disk = rig::disk_sized(64 << 20);
     let seg = vec![0u8; 512 << 10];
@@ -53,33 +53,27 @@ pub fn run(_opts: super::Opts) -> String {
     }
     let avg_seek_ms = total_us as f64 / samples as f64 / 1000.0;
 
-    let mut table = Table::new(vec!["measurement", "paper", "simulated"]);
-    table.row(vec![
-        "0.5 MB sequential writes (KB/s)".to_string(),
-        "2400".to_string(),
-        format!("{seg_kbs:.0}"),
-    ]).expect("row width");
-    table.row(vec![
-        "back-to-back 4 KB writes (KB/s)".to_string(),
-        "~300".to_string(),
-        format!("{small_kbs:.0}"),
-    ]).expect("row width");
-    table.row(vec![
-        "average seek (ms)".to_string(),
-        "11.5".to_string(),
-        format!("{avg_seek_ms:.1}"),
-    ]).expect("row width");
-    format!(
-        "E12: raw-disk calibration (HP C3010 model)\n\n{}",
-        table.render()
-    )
+    let mut t = Table::new(
+        "",
+        [
+            col("measurement", "measurement", ""),
+            col("paper", "paper", ""),
+            col("simulated", "simulated", ""),
+        ],
+    );
+    t.row(["0.5 MB sequential writes (KB/s)".into(), "2400".into(), num(seg_kbs, 0)])
+        .row(["back-to-back 4 KB writes (KB/s)".into(), "~300".into(), num(small_kbs, 0)])
+        .row(["average seek (ms)".into(), "11.5".into(), num(avg_seek_ms, 1)]);
+    let mut report = Report::new("calibrate", opts.quick);
+    report.note("E12: raw-disk calibration (HP C3010 model)\n\n").table(t);
+    report
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn calibration_matches_paper_anchors() {
-        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None });
+        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None }).text();
         assert!(out.contains("2400"));
         // Extract the simulated segment throughput and check the band.
         let line = out

@@ -6,9 +6,9 @@
 //! to disk. The read throughput is low because we cannot overlap reading
 //! and decompression."
 
-use minix_fs::{FsConfig, LdStore, MinixFs};
+use minix_fs::{LdStore, MinixFs};
 
-use crate::report::{kb_per_s, Table};
+use crate::report::{col, kb_per_s, num, rate, Report, Table};
 use crate::rig;
 use crate::workload::compressible_data;
 
@@ -21,9 +21,7 @@ fn throughputs(disk_bytes: u64, file_bytes: u64, compress: bool) -> (f64, f64, f
     .expect("format");
     let mut fs = MinixFs::format(
         store,
-        FsConfig {
-            ..rig::minix_config()
-        },
+        rig::minix_config(),
     )
     .expect("format fs");
 
@@ -57,7 +55,7 @@ fn throughputs(disk_bytes: u64, file_bytes: u64, compress: bool) -> (f64, f64, f
 
 /// Measures sequential throughput with and without transparent
 /// compression.
-pub fn run(opts: super::Opts) -> String {
+pub fn run(opts: super::Opts) -> Report {
     let (disk_bytes, file_bytes) = if opts.quick {
         (96u64 << 20, 8u64 << 20)
     } else {
@@ -66,31 +64,30 @@ pub fn run(opts: super::Opts) -> String {
     let (w_plain, r_plain, _) = throughputs(disk_bytes, file_bytes, false);
     let (w_comp, r_comp, ratio) = throughputs(disk_bytes, file_bytes, true);
 
-    let mut t = Table::new(vec!["configuration", "write KB/s", "read KB/s"]);
-    t.row(vec![
-        "no compression".to_string(),
-        format!("{w_plain:.0}"),
-        format!("{r_plain:.0}"),
-    ]).expect("row width");
-    t.row(vec![
-        "compression".to_string(),
-        format!("{w_comp:.0}"),
-        format!("{r_comp:.0}"),
-    ]).expect("row width");
-    t.row(vec![
-        "paper (compression)".to_string(),
-        "1600".to_string(),
-        "800".to_string(),
-    ]).expect("row width");
-    format!(
-        "E10: transparent compression, {} MB sequential file\n\
-         (measured compression ratio: {:.0}% of original;\n\
-         writes pipeline compression with the previous segment's write,\n\
-         reads serialize read + decompression)\n\n{}",
-        file_bytes >> 20,
-        ratio * 100.0,
-        t.render()
-    )
+    let mut t = Table::new(
+        "",
+        [
+            col("configuration", "configuration", ""),
+            col("write KB/s", "write_kb_s", "KB/s"),
+            col("read KB/s", "read_kb_s", "KB/s"),
+        ],
+    );
+    t.row(["no compression".into(), rate(w_plain), rate(r_plain)])
+        .row(["compression".into(), rate(w_comp), rate(r_comp)])
+        .row(["paper (compression)".into(), num(1600.0, 0), num(800.0, 0)]);
+    let mut report = Report::new("compression", opts.quick);
+    report
+        .value("stored_pct", num(ratio * 100.0, 0))
+        .note(format!(
+            "E10: transparent compression, {} MB sequential file\n\
+             (measured compression ratio: {:.0}% of original;\n\
+             writes pipeline compression with the previous segment's write,\n\
+             reads serialize read + decompression)\n\n",
+            file_bytes >> 20,
+            ratio * 100.0,
+        ))
+        .table(t);
+    report
 }
 
 #[cfg(test)]

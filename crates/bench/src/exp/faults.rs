@@ -20,10 +20,10 @@
 //! included.
 
 use ld_core::LogicalDisk;
-use minix_fs::{LdStore, MinixFs};
+use minix_fs::{BlockStore, LdStore, MinixFs};
 use simdisk::FaultConfig;
 
-use crate::report::Table;
+use crate::report::{col, num, ops_per_s, rate, Report, Table};
 use crate::rig;
 use crate::workload::compressible_data;
 
@@ -58,38 +58,10 @@ fn transient(ppm: u32) -> FaultConfig {
     }
 }
 
-/// Create `n` 4 KB files, sync, then read each back; returns files/s over
-/// the whole run.
-fn lld_workload(
-    fs: &mut MinixFs<LdStore<simdisk::SimDisk>>,
-    n: usize,
-    data: &[u8],
-) -> f64 {
-    let t0 = fs.now_us();
-    for i in 0..n {
-        let h = fs.create(&format!("/f{i:04}")).expect("create");
-        fs.write(h, 0, data).expect("write");
-    }
-    fs.sync().expect("sync");
-    fs.drop_caches().expect("drop caches");
-    let mut buf = vec![0u8; data.len()];
-    for i in 0..n {
-        let h = fs.lookup(&format!("/f{i:04}")).expect("lookup");
-        let got = fs.read(h, 0, &mut buf).expect("read");
-        assert_eq!(got, data.len(), "short read under faults");
-        assert_eq!(buf, data, "retried read returned wrong bytes");
-    }
-    crate::report::ops_per_s(n as u64, fs.now_us() - t0)
-}
-
-/// The same workload on plain MINIX, with errors caught instead of
-/// unwrapped: returns the files/s cell, or a `failed` marker naming how
-/// far the run got before the first unrecovered read error.
-fn minix_raw_cell(n: usize, data: &[u8], disk_bytes: u64, cfg: Option<FaultConfig>) -> String {
-    let mut fs = rig::minix(disk_bytes);
-    if let Some(cfg) = cfg {
-        fs.store_mut().disk_mut().set_faults(cfg);
-    }
+/// Creates `n` 4 KB files, syncs, then reads each back and checks its
+/// bytes. Returns files/s over the whole run or, on the first unrecovered
+/// error, how many reads had completed.
+fn create_read<S: BlockStore>(fs: &mut MinixFs<S>, n: usize, data: &[u8]) -> Result<f64, usize> {
     let t0 = fs.now_us();
     let mut reads_done = 0usize;
     let result = (|| -> minix_fs::Result<()> {
@@ -102,19 +74,18 @@ fn minix_raw_cell(n: usize, data: &[u8], disk_bytes: u64, cfg: Option<FaultConfi
         let mut buf = vec![0u8; data.len()];
         for i in 0..n {
             let h = fs.lookup(&format!("/f{i:04}"))?;
-            fs.read(h, 0, &mut buf)?;
+            assert_eq!(fs.read(h, 0, &mut buf)?, data.len(), "short read under faults");
+            assert_eq!(buf, data, "a read returned wrong bytes");
             reads_done += 1;
         }
         Ok(())
     })();
-    match result {
-        Ok(()) => crate::report::rate(crate::report::ops_per_s(n as u64, fs.now_us() - t0)),
-        Err(_) => format!("failed ({reads_done}/{n} reads)"),
-    }
+    result.map_err(|_| reads_done)?;
+    Ok(ops_per_s(n as u64, fs.now_us() - t0))
 }
 
 /// Runs the rate sweep and the latent-fault scrub stage.
-pub fn run(opts: super::Opts) -> String {
+pub fn run(opts: super::Opts) -> Report {
     // Sequential reads mostly ride the drive's read-ahead buffer, which
     // (correctly) cannot fault — only mechanical reads consult the fault
     // schedule. The top rate is chosen high enough that the run's
@@ -127,14 +98,18 @@ pub fn run(opts: super::Opts) -> String {
     let disk_bytes: u64 = 48 << 20;
     let data = compressible_data(4 << 10, 0xFA17);
 
-    let mut t = Table::new(vec![
-        "transient (ppm)",
-        "MINIX LLD (files/s)",
-        "retries",
-        "recovery (ms)",
-        "sweep retries",
-        "MINIX (files/s)",
-    ]);
+    let mut t = Table::new(
+        "",
+        [
+            col("transient (ppm)", "transient_ppm", "ppm"),
+            col("MINIX LLD (files/s)", "lld_files_per_s", "files/s"),
+            col("retries", "retries", ""),
+            col("recovery (ms)", "recovery_ms", "ms"),
+            col("sweep retries", "sweep_retries", ""),
+            col("MINIX (files/s)", "minix_files_per_s", "files/s"),
+        ],
+    );
+    let mut minix_failed = false;
     for &ppm in rates {
         let cfg = (ppm > 0).then(|| transient(ppm));
 
@@ -143,7 +118,7 @@ pub fn run(opts: super::Opts) -> String {
         if let Some(cfg) = cfg {
             fs.store_mut().disk_mut().set_faults(cfg);
         }
-        let files_per_s = lld_workload(&mut fs, n, &data);
+        let files_per_s = create_read(&mut fs, n, &data).expect("LLD retries every fault");
         let run_stats = *fs.store().lld().stats();
         assert_eq!(
             run_stats.unreadable_blocks, 0,
@@ -166,27 +141,39 @@ pub fn run(opts: super::Opts) -> String {
         assert_eq!(fs.read(h, 0, &mut buf).expect("read"), data.len());
         assert_eq!(buf, data, "recovered contents must match");
 
-        t.row(vec![
-            ppm.to_string(),
-            crate::report::rate(files_per_s),
-            run_stats.retries.to_string(),
-            format!("{:.1}", rec_stats.recovery_us as f64 / 1e3),
-            rec_stats.retries.to_string(),
-            minix_raw_cell(n, &data, disk_bytes, cfg),
-        ])
-        .expect("row width");
+        // Plain MINIX has no retries: report how far it got.
+        let mut raw = rig::minix(disk_bytes);
+        if let Some(cfg) = cfg {
+            raw.store_mut().disk_mut().set_faults(cfg);
+        }
+        let minix = match create_read(&mut raw, n, &data) {
+            Ok(files_per_s) => rate(files_per_s),
+            Err(done) => {
+                minix_failed = true;
+                format!("failed ({done}/{n} reads)").into()
+            }
+        };
+        t.row([
+            u64::from(ppm).into(),
+            rate(files_per_s),
+            run_stats.retries.into(),
+            num(rec_stats.recovery_us as f64 / 1e3, 1),
+            rec_stats.retries.into(),
+            minix,
+        ]);
     }
-    let mut out = format!(
-        "E16: media faults — {n} x 4 KB files, create+read, {} MB partition\n\
-         (transient sector errors; LLD retries below the file system,\n\
-         plain MINIX aborts on its first unrecovered read error)\n\n{}",
-        disk_bytes >> 20,
-        t.render()
-    );
     assert!(
-        out.contains("failed"),
+        minix_failed,
         "plain MINIX should not survive the sweep's top error rate"
     );
+    let mut out = Report::new("faults", opts.quick);
+    out.note(format!(
+        "E16: media faults — {n} x 4 KB files, create+read, {} MB partition\n\
+         (transient sector errors; LLD retries below the file system,\n\
+         plain MINIX aborts on its first unrecovered read error)\n\n",
+        disk_bytes >> 20,
+    ))
+    .table(t);
 
     // Stage 2: latent sector errors — scrub, relocate, remap, verify.
     // Fixed scale (independent of --quick): the point is the pipeline,
@@ -244,33 +231,27 @@ pub fn run(opts: super::Opts) -> String {
         "the checkpointed remap table must carry every retired sector"
     );
 
-    let mut s = Table::new(vec!["quantity", "value"]);
-    s.row(vec!["latent schedule (ppm)".to_string(), scrub_cfg.latent_ppm.to_string()])
-        .expect("row width");
-    s.row(vec!["sectors retired to remap table".to_string(), remapped.to_string()])
-        .expect("row width");
-    s.row(vec!["live blocks relocated".to_string(), relocated.to_string()])
-        .expect("row width");
-    s.row(vec!["unreadable blocks".to_string(), unreadable.to_string()])
-        .expect("row width");
-    s.row(vec![format!("files intact (of {survivors})"), intact.to_string()])
-        .expect("row width");
-    s.row(vec!["read retries spent".to_string(), stats.retries.to_string()])
-        .expect("row width");
-    s.row(vec![
-        "ldck on final image".to_string(),
-        format!(
-            "{}, {} remap entries",
-            if report.is_clean() { "clean" } else { "errors" },
-            report.stats.bad_sectors
-        ),
-    ])
-    .expect("row width");
-    out.push_str(&format!(
-        "\nLatent-fault scrub ({} MB partition, media scan + relocate + remap):\n\n{}",
-        demo_disk >> 20,
-        s.render()
-    ));
+    let mut s = Table::new("", [col("quantity", "quantity", ""), col("value", "value", "")]);
+    s.row(["latent schedule (ppm)".into(), u64::from(scrub_cfg.latent_ppm).into()])
+        .row(["sectors retired to remap table".into(), remapped.into()])
+        .row(["live blocks relocated".into(), relocated.into()])
+        .row(["unreadable blocks".into(), unreadable.into()])
+        .row([format!("files intact (of {survivors})").into(), (intact as u64).into()])
+        .row(["read retries spent".into(), stats.retries.into()])
+        .row([
+            "ldck on final image".into(),
+            format!(
+                "{}, {} remap entries",
+                if report.is_clean() { "clean" } else { "errors" },
+                report.stats.bad_sectors
+            )
+            .into(),
+        ]);
+    out.note(format!(
+        "\nLatent-fault scrub ({} MB partition, media scan + relocate + remap):\n\n",
+        demo_disk >> 20
+    ))
+    .table(s);
     out
 }
 
@@ -281,7 +262,8 @@ mod tests {
         let out = super::run(super::super::Opts {
             quick: true,
             ..Default::default()
-        });
+        })
+        .text();
         assert!(out.contains("transient (ppm)"));
         assert!(out.contains("Latent-fault scrub"));
         assert!(out.contains("clean"));

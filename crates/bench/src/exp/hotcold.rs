@@ -9,14 +9,13 @@
 //! before and after `Lld::reorganize_hot` collects the hot set into a
 //! contiguous region.
 
-use ld_core::{FailureSet, ListHints, LogicalDisk, Pred, PredList};
+use ld_core::{FailureSet, LogicalDisk};
 use lld::Lld;
-use rand::Rng;
 use simdisk::{BlockDev, SimDisk};
 
-use crate::report::Table;
+use crate::report::{col, num, Report, Table};
 use crate::rig;
-use crate::workload::{compressible_data, rng};
+use crate::workload::{compressible_data, fill_list, hot_cold_pick, rng};
 
 struct Phase {
     avg_read_us: f64,
@@ -36,11 +35,7 @@ fn measure_reads(
     let stats0 = *ld.disk().stats();
     let t0 = ld.disk().now_us();
     for _ in 0..reads {
-        let idx = if r.gen_bool(0.9) {
-            r.gen_range(0..hot)
-        } else {
-            r.gen_range(hot..bids.len())
-        };
+        let idx = hot_cold_pick(&mut r, hot, bids.len());
         // Hot blocks are every Nth of the id space, so the hot set is
         // physically scattered before the rearrangement.
         let spread_idx = (idx * (bids.len() / hot).max(1)) % bids.len();
@@ -63,60 +58,56 @@ fn measure_reads(
     }
 }
 
+/// An LLD on a fresh `disk_bytes` rig disk holding `nblocks` flushed
+/// blocks on one list.
+fn loaded(disk_bytes: u64, nblocks: usize) -> (Lld<SimDisk>, Vec<ld_core::Bid>) {
+    let mut ld = Lld::format(rig::disk_sized(disk_bytes), rig::lld_config()).expect("format");
+    let bids = fill_list(&mut ld, nblocks, Some(&compressible_data(4096, 0x807)));
+    ld.flush(FailureSet::PowerFailure).expect("flush");
+    (ld, bids)
+}
+
 /// Runs the before/after comparison.
-pub fn run(opts: super::Opts) -> String {
+pub fn run(opts: super::Opts) -> Report {
     let (disk_bytes, nblocks, reads) = if opts.quick {
         (64u64 << 20, 2_000usize, 2_000usize)
     } else {
         (rig::PARTITION_BYTES, 16_000, 8_000)
     };
-    let mut ld = Lld::format(rig::disk_sized(disk_bytes), rig::lld_config()).expect("format");
-    let lid = ld
-        .new_list(PredList::Start, ListHints::default())
-        .expect("list");
-    let data = compressible_data(4096, 0x807);
-    let mut bids = Vec::with_capacity(nblocks);
-    let mut pred = Pred::Start;
-    for _ in 0..nblocks {
-        let b = ld.new_block(lid, pred).expect("alloc");
-        ld.write(b, &data).expect("write");
-        bids.push(b);
-        pred = Pred::After(b);
-    }
-    ld.flush(FailureSet::PowerFailure).expect("flush");
-
+    let (mut ld, bids) = loaded(disk_bytes, nblocks);
     let hot = nblocks / 10;
     let before = measure_reads(&mut ld, &bids, hot, reads, 1);
     let moved = ld.reorganize_hot(hot + hot / 4).expect("reorganize_hot");
     let after = measure_reads(&mut ld, &bids, hot, reads, 2);
 
-    let mut t = Table::new(vec![
-        "phase",
-        "avg read (ms)",
-        "avg seek (ms)",
-        "hot-set segments",
-    ]);
-    t.row(vec![
-        "before rearrangement".to_string(),
-        format!("{:.2}", before.avg_read_us / 1000.0),
-        format!("{:.2}", before.avg_seek_us / 1000.0),
-        before.hot_segments.to_string(),
-    ]).expect("row width");
-    t.row(vec![
-        "after rearrangement".to_string(),
-        format!("{:.2}", after.avg_read_us / 1000.0),
-        format!("{:.2}", after.avg_seek_us / 1000.0),
-        after.hot_segments.to_string(),
-    ]).expect("row width");
-    format!(
-        "E15: adaptive block rearrangement — {} blocks, 90/10 skewed reads,\n\
-         {} hot blocks collected by reorganize_hot ({moved} moved)\n\
-         (Akyürek & Salem: reorganizing by reference frequency cuts seek\n\
-         times by more than half)\n\n{}",
-        nblocks,
-        hot,
-        t.render()
-    )
+    let mut t = Table::new(
+        "",
+        [
+            col("phase", "phase", ""),
+            col("avg read (ms)", "avg_read_ms", "ms"),
+            col("avg seek (ms)", "avg_seek_ms", "ms"),
+            col("hot-set segments", "hot_segments", ""),
+        ],
+    );
+    for (label, p) in [("before rearrangement", before), ("after rearrangement", after)] {
+        t.row([
+            label.into(),
+            num(p.avg_read_us / 1000.0, 2),
+            num(p.avg_seek_us / 1000.0, 2),
+            (p.hot_segments as u64).into(),
+        ]);
+    }
+    let mut report = Report::new("hotcold", opts.quick);
+    report
+        .value("blocks_moved", u64::from(moved))
+        .note(format!(
+            "E15: adaptive block rearrangement — {nblocks} blocks, 90/10 skewed reads,\n\
+             {hot} hot blocks collected by reorganize_hot ({moved} moved)\n\
+             (Akyürek & Salem: reorganizing by reference frequency cuts seek\n\
+             times by more than half)\n\n"
+        ))
+        .table(t);
+    report
 }
 
 #[cfg(test)]
@@ -125,20 +116,7 @@ mod tests {
 
     #[test]
     fn rearrangement_cuts_seek_time() {
-        let mut ld = Lld::format(rig::disk_sized(64 << 20), rig::lld_config()).expect("format");
-        let lid = ld
-            .new_list(PredList::Start, ListHints::default())
-            .expect("list");
-        let data = compressible_data(4096, 1);
-        let mut bids = Vec::new();
-        let mut pred = Pred::Start;
-        for _ in 0..2_000 {
-            let b = ld.new_block(lid, pred).expect("alloc");
-            ld.write(b, &data).expect("write");
-            bids.push(b);
-            pred = Pred::After(b);
-        }
-        ld.flush(FailureSet::PowerFailure).expect("flush");
+        let (mut ld, bids) = loaded(64 << 20, 2_000);
         let hot = bids.len() / 10;
         let before = measure_reads(&mut ld, &bids, hot, 1_500, 1);
         ld.reorganize_hot(hot + hot / 4).expect("reorganize_hot");

@@ -8,7 +8,7 @@ use minix_fs::{FsConfig, InodeMode};
 
 use crate::driver::MinixLld;
 use crate::exp::phases::{large_file, small_file};
-use crate::report::Table;
+use crate::report::{col, rate, Report, Table};
 use crate::rig;
 
 fn build(disk_bytes: u64, mode: InodeMode) -> MinixLld {
@@ -24,55 +24,53 @@ fn build(disk_bytes: u64, mode: InodeMode) -> MinixLld {
 }
 
 /// Compares packed i-node blocks against 64-byte i-node blocks.
-pub fn run(opts: super::Opts) -> String {
+pub fn run(opts: super::Opts) -> Report {
     let (disk_bytes, n, file_mb) = if opts.quick {
         (64u64 << 20, 500, 4u64)
     } else {
         (rig::PARTITION_BYTES, 5_000, 32)
     };
 
-    let mut out = String::from(
+    let mut report = Report::new("inodes", opts.quick);
+    report.note(
         "E9: i-node storage — packed i-node blocks vs 64-byte i-node blocks\n\
          (paper: create/delete similar, small-file reads worse with small\n\
          blocks, large-file unchanged)\n\n",
     );
+    let variants = [
+        ("packed i-node blocks", InodeMode::Packed),
+        ("64-byte i-node blocks", InodeMode::SmallBlocks),
+    ];
 
-    let mut t = Table::new(vec!["variant", "C (f/s)", "R (f/s)", "D (f/s)"]);
-    let mut packed = build(disk_bytes, InodeMode::Packed);
-    let rp = small_file(&mut packed, n, 1 << 10);
-    t.row(vec![
-        "packed i-node blocks".to_string(),
-        crate::report::rate(rp.create_per_s),
-        crate::report::rate(rp.read_per_s),
-        crate::report::rate(rp.delete_per_s),
-    ]).expect("row width");
-    let mut small = build(disk_bytes, InodeMode::SmallBlocks);
-    let rs = small_file(&mut small, n, 1 << 10);
-    t.row(vec![
-        "64-byte i-node blocks".to_string(),
-        crate::report::rate(rs.create_per_s),
-        crate::report::rate(rs.read_per_s),
-        crate::report::rate(rs.delete_per_s),
-    ]).expect("row width");
-    out.push_str(&format!("{n} x 1 KB files\n{}\n", t.render()));
+    let mut t = Table::new(
+        format!("{n} x 1 KB files"),
+        [
+            col("variant", "variant", ""),
+            col("C (f/s)", "create_per_s", "files/s"),
+            col("R (f/s)", "read_per_s", "files/s"),
+            col("D (f/s)", "delete_per_s", "files/s"),
+        ],
+    );
+    for (label, mode) in variants {
+        let r = small_file(&mut build(disk_bytes, mode), n, 1 << 10);
+        t.row([label.into(), rate(r.create_per_s), rate(r.read_per_s), rate(r.delete_per_s)]);
+    }
+    report.table(t).note("\n");
 
-    let mut t = Table::new(vec!["variant", "seq write KB/s", "seq read KB/s"]);
-    let mut packed = build(disk_bytes, InodeMode::Packed);
-    let lp = large_file(&mut packed, file_mb << 20, 8192);
-    t.row(vec![
-        "packed i-node blocks".to_string(),
-        crate::report::rate(lp.write_seq),
-        crate::report::rate(lp.read_seq),
-    ]).expect("row width");
-    let mut small = build(disk_bytes, InodeMode::SmallBlocks);
-    let ls = large_file(&mut small, file_mb << 20, 8192);
-    t.row(vec![
-        "64-byte i-node blocks".to_string(),
-        crate::report::rate(ls.write_seq),
-        crate::report::rate(ls.read_seq),
-    ]).expect("row width");
-    out.push_str(&format!("{file_mb} MB large file\n{}", t.render()));
-    out
+    let mut t = Table::new(
+        format!("{file_mb} MB large file"),
+        [
+            col("variant", "variant", ""),
+            col("seq write KB/s", "write_seq", "KB/s"),
+            col("seq read KB/s", "read_seq", "KB/s"),
+        ],
+    );
+    for (label, mode) in variants {
+        let r = large_file(&mut build(disk_bytes, mode), file_mb << 20, 8192);
+        t.row([label.into(), rate(r.write_seq), rate(r.read_seq)]);
+    }
+    report.table(t);
+    report
 }
 
 #[cfg(test)]

@@ -4,11 +4,9 @@
 //! during the create and delete phases of the small file benchmarks the
 //! overhead for maintaining lists was approximately 15%."
 
-use minix_fs::FsConfig;
-
 use crate::driver::MinixLld;
 use crate::exp::phases::small_file;
-use crate::report::Table;
+use crate::report::{col, rate, with_suffix, Report, Table};
 use crate::rig;
 
 fn run_variant(disk_bytes: u64, n: usize, maintain_lists: bool) -> (f64, f64, f64) {
@@ -16,16 +14,13 @@ fn run_variant(disk_bytes: u64, n: usize, maintain_lists: bool) -> (f64, f64, f6
         maintain_lists,
         ..rig::lld_config()
     };
-    let fs_config = FsConfig {
-        ..rig::minix_config()
-    };
-    let mut fs = MinixLld(rig::minix_lld_with(disk_bytes, lld_config, fs_config));
+    let mut fs = MinixLld(rig::minix_lld_with(disk_bytes, lld_config, rig::minix_config()));
     let r = small_file(&mut fs, n, 1 << 10);
     (r.create_per_s, r.read_per_s, r.delete_per_s)
 }
 
 /// Measures the list-maintenance overhead on the small-file benchmark.
-pub fn run(opts: super::Opts) -> String {
+pub fn run(opts: super::Opts) -> Report {
     let (disk_bytes, n) = if opts.quick {
         (64 << 20, 500)
     } else {
@@ -34,37 +29,30 @@ pub fn run(opts: super::Opts) -> String {
     let with = run_variant(disk_bytes, n, true);
     let without = run_variant(disk_bytes, n, false);
 
-    let overhead = |w: f64, wo: f64| 100.0 * (wo - w) / wo;
-    let mut t = Table::new(vec![
-        "phase",
-        "with lists (f/s)",
-        "no lists (f/s)",
-        "overhead",
-    ]);
-    t.row(vec![
-        "create".to_string(),
-        crate::report::rate(with.0),
-        crate::report::rate(without.0),
-        format!("{:.1}%", overhead(with.0, without.0)),
-    ]).expect("row width");
-    t.row(vec![
-        "read".to_string(),
-        crate::report::rate(with.1),
-        crate::report::rate(without.1),
-        format!("{:.1}%", overhead(with.1, without.1)),
-    ]).expect("row width");
-    t.row(vec![
-        "delete".to_string(),
-        crate::report::rate(with.2),
-        crate::report::rate(without.2),
-        format!("{:.1}%", overhead(with.2, without.2)),
-    ]).expect("row width");
-    format!(
-        "E7: list-maintenance overhead ({} x 1 KB files)\n\
-         (paper: ~15% during create/delete, little overhead during reads/writes)\n\n{}",
-        n,
-        t.render()
-    )
+    let mut t = Table::new(
+        "",
+        [
+            col("phase", "phase", ""),
+            col("with lists (f/s)", "with_lists_per_s", "files/s"),
+            col("no lists (f/s)", "no_lists_per_s", "files/s"),
+            col("overhead", "overhead_pct", "%"),
+        ],
+    );
+    for (phase, w, wo) in [
+        ("create", with.0, without.0),
+        ("read", with.1, without.1),
+        ("delete", with.2, without.2),
+    ] {
+        t.row([phase.into(), rate(w), rate(wo), with_suffix(100.0 * (wo - w) / wo, 1, "%")]);
+    }
+    let mut report = Report::new("lists", opts.quick);
+    report
+        .note(format!(
+            "E7: list-maintenance overhead ({n} x 1 KB files)\n\
+             (paper: ~15% during create/delete, little overhead during reads/writes)\n\n"
+        ))
+        .table(t);
+    report
 }
 
 #[cfg(test)]

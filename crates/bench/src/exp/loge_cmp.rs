@@ -6,16 +6,16 @@
 //!   magnitude faster than in Loge, since LLD only reads the segment
 //!   summaries" while Loge reads the whole disk.
 
-use ld_core::{FailureSet, ListHints, LogicalDisk, Pred, PredList};
+use ld_core::{FailureSet, LogicalDisk};
 use loge::{Loge, LogeConfig};
 use simdisk::BlockDev;
 
-use crate::report::{kb_per_s, secs, Table};
+use crate::report::{col, kb_per_s, num, rate, secs, Report, Table};
 use crate::rig;
-use crate::workload::{compressible_data, shuffled};
+use crate::workload::{compressible_data, fill_list, shuffled};
 
 /// Runs the random-write-stream and recovery comparisons.
-pub fn run(opts: super::Opts) -> String {
+pub fn run(opts: super::Opts) -> Report {
     let (disk_bytes, nblocks) = if opts.quick {
         (64u64 << 20, 1_000usize)
     } else {
@@ -48,16 +48,7 @@ pub fn run(opts: super::Opts) -> String {
     // LLD (block interface directly).
     let mut ld =
         lld::Lld::format(rig::disk_sized(disk_bytes), rig::lld_config()).expect("format lld");
-    let lid = ld
-        .new_list(PredList::Start, ListHints::default())
-        .expect("list");
-    let mut bids = Vec::with_capacity(span);
-    let mut pred = Pred::Start;
-    for _ in 0..span {
-        let b = ld.new_block(lid, pred).expect("alloc");
-        bids.push(b);
-        pred = Pred::After(b);
-    }
+    let bids = fill_list(&mut ld, span, None);
     let t0 = ld.disk().now_us();
     for &i in order.iter().take(nblocks) {
         ld.write(bids[i % span], &data).expect("write");
@@ -82,39 +73,37 @@ pub fn run(opts: super::Opts) -> String {
     let ld = lld::Lld::open(d, config).expect("lld recovery");
     let lld_rec_us = ld.stats().recovery_us;
 
-    let mut t = Table::new(vec!["system", "random 4KB writes (KB/s)", "recovery (s)"]);
-    t.row(vec![
-        "update-in-place".to_string(),
-        format!("{inplace_kbs:.0}"),
-        "-".to_string(),
-    ]).expect("row width");
-    t.row(vec![
-        "Loge".to_string(),
-        format!("{loge_kbs:.0}"),
-        secs(loge_rec_us),
-    ]).expect("row width");
-    t.row(vec![
-        "LLD".to_string(),
-        format!("{lld_kbs:.0}"),
-        secs(lld_rec_us),
-    ]).expect("row width");
-    format!(
-        "E11: Loge comparison ({} MB disk, {} random block writes)\n\
-         (paper §5.2: both beat update-in-place on write streams; LLD recovery\n\
-         is ≥10x faster because Loge must scan the whole disk)\n\
-         Recovery ratio: {:.0}x\n\n{}",
-        disk_bytes >> 20,
-        nblocks,
-        loge_rec_us as f64 / lld_rec_us.max(1) as f64,
-        t.render()
-    )
+    let mut t = Table::new(
+        "",
+        [
+            col("system", "system", ""),
+            col("random 4KB writes (KB/s)", "random_write_kb_s", "KB/s"),
+            col("recovery (s)", "recovery_s", "s"),
+        ],
+    );
+    t.row(["update-in-place".into(), rate(inplace_kbs), num(f64::NAN, 2)])
+        .row(["Loge".into(), rate(loge_kbs), secs(loge_rec_us)])
+        .row(["LLD".into(), rate(lld_kbs), secs(lld_rec_us)]);
+    let ratio = loge_rec_us as f64 / lld_rec_us.max(1) as f64;
+    let mut report = Report::new("loge", opts.quick);
+    report
+        .value("recovery_ratio", num(ratio, 0))
+        .note(format!(
+            "E11: Loge comparison ({} MB disk, {nblocks} random block writes)\n\
+             (paper §5.2: both beat update-in-place on write streams; LLD recovery\n\
+             is ≥10x faster because Loge must scan the whole disk)\n\
+             Recovery ratio: {ratio:.0}x\n\n",
+            disk_bytes >> 20,
+        ))
+        .table(t);
+    report
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn loge_relations_hold_quick() {
-        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None });
+        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None }).text();
         // Extract the recovery ratio line.
         let line = out
             .lines()

@@ -6,9 +6,9 @@
 //! A sync-heavy small-file workload (every file fsync'd, the worst case
 //! §3.2 worries about) runs against MINIX LLD with varying NVRAM sizes.
 
-use minix_fs::{FsConfig, LdStore, MinixFs};
+use minix_fs::{LdStore, MinixFs};
 
-use crate::report::{ops_per_s, Table};
+use crate::report::{change_pct, col, json_col, ops_per_s, rate, text_col, Report, Table};
 use crate::rig;
 use crate::workload::compressible_data;
 
@@ -25,9 +25,7 @@ fn run_one(disk_bytes: u64, nfiles: usize, nvram_bytes: usize) -> Row {
     let store = LdStore::format(disk, rig::lld_config()).expect("format");
     let mut fs = MinixFs::format(
         store,
-        FsConfig {
-            ..rig::minix_config()
-        },
+        rig::minix_config(),
     )
     .expect("mkfs");
     let data = compressible_data(2 << 10, 0x4E);
@@ -56,7 +54,7 @@ fn run_one(disk_bytes: u64, nfiles: usize, nvram_bytes: usize) -> Row {
 }
 
 /// Sweeps the NVRAM size over the fsync-per-file workload.
-pub fn run(opts: super::Opts) -> String {
+pub fn run(opts: super::Opts) -> Report {
     let (disk_bytes, nfiles) = if opts.quick {
         (64u64 << 20, 300)
     } else {
@@ -68,38 +66,42 @@ pub fn run(opts: super::Opts) -> String {
         .collect();
     let base_ops = rows[0].disk_ops;
 
-    let mut t = Table::new(vec![
-        "NVRAM",
-        "partial seg writes",
-        "NVRAM saves",
-        "disk ops",
-        "vs none",
-        "files/s",
-    ]);
+    let mut t = Table::new(
+        "",
+        [
+            text_col("NVRAM"),
+            json_col("nvram_kb", "KB"),
+            col("partial seg writes", "partial_segment_writes", ""),
+            col("NVRAM saves", "nvram_saves", ""),
+            col("disk ops", "disk_ops", ""),
+            col("vs none", "vs_none_pct", "%"),
+            col("files/s", "files_per_s", "files/s"),
+        ],
+    );
     for r in &rows {
-        t.row(vec![
+        t.row([
             if r.nvram_kb == 0 {
-                "none".to_string()
+                "none".into()
             } else {
-                format!("{} KB", r.nvram_kb)
+                format!("{} KB", r.nvram_kb).into()
             },
-            r.partials.to_string(),
-            r.nvram_saves.to_string(),
-            r.disk_ops.to_string(),
-            format!(
-                "{:+.0}%",
-                100.0 * (r.disk_ops as f64 - base_ops as f64) / base_ops as f64
-            ),
-            crate::report::rate(r.files_per_s),
-        ]).expect("row width");
+            (r.nvram_kb as u64).into(),
+            r.partials.into(),
+            r.nvram_saves.into(),
+            r.disk_ops.into(),
+            change_pct(100.0 * (r.disk_ops as f64 - base_ops as f64) / base_ops as f64),
+            rate(r.files_per_s),
+        ]);
     }
-    format!(
-        "E14: NVRAM extension — {} files, fsync after every file\n\
-         (Baker et al. via §5.3: 0.5 MB NVRAM removes most partial segment\n\
-         writes and cuts disk accesses ~20%)\n\n{}",
-        nfiles,
-        t.render()
-    )
+    let mut report = Report::new("nvram", opts.quick);
+    report
+        .note(format!(
+            "E14: NVRAM extension — {nfiles} files, fsync after every file\n\
+             (Baker et al. via §5.3: 0.5 MB NVRAM removes most partial segment\n\
+             writes and cuts disk accesses ~20%)\n\n"
+        ))
+        .table(t);
+    report
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ pub struct SmallFileResult {
 /// "The first benchmark measures small file I/O: the cost of creating,
 /// reading, and deleting N files in one directory." Each phase is fenced
 /// with a sync, and the cache is flushed between phases.
-pub fn small_file<B: Bencher>(fs: &mut B, n: usize, file_bytes: usize) -> SmallFileResult {
+pub fn small_file(fs: &mut dyn Bencher, n: usize, file_bytes: usize) -> SmallFileResult {
     let names = file_names(n);
     let data = compressible_data(file_bytes, 0x5F11E);
 
@@ -78,7 +78,7 @@ pub struct LargeFileResult {
 
 /// "The second benchmark ... writing and reading an 80-Mbyte file from a
 /// newly created file system in five stages" (8 KB chunks).
-pub fn large_file<B: Bencher>(fs: &mut B, file_bytes: u64, chunk: usize) -> LargeFileResult {
+pub fn large_file(fs: &mut dyn Bencher, file_bytes: u64, chunk: usize) -> LargeFileResult {
     let nchunks = (file_bytes / chunk as u64) as usize;
     let data = compressible_data(chunk, 0xB16F11E);
     let handle = fs.create("/bigfile");

@@ -17,17 +17,15 @@
 //! - **microbenchmarks**: mostly sequential log writes, where depth
 //!   buys coalesced back-to-back seals but reordering has little to do.
 
-use ld_core::{FailureSet, ListHints, LogicalDisk, Pred, PredList};
+use ld_core::{FailureSet, LogicalDisk};
 use lld::{Lld, LldConfig};
 use simdisk::{BlockDev, QueueStats, Scheduler};
 
 use crate::driver::MinixLld;
 use crate::exp::phases::{large_file, small_file, LargeFileResult, SmallFileResult};
-use crate::report::Table;
+use crate::report::{col, json_col, num, rate, text_col, Cell, Col, Report, Table};
 use crate::rig;
-use crate::workload::{compressible_data, rng};
-
-use rand::Rng;
+use crate::workload::{compressible_data, fill_list, hot_cold_pick, rng};
 
 /// One configuration of the sweep: `depth == 0` is queueing off (the
 /// direct path), `depth == 1` is queued but synchronous.
@@ -98,31 +96,16 @@ pub fn cleaner_under_load(p: Point, disk_bytes: u64, writes: usize) -> CleanerRe
         p,
     );
     let mut ld = Lld::format(rig::disk_sized(disk_bytes), config).expect("format");
-    let lid = ld
-        .new_list(PredList::Start, ListHints::default())
-        .expect("list");
     let nblocks = (ld.capacity_bytes() * 7 / 10 / 4096) as usize;
     let data = compressible_data(4096, 0xAB);
-    let mut bids = Vec::with_capacity(nblocks);
-    let mut pred = Pred::Start;
-    for _ in 0..nblocks {
-        let b = ld.new_block(lid, pred).expect("alloc");
-        ld.write(b, &data).expect("fill");
-        bids.push(b);
-        pred = Pred::After(b);
-    }
+    let bids = fill_list(&mut ld, nblocks, Some(&data));
     ld.flush(FailureSet::PowerFailure).expect("flush fill");
     ld.reset_stats();
 
-    let hot = nblocks / 10;
     let mut r = rng(0xC01D);
     let t0 = ld.disk().now_us();
     for _ in 0..writes {
-        let idx = if r.gen_bool(0.9) {
-            r.gen_range(0..hot)
-        } else {
-            r.gen_range(hot..nblocks)
-        };
+        let idx = hot_cold_pick(&mut r, nblocks / 10, nblocks);
         ld.write(bids[idx], &data).expect("overwrite");
     }
     ld.flush(FailureSet::PowerFailure).expect("flush");
@@ -152,7 +135,7 @@ pub fn micro(p: Point, disk_bytes: u64, nfiles: usize, large_bytes: u64) -> Micr
         rig::minix_config(),
     ));
     let small = small_file(&mut fs, nfiles, 1 << 10);
-    let mut q = fs.store().lld().queue_stats().unwrap_or_default();
+    let mut q = fs.0.store().lld().queue_stats().unwrap_or_default();
 
     let mut fs = MinixLld(rig::minix_lld_with(
         disk_bytes,
@@ -160,7 +143,7 @@ pub fn micro(p: Point, disk_bytes: u64, nfiles: usize, large_bytes: u64) -> Micr
         rig::minix_config(),
     ));
     let large = large_file(&mut fs, large_bytes, 8192);
-    let q2 = fs.store().lld().queue_stats().unwrap_or_default();
+    let q2 = fs.0.store().lld().queue_stats().unwrap_or_default();
     q.coalesced += q2.coalesced;
     q.coalesced_sectors += q2.coalesced_sectors;
     q.submitted += q2.submitted;
@@ -171,139 +154,126 @@ pub fn micro(p: Point, disk_bytes: u64, nfiles: usize, large_bytes: u64) -> Micr
     MicroResult { small, large, queue: q }
 }
 
-fn depth_cell(q: &QueueStats) -> String {
-    if q.dispatched == 0 {
-        "-".to_string()
-    } else {
-        format!("{:.1}/{}", q.mean_depth(), q.max_depth)
-    }
+/// The leading columns of both sweep tables: the queue configuration.
+const POINT_COLS: [Col; 3] = [json_col("scheduler", ""), json_col("depth", ""), text_col("queue")];
+
+fn point_cells(p: Point) -> [Cell; 3] {
+    [p.scheduler.name().into(), u64::from(p.depth).into(), p.label().into()]
 }
 
-/// Renders the experiment; also returns the machine-readable rows for
-/// `--json-out`.
-pub fn run_json(opts: super::Opts) -> (String, String) {
+/// Runs both sweeps.
+pub fn run(opts: super::Opts) -> Report {
     let (disk_bytes, writes, nfiles, large_bytes, micro_disk) = if opts.quick {
         (24u64 << 20, 4_000usize, 400usize, 8u64 << 20, 64u64 << 20)
     } else {
         (48 << 20, 20_000, 2_000, 48 << 20, rig::PARTITION_BYTES)
     };
 
-    let mut json = String::from("{\n  \"experiment\": \"e17\",\n");
-    json.push_str(&format!("  \"quick\": {},\n", opts.quick));
-    json.push_str("  \"cleaner_under_load\": [\n");
-
-    let mut t1 = Table::new(vec![
-        "queue",
-        "KB/s",
-        "cleaned",
-        "coalesced (sectors)",
-        "depth mean/max",
-    ]);
+    let [c0, c1, c2] = POINT_COLS;
+    let mut t1 = Table::new(
+        "(a) cleaner under load: 90/10 hot/cold overwrites, 70%-full disk,\n\
+         128 KB segments; user-write KB/s including cleaning",
+        [
+            c0,
+            c1,
+            c2,
+            col("KB/s", "kb_per_s", "KB/s"),
+            col("cleaned", "segments_cleaned", ""),
+            text_col("coalesced (sectors)"),
+            json_col("coalesced", ""),
+            json_col("coalesced_sectors", "sectors"),
+            text_col("depth mean/max"),
+            json_col("mean_depth", ""),
+            json_col("max_depth", ""),
+        ],
+    );
     let mut baseline = 0.0f64;
-    let mut rows = Vec::new();
-    for (i, p) in SWEEP.iter().enumerate() {
+    let mut best: Option<(Point, f64)> = None;
+    for p in SWEEP {
         let r = cleaner_under_load(*p, disk_bytes, writes);
         if p.depth <= 1 {
             baseline = baseline.max(r.kb_per_s);
+        } else if best.is_none_or(|(_, kbs)| r.kb_per_s >= kbs) {
+            best = Some((*p, r.kb_per_s));
         }
-        t1.row(vec![
-            p.label(),
-            crate::report::rate(r.kb_per_s),
-            r.segments_cleaned.to_string(),
-            format!("{} ({})", r.queue.coalesced, r.queue.coalesced_sectors),
-            depth_cell(&r.queue),
-        ])
-        .expect("row width");
-        json.push_str(&format!(
-            "    {{\"scheduler\": \"{}\", \"depth\": {}, \"kb_per_s\": {:.1}, \
-             \"segments_cleaned\": {}, \"coalesced\": {}, \"coalesced_sectors\": {}, \
-             \"mean_depth\": {:.2}, \"max_depth\": {}}}{}\n",
-            p.scheduler.name(),
-            p.depth,
-            r.kb_per_s,
-            r.segments_cleaned,
-            r.queue.coalesced,
-            r.queue.coalesced_sectors,
-            r.queue.mean_depth(),
-            r.queue.max_depth,
-            if i + 1 == SWEEP.len() { "" } else { "," },
-        ));
-        rows.push((*p, r));
+        let q = r.queue;
+        let [p0, p1, p2] = point_cells(*p);
+        t1.row([
+            p0,
+            p1,
+            p2,
+            rate(r.kb_per_s),
+            r.segments_cleaned.into(),
+            format!("{} ({})", q.coalesced, q.coalesced_sectors).into(),
+            q.coalesced.into(),
+            q.coalesced_sectors.into(),
+            if q.dispatched == 0 {
+                "-".into()
+            } else {
+                format!("{:.1}/{}", q.mean_depth(), q.max_depth).into()
+            },
+            num(q.mean_depth(), 1),
+            q.max_depth.into(),
+        ]);
     }
-    json.push_str("  ],\n  \"microbench\": [\n");
+    let (best, best_kbs) = best.expect("sweep has deep points");
 
-    let mut t2 = Table::new(vec![
-        "queue",
-        "small C",
-        "small R",
-        "small D",
-        "large Wseq",
-        "large Wrand",
-        "coalesced (sectors)",
-    ]);
-    for (i, p) in MICRO_SWEEP.iter().enumerate() {
-        let m = micro(*p, micro_disk, nfiles, large_bytes);
-        t2.row(vec![
-            p.label(),
-            crate::report::rate(m.small.create_per_s),
-            crate::report::rate(m.small.read_per_s),
-            crate::report::rate(m.small.delete_per_s),
-            crate::report::rate(m.large.write_seq),
-            crate::report::rate(m.large.write_rand),
-            format!("{} ({})", m.queue.coalesced, m.queue.coalesced_sectors),
-        ])
-        .expect("row width");
-        json.push_str(&format!(
-            "    {{\"scheduler\": \"{}\", \"depth\": {}, \"small_create_per_s\": {:.1}, \
-             \"small_read_per_s\": {:.1}, \"small_delete_per_s\": {:.1}, \
-             \"large_write_seq_kb_s\": {:.1}, \"large_write_rand_kb_s\": {:.1}, \
-             \"coalesced\": {}, \"coalesced_sectors\": {}}}{}\n",
-            p.scheduler.name(),
-            p.depth,
-            m.small.create_per_s,
-            m.small.read_per_s,
-            m.small.delete_per_s,
-            m.large.write_seq,
-            m.large.write_rand,
-            m.queue.coalesced,
-            m.queue.coalesced_sectors,
-            if i + 1 == MICRO_SWEEP.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    let best = rows
-        .iter()
-        .filter(|(p, _)| p.depth >= 4)
-        .max_by(|a, b| a.1.kb_per_s.total_cmp(&b.1.kb_per_s))
-        .expect("sweep has deep points");
-
-    let out = format!(
-        "E17: command queueing + I/O scheduling (scheduler x depth sweep)\n\
-         (paper anchor: the 2400-vs-300 KB/s gap of §4.2 is a scheduling\n\
-         effect; queueing recovers positioning time the depth-1 stack\n\
-         leaves on the table)\n\n\
-         (a) cleaner under load: 90/10 hot/cold overwrites, 70%-full disk,\n\
-         128 KB segments; user-write KB/s including cleaning\n{}\n\
-         best deep config: {} at {} vs {} for the depth<=1 baseline\n\
-         ({:+.1}%); wins come from coalesced adjacent seals, single-request\n\
-         victim prefetch, and scheduler-ordered batches.\n\n\
-         (b) Sprite-LFS microbenchmarks over MINIX LLD (files/s; KB/s)\n{}\n\
-         mostly-sequential log writes: depth buys coalesced back-to-back\n\
-         seals; reordering itself has little left to do.\n",
-        t1.render(),
-        best.0.label(),
-        crate::report::rate(best.1.kb_per_s),
-        crate::report::rate(baseline),
-        (best.1.kb_per_s / baseline - 1.0) * 100.0,
-        t2.render(),
+    let mut t2 = Table::new(
+        "(b) Sprite-LFS microbenchmarks over MINIX LLD (files/s; KB/s)",
+        [
+            c0,
+            c1,
+            c2,
+            col("small C", "small_create_per_s", "files/s"),
+            col("small R", "small_read_per_s", "files/s"),
+            col("small D", "small_delete_per_s", "files/s"),
+            col("large Wseq", "large_write_seq_kb_s", "KB/s"),
+            col("large Wrand", "large_write_rand_kb_s", "KB/s"),
+            text_col("coalesced (sectors)"),
+            json_col("coalesced", ""),
+            json_col("coalesced_sectors", "sectors"),
+        ],
     );
-    (out, json)
-}
+    for p in MICRO_SWEEP {
+        let m = micro(*p, micro_disk, nfiles, large_bytes);
+        let [p0, p1, p2] = point_cells(*p);
+        t2.row([
+            p0,
+            p1,
+            p2,
+            rate(m.small.create_per_s),
+            rate(m.small.read_per_s),
+            rate(m.small.delete_per_s),
+            rate(m.large.write_seq),
+            rate(m.large.write_rand),
+            format!("{} ({})", m.queue.coalesced, m.queue.coalesced_sectors).into(),
+            m.queue.coalesced.into(),
+            m.queue.coalesced_sectors.into(),
+        ]);
+    }
 
-/// Runs the sweep (text report only).
-pub fn run(opts: super::Opts) -> String {
-    run_json(opts).0
+    let mut report = Report::new("e17", opts.quick);
+    report
+        .note(
+            "E17: command queueing + I/O scheduling (scheduler x depth sweep)\n\
+             (paper anchor: the 2400-vs-300 KB/s gap of §4.2 is a scheduling\n\
+             effect; queueing recovers positioning time the depth-1 stack\n\
+             leaves on the table)\n\n",
+        )
+        .table(t1)
+        .note(format!(
+            "\nbest deep config: {} at {best_kbs:.0} vs {baseline:.0} for the depth<=1 baseline\n\
+             ({:+.1}%); wins come from coalesced adjacent seals, single-request\n\
+             victim prefetch, and scheduler-ordered batches.\n\n",
+            best.label(),
+            (best_kbs / baseline - 1.0) * 100.0,
+        ))
+        .table(t2)
+        .note(
+            "\nmostly-sequential log writes: depth buys coalesced back-to-back\n\
+             seals; reordering itself has little left to do.\n",
+        );
+    report
 }
 
 #[cfg(test)]

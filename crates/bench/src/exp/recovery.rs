@@ -5,15 +5,15 @@
 //! map, and reading the superblock, root i-node, and initializing the
 //! MINIX file system data structures."
 
-use minix_fs::{FsConfig, LdStore, MinixFs};
+use minix_fs::{LdStore, MinixFs};
 use simdisk::BlockDev;
 
-use crate::report::{secs, Table};
+use crate::report::{col, secs, Report, Table};
 use crate::rig;
 use crate::workload::compressible_data;
 
 /// Loads the file system, crashes it, and measures the recovery sweep.
-pub fn run(opts: super::Opts) -> String {
+pub fn run(opts: super::Opts) -> Report {
     let (disk_bytes, nfiles) = if opts.quick {
         (64 << 20, 300)
     } else {
@@ -42,9 +42,7 @@ pub fn run(opts: super::Opts) -> String {
     let lld_stats = *store.lld().stats();
     let mut fs = MinixFs::mount(
         store,
-        FsConfig {
-            ..rig::minix_config()
-        },
+        rig::minix_config(),
     )
     .expect("mount");
     let total_us = fs.now_us() - t0;
@@ -60,35 +58,36 @@ pub fn run(opts: super::Opts) -> String {
         "a crash recovery must use the sweep, not a checkpoint"
     );
 
-    let mut t = Table::new(vec!["quantity", "paper", "measured"]);
-    t.row(vec![
-        "segment summaries read".to_string(),
-        "788".to_string(),
-        lld_stats.recovery_summaries_read.to_string(),
-    ]).expect("row width");
-    t.row(vec![
-        "LD sweep time (s)".to_string(),
-        "-".to_string(),
-        secs(lld_stats.recovery_us),
-    ]).expect("row width");
-    t.row(vec![
-        "LD + MINIX total (s)".to_string(),
-        "12".to_string(),
-        secs(total_us),
-    ]).expect("row width");
-    format!(
-        "E6: recovery after failure ({} MB partition, {} files loaded)\n\n{}",
-        disk_bytes >> 20,
-        nfiles,
-        t.render()
-    )
+    let mut t = Table::new(
+        "",
+        [
+            col("quantity", "quantity", ""),
+            col("paper", "paper", ""),
+            col("measured", "measured", ""),
+        ],
+    );
+    t.row([
+        "segment summaries read".into(),
+        "788".into(),
+        lld_stats.recovery_summaries_read.into(),
+    ])
+    .row(["LD sweep time (s)".into(), "-".into(), secs(lld_stats.recovery_us)])
+    .row(["LD + MINIX total (s)".into(), "12".into(), secs(total_us)]);
+    let mut report = Report::new("recovery", opts.quick);
+    report
+        .note(format!(
+            "E6: recovery after failure ({} MB partition, {nfiles} files loaded)\n\n",
+            disk_bytes >> 20
+        ))
+        .table(t);
+    report
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn recovery_runs_and_reads_only_summaries() {
-        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None });
+        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None }).text();
         assert!(out.contains("segment summaries read"));
     }
 }

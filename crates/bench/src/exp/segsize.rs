@@ -4,7 +4,7 @@
 //! 64-Kbyte segments we measured a reduction in write performance of 23%."
 
 use crate::driver::{Bencher, MinixLld};
-use crate::report::Table;
+use crate::report::{change_pct, col, json_col, rate, text_col, Report, Table};
 use crate::rig;
 use crate::workload::compressible_data;
 
@@ -30,7 +30,7 @@ fn seq_write_kbs(disk_bytes: u64, file_bytes: u64, segment_bytes: usize) -> f64 
 }
 
 /// Sweeps the segment size over the sequential-write benchmark.
-pub fn run(opts: super::Opts) -> String {
+pub fn run(opts: super::Opts) -> Report {
     let (disk_bytes, file_bytes) = if opts.quick {
         (96u64 << 20, 8 << 20)
     } else {
@@ -43,20 +43,32 @@ pub fn run(opts: super::Opts) -> String {
         .collect();
     let base = results.last().expect("non-empty").1;
 
-    let mut t = Table::new(vec!["segment size", "write KB/s", "vs 512 KB"]);
-    for (kb, kbs) in &results {
-        t.row(vec![
-            format!("{kb} KB"),
-            format!("{kbs:.0}"),
-            format!("{:+.0}%", 100.0 * (kbs - base) / base),
-        ]).expect("row width");
+    let mut t = Table::new(
+        "",
+        [
+            text_col("segment size"),
+            json_col("segment_kb", "KB"),
+            col("write KB/s", "write_kb_s", "KB/s"),
+            col("vs 512 KB", "vs_512kb_pct", "%"),
+        ],
+    );
+    for &(kb, kbs) in &results {
+        t.row([
+            format!("{kb} KB").into(),
+            (kb as u64).into(),
+            rate(kbs),
+            change_pct(100.0 * (kbs - base) / base),
+        ]);
     }
-    format!(
-        "E8: segment-size sweep, sequential write of {} MB\n\
-         (paper: 128/256/512 KB within a few percent; 64 KB loses 23%)\n\n{}",
-        file_bytes >> 20,
-        t.render()
-    )
+    let mut report = Report::new("segsize", opts.quick);
+    report
+        .note(format!(
+            "E8: segment-size sweep, sequential write of {} MB\n\
+             (paper: 128/256/512 KB within a few percent; 64 KB loses 23%)\n\n",
+            file_bytes >> 20
+        ))
+        .table(t);
+    report
 }
 
 #[cfg(test)]
@@ -66,11 +78,9 @@ mod tests {
     #[test]
     fn sixty_four_kb_segments_lose_write_performance() {
         let disk = 128 << 20;
-        let file = 8 << 20;
         let kbs512 = seq_write_kbs(disk, 16 << 20, 512 << 10);
         let kbs128 = seq_write_kbs(disk, 16 << 20, 128 << 10);
         let kbs64 = seq_write_kbs(disk, 16 << 20, 64 << 10);
-        let _ = file;
         // 128 KB within ~12% of 512 KB.
         assert!(
             (kbs512 - kbs128).abs() / kbs512 < 0.12,

@@ -2,11 +2,11 @@
 //! for different configurations, assuming an average block-size of 4 Kbyte
 //! and a compression ratio of 60%."
 
-use ld_core::{ListHints, LogicalDisk, Pred, PredList};
 use lld::{ListGranularity, MemoryModel};
 use simdisk::MemDisk;
 
-use crate::report::Table;
+use crate::report::{col, json_col, num, text_col, Report, Table};
+use crate::workload::fill_list;
 
 const GB: u64 = 1 << 30;
 
@@ -22,7 +22,7 @@ fn mb(bytes: u64) -> String {
 
 /// Renders Table 2 from the paper's memory model, plus a live-instance
 /// cross-check.
-pub fn run(_opts: super::Opts) -> String {
+pub fn run(opts: super::Opts) -> Report {
     let single = MemoryModel::paper(GB, 4096, 512 << 10, false, ListGranularity::SingleList);
     let comp = MemoryModel::paper(
         GB,
@@ -34,62 +34,53 @@ pub fn run(_opts: super::Opts) -> String {
         },
     );
 
-    let mut t = Table::new(vec![
-        "Data structure",
-        "LLD, single list",
-        "LLD, compression + list per 8KB file",
-    ]);
-    t.row(vec![
-        "Block-number map".to_string(),
-        mb(single.block_map_bytes),
-        mb(comp.block_map_bytes),
-    ]).expect("row width");
-    t.row(vec![
-        "List table".to_string(),
-        mb(single.list_table_bytes),
-        mb(comp.list_table_bytes),
-    ]).expect("row width");
-    t.row(vec![
-        "Segment usage table".to_string(),
-        mb(single.usage_table_bytes),
-        mb(comp.usage_table_bytes),
-    ]).expect("row width");
-    t.row(vec![
-        "Total".to_string(),
-        mb(single.total_bytes()),
-        mb(comp.total_bytes()),
-    ]).expect("row width");
+    let mut t = Table::new(
+        "",
+        [
+            col("Data structure", "structure", ""),
+            text_col("LLD, single list"),
+            json_col("single_list_bytes", "bytes"),
+            text_col("LLD, compression + list per 8KB file"),
+            json_col("compression_per_file_bytes", "bytes"),
+        ],
+    );
+    for (name, a, b) in [
+        ("Block-number map", single.block_map_bytes, comp.block_map_bytes),
+        ("List table", single.list_table_bytes, comp.list_table_bytes),
+        ("Segment usage table", single.usage_table_bytes, comp.usage_table_bytes),
+        ("Total", single.total_bytes(), comp.total_bytes()),
+    ] {
+        t.row([name.into(), mb(a).into(), a.into(), mb(b).into(), b.into()]);
+    }
 
     // Live cross-check: bill an actual populated instance with the same
     // per-entry costs and verify the per-block rate matches the model.
     let disk = MemDisk::with_capacity(16 << 20);
     let mut l = lld::Lld::format(disk, lld::LldConfig::small_for_tests()).expect("format");
-    let lid = l
-        .new_list(PredList::Start, ListHints::default())
-        .expect("list");
-    let mut pred = Pred::Start;
-    for _ in 0..512 {
-        let b = l.new_block(lid, pred).expect("block");
-        pred = Pred::After(b);
-    }
+    fill_list(&mut l, 512, None);
     let live = l.memory_report();
     let per_block = live.block_map_bytes as f64 / 512.0;
 
-    format!(
-        "E1: Table 2 — LLD main memory per GB of physical disk\n\
-         (paper: 1.5 Mbyte / 4 byte / 6 Kbyte and 3.8 / 0.8 Mbyte / 6 Kbyte)\n\n{}\n\
-         Live cross-check: a populated instance bills {:.1} bytes per block\n\
-         (paper model: 6 bytes/block without compression).\n",
-        t.render(),
-        per_block
-    )
+    let mut report = Report::new("table2", opts.quick);
+    report
+        .value("live_bytes_per_block", num(per_block, 1))
+        .note(
+            "E1: Table 2 — LLD main memory per GB of physical disk\n\
+             (paper: 1.5 Mbyte / 4 byte / 6 Kbyte and 3.8 / 0.8 Mbyte / 6 Kbyte)\n\n",
+        )
+        .table(t)
+        .note(format!(
+            "\nLive cross-check: a populated instance bills {per_block:.1} bytes per block\n\
+             (paper model: 6 bytes/block without compression).\n"
+        ));
+    report
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn table2_reproduces_paper_cells() {
-        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None });
+        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None }).text();
         assert!(out.contains("1.5 Mbyte"), "block map col 1:\n{out}");
         assert!(
             out.contains("3.8 Mbyte") || out.contains("3.7 Mbyte"),

@@ -4,12 +4,12 @@
 
 use lld::{ListGranularity, MemoryModel};
 
-use crate::report::Table;
+use crate::report::{col, json_col, num, text_col, Cell, Report, Table};
 
 const GB: u64 = 1 << 30;
 
 /// Renders Table 3.
-pub fn run(_opts: super::Opts) -> String {
+pub fn run(opts: super::Opts) -> Report {
     let best = MemoryModel::paper(GB, 4096, 512 << 10, false, ListGranularity::SingleList);
     let worst = MemoryModel::paper(
         GB,
@@ -21,42 +21,46 @@ pub fn run(_opts: super::Opts) -> String {
         },
     );
 
-    let cell = |ram: f64, disk_price: f64| {
-        format!(
-            "{:.0}% or {:.0}%",
-            best.cost_percentage(GB, ram, disk_price),
-            worst.cost_percentage(GB, ram, disk_price)
-        )
+    // One disk price: the text cell, then the best and worst percentages.
+    let cells = |ram: f64, disk_price: f64| -> [Cell; 3] {
+        let b = best.cost_percentage(GB, ram, disk_price);
+        let w = worst.cost_percentage(GB, ram, disk_price);
+        [format!("{b:.0}% or {w:.0}%").into(), num(b, 0), num(w, 0)]
     };
 
-    let mut t = Table::new(vec![
-        "Price of a Mbyte RAM",
-        "$750 / Gbyte disk",
-        "$1500 / Gbyte disk",
-    ]);
-    t.row(vec![
-        "$30".to_string(),
-        cell(30.0, 750.0),
-        cell(30.0, 1500.0),
-    ]).expect("row width");
-    t.row(vec![
-        "$50".to_string(),
-        cell(50.0, 750.0),
-        cell(50.0, 1500.0),
-    ]).expect("row width");
+    let mut t = Table::new(
+        "",
+        [
+            col("Price of a Mbyte RAM", "ram_price", ""),
+            text_col("$750 / Gbyte disk"),
+            json_col("disk_750_best_pct", "%"),
+            json_col("disk_750_worst_pct", "%"),
+            text_col("$1500 / Gbyte disk"),
+            json_col("disk_1500_best_pct", "%"),
+            json_col("disk_1500_worst_pct", "%"),
+        ],
+    );
+    for (label, ram) in [("$30", 30.0), ("$50", 50.0)] {
+        let [a, a_best, a_worst] = cells(ram, 750.0);
+        let [b, b_best, b_worst] = cells(ram, 1500.0);
+        t.row([label.into(), a, a_best, a_worst, b, b_best, b_worst]);
+    }
 
-    format!(
-        "E2: Table 3 — % cost LLD adds to a disk (best case or worst case)\n\
-         (paper: 6%/18%, 3%/9%, 10%/31%, 5%/15%)\n\n{}",
-        t.render()
-    )
+    let mut report = Report::new("table3", opts.quick);
+    report
+        .note(
+            "E2: Table 3 — % cost LLD adds to a disk (best case or worst case)\n\
+             (paper: 6%/18%, 3%/9%, 10%/31%, 5%/15%)\n\n",
+        )
+        .table(t);
+    report
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn table3_reproduces_paper_cells() {
-        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None });
+        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None }).text();
         // Paper cells: $30+$750 → 6%/18%; $50+$750 → 10%/31%;
         // $30+$1500 → 3%/9%; $50+$1500 → 5%/15%.
         assert!(out.contains("6% or 18%"), "{out}");

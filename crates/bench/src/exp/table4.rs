@@ -10,126 +10,68 @@
 //!   read-ahead");
 //! - delete: MINIX LLD ≈ MINIX ≫ SunOS (synchronous deletes).
 
-use crate::driver::{Bencher, MinixLld, MinixRaw, Sunos};
-use crate::exp::phases::{small_file, SmallFileResult};
-use crate::report::Table;
+use crate::driver::on_paper_stacks;
+use crate::exp::phases::small_file;
+use crate::report::{col, json_col, rate, Report, Table};
 use crate::rig;
 
-fn fmt(r: &SmallFileResult) -> [String; 3] {
-    [
-        crate::report::rate(r.create_per_s),
-        crate::report::rate(r.read_per_s),
-        crate::report::rate(r.delete_per_s),
-    ]
-}
-
-fn json_row(n: usize, bytes: usize, label: &str, r: &SmallFileResult) -> String {
-    format!(
-        "    {{\"files\": {n}, \"file_bytes\": {bytes}, \"fs\": \"{label}\", \
-         \"create_per_s\": {:.1}, \"read_per_s\": {:.1}, \"delete_per_s\": {:.1}}}",
-        r.create_per_s, r.read_per_s, r.delete_per_s
-    )
-}
-
-/// Runs both file-size variants over all three file systems; also
-/// returns the machine-readable rows for `--json-out`.
-pub fn run_json(opts: super::Opts) -> (String, String) {
+/// Runs both file-size variants over all three file systems.
+pub fn run(opts: super::Opts) -> Report {
     let (n_small, n_big) = if opts.quick {
         (1_000, 100)
     } else {
         (10_000, 1_000)
     };
-    let disk_bytes = rig::PARTITION_BYTES;
-
-    let mut json_rows: Vec<String> = Vec::new();
-    let mut out =
-        String::from("E3: Table 4 — small-file I/O (files/second; C=create R=read D=delete)\n\n");
+    let mut report = Report::new("table4", opts.quick);
+    report.note("E3: Table 4 — small-file I/O (files/second; C=create R=read D=delete)\n\n");
     for (n, bytes, label) in [
         (n_small, 1 << 10, "1-Kbyte files"),
         (n_big, 10 << 10, "10-Kbyte files"),
     ] {
-        let mut t = Table::new(vec!["File system", "C", "R", "D"]);
-        let mut footnotes = String::new();
-        let exp = format!("table4/{label}");
-
-        let mut fs = MinixLld(rig::minix_lld(disk_bytes));
-        crate::faultctl::inject(&mut fs, &opts);
-        let tr = crate::tracectl::maybe_attach(&mut fs, &opts);
-        let r = small_file(&mut fs, n, bytes);
-        json_rows.push(json_row(n, bytes, fs.label(), &r));
-        let c = fmt(&r);
-        t.row(vec![
-            fs.label().to_string(),
-            c[0].clone(),
-            c[1].clone(),
-            c[2].clone(),
-        ]).expect("row width");
-        footnotes.push_str(&crate::tracectl::finish(tr, &fs, &opts, &exp));
-        footnotes.push_str(&crate::faultctl::finish(fs, &opts));
-
-        let mut fs = MinixRaw(rig::minix(disk_bytes));
-        let tr = crate::tracectl::maybe_attach(&mut fs, &opts);
-        let r = small_file(&mut fs, n, bytes);
-        json_rows.push(json_row(n, bytes, fs.label(), &r));
-        let c = fmt(&r);
-        t.row(vec![
-            fs.label().to_string(),
-            c[0].clone(),
-            c[1].clone(),
-            c[2].clone(),
-        ]).expect("row width");
-        footnotes.push_str(&crate::tracectl::finish(tr, &fs, &opts, &exp));
-
-        let mut fs = Sunos(rig::sunos(disk_bytes));
-        let tr = crate::tracectl::maybe_attach(&mut fs, &opts);
-        let r = small_file(&mut fs, n, bytes);
-        json_rows.push(json_row(n, bytes, fs.label(), &r));
-        let c = fmt(&r);
-        t.row(vec![
-            fs.label().to_string(),
-            c[0].clone(),
-            c[1].clone(),
-            c[2].clone(),
-        ]).expect("row width");
-        footnotes.push_str(&crate::tracectl::finish(tr, &fs, &opts, &exp));
-
-        out.push_str(&format!("{n} x {label}\n{}", t.render()));
-        if !footnotes.is_empty() {
-            out.push_str(&format!("where the disk time went:\n{footnotes}"));
+        let (results, footnotes) =
+            on_paper_stacks(rig::PARTITION_BYTES, &opts, &format!("table4/{label}"), |fs| {
+                small_file(fs, n, bytes)
+            });
+        let mut t = Table::new(
+            format!("{n} x {label}"),
+            [
+                json_col("files", ""),
+                json_col("file_bytes", "bytes"),
+                col("File system", "fs", ""),
+                col("C", "create_per_s", "files/s"),
+                col("R", "read_per_s", "files/s"),
+                col("D", "delete_per_s", "files/s"),
+            ],
+        );
+        for (fs, r) in results {
+            t.row([
+                (n as u64).into(),
+                (bytes as u64).into(),
+                fs.into(),
+                rate(r.create_per_s),
+                rate(r.read_per_s),
+                rate(r.delete_per_s),
+            ]);
         }
-        out.push('\n');
+        report.table(t);
+        if !footnotes.is_empty() {
+            report.note(format!("where the disk time went:\n{footnotes}"));
+        }
+        report.note("\n");
     }
-    let json = format!(
-        "{{\n  \"experiment\": \"table4\",\n  \"quick\": {},\n  \"unit\": \"files/s\",\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
-        opts.quick,
-        json_rows.join(",\n")
-    );
-    (out, json)
-}
-
-/// Runs both file-size variants (text report only).
-pub fn run(opts: super::Opts) -> String {
-    run_json(opts).0
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::PAPER_STACKS;
 
     /// The Table 4 relations hold at reduced scale.
     #[test]
     fn relations_hold_quick() {
-        let n = 300;
-        let bytes = 1 << 10;
-        let disk = 64 << 20;
-
-        let mut lld_fs = MinixLld(rig::minix_lld(disk));
-        let lld = small_file(&mut lld_fs, n, bytes);
-        let mut raw_fs = MinixRaw(rig::minix(disk));
-        let raw = small_file(&mut raw_fs, n, bytes);
-        let mut sun_fs = Sunos(rig::sunos(disk));
-        let sun = small_file(&mut sun_fs, n, bytes);
+        let [lld, raw, sun] =
+            PAPER_STACKS.map(|build| small_file(build(64 << 20).as_mut(), 300, 1 << 10));
 
         assert!(
             lld.create_per_s > 1.5 * raw.create_per_s,

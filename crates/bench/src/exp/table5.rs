@@ -14,109 +14,63 @@
 //! - SunOS beats both on sequential writes and all reads, but loses to
 //!   MINIX LLD on random writes.
 
-use crate::driver::{Bencher, MinixLld, MinixRaw, Sunos};
-use crate::exp::phases::{large_file, LargeFileResult};
-use crate::report::Table;
+use crate::driver::on_paper_stacks;
+use crate::exp::phases::large_file;
+use crate::report::{col, rate, Report, Table};
 use crate::rig;
 
-fn row(label: &str, r: &LargeFileResult) -> Vec<String> {
-    vec![
-        label.to_string(),
-        crate::report::rate(r.write_seq),
-        crate::report::rate(r.read_seq),
-        crate::report::rate(r.write_rand),
-        crate::report::rate(r.read_rand),
-        crate::report::rate(r.reread_seq),
-    ]
-}
-
-fn json_row(label: &str, r: &LargeFileResult) -> String {
-    format!(
-        "    {{\"fs\": \"{label}\", \"write_seq\": {:.1}, \"read_seq\": {:.1}, \
-         \"write_rand\": {:.1}, \"read_rand\": {:.1}, \"reread_seq\": {:.1}}}",
-        r.write_seq, r.read_seq, r.write_rand, r.read_rand, r.reread_seq
-    )
-}
-
-/// Runs the five-phase benchmark over all three file systems; also
-/// returns the machine-readable rows for `--json-out`.
-pub fn run_json(opts: super::Opts) -> (String, String) {
+/// Runs the five-phase benchmark over all three file systems.
+pub fn run(opts: super::Opts) -> Report {
     let file_bytes: u64 = if opts.quick { 16 << 20 } else { 80 << 20 };
-    let disk_bytes = rig::PARTITION_BYTES;
-    let chunk = 8192;
-
-    let mut t = Table::new(vec![
-        "File system",
-        "Write Seq.",
-        "Read Seq.",
-        "Write Rand.",
-        "Read Rand.",
-        "Read Seq. (2)",
-    ]);
-    let mut footnotes = String::new();
-    let mut json_rows: Vec<String> = Vec::new();
-    let mut fs = MinixLld(rig::minix_lld(disk_bytes));
-    crate::faultctl::inject(&mut fs, &opts);
-    let tr = crate::tracectl::maybe_attach(&mut fs, &opts);
-    let r = large_file(&mut fs, file_bytes, chunk);
-    json_rows.push(json_row(fs.label(), &r));
-    t.row(row(fs.label(), &r)).expect("row width");
-    footnotes.push_str(&crate::tracectl::finish(tr, &fs, &opts, "table5"));
-    footnotes.push_str(&crate::faultctl::finish(fs, &opts));
-    let mut fs = MinixRaw(rig::minix(disk_bytes));
-    let tr = crate::tracectl::maybe_attach(&mut fs, &opts);
-    let r = large_file(&mut fs, file_bytes, chunk);
-    json_rows.push(json_row(fs.label(), &r));
-    t.row(row(fs.label(), &r)).expect("row width");
-    footnotes.push_str(&crate::tracectl::finish(tr, &fs, &opts, "table5"));
-    let mut fs = Sunos(rig::sunos(disk_bytes));
-    let tr = crate::tracectl::maybe_attach(&mut fs, &opts);
-    let r = large_file(&mut fs, file_bytes, chunk);
-    json_rows.push(json_row(fs.label(), &r));
-    t.row(row(fs.label(), &r)).expect("row width");
-    footnotes.push_str(&crate::tracectl::finish(tr, &fs, &opts, "table5"));
-
-    let mut out = format!(
+    let (results, footnotes) = on_paper_stacks(rig::PARTITION_BYTES, &opts, "table5", |fs| {
+        large_file(fs, file_bytes, 8192)
+    });
+    let mut t = Table::new(
+        "",
+        [
+            col("File system", "fs", ""),
+            col("Write Seq.", "write_seq", "KB/s"),
+            col("Read Seq.", "read_seq", "KB/s"),
+            col("Write Rand.", "write_rand", "KB/s"),
+            col("Read Rand.", "read_rand", "KB/s"),
+            col("Read Seq. (2)", "reread_seq", "KB/s"),
+        ],
+    );
+    for (fs, r) in results {
+        t.row([
+            fs.into(),
+            rate(r.write_seq),
+            rate(r.read_seq),
+            rate(r.write_rand),
+            rate(r.read_rand),
+            rate(r.reread_seq),
+        ]);
+    }
+    let mut report = Report::new("table5", opts.quick);
+    report.value("file_mb", file_bytes >> 20).note(format!(
         "E4: Table 5 — large-file I/O ({} MB file, 8 KB chunks; KB/s)\n\
          (paper anchors: MINIX LLD sequential writes ≈85% of the 2400 KB/s\n\
-         bandwidth; MINIX ≈13%)\n\n{}",
-        file_bytes >> 20,
-        t.render()
-    );
+         bandwidth; MINIX ≈13%)\n\n",
+        file_bytes >> 20
+    ));
+    report.table(t);
     if !footnotes.is_empty() {
-        out.push_str(&format!("where the disk time went:\n{footnotes}"));
+        report.note(format!("where the disk time went:\n{footnotes}"));
     }
-    let json = format!(
-        "{{\n  \"experiment\": \"table5\",\n  \"quick\": {},\n  \"unit\": \"KB/s\",\n  \
-         \"file_mb\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        opts.quick,
-        file_bytes >> 20,
-        json_rows.join(",\n")
-    );
-    (out, json)
-}
-
-/// Runs the five-phase benchmark (text report only).
-pub fn run(opts: super::Opts) -> String {
-    run_json(opts).0
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::PAPER_STACKS;
 
     #[test]
     fn relations_hold_quick() {
         // The file must be much larger than the 6 MB buffer cache or the
         // random-read phase degenerates into a cache benchmark.
-        let file = 16 << 20;
-        let disk = 96 << 20;
-        let mut lld_fs = MinixLld(rig::minix_lld(disk));
-        let lld = large_file(&mut lld_fs, file, 8192);
-        let mut raw_fs = MinixRaw(rig::minix(disk));
-        let raw = large_file(&mut raw_fs, file, 8192);
-        let mut sun_fs = Sunos(rig::sunos(disk));
-        let sun = large_file(&mut sun_fs, file, 8192);
+        let [lld, raw, sun] =
+            PAPER_STACKS.map(|build| large_file(build(96 << 20).as_mut(), 16 << 20, 8192));
 
         // LLD writes are log-structured: several times MINIX's.
         assert!(

@@ -20,7 +20,7 @@ use minix_fs::{FsConfig, InodeMode, LdStore, ListMode, MinixFs};
 use simdisk::SimDisk;
 use sprite_lfs::{LfsConfig, SpriteLfs};
 
-use crate::report::Table;
+use crate::report::{col, json_col, num, Cell, Report, Table};
 use crate::rig;
 use crate::workload::compressible_data;
 
@@ -45,15 +45,13 @@ impl Cost {
         self.data + self.inode + self.indirect + self.imap
     }
 
-    fn fmt(&self) -> String {
-        format!(
-            "{:.2} (d {:.2} + i {:.3} + ind {:.2} + map {:.3})",
-            self.total(),
-            self.data,
-            self.inode,
-            self.indirect,
-            self.imap
-        )
+    /// The breakdown cell, then the total on its own.
+    fn cells(&self) -> [Cell; 2] {
+        let (total, data, inode, indirect, imap) =
+            (self.total(), self.data, self.inode, self.indirect, self.imap);
+        let breakdown =
+            format!("{total:.2} (d {data:.2} + i {inode:.3} + ind {indirect:.2} + map {imap:.3})");
+        [breakdown.into(), num(total, 2)]
     }
 }
 
@@ -164,7 +162,7 @@ impl LldProbe {
 }
 
 /// Runs the comparison.
-pub fn run(opts: super::Opts) -> String {
+pub fn run(opts: super::Opts) -> Report {
     let n = if opts.quick { 128 } else { 512 };
     let block = 4096usize;
     let data = compressible_data(block, 0x7AB1E6);
@@ -239,41 +237,38 @@ pub fn run(opts: super::Opts) -> String {
         app_idx += 1;
     });
 
-    let mut t = Table::new(vec![
-        "operation",
-        "Sprite LFS (blocks/op)",
-        "MINIX LLD (blocks/op)",
-    ]);
-    t.row(vec!["create".to_string(), create.fmt(), m_create.fmt()]).expect("row width");
-    t.row(vec!["delete".to_string(), delete.fmt(), m_delete.fmt()]).expect("row width");
-    t.row(vec![
-        "overwrite, direct".to_string(),
-        ow_direct.fmt(),
-        m_ow_direct.fmt(),
-    ]).expect("row width");
-    t.row(vec![
-        "overwrite, indirect".to_string(),
-        ow_ind.fmt(),
-        m_ow_ind.fmt(),
-    ]).expect("row width");
-    t.row(vec![
-        "overwrite, dbl-indirect".to_string(),
-        ow_dind.fmt(),
-        m_ow_dind.fmt(),
-    ]).expect("row width");
-    t.row(vec![
-        "append, indirect range".to_string(),
-        append.fmt(),
-        m_append.fmt(),
-    ]).expect("row width");
+    let mut t = Table::new(
+        "",
+        [
+            col("operation", "operation", ""),
+            col("Sprite LFS (blocks/op)", "sprite", ""),
+            json_col("sprite_total", "blocks/op"),
+            col("MINIX LLD (blocks/op)", "lld", ""),
+            json_col("lld_total", "blocks/op"),
+        ],
+    );
+    for (op, sprite, lld) in [
+        ("create", create, m_create),
+        ("delete", delete, m_delete),
+        ("overwrite, direct", ow_direct, m_ow_direct),
+        ("overwrite, indirect", ow_ind, m_ow_ind),
+        ("overwrite, dbl-indirect", ow_dind, m_ow_dind),
+        ("append, indirect range", append, m_append),
+    ] {
+        let ([sprite, sprite_total], [lld, lld_total]) = (sprite.cells(), lld.cells());
+        t.row([op.into(), sprite, sprite_total, lld, lld_total]);
+    }
 
-    format!(
-        "E5: Table 6 — measured blocks written per operation\n\
-         (d = data, i = dirty i-nodes (ε), ind = indirect cascades, map = i-node map (δ))\n\
-         Paper: Sprite pays δ + ε + indirect cascades everywhere; MINIX LLD never\n\
-         pays δ or cascades because block numbers are location-independent.\n\n{}",
-        t.render()
-    )
+    let mut report = Report::new("table6", opts.quick);
+    report
+        .note(
+            "E5: Table 6 — measured blocks written per operation\n\
+             (d = data, i = dirty i-nodes (ε), ind = indirect cascades, map = i-node map (δ))\n\
+             Paper: Sprite pays δ + ε + indirect cascades everywhere; MINIX LLD never\n\
+             pays δ or cascades because block numbers are location-independent.\n\n",
+        )
+        .table(t);
+    report
 }
 
 #[cfg(test)]

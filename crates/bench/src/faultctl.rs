@@ -17,7 +17,7 @@
 use ld_core::LogicalDisk;
 use simdisk::FaultConfig;
 
-use crate::driver::MinixLld;
+use crate::driver::Bencher;
 use crate::exp::Opts;
 
 /// Parses a `--faults` spec: comma-separated `key=value` pairs.
@@ -56,31 +56,32 @@ pub fn parse_spec(spec: &str) -> Result<FaultConfig, String> {
 
 /// Injects the configured fault model into an already-formatted MINIX LLD
 /// stack (format itself always runs on clean media, like a factory-fresh
-/// drive whose defects grow in service). No-op when faults are off.
-pub fn inject(fs: &mut MinixLld, opts: &Opts) {
-    if let Some(cfg) = &opts.faults {
-        fs.0.store_mut().disk_mut().set_faults(*cfg);
+/// drive whose defects grow in service). No-op when faults are off or the
+/// stack has no LD store.
+pub fn inject(fs: &mut dyn Bencher, opts: &Opts) {
+    if let (Some(cfg), Some(store)) = (&opts.faults, fs.ld_store()) {
+        store.disk_mut().set_faults(*cfg);
     }
 }
 
 /// Finishes a faulted MINIX LLD run: scrubs the suspects the workload's
-/// retries recorded, shuts the stack down cleanly (so the remap table
-/// reaches the checkpoint), checks the final image with `ldck`, and
-/// returns a footnote line with the degraded-mode counters. Consumes the
-/// stack. Returns an empty string — and does none of the above — when
-/// faults are off.
-pub fn finish(fs: MinixLld, opts: &Opts) -> String {
-    if opts.faults.is_none() {
+/// retries recorded, shuts the LD down cleanly (so the remap table reaches
+/// the checkpoint), checks the final image with `ldck`, and returns a
+/// footnote line with the degraded-mode counters. The stack is unusable
+/// afterwards. Returns an empty string — and does none of the above — when
+/// faults are off or the stack has no LD store.
+pub fn finish(fs: &mut dyn Bencher, opts: &Opts) -> String {
+    if opts.faults.is_none() || fs.ld_store().is_none() {
         return String::new();
     }
-    let mut fs = fs.0;
-    fs.sync().expect("sync before scrub");
-    let mut store = fs.into_store();
+    fs.sync();
+    let Some(store) = fs.ld_store() else {
+        return String::new();
+    };
     let (relocated, _, _) = store.lld_mut().scrub().expect("scrub");
     store.lld_mut().shutdown().expect("clean shutdown");
     let stats = *store.lld().stats();
-    let image = store.into_disk().image_bytes();
-    let report = ldck::check_image(&image, &crate::rig::lld_config());
+    let report = ldck::check_image(&store.disk().image_bytes(), &crate::rig::lld_config());
     let verdict = if report.is_clean() {
         "clean".to_string()
     } else {

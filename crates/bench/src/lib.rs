@@ -1,8 +1,9 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (§4) plus the §5.2 comparison and two ablations.
 //!
-//! The `repro` binary dispatches to one experiment per subcommand; see
-//! `DESIGN.md` for the experiment index (E1–E13) and `EXPERIMENTS.md` for
+//! The `repro` binary dispatches to one experiment per subcommand; each
+//! returns a [`report::Report`] that renders as text and as JSON. See
+//! `DESIGN.md` for the experiment index (E1–E17) and `EXPERIMENTS.md` for
 //! recorded paper-vs-measured results.
 //!
 //! All throughput numbers come from the **simulated clock** of the

@@ -25,7 +25,7 @@ const RING_CAPACITY: usize = 65_536;
 
 /// Attaches a fresh tracer to `fs` when tracing is enabled; `None`
 /// otherwise (the entire mechanism then costs nothing).
-pub fn maybe_attach(fs: &mut impl Bencher, opts: &Opts) -> Option<TraceRun> {
+pub fn maybe_attach(fs: &mut dyn Bencher, opts: &Opts) -> Option<TraceRun> {
     opts.trace.as_ref()?;
     let tracer = ld_trace::Tracer::new(RING_CAPACITY);
     let stats0 = fs.disk_stats();
@@ -37,7 +37,7 @@ pub fn maybe_attach(fs: &mut impl Bencher, opts: &Opts) -> Option<TraceRun> {
 /// events to the trace file under a `{"meta":"run",...}` header, and
 /// returns the footnote line for the table. Returns an empty string when
 /// tracing is off.
-pub fn finish(run: Option<TraceRun>, fs: &impl Bencher, opts: &Opts, exp: &str) -> String {
+pub fn finish(run: Option<TraceRun>, fs: &dyn Bencher, opts: &Opts, exp: &str) -> String {
     let Some(run) = run else {
         return String::new();
     };

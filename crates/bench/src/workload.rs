@@ -1,5 +1,6 @@
 //! Workload generators: file data, names, and access orders.
 
+use ld_core::{Bid, ListHints, LogicalDisk, Pred, PredList};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -49,6 +50,34 @@ pub fn random_data(len: usize, seed: u64) -> Vec<u8> {
 /// The file names of the small-file benchmark (one directory).
 pub fn file_names(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("/f{i:06}")).collect()
+}
+
+/// Allocates `n` blocks, in order, on one new list of `ld`, writing `data`
+/// to each when given; returns their ids.
+pub fn fill_list(ld: &mut impl LogicalDisk, n: usize, data: Option<&[u8]>) -> Vec<Bid> {
+    let lid = ld
+        .new_list(PredList::Start, ListHints::default())
+        .expect("list");
+    let mut bids = Vec::with_capacity(n);
+    let mut pred = Pred::Start;
+    for _ in 0..n {
+        let b = ld.new_block(lid, pred).expect("alloc");
+        if let Some(data) = data {
+            ld.write(b, data).expect("fill");
+        }
+        bids.push(b);
+        pred = Pred::After(b);
+    }
+    bids
+}
+
+/// An index into `0..n` where 90 % of picks fall in the hot first `hot`.
+pub fn hot_cold_pick(r: &mut StdRng, hot: usize, n: usize) -> usize {
+    if r.gen_bool(0.9) {
+        r.gen_range(0..hot)
+    } else {
+        r.gen_range(hot..n)
+    }
 }
 
 /// A shuffled visit order over `n` items.

@@ -15,7 +15,7 @@
 //! this, freeing a segment could discard the only surviving record of a
 //! link or an allocation and recovery would reconstruct a stale state.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use ld_core::Result;
 use simdisk::BlockDev;
@@ -228,11 +228,11 @@ impl<D: BlockDev> Lld<D> {
             .filter_map(|(bid, e)| (e.seg == victim).then_some(bid))
             .collect();
 
-        let mut mentioned_bids: HashSet<u64> = HashSet::new();
-        let mut mentioned_lids: HashSet<u64> = HashSet::new();
-        let mut swap_bids: HashSet<u64> = HashSet::new();
-        let mut mentioned_sectors: HashSet<u64> = HashSet::new();
-        let mut mentioned_quarantines: HashSet<u32> = HashSet::new();
+        let mut mentioned_bids: BTreeSet<u64> = BTreeSet::new();
+        let mut mentioned_lids: BTreeSet<u64> = BTreeSet::new();
+        let mut swap_bids: BTreeSet<u64> = BTreeSet::new();
+        let mut mentioned_sectors: BTreeSet<u64> = BTreeSet::new();
+        let mut mentioned_quarantines: BTreeSet<u32> = BTreeSet::new();
         let summary = {
             let mut buf = vec![0u8; self.layout.summary_bytes];
             let readable = match &prefetch {
@@ -489,19 +489,23 @@ impl<D: BlockDev> Lld<D> {
     /// blocks not reachable from any list keep their relative order at the
     /// end.
     fn order_by_lists(&self, bids: &mut [u64]) {
-        use std::collections::HashMap;
-        let involved: HashSet<u64> = bids
+        let involved: BTreeSet<u64> = bids
             .iter()
             .filter_map(|&b| self.map.get(b).map(|e| e.list))
             .collect();
+        // Rank only the blocks being sorted: an involved list can be far
+        // longer than one segment's worth of them.
+        let wanted: BTreeSet<u64> = bids.iter().copied().collect();
         let order = self.lists.order();
-        let mut rank: HashMap<u64, (usize, usize)> = HashMap::new();
+        let mut rank: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
         for (li, lid) in order.iter().enumerate() {
             if !involved.contains(lid) {
                 continue;
             }
             for (bi, bid) in self.walk_list(*lid).into_iter().enumerate() {
-                rank.insert(bid, (li, bi));
+                if wanted.contains(&bid) {
+                    rank.insert(bid, (li, bi));
+                }
             }
         }
         bids.sort_by_key(|b| rank.get(b).copied().unwrap_or((usize::MAX, usize::MAX)));

@@ -384,6 +384,38 @@ fn cleaner_reclaims_overwritten_segments() {
     }
 }
 
+/// Regression: the cleaner kept the entities a victim's summary mentions in
+/// hash sets and re-logged them in hasher order, so one workload produced
+/// different on-disk summaries (and simulated timings) in different runs.
+#[test]
+fn cleaning_is_deterministic() {
+    fn run() -> Lld<SimDisk> {
+        let disk = SimDisk::hp_c3010_with_capacity(2 << 20);
+        let mut lld = Lld::format(disk, LldConfig::small_for_tests()).unwrap();
+        let mut bids = Vec::new();
+        for _ in 0..4 {
+            let lid = lld.new_list(PredList::Start, ListHints::default()).unwrap();
+            let mut pred = Pred::Start;
+            for _ in 0..64 {
+                let bid = lld.new_block(lid, pred).unwrap();
+                bids.push(bid);
+                pred = Pred::After(bid);
+            }
+        }
+        for round in 0..6u8 {
+            for (i, bid) in bids.iter().enumerate().skip(usize::from(round) % 3) {
+                lld.write(*bid, &pattern(4096, round ^ i as u8)).unwrap();
+            }
+        }
+        lld.flush(FailureSet::PowerFailure).unwrap();
+        assert!(lld.stats().segments_cleaned > 0, "cleaner must have run");
+        lld
+    }
+    let (a, b) = (run(), run());
+    assert_eq!(a.stats(), b.stats());
+    assert!(a.disk().image_bytes() == b.disk().image_bytes());
+}
+
 #[test]
 fn no_space_is_reported_and_recoverable() {
     let disk = SimDisk::hp_c3010_with_capacity(1 << 20);

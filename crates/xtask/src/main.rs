@@ -32,11 +32,13 @@
 //!    counters, or `ld-trace` events. CLI entry points (`main.rs`,
 //!    `bin/`) are exempt; a deliberate library print may be waived with
 //!    `// PRINT-OK: <why>`.
-//! 5. **Deterministic dispatch order in the I/O scheduler.** The command
-//!    queue promises bit-reproducible schedules (ties break by submission
-//!    order); iterating a `HashMap`/`HashSet` there would let hasher state
-//!    pick the dispatch order. The scheduler module must use only ordered
-//!    containers (`Vec`, `VecDeque`, `BTreeMap`).
+//! 5. **Deterministic dispatch order in the I/O scheduler and cleaner.**
+//!    The command queue promises bit-reproducible schedules (ties break by
+//!    submission order), and the cleaner re-logs the records a victim's
+//!    summary mentions in iteration order; a `HashMap`/`HashSet` there
+//!    would let hasher state pick what reaches the disk, and when. These
+//!    modules must use only ordered containers (`Vec`, `VecDeque`,
+//!    `BTreeMap`, `BTreeSet`).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -98,9 +100,13 @@ const FS_CRATES: &[&str] = &["minix-fs", "ffs", "sprite-lfs"];
 /// disk-management detail the LD interface exists to hide.
 const SIMDISK_ALLOWED: &[&str] = &["BlockDev", "DiskError", "SECTOR_SIZE"];
 
-/// Files implementing request scheduling, where iteration order decides
-/// the dispatch order and must therefore never come from a hasher.
-const DISPATCH_ORDER_FILES: &[&str] = &["crates/simdisk/src/queue.rs"];
+/// Files where iteration order decides what reaches the disk and in which
+/// order (request scheduling, the cleaner's re-logging), so it must never
+/// come from a hasher.
+const DISPATCH_ORDER_FILES: &[&str] = &[
+    "crates/simdisk/src/queue.rs",
+    "crates/lld/src/cleaner.rs",
+];
 
 /// Per-line waiver marker for documented invariants.
 const WAIVER: &str = "PANIC-OK:";
@@ -319,9 +325,9 @@ fn check_file(root: &Path, path: &Path, lint: &mut Lint, krate: &str) {
                 if code.contains(tok) {
                     report(
                         lint,
-                        &format!("unordered container `{tok}` in the I/O scheduler"),
-                        "hasher state would decide dispatch order; \
-                         use Vec/VecDeque/BTreeMap so schedules replay bit-identically",
+                        &format!("unordered container `{tok}` where order reaches the disk"),
+                        "hasher state would decide dispatch or re-log order; \
+                         use Vec/VecDeque/BTreeMap/BTreeSet so runs replay bit-identically",
                     );
                 }
             }
@@ -395,17 +401,17 @@ fn ci() -> ExitCode {
                 "differential_fs",
             ],
         ),
-        // Queueing: the depth-1 differential + ordering proptests, then
-        // the E17 smoke sweep (schedulers x depths over the cleaner).
+        // Queueing: the depth-1 differential + ordering proptests.
         (
             "queue differential",
             &["test", "-q", "--release", "--test", "queue_differential"],
         ),
+        // Every experiment at quick scale, through both report renderers.
         (
-            "E17 smoke",
+            "repro smoke",
             &[
                 "run", "-q", "--release", "-p", "ld-bench", "--bin", "repro", "--", "--quick",
-                "queueing",
+                "--json-out", "target/repro-quick.json", "all",
             ],
         ),
         ("clippy", &["clippy", "--workspace", "--", "-D", "warnings"]),
