@@ -4,8 +4,19 @@
 //! 6,144 Kbyte" (paper §4.2); the FFS baseline uses the same structure with
 //! a different size. Keys are store addresses; values are whole block
 //! images (variable-sized, supporting the small-i-node block variant).
+//!
+//! Recency is a lazy queue of `(tick, addr)` pairs. A touch (`get`,
+//! `get_mut`, insert) stamps a fresh tick on the entry as `last_used` and
+//! pushes the pair on the back: O(1). The block's older pairs go stale and
+//! stay; eviction pops from the front, skipping pairs whose entry is gone or
+//! was touched since. Ticks only increase and each entry has one live pair,
+//! so the first live pair is the entry with the smallest `last_used`: the
+//! victim a scan of the whole cache would pick. A touch that finds the queue
+//! longer than twice the entries first compacts it to its live pairs, which
+//! bounds it on hit-only traffic and makes eviction amortised O(1).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry as Slot;
+use std::collections::{HashMap, VecDeque};
 
 /// Eviction victim handed back to the caller for write-back.
 #[derive(Debug, PartialEq, Eq)]
@@ -27,8 +38,11 @@ struct Entry {
 #[derive(Debug)]
 pub struct BufferCache {
     entries: HashMap<u32, Entry>,
+    /// `(tick, addr)` per touch, oldest first; see the module doc.
+    recency: VecDeque<(u64, u32)>,
     capacity_bytes: usize,
     used_bytes: usize,
+    dirty_bytes: usize,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -39,8 +53,10 @@ impl BufferCache {
     pub fn new(capacity_bytes: usize) -> Self {
         Self {
             entries: HashMap::new(),
+            recency: VecDeque::new(),
             capacity_bytes,
             used_bytes: 0,
+            dirty_bytes: 0,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -59,20 +75,31 @@ impl BufferCache {
 
     /// Bytes of dirty (not yet written back) data.
     pub fn dirty_bytes(&self) -> usize {
-        self.entries
-            .values()
-            .filter(|e| e.dirty)
-            .map(|e| e.data.len())
-            .sum()
+        self.dirty_bytes
+    }
+
+    /// Makes `addr` the most recently used block, if resident. Takes fields,
+    /// not `self`, so that `get` can count a hit while holding the entry.
+    fn touch<'a>(
+        entries: &'a mut HashMap<u32, Entry>,
+        recency: &mut VecDeque<(u64, u32)>,
+        tick: &mut u64,
+        addr: u32,
+    ) -> Option<&'a mut Entry> {
+        *tick += 1;
+        if recency.len() > 2 * entries.len() {
+            recency.retain(|&(t, a)| entries.get(&a).is_some_and(|e| e.last_used == t));
+        }
+        let e = entries.get_mut(&addr)?;
+        e.last_used = *tick;
+        recency.push_back((*tick, addr));
+        Some(e)
     }
 
     /// Looks up a block, refreshing recency. Records a hit or miss.
     pub fn get(&mut self, addr: u32) -> Option<&[u8]> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(&addr) {
+        match Self::touch(&mut self.entries, &mut self.recency, &mut self.tick, addr) {
             Some(e) => {
-                e.last_used = tick;
                 self.hits += 1;
                 Some(&e.data)
             }
@@ -101,32 +128,28 @@ impl BufferCache {
     }
 
     fn insert(&mut self, addr: u32, data: Vec<u8>, dirty: bool) -> Vec<Evicted> {
-        self.tick += 1;
-        if let Some(old) = self.entries.remove(&addr) {
-            self.used_bytes -= old.data.len();
-        }
         self.used_bytes += data.len();
-        self.entries.insert(
-            addr,
-            Entry {
-                data,
-                dirty,
-                last_used: self.tick,
-            },
-        );
+        self.dirty_bytes += if dirty { data.len() } else { 0 };
+        let entry = Entry {
+            data,
+            dirty,
+            last_used: 0,
+        };
+        if let Some(old) = self.entries.insert(addr, entry) {
+            self.forget(&old);
+        }
+        Self::touch(&mut self.entries, &mut self.recency, &mut self.tick, addr);
         let mut evicted = Vec::new();
+        // Never evicts the block just inserted: its pair is the newest.
         while self.used_bytes > self.capacity_bytes && self.entries.len() > 1 {
-            // Evict the least recently used block other than the one just
-            // inserted.
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(a, _)| **a != addr)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(a, _)| *a)
-                .expect("len > 1"); // PANIC-OK: non-empty: the cache holds at least one entry here
-            let e = self.entries.remove(&victim).expect("chosen above"); // PANIC-OK: the victim key was just drawn from this map
-            self.used_bytes -= e.data.len();
+            let Some((tick, victim)) = self.recency.pop_front() else {
+                break;
+            };
+            let e = match self.entries.entry(victim) {
+                Slot::Occupied(o) if o.get().last_used == tick => o.remove(),
+                _ => continue, // Stale pair.
+            };
+            self.forget(&e);
             if e.dirty {
                 evicted.push(Evicted {
                     addr: victim,
@@ -137,28 +160,31 @@ impl BufferCache {
         evicted
     }
 
+    /// Takes a block that just left the cache off the byte counters.
+    fn forget(&mut self, e: &Entry) {
+        self.used_bytes -= e.data.len();
+        self.dirty_bytes -= if e.dirty { e.data.len() } else { 0 };
+    }
+
     /// Marks a resident block dirty (in-place mutation already applied via
     /// [`get_mut`](Self::get_mut)).
     pub fn mark_dirty(&mut self, addr: u32) {
-        if let Some(e) = self.entries.get_mut(&addr) {
+        if let Some(e) = self.entries.get_mut(&addr).filter(|e| !e.dirty) {
             e.dirty = true;
+            self.dirty_bytes += e.data.len();
         }
     }
 
     /// Mutable access to a resident block (refreshes recency).
-    pub fn get_mut(&mut self, addr: u32) -> Option<&mut Vec<u8>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(&addr).map(|e| {
-            e.last_used = tick;
-            &mut e.data
-        })
+    pub fn get_mut(&mut self, addr: u32) -> Option<&mut [u8]> {
+        Self::touch(&mut self.entries, &mut self.recency, &mut self.tick, addr)
+            .map(|e| e.data.as_mut_slice())
     }
 
     /// Removes a block without write-back (e.g. freed file blocks).
     pub fn discard(&mut self, addr: u32) {
         if let Some(e) = self.entries.remove(&addr) {
-            self.used_bytes -= e.data.len();
+            self.forget(&e);
         }
     }
 
@@ -179,6 +205,7 @@ impl BufferCache {
             })
             .collect();
         dirty.sort_by_key(|e| e.addr);
+        self.dirty_bytes = 0;
         dirty
     }
 
@@ -187,6 +214,7 @@ impl BufferCache {
     pub fn drop_all(&mut self) -> Vec<Evicted> {
         let dirty = self.take_dirty();
         self.entries.clear();
+        self.recency.clear();
         self.used_bytes = 0;
         dirty
     }
@@ -273,5 +301,43 @@ mod tests {
         c.mark_dirty(1);
         let d = c.take_dirty();
         assert_eq!(d[0].data[0], 0xFF);
+    }
+
+    #[test]
+    fn recency_queue_is_compacted_on_hits() {
+        let mut c = BufferCache::new(1 << 20);
+        for a in 0..4 {
+            c.insert_clean(a, vec![0u8; 8]);
+        }
+        for _ in 0..100_000 {
+            assert!(c.get(2).is_some());
+            assert!(c.recency.len() <= 2 * c.entries.len() + 1);
+        }
+    }
+
+    #[test]
+    fn reinserting_the_lru_block_makes_it_most_recent() {
+        let mut c = BufferCache::new(3000);
+        c.insert_clean(1, vec![0u8; 1000]);
+        c.insert_clean(2, vec![0u8; 1000]);
+        c.insert_clean(3, vec![0u8; 1000]);
+        c.insert_dirty(1, vec![1u8; 1000]);
+        let ev = c.insert_clean(4, vec![0u8; 1000]);
+        assert!(ev.is_empty());
+        assert!(c.contains(1) && !c.contains(2) && c.contains(3));
+        assert_eq!(c.dirty_bytes(), 1000);
+    }
+
+    #[test]
+    fn discard_forgets_recency() {
+        let mut c = BufferCache::new(3000);
+        c.insert_dirty(1, vec![0u8; 1000]);
+        c.insert_clean(2, vec![0u8; 1000]);
+        c.insert_clean(3, vec![0u8; 1000]);
+        c.discard(1);
+        assert_eq!(c.dirty_bytes(), 0);
+        c.insert_clean(1, vec![0u8; 1000]);
+        c.insert_clean(4, vec![0u8; 1000]);
+        assert!(c.contains(1) && !c.contains(2) && c.contains(3));
     }
 }

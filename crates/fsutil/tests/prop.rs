@@ -1,18 +1,25 @@
-//! Property tests: the buffer cache against a trivial model.
+//! Property tests: the buffer cache against two models.
 //!
-//! The model is a plain map plus a "backing store" map; the invariant is
+//! The first is a plain map plus a "backing store" map; the invariant is
 //! that (cache ∪ write-backs ∪ store) always reproduces every written
-//! block, and that capacity is respected.
+//! block, and that capacity is respected. The second is a reference LRU
+//! that picks each victim by scanning every entry for the smallest
+//! `last_used`; the cache must evict the same blocks in the same order.
 
-use fsutil::BufferCache;
+use fsutil::{BufferCache, Evicted};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// Addresses the ops draw from.
+const ADDRS: u8 = 24;
 
 #[derive(Debug, Clone)]
 enum Op {
     WriteDirty { addr: u8, val: u8, len: u8 },
     InsertClean { addr: u8, val: u8, len: u8 },
     Get { addr: u8 },
+    GetMutDirty { addr: u8, val: u8 },
+    Contains { addr: u8 },
     Discard { addr: u8 },
     TakeDirty,
     DropAll,
@@ -20,10 +27,12 @@ enum Op {
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        5 => (any::<u8>(), any::<u8>(), 1u8..32).prop_map(|(a, v, l)| Op::WriteDirty { addr: a % 24, val: v, len: l }),
-        3 => (any::<u8>(), any::<u8>(), 1u8..32).prop_map(|(a, v, l)| Op::InsertClean { addr: a % 24, val: v, len: l }),
-        5 => any::<u8>().prop_map(|a| Op::Get { addr: a % 24 }),
-        1 => any::<u8>().prop_map(|a| Op::Discard { addr: a % 24 }),
+        5 => (any::<u8>(), any::<u8>(), 1u8..32).prop_map(|(a, v, l)| Op::WriteDirty { addr: a % ADDRS, val: v, len: l }),
+        3 => (any::<u8>(), any::<u8>(), 1u8..32).prop_map(|(a, v, l)| Op::InsertClean { addr: a % ADDRS, val: v, len: l }),
+        5 => any::<u8>().prop_map(|a| Op::Get { addr: a % ADDRS }),
+        2 => (any::<u8>(), any::<u8>()).prop_map(|(a, v)| Op::GetMutDirty { addr: a % ADDRS, val: v }),
+        1 => any::<u8>().prop_map(|a| Op::Contains { addr: a % ADDRS }),
+        1 => any::<u8>().prop_map(|a| Op::Discard { addr: a % ADDRS }),
         1 => Just(Op::TakeDirty),
         1 => Just(Op::DropAll),
     ]
@@ -75,6 +84,17 @@ proptest! {
                         );
                     }
                 }
+                Op::GetMutDirty { addr, val } => {
+                    if let Some(data) = cache.get_mut(addr.into()) {
+                        data[0] = val;
+                        cache.mark_dirty(addr.into());
+                        if let Some(t) = truth.get_mut(&u32::from(addr)) {
+                            t[0] = val;
+                        }
+                    }
+                }
+                // Residency is checked by `cache_matches_reference_lru`.
+                Op::Contains { .. } => {}
                 Op::Discard { addr } => {
                     cache.discard(addr.into());
                     discarded.insert(addr.into());
@@ -107,6 +127,152 @@ proptest! {
                 Some(data),
                 "store lost the newest value of {}", addr
             );
+        }
+    }
+}
+
+/// The LRU policy by definition: every touch stamps a fresh tick, and the
+/// victim is the entry with the smallest one other than the block just
+/// inserted, found by scanning them all.
+struct ReferenceLru {
+    /// addr → (data, dirty, last_used).
+    entries: HashMap<u32, (Vec<u8>, bool, u64)>,
+    capacity_bytes: usize,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl ReferenceLru {
+    fn new(capacity_bytes: usize) -> Self {
+        Self {
+            entries: HashMap::new(),
+            capacity_bytes,
+            tick: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn used_bytes(&self) -> usize {
+        self.entries.values().map(|e| e.0.len()).sum()
+    }
+
+    fn dirty_bytes(&self) -> usize {
+        self.entries
+            .values()
+            .filter(|e| e.1)
+            .map(|e| e.0.len())
+            .sum()
+    }
+
+    fn touch(&mut self, addr: u32) -> Option<&mut (Vec<u8>, bool, u64)> {
+        self.tick += 1;
+        let e = self.entries.get_mut(&addr)?;
+        e.2 = self.tick;
+        Some(e)
+    }
+
+    fn get(&mut self, addr: u32) -> Option<Vec<u8>> {
+        let data = self.touch(addr).map(|e| e.0.clone());
+        match data {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        data
+    }
+
+    fn insert(&mut self, addr: u32, data: Vec<u8>, dirty: bool) -> Vec<Evicted> {
+        self.entries.insert(addr, (data, dirty, 0));
+        self.touch(addr);
+        let mut evicted = Vec::new();
+        while self.used_bytes() > self.capacity_bytes && self.entries.len() > 1 {
+            let victim = *self
+                .entries
+                .iter()
+                .filter(|(a, _)| **a != addr)
+                .min_by_key(|(_, e)| e.2)
+                .map(|(a, _)| a)
+                .expect("len > 1");
+            let (data, dirty, _) = self.entries.remove(&victim).expect("resident");
+            if dirty {
+                evicted.push(Evicted { addr: victim, data });
+            }
+        }
+        evicted
+    }
+
+    fn take_dirty(&mut self) -> Vec<Evicted> {
+        let mut dirty: Vec<Evicted> = self
+            .entries
+            .iter_mut()
+            .filter(|(_, e)| e.1)
+            .map(|(a, e)| {
+                e.1 = false;
+                Evicted {
+                    addr: *a,
+                    data: e.0.clone(),
+                }
+            })
+            .collect();
+        dirty.sort_by_key(|e| e.addr);
+        dirty
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn cache_matches_reference_lru(ops in proptest::collection::vec(op(), 1..200)) {
+        let mut cache = BufferCache::new(256);
+        let mut reference = ReferenceLru::new(256);
+        for (i, op) in ops.into_iter().enumerate() {
+            match op {
+                Op::WriteDirty { addr, val, len } | Op::InsertClean { addr, val, len } => {
+                    let dirty = matches!(op, Op::WriteDirty { .. });
+                    let data = vec![val; len as usize];
+                    let got = if dirty {
+                        cache.insert_dirty(addr.into(), data.clone())
+                    } else {
+                        cache.insert_clean(addr.into(), data.clone())
+                    };
+                    prop_assert_eq!(got, reference.insert(addr.into(), data, dirty), "evictions at op {}", i);
+                }
+                Op::Get { addr } => {
+                    let got = cache.get(addr.into()).map(<[u8]>::to_vec);
+                    prop_assert_eq!(got, reference.get(addr.into()), "get at op {}", i);
+                }
+                Op::GetMutDirty { addr, val } => {
+                    let hit = cache.get_mut(addr.into()).map(|d| d[0] = val).is_some();
+                    cache.mark_dirty(addr.into());
+                    let ref_hit = reference.touch(addr.into()).map(|e| {
+                        e.0[0] = val;
+                        e.1 = true;
+                    });
+                    prop_assert_eq!(hit, ref_hit.is_some(), "get_mut at op {}", i);
+                }
+                Op::Contains { addr } => {
+                    prop_assert_eq!(cache.contains(addr.into()), reference.entries.contains_key(&addr.into()));
+                }
+                Op::Discard { addr } => {
+                    cache.discard(addr.into());
+                    reference.entries.remove(&addr.into());
+                }
+                Op::TakeDirty => {
+                    prop_assert_eq!(cache.take_dirty(), reference.take_dirty(), "take_dirty at op {}", i);
+                }
+                Op::DropAll => {
+                    prop_assert_eq!(cache.drop_all(), reference.take_dirty(), "drop_all at op {}", i);
+                    reference.entries.clear();
+                }
+            }
+            for a in 0..u32::from(ADDRS) {
+                prop_assert_eq!(cache.contains(a), reference.entries.contains_key(&a), "residency of {} after op {}", a, i);
+            }
+            prop_assert_eq!(cache.used_bytes(), reference.used_bytes(), "used_bytes after op {}", i);
+            prop_assert_eq!(cache.dirty_bytes(), reference.dirty_bytes(), "dirty_bytes after op {}", i);
+            prop_assert_eq!(cache.stats(), (reference.hits, reference.misses), "stats after op {}", i);
         }
     }
 }

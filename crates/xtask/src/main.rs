@@ -379,69 +379,109 @@ fn find_simdisk_refs(code: &str) -> Vec<String> {
 // ci
 // ---------------------------------------------------------------------------
 
+/// Experiments whose committed full-scale `BENCH_<exp>.json` CI
+/// regenerates and byte-compares: the two that exercise the buffer cache
+/// hardest, about 1 s each.
+const BASELINE_EXPERIMENTS: &[&str] = &["table5", "inodes"];
+
+/// One CI step: a cargo invocation, or the baseline byte comparison.
+enum Step {
+    Cargo(&'static [&'static str]),
+    BaselineIdentity,
+}
+
 /// The full local CI pipeline, mirroring `.github/workflows/ci.yml`.
 fn ci() -> ExitCode {
-    let steps: &[(&str, &[&str])] = &[
-        ("build", &["build", "--release"]),
-        ("test", &["test", "-q", "--workspace"]),
+    let steps: &[(&str, Step)] = &[
+        ("build", Step::Cargo(&["build", "--release"])),
+        ("test", Step::Cargo(&["test", "-q", "--workspace"])),
         // The media-fault suites re-run in release: the proptest matrices
         // explore far more cases per second there, and release is what
         // `repro` ships.
         (
             "fault suite (lld)",
-            &[
+            Step::Cargo(&[
                 "test", "-q", "--release", "-p", "lld", "--test", "faults", "--test",
                 "recovery_idempotent",
-            ],
+            ]),
         ),
         (
             "fault suite (fs)",
-            &[
+            Step::Cargo(&[
                 "test", "-q", "--release", "--test", "fault_matrix", "--test",
                 "differential_fs",
-            ],
+            ]),
         ),
         // Queueing: the depth-1 differential + ordering proptests.
         (
             "queue differential",
-            &["test", "-q", "--release", "--test", "queue_differential"],
+            Step::Cargo(&["test", "-q", "--release", "--test", "queue_differential"]),
         ),
         // Every experiment at quick scale, through both report renderers.
         (
             "repro smoke",
-            &[
+            Step::Cargo(&[
                 "run", "-q", "--release", "-p", "ld-bench", "--bin", "repro", "--", "--quick",
                 "--json-out", "target/repro-quick.json", "all",
-            ],
+            ]),
         ),
-        ("clippy", &["clippy", "--workspace", "--", "-D", "warnings"]),
-        ("lint", &["run", "-q", "-p", "xtask", "--", "lint"]),
-        ("ldck smoke", &["run", "-q", "-p", "ldck", "--", "--selftest"]),
+        // Stopgap until `repro --check` compares every experiment.
+        ("baseline identity", Step::BaselineIdentity),
+        ("clippy", Step::Cargo(&["clippy", "--workspace", "--", "-D", "warnings"])),
+        ("lint", Step::Cargo(&["run", "-q", "-p", "xtask", "--", "lint"])),
+        ("ldck smoke", Step::Cargo(&["run", "-q", "-p", "ldck", "--", "--selftest"])),
         (
             "ldtrace smoke",
-            &["run", "-q", "-p", "ld-trace", "--bin", "ldtrace", "--", "--selftest"],
+            Step::Cargo(&["run", "-q", "-p", "ld-trace", "--bin", "ldtrace", "--", "--selftest"]),
         ),
     ];
-    for (name, args) in steps {
-        println!("xtask ci: {name} (cargo {})", args.join(" "));
-        let status = Command::new("cargo")
-            .args(*args)
-            .current_dir(repo_root())
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("xtask ci: step `{name}` failed ({s})");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("xtask ci: cannot run cargo: {e}");
-                return ExitCode::FAILURE;
-            }
+    for (name, step) in steps {
+        let result = match step {
+            Step::Cargo(args) => cargo(name, args),
+            Step::BaselineIdentity => baseline_identity(),
+        };
+        if let Err(e) = result {
+            eprintln!("xtask ci: step `{name}` failed: {e}");
+            return ExitCode::FAILURE;
         }
     }
     println!("xtask ci: all steps passed");
     ExitCode::SUCCESS
+}
+
+/// Runs `cargo <args>` at the repository root.
+fn cargo(name: &str, args: &[&str]) -> Result<(), String> {
+    println!("xtask ci: {name} (cargo {})", args.join(" "));
+    match Command::new("cargo")
+        .args(args)
+        .current_dir(repo_root())
+        .status()
+    {
+        Ok(s) if s.success() => Ok(()),
+        Ok(s) => Err(s.to_string()),
+        Err(e) => Err(format!("cannot run cargo: {e}")),
+    }
+}
+
+/// Regenerates each of [`BASELINE_EXPERIMENTS`] at full scale and checks
+/// that its JSON is byte-identical to the committed baseline.
+fn baseline_identity() -> Result<(), String> {
+    let root = repo_root();
+    for exp in BASELINE_EXPERIMENTS {
+        let out = format!("target/baseline-{exp}.json");
+        let args = [
+            "run", "-q", "--release", "-p", "ld-bench", "--bin", "repro", "--", "--json-out", &out,
+            exp,
+        ];
+        cargo("baseline identity", &args)?;
+        let committed = format!("BENCH_{exp}.json");
+        let read =
+            |f: &str| std::fs::read(root.join(f)).map_err(|e| format!("cannot read {f}: {e}"));
+        if read(&out)? != read(&committed)? {
+            return Err(format!("{out} differs from the committed {committed}"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
