@@ -145,7 +145,8 @@ mod tests {
         }
         assert_eq!(b.alloc_first(), None);
         b.clear(1);
-        assert_eq!(b.alloc_first(), Some(1));
+        assert_eq!(b.alloc_near(2), Some(1), "wraps to the only free bit");
+        assert_eq!(b.alloc_near(2), None);
     }
 
     #[test]

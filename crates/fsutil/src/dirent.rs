@@ -143,6 +143,17 @@ mod tests {
         assert_eq!(find_in_block(&block, "three"), Some((2, 3)));
         assert_eq!(find_in_block(&block, "two"), None);
         assert_eq!(free_slot(&block), Some(1));
+
+        // A full 4 KB directory block: every slot taken, no free slot.
+        let mut full = vec![0u8; 4096];
+        for (i, slot) in full.chunks_exact_mut(DIRENT_SIZE).enumerate() {
+            encode(i as u32 + 1, &format!("file{i:04}"), slot);
+        }
+        assert_eq!(iter_block(&full).count(), 4096 / DIRENT_SIZE);
+        assert_eq!(find_in_block(&full, "file0064"), Some((64, 65)));
+        assert_eq!(find_in_block(&full, "file0127"), Some((127, 128)));
+        assert_eq!(find_in_block(&full, "file0128"), None);
+        assert_eq!(free_slot(&full), None);
     }
 
     #[test]

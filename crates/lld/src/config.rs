@@ -2,6 +2,10 @@
 
 use crate::cleaner::CleaningPolicy;
 
+/// Default block size class (paper: 4 KB).
+pub(crate) const DEFAULT_BLOCK_SIZE: usize = 4096;
+const _: () = assert!(DEFAULT_BLOCK_SIZE > 0);
+
 /// Modeled CPU costs charged to the simulated clock per LD operation.
 ///
 /// The paper measured on a 33 MHz SPARCstation; these constants let the
@@ -49,8 +53,6 @@ pub struct LldConfig {
     /// Bytes at the fixed end of each segment reserved for the segment
     /// summary. Must be a multiple of the sector size.
     pub summary_bytes: usize,
-    /// Default block size class (paper: 4 KB).
-    pub default_block_size: usize,
     /// Fill fraction (percent) above which a `Flush` seals the segment as
     /// full instead of writing a partial segment (paper §3.2: "for example,
     /// 75% of its capacity").
@@ -101,7 +103,6 @@ impl Default for LldConfig {
         Self {
             segment_bytes: 512 << 10,
             summary_bytes: 8 << 10,
-            default_block_size: 4096,
             flush_threshold_pct: 75,
             cleaning_reserve_segments: 4,
             cleaning_policy: CleaningPolicy::CostBenefit,
@@ -164,9 +165,8 @@ impl LldConfig {
             self.summary_bytes < self.segment_bytes,
             "summary must leave room for data"
         );
-        assert!(self.default_block_size > 0);
         assert!(
-            self.default_block_size <= self.segment_data_bytes(),
+            DEFAULT_BLOCK_SIZE <= self.segment_data_bytes(),
             "a block must fit in one segment"
         );
         assert!((1..=100).contains(&self.flush_threshold_pct));
@@ -186,8 +186,9 @@ mod tests {
         let c = LldConfig::default();
         c.validate();
         assert_eq!(c.segment_bytes, 512 << 10);
-        assert_eq!(c.default_block_size, 4096);
         assert_eq!(c.flush_threshold_pct, 75);
+        let ld = crate::Lld::format(simdisk::MemDisk::with_capacity(8 << 20), c).unwrap();
+        assert_eq!(ld_core::LogicalDisk::default_block_size(&ld), 4096);
     }
 
     #[test]

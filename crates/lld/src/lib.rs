@@ -85,6 +85,7 @@ use ld_core::{
 use simdisk::{BlockDev, DiskError};
 
 use block_map::{BlockMap, ListTable};
+use config::DEFAULT_BLOCK_SIZE;
 use records::{Record, Stamped};
 use segbuf::SegmentBuffer;
 use usage::UsageTable;
@@ -932,7 +933,7 @@ impl<D: BlockDev> Lld<D> {
 
 impl<D: BlockDev> LogicalDisk for Lld<D> {
     fn default_block_size(&self) -> usize {
-        self.config.default_block_size
+        DEFAULT_BLOCK_SIZE
     }
 
     fn capacity_bytes(&self) -> u64 {

@@ -21,7 +21,7 @@ use simdisk::BlockDev;
 use crate::block_map::{BlockEntry, BlockMap, ListTable, NO_SEG};
 use crate::records::{decode_summary, Record};
 use crate::usage::{SegState, SegUsage, UsageTable};
-use crate::{checkpoint, dev, Layout, Lld, LldConfig};
+use crate::{checkpoint, dev, Layout, Lld, LldConfig, DEFAULT_BLOCK_SIZE};
 
 /// Owner sentinel for blocks reconstructed from a `WriteBlock`/`Link`
 /// record before their `NewBlock` record was replayed.
@@ -241,7 +241,7 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
         .filter_map(|(bid, e)| (e.size_class == 0).then_some(bid))
         .collect();
     for bid in fix {
-        let default = config.default_block_size as u32;
+        let default = DEFAULT_BLOCK_SIZE as u32;
         let e = map.get_mut(bid).expect("listed above"); // PANIC-OK: the key comes from the snapshot being iterated
         e.size_class = e.logical_len.max(default);
     }

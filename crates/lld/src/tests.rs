@@ -435,9 +435,22 @@ fn no_space_is_reported_and_recoverable() {
         }
     }
     assert!(!bids.is_empty());
-    // Freeing a block makes room again.
+    // Freeing a block makes room again, and keeps making it: alloc/free
+    // churn on the full disk logs records whose summaries the cleaner
+    // must reclaim, without leaking space.
     let victim = bids.pop().unwrap();
     lld.delete_block(victim, lid, None).unwrap();
+    let free = lld.free_bytes();
+    let cleaned = lld.stats().segments_cleaned;
+    for _ in 0..5000 {
+        let bid = lld.new_block(lid, Pred::Start).unwrap();
+        lld.delete_block(bid, lid, None).unwrap();
+    }
+    assert_eq!(lld.free_bytes(), free);
+    assert!(
+        lld.stats().segments_cleaned > cleaned,
+        "churn summaries were cleaned"
+    );
     assert!(lld.new_block(lid, Pred::Start).is_ok());
 }
 

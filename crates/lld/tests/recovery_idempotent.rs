@@ -153,8 +153,14 @@ proptest! {
         let (obs1, post1) = open_and_observe(&image, &config, fault_cfg);
         let (obs2, post2) = open_and_observe(&image, &config, fault_cfg);
         prop_assert_eq!(&obs1, &obs2, "two recoveries of one image diverged");
-        prop_assert_eq!(post1, post2, "post-recovery images diverged");
+        prop_assert_eq!(&post1, &post2, "post-recovery images diverged");
         prop_assert!(!obs1.stats.recovered_from_checkpoint);
+
+        // A sweep writes no checkpoint, so the device it leaves behind
+        // sweeps again on the next open, to the same state.
+        let (obs3, post3) = open_and_observe(&post1, &config, fault_cfg);
+        prop_assert_eq!(&obs1, &obs3, "re-opening the recovered device diverged");
+        prop_assert_eq!(post1, post3, "a second sweep changed the image");
 
         let report = ldck::check_image(&image, &config);
         prop_assert!(report.is_clean(), "crashed image: {:?}", report.findings);

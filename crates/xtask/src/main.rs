@@ -17,11 +17,11 @@
 //!    precondition checks on documented panicking APIs are contracts, not
 //!    error handling.)
 //! 2. **No wall-clock time or OS randomness in simulation-facing crates.**
-//!    The whole point of `simdisk` is a deterministic simulated clock;
-//!    `std::time::Instant`, `SystemTime` or entropy-seeded RNGs anywhere in
-//!    the simulation stack would silently break reproducibility. (The
-//!    vendored `criterion` stand-in is the one sanctioned `Instant` user —
-//!    it measures host time for benchmarks, outside the simulation.)
+//!    The whole point of `simdisk` is a deterministic simulated clock; a
+//!    host clock or an entropy-seeded RNG anywhere in the simulation stack
+//!    would silently break reproducibility. The rule has no exception in
+//!    this workspace: host time is measured only by the standalone
+//!    `ldperf` benchmark.
 //! 3. **Layering.** File-system crates sit on the `BlockDev` abstraction;
 //!    they must not reach into `simdisk` internals (stores, geometry,
 //!    timing), otherwise the FS-on-LD-on-simdisk stack stops being
@@ -182,8 +182,8 @@ fn lint() -> ExitCode {
     }
 }
 
-/// All non-test `.rs` files under `dir`: skips `tests.rs`, any `tests/` or
-/// `benches/` directory component.
+/// All non-test `.rs` files under `dir`: skips `tests.rs` and any `tests/`
+/// directory component.
 fn library_sources(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
@@ -196,7 +196,7 @@ fn library_sources(dir: &Path) -> Vec<PathBuf> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if name != "tests" && name != "benches" {
+                if name != "tests" {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") && name != "tests.rs" {
@@ -390,7 +390,8 @@ enum Step {
     BaselineIdentity,
 }
 
-/// The full local CI pipeline, mirroring `.github/workflows/ci.yml`.
+/// The full CI pipeline. `.github/workflows/ci.yml` runs this and nothing
+/// else, so the step list has one home.
 fn ci() -> ExitCode {
     let steps: &[(&str, Step)] = &[
         ("build", Step::Cargo(&["build", "--release"])),
