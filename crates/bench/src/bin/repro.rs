@@ -17,7 +17,7 @@
 //!
 //! `--trace` writes structured JSONL event traces (see the `ld-trace`
 //! crate) for the traced experiments (`table4`, `table5`) and appends a
-//! per-layer disk-time attribution footnote under their tables. Render
+//! mechanical disk-time attribution footnote under their tables. Render
 //! the file with `ldtrace <file>`. Tracing never changes the simulated
 //! timings — table cells are identical with and without it.
 //!

@@ -7,7 +7,7 @@
 //!   summaries" while Loge reads the whole disk.
 
 use ld_core::{FailureSet, LogicalDisk};
-use loge::{Loge, LogeConfig};
+use loge::Loge;
 use simdisk::BlockDev;
 
 use crate::report::{col, kb_per_s, num, rate, secs, Report, Table};
@@ -38,7 +38,7 @@ pub fn run(opts: super::Opts) -> Report {
 
     // Loge.
     let mut lg =
-        Loge::format(rig::disk_sized(disk_bytes), LogeConfig::default()).expect("format loge");
+        Loge::format(rig::disk_sized(disk_bytes)).expect("format loge");
     let t0 = lg.disk().now_us();
     for &i in order.iter().take(nblocks) {
         lg.write((i % span) as u32, &data).expect("write");
@@ -62,7 +62,7 @@ pub fn run(opts: super::Opts) -> Report {
     let mut d = lg.into_disk();
     d.crash_now();
     d.revive();
-    let lg = Loge::recover(d, LogeConfig::default()).expect("loge recovery");
+    let lg = Loge::recover(d).expect("loge recovery");
     let loge_rec_us = lg.stats().recovery_us;
 
     // LLD: summary sweep.

@@ -16,7 +16,7 @@
 //! are batched (flush every 16, checkpoint every 128) so the amortized
 //! quantities δ and ε take their steady-state values.
 
-use minix_fs::{FsConfig, InodeMode, LdStore, ListMode, MinixFs};
+use minix_fs::{FsConfig, InodeMode, LdStore, MinixFs};
 use simdisk::SimDisk;
 use sprite_lfs::{LfsConfig, SpriteLfs};
 
@@ -110,7 +110,6 @@ impl LldProbe {
     fn new() -> Self {
         let config = FsConfig {
             inode_mode: InodeMode::SmallBlocks,
-            list_mode: ListMode::PerFile,
             ..rig::minix_config()
         };
         let store =

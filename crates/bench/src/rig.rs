@@ -8,7 +8,7 @@
 //!   variants.
 
 use ffs::{Ffs, FfsConfig};
-use minix_fs::{FsConfig, FsCpuModel, InodeMode, LdStore, ListMode, MinixFs, RawStore};
+use minix_fs::{FsConfig, FsCpuModel, InodeMode, LdStore, MinixFs, RawStore};
 use simdisk::SimDisk;
 
 /// Partition size used throughout §4.2.
@@ -35,9 +35,7 @@ pub fn minix_config() -> FsConfig {
     FsConfig {
         ninodes: 16384,
         cache_bytes: 6144 << 10,
-        list_mode: ListMode::PerFile,
         inode_mode: InodeMode::Packed,
-        readahead_blocks: 2,
         cpu: FsCpuModel {
             per_call_us: 150,
             per_block_us: 60,

@@ -2,7 +2,7 @@
 //!
 //! When [`Opts::trace`](crate::exp::Opts) names a file, traced experiments
 //! attach one [`ld_trace::Tracer`] to every layer of each file-system
-//! stack, cross-check the tracer's per-layer time attribution against the
+//! stack, cross-check the tracer's mechanical time attribution against the
 //! disk's own counters (they must agree to the microsecond), append the
 //! run's events to the trace file as JSONL, and return a footnote line
 //! for the rendered table.

@@ -12,7 +12,7 @@
 //!   deletion are worse since SunOS performs these operations
 //!   synchronously", §4.2),
 //! - **write clustering** of delayed writes (consecutive dirty blocks are
-//!   written in up to 7-block, 56 KB transfers) and **cluster read-ahead**,
+//!   written in up to 14-block, 112 KB transfers) and **cluster read-ahead**,
 //!   which give it good sequential bandwidth on both directions.
 //!
 //! The API mirrors `minix-fs` so the benchmark harness can drive all three
@@ -87,11 +87,16 @@ pub type Ino = u32;
 /// The root directory's i-node.
 pub const ROOT_INO: Ino = 1;
 
+/// Block size in bytes (SunOS used 8 KB).
+const BLOCK_SIZE: usize = 8192;
+/// Blocks per clustered transfer (SunOS coalesces delayed writes: 112 KB).
+const CLUSTER_BLOCKS: usize = 14;
+/// File blocks read ahead on sequential reads.
+const READAHEAD_BLOCKS: u64 = 7;
+
 /// Configuration.
 #[derive(Debug, Clone)]
 pub struct FfsConfig {
-    /// Block size in bytes (SunOS used 8 KB).
-    pub block_size: usize,
     /// Blocks per cylinder group.
     pub cg_blocks: u32,
     /// I-nodes per cylinder group.
@@ -99,11 +104,6 @@ pub struct FfsConfig {
     /// Buffer-cache bytes (SunOS's cache "grew and shrank dynamically";
     /// a fixed generous cache stands in).
     pub cache_bytes: usize,
-    /// Blocks per clustered transfer (SunOS coalesces delayed writes into
-    /// large transfers; 14 × 8 KB = 112 KB).
-    pub cluster_blocks: u32,
-    /// File blocks to read ahead on sequential reads.
-    pub readahead_blocks: u32,
     /// Dirty-cache bytes that trigger a clustered write-back.
     pub flush_watermark: usize,
     /// Modeled CPU cost per operation, microseconds (SunOS ran in-kernel,
@@ -114,12 +114,9 @@ pub struct FfsConfig {
 impl Default for FfsConfig {
     fn default() -> Self {
         Self {
-            block_size: 8192,
             cg_blocks: 2048,
             inodes_per_cg: 2048,
             cache_bytes: 8 << 20,
-            cluster_blocks: 14,
-            readahead_blocks: 7,
             flush_watermark: 1 << 20,
             per_call_us: 40,
         }
@@ -135,12 +132,11 @@ impl FfsConfig {
             cache_bytes: 256 << 10,
             flush_watermark: 64 << 10,
             per_call_us: 0,
-            ..Self::default()
         }
     }
 
     fn inode_blocks_per_cg(&self) -> u32 {
-        (self.inodes_per_cg as usize).div_ceil(self.block_size / INODE_SIZE) as u32
+        (self.inodes_per_cg as usize).div_ceil(BLOCK_SIZE / INODE_SIZE) as u32
     }
 
     /// Data blocks available per group.
@@ -202,7 +198,7 @@ impl<D: BlockDev> Ffs<D> {
 
     /// Formats the device.
     pub fn format(disk: D, config: FfsConfig) -> Result<Self> {
-        let bs = config.block_size as u64;
+        let bs = BLOCK_SIZE as u64;
         let total_blocks = disk.capacity_bytes() / bs;
         let ncg = ((total_blocks.saturating_sub(1)) / u64::from(config.cg_blocks)) as u32;
         if ncg == 0 {
@@ -328,7 +324,7 @@ impl<D: BlockDev> Ffs<D> {
         let idx = (ino - 1) as usize;
         let cg = idx / self.config.inodes_per_cg as usize;
         let local = idx % self.config.inodes_per_cg as usize;
-        let per_block = self.config.block_size / INODE_SIZE;
+        let per_block = BLOCK_SIZE / INODE_SIZE;
         let block = self.cg_base(cg as u32) + 1 + (local / per_block) as u32;
         (block, (local % per_block) * INODE_SIZE)
     }
@@ -336,7 +332,7 @@ impl<D: BlockDev> Ffs<D> {
     // ----- raw block I/O with clustering -----
 
     fn sectors_of(&self, addr: u32) -> u64 {
-        u64::from(addr) * (self.config.block_size / simdisk::SECTOR_SIZE) as u64
+        u64::from(addr) * (BLOCK_SIZE / simdisk::SECTOR_SIZE) as u64
     }
 
     fn disk_read(&mut self, addr: u32, buf: &mut [u8]) -> Result<()> {
@@ -354,22 +350,23 @@ impl<D: BlockDev> Ffs<D> {
     }
 
     /// Writes a set of dirty blocks, coalescing consecutive addresses into
-    /// clustered transfers of up to `cluster_blocks` (FFS/SunOS delayed
+    /// clustered transfers of up to [`CLUSTER_BLOCKS`] (FFS/SunOS delayed
     /// write behaviour).
     fn flush_blocks(&mut self, mut blocks: Vec<fsutil::Evicted>) -> Result<()> {
         blocks.sort_by_key(|e| e.addr);
-        let bs = self.config.block_size;
-        let max = self.config.cluster_blocks as usize;
         let mut i = 0;
         while i < blocks.len() {
             let start = blocks[i].addr;
             let mut run = vec![0u8; 0];
             run.extend_from_slice(&blocks[i].data);
-            run.resize(bs, 0);
+            run.resize(BLOCK_SIZE, 0);
             let mut n = 1;
-            while i + n < blocks.len() && blocks[i + n].addr == start + n as u32 && n < max {
+            while i + n < blocks.len()
+                && blocks[i + n].addr == start + n as u32
+                && n < CLUSTER_BLOCKS
+            {
                 let mut img = blocks[i + n].data.clone();
-                img.resize(bs, 0);
+                img.resize(BLOCK_SIZE, 0);
                 run.extend_from_slice(&img);
                 n += 1;
             }
@@ -386,8 +383,7 @@ impl<D: BlockDev> Ffs<D> {
         if let Some(d) = self.cache.get(addr) {
             return Ok(d.to_vec());
         }
-        let bs = self.config.block_size;
-        let mut buf = vec![0u8; bs];
+        let mut buf = vec![0u8; BLOCK_SIZE];
         self.disk_read(addr, &mut buf)?;
         let evicted = self.cache.insert_clean(addr, buf.clone());
         self.flush_blocks(evicted)?;
@@ -413,13 +409,12 @@ impl<D: BlockDev> Ffs<D> {
 
     /// Serializes and synchronously writes a cylinder-group header.
     fn sync_cg(&mut self, cg: u32) -> Result<()> {
-        let bs = self.config.block_size;
-        let mut block = vec![0u8; bs];
+        let mut block = vec![0u8; BLOCK_SIZE];
         let g = &self.cgs[cg as usize];
         let bb = g.blocks.as_bytes();
         let ib = g.inodes.as_bytes();
         block[..bb.len()].copy_from_slice(bb);
-        block[bs / 2..bs / 2 + ib.len()].copy_from_slice(ib);
+        block[BLOCK_SIZE / 2..BLOCK_SIZE / 2 + ib.len()].copy_from_slice(ib);
         let addr = self.cg_header_addr(cg);
         self.cgs[cg as usize].dirty = false;
         self.save_sync(addr, block)
@@ -503,7 +498,7 @@ impl<D: BlockDev> Ffs<D> {
     // ----- block mapping -----
 
     fn ppb(&self) -> usize {
-        self.config.block_size / 4
+        BLOCK_SIZE / 4
     }
 
     fn block_at(&mut self, inode: &Inode, idx: u64) -> Result<Option<u32>> {
@@ -531,7 +526,6 @@ impl<D: BlockDev> Ffs<D> {
     }
 
     fn block_alloc(&mut self, inode: &mut Inode, idx: u64) -> Result<u32> {
-        let bs = self.config.block_size;
         let cg = inode.cg;
         let near = if idx > 0 {
             self.block_at(inode, idx - 1)?
@@ -552,7 +546,7 @@ impl<D: BlockDev> Ffs<D> {
                     Some(a) => a,
                     None => {
                         let a = self.alloc_block(cg, near)?;
-                        self.save(a, vec![0u8; bs])?;
+                        self.save(a, vec![0u8; BLOCK_SIZE])?;
                         inode.ptrs[IND] = a;
                         a
                     }
@@ -564,7 +558,7 @@ impl<D: BlockDev> Ffs<D> {
                     Some(a) => a,
                     None => {
                         let a = self.alloc_block(cg, near)?;
-                        self.save(a, vec![0u8; bs])?;
+                        self.save(a, vec![0u8; BLOCK_SIZE])?;
                         inode.ptrs[DIND] = a;
                         a
                     }
@@ -574,7 +568,7 @@ impl<D: BlockDev> Ffs<D> {
                     Some(a) => a,
                     None => {
                         let a = self.alloc_block(cg, near)?;
-                        self.save(a, vec![0u8; bs])?;
+                        self.save(a, vec![0u8; BLOCK_SIZE])?;
                         let mut b = self.load(dind)?;
                         set_u32(&mut b, i, a);
                         self.save(dind, b)?;
@@ -599,7 +593,7 @@ impl<D: BlockDev> Ffs<D> {
     }
 
     fn collect_blocks(&mut self, inode: &Inode) -> Result<Vec<u32>> {
-        let bs = self.config.block_size as u64;
+        let bs = BLOCK_SIZE as u64;
         let mut out = Vec::new();
         let nblocks = inode.size.div_ceil(bs);
         for idx in 0..nblocks {
@@ -626,18 +620,17 @@ impl<D: BlockDev> Ffs<D> {
     // ----- directories -----
 
     fn dir_init(&mut self, ino: Ino, inode: &mut Inode, parent: Ino) -> Result<()> {
-        let bs = self.config.block_size;
         let a = self.block_alloc(inode, 0)?;
-        let mut block = vec![0u8; bs];
+        let mut block = vec![0u8; BLOCK_SIZE];
         dirent::encode(ino, ".", &mut block[0..DIRENT_SIZE]);
         dirent::encode(parent, "..", &mut block[DIRENT_SIZE..2 * DIRENT_SIZE]);
         self.save_sync(a, block)?;
-        inode.size = bs as u64;
+        inode.size = BLOCK_SIZE as u64;
         Ok(())
     }
 
     fn dir_find(&mut self, dir: &Inode, name: &str) -> Result<Option<Ino>> {
-        let bs = self.config.block_size as u64;
+        let bs = BLOCK_SIZE as u64;
         for idx in 0..dir.size.div_ceil(bs) {
             let Some(a) = self.block_at(dir, idx)? else {
                 continue;
@@ -652,8 +645,7 @@ impl<D: BlockDev> Ffs<D> {
 
     /// Adds an entry with a synchronous directory-block write.
     fn dir_add(&mut self, dir_ino: Ino, dir: &mut Inode, name: &str, ino: Ino) -> Result<()> {
-        let bs = self.config.block_size;
-        let nblocks = dir.size.div_ceil(bs as u64);
+        let nblocks = dir.size.div_ceil(BLOCK_SIZE as u64);
         for idx in 0..nblocks {
             let Some(a) = self.block_at(dir, idx)? else {
                 continue;
@@ -672,16 +664,16 @@ impl<D: BlockDev> Ffs<D> {
             }
         }
         let a = self.block_alloc(dir, nblocks)?;
-        let mut block = vec![0u8; bs];
+        let mut block = vec![0u8; BLOCK_SIZE];
         dirent::encode(ino, name, &mut block[0..DIRENT_SIZE]);
         self.save_sync(a, block)?;
-        dir.size += bs as u64;
+        dir.size += BLOCK_SIZE as u64;
         dir.mtime = self.mtime();
         self.write_inode_sync(dir_ino, dir)
     }
 
     fn dir_remove(&mut self, dir_ino: Ino, dir: &mut Inode, name: &str) -> Result<Ino> {
-        let bs = self.config.block_size as u64;
+        let bs = BLOCK_SIZE as u64;
         for idx in 0..dir.size.div_ceil(bs) {
             let Some(a) = self.block_at(dir, idx)? else {
                 continue;
@@ -807,7 +799,7 @@ impl<D: BlockDev> Ffs<D> {
         if inode.ftype != FileType::Regular {
             return Err(FfsError::IsDir);
         }
-        let bs = self.config.block_size as u64;
+        let bs = BLOCK_SIZE as u64;
         let mut pos = offset;
         let mut rest = data;
         while !rest.is_empty() {
@@ -850,7 +842,7 @@ impl<D: BlockDev> Ffs<D> {
     fn read_inner(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> Result<usize> {
         self.charge_call();
         let inode = self.read_inode(ino)?;
-        let bs = self.config.block_size as u64;
+        let bs = BLOCK_SIZE as u64;
         if offset >= inode.size {
             return Ok(0);
         }
@@ -880,8 +872,7 @@ impl<D: BlockDev> Ffs<D> {
             || offset == 0;
         if sequential {
             let nblocks = inode.size.div_ceil(bs);
-            let ra = u64::from(self.config.readahead_blocks);
-            for k in last_idx + 1..=(last_idx + ra).min(nblocks.saturating_sub(1)) {
+            for k in last_idx + 1..=(last_idx + READAHEAD_BLOCKS).min(nblocks.saturating_sub(1)) {
                 if let Some(a) = self.block_at(&inode, k)? {
                     if !self.cache.contains(a) {
                         self.load(a)?;
@@ -933,7 +924,7 @@ impl<D: BlockDev> Ffs<D> {
         if inode.ftype != FileType::Dir {
             return Err(FfsError::NotDir);
         }
-        let bs = self.config.block_size as u64;
+        let bs = BLOCK_SIZE as u64;
         let mut out = Vec::new();
         for idx in 0..inode.size.div_ceil(bs) {
             let Some(a) = self.block_at(&inode, idx)? else {

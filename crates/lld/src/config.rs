@@ -66,10 +66,6 @@ pub struct LldConfig {
     /// §4.2 list-overhead experiment; recovery of list structure is
     /// unsupported while disabled.
     pub maintain_lists: bool,
-    /// Use the device's battery-backed NVRAM (if any) to absorb
-    /// below-threshold flushes instead of writing partial segments —
-    /// the Baker et al. extension the paper expects to carry over (§5.3).
-    pub use_nvram: bool,
     /// Modeled CPU costs.
     pub cpu: CpuModel,
     /// Modeled compression bandwidth (see [`ldcomp::CostModel`]).
@@ -107,7 +103,6 @@ impl Default for LldConfig {
             cleaning_reserve_segments: 4,
             cleaning_policy: CleaningPolicy::CostBenefit,
             maintain_lists: true,
-            use_nvram: true,
             cpu: CpuModel::default(),
             compression_cost: ldcomp::CostModel::default(),
             read_retries: 4,

@@ -255,8 +255,7 @@ impl<D: BlockDev> Lld<D> {
     ) -> Self {
         let allocated_logical = map.iter().map(|(_, e)| u64::from(e.size_class)).sum();
         let open = SegmentBuffer::new(layout.data_bytes, layout.summary_bytes);
-        let queue = (config.queue_depth >= 1)
-            .then(|| simdisk::RequestQueue::new(config.scheduler, true));
+        let queue = (config.queue_depth >= 1).then(|| simdisk::RequestQueue::new(config.scheduler));
         Self {
             disk,
             config,
@@ -376,12 +375,6 @@ impl<D: BlockDev> Lld<D> {
     /// coalescing counters), when queueing is on.
     pub fn queue_stats(&self) -> Option<simdisk::QueueStats> {
         self.queue.as_ref().map(|q| *q.stats())
-    }
-
-    /// Requests currently in flight in the command queue (0 when
-    /// queueing is off or everything has drained).
-    pub fn queue_inflight(&self) -> usize {
-        self.queue.as_ref().map_or(0, |q| q.len())
     }
 
     /// The persistent bad-block remap table: sectors retired after
@@ -775,13 +768,11 @@ impl<D: BlockDev> Lld<D> {
         Ok(())
     }
 
-    /// Saves the open segment's contents into device NVRAM, if enabled,
-    /// present, and large enough — absorbing a below-threshold flush
-    /// without any disk write (§5.3). Returns whether it succeeded.
+    /// Saves the open segment's contents into the device's battery-backed
+    /// NVRAM, if it has enough — absorbing a below-threshold flush without
+    /// any disk write, the Baker et al. extension of §5.3. Returns whether
+    /// it succeeded.
     pub(crate) fn try_nvram_save(&mut self) -> Result<bool> {
-        if !self.config.use_nvram {
-            return Ok(false);
-        }
         let capacity = self.disk.nvram_bytes();
         let needed = nvram::image_len(
             self.open.data_used().div_ceil(simdisk::SECTOR_SIZE) * simdisk::SECTOR_SIZE,
@@ -804,7 +795,7 @@ impl<D: BlockDev> Lld<D> {
 
     /// Clears any NVRAM image (its contents just became durable on disk).
     pub(crate) fn invalidate_nvram(&mut self) {
-        if self.config.use_nvram && self.disk.nvram_bytes() >= nvram::INVALIDATE.len() {
+        if self.disk.nvram_bytes() >= nvram::INVALIDATE.len() {
             // Best effort; a failed invalidation only costs a redundant
             // materialization at the next recovery.
             let _ = self.disk.nvram_write(0, &nvram::INVALIDATE);

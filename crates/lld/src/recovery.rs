@@ -119,7 +119,7 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
     // placeholder segment id; the data is materialized afterwards.
     let mut nvram_image: Option<(Vec<u8>, Vec<u8>)> = None;
     let nv_capacity = disk.nvram_bytes();
-    if config.use_nvram && nv_capacity > 0 {
+    if nv_capacity > 0 {
         let mut raw = vec![0u8; nv_capacity];
         disk.nvram_read(0, &mut raw).map_err(dev)?;
         if let Some((summary_bytes, data)) = crate::nvram::decode_image(&raw) {

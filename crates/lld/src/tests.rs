@@ -940,19 +940,26 @@ fn repeated_nvram_flushes_keep_only_the_newest_tail() {
 }
 
 #[test]
-fn without_nvram_flag_partial_writes_return() {
-    let disk = SimDisk::hp_c3010_with_capacity(8 << 20).with_nvram(512 << 10);
-    let config = LldConfig {
-        use_nvram: false,
-        ..LldConfig::small_for_tests()
-    };
+fn nvram_too_small_for_tail_writes_a_partial_segment() {
+    let config = LldConfig::small_for_tests();
+    let needed = crate::nvram::image_len(4096, config.summary_bytes);
+    let nvram = needed - simdisk::SECTOR_SIZE;
+    let disk = SimDisk::hp_c3010_with_capacity(8 << 20).with_nvram(nvram);
     let mut lld = Lld::format(disk, config).unwrap();
     let lid = lld.new_list(PredList::Start, ListHints::default()).unwrap();
     let a = lld.new_block(lid, Pred::Start).unwrap();
     lld.write(a, &pattern(4096, 1)).unwrap();
     lld.flush(FailureSet::PowerFailure).unwrap();
-    assert_eq!(lld.stats().nvram_saves, 0);
+    assert_eq!(
+        lld.stats().nvram_saves,
+        0,
+        "{nvram} B cannot hold a {needed} B tail"
+    );
     assert_eq!(lld.stats().partial_segment_writes, 1);
+    let mut lld = crash_and_reopen(lld);
+    let mut buf = vec![0u8; 4096];
+    assert_eq!(lld.read(a, &mut buf).unwrap(), 4096);
+    assert_eq!(buf, pattern(4096, 1));
 }
 
 #[test]

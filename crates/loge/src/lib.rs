@@ -65,31 +65,27 @@ fn io_err(e: DiskError) -> LogeError {
 /// Result alias.
 pub type Result<T> = std::result::Result<T, LogeError>;
 
-/// Configuration.
-#[derive(Debug, Clone)]
-pub struct LogeConfig {
-    /// Fraction of physical blocks reserved for the relocation pool
-    /// ("Loge typically reserves 3-5% of the physical blocks").
-    pub reserve_fraction: f64,
-    /// Blocks to skip past the head when picking a target: by the time the
-    /// command overhead has elapsed, the platter has rotated under the
-    /// head, so the *timewise* closest free block is a little ahead, not
-    /// adjacent. Real Loge computes this from "timely information about
-    /// the current position of the disk head" (§5.2).
-    pub rotational_skip_blocks: u32,
-    /// How far ahead the forward search may go before a backward candidate
-    /// (with its seek) becomes preferable.
-    pub search_window_blocks: u32,
-}
+/// Fraction of physical blocks reserved for the relocation pool ("Loge
+/// typically reserves 3-5% of the physical blocks").
+const RESERVE_FRACTION: f64 = 0.04;
 
-impl Default for LogeConfig {
-    fn default() -> Self {
-        Self {
-            reserve_fraction: 0.04,
-            rotational_skip_blocks: 2,
-            search_window_blocks: 256,
-        }
-    }
+/// Blocks to skip past the head when picking a target: by the time the
+/// command overhead has elapsed, the platter has rotated under the head,
+/// so the *timewise* closest free block is a little ahead, not adjacent.
+/// Real Loge computes this from "timely information about the current
+/// position of the disk head" (§5.2).
+const ROTATIONAL_SKIP_BLOCKS: u32 = 2;
+
+/// How far ahead the forward search may go before a backward candidate
+/// (with its seek) becomes preferable.
+const SEARCH_WINDOW_BLOCKS: u32 = 256;
+
+/// Physical and exported logical block counts of `disk`: the relocation
+/// pool is [`RESERVE_FRACTION`] of the physical blocks, at least one.
+fn geometry<D: BlockDev>(disk: &D) -> (u32, u32) {
+    let phys_blocks = (disk.total_sectors() / SECTORS_PER_BLOCK).min(u32::MAX as u64) as u32;
+    let reserve = (f64::from(phys_blocks) * RESERVE_FRACTION).ceil() as u32;
+    (phys_blocks, phys_blocks.saturating_sub(reserve.max(1)))
 }
 
 /// Operation statistics.
@@ -108,7 +104,6 @@ pub struct LogeStats {
 /// The Loge controller.
 pub struct Loge<D: BlockDev> {
     disk: D,
-    config: LogeConfig,
     /// Logical → physical block (+1; 0 = never written).
     table: Vec<u32>,
     /// Free physical blocks (the relocation pool plus superseded blocks).
@@ -126,10 +121,8 @@ pub struct Loge<D: BlockDev> {
 
 impl<D: BlockDev> Loge<D> {
     /// Formats the device: all physical blocks free, empty table.
-    pub fn format(mut disk: D, config: LogeConfig) -> Result<Self> {
-        let phys_blocks = (disk.total_sectors() / SECTORS_PER_BLOCK).min(u32::MAX as u64) as u32;
-        let reserve = ((f64::from(phys_blocks)) * config.reserve_fraction).ceil() as u32;
-        let logical_blocks = phys_blocks.saturating_sub(reserve.max(1));
+    pub fn format(mut disk: D) -> Result<Self> {
+        let (phys_blocks, logical_blocks) = geometry(&disk);
         // Invalidate every header so a later recovery cannot resurrect
         // stale blocks: zero the header sector of each physical block.
         let zero = vec![0u8; SECTOR_SIZE];
@@ -139,7 +132,6 @@ impl<D: BlockDev> Loge<D> {
         }
         Ok(Self {
             disk,
-            config,
             table: vec![0; logical_blocks as usize],
             free: (0..phys_blocks).collect(),
             logical_blocks,
@@ -152,11 +144,9 @@ impl<D: BlockDev> Loge<D> {
 
     /// Recovers the indirection table by scanning every block header on
     /// the disk — the whole-disk read that LLD's recovery avoids.
-    pub fn recover(mut disk: D, config: LogeConfig) -> Result<Self> {
+    pub fn recover(mut disk: D) -> Result<Self> {
         let t0 = disk.now_us();
-        let phys_blocks = (disk.total_sectors() / SECTORS_PER_BLOCK).min(u32::MAX as u64) as u32;
-        let reserve = ((f64::from(phys_blocks)) * config.reserve_fraction).ceil() as u32;
-        let logical_blocks = phys_blocks.saturating_sub(reserve.max(1));
+        let (phys_blocks, logical_blocks) = geometry(&disk);
 
         let mut table = vec![0u32; logical_blocks as usize];
         let mut best_ts = vec![0u64; logical_blocks as usize];
@@ -189,7 +179,6 @@ impl<D: BlockDev> Loge<D> {
         let elapsed = disk.now_us() - t0;
         Ok(Self {
             disk,
-            config,
             table,
             free,
             logical_blocks,
@@ -248,11 +237,10 @@ impl<D: BlockDev> Loge<D> {
     /// head: preferably a little *ahead* of it (rotationally reachable
     /// without losing a revolution), otherwise the nearest one anywhere.
     fn pick_near_head(&mut self) -> u32 {
-        let start = self.head.saturating_add(self.config.rotational_skip_blocks);
-        let window = self.config.search_window_blocks;
+        let start = self.head.saturating_add(ROTATIONAL_SKIP_BLOCKS);
         let forward = self.free.range(start..).next().copied();
         let pick = match forward {
-            Some(f) if f - start <= window => f,
+            Some(f) if f - start <= SEARCH_WINDOW_BLOCKS => f,
             _ => {
                 // Fall back to the globally nearest candidate (a seek is
                 // unavoidable either way).
@@ -333,8 +321,7 @@ mod tests {
 
     #[test]
     fn write_read_roundtrip() {
-        let mut loge =
-            Loge::format(MemDisk::with_capacity(8 << 20), LogeConfig::default()).unwrap();
+        let mut loge = Loge::format(MemDisk::with_capacity(8 << 20)).unwrap();
         loge.write(7, &pattern(1)).unwrap();
         loge.write(8, &pattern(2)).unwrap();
         let mut buf = vec![0u8; BLOCK];
@@ -347,8 +334,7 @@ mod tests {
 
     #[test]
     fn overwrite_relocates_and_pool_is_constant() {
-        let mut loge =
-            Loge::format(MemDisk::with_capacity(8 << 20), LogeConfig::default()).unwrap();
+        let mut loge = Loge::format(MemDisk::with_capacity(8 << 20)).unwrap();
         let pool0 = loge.free.len();
         loge.write(3, &pattern(1)).unwrap();
         let p1 = loge.table[3];
@@ -363,8 +349,7 @@ mod tests {
 
     #[test]
     fn recovery_scans_whole_disk_and_restores_table() {
-        let mut loge =
-            Loge::format(MemDisk::with_capacity(4 << 20), LogeConfig::default()).unwrap();
+        let mut loge = Loge::format(MemDisk::with_capacity(4 << 20)).unwrap();
         for bid in 0..50u32 {
             loge.write(bid, &pattern(bid as u8)).unwrap();
         }
@@ -374,7 +359,7 @@ mod tests {
         }
         let phys = loge.phys_blocks;
         let disk = loge.into_disk();
-        let mut rec = Loge::recover(disk, LogeConfig::default()).unwrap();
+        let mut rec = Loge::recover(disk).unwrap();
         assert_eq!(rec.stats().recovery_blocks_scanned, u64::from(phys));
         let mut buf = vec![0u8; BLOCK];
         for bid in 0..50u32 {
@@ -392,11 +377,7 @@ mod tests {
 
     #[test]
     fn writes_stay_near_the_head() {
-        let mut loge = Loge::format(
-            SimDisk::hp_c3010_with_capacity(32 << 20),
-            LogeConfig::default(),
-        )
-        .unwrap();
+        let mut loge = Loge::format(SimDisk::hp_c3010_with_capacity(32 << 20)).unwrap();
         // Scattered logical blocks; physical placement should hug the head.
         let mut max_jump = 0i64;
         let mut last = i64::from(loge.head);
@@ -418,11 +399,7 @@ mod tests {
         // The point of Loge: a stream of individual block writes to random
         // logical addresses costs far less than update-in-place, because
         // the controller writes wherever is closest.
-        let mut loge = Loge::format(
-            SimDisk::hp_c3010_with_capacity(64 << 20),
-            LogeConfig::default(),
-        )
-        .unwrap();
+        let mut loge = Loge::format(SimDisk::hp_c3010_with_capacity(64 << 20)).unwrap();
         let n = 200u32;
         let blocks = loge.logical_blocks();
         // Pre-populate so overwrites dominate.
@@ -452,8 +429,7 @@ mod tests {
 
     #[test]
     fn bad_arguments_rejected() {
-        let mut loge =
-            Loge::format(MemDisk::with_capacity(4 << 20), LogeConfig::default()).unwrap();
+        let mut loge = Loge::format(MemDisk::with_capacity(4 << 20)).unwrap();
         let blocks = loge.logical_blocks();
         assert_eq!(
             loge.write(blocks, &pattern(0)),

@@ -1,6 +1,6 @@
 //! Property tests: Loge vs a trivial model, and recovery-anywhere.
 
-use loge::{Loge, LogeConfig, BLOCK};
+use loge::{Loge, BLOCK};
 use proptest::prelude::*;
 use simdisk::MemDisk;
 use std::collections::HashMap;
@@ -17,7 +17,7 @@ proptest! {
     /// Random writes/overwrites/reads match a HashMap model exactly.
     #[test]
     fn matches_model(ops in proptest::collection::vec((any::<u16>(), any::<u8>(), any::<bool>()), 1..120)) {
-        let mut loge = Loge::format(MemDisk::with_capacity(4 << 20), LogeConfig::default())
+        let mut loge = Loge::format(MemDisk::with_capacity(4 << 20))
             .expect("format");
         let blocks = loge.logical_blocks();
         let mut model: HashMap<u32, u8> = HashMap::new();
@@ -47,7 +47,7 @@ proptest! {
     fn recovery_reproduces_every_write(
         writes in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..60),
     ) {
-        let mut loge = Loge::format(MemDisk::with_capacity(4 << 20), LogeConfig::default())
+        let mut loge = Loge::format(MemDisk::with_capacity(4 << 20))
             .expect("format");
         let blocks = loge.logical_blocks();
         let mut model: HashMap<u32, u8> = HashMap::new();
@@ -58,7 +58,7 @@ proptest! {
         }
         // Crash with zero warning; every completed write must survive.
         let disk = loge.into_disk();
-        let mut rec = Loge::recover(disk, LogeConfig::default()).expect("recover");
+        let mut rec = Loge::recover(disk).expect("recover");
         let mut buf = vec![0u8; BLOCK];
         for (bid, seed) in model {
             rec.read(bid, &mut buf).expect("recovered read");

@@ -1,18 +1,6 @@
 //! File-system configuration knobs, matching the variants evaluated in
 //! paper §4.
 
-/// How file blocks map to LD lists (ignored over the raw store).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ListMode {
-    /// One shared list for all files — the initial MINIX LLD configuration
-    /// (§4.1: "initially MINIX LLD used a single list for all files").
-    SingleList,
-    /// One list per file, its id stored in the i-node — the later, better
-    /// clustering configuration.
-    #[default]
-    PerFile,
-}
-
 /// How i-nodes are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InodeMode {
@@ -60,13 +48,8 @@ pub struct FsConfig {
     pub ninodes: u32,
     /// Buffer-cache capacity in bytes (paper: a static 6,144 KB cache).
     pub cache_bytes: usize,
-    /// List allocation mode.
-    pub list_mode: ListMode,
     /// I-node storage mode.
     pub inode_mode: InodeMode,
-    /// Blocks to read ahead on sequential access. Effective only when the
-    /// store supports read-ahead (it is disabled over LD, §4.1).
-    pub readahead_blocks: u32,
     /// Modeled CPU costs.
     pub cpu: FsCpuModel,
 }
@@ -76,9 +59,7 @@ impl Default for FsConfig {
         Self {
             ninodes: 16384,
             cache_bytes: 6144 << 10,
-            list_mode: ListMode::default(),
             inode_mode: InodeMode::default(),
-            readahead_blocks: 2,
             cpu: FsCpuModel::default(),
         }
     }

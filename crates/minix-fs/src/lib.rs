@@ -10,9 +10,10 @@
 //!
 //! That the backend swap is confined to the store trait *is* the paper's
 //! headline claim ("In total less than 100 of the 7000 lines of general
-//! file system code were modified", §4.1). The §4 variants are all
-//! configuration here: single list vs list-per-file ([`ListMode`]), packed
-//! vs 64-byte i-node blocks ([`InodeMode`]), read-ahead on/off.
+//! file system code were modified", §4.1). Each file gets its own LD list
+//! (§4.1's final configuration); the i-node layout, packed or 64-byte
+//! blocks ([`InodeMode`]), is configuration, and read-ahead runs only over
+//! stores that benefit from it.
 
 mod config;
 mod error;
@@ -22,7 +23,7 @@ mod raw_store;
 mod store;
 mod superblock;
 
-pub use config::{FsConfig, FsCpuModel, InodeMode, ListMode};
+pub use config::{FsConfig, FsCpuModel, InodeMode};
 pub use error::{FsError, Result};
 pub use inode::{FileType, Inode, INODE_SIZE};
 pub use ld_store::LdStore;
@@ -39,6 +40,9 @@ pub type Ino = u32;
 
 /// The root directory's i-node number.
 pub const ROOT_INO: Ino = 1;
+
+/// Blocks read ahead on sequential access, over stores that support it.
+const READAHEAD_BLOCKS: u64 = 2;
 
 /// Metadata returned by [`MinixFs::stat`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +126,6 @@ impl<S: BlockStore> MinixFs<S> {
         }
         let sb = SuperBlock {
             ninodes,
-            list_mode: config.list_mode,
             inode_mode: config.inode_mode,
             inode_containers,
             bitmap_blocks,
@@ -153,15 +156,14 @@ impl<S: BlockStore> MinixFs<S> {
     }
 
     /// Mounts an existing file system. `config` supplies runtime knobs
-    /// (cache size, CPU model, read-ahead); the structural modes come from
-    /// the superblock.
+    /// (cache size, CPU model); the i-node count and layout come from the
+    /// superblock.
     pub fn mount(mut store: S, mut config: FsConfig) -> Result<Self> {
         let bs = store.block_size();
         let mut buf = vec![0u8; bs];
         store.read_block(store.superblock_addr(), &mut buf)?;
         let sb = SuperBlock::decode(&buf)?;
         config.ninodes = sb.ninodes;
-        config.list_mode = sb.list_mode;
         config.inode_mode = sb.inode_mode;
         // Reload the i-node bitmap.
         let mut bytes = Vec::with_capacity(sb.bitmap_blocks.len() * bs);
@@ -709,16 +711,11 @@ impl<S: BlockStore> MinixFs<S> {
         if self.dir_find(&dir, &name)?.is_some() {
             return Err(FsError::Exists);
         }
-        let group = if self.sb.list_mode == ListMode::PerFile {
-            // Cluster the new file's list near the previous file's.
-            let near = (self.last_group != 0).then_some(self.last_group);
-            let g = self.store.new_group(near)?;
-            self.last_group = g;
-            g as u32
-        } else {
-            0
-        };
-        let ino = self.alloc_inode(FileType::Regular, group)?;
+        // Each file gets its own list, clustered near the previous file's.
+        let near = (self.last_group != 0).then_some(self.last_group);
+        let group = self.store.new_group(near)?;
+        self.last_group = group;
+        let ino = self.alloc_inode(FileType::Regular, group as u32)?;
         self.dir_add(parent, &mut dir, &name, ino)?;
         self.stats.creates += 1;
         Ok(ino)
@@ -830,11 +827,10 @@ impl<S: BlockStore> MinixFs<S> {
         // Read-ahead (enabled only when the store benefits from it, §4.1).
         // The prefetch zones are fetched in one batched store request so
         // contiguous blocks coalesce, as MINIX's read-ahead does.
-        let ra = self.config.readahead_blocks;
-        if ra > 0 && self.store.supports_readahead() {
+        if self.store.supports_readahead() {
             let nblocks = size.div_ceil(bs);
             let mut prefetch = Vec::new();
-            for k in last_idx + 1..=(last_idx + u64::from(ra)).min(nblocks.saturating_sub(1)) {
+            for k in last_idx + 1..=(last_idx + READAHEAD_BLOCKS).min(nblocks.saturating_sub(1)) {
                 if let Some(a) = self.zone_at(&inode, k)? {
                     if !self.cache.contains(a) {
                         prefetch.push(a);

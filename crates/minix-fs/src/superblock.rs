@@ -2,7 +2,7 @@
 
 use fsutil::wire;
 
-use crate::config::{InodeMode, ListMode};
+use crate::config::InodeMode;
 use crate::error::{FsError, Result};
 use crate::store::Addr;
 
@@ -14,8 +14,6 @@ const VERSION: u16 = 1;
 pub struct SuperBlock {
     /// Total i-nodes.
     pub ninodes: u32,
-    /// List allocation mode (recorded so mounts agree with format).
-    pub list_mode: ListMode,
     /// I-node storage mode.
     pub inode_mode: InodeMode,
     /// Addresses of the i-node containers: packed i-node blocks
@@ -37,8 +35,7 @@ impl SuperBlock {
         let mut out = Vec::with_capacity(block_size);
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&VERSION.to_le_bytes());
-        let flags: u16 = (matches!(self.list_mode, ListMode::PerFile) as u16)
-            | ((matches!(self.inode_mode, InodeMode::SmallBlocks) as u16) << 1);
+        let flags: u16 = (matches!(self.inode_mode, InodeMode::SmallBlocks) as u16) << 1;
         out.extend_from_slice(&flags.to_le_bytes());
         out.extend_from_slice(&self.ninodes.to_le_bytes());
         out.extend_from_slice(&(self.inode_containers.len() as u32).to_le_bytes());
@@ -78,11 +75,6 @@ impl SuperBlock {
         let bitmap_blocks = (nc..nc + nb).map(&mut read).collect();
         Ok(Self {
             ninodes,
-            list_mode: if flags & 1 != 0 {
-                ListMode::PerFile
-            } else {
-                ListMode::SingleList
-            },
             inode_mode: if flags & 2 != 0 {
                 InodeMode::SmallBlocks
             } else {
@@ -102,7 +94,6 @@ mod tests {
     fn roundtrip() {
         let sb = SuperBlock {
             ninodes: 16384,
-            list_mode: ListMode::PerFile,
             inode_mode: InodeMode::SmallBlocks,
             inode_containers: (100..120).collect(),
             bitmap_blocks: vec![50],

@@ -4,8 +4,8 @@
 use simdisk::{MemDisk, SimDisk};
 
 use crate::{
-    AllocHint, BlockStore, FileType, FsConfig, FsError, InodeMode, LdStore, ListMode, MinixFs,
-    RawStore, ROOT_INO,
+    AllocHint, BlockStore, FileType, FsConfig, FsError, InodeMode, LdStore, MinixFs, RawStore,
+    ROOT_INO,
 };
 
 fn raw_fs() -> MinixFs<RawStore<MemDisk>> {
@@ -304,11 +304,7 @@ fn per_file_lists_cluster_on_ld() {
         lld::LldConfig::small_for_tests(),
     )
     .unwrap();
-    let config = FsConfig {
-        list_mode: ListMode::PerFile,
-        ..FsConfig::small_for_tests()
-    };
-    let mut fs = MinixFs::format(store, config).unwrap();
+    let mut fs = MinixFs::format(store, FsConfig::small_for_tests()).unwrap();
     let a = fs.create("/a").unwrap();
     let b = fs.create("/b").unwrap();
     fs.write(a, 0, &pattern(8192, 1)).unwrap();
@@ -324,24 +320,6 @@ fn per_file_lists_cluster_on_ld() {
     let mut buf = vec![0u8; 8192];
     let ino_b = fs.lookup("/b").unwrap();
     assert_eq!(fs.read(ino_b, 0, &mut buf).unwrap(), 8192);
-}
-
-#[test]
-fn single_list_mode_uses_shared_group() {
-    let store = LdStore::format(
-        MemDisk::with_capacity(16 << 20),
-        lld::LldConfig::small_for_tests(),
-    )
-    .unwrap();
-    let config = FsConfig {
-        list_mode: ListMode::SingleList,
-        ..FsConfig::small_for_tests()
-    };
-    let mut fs = MinixFs::format(store, config).unwrap();
-    let a = fs.create("/a").unwrap();
-    fs.write(a, 0, &pattern(4096, 1)).unwrap();
-    assert_eq!(fs.read_inode(a).unwrap().group, 0);
-    fs.unlink("/a").unwrap();
 }
 
 #[test]

@@ -174,7 +174,6 @@ pub struct Completion {
 #[derive(Debug, Default)]
 pub struct RequestQueue {
     scheduler: Scheduler,
-    coalesce: bool,
     pending: VecDeque<Request>,
     next_tag: u64,
     /// Elevator direction for [`Scheduler::Look`]: sweeping toward higher
@@ -185,12 +184,11 @@ pub struct RequestQueue {
 }
 
 impl RequestQueue {
-    /// Creates an empty queue. Coalescing merges sector-adjacent ascending
-    /// writes (see module docs); it never changes write ordering.
-    pub fn new(scheduler: Scheduler, coalesce: bool) -> Self {
+    /// Creates an empty queue. It merges sector-adjacent ascending writes
+    /// (see module docs); coalescing never changes write ordering.
+    pub fn new(scheduler: Scheduler) -> Self {
         Self {
             scheduler,
-            coalesce,
             look_up: true,
             ..Self::default()
         }
@@ -274,29 +272,27 @@ impl RequestQueue {
         // still-pending write ending exactly where this one starts. Only
         // the tail request qualifies, so no barrier and no other write can
         // sit between the two halves.
-        if self.coalesce {
-            if let Some(last) = self.pending.back_mut() {
-                if let Op::Write {
-                    sector: s0,
-                    data: d0,
-                } = &mut last.op
-                {
-                    let c0 = (d0.len() / SECTOR_SIZE) as u64;
-                    if *s0 + c0 == sector && c0 + count <= MAX_COALESCED_SECTORS {
-                        d0.extend_from_slice(data);
-                        self.stats.coalesced += 1;
-                        self.stats.coalesced_sectors += count;
-                        let tag = last.tag;
-                        self.trace(
-                            disk.now_us(),
-                            ld_trace::Event::QueueSubmit {
-                                tag,
-                                sector,
-                                sectors: count,
-                            },
-                        );
-                        return tag;
-                    }
+        if let Some(last) = self.pending.back_mut() {
+            if let Op::Write {
+                sector: s0,
+                data: d0,
+            } = &mut last.op
+            {
+                let c0 = (d0.len() / SECTOR_SIZE) as u64;
+                if *s0 + c0 == sector && c0 + count <= MAX_COALESCED_SECTORS {
+                    d0.extend_from_slice(data);
+                    self.stats.coalesced += 1;
+                    self.stats.coalesced_sectors += count;
+                    let tag = last.tag;
+                    self.trace(
+                        disk.now_us(),
+                        ld_trace::Event::QueueSubmit {
+                            tag,
+                            sector,
+                            sectors: count,
+                        },
+                    );
+                    return tag;
                 }
             }
         }
@@ -524,7 +520,7 @@ mod tests {
             }
         };
         let run_queued = |disk: &mut SimDisk| {
-            let mut q = RequestQueue::new(Scheduler::Fcfs, true);
+            let mut q = RequestQueue::new(Scheduler::Fcfs);
             for &(sector, write) in script {
                 let data = vec![0xA5u8; 8 * SECTOR_SIZE];
                 if write {
@@ -553,7 +549,7 @@ mod tests {
         let sectors = [20_000u64, 4, 12_000, 300, 7_777];
         for sched in Scheduler::ALL {
             let mut d = disk();
-            let mut q = RequestQueue::new(sched, false);
+            let mut q = RequestQueue::new(sched);
             let mut tags = Vec::new();
             for (i, &s) in sectors.iter().enumerate() {
                 let data = vec![i as u8; SECTOR_SIZE];
@@ -573,7 +569,7 @@ mod tests {
         for &s in &sectors {
             d.write_sectors(s, &vec![1u8; SECTOR_SIZE]).unwrap();
         }
-        let mut q = RequestQueue::new(Scheduler::Look, false);
+        let mut q = RequestQueue::new(Scheduler::Look);
         for &s in &sectors {
             q.submit_read(&d, s, 1);
         }
@@ -590,7 +586,7 @@ mod tests {
     fn satf_picks_cheapest_access_first() {
         let mut d = disk();
         let far = d.total_sectors() - 8;
-        let mut q = RequestQueue::new(Scheduler::Satf, false);
+        let mut q = RequestQueue::new(Scheduler::Satf);
         // Submit the far read first, the near read second.
         q.submit_read(&d, far, 8);
         q.submit_read(&d, 0, 8);
@@ -602,7 +598,7 @@ mod tests {
     fn overlapping_requests_keep_submission_order() {
         let mut d = disk();
         let far = d.total_sectors() - 8;
-        let mut q = RequestQueue::new(Scheduler::Satf, false);
+        let mut q = RequestQueue::new(Scheduler::Satf);
         // An expensive write, then an overlapping read: the read must not
         // jump ahead (it would return stale data).
         q.submit_write(&d, far, &vec![0x77u8; SECTOR_SIZE]);
@@ -616,7 +612,7 @@ mod tests {
     fn barrier_is_a_full_fence() {
         let mut d = disk();
         let far = d.total_sectors() - 8;
-        let mut q = RequestQueue::new(Scheduler::Satf, false);
+        let mut q = RequestQueue::new(Scheduler::Satf);
         q.submit_read(&d, far, 1); // Expensive.
         q.barrier();
         q.submit_read(&d, 0, 1); // Cheap, but fenced behind the barrier.
@@ -628,7 +624,7 @@ mod tests {
     #[test]
     fn adjacent_ascending_writes_coalesce() {
         let mut d = disk();
-        let mut q = RequestQueue::new(Scheduler::Fcfs, true);
+        let mut q = RequestQueue::new(Scheduler::Fcfs);
         let t0 = q.submit_write(&d, 100, &vec![1u8; 2 * SECTOR_SIZE]);
         let t1 = q.submit_write(&d, 102, &vec![2u8; SECTOR_SIZE]);
         assert_eq!(t0, t1, "adjacent ascending write must merge");
@@ -657,7 +653,7 @@ mod tests {
         a.write_sectors(1000, &data).unwrap();
         a.write_sectors(1128, &data).unwrap();
         let mut b = disk();
-        let mut q = RequestQueue::new(Scheduler::Fcfs, true);
+        let mut q = RequestQueue::new(Scheduler::Fcfs);
         q.submit_write(&b, 1000, &data);
         q.submit_write(&b, 1128, &data);
         q.drain(&mut b);
@@ -673,7 +669,7 @@ mod tests {
     #[test]
     fn queue_depth_statistics_accumulate() {
         let mut d = disk();
-        let mut q = RequestQueue::new(Scheduler::Sstf, false);
+        let mut q = RequestQueue::new(Scheduler::Sstf);
         for i in 0..4u64 {
             q.submit_read(&d, i * 1000, 1);
         }
@@ -692,7 +688,7 @@ mod tests {
         for sched in Scheduler::ALL {
             let run = || {
                 let mut d = disk();
-                let mut q = RequestQueue::new(sched, true);
+                let mut q = RequestQueue::new(sched);
                 for i in 0..12u64 {
                     let s = (i * 7919) % (d.total_sectors() - 8);
                     if i % 3 == 0 {

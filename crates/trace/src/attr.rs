@@ -1,4 +1,4 @@
-//! Per-layer time attribution.
+//! Mechanical time attribution.
 //!
 //! The tracer keeps running totals of every microsecond of simulated disk
 //! busy time, keyed by the mechanical component that consumed it. Unlike

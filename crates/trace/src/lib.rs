@@ -14,7 +14,7 @@
 //! - log2 [`Histogram`]s (seek distance, rotational wait, segment fill at
 //!   seal, per-FS-op latency),
 //! - JSONL export and the `ldtrace` CLI that renders an I/O timeline and
-//!   the per-layer time-attribution table.
+//!   the mechanical time-attribution table.
 //!
 //! # Cost model
 //!

@@ -1,6 +1,6 @@
 //! `ldtrace` — renders a JSONL trace produced by `ld-trace` (e.g. via
 //! `repro --trace`) as a human-readable I/O timeline, metric histograms,
-//! and the per-layer time-attribution table, verifying that the
+//! and the mechanical time-attribution table, verifying that the
 //! attribution components sum exactly to the disk's busy time.
 //!
 //! ```text
@@ -142,7 +142,7 @@ fn render_section(title: &str, text: &str, tail: usize) -> u32 {
 
     let attr = text.lines().find_map(jsonl::decode_attribution);
     if let Some(a) = attr {
-        println!("-- per-layer time attribution --");
+        println!("-- mechanical time attribution --");
         print!("{}", a.render());
     }
     match ld_trace::verify_jsonl(text) {

@@ -379,11 +379,6 @@ fn find_simdisk_refs(code: &str) -> Vec<String> {
 // ci
 // ---------------------------------------------------------------------------
 
-/// Experiments whose committed full-scale `BENCH_<exp>.json` CI
-/// regenerates and byte-compares: the two that exercise the buffer cache
-/// hardest, about 1 s each.
-const BASELINE_EXPERIMENTS: &[&str] = &["table5", "inodes"];
-
 /// One CI step: a cargo invocation, or the baseline byte comparison.
 enum Step {
     Cargo(&'static [&'static str]),
@@ -426,7 +421,7 @@ fn ci() -> ExitCode {
                 "--json-out", "target/repro-quick.json", "all",
             ]),
         ),
-        // Stopgap until `repro --check` compares every experiment.
+        // Stopgap until `repro --check` diffs each experiment cell by cell.
         ("baseline identity", Step::BaselineIdentity),
         ("clippy", Step::Cargo(&["clippy", "--workspace", "--", "-D", "warnings"])),
         ("lint", Step::Cargo(&["run", "-q", "-p", "xtask", "--", "lint"])),
@@ -464,23 +459,39 @@ fn cargo(name: &str, args: &[&str]) -> Result<(), String> {
     }
 }
 
-/// Regenerates each of [`BASELINE_EXPERIMENTS`] at full scale and checks
-/// that its JSON is byte-identical to the committed baseline.
+/// Regenerates every experiment at full scale into one JSON array and
+/// checks that each committed `BENCH_*.json` appears in it verbatim and
+/// that the array holds exactly one document per committed file.
 fn baseline_identity() -> Result<(), String> {
     let root = repo_root();
-    for exp in BASELINE_EXPERIMENTS {
-        let out = format!("target/baseline-{exp}.json");
-        let args = [
-            "run", "-q", "--release", "-p", "ld-bench", "--bin", "repro", "--", "--json-out", &out,
-            exp,
-        ];
-        cargo("baseline identity", &args)?;
-        let committed = format!("BENCH_{exp}.json");
-        let read =
-            |f: &str| std::fs::read(root.join(f)).map_err(|e| format!("cannot read {f}: {e}"));
-        if read(&out)? != read(&committed)? {
-            return Err(format!("{out} differs from the committed {committed}"));
+    let out = "target/baseline-all.json";
+    let args = [
+        "run", "-q", "--release", "-p", "ld-bench", "--bin", "repro", "--", "--json-out", out,
+        "all",
+    ];
+    cargo("baseline identity", &args)?;
+    let read = |f: &Path| {
+        std::fs::read_to_string(f).map_err(|e| format!("cannot read {}: {e}", f.display()))
+    };
+    let fresh = read(&root.join(out))?;
+    let entries = std::fs::read_dir(&root).map_err(|e| format!("cannot list the root: {e}"))?;
+    let mut committed: Vec<String> = entries
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        .collect();
+    committed.sort();
+    for name in &committed {
+        if !fresh.contains(read(&root.join(name))?.trim()) {
+            return Err(format!("{out} has no document identical to the committed {name}"));
         }
+    }
+    // Every document opens with a `{` line of its own; rows are one line each.
+    let documents = fresh.lines().filter(|l| *l == "{").count();
+    if documents != committed.len() {
+        return Err(format!(
+            "{out} holds {documents} documents but {} BENCH_*.json files are committed",
+            committed.len()
+        ));
     }
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! Full-stack integration tests: MINIX over LLD over the simulated disk.
 
 use logical_disk_repro::minix_fs::{
-    BlockStore, FsConfig, FsError, InodeMode, LdStore, ListMode, MinixFs, RawStore,
+    BlockStore, FsConfig, FsError, InodeMode, LdStore, MinixFs, RawStore,
 };
 use logical_disk_repro::simdisk::SimDisk;
 
@@ -114,19 +114,16 @@ fn ld_backend_state_survives_crash_and_remount() {
 
 #[test]
 fn all_configuration_variants_run_the_workload() {
-    for list_mode in [ListMode::SingleList, ListMode::PerFile] {
-        for inode_mode in [InodeMode::Packed, InodeMode::SmallBlocks] {
-            let store = LdStore::format(SimDisk::hp_c3010_with_capacity(32 << 20), lld_config())
-                .expect("format");
-            let config = FsConfig {
-                list_mode,
-                inode_mode,
-                ..fs_config()
-            };
-            let mut fs = MinixFs::format(store, config).expect("mkfs");
-            let digest = workload(&mut fs);
-            assert!(!digest.is_empty(), "{list_mode:?}/{inode_mode:?}");
-        }
+    for inode_mode in [InodeMode::Packed, InodeMode::SmallBlocks] {
+        let store = LdStore::format(SimDisk::hp_c3010_with_capacity(32 << 20), lld_config())
+            .expect("format");
+        let config = FsConfig {
+            inode_mode,
+            ..fs_config()
+        };
+        let mut fs = MinixFs::format(store, config).expect("mkfs");
+        let digest = workload(&mut fs);
+        assert!(!digest.is_empty(), "{inode_mode:?}");
     }
 }
 

@@ -1,4 +1,4 @@
-//! Property tests for the observability layer: the tracer's per-layer
+//! Property tests for the observability layer: the tracer's mechanical
 //! time attribution must reconcile with the disk's own counters to the
 //! microsecond on arbitrary workloads, and the stats counters themselves
 //! must be monotone (so phase deltas are always well-defined).

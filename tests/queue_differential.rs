@@ -162,14 +162,13 @@ proptest! {
     fn schedulers_preserve_write_order_and_read_consistency(
         script in proptest::collection::vec(op_strategy(4096), 1..40),
         sched_idx in 0usize..Scheduler::ALL.len(),
-        coalesce in any::<bool>(),
     ) {
         let scheduler = Scheduler::ALL[sched_idx];
         let sector_bytes = 512usize;
 
         // Queued execution, driven to empty after all submissions.
         let mut disk = SimDisk::hp_c3010_with_capacity(4096 * 512);
-        let mut queue = RequestQueue::new(scheduler, coalesce);
+        let mut queue = RequestQueue::new(scheduler);
         // Reference execution: the same ops, strictly in order.
         let mut fifo_disk = SimDisk::hp_c3010_with_capacity(4096 * 512);
         // Expected read results, keyed by tag, captured at submission
