@@ -43,9 +43,9 @@ pub trait Bencher {
     /// Disk statistics snapshot.
     fn disk_stats(&self) -> DiskStats;
 
-    /// Attaches one event tracer to every layer of this stack (file
-    /// system, disk manager if any, simulated disk) so their events
-    /// interleave into a single timeline.
+    /// Attaches an event tracer to this stack's simulated disk, where
+    /// every layer (file system, disk manager if any, disk) records its
+    /// events into a single timeline.
     fn attach_tracer(&mut self, tracer: ld_trace::Tracer);
 
     /// The LD store under this file system, if it has one. It is the only
@@ -136,8 +136,7 @@ impl Bencher for MinixRaw {
     }
 
     fn attach_tracer(&mut self, tracer: ld_trace::Tracer) {
-        self.0.store_mut().disk_mut().set_tracer(tracer.clone());
-        self.0.set_tracer(tracer);
+        self.0.store_mut().disk_mut().set_tracer(tracer);
     }
 }
 
@@ -153,10 +152,7 @@ impl Bencher for MinixLld {
     }
 
     fn attach_tracer(&mut self, tracer: ld_trace::Tracer) {
-        let lld = self.0.store_mut().lld_mut();
-        lld.disk_mut().set_tracer(tracer.clone());
-        lld.set_tracer(tracer.clone());
-        self.0.set_tracer(tracer);
+        self.0.store_mut().disk_mut().set_tracer(tracer);
     }
 
     fn ld_store(&mut self) -> Option<&mut LdStore<SimDisk>> {
@@ -176,7 +172,6 @@ impl Bencher for Sunos {
     }
 
     fn attach_tracer(&mut self, tracer: ld_trace::Tracer) {
-        self.0.disk_mut().set_tracer(tracer.clone());
-        self.0.set_tracer(tracer);
+        self.0.disk_mut().set_tracer(tracer);
     }
 }

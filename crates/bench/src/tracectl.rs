@@ -1,19 +1,19 @@
 //! Optional structured tracing for experiment runs (`repro --trace`).
 //!
 //! When [`Opts::trace`](crate::exp::Opts) names a file, traced experiments
-//! attach one [`ld_trace::Tracer`] to every layer of each file-system
-//! stack, cross-check the tracer's mechanical time attribution against the
-//! disk's own counters (they must agree to the microsecond), append the
-//! run's events to the trace file as JSONL, and return a footnote line
-//! for the rendered table.
+//! attach one [`ld_trace::Tracer`] to the simulated disk of each
+//! file-system stack (every layer above records through it), take the
+//! mechanical time attribution from the disk's own counters over the run,
+//! append the run's events and that attribution to the trace file as
+//! JSONL (`ldtrace` checks that a complete trace's events sum to it), and
+//! return a footnote line for the rendered table.
 
 use crate::driver::Bencher;
 use crate::exp::Opts;
 use std::io::Write;
 
 /// A tracer attached to one file-system run, plus the disk-stat snapshot
-/// taken at attach time (the baseline the attribution must reconcile
-/// against).
+/// taken at attach time (the start of the span the attribution covers).
 pub struct TraceRun {
     tracer: ld_trace::Tracer,
     stats0: simdisk::DiskStats,
@@ -33,10 +33,10 @@ pub fn maybe_attach(fs: &mut dyn Bencher, opts: &Opts) -> Option<TraceRun> {
     Some(TraceRun { tracer, stats0 })
 }
 
-/// Finishes a traced run: verifies the attribution identity, appends the
-/// events to the trace file under a `{"meta":"run",...}` header, and
-/// returns the footnote line for the table. Returns an empty string when
-/// tracing is off.
+/// Finishes a traced run: appends the events and the attribution to the
+/// trace file under a `{"meta":"run",...}` header, and returns the
+/// footnote line for the table. Returns an empty string when tracing is
+/// off.
 pub fn finish(run: Option<TraceRun>, fs: &dyn Bencher, opts: &Opts, exp: &str) -> String {
     let Some(run) = run else {
         return String::new();
@@ -44,21 +44,15 @@ pub fn finish(run: Option<TraceRun>, fs: &dyn Bencher, opts: &Opts, exp: &str) -
     let Some(path) = opts.trace.as_ref() else {
         return String::new();
     };
-    let attr = run.tracer.attribution();
-    let busy = fs
-        .disk_stats()
-        .delta_since(&run.stats0)
-        .map(|d| d.busy_us());
-    // The tracer saw every microsecond the disk charged since attach; a
-    // mismatch means an instrumentation hole, which we surface loudly
-    // rather than publish a wrong attribution table.
-    assert_eq!(
-        Some(attr.busy_us()),
-        busy,
-        "{exp}/{}: trace attribution {} us != disk busy delta {busy:?}",
-        fs.label(),
-        attr.busy_us(),
-    );
+    // The disk's counters over the run are the attribution; the tracer
+    // adds the retry memo, which they cannot separate.
+    let attr = ld_trace::Attribution {
+        retry_us: run.tracer.retry_us(),
+        ..fs.disk_stats()
+            .delta_since(&run.stats0)
+            .expect("disk stats are not reset during a traced run")
+            .attribution()
+    };
     let mut f = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -71,7 +65,7 @@ pub fn finish(run: Option<TraceRun>, fs: &dyn Bencher, opts: &Opts, exp: &str) -
     )
     .expect("write trace header");
     run.tracer
-        .export_jsonl(&mut f, Some(attr.busy_us()))
+        .export_jsonl(&mut f, &attr)
         .expect("write trace events");
     format!("  [{}: {}]\n", fs.label(), attr.footnote())
 }

@@ -188,9 +188,6 @@ pub struct Ffs<D: BlockDev> {
     next_dir_cg: u32,
     last_read: Option<(Ino, u64)>,
     stats: FfsStats,
-    /// Optional event tracer; operations emit [`ld_trace::Event::FsOp`]
-    /// spans when attached.
-    tracer: Option<ld_trace::Tracer>,
 }
 
 impl<D: BlockDev> Ffs<D> {
@@ -226,7 +223,6 @@ impl<D: BlockDev> Ffs<D> {
             next_dir_cg: 0,
             last_read: None,
             stats: FfsStats::default(),
-            tracer: None,
         };
         // Root directory: i-node 1 lives in group 0.
         let root = fs.alloc_inode_in(0, FileType::Dir)?;
@@ -260,29 +256,18 @@ impl<D: BlockDev> Ffs<D> {
         self.disk.now_us()
     }
 
-    /// Attaches an event tracer: every public operation then records an
-    /// [`ld_trace::Event::FsOp`] latency span. Attach the same tracer to
-    /// the underlying disk to interleave mechanical events into one
-    /// timeline. Tracing never advances the simulated clock.
-    pub fn set_tracer(&mut self, tracer: ld_trace::Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Detaches the tracer, if any.
-    pub fn clear_tracer(&mut self) {
-        self.tracer = None;
-    }
-
-    /// Span start: the current simulated time, only if tracing.
+    /// Span start: the current simulated time, only if the device has a
+    /// tracer. Every public operation records an [`ld_trace::Event::FsOp`]
+    /// latency span there; tracing never advances the simulated clock.
     #[inline]
     fn trace_start(&self) -> Option<u64> {
-        self.tracer.as_ref().map(|_| self.disk.now_us())
+        self.disk.tracer().map(|_| self.disk.now_us())
     }
 
     /// Span end: records the completed operation, no-op untraced.
     #[inline]
     fn trace_op(&self, op: ld_trace::FsOpKind, start: Option<u64>) {
-        if let (Some(t), Some(start_us)) = (&self.tracer, start) {
+        if let (Some(t), Some(start_us)) = (self.disk.tracer(), start) {
             let end = self.disk.now_us();
             t.record(
                 end,

@@ -46,7 +46,7 @@ impl<D: BlockDev> Lld<D> {
         let copied0 = self.stats.cleaner_bytes_copied;
         let result = self.clean_to_reserve_inner();
         self.cleaning = false;
-        self.trace(ld_trace::Event::CleanerPass {
+        self.disk.trace(ld_trace::Event::CleanerPass {
             reclaimed: self.stats.segments_cleaned - cleaned0,
             bytes_copied: self.stats.cleaner_bytes_copied - copied0,
         });
@@ -199,7 +199,7 @@ impl<D: BlockDev> Lld<D> {
             Ok(())
         })();
         self.cleaning = false;
-        self.trace(ld_trace::Event::CleanerPass {
+        self.disk.trace(ld_trace::Event::CleanerPass {
             reclaimed: self.stats.segments_cleaned - cleaned0,
             bytes_copied: self.stats.cleaner_bytes_copied - copied0,
         });
@@ -940,11 +940,11 @@ impl<D: BlockDev> Lld<D> {
                 self.log_internal(Record::RetireSector { sector: s });
                 remapped += 1;
                 self.stats.remapped_sectors += 1;
-                self.trace(ld_trace::Event::SectorRemap { sector: s });
+                self.disk.trace(ld_trace::Event::SectorRemap { sector: s });
             }
             self.suspect_sectors.remove(&s);
         }
-        self.trace(ld_trace::Event::ScrubPass {
+        self.disk.trace(ld_trace::Event::ScrubPass {
             relocated,
             remapped,
             unreadable,

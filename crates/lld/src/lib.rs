@@ -179,8 +179,6 @@ pub struct Lld<D: BlockDev> {
     /// earlier would open a crash window where neither the NVRAM nor the
     /// medium holds acknowledged data.
     pub(crate) nvram_invalidate_deferred: bool,
-    /// Optional event tracer; `None` costs one branch per traced site.
-    pub(crate) tracer: Option<ld_trace::Tracer>,
     /// Persistent bad-block remap table: sectors confirmed unreadable whose
     /// live data (if any) has been relocated. Carried through checkpoints.
     pub(crate) bad_sectors: std::collections::BTreeSet<u64>,
@@ -285,7 +283,6 @@ impl<D: BlockDev> Lld<D> {
             stats: LldStats::default(),
             queue,
             nvram_invalidate_deferred: false,
-            tracer: None,
             bad_sectors: std::collections::BTreeSet::new(),
             suspect_sectors: std::collections::BTreeSet::new(),
         }
@@ -299,45 +296,6 @@ impl<D: BlockDev> Lld<D> {
     /// Resets the statistics counters.
     pub fn reset_stats(&mut self) {
         self.stats = LldStats::default();
-    }
-
-    /// Attaches an event tracer for LLD-level events (segment seals,
-    /// partial writes, cleaner passes). Attach the *same* tracer to the
-    /// underlying disk ([`simdisk::SimDisk::set_tracer`]) to interleave
-    /// mechanical events into one timeline. If this LLD was just opened
-    /// via a recovery sweep, the sweep is recorded retroactively so the
-    /// trace is self-describing. Tracing never touches the simulated
-    /// clock.
-    pub fn set_tracer(&mut self, tracer: ld_trace::Tracer) {
-        if self.stats.recovery_us > 0 && !self.stats.recovered_from_checkpoint {
-            tracer.record(
-                self.disk.now_us(),
-                ld_trace::Event::RecoverySweep {
-                    summaries: self.stats.recovery_summaries_read,
-                    us: self.stats.recovery_us,
-                },
-            );
-        }
-        if let Some(q) = &mut self.queue {
-            q.set_tracer(tracer.clone());
-        }
-        self.tracer = Some(tracer);
-    }
-
-    /// Detaches the tracer, if any.
-    pub fn clear_tracer(&mut self) {
-        if let Some(q) = &mut self.queue {
-            q.clear_tracer();
-        }
-        self.tracer = None;
-    }
-
-    /// Records `event` at the current simulated time (no-op untraced).
-    #[inline]
-    pub(crate) fn trace(&self, event: ld_trace::Event) {
-        if let Some(t) = &self.tracer {
-            t.record(self.disk.now_us(), event);
-        }
     }
 
     /// The active configuration.
@@ -671,7 +629,7 @@ impl<D: BlockDev> Lld<D> {
                 .map_err(dev)?;
         }
         let write_us = self.disk.now_us() - t0;
-        self.trace(ld_trace::Event::SegmentSeal {
+        self.disk.trace(ld_trace::Event::SegmentSeal {
             seg,
             write_seq: seq,
             fill_bytes,
@@ -760,7 +718,7 @@ impl<D: BlockDev> Lld<D> {
         }
         self.dirty = false;
         self.stats.partial_segment_writes += 1;
-        self.trace(ld_trace::Event::PartialWrite {
+        self.disk.trace(ld_trace::Event::PartialWrite {
             seg,
             bytes: flushed_bytes,
         });
@@ -883,7 +841,7 @@ impl<D: BlockDev> Lld<D> {
                     }
                     self.stats.retries += 1;
                     let us = self.disk.now_us() - t0;
-                    self.trace(ld_trace::Event::ReadRetry {
+                    self.disk.trace(ld_trace::Event::ReadRetry {
                         sector,
                         attempt: u64::from(attempt),
                         us,

@@ -346,6 +346,10 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
     lld.stats.recovery_records_discarded = discarded;
     lld.stats.recovery_orphans = orphans;
     lld.stats.recovery_nvram_applied = nvram_applied;
+    lld.disk.trace(ld_trace::Event::RecoverySweep {
+        summaries: lld.stats.recovery_summaries_read,
+        us: elapsed,
+    });
     Ok(lld)
 }
 

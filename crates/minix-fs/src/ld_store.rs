@@ -260,6 +260,10 @@ impl<D: BlockDev> BlockStore for LdStore<D> {
     fn advance_us(&mut self, us: u64) {
         self.lld.disk_mut().advance_us(us);
     }
+
+    fn tracer(&self) -> Option<&ld_trace::Tracer> {
+        self.lld.disk().tracer()
+    }
 }
 
 #[cfg(test)]

@@ -84,9 +84,6 @@ pub struct MinixFs<S: BlockStore> {
     /// hint for the next one.
     last_group: u64,
     stats: FsStats,
-    /// Optional event tracer; operations emit [`ld_trace::Event::FsOp`]
-    /// spans when attached.
-    tracer: Option<ld_trace::Tracer>,
 }
 
 impl<S: BlockStore> MinixFs<S> {
@@ -143,7 +140,6 @@ impl<S: BlockStore> MinixFs<S> {
             last_read: None,
             last_group: 0,
             stats: FsStats::default(),
-            tracer: None,
         };
         // Root directory.
         let root = fs.alloc_inode(FileType::Dir, 0)?;
@@ -183,7 +179,6 @@ impl<S: BlockStore> MinixFs<S> {
             last_read: None,
             last_group: 0,
             stats: FsStats::default(),
-            tracer: None,
         })
     }
 
@@ -220,29 +215,18 @@ impl<S: BlockStore> MinixFs<S> {
         self.store.now_us()
     }
 
-    /// Attaches an event tracer: every public operation then records an
-    /// [`ld_trace::Event::FsOp`] latency span. Attach the same tracer to
-    /// the layers below (store / disk) to interleave their events into one
-    /// timeline. Tracing never advances the simulated clock.
-    pub fn set_tracer(&mut self, tracer: ld_trace::Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Detaches the tracer, if any.
-    pub fn clear_tracer(&mut self) {
-        self.tracer = None;
-    }
-
-    /// Span start: the current simulated time, only if tracing.
+    /// Span start: the current simulated time, only if the device has a
+    /// tracer. Every public operation records an [`ld_trace::Event::FsOp`]
+    /// latency span there; tracing never advances the simulated clock.
     #[inline]
     fn trace_start(&self) -> Option<u64> {
-        self.tracer.as_ref().map(|_| self.store.now_us())
+        self.store.tracer().map(|_| self.store.now_us())
     }
 
     /// Span end: records the completed operation, no-op untraced.
     #[inline]
     fn trace_op(&self, op: ld_trace::FsOpKind, start: Option<u64>) {
-        if let (Some(t), Some(start_us)) = (&self.tracer, start) {
+        if let (Some(t), Some(start_us)) = (self.store.tracer(), start) {
             let end = self.store.now_us();
             t.record(
                 end,

@@ -236,6 +236,10 @@ impl<D: BlockDev> BlockStore for RawStore<D> {
     fn advance_us(&mut self, us: u64) {
         self.disk.advance_us(us);
     }
+
+    fn tracer(&self) -> Option<&ld_trace::Tracer> {
+        self.disk.tracer()
+    }
 }
 
 #[cfg(test)]

@@ -111,4 +111,10 @@ pub trait BlockStore {
 
     /// Advances the simulated clock (modeled file-system CPU time).
     fn advance_us(&mut self, us: u64);
+
+    /// The underlying device's event tracer, if any
+    /// ([`simdisk::BlockDev::tracer`]).
+    fn tracer(&self) -> Option<&ld_trace::Tracer> {
+        None
+    }
 }

@@ -607,7 +607,7 @@ mod tests {
         let s = prop_oneof![
             3 => Just(0u8),
             1 => Just(1u8),
-            1 => (2u8..4),
+            1 => 2u8..4,
         ];
         let mut seen = [false; 4];
         for _ in 0..400 {
@@ -638,7 +638,7 @@ mod tests {
 
     fn helper(x: u8) -> Result<(), TestCaseError> {
         prop_assert!(x < 200, "x too big: {}", x);
-        prop_assert_eq!(x % 1, 0);
+        prop_assert_eq!(x % 2, x & 1);
         prop_assert_ne!(x as u16 + 1, 0u16);
         Ok(())
     }

@@ -160,6 +160,22 @@ pub trait BlockDev {
         let _ = sector;
         0
     }
+
+    /// The event tracer attached to the device, if any. The device owns
+    /// the one tracer of a stack: every layer above records its events
+    /// here, so they interleave into one timeline.
+    fn tracer(&self) -> Option<&ld_trace::Tracer> {
+        None
+    }
+
+    /// Records `event` on the device's tracer at the current simulated
+    /// time (no-op untraced).
+    #[inline]
+    fn trace(&self, event: ld_trace::Event) {
+        if let Some(t) = self.tracer() {
+            t.record(self.now_us(), event);
+        }
+    }
 }
 
 /// The full disk simulator.
@@ -235,39 +251,22 @@ impl SimDisk {
         &self.stats
     }
 
-    /// Resets statistics to zero (the clock is left running).
-    ///
-    /// An attached tracer keeps its running attribution totals; attach a
-    /// fresh tracer alongside a stats reset when the two must reconcile.
+    /// Resets statistics to zero (the clock is left running). A traced
+    /// span's attribution is a [`DiskStats::delta_since`] its start, so
+    /// it must not straddle a reset.
     pub fn reset_stats(&mut self) {
         self.stats = DiskStats::default();
     }
 
-    /// Attaches an event tracer. Every subsequent microsecond of busy
-    /// time is reported as a typed event ([`ld_trace::Event`]), so the
-    /// tracer's attribution sums exactly to the busy time accumulated
-    /// from this call on. Tracing never touches the simulated clock:
-    /// timings are bit-identical with or without a tracer.
+    /// Attaches the stack's event tracer (see [`BlockDev::tracer`]). Every
+    /// subsequent microsecond of busy time is reported as a typed event
+    /// ([`ld_trace::Event`]), so while the ring drops nothing the events
+    /// sum, per component, to the [`DiskStats`] delta from this call on.
+    /// The tracer stays attached across crashes, revives and remounts.
+    /// Tracing never touches the simulated clock: timings are
+    /// bit-identical with or without a tracer.
     pub fn set_tracer(&mut self, tracer: ld_trace::Tracer) {
         self.tracer = Some(tracer);
-    }
-
-    /// Detaches the tracer, if any.
-    pub fn clear_tracer(&mut self) {
-        self.tracer = None;
-    }
-
-    /// The attached tracer, if any.
-    pub fn tracer(&self) -> Option<&ld_trace::Tracer> {
-        self.tracer.as_ref()
-    }
-
-    /// Records `event` at the current simulated time (no-op untraced).
-    #[inline]
-    fn trace(&self, event: ld_trace::Event) {
-        if let Some(t) = &self.tracer {
-            t.record(self.clock_us, event);
-        }
     }
 
     /// Bytes of host memory committed to disk contents.
@@ -629,6 +628,10 @@ impl BlockDev for SimDisk {
             .timing
             .rotational_wait_us(&self.geometry, arrive, chs.sector);
         self.timing.command_overhead_us + seek + rot
+    }
+
+    fn tracer(&self) -> Option<&ld_trace::Tracer> {
+        self.tracer.as_ref()
     }
 }
 

@@ -101,11 +101,9 @@ impl Scheduler {
 pub struct QueueStats {
     /// Requests accepted by `submit_*` (including ones later coalesced).
     pub submitted: u64,
-    /// Requests sent to the device.
+    /// Requests sent to the device (each completes before the next
+    /// dispatches).
     pub dispatched: u64,
-    /// Requests completed (== dispatched; kept separate for the classic
-    /// submit/dispatch/complete accounting).
-    pub completed: u64,
     /// Submitted requests that were merged into an already pending one
     /// instead of queueing separately.
     pub coalesced: u64,
@@ -180,7 +178,6 @@ pub struct RequestQueue {
     /// cylinders when true.
     look_up: bool,
     stats: QueueStats,
-    tracer: Option<ld_trace::Tracer>,
 }
 
 impl RequestQueue {
@@ -225,37 +222,17 @@ impl RequestQueue {
         })
     }
 
-    /// Attaches a tracer for `QueueSubmit`/`QueueDispatch`/`QueueComplete`
-    /// events. Queue events carry no attributed time of their own.
-    pub fn set_tracer(&mut self, tracer: ld_trace::Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Detaches the tracer.
-    pub fn clear_tracer(&mut self) {
-        self.tracer = None;
-    }
-
-    fn trace(&self, at_us: u64, event: ld_trace::Event) {
-        if let Some(t) = &self.tracer {
-            t.record(at_us, event);
-        }
-    }
-
     /// Queues a read of `count` sectors at `sector`; returns its tag. The
     /// data arrives in the corresponding [`Completion`].
     pub fn submit_read<D: BlockDev>(&mut self, disk: &D, sector: u64, count: u64) -> u64 {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.stats.submitted += 1;
-        self.trace(
-            disk.now_us(),
-            ld_trace::Event::QueueSubmit {
-                tag,
-                sector,
-                sectors: count,
-            },
-        );
+        disk.trace(ld_trace::Event::QueueSubmit {
+            tag,
+            sector,
+            sectors: count,
+        });
         self.pending.push_back(Request {
             tag,
             op: Op::Read { sector, count },
@@ -272,46 +249,33 @@ impl RequestQueue {
         // still-pending write ending exactly where this one starts. Only
         // the tail request qualifies, so no barrier and no other write can
         // sit between the two halves.
-        if let Some(last) = self.pending.back_mut() {
-            if let Op::Write {
-                sector: s0,
-                data: d0,
-            } = &mut last.op
-            {
-                let c0 = (d0.len() / SECTOR_SIZE) as u64;
-                if *s0 + c0 == sector && c0 + count <= MAX_COALESCED_SECTORS {
-                    d0.extend_from_slice(data);
-                    self.stats.coalesced += 1;
-                    self.stats.coalesced_sectors += count;
-                    let tag = last.tag;
-                    self.trace(
-                        disk.now_us(),
-                        ld_trace::Event::QueueSubmit {
-                            tag,
-                            sector,
-                            sectors: count,
-                        },
-                    );
-                    return tag;
-                }
-            }
-        }
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.trace(
-            disk.now_us(),
-            ld_trace::Event::QueueSubmit {
+        let tag = match self.pending.back_mut() {
+            Some(Request {
                 tag,
-                sector,
-                sectors: count,
-            },
-        );
-        self.pending.push_back(Request {
+                op: Op::Write { sector: s0, data: d0 },
+            }) if *s0 + (d0.len() / SECTOR_SIZE) as u64 == sector
+                && (d0.len() / SECTOR_SIZE) as u64 + count <= MAX_COALESCED_SECTORS =>
+            {
+                d0.extend_from_slice(data);
+                self.stats.coalesced += 1;
+                self.stats.coalesced_sectors += count;
+                *tag
+            }
+            _ => {
+                let tag = self.next_tag;
+                self.next_tag += 1;
+                let op = Op::Write {
+                    sector,
+                    data: data.to_vec(),
+                };
+                self.pending.push_back(Request { tag, op });
+                tag
+            }
+        };
+        disk.trace(ld_trace::Event::QueueSubmit {
             tag,
-            op: Op::Write {
-                sector,
-                data: data.to_vec(),
-            },
+            sector,
+            sectors: count,
         });
         tag
     }
@@ -426,13 +390,10 @@ impl RequestQueue {
         self.stats.depth_sum += depth;
         self.stats.max_depth = self.stats.max_depth.max(depth);
         let req = self.pending.remove(idx).expect("picked index is in range"); // PANIC-OK: idx comes from eligible()
-        self.trace(
-            disk.now_us(),
-            ld_trace::Event::QueueDispatch {
-                tag: req.tag,
-                depth,
-            },
-        );
+        disk.trace(ld_trace::Event::QueueDispatch {
+            tag: req.tag,
+            depth,
+        });
         let t0 = disk.now_us();
         let completion = match req.op {
             Op::Read { sector, count } => {
@@ -467,14 +428,10 @@ impl RequestQueue {
                 result: Ok(None),
             },
         };
-        self.stats.completed += 1;
-        self.trace(
-            disk.now_us(),
-            ld_trace::Event::QueueComplete {
-                tag: completion.tag,
-                us: disk.now_us() - t0,
-            },
-        );
+        disk.trace(ld_trace::Event::QueueComplete {
+            tag: completion.tag,
+            us: disk.now_us() - t0,
+        });
         Some(completion)
     }
 
@@ -676,8 +633,7 @@ mod tests {
         q.drain(&mut d);
         let s = *q.stats();
         assert_eq!(s.submitted, 4);
-        assert_eq!(s.dispatched, 4);
-        assert_eq!(s.completed, 4);
+        assert_eq!(s.dispatched, 4, "every dispatched request completes");
         assert_eq!(s.max_depth, 4);
         assert_eq!(s.depth_sum, 4 + 3 + 2 + 1);
         assert!((s.mean_depth() - 2.5).abs() < 1e-9);

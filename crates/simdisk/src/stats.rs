@@ -43,6 +43,23 @@ impl DiskStats {
         self.seek_us + self.rotation_us + self.transfer_us + self.switch_us + self.overhead_us
     }
 
+    /// The mechanical breakdown of [`busy_us`](Self::busy_us) as the
+    /// attribution table, with the read-ahead hit and miss counts as its
+    /// memo. The retry memo stays 0: these counters cannot tell a failed
+    /// attempt's time apart, only the tracer's `ReadRetry` events can.
+    pub fn attribution(&self) -> ld_trace::Attribution {
+        ld_trace::Attribution {
+            seek_us: self.seek_us,
+            rotation_us: self.rotation_us,
+            transfer_us: self.transfer_us,
+            switch_us: self.switch_us,
+            overhead_us: self.overhead_us,
+            retry_us: 0,
+            cache_hits: self.cached_reads,
+            cache_misses: self.cache_misses,
+        }
+    }
+
     /// Total bytes transferred in either direction.
     pub fn bytes_transferred(&self) -> u64 {
         (self.sectors_read + self.sectors_written) * crate::geometry::SECTOR_SIZE as u64

@@ -1,11 +1,11 @@
 //! Mechanical time attribution.
 //!
-//! The tracer keeps running totals of every microsecond of simulated disk
-//! busy time, keyed by the mechanical component that consumed it. Unlike
-//! the event ring (which is bounded and drops old events), these totals
-//! are exact for the tracer's whole lifetime, so the attribution table
-//! always sums to precisely `DiskStats::busy_us()` accumulated since the
-//! tracer was attached.
+//! The table of where simulated disk busy time went, keyed by the
+//! mechanical component that consumed it. The disk's own counters fill
+//! it (`simdisk::DiskStats::attribution` over a run's delta), so it sums
+//! to precisely the disk's `busy_us()` over that span. A trace whose ring
+//! dropped nothing must account for it event by event
+//! ([`crate::verify_jsonl`]).
 
 /// Where simulated disk busy time went, in microseconds. The five
 /// components mirror `DiskStats` and sum exactly to its `busy_us()`.
@@ -53,46 +53,33 @@ impl Attribution {
         ]
     }
 
-    /// Renders the attribution table. Percentages are integer tenths (no
-    /// float formatting drift); the `us` column sums exactly to the
-    /// printed total.
+    /// Renders the attribution table. The `us` column sums exactly to
+    /// the printed total.
     pub fn render(&self) -> String {
         let busy = self.busy_us();
         let mut out = String::from("component        us      share\n");
         out.push_str("---------------------------------\n");
         for (label, us) in self.components() {
-            let tenths = (us * 1000).checked_div(busy).unwrap_or(0);
-            out.push_str(&format!(
-                "{label:<10} {us:>12}     {:>3}.{}%\n",
-                tenths / 10,
-                tenths % 10
-            ));
+            let (p, t) = pct(us, busy);
+            out.push_str(&format!("{label:<10} {us:>12}     {p:>3}.{t}%\n"));
         }
         out.push_str(&format!("{:<10} {busy:>12}    100.0%\n", "busy"));
         if self.retry_us > 0 {
             // Memo row: retry time is a subset of the components above,
             // not a sixth component, so it sits outside the 100% total.
-            let tenths = (self.retry_us * 1000).checked_div(busy).unwrap_or(0);
+            let (p, t) = pct(self.retry_us, busy);
             out.push_str(&format!(
-                "{:<10} {:>12}     {:>3}.{}%  (memo: included above)\n",
-                "retry",
-                self.retry_us,
-                tenths / 10,
-                tenths % 10
+                "{:<10} {:>12}     {p:>3}.{t}%  (memo: included above)\n",
+                "retry", self.retry_us,
             ));
         }
         if self.cache_hits > 0 || self.cache_misses > 0 {
             // Memo row: request counts, not time — hit time is bus-rate
             // transfer + overhead, already inside the components above.
-            let total = self.cache_hits + self.cache_misses;
-            let tenths = (self.cache_hits * 1000).checked_div(total).unwrap_or(0);
+            let (p, t) = pct(self.cache_hits, self.cache_hits + self.cache_misses);
             out.push_str(&format!(
-                "{:<10} {:>6} hits / {} misses  ({:>3}.{}% hit rate)\n",
-                "readahead",
-                self.cache_hits,
-                self.cache_misses,
-                tenths / 10,
-                tenths % 10
+                "{:<10} {:>6} hits / {} misses  ({p:>3}.{t}% hit rate)\n",
+                "readahead", self.cache_hits, self.cache_misses,
             ));
         }
         out
@@ -101,24 +88,15 @@ impl Attribution {
     /// One-line summary for table footnotes.
     pub fn footnote(&self) -> String {
         let busy = self.busy_us();
-        let pct = |us: u64| {
-            let tenths = (us * 1000).checked_div(busy).unwrap_or(0);
-            format!("{}.{}%", tenths / 10, tenths % 10)
-        };
-        let mut out = format!(
-            "seek {} ({}) + rotation {} ({}) + transfer {} ({}) + switch {} ({}) + overhead {} ({}) = busy {} us",
-            self.seek_us,
-            pct(self.seek_us),
-            self.rotation_us,
-            pct(self.rotation_us),
-            self.transfer_us,
-            pct(self.transfer_us),
-            self.switch_us,
-            pct(self.switch_us),
-            self.overhead_us,
-            pct(self.overhead_us),
-            busy,
-        );
+        let parts: Vec<String> = self
+            .components()
+            .into_iter()
+            .map(|(label, us)| {
+                let (p, t) = pct(us, busy);
+                format!("{label} {us} ({p}.{t}%)")
+            })
+            .collect();
+        let mut out = format!("{} = busy {busy} us", parts.join(" + "));
         if self.retry_us > 0 {
             out.push_str(&format!(" [retry memo {} us]", self.retry_us));
         }
@@ -130,6 +108,13 @@ impl Attribution {
         }
         out
     }
+}
+
+/// `part / whole` in integer tenths of a percent (no float formatting
+/// drift), as (percent, tenth); 0 when `whole` is 0.
+fn pct(part: u64, whole: u64) -> (u64, u64) {
+    let tenths = (part * 1000).checked_div(whole).unwrap_or(0);
+    (tenths / 10, tenths % 10)
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 //!
 //! - events: `{"at_us":N,"seq":N,"ev":"SeekDone","us":N}`
 //! - attribution: `{"meta":"attribution","seek_us":N,...,"busy_us":N}`
-//! - cross-check: `{"meta":"disk_busy_us","busy_us":N}`
 //! - histograms: `{"meta":"hist","name":"...","unit":"...","count":N,"sum":N,"max":N,"buckets":[..]}`
 //! - tracer info: `{"meta":"tracer","capacity":N,"recorded":N,"dropped":N}`
 //!

@@ -9,35 +9,37 @@
 //!
 //! - a bounded ring-buffer [`Tracer`] recording typed [`Event`]s stamped
 //!   with the **simulated** clock (never wall time),
-//! - running [`Attribution`] totals whose five components sum *exactly*
-//!   to the disk's `busy_us()` accumulated while the tracer was attached,
 //! - log2 [`Histogram`]s (seek distance, rotational wait, segment fill at
-//!   seal, per-FS-op latency),
+//!   seal, per-FS-op latency, queue depth),
+//! - the [`Attribution`] table of mechanical disk time, which the disk's
+//!   own counters fill (`simdisk::DiskStats::attribution`); the tracer
+//!   adds only the retry memo, the one figure those counters cannot
+//!   separate,
 //! - JSONL export and the `ldtrace` CLI that renders an I/O timeline and
-//!   the mechanical time-attribution table.
+//!   the attribution table, and checks that a complete trace's events
+//!   sum to that table.
 //!
 //! # Cost model
 //!
-//! Layers hold an `Option<Tracer>`; with `None` the only cost is the
-//! branch. With a tracer attached, recording an event is a fixed-size
-//! copy into a pre-allocated ring plus a few integer adds — no per-event
-//! allocation, no clock reads beyond what the layer already knows.
-//!
-//! The tracer handle is a cheap clone (`Rc`): attach the same tracer to
-//! the disk, the LLD, and the file system to get one interleaved
-//! timeline.
+//! The simulated disk owns the one `Option<Tracer>` of a stack; every
+//! layer above reaches it through the device. With `None` the only cost
+//! is the branch. With a tracer attached, recording an event is a
+//! fixed-size copy into a pre-allocated ring plus a histogram update —
+//! no per-event allocation, no clock reads beyond what the layer already
+//! knows.
 //!
 //! # Example
 //!
 //! ```
-//! use ld_trace::{Event, Tracer};
+//! use ld_trace::{Attribution, Event, Tracer};
 //!
 //! let tracer = Tracer::new(1024);
 //! tracer.record(10, Event::SeekDone { us: 11_500 });
 //! tracer.record(21_500, Event::RotWait { us: 5_500 });
-//! assert_eq!(tracer.attribution().busy_us(), 17_000);
-//! let jsonl = tracer.to_jsonl(Some(17_000));
-//! assert!(ld_trace::verify_jsonl(&jsonl).is_ok());
+//! let attr = Attribution { seek_us: 11_500, rotation_us: 5_500, ..Attribution::default() };
+//! let jsonl = tracer.to_jsonl(&attr);
+//! // Nothing was dropped, so the events must sum to the attribution.
+//! assert_eq!(ld_trace::verify_jsonl(&jsonl), Ok(0));
 //! ```
 
 mod attr;
@@ -62,10 +64,11 @@ struct Inner {
     cap: usize,
     /// Next slot to overwrite once the ring is full.
     next: usize,
-    /// Events ever recorded (recorded - ring length = dropped).
+    /// Events ever recorded (recorded - ring length = dropped); also the
+    /// next event's sequence number.
     recorded: u64,
-    seq: u64,
-    attr: Attribution,
+    /// Time of failed read attempts (sum of [`Event::ReadRetry`] `us`).
+    retry_us: u64,
     hist_seek_cyl: Histogram,
     hist_rot_us: Histogram,
     hist_seal_fill_pct: Histogram,
@@ -93,8 +96,7 @@ impl Tracer {
             cap,
             next: 0,
             recorded: 0,
-            seq: 0,
-            attr: Attribution::default(),
+            retry_us: 0,
             hist_seek_cyl: Histogram::new(),
             hist_rot_us: Histogram::new(),
             hist_seal_fill_pct: Histogram::new(),
@@ -118,14 +120,7 @@ impl Tracer {
                     .hist_seek_cyl
                     .record(u64::from(from_cyl.abs_diff(to_cyl)));
             }
-            Event::SeekDone { us } => inner.attr.seek_us += us,
-            Event::RotWait { us } => {
-                inner.attr.rotation_us += us;
-                inner.hist_rot_us.record(us);
-            }
-            Event::Transfer { us, .. } => inner.attr.transfer_us += us,
-            Event::HeadSwitch { us } => inner.attr.switch_us += us,
-            Event::CmdOverhead { us } => inner.attr.overhead_us += us,
+            Event::RotWait { us } => inner.hist_rot_us.record(us),
             Event::SegmentSeal {
                 fill_bytes,
                 cap_bytes,
@@ -138,31 +133,22 @@ impl Tracer {
             Event::FsOp { us, .. } => inner.hist_fsop_us.record(us),
             // Memo only: the failed attempt's time already flowed into the
             // mechanical components via the events the disk emitted.
-            Event::ReadRetry { us, .. } => inner.attr.retry_us += us,
-            // Memo counters: a hit/miss's time is already attributed to
-            // the (bus or mechanical) components the read used.
-            Event::CacheHit { .. } => inner.attr.cache_hits += 1,
-            Event::CacheMiss { .. } => inner.attr.cache_misses += 1,
-            // Queue events carry no time of their own — the device charges
-            // every microsecond when the request actually dispatches.
+            Event::ReadRetry { us, .. } => inner.retry_us += us,
             Event::QueueDispatch { depth, .. } => inner.hist_queue_depth.record(depth),
             _ => {}
         }
-        let seq = inner.seq;
-        inner.seq += 1;
+        let stamped = TraceEvent {
+            at_us,
+            seq: inner.recorded,
+            event,
+        };
         inner.recorded += 1;
-        let stamped = TraceEvent { at_us, seq, event };
         if inner.ring.len() < inner.cap {
             inner.ring.push(stamped);
         } else {
             inner.ring[inner.next] = stamped;
             inner.next = (inner.next + 1) % inner.cap;
         }
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.0.borrow().cap
     }
 
     /// Events ever recorded (including those since evicted).
@@ -211,10 +197,12 @@ impl Tracer {
         out
     }
 
-    /// Exact per-component busy-time attribution since the tracer was
-    /// created (independent of ring eviction).
-    pub fn attribution(&self) -> Attribution {
-        self.0.borrow().attr
+    /// Time consumed by read attempts that failed and were retried, since
+    /// the tracer was created (independent of ring eviction). It is
+    /// already inside the disk's mechanical components; this is the
+    /// [`Attribution::retry_us`] memo.
+    pub fn retry_us(&self) -> u64 {
+        self.0.borrow().retry_us
     }
 
     /// The metric histograms as `(name, unit, histogram)` triples.
@@ -230,13 +218,13 @@ impl Tracer {
     }
 
     /// Writes the trace as JSONL: tracer info, all ring events (oldest
-    /// first), histograms, the attribution line, and — when the caller
-    /// provides the disk's own counter — a `disk_busy_us` cross-check
-    /// line that `ldtrace` verifies against the attribution sum.
+    /// first), histograms, and the attribution line for `attr` — the
+    /// disk's time over the traced span, which [`verify_jsonl`] checks
+    /// the events against when the ring dropped nothing.
     pub fn export_jsonl<W: std::io::Write>(
         &self,
         w: &mut W,
-        disk_busy_us: Option<u64>,
+        attr: &Attribution,
     ) -> std::io::Result<()> {
         let inner = self.0.borrow();
         writeln!(
@@ -261,17 +249,13 @@ impl Tracer {
                 buckets.join(",")
             )?;
         }
-        writeln!(w, "{}", jsonl::encode_attribution(&self.attribution()))?;
-        if let Some(busy) = disk_busy_us {
-            writeln!(w, "{{\"meta\":\"disk_busy_us\",\"busy_us\":{busy}}}")?;
-        }
-        Ok(())
+        writeln!(w, "{}", jsonl::encode_attribution(attr))
     }
 
     /// [`export_jsonl`](Self::export_jsonl) into a `String`.
-    pub fn to_jsonl(&self, disk_busy_us: Option<u64>) -> String {
+    pub fn to_jsonl(&self, attr: &Attribution) -> String {
         let mut buf = Vec::new();
-        self.export_jsonl(&mut buf, disk_busy_us).expect("Vec write"); // PANIC-OK: writing to a Vec<u8> cannot fail.
+        self.export_jsonl(&mut buf, attr).expect("Vec write"); // PANIC-OK: writing to a Vec<u8> cannot fail.
         String::from_utf8_lossy(&buf).into_owned()
     }
 }
@@ -289,12 +273,16 @@ pub enum TraceError {
         /// The recorded busy total.
         busy: u64,
     },
-    /// The attribution total disagrees with the disk's busy counter.
-    DiskBusyMismatch {
-        /// Attribution busy total.
+    /// The ring dropped nothing, yet the events of one mechanical
+    /// component do not sum to the attribution: an instrumentation hole
+    /// (or a corrupt file).
+    Incomplete {
+        /// Component label, as in [`Attribution::components`].
+        component: &'static str,
+        /// Sum of that component's events.
+        events: u64,
+        /// The attribution line's figure.
         attributed: u64,
-        /// `DiskStats::busy_us()` recorded at export.
-        disk: u64,
     },
     /// Event sequence numbers go backwards (interleaved files).
     OutOfOrder {
@@ -311,9 +299,13 @@ impl std::fmt::Display for TraceError {
                 f,
                 "attribution components sum to {components} but busy is {busy}"
             ),
-            TraceError::DiskBusyMismatch { attributed, disk } => write!(
+            TraceError::Incomplete {
+                component,
+                events,
+                attributed,
+            } => write!(
                 f,
-                "attributed busy {attributed} us != disk busy {disk} us"
+                "{component} events sum to {events} us but {attributed} us is attributed"
             ),
             TraceError::OutOfOrder { line } => {
                 write!(f, "event sequence goes backwards at line {line}")
@@ -325,24 +317,38 @@ impl std::fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 /// Verifies one tracer's worth of JSONL: events parse and are in order,
-/// and the attribution line sums exactly (against itself and, when a
-/// `disk_busy_us` line is present, against the disk counter).
-pub fn verify_jsonl(text: &str) -> Result<(), TraceError> {
+/// and the attribution line sums to its own busy total. Unless the tracer
+/// line says the ring dropped events, the trace must also be complete:
+/// the `SeekDone`/`RotWait`/`Transfer`/`HeadSwitch`/`CmdOverhead` events
+/// sum, per component, exactly to the attribution.
+///
+/// Returns the number of events the ring dropped; completeness was
+/// checked only when it is 0.
+pub fn verify_jsonl(text: &str) -> Result<u64, TraceError> {
     let mut last_seq: Option<u64> = None;
     let mut attr: Option<Attribution> = None;
     let mut attr_busy: Option<u64> = None;
-    let mut disk_busy: Option<u64> = None;
+    let mut dropped = 0;
+    let mut events = Attribution::default();
     for (i, line) in text.lines().enumerate() {
         if let Some(e) = jsonl::decode_event(line) {
             if last_seq.is_some_and(|s| e.seq < s) {
                 return Err(TraceError::OutOfOrder { line: i + 1 });
             }
             last_seq = Some(e.seq);
+            match e.event {
+                Event::SeekDone { us } => events.seek_us += us,
+                Event::RotWait { us } => events.rotation_us += us,
+                Event::Transfer { us, .. } => events.transfer_us += us,
+                Event::HeadSwitch { us } => events.switch_us += us,
+                Event::CmdOverhead { us } => events.overhead_us += us,
+                _ => {}
+            }
         } else if let Some(a) = jsonl::decode_attribution(line) {
             attr_busy = jsonl::get_u64(line, "busy_us");
             attr = Some(a);
-        } else if jsonl::get_str(line, "meta") == Some("disk_busy_us") {
-            disk_busy = jsonl::get_u64(line, "busy_us");
+        } else if jsonl::get_str(line, "meta") == Some("tracer") {
+            dropped = jsonl::get_u64(line, "dropped").unwrap_or(0);
         }
     }
     let attr = attr.ok_or(TraceError::MissingAttribution)?;
@@ -353,15 +359,20 @@ pub fn verify_jsonl(text: &str) -> Result<(), TraceError> {
             busy,
         });
     }
-    if let Some(disk) = disk_busy {
-        if disk != attr.busy_us() {
-            return Err(TraceError::DiskBusyMismatch {
-                attributed: attr.busy_us(),
-                disk,
-            });
+    if dropped == 0 {
+        for ((component, attributed), (_, events)) in
+            attr.components().into_iter().zip(events.components())
+        {
+            if events != attributed {
+                return Err(TraceError::Incomplete {
+                    component,
+                    events,
+                    attributed,
+                });
+            }
         }
     }
-    Ok(())
+    Ok(dropped)
 }
 
 #[cfg(test)]
@@ -380,8 +391,8 @@ mod tests {
         assert_eq!(tail.len(), 16);
         assert_eq!(tail[0].at_us, 24);
         assert_eq!(tail[15].at_us, 39);
-        // Attribution survives eviction: all 40 seeks counted.
-        assert_eq!(t.attribution().seek_us, (0..40).sum::<u64>());
+        // Sequence numbers count every event ever recorded.
+        assert_eq!(tail[0].seq, 24);
     }
 
     #[test]
@@ -392,32 +403,6 @@ mod tests {
         }
         let tail = t.tail(3);
         assert_eq!(tail.iter().map(|e| e.at_us).collect::<Vec<_>>(), [7, 8, 9]);
-    }
-
-    #[test]
-    fn attribution_components_route_correctly() {
-        let t = Tracer::new(64);
-        t.record(0, Event::SeekDone { us: 10 });
-        t.record(0, Event::RotWait { us: 20 });
-        t.record(0, Event::Transfer { sectors: 4, us: 30 });
-        t.record(0, Event::HeadSwitch { us: 5 });
-        t.record(0, Event::CmdOverhead { us: 7 });
-        // Non-time events contribute nothing to attribution.
-        t.record(0, Event::CacheHit { sector: 0, sectors: 1 });
-        t.record(
-            0,
-            Event::FsOp {
-                op: FsOpKind::Read,
-                start_us: 0,
-                us: 99,
-            },
-        );
-        let a = t.attribution();
-        assert_eq!(
-            (a.seek_us, a.rotation_us, a.transfer_us, a.switch_us, a.overhead_us),
-            (10, 20, 30, 5, 7)
-        );
-        assert_eq!(a.busy_us(), 72);
     }
 
     #[test]
@@ -455,17 +440,60 @@ mod tests {
         let t = Tracer::new(64);
         t.record(5, Event::SeekDone { us: 100 });
         t.record(10, Event::CmdOverhead { us: 50 });
-        let good = t.to_jsonl(Some(150));
-        assert_eq!(verify_jsonl(&good), Ok(()));
-        let bad = t.to_jsonl(Some(151));
+        // Non-time events add nothing to any component.
+        t.record(10, Event::CacheHit { sector: 0, sectors: 1 });
+        t.record(
+            10,
+            Event::FsOp {
+                op: FsOpKind::Read,
+                start_us: 0,
+                us: 99,
+            },
+        );
+        let attr = Attribution {
+            seek_us: 100,
+            overhead_us: 50,
+            ..Attribution::default()
+        };
+        assert_eq!(verify_jsonl(&t.to_jsonl(&attr)), Ok(0));
+        // An attribution the events do not account for names the component.
+        let more = Attribution {
+            transfer_us: 7,
+            ..attr
+        };
         assert_eq!(
-            verify_jsonl(&bad),
-            Err(TraceError::DiskBusyMismatch {
-                attributed: 150,
-                disk: 151
+            verify_jsonl(&t.to_jsonl(&more)),
+            Err(TraceError::Incomplete {
+                component: "transfer",
+                events: 0,
+                attributed: 7
             })
         );
         assert_eq!(verify_jsonl(""), Err(TraceError::MissingAttribution));
+    }
+
+    #[test]
+    fn dropped_events_leave_completeness_unchecked() {
+        let t = Tracer::new(16);
+        for i in 0..20u64 {
+            t.record(i, Event::SeekDone { us: 1 });
+        }
+        // The ring keeps 16 of the 20 one-microsecond seeks, so its events
+        // cannot account for the attribution, and need not.
+        let attr = Attribution {
+            seek_us: 20,
+            ..Attribution::default()
+        };
+        assert_eq!(verify_jsonl(&t.to_jsonl(&attr)), Ok(4));
+    }
+
+    #[test]
+    fn retry_memo_sums_failed_attempts() {
+        let t = Tracer::new(16);
+        t.record(0, Event::ReadRetry { sector: 9, attempt: 1, us: 30 });
+        t.record(0, Event::SeekDone { us: 5 });
+        t.record(0, Event::ReadRetry { sector: 9, attempt: 2, us: 12 });
+        assert_eq!(t.retry_us(), 42);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! `ldtrace` — renders a JSONL trace produced by `ld-trace` (e.g. via
 //! `repro --trace`) as a human-readable I/O timeline, metric histograms,
-//! and the mechanical time-attribution table, verifying that the
-//! attribution components sum exactly to the disk's busy time.
+//! and the mechanical time-attribution table, verifying that a trace
+//! whose ring dropped nothing sums, event by event, to that table.
 //!
 //! ```text
 //! ldtrace <trace.jsonl> [--tail N]    # render + verify (default N=40)
 //! ldtrace --selftest                  # record/export/parse roundtrip
 //! ```
 //!
-//! Exit codes: 0 clean, 1 verification failure, 2 usage/IO error.
+//! Exit codes: 0 clean, 1 verification failure or no trace sections,
+//! 2 usage/IO error.
 
 use std::process::ExitCode;
 
@@ -56,32 +57,40 @@ fn usage(err: &str) -> ExitCode {
     ExitCode::from(if err.is_empty() { 0 } else { 2 })
 }
 
-/// Renders every run section in the file (the bench harness interleaves
-/// `{"meta":"run",...}` headers between tracer exports).
-fn render(text: &str, tail: usize) -> ExitCode {
-    let mut failures = 0u32;
-    let mut section = String::new();
-    let mut title = String::from("trace");
-    let mut any = false;
-    for line in text.lines() {
+/// Splits a trace file into `(title, body)` sections: the bench harness
+/// writes a `{"meta":"run",...}` header before each tracer export, and a
+/// bare export is one section titled `trace`.
+fn sections(text: &str) -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = Vec::new();
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
         if jsonl::get_str(line, "meta") == Some("run") {
-            if any {
-                failures += render_section(&title, &section, tail);
-            }
             let exp = jsonl::get_str(line, "exp").unwrap_or("?");
             let fs = jsonl::get_str(line, "fs").unwrap_or("?");
-            title = format!("{exp} / {fs}");
-            section.clear();
-            any = true;
+            out.push((format!("{exp} / {fs}"), String::new()));
             continue;
         }
-        any = true;
-        section.push_str(line);
-        section.push('\n');
+        if out.is_empty() {
+            out.push(("trace".to_string(), String::new()));
+        }
+        if let Some((_, body)) = out.last_mut() {
+            body.push_str(line);
+            body.push('\n');
+        }
     }
-    if !section.is_empty() || any {
-        failures += render_section(&title, &section, tail);
+    out
+}
+
+/// Renders every section in the file.
+fn render(text: &str, tail: usize) -> ExitCode {
+    let sections = sections(text);
+    if sections.is_empty() {
+        eprintln!("ldtrace: no trace sections");
+        return ExitCode::FAILURE;
     }
+    let failures: u32 = sections
+        .iter()
+        .map(|(title, body)| render_section(title, body, tail))
+        .sum();
     if failures > 0 {
         eprintln!("ldtrace: {failures} section(s) failed verification");
         ExitCode::FAILURE
@@ -145,26 +154,37 @@ fn render_section(title: &str, text: &str, tail: usize) -> u32 {
         println!("-- mechanical time attribution --");
         print!("{}", a.render());
     }
-    match ld_trace::verify_jsonl(text) {
-        Ok(()) => {
-            println!("verification: attribution sums exactly to disk busy time");
-            println!();
-            0
+    let (verdict, failed) = match ld_trace::verify_jsonl(text) {
+        Ok(0) => ("ok, events sum exactly to the attribution".to_string(), 0),
+        Ok(n) => (format!("completeness not checked ({n} events dropped)"), 0),
+        Err(e) => (format!("FAILED: {e}"), 1),
+    };
+    println!("verification: {verdict}");
+    println!();
+    failed
+}
+
+/// Offline self-test: record a synthetic mixed workload into a ring that
+/// holds all of it and into one that overflows, export both, parse them
+/// back, and check every verdict `ldtrace` relies on.
+fn selftest() -> ExitCode {
+    match selftest_checks() {
+        Ok(summary) => {
+            println!("ldtrace selftest: ok ({summary})");
+            ExitCode::SUCCESS
         }
         Err(e) => {
-            println!("verification FAILED: {e}");
-            println!();
-            1
+            eprintln!("ldtrace selftest: {e}");
+            ExitCode::FAILURE
         }
     }
 }
 
-/// Offline self-test: record a synthetic mixed workload, export, parse it
-/// back, and verify every cross-check `ldtrace` relies on.
-fn selftest() -> ExitCode {
-    let t = Tracer::new(128);
+/// Records the synthetic workload into `t`; returns the attribution the
+/// disk would have counted for it.
+fn record_workload(t: &Tracer) -> Attribution {
     let mut clock = 0u64;
-    let mut busy = 0u64;
+    let mut attr = Attribution::default();
     // A deterministic little workload exercising every variant.
     for i in 0..200u64 {
         let seek = 1_000 + (i * 37) % 9_000;
@@ -185,16 +205,18 @@ fn selftest() -> ExitCode {
         t.record(clock, Event::Transfer { sectors: 1 + i % 8, us: xfer });
         t.record(clock, Event::CmdOverhead { us: 1_100 });
         clock += 1_100;
-        busy += seek + rot + xfer + 1_100;
+        attr.seek_us += seek;
+        attr.rotation_us += rot;
+        attr.transfer_us += xfer;
+        attr.overhead_us += 1_100;
         if i % 16 == 0 {
             t.record(clock, Event::HeadSwitch { us: 1_600 });
             clock += 1_600;
-            busy += 1_600;
+            attr.switch_us += 1_600;
         }
-        // Queue + read-ahead memo events: no busy time of their own (the
-        // mechanical components above already carry it), but they must
-        // survive the JSONL roundtrip, feed the queue-depth histogram,
-        // and land in the attribution memo counters.
+        // Queue, read-ahead and retry events carry no busy time of their
+        // own (the mechanical components above already hold it), but they
+        // must survive the JSONL roundtrip and feed their histogram or memo.
         if i % 4 == 0 {
             t.record(clock, Event::QueueSubmit { tag: i, sector: i * 64, sectors: 8 });
             t.record(clock, Event::QueueDispatch { tag: i, depth: 1 + i % 6 });
@@ -202,8 +224,13 @@ fn selftest() -> ExitCode {
         }
         if i % 5 == 0 {
             t.record(clock, Event::CacheHit { sector: i * 64, sectors: 8 });
+            attr.cache_hits += 1;
         } else if i % 5 == 1 {
             t.record(clock, Event::CacheMiss { sector: i * 64, sectors: 8 });
+            attr.cache_misses += 1;
+        }
+        if i % 50 == 0 {
+            t.record(clock, Event::ReadRetry { sector: i * 64, attempt: 1, us: rot });
         }
         if i % 25 == 0 {
             t.record(
@@ -227,70 +254,72 @@ fn selftest() -> ExitCode {
     }
     t.record(clock, Event::CleanerPass { reclaimed: 2, bytes_copied: 123_456 });
     t.record(clock, Event::RecoverySweep { summaries: 788, us: 12_000_000 });
+    attr.retry_us = t.retry_us();
+    attr
+}
 
-    let a = t.attribution();
-    if a.busy_us() != busy {
-        eprintln!(
-            "ldtrace selftest: attribution busy {} != expected {busy}",
-            a.busy_us()
-        );
-        return ExitCode::FAILURE;
+fn selftest_checks() -> Result<String, String> {
+    if !sections("").is_empty() || !sections("\n").is_empty() {
+        return Err("an empty file must hold no trace sections".into());
     }
-    if a.cache_hits != 40 || a.cache_misses != 40 {
-        eprintln!(
-            "ldtrace selftest: read-ahead memo counters wrong ({}/{}, expected 40/40)",
-            a.cache_hits, a.cache_misses
-        );
-        return ExitCode::FAILURE;
+
+    // A ring large enough for the whole workload: the trace is complete.
+    let full = Tracer::new(4_096);
+    let attr = record_workload(&full);
+    // Retries at i = 0, 50, 100, 150 wait (i * 131) % 11_120 us each.
+    if attr.retry_us != 6_550 + 1_980 + 8_530 {
+        return Err(format!("retry memo wrong ({} us)", attr.retry_us));
     }
     // 50 dispatches at depths 1..=6 feed the queue-depth histogram.
-    let (qname, _, qdepth) = &t.histograms()[4];
+    let (qname, _, qdepth) = &full.histograms()[4];
     if *qname != "queue_depth" || qdepth.count() != 50 || qdepth.max() != 5 {
-        eprintln!(
-            "ldtrace selftest: queue-depth histogram wrong ({qname}, n={}, max={})",
+        return Err(format!(
+            "queue-depth histogram wrong ({qname}, n={}, max={})",
             qdepth.count(),
             qdepth.max()
-        );
-        return ExitCode::FAILURE;
+        ));
     }
-    let jsonl_text = t.to_jsonl(Some(busy));
-    if let Err(e) = ld_trace::verify_jsonl(&jsonl_text) {
-        eprintln!("ldtrace selftest: clean export failed verification: {e}");
-        return ExitCode::FAILURE;
+    let text = full.to_jsonl(&attr);
+    match ld_trace::verify_jsonl(&text) {
+        Ok(0) => {}
+        other => return Err(format!("complete export verified as {other:?}")),
     }
-    // A corrupted busy line must be caught.
-    let corrupted = t.to_jsonl(Some(busy + 1));
-    if ld_trace::verify_jsonl(&corrupted).is_ok() {
-        eprintln!("ldtrace selftest: corrupted export passed verification");
-        return ExitCode::FAILURE;
+    // An attribution the events do not account for must be caught, and
+    // the failure must name the component.
+    let over = Attribution {
+        rotation_us: attr.rotation_us + 1,
+        ..attr
+    };
+    match ld_trace::verify_jsonl(&full.to_jsonl(&over)) {
+        Err(ld_trace::TraceError::Incomplete { component: "rotation", .. }) => {}
+        other => return Err(format!("over-attributed export verified as {other:?}")),
     }
-    // Ring accounting: 200 iterations emit >128 events, so the ring is
-    // full and the oldest were dropped, yet attribution stayed exact.
-    if t.dropped() == 0 || t.tail(usize::MAX).len() != t.capacity() {
-        eprintln!("ldtrace selftest: ring accounting wrong");
-        return ExitCode::FAILURE;
+    // The parsed-back event stream and attribution must reconstruct
+    // verbatim.
+    let reparsed: Vec<_> = text.lines().filter_map(jsonl::decode_event).collect();
+    if reparsed != full.tail(usize::MAX) {
+        return Err("JSONL roundtrip mismatch".into());
     }
-    // The parsed-back event stream must reconstruct verbatim.
-    let reparsed: Vec<_> = jsonl_text
-        .lines()
-        .filter_map(jsonl::decode_event)
-        .collect();
-    if reparsed != t.tail(usize::MAX) {
-        eprintln!("ldtrace selftest: JSONL roundtrip mismatch");
-        return ExitCode::FAILURE;
+    if text.lines().find_map(jsonl::decode_attribution) != Some(attr) {
+        return Err("attribution roundtrip mismatch".into());
     }
-    // Attribution line roundtrip.
-    let parsed_attr: Option<Attribution> =
-        jsonl_text.lines().find_map(jsonl::decode_attribution);
-    if parsed_attr != Some(a) {
-        eprintln!("ldtrace selftest: attribution roundtrip mismatch");
-        return ExitCode::FAILURE;
+
+    // A ring that overflows: the oldest events are gone, so completeness
+    // cannot be checked, and the export says so instead of failing.
+    let small = Tracer::new(128);
+    record_workload(&small);
+    if small.dropped() == 0 || small.tail(usize::MAX).len() != 128 {
+        return Err("ring accounting wrong".into());
     }
-    println!(
-        "ldtrace selftest: ok ({} events recorded, {} buffered, busy {} us attributed exactly)",
-        t.recorded(),
-        t.tail(usize::MAX).len(),
-        busy
-    );
-    ExitCode::SUCCESS
+    match ld_trace::verify_jsonl(&small.to_jsonl(&attr)) {
+        Ok(n) if n == small.dropped() => {}
+        other => return Err(format!("overflowed export verified as {other:?}")),
+    }
+    Ok(format!(
+        "{} events recorded, complete trace sums to busy {} us; {} of {} dropped in the overflowing ring",
+        full.recorded(),
+        attr.busy_us(),
+        small.dropped(),
+        small.recorded()
+    ))
 }

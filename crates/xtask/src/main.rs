@@ -421,9 +421,28 @@ fn ci() -> ExitCode {
                 "--json-out", "target/repro-quick.json", "all",
             ]),
         ),
+        // Paper-stack traces of Tables 4/5: every section whose ring drops
+        // nothing must sum, event by event, to the disk's attribution.
+        (
+            "trace smoke",
+            Step::Cargo(&[
+                "run", "-q", "--release", "-p", "ld-bench", "--bin", "repro", "--", "--quick",
+                "--trace", "target/trace-quick.jsonl", "table4", "table5",
+            ]),
+        ),
+        (
+            "trace smoke (verify)",
+            Step::Cargo(&[
+                "run", "-q", "--release", "-p", "ld-trace", "--bin", "ldtrace", "--",
+                "target/trace-quick.jsonl", "--tail", "0",
+            ]),
+        ),
         // Stopgap until `repro --check` diffs each experiment cell by cell.
         ("baseline identity", Step::BaselineIdentity),
-        ("clippy", Step::Cargo(&["clippy", "--workspace", "--", "-D", "warnings"])),
+        (
+            "clippy",
+            Step::Cargo(&["clippy", "--workspace", "--all-targets", "--", "-D", "warnings"]),
+        ),
         ("lint", Step::Cargo(&["run", "-q", "-p", "xtask", "--", "lint"])),
         ("ldck smoke", Step::Cargo(&["run", "-q", "-p", "ldck", "--", "--selftest"])),
         (

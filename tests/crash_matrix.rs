@@ -68,10 +68,10 @@ proptest! {
 
         // Trace the whole run; on failure the trailing events show what
         // the stack was doing when the invariant broke.
+        // The disk keeps the tracer through the crash and the remount, so
+        // the recovery sweep lands in the timeline too.
         let tracer = logical_disk_repro::ld_trace::Tracer::new(4096);
-        fs.store_mut().lld_mut().disk_mut().set_tracer(tracer.clone());
-        fs.store_mut().lld_mut().set_tracer(tracer.clone());
-        fs.set_tracer(tracer.clone());
+        fs.store_mut().disk_mut().set_tracer(tracer.clone());
 
         // A durable baseline.
         let mut durable: Vec<(String, Vec<u8>)> = Vec::new();
@@ -120,11 +120,6 @@ proptest! {
         );
         let store = LdStore::mount(disk, lld_config.clone()).expect("LD recovery must succeed");
         let mut fs = MinixFs::mount(store, fs_config).expect("mount must succeed");
-        // Re-attach to the recovered stack (set_tracer records the
-        // recovery sweep retroactively, so it lands in the timeline too).
-        fs.store_mut().lld_mut().disk_mut().set_tracer(tracer.clone());
-        fs.store_mut().lld_mut().set_tracer(tracer.clone());
-        fs.set_tracer(tracer.clone());
 
         // Invariant 1: every directory entry resolves and reads fully.
         for d in fs.readdir("/").expect("readdir") {

@@ -91,10 +91,9 @@ proptest! {
         let store = LdStore::format(disk, lld_config.clone()).expect("format");
         let mut fs = MinixFs::format(store, fs_config.clone()).expect("mkfs");
 
+        // The disk keeps the tracer through the crash and the remount.
         let tracer = logical_disk_repro::ld_trace::Tracer::new(4096);
-        fs.store_mut().lld_mut().disk_mut().set_tracer(tracer.clone());
-        fs.store_mut().lld_mut().set_tracer(tracer.clone());
-        fs.set_tracer(tracer.clone());
+        fs.store_mut().disk_mut().set_tracer(tracer.clone());
 
         // A durable baseline, written and synced on the faulty medium.
         let mut durable: Vec<(String, Vec<u8>)> = Vec::new();
@@ -142,9 +141,6 @@ proptest! {
         // The recovery sweep itself runs against the faults.
         let store = LdStore::mount(disk, lld_config.clone()).expect("LD recovery under faults");
         let mut fs = MinixFs::mount(store, fs_config).expect("mount must succeed");
-        fs.store_mut().lld_mut().disk_mut().set_tracer(tracer.clone());
-        fs.store_mut().lld_mut().set_tracer(tracer.clone());
-        fs.set_tracer(tracer.clone());
 
         // Every directory entry resolves and reads fully — retries make
         // transient faults invisible here.

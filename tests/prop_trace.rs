@@ -1,9 +1,9 @@
-//! Property tests for the observability layer: the tracer's mechanical
-//! time attribution must reconcile with the disk's own counters to the
-//! microsecond on arbitrary workloads, and the stats counters themselves
-//! must be monotone (so phase deltas are always well-defined).
+//! Property tests for the observability layer: a trace that drops nothing
+//! must account, event by event, for every microsecond the disk's own
+//! counters charged on arbitrary workloads, and the stats counters
+//! themselves must be monotone (so phase deltas are always well-defined).
 
-use logical_disk_repro::ld_trace::Tracer;
+use logical_disk_repro::ld_trace::{verify_jsonl, Event, Tracer};
 use logical_disk_repro::lld::{CpuModel, LldConfig};
 use logical_disk_repro::minix_fs::{FsConfig, FsCpuModel, LdStore, MinixFs};
 use logical_disk_repro::simdisk::SimDisk;
@@ -77,46 +77,37 @@ fn apply(fs: &mut MinixFs<LdStore<SimDisk>>, op: &Op) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tracer attributes every microsecond of disk busy time to
-    /// exactly one mechanical component: each attribution component
-    /// equals the corresponding `DiskStats` delta since attach, and the
-    /// five components sum to the busy-time delta — to the microsecond,
-    /// on arbitrary op sequences.
+    /// A ring that drops nothing holds every microsecond of disk busy
+    /// time as exactly one mechanical event: per component, the events
+    /// sum to the `DiskStats` delta since attach — to the microsecond, on
+    /// arbitrary op sequences.
     #[test]
     fn attribution_reconciles_with_disk_counters(
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
         let mut fs = build_fs();
-        let tracer = Tracer::new(1024);
+        let tracer = Tracer::new(1 << 16);
         let stats0 = *fs.store().disk().stats();
-        fs.store_mut().lld_mut().disk_mut().set_tracer(tracer.clone());
-        fs.store_mut().lld_mut().set_tracer(tracer.clone());
-        fs.set_tracer(tracer.clone());
+        fs.store_mut().disk_mut().set_tracer(tracer.clone());
 
         for op in &ops {
             apply(&mut fs, op);
         }
 
+        prop_assert_eq!(tracer.dropped(), 0, "ring too small for the property");
         let delta = fs
             .store()
             .disk()
             .stats()
             .delta_since(&stats0)
             .expect("later snapshot");
-        let attr = tracer.attribution();
-        prop_assert_eq!(attr.seek_us, delta.seek_us, "seek\n{}", tracer.dump_tail(100));
-        prop_assert_eq!(attr.rotation_us, delta.rotation_us, "rotation\n{}", tracer.dump_tail(100));
-        prop_assert_eq!(attr.transfer_us, delta.transfer_us, "transfer\n{}", tracer.dump_tail(100));
-        prop_assert_eq!(attr.switch_us, delta.switch_us, "switch\n{}", tracer.dump_tail(100));
-        prop_assert_eq!(attr.overhead_us, delta.overhead_us, "overhead\n{}", tracer.dump_tail(100));
-        prop_assert_eq!(attr.busy_us(), delta.busy_us());
-
-        // The exported stream passes its own verifier, including the
-        // attribution-sum and disk-busy cross-checks.
-        let jsonl = tracer.to_jsonl(Some(delta.busy_us()));
-        prop_assert!(
-            logical_disk_repro::ld_trace::verify_jsonl(&jsonl).is_ok(),
-            "exported trace fails verification"
+        // With nothing dropped, the verifier sums the events per component
+        // and fails `Incomplete`, naming the component, on any mismatch.
+        prop_assert_eq!(
+            verify_jsonl(&tracer.to_jsonl(&delta.attribution())),
+            Ok(0),
+            "{}",
+            tracer.dump_tail(100)
         );
     }
 
@@ -174,9 +165,7 @@ proptest! {
 
         let mut traced = build_fs();
         let tracer = Tracer::new(64); // deliberately tiny: eviction must not matter
-        traced.store_mut().lld_mut().disk_mut().set_tracer(tracer.clone());
-        traced.store_mut().lld_mut().set_tracer(tracer.clone());
-        traced.set_tracer(tracer.clone());
+        traced.store_mut().disk_mut().set_tracer(tracer);
         for op in &ops {
             apply(&mut traced, op);
         }
@@ -200,4 +189,35 @@ fn delta_across_reset_is_none() {
     fs.store_mut().disk_mut().reset_stats();
     let fresh = *fs.store().disk().stats();
     assert_eq!(fresh.delta_since(&stale), None, "underflow must be None");
+}
+
+/// A traced crash followed by a mount records the recovery sweep exactly
+/// once, with the figures LLD reports for it.
+#[test]
+fn recovery_sweep_is_traced_once() {
+    let mut fs = build_fs();
+    let tracer = Tracer::new(1 << 16);
+    fs.store_mut().disk_mut().set_tracer(tracer.clone());
+    for i in 0..8u8 {
+        apply(&mut fs, &Op::Create(i));
+        apply(&mut fs, &Op::Write(i, 3000));
+    }
+    fs.sync().expect("sync");
+    let config = fs.store().lld().config().clone();
+    let mut disk = fs.into_store().into_disk();
+    disk.crash_now();
+    disk.revive();
+    let store = LdStore::mount(disk, config).expect("recovery");
+    let stats = *store.lld().stats();
+    assert!(!stats.recovered_from_checkpoint, "a crash must force the sweep");
+    let sweeps: Vec<(u64, u64)> = tracer
+        .tail(usize::MAX)
+        .into_iter()
+        .filter_map(|e| match e.event {
+            Event::RecoverySweep { summaries, us } => Some((summaries, us)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sweeps, [(stats.recovery_summaries_read, stats.recovery_us)]);
+    assert!(stats.recovery_us > 0);
 }
