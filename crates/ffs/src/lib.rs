@@ -22,7 +22,9 @@ mod inode;
 
 pub use inode::{FileType, Inode, INODE_SIZE};
 
-use fsutil::dirent::{self, Dirent, DIRENT_SIZE};
+use std::collections::HashMap;
+
+use fsutil::dirent::{self, DirBlocks, DirIndex, DirSlot, Dirent, Located, Probe, DIRENT_SIZE};
 use fsutil::{path, wire, Bitmap, BufferCache};
 use inode::{ptr_path, PtrPath, DIND, IND};
 use simdisk::BlockDev;
@@ -187,7 +189,26 @@ pub struct Ffs<D: BlockDev> {
     /// Round-robin pointer for directory placement.
     next_dir_cg: u32,
     last_read: Option<(Ino, u64)>,
+    /// Directory indexes by i-node, installed by `dir_init`.
+    dirs: HashMap<Ino, DirIndex>,
     stats: FfsStats,
+}
+
+impl<D: BlockDev> DirBlocks for Ffs<D> {
+    type Dir = Inode;
+    type Error = FfsError;
+
+    fn dir_block(&mut self, dir: &Inode, idx: u64) -> Result<Option<u32>> {
+        let Some(a) = self.block_at(dir, idx)? else {
+            return Ok(None);
+        };
+        self.touch(a)?;
+        Ok(Some(a))
+    }
+
+    fn dir_bytes(&self, addr: u32) -> Result<&[u8]> {
+        self.cached(addr)
+    }
 }
 
 impl<D: BlockDev> Ffs<D> {
@@ -222,6 +243,7 @@ impl<D: BlockDev> Ffs<D> {
             cgs,
             next_dir_cg: 0,
             last_read: None,
+            dirs: HashMap::new(),
             stats: FfsStats::default(),
         };
         // Root directory: i-node 1 lives in group 0.
@@ -364,15 +386,33 @@ impl<D: BlockDev> Ffs<D> {
 
     // ----- cache plumbing -----
 
-    fn load(&mut self, addr: u32) -> Result<Vec<u8>> {
-        if let Some(d) = self.cache.get(addr) {
-            return Ok(d.to_vec());
+    /// Reads a block through the cache: a hit, or a read from the disk
+    /// and an insert.
+    fn touch(&mut self, addr: u32) -> Result<()> {
+        if self.cache.get(addr).is_none() {
+            let mut buf = vec![0u8; BLOCK_SIZE];
+            self.disk_read(addr, &mut buf)?;
+            let evicted = self.cache.insert_clean(addr, buf);
+            self.flush_blocks(evicted)?;
         }
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        self.disk_read(addr, &mut buf)?;
-        let evicted = self.cache.insert_clean(addr, buf.clone());
-        self.flush_blocks(evicted)?;
-        Ok(buf)
+        Ok(())
+    }
+
+    /// [`touch`](Self::touch), returning the cached bytes.
+    fn fetch(&mut self, addr: u32) -> Result<&[u8]> {
+        self.touch(addr)?;
+        self.cached(addr)
+    }
+
+    /// A resident block's bytes, without touching recency or the counters.
+    fn cached(&self, addr: u32) -> Result<&[u8]> {
+        self.cache
+            .peek(addr)
+            .ok_or_else(|| FfsError::Io(format!("block {addr} left the cache")))
+    }
+
+    fn load(&mut self, addr: u32) -> Result<Vec<u8>> {
+        self.fetch(addr).map(<[u8]>::to_vec)
     }
 
     fn save(&mut self, addr: u32, data: Vec<u8>) -> Result<()> {
@@ -460,8 +500,7 @@ impl<D: BlockDev> Ffs<D> {
 
     fn read_inode(&mut self, ino: Ino) -> Result<Inode> {
         let (addr, off) = self.inode_addr(ino);
-        let block = self.load(addr)?;
-        Inode::decode(&block[off..off + INODE_SIZE]).ok_or(FfsError::NotFound)
+        Inode::decode(&self.fetch(addr)?[off..off + INODE_SIZE]).ok_or(FfsError::NotFound)
     }
 
     fn write_inode(&mut self, ino: Ino, inode: &Inode) -> Result<()> {
@@ -493,19 +532,16 @@ impl<D: BlockDev> Ffs<D> {
                 let Some(ind) = nz(inode.ptrs[IND]) else {
                     return Ok(None);
                 };
-                let b = self.load(ind)?;
-                Ok(nz(get_u32(&b, i)))
+                Ok(nz(get_u32(self.fetch(ind)?, i)))
             }
             PtrPath::Double(i, j) => {
                 let Some(dind) = nz(inode.ptrs[DIND]) else {
                     return Ok(None);
                 };
-                let b = self.load(dind)?;
-                let Some(ind) = nz(get_u32(&b, i)) else {
+                let Some(ind) = nz(get_u32(self.fetch(dind)?, i)) else {
                     return Ok(None);
                 };
-                let b = self.load(ind)?;
-                Ok(nz(get_u32(&b, j)))
+                Ok(nz(get_u32(self.fetch(ind)?, j)))
             }
         }
     }
@@ -548,8 +584,7 @@ impl<D: BlockDev> Ffs<D> {
                         a
                     }
                 };
-                let b = self.load(dind)?;
-                let ind = match nz(get_u32(&b, i)) {
+                let ind = match nz(get_u32(self.fetch(dind)?, i)) {
                     Some(a) => a,
                     None => {
                         let a = self.alloc_block(cg, near)?;
@@ -566,8 +601,7 @@ impl<D: BlockDev> Ffs<D> {
     }
 
     fn alloc_in_table(&mut self, table: u32, i: usize, cg: u32, near: Option<u32>) -> Result<u32> {
-        let b = self.load(table)?;
-        if let Some(a) = nz(get_u32(&b, i)) {
+        if let Some(a) = nz(get_u32(self.fetch(table)?, i)) {
             return Ok(a);
         }
         let a = self.alloc_block(cg, near)?;
@@ -603,77 +637,102 @@ impl<D: BlockDev> Ffs<D> {
     }
 
     // ----- directories -----
+    //
+    // The scan and its index are MINIX's (`dirent::locate`): an indexed
+    // directory reads each block the scan reads but compares no bytes.
+    // Each operation takes the index out of `dirs` and puts it back only on
+    // success; after an error the directory is scanned until a scan that
+    // reads every block rebuilds it.
 
     fn dir_init(&mut self, ino: Ino, inode: &mut Inode, parent: Ino) -> Result<()> {
         let a = self.block_alloc(inode, 0)?;
         let mut block = vec![0u8; BLOCK_SIZE];
         dirent::encode(ino, ".", &mut block[0..DIRENT_SIZE]);
         dirent::encode(parent, "..", &mut block[DIRENT_SIZE..2 * DIRENT_SIZE]);
+        let mut index = DirIndex::default();
+        index.add_block(0, &block);
         self.save_sync(a, block)?;
+        self.dirs.insert(ino, index);
         inode.size = BLOCK_SIZE as u64;
         Ok(())
     }
 
-    fn dir_find(&mut self, dir: &Inode, name: &str) -> Result<Option<Ino>> {
-        let bs = BLOCK_SIZE as u64;
-        for idx in 0..dir.size.div_ceil(bs) {
-            let Some(a) = self.block_at(dir, idx)? else {
-                continue;
-            };
-            let block = self.load(a)?;
-            if let Some((_, ino)) = dirent::find_in_block(&block, name) {
-                return Ok(Some(ino));
-            }
+    /// Runs the scan of directory `dir_ino` for `probe`, with its index
+    /// taken out of `dirs`.
+    fn dir_locate(&mut self, dir_ino: Ino, dir: &Inode, probe: Probe<'_>) -> Result<Located> {
+        let nblocks = dir.size.div_ceil(BLOCK_SIZE as u64);
+        let index = self.dirs.remove(&dir_ino);
+        dirent::locate(self, dir, nblocks, probe, index)
+    }
+
+    /// Puts a directory's index back once its operation has succeeded.
+    fn dir_keep(&mut self, dir_ino: Ino, index: Option<DirIndex>) {
+        if let Some(index) = index {
+            self.dirs.insert(dir_ino, index);
         }
-        Ok(None)
+    }
+
+    fn dir_find(&mut self, dir_ino: Ino, dir: &Inode, name: &str) -> Result<Option<Ino>> {
+        let Located { stop, index } = self.dir_locate(dir_ino, dir, Probe::Name(name))?;
+        self.dir_keep(dir_ino, index);
+        Ok(stop.map(|(_, at)| at.ino))
     }
 
     /// Adds an entry with a synchronous directory-block write.
     fn dir_add(&mut self, dir_ino: Ino, dir: &mut Inode, name: &str, ino: Ino) -> Result<()> {
-        let nblocks = dir.size.div_ceil(BLOCK_SIZE as u64);
-        for idx in 0..nblocks {
-            let Some(a) = self.block_at(dir, idx)? else {
-                continue;
-            };
-            let block = self.load(a)?;
-            if let Some(slot) = dirent::free_slot(&block) {
-                let mut block = block;
-                dirent::encode(
-                    ino,
-                    name,
-                    &mut block[slot * DIRENT_SIZE..(slot + 1) * DIRENT_SIZE],
-                );
-                self.save_sync(a, block)?;
-                dir.mtime = self.mtime();
-                return self.write_inode_sync(dir_ino, dir);
+        let Located { stop, mut index } = self.dir_locate(dir_ino, dir, Probe::Free)?;
+        let (a, at, mut block) = match stop {
+            Some((a, at)) => (a, at, self.cached(a)?.to_vec()),
+            None => {
+                let idx = dir.size.div_ceil(BLOCK_SIZE as u64);
+                let a = self.block_alloc(dir, idx)?;
+                let block = vec![0u8; BLOCK_SIZE];
+                if let Some(ix) = &mut index {
+                    ix.add_block(idx, &block);
+                }
+                dir.size += BLOCK_SIZE as u64;
+                (
+                    a,
+                    DirSlot {
+                        block: idx,
+                        slot: 0,
+                        ino: 0,
+                    },
+                    block,
+                )
             }
+        };
+        dirent::encode(
+            ino,
+            name,
+            &mut block[at.slot * DIRENT_SIZE..(at.slot + 1) * DIRENT_SIZE],
+        );
+        if let Some(ix) = &mut index {
+            ix.fill(at, name, ino);
         }
-        let a = self.block_alloc(dir, nblocks)?;
-        let mut block = vec![0u8; BLOCK_SIZE];
-        dirent::encode(ino, name, &mut block[0..DIRENT_SIZE]);
         self.save_sync(a, block)?;
-        dir.size += BLOCK_SIZE as u64;
         dir.mtime = self.mtime();
-        self.write_inode_sync(dir_ino, dir)
+        self.write_inode_sync(dir_ino, dir)?;
+        self.dir_keep(dir_ino, index);
+        Ok(())
     }
 
     fn dir_remove(&mut self, dir_ino: Ino, dir: &mut Inode, name: &str) -> Result<Ino> {
-        let bs = BLOCK_SIZE as u64;
-        for idx in 0..dir.size.div_ceil(bs) {
-            let Some(a) = self.block_at(dir, idx)? else {
-                continue;
-            };
-            let block = self.load(a)?;
-            if let Some((slot, ino)) = dirent::find_in_block(&block, name) {
-                let mut block = block;
-                dirent::clear(&mut block[slot * DIRENT_SIZE..(slot + 1) * DIRENT_SIZE]);
-                self.save_sync(a, block)?;
-                dir.mtime = self.mtime();
-                self.write_inode_sync(dir_ino, dir)?;
-                return Ok(ino);
-            }
+        let Located { stop, mut index } = self.dir_locate(dir_ino, dir, Probe::Name(name))?;
+        let Some((a, at)) = stop else {
+            self.dir_keep(dir_ino, index);
+            return Err(FfsError::NotFound);
+        };
+        let mut block = self.cached(a)?.to_vec();
+        dirent::clear(&mut block[at.slot * DIRENT_SIZE..(at.slot + 1) * DIRENT_SIZE]);
+        if let Some(ix) = &mut index {
+            ix.clear(at, name);
         }
-        Err(FfsError::NotFound)
+        self.save_sync(a, block)?;
+        dir.mtime = self.mtime();
+        self.write_inode_sync(dir_ino, dir)?;
+        self.dir_keep(dir_ino, index);
+        Ok(at.ino)
     }
 
     /// Resolves a path.
@@ -692,7 +751,7 @@ impl<D: BlockDev> Ffs<D> {
             if inode.ftype != FileType::Dir {
                 return Err(FfsError::NotDir);
             }
-            cur = self.dir_find(&inode, c)?.ok_or(FfsError::NotFound)?;
+            cur = self.dir_find(cur, &inode, c)?.ok_or(FfsError::NotFound)?;
         }
         Ok(cur)
     }
@@ -705,7 +764,7 @@ impl<D: BlockDev> Ffs<D> {
             if inode.ftype != FileType::Dir {
                 return Err(FfsError::NotDir);
             }
-            cur = self.dir_find(&inode, c)?.ok_or(FfsError::NotFound)?;
+            cur = self.dir_find(cur, &inode, c)?.ok_or(FfsError::NotFound)?;
         }
         Ok((cur, name.to_string()))
     }
@@ -727,7 +786,7 @@ impl<D: BlockDev> Ffs<D> {
         if dir.ftype != FileType::Dir {
             return Err(FfsError::NotDir);
         }
-        if self.dir_find(&dir, &name)?.is_some() {
+        if self.dir_find(parent, &dir, &name)?.is_some() {
             return Err(FfsError::Exists);
         }
         // FFS policy: a file's i-node goes in its directory's group.
@@ -756,7 +815,7 @@ impl<D: BlockDev> Ffs<D> {
         if dir.ftype != FileType::Dir {
             return Err(FfsError::NotDir);
         }
-        if self.dir_find(&dir, &name)?.is_some() {
+        if self.dir_find(parent, &dir, &name)?.is_some() {
             return Err(FfsError::Exists);
         }
         let cg = self.next_dir_cg;
@@ -841,7 +900,7 @@ impl<D: BlockDev> Ffs<D> {
             let n = (want - done).min(bs as usize - inner);
             match self.block_at(&inode, idx)? {
                 Some(a) => {
-                    let block = self.load(a)?;
+                    let block = self.fetch(a)?;
                     buf[done..done + n].copy_from_slice(&block[inner..inner + n]);
                 }
                 None => buf[done..done + n].fill(0),
@@ -860,7 +919,7 @@ impl<D: BlockDev> Ffs<D> {
             for k in last_idx + 1..=(last_idx + READAHEAD_BLOCKS).min(nblocks.saturating_sub(1)) {
                 if let Some(a) = self.block_at(&inode, k)? {
                     if !self.cache.contains(a) {
-                        self.load(a)?;
+                        self.fetch(a)?;
                         self.stats.readahead_blocks += 1;
                     }
                 }
@@ -882,7 +941,9 @@ impl<D: BlockDev> Ffs<D> {
         self.charge_call();
         let (parent, name) = self.lookup_parent(p)?;
         let mut dir = self.read_inode(parent)?;
-        let ino = self.dir_find(&dir, &name)?.ok_or(FfsError::NotFound)?;
+        let ino = self
+            .dir_find(parent, &dir, &name)?
+            .ok_or(FfsError::NotFound)?;
         let inode = self.read_inode(ino)?;
         if inode.ftype != FileType::Regular {
             return Err(FfsError::IsDir);
@@ -915,8 +976,7 @@ impl<D: BlockDev> Ffs<D> {
             let Some(a) = self.block_at(&inode, idx)? else {
                 continue;
             };
-            let block = self.load(a)?;
-            out.extend(dirent::iter_block(&block).map(|(_, d)| d));
+            out.extend(dirent::iter_block(self.fetch(a)?).map(|(_, d)| d));
         }
         Ok(out)
     }
@@ -1143,5 +1203,71 @@ mod tests {
         assert!(made > 0);
         fs.unlink("/f0").unwrap();
         assert!(fs.create("/again").is_ok());
+    }
+
+    /// Runs `op` on `fs`, which keeps its directory indexes, and on `twin`,
+    /// which drops them first, so that its lookups and unlinks scan without
+    /// one (a create's miss reads every block and reinstalls it). Both must
+    /// answer alike and touch the same blocks: equal cache hits and misses,
+    /// and equal simulated time.
+    fn in_step(
+        fs: &mut Ffs<SimDisk>,
+        twin: &mut Ffs<SimDisk>,
+        op: impl Fn(&mut Ffs<SimDisk>) -> String,
+    ) -> String {
+        twin.dirs.clear();
+        let got = op(fs);
+        assert_eq!(got, op(twin));
+        assert_eq!(fs.cache.stats(), twin.cache.stats(), "after {got}");
+        assert_eq!(fs.now_us(), twin.now_us(), "after {got}");
+        got
+    }
+
+    #[test]
+    fn dir_index_stops_where_the_scan_would() {
+        // 1,900 entries fill 8 blocks, the last through the indirect
+        // block, under a 16-block cache. Debug builds also check every
+        // indexed answer against the blocks the scan reads.
+        let format = || {
+            let config = FfsConfig {
+                cache_bytes: 16 * BLOCK_SIZE,
+                ..FfsConfig::small_for_tests()
+            };
+            Ffs::format(SimDisk::hp_c3010_with_capacity(32 << 20), config).unwrap()
+        };
+        let name = |i: usize| format!("/d/f{i:04}");
+        let (mut fs, mut twin) = (format(), format());
+        let d = fs.mkdir("/d").unwrap();
+        twin.mkdir("/d").unwrap();
+        for i in 0..1900 {
+            fs.create(&name(i)).unwrap();
+            twin.create(&name(i)).unwrap();
+        }
+        let size = |fs: &mut Ffs<SimDisk>, twin: &mut Ffs<SimDisk>| {
+            in_step(fs, twin, |f| format!("{:?}", f.stat(d).map(|st| st.size)))
+        };
+        let full = format!("Ok({})", 8 * BLOCK_SIZE);
+        assert_eq!(size(&mut fs, &mut twin), full);
+
+        // Unlink every third entry, look up every fifth and some absent
+        // names, refill the holes.
+        for i in (0..1900).step_by(3) {
+            let got = in_step(&mut fs, &mut twin, |f| format!("{:?}", f.unlink(&name(i))));
+            assert_eq!(got, "Ok(())");
+        }
+        for i in (0..1900).step_by(5) {
+            let got = in_step(&mut fs, &mut twin, |f| format!("{:?}", f.lookup(&name(i))));
+            assert_eq!(got == "Err(NotFound)", i % 3 == 0, "{i}: {got}");
+        }
+        for i in 0..20 {
+            let absent = format!("/d/g{i}");
+            let got = in_step(&mut fs, &mut twin, |f| format!("{:?}", f.lookup(&absent)));
+            assert_eq!(got, "Err(NotFound)");
+        }
+        for i in (0..1900).step_by(3) {
+            let got = in_step(&mut fs, &mut twin, |f| format!("{:?}", f.create(&name(i))));
+            assert!(got.starts_with("Ok"), "{i}: {got}");
+        }
+        assert_eq!(size(&mut fs, &mut twin), full, "holes refilled");
     }
 }

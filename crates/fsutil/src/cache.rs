@@ -115,6 +115,12 @@ impl BufferCache {
         self.entries.contains_key(&addr)
     }
 
+    /// Reads a resident block without refreshing recency or counting a
+    /// hit or miss.
+    pub fn peek(&self, addr: u32) -> Option<&[u8]> {
+        self.entries.get(&addr).map(|e| e.data.as_slice())
+    }
+
     /// Inserts a clean block (after a read from the store). Returns dirty
     /// evictees that must be written back.
     pub fn insert_clean(&mut self, addr: u32, data: Vec<u8>) -> Vec<Evicted> {
@@ -237,6 +243,19 @@ mod tests {
         c.insert_clean(5, vec![1, 2, 3]);
         assert_eq!(c.get(5), Some(&[1u8, 2, 3][..]));
         assert_eq!(c.stats(), (1, 1));
+    }
+
+    #[test]
+    fn peek_leaves_recency_and_counters_alone() {
+        let mut c = BufferCache::new(2000);
+        c.insert_clean(1, vec![1u8; 1000]);
+        c.insert_clean(2, vec![2u8; 1000]);
+        assert_eq!(c.peek(1), Some(&[1u8; 1000][..]));
+        assert_eq!(c.peek(3), None);
+        assert_eq!(c.stats(), (0, 0));
+        // Block 1 is still the LRU: peeking did not refresh it.
+        c.insert_clean(3, vec![3u8; 1000]);
+        assert!(!c.contains(1) && c.contains(2));
     }
 
     #[test]

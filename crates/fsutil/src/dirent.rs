@@ -1,7 +1,16 @@
-//! Fixed-size directory entry codec (MINIX-style).
+//! Fixed-size directory entry codec (MINIX-style), and the directory
+//! index that answers MINIX's linear scan without its byte compares.
 //!
 //! Each entry is 32 bytes: a 4-byte little-endian i-node number (0 = free
 //! slot) followed by a NUL-padded name of up to [`MAX_NAME`] bytes.
+//!
+//! MINIX finds a name, or a free slot, by reading a directory block by
+//! block until one holds it, and those buffer-cache touches decide the
+//! simulated time. [`locate`] keeps every touch but, given a [`DirIndex`],
+//! skips the compares: the index says which block the scan stops in.
+
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 
 use ld_core::wire;
 
@@ -72,8 +81,8 @@ pub fn iter_block(block: &[u8]) -> impl Iterator<Item = (usize, Dirent)> + '_ {
         .filter_map(|(i, slot)| decode(slot).map(|d| (i, d)))
 }
 
-/// Finds the slot of `name` in a directory block (allocation-free; this
-/// sits on the hot path of the 10,000-files-in-one-directory benchmark).
+/// Finds the slot of `name` in a directory block (allocation-free). The
+/// scan of a directory without an index uses it, as does Sprite-LFS.
 pub fn find_in_block(block: &[u8], name: &str) -> Option<(usize, u32)> {
     let needle = name.as_bytes();
     if needle.is_empty() || needle.len() > MAX_NAME {
@@ -99,6 +108,233 @@ pub fn free_slot(block: &[u8]) -> Option<usize> {
     block
         .chunks_exact(DIRENT_SIZE)
         .position(|slot| wire::le_u32(slot, 0) == 0)
+}
+
+/// What a directory scan looks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe<'a> {
+    /// The live entry with this name ([`find_in_block`]).
+    Name(&'a str),
+    /// The first free slot ([`free_slot`]).
+    Free,
+}
+
+impl Probe<'_> {
+    /// Runs the probe over one block: the slot that answers it and the
+    /// i-node there (0 for a free slot).
+    pub fn in_block(self, block: &[u8]) -> Option<(usize, u32)> {
+        match self {
+            Probe::Name(name) => find_in_block(block, name),
+            Probe::Free => free_slot(block).map(|slot| (slot, 0)),
+        }
+    }
+}
+
+/// A directory slot: block index within the directory, slot within the
+/// block, and the i-node it holds (0 when free).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DirSlot {
+    /// Block index within the directory.
+    pub block: u64,
+    /// Slot within the block.
+    pub slot: usize,
+    /// I-node number; 0 for a free slot.
+    pub ino: u32,
+}
+
+/// A name as a slot stores it, NUL-padded: a hash key with no allocation.
+type Key = [u8; MAX_NAME];
+
+/// The key of a name a slot can hold (1 to [`MAX_NAME`] bytes).
+fn key(name: &[u8]) -> Option<Key> {
+    if name.is_empty() || name.len() > MAX_NAME {
+        return None;
+    }
+    let mut k = [0u8; MAX_NAME];
+    k[..name.len()].copy_from_slice(name);
+    Some(k)
+}
+
+/// What one directory's blocks hold, kept in memory: where the linear scan
+/// for any name or for a free slot stops, without reading the blocks.
+///
+/// Built block by block with [`add_block`](Self::add_block) and kept in
+/// step with every slot the file system rewrites, it answers each
+/// [`Probe`] as [`Probe::in_block`] over the blocks in order would.
+#[derive(Debug, Default)]
+pub struct DirIndex {
+    /// Live name → its first slot in scan order.
+    names: HashMap<Key, DirSlot>,
+    /// Free slots as `(block, slot)`; the first is where a scan for one stops.
+    free: BTreeSet<(u64, usize)>,
+    /// Live entries hidden behind an earlier one of the same name.
+    shadowed: usize,
+}
+
+impl DirIndex {
+    /// Indexes block `idx` with the scan's semantics: a name taken by an
+    /// earlier slot keeps that slot (as [`find_in_block`] finds the first),
+    /// and a slot with a nonzero i-node but an undecodable name is neither
+    /// free ([`free_slot`]) nor findable.
+    pub fn add_block(&mut self, idx: u64, block: &[u8]) {
+        for (slot, raw) in block.chunks_exact(DIRENT_SIZE).enumerate() {
+            let ino = wire::le_u32(raw, 0);
+            if ino == 0 {
+                self.free.insert((idx, slot));
+                continue;
+            }
+            let stored = &raw[4..];
+            let name = &stored[..stored.iter().position(|&b| b == 0).unwrap_or(MAX_NAME)];
+            // As `decode`: a non-UTF-8 name matches no `&str`.
+            if let Some(k) = key(name).filter(|_| std::str::from_utf8(name).is_ok()) {
+                self.name(
+                    k,
+                    DirSlot {
+                        block: idx,
+                        slot,
+                        ino,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Where the scan for `probe` stops; `None` when it reads every block.
+    pub fn find(&self, probe: Probe<'_>) -> Option<DirSlot> {
+        match probe {
+            Probe::Name(name) => key(name.as_bytes()).and_then(|k| self.names.get(&k).copied()),
+            Probe::Free => self.free.first().map(|&(block, slot)| DirSlot {
+                block,
+                slot,
+                ino: 0,
+            }),
+        }
+    }
+
+    /// Whether no name occurs twice. Only such an index can follow a
+    /// removal: clearing the first of two same-named entries would uncover
+    /// the second, which the index does not track.
+    pub fn is_exact(&self) -> bool {
+        self.shadowed == 0
+    }
+
+    /// Records `ino` written under `name` into the free slot `at`.
+    pub fn fill(&mut self, at: DirSlot, name: &str, ino: u32) {
+        self.free.remove(&(at.block, at.slot));
+        if let Some(k) = key(name.as_bytes()) {
+            self.name(k, DirSlot { ino, ..at });
+        }
+    }
+
+    /// Records that the entry `at`, found by `name`, was cleared.
+    pub fn clear(&mut self, at: DirSlot, name: &str) {
+        if let Some(k) = key(name.as_bytes()) {
+            self.names.remove(&k);
+        }
+        self.free.insert((at.block, at.slot));
+    }
+
+    /// Names slot `at`, unless the name is taken: by an earlier slot, since
+    /// `add_block` goes in scan order and `fill` writes only names the scan
+    /// has just missed.
+    fn name(&mut self, k: Key, at: DirSlot) {
+        match self.names.entry(k) {
+            Entry::Vacant(v) => {
+                v.insert(at);
+            }
+            Entry::Occupied(_) => self.shadowed += 1,
+        }
+    }
+}
+
+/// A directory's blocks, read the way the linear scan reads them.
+pub trait DirBlocks {
+    /// A directory (its i-node).
+    type Dir;
+    /// The file system's error.
+    type Error;
+    /// Maps block `idx` of `dir` (through any indirect block) and reads it
+    /// through the buffer cache: its store address, or `None` for a hole.
+    fn dir_block(&mut self, dir: &Self::Dir, idx: u64) -> Result<Option<u32>, Self::Error>;
+    /// The bytes of the block [`dir_block`](Self::dir_block) just read,
+    /// without touching it again.
+    fn dir_bytes(&self, addr: u32) -> Result<&[u8], Self::Error>;
+}
+
+/// Where [`locate`] stopped, and the directory's index.
+#[derive(Debug)]
+pub struct Located {
+    /// The stop block's store address and the slot that answers the probe;
+    /// `None` when the scan read every block.
+    pub stop: Option<(u32, DirSlot)>,
+    /// The index passed in or, when a scan without one read every block,
+    /// the one built from them (if [exact](DirIndex::is_exact)).
+    pub index: Option<DirIndex>,
+}
+
+/// Runs MINIX's linear scan of a directory of `nblocks` blocks for
+/// `probe`: reads blocks in order, through [`DirBlocks::dir_block`], up to
+/// the one that answers it, or all of them.
+///
+/// With the directory's `index` the scan reads exactly those blocks but
+/// compares no bytes: the index names the stop block (debug builds still
+/// compare, and check the index against every block read). Without one it
+/// compares each block as it goes.
+pub fn locate<D: DirBlocks>(
+    fs: &mut D,
+    dir: &D::Dir,
+    nblocks: u64,
+    probe: Probe<'_>,
+    index: Option<DirIndex>,
+) -> Result<Located, D::Error> {
+    let known = index.as_ref().map(|ix| ix.find(probe));
+    let end = known.flatten().map_or(nblocks, |at| at.block + 1);
+    // Copies of the blocks read, to index them if the scan reads them all.
+    let mut read = Vec::new();
+    for idx in 0..end {
+        let Some(addr) = fs.dir_block(dir, idx)? else {
+            continue;
+        };
+        let found = match known {
+            Some(at) => {
+                let here = at.filter(|at| at.block == idx);
+                if cfg!(debug_assertions) {
+                    assert_eq!(
+                        probe.in_block(fs.dir_bytes(addr)?),
+                        here.map(|at| (at.slot, at.ino)),
+                        "directory index disagrees with block {idx} on {probe:?}"
+                    );
+                }
+                here
+            }
+            None => {
+                let block = fs.dir_bytes(addr)?;
+                let found = probe.in_block(block);
+                if found.is_none() {
+                    read.push((idx, block.to_vec()));
+                }
+                found.map(|(slot, ino)| DirSlot {
+                    block: idx,
+                    slot,
+                    ino,
+                })
+            }
+        };
+        if let Some(at) = found {
+            return Ok(Located {
+                stop: Some((addr, at)),
+                index,
+            });
+        }
+    }
+    let index = index.or_else(|| {
+        let mut ix = DirIndex::default();
+        for (idx, block) in &read {
+            ix.add_block(*idx, block);
+        }
+        ix.is_exact().then_some(ix)
+    });
+    Ok(Located { stop: None, index })
 }
 
 #[cfg(test)]
@@ -154,6 +390,173 @@ mod tests {
         assert_eq!(find_in_block(&full, "file0127"), Some((127, 128)));
         assert_eq!(find_in_block(&full, "file0128"), None);
         assert_eq!(free_slot(&full), None);
+    }
+
+    #[test]
+    fn index_follows_the_scan_semantics() {
+        let mut block = vec![0u8; 4096];
+        let slots: Vec<&mut [u8]> = block.chunks_exact_mut(DIRENT_SIZE).collect();
+        let mut slots = slots.into_iter();
+        encode(5, "dup", slots.next().unwrap()); // slot 0
+        slots.next(); // slot 1: free
+        encode(6, "dup", slots.next().unwrap()); // slot 2: a shadowed twin
+        let empty = slots.next().unwrap(); // slot 3: live ino, empty name
+        empty[..4].copy_from_slice(&7u32.to_le_bytes());
+        let bad = slots.next().unwrap(); // slot 4: live ino, non-UTF-8 name
+        bad[..4].copy_from_slice(&8u32.to_le_bytes());
+        bad[4..6].copy_from_slice(&[0xff, 0xfe]);
+        for (i, slot) in slots.enumerate() {
+            encode(100 + i as u32, &format!("n{i}"), slot);
+        }
+        // Slot 1 is the only free slot; free another in a second block.
+        let mut second = block.clone();
+        clear(&mut second[9 * DIRENT_SIZE..10 * DIRENT_SIZE]);
+        second[DIRENT_SIZE..2 * DIRENT_SIZE]
+            .copy_from_slice(&block[5 * DIRENT_SIZE..6 * DIRENT_SIZE]);
+
+        let mut ix = DirIndex::default();
+        ix.add_block(0, &block);
+        ix.add_block(1, &second);
+        assert_eq!(
+            ix.find(Probe::Name("dup")),
+            Some(DirSlot {
+                block: 0,
+                slot: 0,
+                ino: 5
+            })
+        );
+        assert!(!ix.is_exact(), "dup and every name of block 0 repeat");
+        assert!(!ix.free.contains(&(0, 3)) && !ix.free.contains(&(0, 4)));
+        assert_eq!(ix.names.len(), 1 + 123, "slots 3 and 4 are unnamed");
+        assert_eq!(ix.free.iter().collect::<Vec<_>>(), [&(0, 1), &(1, 9)]);
+        assert_eq!(ix.find(Probe::Free).map(|at| at.slot), free_slot(&block));
+        for (_, d) in iter_block(&block).chain(iter_block(&second)) {
+            let at = ix.find(Probe::Name(&d.name)).unwrap();
+            assert_eq!(at.block, 0, "block 0 shadows block 1");
+            assert_eq!(
+                find_in_block(&block, &d.name),
+                Some((at.slot, at.ino)),
+                "{}",
+                d.name
+            );
+        }
+        assert_eq!(ix.find(Probe::Name("n200")), None);
+
+        // Filling and clearing move slots between the two sets.
+        ix.fill(
+            DirSlot {
+                block: 0,
+                slot: 1,
+                ino: 0,
+            },
+            "new",
+            9,
+        );
+        assert_eq!(
+            ix.find(Probe::Free),
+            Some(DirSlot {
+                block: 1,
+                slot: 9,
+                ino: 0
+            })
+        );
+        assert_eq!(
+            ix.find(Probe::Name("new")),
+            Some(DirSlot {
+                block: 0,
+                slot: 1,
+                ino: 9
+            })
+        );
+        ix.clear(
+            DirSlot {
+                block: 0,
+                slot: 1,
+                ino: 9,
+            },
+            "new",
+        );
+        assert_eq!(ix.find(Probe::Name("new")), None);
+        assert_eq!(
+            ix.find(Probe::Free).map(|at| (at.block, at.slot)),
+            Some((0, 1))
+        );
+    }
+
+    /// Blocks in memory; records every block read, as a cache would.
+    struct Blocks {
+        blocks: Vec<Option<Vec<u8>>>,
+        reads: Vec<u64>,
+    }
+
+    impl DirBlocks for Blocks {
+        type Dir = ();
+        type Error = ();
+        fn dir_block(&mut self, _: &(), idx: u64) -> Result<Option<u32>, ()> {
+            self.reads.push(idx);
+            Ok(self.blocks[idx as usize]
+                .as_ref()
+                .map(|_| 1000 + idx as u32))
+        }
+        fn dir_bytes(&self, addr: u32) -> Result<&[u8], ()> {
+            self.blocks[addr as usize - 1000].as_deref().ok_or(())
+        }
+    }
+
+    #[test]
+    fn locate_reads_the_same_blocks_with_and_without_an_index() {
+        let mut blocks = Vec::new();
+        for b in 0..4u32 {
+            let mut block = vec![0u8; 8 * DIRENT_SIZE];
+            for (s, slot) in block.chunks_exact_mut(DIRENT_SIZE).enumerate() {
+                let n = b * 8 + s as u32;
+                if n % 11 != 3 {
+                    encode(n + 1, &format!("e{n}"), slot);
+                }
+            }
+            blocks.push(Some(block));
+        }
+        blocks.insert(2, None); // A hole: mapped to no block.
+        let mut fs = Blocks {
+            blocks,
+            reads: Vec::new(),
+        };
+
+        // No index: a miss reads every block and builds one.
+        let got = locate(&mut fs, &(), 5, Probe::Name("absent"), None).unwrap();
+        assert!(got.stop.is_none());
+        let mut index = got.index;
+        assert!(index.is_some());
+        for probe in [
+            Probe::Name("e0"),
+            Probe::Name("e20"),
+            Probe::Free,
+            Probe::Name("e3"),
+            Probe::Name("x"),
+        ] {
+            fs.reads.clear();
+            let scan = locate(&mut fs, &(), 5, probe, None).unwrap();
+            let scan_reads = std::mem::take(&mut fs.reads);
+            let indexed = locate(&mut fs, &(), 5, probe, index.take()).unwrap();
+            assert_eq!(indexed.stop, scan.stop, "{probe:?}");
+            assert_eq!(fs.reads, scan_reads, "{probe:?}");
+            index = indexed.index;
+        }
+        // e20 is in the fourth block, after the hole, at address 1003.
+        let at = locate(&mut fs, &(), 5, Probe::Name("e20"), index)
+            .unwrap()
+            .stop;
+        assert_eq!(
+            at,
+            Some((
+                1003,
+                DirSlot {
+                    block: 3,
+                    slot: 4,
+                    ino: 21
+                }
+            ))
+        );
     }
 
     #[test]

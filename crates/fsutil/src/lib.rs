@@ -6,7 +6,8 @@
 //! a write-back LRU [`BufferCache`] (the paper's 6,144 KB static MINIX
 //! cache), a persistent [`Bitmap`] allocator (MINIX free-i-node/free-zone
 //! maps and FFS cylinder-group maps), MINIX-style fixed-size directory
-//! entries, and absolute-path parsing.
+//! entries with the per-directory index that answers their linear scan
+//! ([`dirent::DirIndex`]), and absolute-path parsing.
 
 mod bitmap;
 mod cache;
@@ -14,6 +15,6 @@ pub mod dirent;
 pub mod path;
 
 pub use bitmap::Bitmap;
-pub use ld_core::wire;
 pub use cache::{BufferCache, Evicted};
+pub use ld_core::wire;
 pub use path::PathError;

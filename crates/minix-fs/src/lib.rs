@@ -31,7 +31,9 @@ pub use raw_store::RawStore;
 pub use store::{Addr, AllocHint, BlockStore};
 pub use superblock::SuperBlock;
 
-use fsutil::dirent::{self, Dirent, DIRENT_SIZE};
+use std::collections::HashMap;
+
+use fsutil::dirent::{self, DirBlocks, DirIndex, DirSlot, Dirent, Located, Probe, DIRENT_SIZE};
 use fsutil::{path, wire, Bitmap, BufferCache, Evicted};
 use inode::{zone_path, ZonePath, DIND, IND};
 
@@ -73,6 +75,8 @@ pub struct FsStats {
 /// The file system.
 pub struct MinixFs<S: BlockStore> {
     store: S,
+    /// The store's block size, read once.
+    bs: usize,
     sb: SuperBlock,
     cache: BufferCache,
     ibitmap: Bitmap,
@@ -83,7 +87,27 @@ pub struct MinixFs<S: BlockStore> {
     /// Group of the most recently created file, the interfile-clustering
     /// hint for the next one.
     last_group: u64,
+    /// Directory indexes by i-node. A directory has one from `dir_init`, or
+    /// from the first scan after `mount` that reads all its blocks.
+    dirs: HashMap<Ino, DirIndex>,
     stats: FsStats,
+}
+
+impl<S: BlockStore> DirBlocks for MinixFs<S> {
+    type Dir = Inode;
+    type Error = FsError;
+
+    fn dir_block(&mut self, dir: &Inode, idx: u64) -> Result<Option<Addr>> {
+        let Some(a) = self.zone_at(dir, idx)? else {
+            return Ok(None);
+        };
+        self.touch(a, self.bs)?;
+        Ok(Some(a))
+    }
+
+    fn dir_bytes(&self, addr: Addr) -> Result<&[u8]> {
+        self.cached(addr)
+    }
 }
 
 impl<S: BlockStore> MinixFs<S> {
@@ -135,10 +159,12 @@ impl<S: BlockStore> MinixFs<S> {
             ibitmap: Bitmap::new(ninodes as usize),
             ibitmap_dirty: true,
             store,
+            bs,
             sb,
             config,
             last_read: None,
             last_group: 0,
+            dirs: HashMap::new(),
             stats: FsStats::default(),
         };
         // Root directory.
@@ -174,10 +200,12 @@ impl<S: BlockStore> MinixFs<S> {
             ibitmap,
             ibitmap_dirty: false,
             store,
+            bs,
             sb,
             config,
             last_read: None,
             last_group: 0,
+            dirs: HashMap::new(),
             stats: FsStats::default(),
         })
     }
@@ -260,18 +288,36 @@ impl<S: BlockStore> MinixFs<S> {
         Ok(())
     }
 
-    /// Loads a block of allocated size `len` through the cache.
-    fn load(&mut self, addr: Addr, len: usize) -> Result<Vec<u8>> {
-        if let Some(d) = self.cache.get(addr) {
-            return Ok(d.to_vec());
+    /// Reads a block of allocated size `len` through the cache: a hit, or
+    /// a read from the store and an insert.
+    fn touch(&mut self, addr: Addr, len: usize) -> Result<()> {
+        if self.cache.get(addr).is_none() {
+            let mut buf = vec![0u8; len];
+            // Never-written blocks legitimately read back short (LD) — the
+            // zero padding stands in for them.
+            let _ = self.store.read_block(addr, &mut buf)?;
+            let evicted = self.cache.insert_clean(addr, buf);
+            self.write_evicted(evicted)?;
         }
-        let mut buf = vec![0u8; len];
-        // Never-written blocks legitimately read back short (LD) — the
-        // zero padding stands in for them.
-        let _ = self.store.read_block(addr, &mut buf)?;
-        let evicted = self.cache.insert_clean(addr, buf.clone());
-        self.write_evicted(evicted)?;
-        Ok(buf)
+        Ok(())
+    }
+
+    /// [`touch`](Self::touch), returning the cached bytes.
+    fn fetch(&mut self, addr: Addr, len: usize) -> Result<&[u8]> {
+        self.touch(addr, len)?;
+        self.cached(addr)
+    }
+
+    /// A resident block's bytes, without touching recency or the counters.
+    fn cached(&self, addr: Addr) -> Result<&[u8]> {
+        self.cache
+            .peek(addr)
+            .ok_or_else(|| FsError::Store(format!("block {addr} left the cache")))
+    }
+
+    /// Loads a copy of a block of allocated size `len` through the cache.
+    fn load(&mut self, addr: Addr, len: usize) -> Result<Vec<u8>> {
+        self.fetch(addr, len).map(<[u8]>::to_vec)
     }
 
     /// Stores a block image through the cache (write-back).
@@ -292,7 +338,7 @@ impl<S: BlockStore> MinixFs<S> {
     /// Resolves where `ino` is stored: `(block addr, byte offset, load len)`.
     fn inode_slot(&mut self, ino: Ino) -> Result<(Addr, usize, usize)> {
         self.check_ino(ino)?;
-        let bs = self.store.block_size();
+        let bs = self.bs;
         let idx = (ino - 1) as usize;
         match self.sb.inode_mode {
             InodeMode::Packed => {
@@ -303,9 +349,8 @@ impl<S: BlockStore> MinixFs<S> {
             InodeMode::SmallBlocks => {
                 let ppc = bs / 4;
                 let container = self.sb.inode_containers[idx / ppc];
-                let index_block = self.load(container, bs)?;
                 let off = (idx % ppc) * 4;
-                let addr = wire::le_u32(&index_block, off);
+                let addr = wire::le_u32(self.fetch(container, bs)?, off);
                 if addr == 0 {
                     return Err(FsError::NotFound);
                 }
@@ -317,8 +362,7 @@ impl<S: BlockStore> MinixFs<S> {
     /// Reads an i-node.
     pub fn read_inode(&mut self, ino: Ino) -> Result<Inode> {
         let (addr, off, len) = self.inode_slot(ino)?;
-        let block = self.load(addr, len)?;
-        Inode::decode(&block[off..off + INODE_SIZE]).ok_or(FsError::NotFound)
+        Inode::decode(&self.fetch(addr, len)?[off..off + INODE_SIZE]).ok_or(FsError::NotFound)
     }
 
     fn write_inode(&mut self, ino: Ino, inode: &Inode) -> Result<()> {
@@ -336,7 +380,7 @@ impl<S: BlockStore> MinixFs<S> {
             // Give the i-node its own 64-byte block, allocated in the
             // file's own group so it clusters with (and is reclaimed with)
             // the file's data, and record it in the index.
-            let bs = self.store.block_size();
+            let bs = self.bs;
             let addr = self
                 .store
                 .alloc_sized(&AllocHint::in_group(u64::from(group), None), INODE_SIZE)?;
@@ -366,7 +410,7 @@ impl<S: BlockStore> MinixFs<S> {
                     .free_block(addr, &AllocHint::in_group(u64::from(group), None))?;
             }
             // Clear the index entry.
-            let bs = self.store.block_size();
+            let bs = self.bs;
             let ppc = bs / 4;
             let idx = (ino - 1) as usize;
             let container = self.sb.inode_containers[idx / ppc];
@@ -390,7 +434,7 @@ impl<S: BlockStore> MinixFs<S> {
 
     /// Returns the store address of file block `idx`, or `None` for a hole.
     fn zone_at(&mut self, inode: &Inode, idx: u64) -> Result<Option<Addr>> {
-        let bs = self.store.block_size();
+        let bs = self.bs;
         let ppb = bs / 4;
         match zone_path(idx, ppb)? {
             ZonePath::Direct(i) => Ok(nonzero(inode.zones[i])),
@@ -398,19 +442,16 @@ impl<S: BlockStore> MinixFs<S> {
                 let Some(ind) = nonzero(inode.zones[IND]) else {
                     return Ok(None);
                 };
-                let block = self.load(ind, bs)?;
-                Ok(nonzero(read_u32(&block, i)))
+                Ok(nonzero(read_u32(self.fetch(ind, bs)?, i)))
             }
             ZonePath::Double(i, j) => {
                 let Some(dind) = nonzero(inode.zones[DIND]) else {
                     return Ok(None);
                 };
-                let block = self.load(dind, bs)?;
-                let Some(ind) = nonzero(read_u32(&block, i)) else {
+                let Some(ind) = nonzero(read_u32(self.fetch(dind, bs)?, i)) else {
                     return Ok(None);
                 };
-                let block = self.load(ind, bs)?;
-                Ok(nonzero(read_u32(&block, j)))
+                Ok(nonzero(read_u32(self.fetch(ind, bs)?, j)))
             }
         }
     }
@@ -418,7 +459,7 @@ impl<S: BlockStore> MinixFs<S> {
     /// Returns the store address of file block `idx`, allocating the block
     /// (and any needed indirect blocks) in the file's group.
     fn zone_alloc(&mut self, inode: &mut Inode, idx: u64) -> Result<Addr> {
-        let bs = self.store.block_size();
+        let bs = self.bs;
         let ppb = bs / 4;
         let group = u64::from(inode.group);
         let prev = if idx > 0 {
@@ -458,8 +499,7 @@ impl<S: BlockStore> MinixFs<S> {
                         a
                     }
                 };
-                let block = self.load(dind, bs)?;
-                let ind = match nonzero(read_u32(&block, i)) {
+                let ind = match nonzero(read_u32(self.fetch(dind, bs)?, i)) {
                     Some(a) => a,
                     None => {
                         let a = self.store.alloc_block(&hint)?;
@@ -477,9 +517,8 @@ impl<S: BlockStore> MinixFs<S> {
 
     /// Allocates (if needed) entry `i` of indirect block `table`.
     fn alloc_in_table(&mut self, table: Addr, i: usize, hint: &AllocHint) -> Result<Addr> {
-        let bs = self.store.block_size();
-        let block = self.load(table, bs)?;
-        if let Some(a) = nonzero(read_u32(&block, i)) {
+        let bs = self.bs;
+        if let Some(a) = nonzero(read_u32(self.fetch(table, bs)?, i)) {
             return Ok(a);
         }
         let a = self.store.alloc_block(hint)?;
@@ -493,7 +532,7 @@ impl<S: BlockStore> MinixFs<S> {
     /// (data blocks interleaved with the indirect blocks that precede
     /// their first use).
     fn collect_blocks(&mut self, inode: &Inode) -> Result<Vec<Addr>> {
-        let bs = self.store.block_size();
+        let bs = self.bs;
         let ppb = bs / 4;
         let mut out = Vec::new();
         let nblocks = (u64::from(inode.size)).div_ceil(bs as u64);
@@ -521,8 +560,7 @@ impl<S: BlockStore> MinixFs<S> {
                     if seen_sub != Some(i) {
                         seen_sub = Some(i);
                         if let Some(dind) = nonzero(inode.zones[DIND]) {
-                            let block = self.load(dind, bs)?;
-                            if let Some(a) = nonzero(read_u32(&block, i)) {
+                            if let Some(a) = nonzero(read_u32(self.fetch(dind, bs)?, i)) {
                                 out.push(a);
                             }
                         }
@@ -557,88 +595,110 @@ impl<S: BlockStore> MinixFs<S> {
     }
 
     // ----- directories -----
+    //
+    // MINIX scans a directory block by block (`dirent::locate`). An indexed
+    // directory still reads each block the scan reads, in the same order,
+    // but compares no bytes. Each operation takes the index out of `dirs`
+    // and puts it back only on success, so an error part-way drops it and
+    // the next scan that reads every block rebuilds it.
 
-    /// Writes the initial "." and ".." entries of a new directory.
+    /// Writes the initial "." and ".." entries of a new directory and
+    /// indexes them.
     fn dir_init(&mut self, ino: Ino, inode: &mut Inode, parent: Ino) -> Result<()> {
-        let bs = self.store.block_size();
+        let bs = self.bs;
         let a = self.zone_alloc(inode, 0)?;
         let mut block = vec![0u8; bs];
         dirent::encode(ino, ".", &mut block[0..DIRENT_SIZE]);
         dirent::encode(parent, "..", &mut block[DIRENT_SIZE..2 * DIRENT_SIZE]);
+        let mut index = DirIndex::default();
+        index.add_block(0, &block);
         self.save(a, block)?;
+        self.dirs.insert(ino, index);
         inode.size = bs as u32;
         inode.mtime = self.mtime_now();
         Ok(())
     }
 
-    /// Finds `name` in directory `dir`.
-    fn dir_find(&mut self, dir: &Inode, name: &str) -> Result<Option<Ino>> {
-        let bs = self.store.block_size();
-        let nblocks = u64::from(dir.size).div_ceil(bs as u64);
-        for idx in 0..nblocks {
-            let Some(a) = self.zone_at(dir, idx)? else {
-                continue;
-            };
-            let block = self.load(a, bs)?;
-            if let Some((_, ino)) = dirent::find_in_block(&block, name) {
-                return Ok(Some(ino));
-            }
+    /// Runs the scan of directory `dir_ino` for `probe`, with its index
+    /// taken out of `dirs`.
+    fn dir_locate(&mut self, dir_ino: Ino, dir: &Inode, probe: Probe<'_>) -> Result<Located> {
+        let nblocks = u64::from(dir.size).div_ceil(self.bs as u64);
+        let index = self.dirs.remove(&dir_ino);
+        dirent::locate(self, dir, nblocks, probe, index)
+    }
+
+    /// Puts a directory's index back once its operation has succeeded.
+    fn dir_keep(&mut self, dir_ino: Ino, index: Option<DirIndex>) {
+        if let Some(index) = index {
+            self.dirs.insert(dir_ino, index);
         }
-        Ok(None)
+    }
+
+    /// Finds `name` in directory `dir_ino`.
+    fn dir_find(&mut self, dir_ino: Ino, dir: &Inode, name: &str) -> Result<Option<Ino>> {
+        let Located { stop, index } = self.dir_locate(dir_ino, dir, Probe::Name(name))?;
+        self.dir_keep(dir_ino, index);
+        Ok(stop.map(|(_, at)| at.ino))
     }
 
     /// Adds an entry, reusing a free slot or extending the directory.
     fn dir_add(&mut self, dir_ino: Ino, dir: &mut Inode, name: &str, ino: Ino) -> Result<()> {
-        let bs = self.store.block_size();
-        let nblocks = u64::from(dir.size).div_ceil(bs as u64);
-        for idx in 0..nblocks {
-            let Some(a) = self.zone_at(dir, idx)? else {
-                continue;
-            };
-            let block = self.load(a, bs)?;
-            if let Some(slot) = dirent::free_slot(&block) {
-                let mut block = block;
-                dirent::encode(
-                    ino,
-                    name,
-                    &mut block[slot * DIRENT_SIZE..(slot + 1) * DIRENT_SIZE],
-                );
-                self.save(a, block)?;
-                dir.mtime = self.mtime_now();
-                self.write_inode(dir_ino, dir)?;
-                return Ok(());
+        let bs = self.bs;
+        let Located { stop, mut index } = self.dir_locate(dir_ino, dir, Probe::Free)?;
+        let (a, at, mut block) = match stop {
+            Some((a, at)) => (a, at, self.cached(a)?.to_vec()),
+            None => {
+                // Extend by one block.
+                let idx = u64::from(dir.size).div_ceil(bs as u64);
+                let a = self.zone_alloc(dir, idx)?;
+                let block = vec![0u8; bs];
+                if let Some(ix) = &mut index {
+                    ix.add_block(idx, &block);
+                }
+                dir.size += bs as u32;
+                (
+                    a,
+                    DirSlot {
+                        block: idx,
+                        slot: 0,
+                        ino: 0,
+                    },
+                    block,
+                )
             }
+        };
+        dirent::encode(
+            ino,
+            name,
+            &mut block[at.slot * DIRENT_SIZE..(at.slot + 1) * DIRENT_SIZE],
+        );
+        if let Some(ix) = &mut index {
+            ix.fill(at, name, ino);
         }
-        // Extend by one block.
-        let a = self.zone_alloc(dir, nblocks)?;
-        let mut block = vec![0u8; bs];
-        dirent::encode(ino, name, &mut block[0..DIRENT_SIZE]);
         self.save(a, block)?;
-        dir.size += bs as u32;
         dir.mtime = self.mtime_now();
         self.write_inode(dir_ino, dir)?;
+        self.dir_keep(dir_ino, index);
         Ok(())
     }
 
     /// Removes an entry; errors with [`FsError::NotFound`] if absent.
     fn dir_remove(&mut self, dir_ino: Ino, dir: &mut Inode, name: &str) -> Result<Ino> {
-        let bs = self.store.block_size();
-        let nblocks = u64::from(dir.size).div_ceil(bs as u64);
-        for idx in 0..nblocks {
-            let Some(a) = self.zone_at(dir, idx)? else {
-                continue;
-            };
-            let block = self.load(a, bs)?;
-            if let Some((slot, ino)) = dirent::find_in_block(&block, name) {
-                let mut block = block;
-                dirent::clear(&mut block[slot * DIRENT_SIZE..(slot + 1) * DIRENT_SIZE]);
-                self.save(a, block)?;
-                dir.mtime = self.mtime_now();
-                self.write_inode(dir_ino, dir)?;
-                return Ok(ino);
-            }
+        let Located { stop, mut index } = self.dir_locate(dir_ino, dir, Probe::Name(name))?;
+        let Some((a, at)) = stop else {
+            self.dir_keep(dir_ino, index);
+            return Err(FsError::NotFound);
+        };
+        let mut block = self.cached(a)?.to_vec();
+        dirent::clear(&mut block[at.slot * DIRENT_SIZE..(at.slot + 1) * DIRENT_SIZE]);
+        if let Some(ix) = &mut index {
+            ix.clear(at, name);
         }
-        Err(FsError::NotFound)
+        self.save(a, block)?;
+        dir.mtime = self.mtime_now();
+        self.write_inode(dir_ino, dir)?;
+        self.dir_keep(dir_ino, index);
+        Ok(at.ino)
     }
 
     /// Resolves a path to its i-node.
@@ -657,7 +717,7 @@ impl<S: BlockStore> MinixFs<S> {
             if inode.ftype != FileType::Dir {
                 return Err(FsError::NotDir);
             }
-            cur = self.dir_find(&inode, comp)?.ok_or(FsError::NotFound)?;
+            cur = self.dir_find(cur, &inode, comp)?.ok_or(FsError::NotFound)?;
         }
         Ok(cur)
     }
@@ -670,7 +730,7 @@ impl<S: BlockStore> MinixFs<S> {
             if inode.ftype != FileType::Dir {
                 return Err(FsError::NotDir);
             }
-            cur = self.dir_find(&inode, comp)?.ok_or(FsError::NotFound)?;
+            cur = self.dir_find(cur, &inode, comp)?.ok_or(FsError::NotFound)?;
         }
         Ok((cur, name.to_string()))
     }
@@ -692,7 +752,7 @@ impl<S: BlockStore> MinixFs<S> {
         if dir.ftype != FileType::Dir {
             return Err(FsError::NotDir);
         }
-        if self.dir_find(&dir, &name)?.is_some() {
+        if self.dir_find(parent, &dir, &name)?.is_some() {
             return Err(FsError::Exists);
         }
         // Each file gets its own list, clustered near the previous file's.
@@ -720,7 +780,7 @@ impl<S: BlockStore> MinixFs<S> {
         if dir.ftype != FileType::Dir {
             return Err(FsError::NotDir);
         }
-        if self.dir_find(&dir, &name)?.is_some() {
+        if self.dir_find(parent, &dir, &name)?.is_some() {
             return Err(FsError::Exists);
         }
         let ino = self.alloc_inode(FileType::Dir, 0)?;
@@ -745,7 +805,7 @@ impl<S: BlockStore> MinixFs<S> {
         if inode.ftype != FileType::Regular {
             return Err(FsError::IsDir);
         }
-        let bs = self.store.block_size() as u64;
+        let bs = self.bs as u64;
         let mut pos = offset;
         let mut rest = data;
         while !rest.is_empty() {
@@ -784,7 +844,7 @@ impl<S: BlockStore> MinixFs<S> {
     fn read_inner(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> Result<usize> {
         self.charge_call();
         let inode = self.read_inode(ino)?;
-        let bs = self.store.block_size() as u64;
+        let bs = self.bs as u64;
         let size = u64::from(inode.size);
         if offset >= size {
             return Ok(0);
@@ -799,7 +859,7 @@ impl<S: BlockStore> MinixFs<S> {
             let n = (want - done).min(bs as usize - inner);
             match self.zone_at(&inode, idx)? {
                 Some(a) => {
-                    let block = self.load(a, bs as usize)?;
+                    let block = self.fetch(a, bs as usize)?;
                     buf[done..done + n].copy_from_slice(&block[inner..inner + n]);
                 }
                 None => buf[done..done + n].fill(0),
@@ -879,7 +939,9 @@ impl<S: BlockStore> MinixFs<S> {
         self.charge_call();
         let (parent, name) = self.lookup_parent(path_str)?;
         let mut dir = self.read_inode(parent)?;
-        let ino = self.dir_find(&dir, &name)?.ok_or(FsError::NotFound)?;
+        let ino = self
+            .dir_find(parent, &dir, &name)?
+            .ok_or(FsError::NotFound)?;
         let inode = self.read_inode(ino)?;
         if inode.ftype != FileType::Regular {
             return Err(FsError::IsDir);
@@ -900,13 +962,13 @@ impl<S: BlockStore> MinixFs<S> {
         if to_dir.ftype != FileType::Dir {
             return Err(FsError::NotDir);
         }
-        if self.dir_find(&to_dir, &to_name)?.is_some() {
+        if self.dir_find(to_parent, &to_dir, &to_name)?.is_some() {
             return Err(FsError::Exists);
         }
         let (from_parent, from_name) = self.lookup_parent(from)?;
         let mut from_dir = self.read_inode(from_parent)?;
         let ino = self
-            .dir_find(&from_dir, &from_name)?
+            .dir_find(from_parent, &from_dir, &from_name)?
             .ok_or(FsError::NotFound)?;
         // A directory must not be moved under itself.
         if self.read_inode(ino)?.ftype == FileType::Dir {
@@ -922,7 +984,7 @@ impl<S: BlockStore> MinixFs<S> {
                 }
                 let parent_inode = self.read_inode(cur)?;
                 cur = self
-                    .dir_find(&parent_inode, "..")?
+                    .dir_find(cur, &parent_inode, "..")?
                     .ok_or(FsError::NotFound)?;
             }
         }
@@ -944,7 +1006,9 @@ impl<S: BlockStore> MinixFs<S> {
         self.charge_call();
         let (parent, name) = self.lookup_parent(path_str)?;
         let mut dir = self.read_inode(parent)?;
-        let ino = self.dir_find(&dir, &name)?.ok_or(FsError::NotFound)?;
+        let ino = self
+            .dir_find(parent, &dir, &name)?
+            .ok_or(FsError::NotFound)?;
         let inode = self.read_inode(ino)?;
         if inode.ftype != FileType::Dir {
             return Err(FsError::NotDir);
@@ -956,6 +1020,7 @@ impl<S: BlockStore> MinixFs<S> {
         {
             return Err(FsError::NotEmpty);
         }
+        self.dirs.remove(&ino);
         self.dir_remove(parent, &mut dir, &name)?;
         self.free_content(&inode)?;
         self.free_inode(ino, false)?;
@@ -974,15 +1039,14 @@ impl<S: BlockStore> MinixFs<S> {
         if inode.ftype != FileType::Dir {
             return Err(FsError::NotDir);
         }
-        let bs = self.store.block_size();
+        let bs = self.bs;
         let nblocks = u64::from(inode.size).div_ceil(bs as u64);
         let mut out = Vec::new();
         for idx in 0..nblocks {
             let Some(a) = self.zone_at(&inode, idx)? else {
                 continue;
             };
-            let block = self.load(a, bs)?;
-            out.extend(dirent::iter_block(&block).map(|(_, d)| d));
+            out.extend(dirent::iter_block(self.fetch(a, bs)?).map(|(_, d)| d));
         }
         Ok(out)
     }
@@ -1010,7 +1074,7 @@ impl<S: BlockStore> MinixFs<S> {
     fn sync_inner(&mut self) -> Result<()> {
         self.charge_call();
         if self.ibitmap_dirty {
-            let bs = self.store.block_size();
+            let bs = self.bs;
             let bytes = self.ibitmap.as_bytes().to_vec();
             for (i, addr) in self.sb.bitmap_blocks.clone().into_iter().enumerate() {
                 let start = i * bs;

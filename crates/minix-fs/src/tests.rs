@@ -492,3 +492,115 @@ fn rename_moves_files_and_directories() {
         assert!(fs.rename("/b", "/b/sub/loop").is_err());
     });
 }
+
+/// Runs `op` on `fs`, which keeps its directory indexes, and on `twin`,
+/// which drops them first, so that its lookups and unlinks scan without
+/// one (a create's miss reads every block and reinstalls it). Both must
+/// answer alike and touch the same blocks: equal cache hits and misses,
+/// and equal simulated time.
+fn in_step<S: BlockStore>(
+    fs: &mut MinixFs<S>,
+    twin: &mut MinixFs<S>,
+    op: impl Fn(&mut MinixFs<S>) -> String,
+) -> String {
+    twin.dirs.clear();
+    let got = op(fs);
+    assert_eq!(got, op(twin));
+    assert_eq!(fs.cache_stats(), twin.cache_stats(), "after {got}");
+    assert_eq!(fs.now_us(), twin.now_us(), "after {got}");
+    got
+}
+
+#[test]
+fn dir_index_stops_where_the_scan_would() {
+    // 1,200 entries fill 10 blocks, three of them through the indirect
+    // zone, under a 16-block cache. Debug builds also check every indexed
+    // answer against the blocks the scan reads.
+    type Fs = MinixFs<RawStore<SimDisk>>;
+    let config = FsConfig {
+        ninodes: 2048,
+        cache_bytes: 16 << 12,
+        ..FsConfig::small_for_tests()
+    };
+    let format = || {
+        let store = RawStore::format(SimDisk::hp_c3010_with_capacity(32 << 20)).unwrap();
+        MinixFs::format(store, config.clone()).unwrap()
+    };
+    let remount = |fs: Fs| {
+        let store = RawStore::mount(fs.into_store().into_disk()).unwrap();
+        MinixFs::mount(store, config.clone()).unwrap()
+    };
+    let name = |i: usize| format!("/d/f{i:04}");
+    let (mut fs, mut twin) = (format(), format());
+    let d = fs.mkdir("/d").unwrap();
+    twin.mkdir("/d").unwrap();
+    for i in 0..1200 {
+        fs.create(&name(i)).unwrap();
+        twin.create(&name(i)).unwrap();
+    }
+    let size = |fs: &mut Fs, twin: &mut Fs| {
+        in_step(fs, twin, |f| format!("{:?}", f.stat(d).map(|st| st.size)))
+    };
+    assert_eq!(size(&mut fs, &mut twin), format!("Ok({})", 10 << 12));
+
+    // Unlink every third entry, look up every fifth and some absent names,
+    // refill the holes.
+    let churn = |fs: &mut Fs, twin: &mut Fs, round: usize| {
+        for i in (round..1200).step_by(3) {
+            assert_eq!(
+                in_step(fs, twin, |f| format!("{:?}", f.unlink(&name(i)))),
+                "Ok(())"
+            );
+        }
+        for i in (0..1200).step_by(5) {
+            let got = in_step(fs, twin, |f| format!("{:?}", f.lookup(&name(i))));
+            assert_eq!(got == "Err(NotFound)", i % 3 == round, "{i}: {got}");
+        }
+        for i in 0..20 {
+            let got = in_step(fs, twin, |f| format!("{:?}", f.lookup(&format!("/d/g{i}"))));
+            assert_eq!(got, "Err(NotFound)");
+        }
+        for i in (round..1200).step_by(3) {
+            assert!(in_step(fs, twin, |f| format!("{:?}", f.create(&name(i)))).starts_with("Ok"));
+        }
+        assert_eq!(
+            size(fs, twin),
+            format!("Ok({})", 10 << 12),
+            "holes refilled"
+        );
+    };
+    churn(&mut fs, &mut twin, 0);
+
+    // After a remount nothing is indexed: the scan runs until a miss reads
+    // every block and installs the index.
+    fs.sync().unwrap();
+    twin.sync().unwrap();
+    let (mut fs, mut twin) = (remount(fs), remount(twin));
+    assert!(fs.dirs.is_empty());
+    in_step(&mut fs, &mut twin, |f| format!("{:?}", f.unlink(&name(1))));
+    assert!(!fs.dirs.contains_key(&d), "hits read only part of /d");
+    in_step(&mut fs, &mut twin, |f| format!("{:?}", f.create(&name(1))));
+    assert!(fs.dirs.contains_key(&d), "create's miss read all of /d");
+    churn(&mut fs, &mut twin, 1);
+
+    // A freed directory i-node is reused by the next directory.
+    for i in 0..1200 {
+        fs.unlink(&name(i)).unwrap();
+        twin.unlink(&name(i)).unwrap();
+    }
+    in_step(&mut fs, &mut twin, |f| format!("{:?}", f.rmdir("/d")));
+    assert!(!fs.dirs.contains_key(&d));
+    let e = in_step(&mut fs, &mut twin, |f| format!("{:?}", f.mkdir("/e")));
+    assert_eq!(e, format!("Ok({d})"));
+    for i in 0..5 {
+        in_step(&mut fs, &mut twin, |f| {
+            format!("{:?}", f.create(&format!("/e/f{i:04}")))
+        });
+    }
+    for i in 0..10 {
+        let got = in_step(&mut fs, &mut twin, |f| {
+            format!("{:?}", f.lookup(&format!("/e/f{i:04}")))
+        });
+        assert_eq!(got.starts_with("Ok"), i < 5, "{i}: {got}");
+    }
+}

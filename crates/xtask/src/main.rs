@@ -439,6 +439,14 @@ fn ci() -> ExitCode {
         ),
         // Stopgap until `repro --check` diffs each experiment cell by cell.
         ("baseline identity", Step::BaselineIdentity),
+        // The benchmark is a package of its own, outside the workspace; its
+        // tests check seed-0 runs against `BENCH_table4/table5/e17.json`.
+        (
+            "ldperf tests",
+            Step::Cargo(&[
+                "test", "-q", "--release", "--offline", "--manifest-path", "ldperf/Cargo.toml",
+            ]),
+        ),
         (
             "clippy",
             Step::Cargo(&["clippy", "--workspace", "--all-targets", "--", "-D", "warnings"]),

@@ -1,6 +1,10 @@
 //! Property test: the MINIX file system behaves identically over the raw
 //! update-in-place store and the Logical Disk store — the backend swap
 //! that *is* the paper's contribution must be observably invisible.
+//!
+//! Remounts and directory removal are among the ops, so random sequences
+//! also cover directories without an index (after a mount) and directory
+//! i-nodes freed and reused.
 
 use logical_disk_repro::minix_fs::{BlockStore, FsConfig, FsCpuModel, LdStore, MinixFs, RawStore};
 use logical_disk_repro::simdisk::MemDisk;
@@ -35,9 +39,14 @@ enum Op {
     Mkdir {
         name: u8,
     },
+    Rmdir {
+        name: u8,
+    },
     Readdir,
     Sync,
     DropCaches,
+    /// Sync, then mount the store afresh.
+    Remount,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -57,9 +66,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (any::<u8>(), any::<u8>())
             .prop_map(|(f, t)| Op::Rename { from: f % 24, to: t % 24 }),
         1 => any::<u8>().prop_map(|name| Op::Mkdir { name: name % 8 }),
+        1 => any::<u8>().prop_map(|name| Op::Rmdir { name: name % 8 }),
         1 => Just(Op::Readdir),
         1 => Just(Op::Sync),
         1 => Just(Op::DropCaches),
+        1 => Just(Op::Remount),
     ]
 }
 
@@ -113,6 +124,7 @@ fn apply<S: BlockStore>(fs: &mut MinixFs<S>, op: &Op) -> String {
             format!("{:?}", fs.rename(&format!("/f{from}"), &format!("/f{to}")))
         }
         Op::Mkdir { name } => format!("{:?}", fs.mkdir(&format!("/d{name}"))),
+        Op::Rmdir { name } => format!("{:?}", fs.rmdir(&format!("/d{name}"))),
         Op::Readdir => {
             let mut names: Vec<String> = fs
                 .readdir("/")
@@ -125,7 +137,18 @@ fn apply<S: BlockStore>(fs: &mut MinixFs<S>, op: &Op) -> String {
         }
         Op::Sync => format!("{:?}", fs.sync()),
         Op::DropCaches => format!("{:?}", fs.drop_caches()),
+        Op::Remount => unreachable!("remounting takes the file system by value"),
     }
+}
+
+/// Syncs, then mounts the same store afresh: nothing cached, no directory
+/// indexed.
+fn remount<S: BlockStore>(mut fs: MinixFs<S>) -> (MinixFs<S>, String) {
+    let synced = format!("{:?}", fs.sync());
+    (
+        MinixFs::mount(fs.into_store(), config()).expect("remount"),
+        synced,
+    )
 }
 
 fn fnv(data: &[u8]) -> u64 {
@@ -161,8 +184,15 @@ proptest! {
         let mut ld = MinixFs::format(ld_store, config()).expect("mkfs ld");
 
         for (i, op) in ops.iter().enumerate() {
-            let a = apply(&mut raw, op);
-            let b = apply(&mut ld, op);
+            let (a, b) = match op {
+                Op::Remount => {
+                    let (a, b);
+                    (raw, a) = remount(raw);
+                    (ld, b) = remount(ld);
+                    (a, b)
+                }
+                _ => (apply(&mut raw, op), apply(&mut ld, op)),
+            };
             prop_assert_eq!(a, b, "op {} = {:?} diverged", i, op);
         }
     }
