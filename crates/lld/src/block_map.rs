@@ -144,6 +144,29 @@ impl BlockMap {
             .filter_map(|(i, e)| e.as_ref().map(|e| (i as u64, e)))
     }
 
+    /// The blocks whose live copy is in each of `segs`, each in ascending
+    /// block-number order, found in one pass over the map.
+    pub fn live_blocks_in(&self, segs: &[u32]) -> Vec<Vec<u64>> {
+        let mut out = vec![Vec::new(); segs.len()];
+        let Some(&top) = segs.iter().max() else {
+            return out;
+        };
+        debug_assert!(top < NO_SEG, "sentinels are not physical segments");
+        // Segment id → index into `segs`; the sentinels fall off the end.
+        let mut slot = vec![usize::MAX; top as usize + 1];
+        for (i, &s) in segs.iter().enumerate().rev() {
+            slot[s as usize] = i;
+        }
+        for (bid, e) in self.iter() {
+            if let Some(&i) = slot.get(e.seg as usize) {
+                if i != usize::MAX {
+                    out[i].push(bid);
+                }
+            }
+        }
+        out
+    }
+
     /// Rebuilds the free stack from the dense index (after recovery
     /// replay). Free numbers are pushed in descending order so that
     /// low numbers are reused first.
@@ -155,6 +178,78 @@ impl BlockMap {
             .rev()
             .filter_map(|(i, e)| e.is_none().then_some(i as u64))
             .collect();
+    }
+}
+
+/// The cleaner's clustering rank of a block: `(position of its list in the
+/// list of lists, position within its list)`. [`UNRANKED`] sorts after
+/// every ranked block.
+pub type Rank = (u32, u32);
+
+/// Rank of a block not reachable from the list of lists.
+pub const UNRANKED: Rank = (u32::MAX, u32::MAX);
+
+/// Memo of [`Rank`]s, so the cleaner does not re-walk a list from its
+/// head for every victim.
+///
+/// Filled lazily: a list is walked the first time one of its blocks is
+/// ranked, and at most once per memo. The ranks stay valid until the
+/// list structure changes (a block or list is created, deleted or
+/// moved); writes, seals, cleaning and swaps move data, not list order.
+/// The owner drops the memo on every structural change.
+#[derive(Debug)]
+pub struct RankMemo {
+    /// Position in the list of lists, by list id (`u32::MAX` = not on it).
+    list_pos: Vec<u32>,
+    /// Whether a list's blocks are in `block_rank` yet, by list id.
+    walked: Vec<bool>,
+    /// Rank by block number; [`UNRANKED`] until the block's list is walked.
+    block_rank: Vec<Rank>,
+}
+
+impl RankMemo {
+    /// An empty memo over the current tables: one walk of the list of
+    /// lists, no list walked yet.
+    pub fn new(map: &BlockMap, lists: &ListTable) -> Self {
+        let mut list_pos = vec![u32::MAX; lists.entries.len()];
+        for (i, lid) in lists.order().into_iter().enumerate() {
+            list_pos[lid as usize] = i as u32;
+        }
+        Self {
+            walked: vec![false; list_pos.len()],
+            list_pos,
+            block_rank: vec![UNRANKED; map.entries.len()],
+        }
+    }
+
+    /// The rank of `bid`, walking its list first if this memo has not.
+    pub fn rank(&mut self, map: &BlockMap, lists: &ListTable, bid: u64) -> Rank {
+        let Some(lid) = map.get(bid).map(|e| e.list as usize) else {
+            return UNRANKED;
+        };
+        let list_pos = self.list_pos.get(lid).copied().unwrap_or(u32::MAX);
+        if list_pos != u32::MAX && !self.walked[lid] {
+            self.walked[lid] = true;
+            // Same cycle guard as `Lld::walk_list`.
+            let limit = map.allocated() + 1;
+            let mut cur = lists.get(lid as u64).and_then(|e| e.first);
+            let mut pos = 0usize;
+            while let Some(b) = cur {
+                if let Some(r) = self.block_rank.get_mut(b as usize) {
+                    *r = (list_pos, pos as u32);
+                }
+                pos += 1;
+                if pos > limit {
+                    debug_assert!(false, "cycle in list {lid}");
+                    break;
+                }
+                cur = map.get(b).and_then(|e| e.next);
+            }
+        }
+        self.block_rank
+            .get(bid as usize)
+            .copied()
+            .unwrap_or(UNRANKED)
     }
 }
 
@@ -390,6 +485,20 @@ mod tests {
         m.rebuild_free_stack();
         assert_eq!(m.alloc(0, 64), a, "lowest free number reused first");
         assert_eq!(m.allocated(), 2);
+    }
+
+    #[test]
+    fn live_blocks_are_gathered_per_segment_in_one_pass() {
+        let mut m = BlockMap::new();
+        for seg in [7, 3, OPEN_SEG, 7, NO_SEG, 5, 3] {
+            let bid = m.alloc(0, 4096);
+            m.get_mut(bid).unwrap().seg = seg;
+        }
+        assert_eq!(
+            m.live_blocks_in(&[3, 7, 9]),
+            vec![vec![1, 6], vec![0, 3], vec![]]
+        );
+        assert!(m.live_blocks_in(&[]).is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ld_core::Result;
 use simdisk::BlockDev;
 
-use crate::block_map::OPEN_SEG;
+use crate::block_map::{RankMemo, OPEN_SEG};
 use crate::records::Record;
 use crate::usage::SegState;
 use crate::Lld;
@@ -106,8 +106,9 @@ impl<D: BlockDev> Lld<D> {
     /// per-span retry path.
     fn clean_batch(&mut self, victims: &[u32]) -> Result<()> {
         let images = self.prefetch_segments(victims)?;
-        for (&victim, image) in victims.iter().zip(images) {
-            self.clean_segment_with(victim, image)?;
+        let lives = self.map.live_blocks_in(victims);
+        for ((&victim, image), live) in victims.iter().zip(images).zip(lives) {
+            self.clean_segment_with(victim, live, image.as_deref())?;
         }
         Ok(())
     }
@@ -210,51 +211,62 @@ impl<D: BlockDev> Lld<D> {
     /// and re-logs its live metadata records, then queues the segment for
     /// release once the forwarded copies are durable.
     fn clean_segment(&mut self, victim: u32) -> Result<()> {
-        self.clean_segment_with(victim, None)
+        let live = self.map.live_blocks_in(&[victim]).concat();
+        self.clean_segment_with(victim, live, None)
     }
 
-    /// [`Self::clean_segment`] with an optional prefetched whole-segment
-    /// image (data region followed by summary, as laid out on disk). With
-    /// an image, the victim is cleaned without touching the medium again.
-    fn clean_segment_with(&mut self, victim: u32, prefetch: Option<Vec<u8>>) -> Result<()> {
+    /// [`Self::clean_segment`] given the victim's live blocks (ascending,
+    /// gathered from the block map at any point since the victim was
+    /// picked) and an optional prefetched whole-segment image (data
+    /// region followed by summary, as laid out on disk). With an image,
+    /// the victim is cleaned without touching the medium again.
+    fn clean_segment_with(
+        &mut self,
+        victim: u32,
+        mut live: Vec<u64>,
+        prefetch: Option<&[u8]>,
+    ) -> Result<()> {
         debug_assert_eq!(self.usage.get(victim).state, SegState::Live);
 
-        // Live blocks are found from the block-number map (authoritative);
-        // the summary is only needed to know which entities' metadata
-        // records must be re-logged before the summary is discarded.
-        let mut live: Vec<u64> = self
-            .map
-            .iter()
-            .filter_map(|(bid, e)| (e.seg == victim).then_some(bid))
-            .collect();
+        // Live blocks come from the block-number map (authoritative); the
+        // summary is only needed to know which entities' metadata records
+        // must be re-logged before the summary is discarded. A block can
+        // have left since `live` was gathered (an earlier victim of the
+        // batch force-forwards its Swap partners), but none can arrive:
+        // only seals fill segments, and they fill free ones.
+        live.retain(|&bid| self.map.get(bid).is_some_and(|e| e.seg == victim));
 
-        let mut mentioned_bids: BTreeSet<u64> = BTreeSet::new();
+        // Sorted and deduplicated below: nearly every record names a block,
+        // and one sort is cheaper than a set insert per record.
+        let mut mentioned_bids: Vec<u64> = Vec::new();
         let mut mentioned_lids: BTreeSet<u64> = BTreeSet::new();
         let mut swap_bids: BTreeSet<u64> = BTreeSet::new();
         let mut mentioned_sectors: BTreeSet<u64> = BTreeSet::new();
         let mut mentioned_quarantines: BTreeSet<u32> = BTreeSet::new();
         let summary = {
-            let mut buf = vec![0u8; self.layout.summary_bytes];
-            let readable = match &prefetch {
-                Some(img) => {
-                    buf.copy_from_slice(&img[self.layout.data_bytes..]);
-                    true
+            let mut buf = Vec::new();
+            let bytes = match prefetch {
+                Some(img) => &img[self.layout.data_bytes..],
+                None => {
+                    buf.resize(self.layout.summary_bytes, 0);
+                    if self
+                        .read_span_retrying(self.layout.summary_base(victim), &mut buf)?
+                        .is_some()
+                    {
+                        // The summary holds the only copy of this segment's
+                        // metadata records; without it the segment cannot be
+                        // reclaimed safely. Retire it instead — the summary
+                        // stays on the medium for a later recovery sweep to
+                        // retry.
+                        self.ensure_room(0, 1)?;
+                        self.log_internal(Record::Quarantine { seg: victim });
+                        self.usage.quarantine(victim);
+                        return Ok(());
+                    }
+                    &buf[..]
                 }
-                None => self
-                    .read_span_retrying(self.layout.summary_base(victim), &mut buf)?
-                    .is_none(),
             };
-            if !readable {
-                // The summary holds the only copy of this segment's
-                // metadata records; without it the segment cannot be
-                // reclaimed safely. Retire it instead — the summary stays
-                // on the medium for a later recovery sweep to retry.
-                self.ensure_room(0, 1)?;
-                self.log_internal(Record::Quarantine { seg: victim });
-                self.usage.quarantine(victim);
-                return Ok(());
-            }
-            crate::records::decode_summary(&buf)
+            crate::records::decode_summary(bytes)
         };
         if let Some(summary) = summary {
             for s in &summary.records {
@@ -263,7 +275,7 @@ impl<D: BlockDev> Lld<D> {
                     | Record::DeleteBlock { bid }
                     | Record::Link { bid, .. }
                     | Record::WriteBlock { bid, .. } => {
-                        mentioned_bids.insert(bid);
+                        mentioned_bids.push(bid);
                     }
                     Record::ListHead { lid, .. }
                     | Record::NewList { lid, .. }
@@ -278,8 +290,8 @@ impl<D: BlockDev> Lld<D> {
                         // would reconstruct the pre-swap mapping, so the
                         // affected blocks' data must be forwarded to make
                         // their current locations explicit.
-                        mentioned_bids.insert(a);
-                        mentioned_bids.insert(b);
+                        mentioned_bids.push(a);
+                        mentioned_bids.push(b);
                         swap_bids.insert(a);
                         swap_bids.insert(b);
                     }
@@ -293,6 +305,9 @@ impl<D: BlockDev> Lld<D> {
             }
         }
 
+        mentioned_bids.sort_unstable();
+        mentioned_bids.dedup();
+
         // Cluster: order the live blocks by their position in their lists
         // (interfile order = list-of-lists order, intrafile = list order).
         self.order_by_lists(&mut live);
@@ -303,40 +318,42 @@ impl<D: BlockDev> Lld<D> {
         // one fault does not doom every live block in the segment.
         let mut unreadable_live = false;
         if !live.is_empty() {
-            let mut data = vec![0u8; self.layout.data_bytes];
-            let whole_region = match &prefetch {
-                Some(img) => {
-                    data.copy_from_slice(&img[..self.layout.data_bytes]);
-                    true
+            let mut buf = Vec::new();
+            let region = match prefetch {
+                Some(img) => Some(&img[..self.layout.data_bytes]),
+                None => {
+                    buf.resize(self.layout.data_bytes, 0);
+                    self.read_span_retrying(self.layout.segment_base(victim), &mut buf)?
+                        .is_none()
+                        .then_some(&buf[..])
                 }
-                None => self
-                    .read_span_retrying(self.layout.segment_base(victim), &mut data)?
-                    .is_none(),
             };
+            let mut sectors = Vec::new();
             for bid in live {
                 let e = *self.map.get(bid).expect("liveness checked"); // PANIC-OK: the cleaner only visits bids its liveness check kept
                 if e.seg != victim {
                     // A seal during this loop cannot move it, but be safe.
                     continue;
                 }
-                let bytes = if whole_region {
-                    data[e.offset as usize..(e.offset + e.stored_len) as usize].to_vec()
+                let bytes = if let Some(data) = region {
+                    &data[e.offset as usize..(e.offset + e.stored_len) as usize]
                 } else {
                     let (start, count) = self.layout.data_sector_span(
                         victim,
                         e.offset as usize,
                         e.stored_len as usize,
                     );
-                    let mut sectors = vec![0u8; (count as usize) * simdisk::SECTOR_SIZE];
+                    sectors.clear();
+                    sectors.resize((count as usize) * simdisk::SECTOR_SIZE, 0);
                     if self.read_span_retrying(start, &mut sectors)?.is_some() {
                         unreadable_live = true;
                         continue;
                     }
                     let begin = e.offset as usize % simdisk::SECTOR_SIZE;
-                    sectors[begin..begin + e.stored_len as usize].to_vec()
+                    &sectors[begin..begin + e.stored_len as usize]
                 };
                 self.ensure_room(bytes.len(), 1)?;
-                let offset = self.open.append_data(&bytes);
+                let offset = self.open.append_data(bytes);
                 self.log_internal(Record::WriteBlock {
                     bid,
                     offset,
@@ -487,8 +504,27 @@ impl<D: BlockDev> Lld<D> {
 
     /// Orders block ids by (list-of-lists position, position within list);
     /// blocks not reachable from any list keep their relative order at the
-    /// end.
-    fn order_by_lists(&self, bids: &mut [u64]) {
+    /// end. The ranks come from `rank_memo`, which walks each list at most
+    /// once until the list structure changes; debug builds re-derive the
+    /// order by walking and assert that the two agree.
+    fn order_by_lists(&mut self, bids: &mut [u64]) {
+        let walked = cfg!(debug_assertions).then(|| {
+            let mut v = bids.to_vec();
+            self.order_by_walk(&mut v);
+            v
+        });
+        let memo = self
+            .rank_memo
+            .get_or_insert_with(|| RankMemo::new(&self.map, &self.lists));
+        bids.sort_by_key(|&b| memo.rank(&self.map, &self.lists, b));
+        if let Some(walked) = walked {
+            assert_eq!(bids, &walked[..], "rank memo disagrees with the list walk");
+        }
+    }
+
+    /// [`Self::order_by_lists`] from scratch: walks every involved list
+    /// from its head.
+    fn order_by_walk(&self, bids: &mut [u64]) {
         let involved: BTreeSet<u64> = bids
             .iter()
             .filter_map(|&b| self.map.get(b).map(|e| e.list))
@@ -662,7 +698,13 @@ impl<D: BlockDev> Lld<D> {
         for h in &mut self.heat {
             *h /= 2;
         }
-        result
+        let moved = result?;
+        // The seals above could not clean; refill the reserve now, or
+        // repeated calls drain the free pool until a user seal finds none.
+        if self.usage.free_count() <= self.config.cleaning_reserve_segments {
+            self.clean_to_reserve()?;
+        }
+        Ok(moved)
     }
 
     /// Rewrites every block of a list, in list order, into the current
@@ -842,15 +884,20 @@ impl<D: BlockDev> Lld<D> {
         // forwarding idiom, per-block so one bad sector costs one block).
         let mut relocated = 0u64;
         let mut unreadable = 0u64;
+        let segs: Vec<u32> = targets.iter().copied().collect();
         self.cleaning = true;
         let result = (|| -> Result<()> {
-            for &seg in &targets {
-                let live: Vec<u64> = self
-                    .map
-                    .iter()
-                    .filter_map(|(bid, e)| (e.seg == seg).then_some(bid))
-                    .collect();
-                for bid in live {
+            let mut lives = self.map.live_blocks_in(&segs);
+            let mut sealed = self.stats.segments_sealed;
+            for (i, &seg) in segs.iter().enumerate() {
+                if self.stats.segments_sealed != sealed {
+                    // A seal can fill a later target (a free segment with a
+                    // confirmed-bad sector); gather again so those blocks
+                    // move too.
+                    lives = self.map.live_blocks_in(&segs);
+                    sealed = self.stats.segments_sealed;
+                }
+                for bid in std::mem::take(&mut lives[i]) {
                     let Some(e) = self.map.get(bid).copied() else {
                         continue;
                     };

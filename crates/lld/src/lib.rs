@@ -84,7 +84,7 @@ use ld_core::{
 };
 use simdisk::{BlockDev, DiskError};
 
-use block_map::{BlockMap, ListTable};
+use block_map::{BlockMap, ListTable, RankMemo};
 use config::DEFAULT_BLOCK_SIZE;
 use records::{Record, Stamped};
 use segbuf::SegmentBuffer;
@@ -129,6 +129,9 @@ pub struct Lld<D: BlockDev> {
     pub(crate) layout: Layout,
     pub(crate) map: BlockMap,
     pub(crate) lists: ListTable,
+    /// The cleaner's list-order ranks, kept across cleaner passes and
+    /// dropped by every operation that changes list structure.
+    pub(crate) rank_memo: Option<RankMemo>,
     pub(crate) usage: UsageTable,
     pub(crate) open: SegmentBuffer,
     /// Live payload bytes currently in the open segment buffer.
@@ -260,6 +263,7 @@ impl<D: BlockDev> Lld<D> {
             layout,
             map,
             lists,
+            rank_memo: None,
             usage,
             open,
             open_live: 0,
@@ -997,6 +1001,9 @@ impl<D: BlockDev> LogicalDisk for Lld<D> {
             }
         }
         self.ensure_room(0, 3)?;
+        // After `ensure_room`: a seal in it may clean, and cleaning fills
+        // the memo from the structure this operation is about to change.
+        self.rank_memo = None;
         let bid = self.map.alloc(lid.0, size as u32);
         self.allocated_logical += size as u64;
         self.log(Record::NewBlock {
@@ -1045,6 +1052,7 @@ impl<D: BlockDev> LogicalDisk for Lld<D> {
         }
         let pred = self.find_pred(lid.0, bid.0, pred_hint.map(|b| b.0))?;
         self.ensure_room(0, 2)?;
+        self.rank_memo = None;
         // The entry may have moved during a seal; its links are unchanged.
         let e = *self.map.get(bid.0).expect("entry verified above"); // PANIC-OK: presence checked at the top of the function
         match pred {
@@ -1084,6 +1092,7 @@ impl<D: BlockDev> LogicalDisk for Lld<D> {
             }
         };
         self.ensure_room(0, 1)?;
+        self.rank_memo = None;
         let lid = self
             .lists
             .alloc(pred_raw, hints)
@@ -1105,6 +1114,7 @@ impl<D: BlockDev> LogicalDisk for Lld<D> {
         }
         let blocks = self.walk_list(lid.0);
         self.ensure_room(0, 1)?;
+        self.rank_memo = None;
         for bid in &blocks {
             let e = *self.map.get(*bid).expect("walked from live list"); // PANIC-OK: the bid was read off the chain just walked
             self.kill_copy(&e);
@@ -1259,6 +1269,7 @@ impl<D: BlockDev> LogicalDisk for Lld<D> {
         }
         let src_pred = self.find_pred(src.0, first.0, None)?;
         self.ensure_room(0, 4)?;
+        self.rank_memo = None;
         let after_chain = self.map.get(last.0).expect("walked").next; // PANIC-OK: the bid was read off the chain just walked
         // Unlink from src.
         match src_pred {
@@ -1324,6 +1335,7 @@ impl<D: BlockDev> LogicalDisk for Lld<D> {
             return Err(LdError::UnknownList(lid));
         }
         self.ensure_room(0, 1)?;
+        self.rank_memo = None;
         if !self.lists.move_after(lid.0, pred_raw) {
             return Err(LdError::UnknownList(lid));
         }

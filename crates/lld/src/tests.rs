@@ -1,6 +1,6 @@
 //! Integration-style tests of the full LLD stack over the disk simulator.
 
-use ld_core::{FailureSet, LdError, ListHints, LogicalDisk, Pred, PredList};
+use ld_core::{Bid, FailureSet, LdError, ListHints, LogicalDisk, Pred, PredList};
 use simdisk::SimDisk;
 
 use crate::{CleaningPolicy, Lld, LldConfig};
@@ -1095,5 +1095,130 @@ fn reorganize_hot_clusters_frequently_accessed_blocks() {
     for (i, b) in bids.iter().enumerate() {
         lld.read(*b, &mut buf).unwrap();
         assert_eq!(buf, pattern(4096, i as u8), "recovered block {i}");
+    }
+}
+
+/// The cleaner forwards live blocks in list order (§3.5 clustering): by
+/// list-of-lists position, then by position within the list — not by
+/// block number. The rank memo must follow `move_list` too.
+#[test]
+fn cleaning_forwards_blocks_in_list_order() {
+    let mut lld = small_lld();
+    // `b` is created second but put in front: list-of-lists order is the
+    // reverse of allocation order.
+    let a = lld.new_list(PredList::Start, ListHints::default()).unwrap();
+    let b = lld.new_list(PredList::Start, ListHints::default()).unwrap();
+    assert_eq!(lld.list_of_lists(), vec![b, a]);
+    // Interleaved allocation and writes: block numbers alternate lists.
+    let (mut on_a, mut on_b) = (Vec::new(), Vec::new());
+    for i in 0..6u8 {
+        for (lid, blocks) in [(a, &mut on_a), (b, &mut on_b)] {
+            let pred = blocks.last().map_or(Pred::Start, |&p| Pred::After(p));
+            let bid = lld.new_block(lid, pred).unwrap();
+            lld.write(bid, &pattern(4096, i)).unwrap();
+            blocks.push(bid);
+        }
+    }
+    // Forwarded offsets, in the given block order.
+    let offsets = |lld: &Lld<SimDisk>, order: &[Bid]| -> Vec<u32> {
+        order
+            .iter()
+            .map(|b| {
+                let e = lld.map.get(b.0).unwrap();
+                assert_eq!(e.seg, crate::OPEN_SEG, "block {b} was forwarded");
+                e.offset
+            })
+            .collect()
+    };
+    let increasing = |v: &[u32]| v.windows(2).all(|w| w[0] < w[1]);
+
+    // Twelve 4 KB blocks fill the segment only partly, so it is a victim.
+    lld.seal().unwrap();
+    assert_eq!(lld.clean(1).unwrap(), 1);
+    let b_then_a: Vec<Bid> = on_b.iter().chain(&on_a).copied().collect();
+    assert!(increasing(&offsets(&lld, &b_then_a)), "{b_then_a:?}");
+
+    // Reorder the lists; the next cleaning must follow the new order.
+    lld.move_list(b, PredList::After(a)).unwrap();
+    lld.seal().unwrap();
+    assert_eq!(lld.clean(1).unwrap(), 1);
+    let a_then_b: Vec<Bid> = on_a.iter().chain(&on_b).copied().collect();
+    assert!(increasing(&offsets(&lld, &a_then_b)), "{a_then_b:?}");
+
+    for (i, bid) in on_a.iter().enumerate() {
+        let mut buf = vec![0u8; 4096];
+        lld.read(*bid, &mut buf).unwrap();
+        assert_eq!(buf, pattern(4096, i as u8));
+    }
+}
+
+/// A structural operation drops the rank memo *after* its `ensure_room`:
+/// the seal there can run the cleaner, which fills the memo from the lists
+/// as they were before the operation. Dropped any earlier, the memo would
+/// miss the new block and forward it out of list order.
+#[test]
+fn rank_memo_is_dropped_after_the_seal_inside_new_block() {
+    let disk = SimDisk::hp_c3010_with_capacity(2 << 20);
+    let mut lld = Lld::format(disk, LldConfig::small_for_tests()).unwrap();
+    let lid = lld.new_list(PredList::Start, ListHints::default()).unwrap();
+    let tiny = lld.new_block_with_size(lid, Pred::Start, 16).unwrap();
+    let mut bids = Vec::new();
+    let mut pred = Pred::After(tiny);
+    for _ in 0..128 {
+        let b = lld.new_block(lid, pred).unwrap();
+        bids.push(b);
+        pred = Pred::After(b);
+    }
+    // Overwrite until the next seal will clean: the pool, after that seal
+    // takes a segment and releases the scratch and pending ones, is at or
+    // below the reserve.
+    let reserve = lld.config().cleaning_reserve_segments;
+    let cleans_next = |lld: &Lld<SimDisk>| {
+        let released = u32::from(lld.scratch.is_some()) + lld.pending_free.len() as u32;
+        lld.usage.free_count() + released <= reserve + 1
+    };
+    let primed = (0..20u8).any(|round| {
+        bids.iter().any(|&b| {
+            lld.write(b, &pattern(4096, round)).unwrap();
+            cleans_next(&lld)
+        })
+    });
+    assert!(primed, "the overwrites bring the pool down to the reserve");
+    // Fill the open summary with one-record writes, so the new block's
+    // own `ensure_room` must seal.
+    let mut i = 0u8;
+    while lld.open.has_room(0, 3) {
+        lld.write(tiny, &[i]).unwrap();
+        i = i.wrapping_add(1);
+    }
+    assert!(cleans_next(&lld), "no seal yet");
+    let runs = lld.stats().cleaner_runs;
+    let x = lld.new_block(lid, Pred::After(tiny)).unwrap();
+    assert!(lld.stats().cleaner_runs > runs, "the cleaner ran inside new_block");
+
+    // `x` now precedes `bids` on the list. Put it in one segment with the
+    // next two blocks and clean until that segment is the victim; debug
+    // builds check its forwarding order against a walk of the list.
+    let (b0, b1) = (bids[0], bids[1]);
+    for b in [x, b0, b1] {
+        lld.write(b, &pattern(4096, 99)).unwrap();
+    }
+    lld.seal().unwrap();
+    let victim = lld.map.get(x.0).unwrap().seg;
+    let at = |lld: &Lld<SimDisk>, b: Bid| {
+        let e = lld.map.get(b.0).unwrap();
+        (e.seg, e.offset)
+    };
+    for _ in 0..64 {
+        if at(&lld, x).0 != victim {
+            break;
+        }
+        lld.clean(1).unwrap();
+    }
+    let (x_at, b0_at, b1_at) = (at(&lld, x), at(&lld, b0), at(&lld, b1));
+    assert_ne!(x_at.0, victim, "the segment was cleaned");
+    // Unless a seal fell between them, the three share a segment.
+    if x_at.0 == b0_at.0 && b0_at.0 == b1_at.0 {
+        assert!(x_at.1 < b0_at.1 && b0_at.1 < b1_at.1);
     }
 }

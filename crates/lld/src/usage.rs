@@ -230,24 +230,44 @@ impl UsageTable {
         now_ts: u64,
         max: usize,
     ) -> Vec<u32> {
-        let mut cands: Vec<(u32, &SegUsage)> = self
+        let cands = self
             .segs
             .iter()
             .enumerate()
             .filter(|(_, s)| s.state == SegState::Live && s.live_bytes < data_bytes)
-            .map(|(i, s)| (i as u32, s))
-            .collect();
+            .map(|(i, s)| (i as u32, s));
         match policy {
-            CleaningPolicy::Greedy => cands.sort_by_key(|(i, s)| (s.live_bytes, *i)),
-            CleaningPolicy::CostBenefit => cands.sort_by(|(ia, a), (ib, b)| {
-                cost_benefit(b, data_bytes, now_ts)
-                    .total_cmp(&cost_benefit(a, data_bytes, now_ts))
-                    .then(ia.cmp(ib))
-            }),
+            CleaningPolicy::Greedy => best_first(
+                cands.map(|(i, s)| (s.live_bytes, i)).collect(),
+                max,
+                |a, b| a.cmp(b),
+            ),
+            CleaningPolicy::CostBenefit => best_first(
+                cands
+                    .map(|(i, s)| (cost_benefit(s, data_bytes, now_ts), i))
+                    .collect(),
+                max,
+                |a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)),
+            ),
         }
-        cands.truncate(max);
-        cands.into_iter().map(|(i, _)| i).collect()
     }
+}
+
+/// The segment ids of the `max` best `(score, segment)` candidates under
+/// `order` (best first), without sorting the rest.
+fn best_first<K>(
+    mut cands: Vec<(K, u32)>,
+    max: usize,
+    order: impl Fn(&(K, u32), &(K, u32)) -> std::cmp::Ordering,
+) -> Vec<u32> {
+    if max < cands.len() {
+        cands.select_nth_unstable_by(max, &order);
+        cands.truncate(max);
+    }
+    // Segment ids are unique, so `order` is total and the unstable sort
+    // is deterministic.
+    cands.sort_unstable_by(order);
+    cands.into_iter().map(|(_, i)| i).collect()
 }
 
 fn cost_benefit(s: &SegUsage, data_bytes: u64, now_ts: u64) -> f64 {
@@ -318,6 +338,67 @@ mod tests {
             t.pick_victim(CleaningPolicy::Greedy, 1000, 10, Some(b)),
             Some(a)
         );
+    }
+
+    /// `pick_victims` as a full sort of every candidate.
+    fn victims_by_full_sort(
+        t: &UsageTable,
+        policy: CleaningPolicy,
+        data_bytes: u64,
+        now_ts: u64,
+        max: usize,
+    ) -> Vec<u32> {
+        let mut cands: Vec<(u32, &SegUsage)> = t
+            .iter()
+            .filter(|(_, s)| s.state == SegState::Live && s.live_bytes < data_bytes)
+            .collect();
+        match policy {
+            CleaningPolicy::Greedy => cands.sort_by_key(|(i, s)| (s.live_bytes, *i)),
+            CleaningPolicy::CostBenefit => cands.sort_by(|(ia, a), (ib, b)| {
+                cost_benefit(b, data_bytes, now_ts)
+                    .total_cmp(&cost_benefit(a, data_bytes, now_ts))
+                    .then(ia.cmp(ib))
+            }),
+        }
+        cands.truncate(max);
+        cands.into_iter().map(|(i, _)| i).collect()
+    }
+
+    #[test]
+    fn pick_victims_selects_what_a_full_sort_would() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let states = [
+            SegState::Live,
+            SegState::Live,
+            SegState::Live,
+            SegState::Free,
+            SegState::Scratch,
+            SegState::Quarantined,
+        ];
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1u32..48);
+            let mut t = UsageTable::new(n);
+            for seg in 0..n {
+                // Few distinct values, so both policies meet many ties.
+                t.set(
+                    seg,
+                    SegUsage {
+                        state: states[rng.gen_range(0..states.len())],
+                        live_bytes: 250 * rng.gen_range(0u64..5),
+                        last_write_ts: 5 * rng.gen_range(0u64..3),
+                    },
+                );
+            }
+            let max = rng.gen_range(0..n as usize + 3);
+            for policy in [CleaningPolicy::Greedy, CleaningPolicy::CostBenefit] {
+                assert_eq!(
+                    t.pick_victims(policy, 1000, 20, max),
+                    victims_by_full_sort(&t, policy, 1000, 20, max),
+                    "seed {seed}, {policy:?}, max {max}"
+                );
+            }
+        }
     }
 
     #[test]

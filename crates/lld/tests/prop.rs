@@ -7,6 +7,11 @@
 //! 2. **Crash-anywhere**: after a random prefix of operations and a crash,
 //!    recovery must reconstruct exactly the state as of the last `Flush`
 //!    (plus anything in sealed segments), with ARU atomicity.
+//! 3. **Cleaning amid list churn**: every operation that changes list
+//!    structure, interleaved with overwrite bursts that force cleaning and
+//!    with `reorganize_hot`. Debug builds check every victim's forwarding
+//!    order against a fresh walk of its lists, so a stale cleaner rank
+//!    memo fails here.
 
 use ld_core::model::ModelLd;
 use ld_core::{Bid, FailureSet, LdError, Lid, ListHints, LogicalDisk, Pred, PredList};
@@ -60,6 +65,25 @@ enum Op {
         lid: usize,
         index: u64,
     },
+    MoveSublist {
+        src: usize,
+        first: usize,
+        len: usize,
+        dst: usize,
+        pred: usize,
+    },
+    /// Overwrites up to `blocks` blocks, picked and ordered by `seed`:
+    /// segments mix lists, and the blocks left alone keep victims live.
+    Burst {
+        blocks: usize,
+        seed: u8,
+    },
+    Clean {
+        max: u32,
+    },
+    ReorganizeHot {
+        max: usize,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -86,9 +110,57 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Structural churn plus cleaner pressure (property 3).
+fn churn_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        2 => (any::<prop::sample::Index>(), any::<bool>())
+            .prop_map(|(pred, compress)| Op::NewList { pred: pred.index(64), compress }),
+        1 => any::<prop::sample::Index>().prop_map(|l| Op::DeleteList { lid: l.index(64) }),
+        6 => (any::<prop::sample::Index>(), any::<prop::sample::Index>(), any::<bool>())
+            .prop_map(|(l, p, small)| Op::NewBlock { lid: l.index(64), pred: p.index(64), small }),
+        2 => (any::<prop::sample::Index>(), any::<bool>())
+            .prop_map(|(b, hint)| Op::DeleteBlock { bid: b.index(64), hint }),
+        3 => (
+            any::<prop::sample::Index>(),
+            any::<prop::sample::Index>(),
+            1usize..6,
+            any::<prop::sample::Index>(),
+            any::<prop::sample::Index>(),
+        )
+            .prop_map(|(src, first, len, dst, pred)| Op::MoveSublist {
+                src: src.index(64),
+                first: first.index(64),
+                len,
+                dst: dst.index(64),
+                pred: pred.index(64),
+            }),
+        2 => (any::<prop::sample::Index>(), any::<prop::sample::Index>())
+            .prop_map(|(l, p)| Op::MoveList { lid: l.index(64), pred: p.index(64) }),
+        3 => (1usize..256, any::<u8>()).prop_map(|(blocks, seed)| Op::Burst { blocks, seed }),
+        1 => (1u32..4).prop_map(|max| Op::Clean { max }),
+        1 => (1usize..32).prop_map(|max| Op::ReorganizeHot { max }),
+        1 => (any::<prop::sample::Index>(), any::<prop::sample::Index>())
+            .prop_map(|(a, b)| Op::Swap { a: a.index(64), b: b.index(64) }),
+        1 => Just(Op::Flush),
+    ]
+}
+
 fn data(len: usize, seed: u8) -> Vec<u8> {
     (0..len)
         .map(|i| (i as u8).wrapping_mul(17) ^ seed)
+        .collect()
+}
+
+/// Incompressible bytes (xorshift64*).
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+        })
         .collect()
 }
 
@@ -255,6 +327,88 @@ fn apply_both(
                 "block_at disagreement"
             );
         }
+        Op::MoveSublist {
+            src,
+            first,
+            len,
+            dst,
+            pred,
+        } => {
+            let (Some(s), Some(d)) = (pick(lids, *src), pick(lids, *dst)) else {
+                return Ok(());
+            };
+            let on_src = model.list_blocks(s).unwrap_or_default();
+            let Some(i) = (!on_src.is_empty()).then(|| *first % on_src.len()) else {
+                return Ok(());
+            };
+            let chain = &on_src[i..(i + len).min(on_src.len())];
+            let (first, last) = (chain[0], chain[chain.len() - 1]);
+            let on_dst: Vec<Bid> = model
+                .list_blocks(d)
+                .unwrap_or_default()
+                .into_iter()
+                .filter(|b| !chain.contains(b))
+                .collect();
+            let pred = match pick(&on_dst, *pred) {
+                Some(p) => Pred::After(p),
+                None => Pred::Start,
+            };
+            let a = lld.move_sublist(s, first, last, d, pred);
+            let m = model.move_sublist(s, first, last, d, pred);
+            prop_assert_eq!(&a, &m, "move_sublist disagreement");
+        }
+        Op::Burst { blocks, seed } => {
+            let mut order: Vec<(u64, Bid)> = bids
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| {
+                    (
+                        (i as u64 ^ u64::from(*seed)).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                        b,
+                    )
+                })
+                .collect();
+            order.sort_unstable();
+            for &(key, b) in order.iter().take(*blocks) {
+                // Incompressible, so compressed lists fill segments too; a
+                // block too small for 4 KB gets 256 bytes.
+                let mut payload = noise(4096, key);
+                if lld.write(b, &payload).is_err() {
+                    payload.truncate(256);
+                }
+                let a = lld.write(b, &payload);
+                let m = model.write(b, &payload);
+                prop_assert_eq!(&a, &m, "burst write disagreement");
+            }
+        }
+        Op::Clean { max } => {
+            prop_assert!(lld.clean(*max).is_ok(), "clean failed");
+        }
+        Op::ReorganizeHot { max } => {
+            prop_assert!(lld.reorganize_hot(*max).is_ok(), "reorganize_hot failed");
+        }
+    }
+    Ok(())
+}
+
+/// Appends two lists of eight 4 KB blocks to both implementations.
+fn add_two_lists(
+    lld: &mut Lld<MemDisk>,
+    model: &mut ModelLd,
+    lids: &mut Vec<Lid>,
+    bids: &mut Vec<Bid>,
+) -> Result<(), TestCaseError> {
+    for _ in 0..2 {
+        let l = lld.new_list(PredList::Start, ListHints::default()).unwrap();
+        prop_assert_eq!(model.new_list(PredList::Start, ListHints::default()), Ok(l));
+        lids.push(l);
+        let mut pred = Pred::Start;
+        for _ in 0..8 {
+            let b = lld.new_block(l, pred).unwrap();
+            prop_assert_eq!(model.new_block(l, pred), Ok(b));
+            bids.push(b);
+            pred = Pred::After(b);
+        }
     }
     Ok(())
 }
@@ -396,5 +550,55 @@ proptest! {
             "post-recovery image has errors: {:?}",
             post.findings
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Cleaning amid list churn forwards every block intact and leaves a
+    /// consistent image, with the cleaner's victims batched or not.
+    #[test]
+    fn cleaning_amid_list_churn_keeps_every_block(
+        ops in proptest::collection::vec(churn_op_strategy(), 1..80),
+        batched in any::<bool>(),
+    ) {
+        let depth = if batched { 8 } else { 0 };
+        let config = LldConfig {
+            queue_depth: depth,
+            writeback_depth: depth / 2,
+            ..test_config()
+        };
+        let disk = MemDisk::with_capacity(2 << 20);
+        let mut lld = Lld::format(disk, config.clone()).unwrap();
+        let mut model = ModelLd::new(lld.capacity_bytes(), 4096);
+        let mut lids = Vec::new();
+        let mut bids = Vec::new();
+        // Before the random operations (so their overwrite bursts have
+        // work) and after them (so the final bursts surely reach the
+        // cleaner).
+        add_two_lists(&mut lld, &mut model, &mut lids, &mut bids)?;
+        for (i, op) in ops.iter().enumerate() {
+            apply_both(&mut lld, &mut model, &mut lids, &mut bids, op)?;
+            // Heat a few blocks and rank them at once: a memo that missed
+            // this operation's change shows in the debug cross-check.
+            let touch = Op::Burst { blocks: 8, seed: i as u8 };
+            apply_both(&mut lld, &mut model, &mut lids, &mut bids, &touch)?;
+            prop_assert!(lld.reorganize_hot(8).is_ok(), "reorganize_hot failed");
+        }
+        add_two_lists(&mut lld, &mut model, &mut lids, &mut bids)?;
+        let cleaned = lld.stats().segments_cleaned;
+        for seed in 0..64 {
+            if lld.stats().segments_cleaned > cleaned {
+                break;
+            }
+            let burst = Op::Burst { blocks: bids.len(), seed };
+            apply_both(&mut lld, &mut model, &mut lids, &mut bids, &burst)?;
+        }
+        prop_assert!(lld.stats().segments_cleaned > cleaned, "the cleaner never ran");
+        lld.flush(FailureSet::PowerFailure).unwrap();
+        check_equivalent(&mut lld, &mut model, &lids, &bids)?;
+        let report = ldck::check_image(&lld.into_disk().image_bytes(), &config);
+        prop_assert!(report.is_clean(), "image has errors: {:?}", report.findings);
     }
 }

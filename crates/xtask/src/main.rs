@@ -101,11 +101,14 @@ const FS_CRATES: &[&str] = &["minix-fs", "ffs", "sprite-lfs"];
 const SIMDISK_ALLOWED: &[&str] = &["BlockDev", "DiskError", "SECTOR_SIZE"];
 
 /// Files where iteration order decides what reaches the disk and in which
-/// order (request scheduling, the cleaner's re-logging), so it must never
-/// come from a hasher.
+/// order (request scheduling, the cleaner's re-logging, victim choice, the
+/// block map's live-block gathering and list ranks), so it must never come
+/// from a hasher.
 const DISPATCH_ORDER_FILES: &[&str] = &[
     "crates/simdisk/src/queue.rs",
     "crates/lld/src/cleaner.rs",
+    "crates/lld/src/usage.rs",
+    "crates/lld/src/block_map.rs",
 ];
 
 /// Per-line waiver marker for documented invariants.
