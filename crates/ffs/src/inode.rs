@@ -1,131 +1,43 @@
-//! FFS i-nodes: 64 bytes, 7 direct blocks, one indirect, one
-//! double-indirect — structurally like MINIX's but over 8 KB blocks.
+//! FFS i-node encoding: 64 bytes, 7 direct blocks, one indirect, one
+//! double-indirect — structurally like MINIX's but with a 64-bit size, over
+//! 8 KB blocks. Block pointers are disk block numbers with 0 as "none"
+//! (block 0 is the superblock, never file data).
 
+use fsutil::fs::{FileType, Inode, NPTRS};
 use fsutil::wire;
 
-/// Bytes per encoded i-node.
-pub const INODE_SIZE: usize = 64;
-/// Direct block pointers.
-pub const DIRECT: usize = 7;
-/// Index of the indirect pointer.
-pub const IND: usize = 7;
-/// Index of the double-indirect pointer.
-pub const DIND: usize = 8;
-/// Total pointers.
-pub const NPTRS: usize = 9;
-
-/// File type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileType {
-    /// Regular file.
-    Regular,
-    /// Directory.
-    Dir,
-}
-
-/// An in-memory i-node. Block pointers are disk block numbers with 0 as
-/// "none" (block 0 is the superblock, never file data).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Inode {
-    /// File type.
-    pub ftype: FileType,
-    /// Size in bytes.
-    pub size: u64,
-    /// Modification time (simulated seconds).
-    pub mtime: u32,
-    /// Cylinder group this i-node prefers for data.
-    pub cg: u32,
-    /// Block pointers.
-    pub ptrs: [u32; NPTRS],
-}
-
-impl Inode {
-    /// A fresh i-node.
-    pub fn new(ftype: FileType, cg: u32, mtime: u32) -> Self {
-        Self {
-            ftype,
-            size: 0,
-            mtime,
-            cg,
-            ptrs: [0; NPTRS],
-        }
-    }
-
-    /// Encodes into a 64-byte slot (zeroed slot = free).
-    pub fn encode(&self, slot: &mut [u8]) {
-        assert_eq!(slot.len(), INODE_SIZE);
-        slot.fill(0);
-        let t: u16 = match self.ftype {
-            FileType::Regular => 1,
-            FileType::Dir => 2,
-        };
-        slot[0..2].copy_from_slice(&t.to_le_bytes());
-        slot[2..4].copy_from_slice(&0u16.to_le_bytes());
-        slot[4..12].copy_from_slice(&self.size.to_le_bytes());
-        slot[12..16].copy_from_slice(&self.mtime.to_le_bytes());
-        slot[16..20].copy_from_slice(&self.cg.to_le_bytes());
-        for (i, p) in self.ptrs.iter().enumerate() {
-            slot[20 + i * 4..24 + i * 4].copy_from_slice(&p.to_le_bytes());
-        }
-    }
-
-    /// Decodes a slot; `None` when the slot is free.
-    pub fn decode(slot: &[u8]) -> Option<Self> {
-        assert_eq!(slot.len(), INODE_SIZE);
-        let t = wire::le_u16(slot, 0);
-        let ftype = match t {
-            0 => return None,
-            1 => FileType::Regular,
-            2 => FileType::Dir,
-            _ => return None,
-        };
-        let mut ptrs = [0u32; NPTRS];
-        for (i, p) in ptrs.iter_mut().enumerate() {
-            *p = wire::le_u32(slot, 20 + i * 4);
-        }
-        Some(Self {
-            ftype,
-            size: wire::le_u64(slot, 4),
-            mtime: wire::le_u32(slot, 12),
-            cg: wire::le_u32(slot, 16),
-            ptrs,
-        })
+/// Encodes into a 64-byte slot (zeroed slot = free).
+pub fn encode(inode: &Inode, slot: &mut [u8]) {
+    slot.fill(0);
+    slot[0..2].copy_from_slice(&inode.ftype.code().to_le_bytes());
+    slot[4..12].copy_from_slice(&inode.size.to_le_bytes());
+    slot[12..16].copy_from_slice(&inode.mtime.to_le_bytes());
+    slot[16..20].copy_from_slice(&inode.group.to_le_bytes());
+    for (i, p) in inode.ptrs.iter().enumerate() {
+        slot[20 + i * 4..24 + i * 4].copy_from_slice(&p.to_le_bytes());
     }
 }
 
-/// Block-pointer location for a file block index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PtrPath {
-    /// `ptrs[i]`.
-    Direct(usize),
-    /// Entry `i` of the indirect block.
-    Indirect(usize),
-    /// Entry `j` of indirect block `i` under the double-indirect block.
-    Double(usize, usize),
-}
-
-/// Maps a file block index for `ppb` pointers per indirect block. Returns
-/// `None` beyond the double-indirect range.
-pub fn ptr_path(idx: u64, ppb: usize) -> Option<PtrPath> {
-    let d = DIRECT as u64;
-    let p = ppb as u64;
-    if idx < d {
-        return Some(PtrPath::Direct(idx as usize));
+/// Decodes a slot; `None` when the slot is free.
+pub fn decode(slot: &[u8]) -> Option<Inode> {
+    let ftype = FileType::from_code(wire::le_u16(slot, 0))?;
+    let mut ptrs = [0u32; NPTRS];
+    for (i, p) in ptrs.iter_mut().enumerate() {
+        *p = wire::le_u32(slot, 20 + i * 4);
     }
-    let idx = idx - d;
-    if idx < p {
-        return Some(PtrPath::Indirect(idx as usize));
-    }
-    let idx = idx - p;
-    if idx < p * p {
-        return Some(PtrPath::Double((idx / p) as usize, (idx % p) as usize));
-    }
-    None
+    Some(Inode {
+        ftype,
+        size: wire::le_u64(slot, 4),
+        mtime: wire::le_u32(slot, 12),
+        group: wire::le_u32(slot, 16),
+        ptrs,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fsutil::fs::{ptr_path, PtrPath, IND, INODE_SIZE};
 
     #[test]
     fn roundtrip() {
@@ -134,9 +46,9 @@ mod tests {
         i.ptrs[0] = 1000;
         i.ptrs[IND] = 2000;
         let mut slot = [0u8; INODE_SIZE];
-        i.encode(&mut slot);
-        assert_eq!(Inode::decode(&slot), Some(i));
-        assert_eq!(Inode::decode(&[0u8; INODE_SIZE]), None);
+        encode(&i, &mut slot);
+        assert_eq!(decode(&slot), Some(i));
+        assert_eq!(decode(&[0u8; INODE_SIZE]), None);
     }
 
     #[test]

@@ -81,9 +81,8 @@ pub fn iter_block(block: &[u8]) -> impl Iterator<Item = (usize, Dirent)> + '_ {
         .filter_map(|(i, slot)| decode(slot).map(|d| (i, d)))
 }
 
-/// Finds the slot of `name` in a directory block (allocation-free). The
-/// scan of a directory without an index uses it, as does Sprite-LFS.
-pub fn find_in_block(block: &[u8], name: &str) -> Option<(usize, u32)> {
+/// Finds the slot of `name` in a directory block (allocation-free).
+fn find_in_block(block: &[u8], name: &str) -> Option<(usize, u32)> {
     let needle = name.as_bytes();
     if needle.is_empty() || needle.len() > MAX_NAME {
         return None;
@@ -104,7 +103,7 @@ pub fn find_in_block(block: &[u8], name: &str) -> Option<(usize, u32)> {
 }
 
 /// Finds the first free slot in a directory block.
-pub fn free_slot(block: &[u8]) -> Option<usize> {
+fn free_slot(block: &[u8]) -> Option<usize> {
     block
         .chunks_exact(DIRENT_SIZE)
         .position(|slot| wire::le_u32(slot, 0) == 0)
@@ -113,9 +112,9 @@ pub fn free_slot(block: &[u8]) -> Option<usize> {
 /// What a directory scan looks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe<'a> {
-    /// The live entry with this name ([`find_in_block`]).
+    /// The live entry with this name (the first, in slot order).
     Name(&'a str),
-    /// The first free slot ([`free_slot`]).
+    /// The first free slot.
     Free,
 }
 
@@ -173,9 +172,9 @@ pub struct DirIndex {
 
 impl DirIndex {
     /// Indexes block `idx` with the scan's semantics: a name taken by an
-    /// earlier slot keeps that slot (as [`find_in_block`] finds the first),
+    /// earlier slot keeps that slot (as [`Probe::Name`] finds the first),
     /// and a slot with a nonzero i-node but an undecodable name is neither
-    /// free ([`free_slot`]) nor findable.
+    /// free ([`Probe::Free`]) nor findable.
     pub fn add_block(&mut self, idx: u64, block: &[u8]) {
         for (slot, raw) in block.chunks_exact(DIRENT_SIZE).enumerate() {
             let ino = wire::le_u32(raw, 0);
@@ -247,20 +246,6 @@ impl DirIndex {
     }
 }
 
-/// A directory's blocks, read the way the linear scan reads them.
-pub trait DirBlocks {
-    /// A directory (its i-node).
-    type Dir;
-    /// The file system's error.
-    type Error;
-    /// Maps block `idx` of `dir` (through any indirect block) and reads it
-    /// through the buffer cache: its store address, or `None` for a hole.
-    fn dir_block(&mut self, dir: &Self::Dir, idx: u64) -> Result<Option<u32>, Self::Error>;
-    /// The bytes of the block [`dir_block`](Self::dir_block) just read,
-    /// without touching it again.
-    fn dir_bytes(&self, addr: u32) -> Result<&[u8], Self::Error>;
-}
-
 /// Where [`locate`] stopped, and the directory's index.
 #[derive(Debug)]
 pub struct Located {
@@ -273,54 +258,57 @@ pub struct Located {
 }
 
 /// Runs MINIX's linear scan of a directory of `nblocks` blocks for
-/// `probe`: reads blocks in order, through [`DirBlocks::dir_block`], up to
-/// the one that answers it, or all of them.
+/// `probe`: reads blocks in order, up to the one that answers it, or all of
+/// them. `read(idx, look)` maps block `idx` (through any indirect block)
+/// and reads it through the buffer cache, returning its store address or
+/// `None` for a hole; given `look`, it also shows `look` the block's bytes.
 ///
 /// With the directory's `index` the scan reads exactly those blocks but
 /// compares no bytes: the index names the stop block (debug builds still
 /// compare, and check the index against every block read). Without one it
 /// compares each block as it goes.
-pub fn locate<D: DirBlocks>(
-    fs: &mut D,
-    dir: &D::Dir,
+pub fn locate<E>(
     nblocks: u64,
     probe: Probe<'_>,
     index: Option<DirIndex>,
-) -> Result<Located, D::Error> {
+    mut read: impl FnMut(u64, Option<&mut dyn FnMut(&[u8])>) -> Result<Option<u32>, E>,
+) -> Result<Located, E> {
     let known = index.as_ref().map(|ix| ix.find(probe));
     let end = known.flatten().map_or(nblocks, |at| at.block + 1);
     // Copies of the blocks read, to index them if the scan reads them all.
-    let mut read = Vec::new();
+    let mut seen = Vec::new();
     for idx in 0..end {
-        let Some(addr) = fs.dir_block(dir, idx)? else {
-            continue;
-        };
-        let found = match known {
+        let mut found = None;
+        let addr = match known {
             Some(at) => {
-                let here = at.filter(|at| at.block == idx);
-                if cfg!(debug_assertions) {
+                found = at.filter(|at| at.block == idx);
+                let mut check = |block: &[u8]| {
                     assert_eq!(
-                        probe.in_block(fs.dir_bytes(addr)?),
-                        here.map(|at| (at.slot, at.ino)),
+                        probe.in_block(block),
+                        found.map(|at| (at.slot, at.ino)),
                         "directory index disagrees with block {idx} on {probe:?}"
                     );
-                }
-                here
+                };
+                read(
+                    idx,
+                    cfg!(debug_assertions).then_some(&mut check as &mut dyn FnMut(&[u8])),
+                )?
             }
-            None => {
-                let block = fs.dir_bytes(addr)?;
-                let found = probe.in_block(block);
-                if found.is_none() {
-                    read.push((idx, block.to_vec()));
-                }
-                found.map(|(slot, ino)| DirSlot {
-                    block: idx,
-                    slot,
-                    ino,
-                })
-            }
+            None => read(
+                idx,
+                Some(&mut |block: &[u8]| {
+                    found = probe.in_block(block).map(|(slot, ino)| DirSlot {
+                        block: idx,
+                        slot,
+                        ino,
+                    });
+                    if found.is_none() {
+                        seen.push((idx, block.to_vec()));
+                    }
+                }),
+            )?,
         };
-        if let Some(at) = found {
+        if let (Some(addr), Some(at)) = (addr, found) {
             return Ok(Located {
                 stop: Some((addr, at)),
                 index,
@@ -329,7 +317,7 @@ pub fn locate<D: DirBlocks>(
     }
     let index = index.or_else(|| {
         let mut ix = DirIndex::default();
-        for (idx, block) in &read {
+        for (idx, block) in &seen {
             ix.add_block(*idx, block);
         }
         ix.is_exact().then_some(ix)
@@ -489,17 +477,21 @@ mod tests {
         reads: Vec<u64>,
     }
 
-    impl DirBlocks for Blocks {
-        type Dir = ();
-        type Error = ();
-        fn dir_block(&mut self, _: &(), idx: u64) -> Result<Option<u32>, ()> {
-            self.reads.push(idx);
-            Ok(self.blocks[idx as usize]
-                .as_ref()
-                .map(|_| 1000 + idx as u32))
-        }
-        fn dir_bytes(&self, addr: u32) -> Result<&[u8], ()> {
-            self.blocks[addr as usize - 1000].as_deref().ok_or(())
+    impl Blocks {
+        /// [`locate`] over these blocks: block `idx` lives at `1000 + idx`.
+        fn locate(&mut self, probe: Probe<'_>, index: Option<DirIndex>) -> Located {
+            let nblocks = self.blocks.len() as u64;
+            locate(nblocks, probe, index, |idx, look| {
+                self.reads.push(idx);
+                let Some(block) = &self.blocks[idx as usize] else {
+                    return Ok::<_, ()>(None);
+                };
+                if let Some(look) = look {
+                    look(block);
+                }
+                Ok(Some(1000 + idx as u32))
+            })
+            .unwrap()
         }
     }
 
@@ -523,7 +515,7 @@ mod tests {
         };
 
         // No index: a miss reads every block and builds one.
-        let got = locate(&mut fs, &(), 5, Probe::Name("absent"), None).unwrap();
+        let got = fs.locate(Probe::Name("absent"), None);
         assert!(got.stop.is_none());
         let mut index = got.index;
         assert!(index.is_some());
@@ -535,17 +527,15 @@ mod tests {
             Probe::Name("x"),
         ] {
             fs.reads.clear();
-            let scan = locate(&mut fs, &(), 5, probe, None).unwrap();
+            let scan = fs.locate(probe, None);
             let scan_reads = std::mem::take(&mut fs.reads);
-            let indexed = locate(&mut fs, &(), 5, probe, index.take()).unwrap();
+            let indexed = fs.locate(probe, index.take());
             assert_eq!(indexed.stop, scan.stop, "{probe:?}");
             assert_eq!(fs.reads, scan_reads, "{probe:?}");
             index = indexed.index;
         }
         // e20 is in the fourth block, after the hole, at address 1003.
-        let at = locate(&mut fs, &(), 5, Probe::Name("e20"), index)
-            .unwrap()
-            .stop;
+        let at = fs.locate(Probe::Name("e20"), index).stop;
         assert_eq!(
             at,
             Some((

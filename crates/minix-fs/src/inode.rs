@@ -1,177 +1,80 @@
-//! MINIX-style i-nodes: 64 bytes, 7 direct zones, one indirect, one
-//! double-indirect (paper §4.1/§5.1).
+//! MINIX-style i-node encoding: 64 bytes, 7 direct zones, one indirect,
+//! one double-indirect (paper §4.1/§5.1).
 //!
 //! Zone pointers hold store addresses with `0` meaning "no block". The
 //! `group` field is the §4.1 extension: "MINIX stores the list identifier
 //! in the i-node, so that it can remember the list identifier for each
 //! file" (0 = the shared group).
 
+use fsutil::fs::{FileType, Inode, NPTRS};
 use fsutil::wire;
 
-use crate::error::{FsError, Result};
-use crate::store::Addr;
-
-/// Bytes per encoded i-node (also the small-block size class, §4.1:
-/// "MINIX allocates a 64-byte block for each i-node").
-pub const INODE_SIZE: usize = 64;
-/// Direct zones per i-node.
-pub const DIRECT_ZONES: usize = 7;
-/// Index of the indirect zone pointer.
-pub const IND: usize = 7;
-/// Index of the double-indirect zone pointer.
-pub const DIND: usize = 8;
-/// Total zone pointers.
-pub const ZONES: usize = 9;
-
-/// File type stored in an i-node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileType {
-    /// Regular file.
-    Regular,
-    /// Directory.
-    Dir,
-}
-
-/// An in-memory i-node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Inode {
-    /// File type.
-    pub ftype: FileType,
-    /// Link count (1 in this prototype; no hard links).
-    pub nlinks: u16,
-    /// File size in bytes.
-    pub size: u32,
-    /// Modification time (seconds of simulated time).
-    pub mtime: u32,
-    /// Allocation group (LD list id + 1; 0 = shared group).
-    pub group: u32,
-    /// Zone pointers; 0 = hole/unallocated.
-    pub zones: [Addr; ZONES],
-}
-
-impl Inode {
-    /// A fresh i-node of the given type.
-    pub fn new(ftype: FileType, group: u32, mtime: u32) -> Self {
-        Self {
-            ftype,
-            nlinks: 1,
-            size: 0,
-            mtime,
-            group,
-            zones: [0; ZONES],
-        }
-    }
-
-    /// Encodes into a 64-byte slot. A zeroed slot decodes as "free".
-    pub fn encode(&self, slot: &mut [u8]) {
-        assert_eq!(slot.len(), INODE_SIZE);
-        slot.fill(0);
-        let t: u16 = match self.ftype {
-            FileType::Regular => 1,
-            FileType::Dir => 2,
-        };
-        slot[0..2].copy_from_slice(&t.to_le_bytes());
-        slot[2..4].copy_from_slice(&self.nlinks.to_le_bytes());
-        slot[4..8].copy_from_slice(&self.size.to_le_bytes());
-        slot[8..12].copy_from_slice(&self.mtime.to_le_bytes());
-        slot[12..16].copy_from_slice(&self.group.to_le_bytes());
-        for (i, z) in self.zones.iter().enumerate() {
-            slot[16 + i * 4..20 + i * 4].copy_from_slice(&z.to_le_bytes());
-        }
-    }
-
-    /// Decodes a 64-byte slot; `None` when the slot is free.
-    pub fn decode(slot: &[u8]) -> Option<Self> {
-        assert_eq!(slot.len(), INODE_SIZE);
-        let t = wire::le_u16(slot, 0);
-        let ftype = match t {
-            0 => return None,
-            1 => FileType::Regular,
-            2 => FileType::Dir,
-            _ => return None,
-        };
-        let mut zones = [0; ZONES];
-        for (i, z) in zones.iter_mut().enumerate() {
-            *z = wire::le_u32(slot, 16 + i * 4);
-        }
-        Some(Self {
-            ftype,
-            nlinks: wire::le_u16(slot, 2),
-            size: wire::le_u32(slot, 4),
-            mtime: wire::le_u32(slot, 8),
-            group: wire::le_u32(slot, 12),
-            zones,
-        })
+/// Encodes into a 64-byte slot: type, link count (always 1), a 32-bit size,
+/// mtime, group and zones. A zeroed slot decodes as "free".
+pub fn encode(inode: &Inode, slot: &mut [u8]) {
+    slot.fill(0);
+    slot[0..2].copy_from_slice(&inode.ftype.code().to_le_bytes());
+    slot[2..4].copy_from_slice(&1u16.to_le_bytes());
+    slot[4..8].copy_from_slice(&(inode.size as u32).to_le_bytes());
+    slot[8..12].copy_from_slice(&inode.mtime.to_le_bytes());
+    slot[12..16].copy_from_slice(&inode.group.to_le_bytes());
+    for (i, z) in inode.ptrs.iter().enumerate() {
+        slot[16 + i * 4..20 + i * 4].copy_from_slice(&z.to_le_bytes());
     }
 }
 
-/// Where a file block's zone pointer lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ZonePath {
-    /// `zones[i]` directly.
-    Direct(usize),
-    /// Entry `i` of the indirect block.
-    Indirect(usize),
-    /// Entry `j` of indirect block `i` under the double-indirect block.
-    Double(usize, usize),
-}
-
-/// Maps a file block index to its zone location, for a block size with
-/// `ppb` pointers per indirect block.
-pub fn zone_path(block_idx: u64, ppb: usize) -> Result<ZonePath> {
-    let d = DIRECT_ZONES as u64;
-    let ppb64 = ppb as u64;
-    if block_idx < d {
-        return Ok(ZonePath::Direct(block_idx as usize));
+/// Decodes a 64-byte slot; `None` when the slot is free.
+pub fn decode(slot: &[u8]) -> Option<Inode> {
+    let ftype = FileType::from_code(wire::le_u16(slot, 0))?;
+    let mut ptrs = [0; NPTRS];
+    for (i, z) in ptrs.iter_mut().enumerate() {
+        *z = wire::le_u32(slot, 16 + i * 4);
     }
-    let idx = block_idx - d;
-    if idx < ppb64 {
-        return Ok(ZonePath::Indirect(idx as usize));
-    }
-    let idx = idx - ppb64;
-    if idx < ppb64 * ppb64 {
-        return Ok(ZonePath::Double(
-            (idx / ppb64) as usize,
-            (idx % ppb64) as usize,
-        ));
-    }
-    Err(FsError::NoSpace)
+    Some(Inode {
+        ftype,
+        size: u64::from(wire::le_u32(slot, 4)),
+        mtime: wire::le_u32(slot, 8),
+        group: wire::le_u32(slot, 12),
+        ptrs,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fsutil::fs::{ptr_path, PtrPath, IND, INODE_SIZE};
 
     #[test]
     fn encode_decode_roundtrip() {
         let mut ino = Inode::new(FileType::Dir, 5, 1234);
         ino.size = 8192;
-        ino.zones[0] = 17;
-        ino.zones[IND] = 99;
+        ino.ptrs[0] = 17;
+        ino.ptrs[IND] = 99;
         let mut slot = [0u8; INODE_SIZE];
-        ino.encode(&mut slot);
-        assert_eq!(Inode::decode(&slot), Some(ino));
+        encode(&ino, &mut slot);
+        assert_eq!(decode(&slot), Some(ino));
     }
 
     #[test]
     fn zeroed_slot_is_free() {
-        assert_eq!(Inode::decode(&[0u8; INODE_SIZE]), None);
+        assert_eq!(decode(&[0u8; INODE_SIZE]), None);
     }
 
     #[test]
     fn zone_path_partitions_the_index_space() {
+        // MINIX's 4 KB blocks hold 1024 zone pointers.
         let ppb = 1024;
-        assert_eq!(zone_path(0, ppb).unwrap(), ZonePath::Direct(0));
-        assert_eq!(zone_path(6, ppb).unwrap(), ZonePath::Direct(6));
-        assert_eq!(zone_path(7, ppb).unwrap(), ZonePath::Indirect(0));
-        assert_eq!(zone_path(7 + 1023, ppb).unwrap(), ZonePath::Indirect(1023));
-        assert_eq!(zone_path(7 + 1024, ppb).unwrap(), ZonePath::Double(0, 0));
+        assert_eq!(ptr_path(0, ppb), Some(PtrPath::Direct(0)));
+        assert_eq!(ptr_path(6, ppb), Some(PtrPath::Direct(6)));
+        assert_eq!(ptr_path(7, ppb), Some(PtrPath::Indirect(0)));
+        assert_eq!(ptr_path(7 + 1023, ppb), Some(PtrPath::Indirect(1023)));
+        assert_eq!(ptr_path(7 + 1024, ppb), Some(PtrPath::Double(0, 0)));
         assert_eq!(
-            zone_path(7 + 1024 + 1024 * 5 + 3, ppb).unwrap(),
-            ZonePath::Double(5, 3)
+            ptr_path(7 + 1024 + 1024 * 5 + 3, ppb),
+            Some(PtrPath::Double(5, 3))
         );
         let max = 7 + 1024 + 1024 * 1024;
-        assert!(zone_path(max as u64, ppb).is_err());
+        assert!(ptr_path(max as u64, ppb).is_none());
     }
 
     #[test]
@@ -179,8 +82,8 @@ mod tests {
         // 80 MB (Table 5) needs 20480 4-KB blocks — comfortably inside the
         // direct + indirect range.
         assert!(matches!(
-            zone_path(20_480, 1024),
-            Ok(ZonePath::Double(_, _))
+            ptr_path(20_480, 1024),
+            Some(PtrPath::Double(_, _))
         ));
     }
 }

@@ -23,8 +23,8 @@
 use ld_core::{Bid, FailureSet, LdError, Lid, ListHints, LogicalDisk, Pred, PredList};
 use simdisk::BlockDev;
 
-use crate::error::{FsError, Result};
 use crate::store::{Addr, AllocHint, BlockStore};
+use crate::{FsError, Result};
 
 /// The LD-backed store.
 #[derive(Debug)]

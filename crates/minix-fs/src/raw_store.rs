@@ -12,8 +12,8 @@
 use fsutil::Bitmap;
 use simdisk::{BlockDev, SECTOR_SIZE};
 
-use crate::error::{FsError, Result};
 use crate::store::{Addr, AllocHint, BlockStore};
+use crate::{FsError, Result};
 
 const BLOCK_SIZE: usize = 4096;
 const SECTORS_PER_BLOCK: u64 = (BLOCK_SIZE / SECTOR_SIZE) as u64;

@@ -15,11 +15,9 @@
 //! - `sync` (MINIX's sync maps to LD's `Flush`),
 //! - a read-ahead capability flag (read-ahead is disabled over LD, §4.1).
 
-use crate::error::Result;
+pub use fsutil::fs::Addr;
 
-/// A store address. `0` is never a valid data address (it is either the
-/// raw store's superblock or unused), so zone pointers use `0` as "none".
-pub type Addr = u32;
+use crate::Result;
 
 /// Locality hint for allocation and the symmetric hint for freeing.
 #[derive(Debug, Clone, Copy, Default)]

@@ -3,8 +3,8 @@
 use fsutil::wire;
 
 use crate::config::InodeMode;
-use crate::error::{FsError, Result};
 use crate::store::Addr;
+use crate::{FsError, Result};
 
 const MAGIC: u32 = 0x4D58_4C44; // "MXLD"
 const VERSION: u16 = 1;

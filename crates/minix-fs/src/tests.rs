@@ -448,7 +448,7 @@ fn store_hint_plumbing_allocates_contiguously_on_raw() {
     let ino = fs.create("/f").unwrap();
     fs.write(ino, 0, &pattern(28 << 10, 1)).unwrap(); // 7 direct blocks.
     let inode = fs.read_inode(ino).unwrap();
-    let zones: Vec<_> = inode.zones[..7].to_vec();
+    let zones: Vec<_> = inode.ptrs[..7].to_vec();
     for w in zones.windows(2) {
         assert_eq!(w[1], w[0] + 1, "zones not contiguous: {zones:?}");
     }
@@ -503,7 +503,7 @@ fn in_step<S: BlockStore>(
     twin: &mut MinixFs<S>,
     op: impl Fn(&mut MinixFs<S>) -> String,
 ) -> String {
-    twin.dirs.clear();
+    twin.fs.dirs.clear();
     let got = op(fs);
     assert_eq!(got, op(twin));
     assert_eq!(fs.cache_stats(), twin.cache_stats(), "after {got}");
@@ -576,11 +576,11 @@ fn dir_index_stops_where_the_scan_would() {
     fs.sync().unwrap();
     twin.sync().unwrap();
     let (mut fs, mut twin) = (remount(fs), remount(twin));
-    assert!(fs.dirs.is_empty());
+    assert!(fs.fs.dirs.is_empty());
     in_step(&mut fs, &mut twin, |f| format!("{:?}", f.unlink(&name(1))));
-    assert!(!fs.dirs.contains_key(&d), "hits read only part of /d");
+    assert!(!fs.fs.dirs.contains_key(&d), "hits read only part of /d");
     in_step(&mut fs, &mut twin, |f| format!("{:?}", f.create(&name(1))));
-    assert!(fs.dirs.contains_key(&d), "create's miss read all of /d");
+    assert!(fs.fs.dirs.contains_key(&d), "create's miss read all of /d");
     churn(&mut fs, &mut twin, 1);
 
     // A freed directory i-node is reused by the next directory.
@@ -589,7 +589,7 @@ fn dir_index_stops_where_the_scan_would() {
         twin.unlink(&name(i)).unwrap();
     }
     in_step(&mut fs, &mut twin, |f| format!("{:?}", f.rmdir("/d")));
-    assert!(!fs.dirs.contains_key(&d));
+    assert!(!fs.fs.dirs.contains_key(&d));
     let e = in_step(&mut fs, &mut twin, |f| format!("{:?}", f.mkdir("/e")));
     assert_eq!(e, format!("Ok({d})"));
     for i in 0..5 {
@@ -603,4 +603,38 @@ fn dir_index_stops_where_the_scan_would() {
         });
         assert_eq!(got.starts_with("Ok"), i < 5, "{i}: {got}");
     }
+}
+
+#[test]
+fn inode_numbers_outside_the_table_are_not_found() {
+    on_both(|fs| {
+        let last = FsConfig::small_for_tests().ninodes;
+        for ino in [0, last + 1, u32::MAX] {
+            assert_eq!(fs.stat(ino), Err(FsError::NotFound), "stat {ino}");
+            let got = fs.read(ino, 0, &mut [0u8; 8]);
+            assert_eq!(got, Err(FsError::NotFound), "read {ino}");
+            assert_eq!(
+                fs.write(ino, 0, b"x"),
+                Err(FsError::NotFound),
+                "write {ino}"
+            );
+        }
+    });
+}
+
+#[test]
+fn write_past_the_largest_file_allocates_nothing() {
+    // The i-node records a 32-bit size: a write ending past it fails before
+    // it allocates a block.
+    let store = RawStore::format(MemDisk::with_capacity(32 << 20)).unwrap();
+    let mut fs = MinixFs::format(store, FsConfig::small_for_tests()).unwrap();
+    let ino = fs.create("/f").unwrap();
+    let free = fs.store().free_blocks();
+    let max = u64::from(u32::MAX);
+    assert_eq!(fs.write(ino, max - 10, &[7; 100]), Err(FsError::NoSpace));
+    assert_eq!(fs.store().free_blocks(), free, "no block leaked");
+    assert_eq!(fs.stat(ino).unwrap().size, 0);
+    // A write that ends exactly at the limit fits.
+    fs.write(ino, max - 100, &[7; 100]).unwrap();
+    assert_eq!(fs.stat(ino).unwrap().size, max);
 }

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fsutil::dirent::{self, DIRENT_SIZE};
+use fsutil::dirent::{self, Probe, DIRENT_SIZE};
 use fsutil::wire;
 use simdisk::{BlockDev, SECTOR_SIZE};
 
@@ -726,7 +726,7 @@ impl<D: BlockDev> SpriteLfs<D> {
         for idx in 0..size.div_ceil(BLOCK as u64) {
             let mut block = vec![0u8; BLOCK];
             self.read_block(ROOT_INO, idx, &mut block)?;
-            if let Some((slot, ino)) = dirent::find_in_block(&block, name) {
+            if let Some((slot, ino)) = Probe::Name(name).in_block(&block) {
                 return Ok(Some((idx, slot, ino - 1)));
             }
         }
@@ -739,7 +739,7 @@ impl<D: BlockDev> SpriteLfs<D> {
         for idx in 0..nblocks {
             let mut block = vec![0u8; BLOCK];
             self.read_block(ROOT_INO, idx, &mut block)?;
-            if let Some(slot) = dirent::free_slot(&block) {
+            if let Some((slot, _)) = Probe::Free.in_block(&block) {
                 dirent::encode(
                     ino + 1, // Dirent ino 0 means free; shift by one.
                     name,

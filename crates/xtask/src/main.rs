@@ -92,8 +92,9 @@ const PRINT_FREE_CRATES: &[&str] = &[
     "trace",
 ];
 
-/// File-system crates bound to the `BlockDev` abstraction.
-const FS_CRATES: &[&str] = &["minix-fs", "ffs", "sprite-lfs"];
+/// File-system crates bound to the `BlockDev` abstraction, and `fsutil`,
+/// whose namespace engine names no `simdisk` symbol at all.
+const FS_CRATES: &[&str] = &["fsutil", "minix-fs", "ffs", "sprite-lfs"];
 
 /// `simdisk` symbols file systems may reference. Everything else —
 /// `SparseStore`, `SimDisk` geometry/timing/stats, NVRAM internals — is

@@ -103,7 +103,7 @@ fn walk<S: BlockStore>(
             let mut buf = vec![0u8; st.size as usize];
             let n = fs.read(ino, 0, &mut buf).unwrap();
             assert_eq!(n, st.size as usize, "{path} read short");
-            out.push((path, u64::from(st.size), buf));
+            out.push((path, st.size, buf));
         }
     }
 }

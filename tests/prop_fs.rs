@@ -1,11 +1,13 @@
 //! Property test: the MINIX file system behaves identically over the raw
 //! update-in-place store and the Logical Disk store — the backend swap
-//! that *is* the paper's contribution must be observably invisible.
+//! that *is* the paper's contribution must be observably invisible. The FFS
+//! baseline, which shares MINIX's namespace engine, must answer alike too.
 //!
 //! Remounts and directory removal are among the ops, so random sequences
 //! also cover directories without an index (after a mount) and directory
 //! i-nodes freed and reused.
 
+use logical_disk_repro::ffs::{Ffs, FfsConfig};
 use logical_disk_repro::minix_fs::{BlockStore, FsConfig, FsCpuModel, LdStore, MinixFs, RawStore};
 use logical_disk_repro::simdisk::MemDisk;
 use proptest::prelude::*;
@@ -80,39 +82,82 @@ fn payload(len: usize, seed: u8) -> Vec<u8> {
         .collect()
 }
 
+/// Applies an op FFS has too (not truncate, rename, rmdir or remount) to
+/// `$fs`; returns a comparable observation string.
+macro_rules! apply_shared {
+    ($fs:expr, $op:expr) => {{
+        let fs = $fs;
+        match $op {
+            Op::Create { name } => format!("{:?}", fs.create(&format!("/f{name}"))),
+            Op::Write {
+                name,
+                offset,
+                len,
+                seed,
+            } => {
+                let path = format!("/f{name}");
+                match fs.lookup(&path) {
+                    Ok(ino) => format!(
+                        "{:?}",
+                        fs.write(ino, u64::from(*offset), &payload(*len as usize, *seed))
+                    ),
+                    Err(e) => format!("lookup-failed {e:?}"),
+                }
+            }
+            Op::Read { name, offset, len } => {
+                let path = format!("/f{name}");
+                match fs.lookup(&path) {
+                    Ok(ino) => {
+                        let mut buf = vec![0u8; *len as usize];
+                        match fs.read(ino, u64::from(*offset), &mut buf) {
+                            Ok(n) => format!("read {n} {:?}", fnv(&buf[..n])),
+                            Err(e) => format!("read-failed {e:?}"),
+                        }
+                    }
+                    Err(e) => format!("lookup-failed {e:?}"),
+                }
+            }
+            Op::Unlink { name } => format!("{:?}", fs.unlink(&format!("/f{name}"))),
+            Op::Mkdir { name } => format!("{:?}", fs.mkdir(&format!("/d{name}"))),
+            Op::Readdir => {
+                let mut names: Vec<String> = fs
+                    .readdir("/")
+                    .expect("readdir")
+                    .into_iter()
+                    .map(|d| d.name)
+                    .collect();
+                names.sort();
+                format!("{names:?}")
+            }
+            Op::Sync => format!("{:?}", fs.sync()),
+            Op::DropCaches => format!("{:?}", fs.drop_caches()),
+            Op::Truncate { .. } | Op::Rename { .. } | Op::Rmdir { .. } | Op::Remount => {
+                unreachable!("MINIX-only op {:?}", $op)
+            }
+        }
+    }};
+}
+
+/// Whether FFS has the op.
+fn ffs_has(op: &Op) -> bool {
+    !matches!(
+        op,
+        Op::Truncate { .. } | Op::Rename { .. } | Op::Rmdir { .. } | Op::Remount
+    )
+}
+
+/// An observation with a new i-node's number masked: FFS numbers i-nodes by
+/// cylinder group, MINIX from a bitmap.
+fn masked(op: &Op, seen: String) -> String {
+    match op {
+        Op::Create { .. } | Op::Mkdir { .. } if seen.starts_with("Ok(") => "Ok(_)".into(),
+        _ => seen,
+    }
+}
+
 /// Applies one op; returns a comparable observation string.
 fn apply<S: BlockStore>(fs: &mut MinixFs<S>, op: &Op) -> String {
     match op {
-        Op::Create { name } => format!("{:?}", fs.create(&format!("/f{name}"))),
-        Op::Write {
-            name,
-            offset,
-            len,
-            seed,
-        } => {
-            let path = format!("/f{name}");
-            match fs.lookup(&path) {
-                Ok(ino) => format!(
-                    "{:?}",
-                    fs.write(ino, u64::from(*offset), &payload(*len as usize, *seed))
-                ),
-                Err(e) => format!("lookup-failed {e:?}"),
-            }
-        }
-        Op::Read { name, offset, len } => {
-            let path = format!("/f{name}");
-            match fs.lookup(&path) {
-                Ok(ino) => {
-                    let mut buf = vec![0u8; *len as usize];
-                    match fs.read(ino, u64::from(*offset), &mut buf) {
-                        Ok(n) => format!("read {n} {:?}", fnv(&buf[..n])),
-                        Err(e) => format!("read-failed {e:?}"),
-                    }
-                }
-                Err(e) => format!("lookup-failed {e:?}"),
-            }
-        }
-        Op::Unlink { name } => format!("{:?}", fs.unlink(&format!("/f{name}"))),
         Op::Truncate { name } => {
             let path = format!("/f{name}");
             match fs.lookup(&path) {
@@ -123,21 +168,9 @@ fn apply<S: BlockStore>(fs: &mut MinixFs<S>, op: &Op) -> String {
         Op::Rename { from, to } => {
             format!("{:?}", fs.rename(&format!("/f{from}"), &format!("/f{to}")))
         }
-        Op::Mkdir { name } => format!("{:?}", fs.mkdir(&format!("/d{name}"))),
         Op::Rmdir { name } => format!("{:?}", fs.rmdir(&format!("/d{name}"))),
-        Op::Readdir => {
-            let mut names: Vec<String> = fs
-                .readdir("/")
-                .expect("readdir")
-                .into_iter()
-                .map(|d| d.name)
-                .collect();
-            names.sort();
-            format!("{names:?}")
-        }
-        Op::Sync => format!("{:?}", fs.sync()),
-        Op::DropCaches => format!("{:?}", fs.drop_caches()),
         Op::Remount => unreachable!("remounting takes the file system by value"),
+        _ => apply_shared!(fs, op),
     }
 }
 
@@ -194,6 +227,17 @@ proptest! {
                 _ => (apply(&mut raw, op), apply(&mut ld, op)),
             };
             prop_assert_eq!(a, b, "op {} = {:?} diverged", i, op);
+        }
+
+        // FFS runs the ops it has, beside MINIX on a fresh raw store.
+        let raw_store = RawStore::format(MemDisk::with_capacity(24 << 20)).expect("format raw");
+        let mut raw = MinixFs::format(raw_store, config()).expect("mkfs raw");
+        let mut ffs = Ffs::format(MemDisk::with_capacity(24 << 20), FfsConfig::small_for_tests())
+            .expect("mkfs ffs");
+        for (i, op) in ops.iter().enumerate().filter(|(_, op)| ffs_has(op)) {
+            let a = masked(op, apply(&mut raw, op));
+            let b = masked(op, apply_shared!(&mut ffs, op));
+            prop_assert_eq!(a, b, "op {} = {:?} diverged on FFS", i, op);
         }
     }
 }
