@@ -28,11 +28,12 @@ impl Bitmap {
     pub fn from_bytes(bytes: &[u8], len: usize) -> Self {
         assert!(bytes.len() >= len.div_ceil(8), "bitmap bytes too short");
         let bits = bytes[..len.div_ceil(8)].to_vec();
-        let mut allocated = 0;
-        for i in 0..len {
-            if bits[i / 8] & (1 << (i % 8)) != 0 {
-                allocated += 1;
-            }
+        // Whole bytes, then the used bits of a partial last byte: padding
+        // bits past `len` are kept in the image but never counted.
+        let whole = len / 8;
+        let mut allocated: usize = bits[..whole].iter().map(|b| b.count_ones() as usize).sum();
+        if let Some(last) = bits.get(whole) {
+            allocated += (last & ((1u8 << (len % 8)) - 1)).count_ones() as usize;
         }
         Self {
             bits,
@@ -74,23 +75,46 @@ impl Bitmap {
 
     /// Allocates the first free slot at or after `hint`, wrapping around —
     /// the "allocate close to the previous allocation" policy MINIX uses
-    /// for zones.
+    /// for zones. A hint at or past `len` wraps modulo `len`.
     pub fn alloc_near(&mut self, hint: usize) -> Option<usize> {
         if self.allocated == self.len {
             return None;
         }
-        let start = if self.len == 0 { 0 } else { hint % self.len };
-        let mut i = start;
-        loop {
-            if !self.get(i) {
-                self.set(i);
-                return Some(i);
+        let start = hint % self.len; // `len > 0`: some slot is free.
+        let i = self
+            .first_free(start, self.len)
+            .or_else(|| self.first_free(0, start))?;
+        self.set(i);
+        Some(i)
+    }
+
+    /// The first free slot in `from..to` (`to <= len`), scanning 64 slots
+    /// per step: the word starting at `from`'s byte, with the slots below
+    /// `from` masked as allocated, has its first free slot at
+    /// `trailing_ones`. Bytes past the end of the image read as
+    /// allocated, and a slot found at or past `to` (a padding bit, or one
+    /// beyond the range) ends the search.
+    fn first_free(&self, from: usize, to: usize) -> Option<usize> {
+        let mut i = from;
+        while i < to {
+            let byte = i / 8;
+            let rest = &self.bits[byte..];
+            let word = match rest.first_chunk::<8>() {
+                Some(w) => u64::from_le_bytes(*w),
+                None => {
+                    let mut w = [0xFF; 8];
+                    w[..rest.len()].copy_from_slice(rest);
+                    u64::from_le_bytes(w)
+                }
+            };
+            let free = (word | ((1u64 << (i % 8)) - 1)).trailing_ones() as usize;
+            if free < 64 {
+                let slot = byte * 8 + free;
+                return (slot < to).then_some(slot);
             }
-            i = (i + 1) % self.len;
-            if i == start {
-                return None;
-            }
+            i = byte * 8 + 64;
         }
+        None
     }
 
     /// Allocates the first free slot from the beginning.

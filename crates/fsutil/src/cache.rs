@@ -14,9 +14,47 @@
 //! victim a scan of the whole cache would pick. A touch that finds the queue
 //! longer than twice the entries first compacts it to its live pairs, which
 //! bounds it on hit-only traffic and makes eviction amortised O(1).
+//!
+//! The entry map hashes addresses with [`AddrHasher`], a fixed
+//! multiply-and-fold hash, not SipHash: the map is probed several times
+//! per file-system call, and nothing iterates it in hash order except
+//! [`take_dirty`](BufferCache::take_dirty), which sorts by address.
 
 use std::collections::hash_map::Entry as Slot;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Odd 64-bit multiplier (2^64 / golden ratio).
+const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A fixed hasher for `u32` block addresses. The key is multiplied into a
+/// 128-bit product whose high half is folded into its low half, so every
+/// key bit reaches the low bits the map takes its bucket index from; a
+/// plain multiply would send all multiples of 4,096 to bucket 0. It has no
+/// defence against crafted collisions, which is safe only because the keys
+/// are addresses the stack allocates itself, never outside input.
+#[derive(Debug, Default, Clone, Copy)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = self.0.rotate_left(32) ^ u64::from(n);
+    }
+
+    fn finish(&self) -> u64 {
+        let p = u128::from(self.0) * u128::from(MIX);
+        (p as u64) ^ ((p >> 64) as u64)
+    }
+}
+
+/// Block address → cache entry.
+type AddrMap<V> = HashMap<u32, V, BuildHasherDefault<AddrHasher>>;
 
 /// Eviction victim handed back to the caller for write-back.
 #[derive(Debug, PartialEq, Eq)]
@@ -37,7 +75,7 @@ struct Entry {
 /// The cache. Capacity is in bytes; entries are whole blocks.
 #[derive(Debug)]
 pub struct BufferCache {
-    entries: HashMap<u32, Entry>,
+    entries: AddrMap<Entry>,
     /// `(tick, addr)` per touch, oldest first; see the module doc.
     recency: VecDeque<(u64, u32)>,
     capacity_bytes: usize,
@@ -52,7 +90,7 @@ impl BufferCache {
     /// Creates a cache holding at most `capacity_bytes` of block data.
     pub fn new(capacity_bytes: usize) -> Self {
         Self {
-            entries: HashMap::new(),
+            entries: AddrMap::default(),
             recency: VecDeque::new(),
             capacity_bytes,
             used_bytes: 0,
@@ -81,7 +119,7 @@ impl BufferCache {
     /// Makes `addr` the most recently used block, if resident. Takes fields,
     /// not `self`, so that `get` can count a hit while holding the entry.
     fn touch<'a>(
-        entries: &'a mut HashMap<u32, Entry>,
+        entries: &'a mut AddrMap<Entry>,
         recency: &mut VecDeque<(u64, u32)>,
         tick: &mut u64,
         addr: u32,
@@ -235,6 +273,34 @@ impl BufferCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::hash::BuildHasher;
+
+    #[test]
+    fn addr_hasher_spreads_strided_keys_over_low_bits() {
+        let build = BuildHasherDefault::<AddrHasher>::default();
+        for stride in [1u32, 8, 4096] {
+            // The 2,048-bucket index of a 6 MB cache of 4 KB blocks.
+            let buckets: HashSet<u64> = (0..4096u32)
+                .map(|k| build.hash_one(k * stride) & 2047)
+                .collect();
+            assert!(
+                buckets.len() >= 1024,
+                "stride {stride}: {} of 2048 buckets",
+                buckets.len()
+            );
+        }
+    }
+
+    #[test]
+    fn addr_hasher_takes_any_bytes() {
+        let mut h = AddrHasher::default();
+        h.write(&[]);
+        h.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        let mut g = AddrHasher::default();
+        g.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        assert_eq!(h.finish(), g.finish());
+    }
 
     #[test]
     fn hit_and_miss_accounting() {

@@ -1,12 +1,14 @@
-//! Property tests: the buffer cache against two models.
+//! Property tests: the buffer cache against two models, and the bitmap
+//! allocator against the bit-at-a-time search it replaced.
 //!
-//! The first is a plain map plus a "backing store" map; the invariant is
-//! that (cache ∪ write-backs ∪ store) always reproduces every written
-//! block, and that capacity is respected. The second is a reference LRU
-//! that picks each victim by scanning every entry for the smallest
-//! `last_used`; the cache must evict the same blocks in the same order.
+//! The first cache model is a plain map plus a "backing store" map; the
+//! invariant is that (cache ∪ write-backs ∪ store) always reproduces every
+//! written block, and that capacity is respected. The second is a
+//! reference LRU that picks each victim by scanning every entry for the
+//! smallest `last_used`; the cache must evict the same blocks in the same
+//! order.
 
-use fsutil::{BufferCache, Evicted};
+use fsutil::{Bitmap, BufferCache, Evicted};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -273,6 +275,141 @@ proptest! {
             prop_assert_eq!(cache.used_bytes(), reference.used_bytes(), "used_bytes after op {}", i);
             prop_assert_eq!(cache.dirty_bytes(), reference.dirty_bytes(), "dirty_bytes after op {}", i);
             prop_assert_eq!(cache.stats(), (reference.hits, reference.misses), "stats after op {}", i);
+        }
+    }
+}
+
+/// The bitmap allocator as it first was: one bit per step, wrapping with
+/// `%`, and a per-bit count over an image.
+struct ReferenceBitmap {
+    bits: Vec<u8>,
+    len: usize,
+    allocated: usize,
+}
+
+impl ReferenceBitmap {
+    fn from_bytes(bytes: &[u8], len: usize) -> Self {
+        let bits = bytes[..len.div_ceil(8)].to_vec();
+        let allocated = (0..len)
+            .filter(|&i| bits[i / 8] & (1 << (i % 8)) != 0)
+            .count();
+        Self {
+            bits,
+            len,
+            allocated,
+        }
+    }
+
+    fn get(&self, i: usize) -> bool {
+        self.bits[i / 8] & (1 << (i % 8)) != 0
+    }
+
+    fn alloc_near(&mut self, hint: usize) -> Option<usize> {
+        if self.allocated == self.len {
+            return None;
+        }
+        let start = hint % self.len;
+        let mut i = start;
+        loop {
+            if !self.get(i) {
+                self.bits[i / 8] |= 1 << (i % 8);
+                self.allocated += 1;
+                return Some(i);
+            }
+            i = (i + 1) % self.len;
+            if i == start {
+                return None;
+            }
+        }
+    }
+
+    fn clear(&mut self, i: usize) {
+        self.bits[i / 8] &= !(1 << (i % 8));
+        self.allocated -= 1;
+    }
+}
+
+#[derive(Debug, Clone)]
+enum BitOp {
+    /// Hints reach past `len`, so some wrap modulo it.
+    AllocNear {
+        hint: usize,
+    },
+    AllocFirst,
+    /// Frees the allocated slot this index picks, if any.
+    Clear {
+        slot: prop::sample::Index,
+    },
+    /// Allocates until the bitmap is full.
+    Fill,
+    /// Frees every slot.
+    Empty,
+}
+
+fn bit_op() -> impl Strategy<Value = BitOp> {
+    prop_oneof![
+        6 => (0usize..700).prop_map(|hint| BitOp::AllocNear { hint }),
+        3 => Just(BitOp::AllocFirst),
+        4 => any::<prop::sample::Index>().prop_map(|slot| BitOp::Clear { slot }),
+        1 => Just(BitOp::Fill),
+        1 => Just(BitOp::Empty),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The word-scanning search returns exactly the slot the bit-at-a-time
+    /// loop returns, from an empty bitmap or from an image whose padding
+    /// bits past `len` may be set, and never returns or counts a padding
+    /// bit.
+    #[test]
+    fn bitmap_matches_bit_at_a_time_search(
+        len in 1usize..300,
+        image in proptest::collection::vec(any::<u8>(), 38usize),
+        from_image in any::<bool>(),
+        ops in proptest::collection::vec(bit_op(), 1..120),
+    ) {
+        let bytes = if from_image { image } else { vec![0u8; 38] };
+        let mut bitmap = Bitmap::from_bytes(&bytes, len);
+        let mut reference = ReferenceBitmap::from_bytes(&bytes, len);
+        prop_assert_eq!(bitmap.allocated(), reference.allocated, "count of the image");
+        for (i, op) in ops.into_iter().enumerate() {
+            match op {
+                BitOp::AllocNear { hint } => {
+                    prop_assert_eq!(bitmap.alloc_near(hint), reference.alloc_near(hint), "alloc_near({}) at op {}", hint, i);
+                }
+                BitOp::AllocFirst => {
+                    prop_assert_eq!(bitmap.alloc_first(), reference.alloc_near(0), "alloc_first at op {}", i);
+                }
+                BitOp::Clear { slot } => {
+                    let used: Vec<usize> = (0..len).filter(|&s| reference.get(s)).collect();
+                    if !used.is_empty() {
+                        let s = used[slot.index(used.len())];
+                        bitmap.clear(s);
+                        reference.clear(s);
+                    }
+                }
+                BitOp::Fill => loop {
+                    let got = bitmap.alloc_first();
+                    prop_assert_eq!(got, reference.alloc_near(0), "fill at op {}", i);
+                    if got.is_none() {
+                        prop_assert_eq!(bitmap.free(), 0);
+                        break;
+                    }
+                },
+                BitOp::Empty => {
+                    let used: Vec<usize> = (0..len).filter(|&s| reference.get(s)).collect();
+                    for s in used {
+                        bitmap.clear(s);
+                        reference.clear(s);
+                    }
+                    prop_assert_eq!(bitmap.allocated(), 0);
+                }
+            }
+            prop_assert_eq!(bitmap.allocated(), reference.allocated, "allocated after op {}", i);
+            prop_assert_eq!(bitmap.as_bytes(), &reference.bits[..], "image after op {}", i);
+            prop_assert!(bitmap.allocated() <= len);
         }
     }
 }

@@ -9,9 +9,9 @@
 //!    (plus anything in sealed segments), with ARU atomicity.
 //! 3. **Cleaning amid list churn**: every operation that changes list
 //!    structure, interleaved with overwrite bursts that force cleaning and
-//!    with `reorganize_hot`. Debug builds check every victim's forwarding
-//!    order against a fresh walk of its lists, so a stale cleaner rank
-//!    memo fails here.
+//!    with `reorganize` and `reorganize_hot`. Debug builds check every
+//!    victim's forwarding order against a fresh walk of its lists, so a
+//!    stale cleaner rank memo fails here.
 
 use ld_core::model::ModelLd;
 use ld_core::{Bid, FailureSet, LdError, Lid, ListHints, LogicalDisk, Pred, PredList};
@@ -84,6 +84,10 @@ enum Op {
     ReorganizeHot {
         max: usize,
     },
+    /// Clusters up to `lists` fragmented lists and cleans nothing more.
+    Reorganize {
+        lists: u32,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -139,6 +143,7 @@ fn churn_op_strategy() -> impl Strategy<Value = Op> {
         3 => (1usize..256, any::<u8>()).prop_map(|(blocks, seed)| Op::Burst { blocks, seed }),
         1 => (1u32..4).prop_map(|max| Op::Clean { max }),
         1 => (1usize..32).prop_map(|max| Op::ReorganizeHot { max }),
+        1 => (1u32..4).prop_map(|lists| Op::Reorganize { lists }),
         1 => (any::<prop::sample::Index>(), any::<prop::sample::Index>())
             .prop_map(|(a, b)| Op::Swap { a: a.index(64), b: b.index(64) }),
         1 => Just(Op::Flush),
@@ -386,6 +391,10 @@ fn apply_both(
         }
         Op::ReorganizeHot { max } => {
             prop_assert!(lld.reorganize_hot(*max).is_ok(), "reorganize_hot failed");
+        }
+        Op::Reorganize { lists } => {
+            let r = lld.reorganize(*lists, 0);
+            prop_assert!(r.is_ok(), "reorganize failed: {:?}", r);
         }
     }
     Ok(())

@@ -19,6 +19,12 @@
 //!   and a debug dump of every generated input; seeds are a pure function
 //!   of (module path, test name, case index) so a failure replays exactly
 //!   under `cargo test`.
+//! - **New cases on request.** A test draws case indices
+//!   `offset..offset + cases`, where the offset comes from the
+//!   `PROPTEST_CASE_OFFSET` environment variable (default 0, the cases
+//!   every plain run replays). A failure prints its absolute case index
+//!   and the offset; setting the offset to that index replays it as the
+//!   first case.
 //! - **No persistence files and no entropy.** Generation is fully
 //!   deterministic, which also keeps the whole workspace free of OS
 //!   randomness (enforced by `xtask lint`).
@@ -82,6 +88,24 @@ pub mod test_runner {
 
     /// Result of one test case body.
     pub type TestCaseResult = Result<(), TestCaseError>;
+
+    /// Environment variable that shifts the case indices a test draws.
+    pub const CASE_OFFSET_VAR: &str = "PROPTEST_CASE_OFFSET";
+
+    /// The first case index to draw: [`CASE_OFFSET_VAR`] if set, else 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the variable is set but is not an unsigned integer.
+    pub fn case_offset() -> u64 {
+        match std::env::var(CASE_OFFSET_VAR) {
+            Ok(v) => v
+                .trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("{CASE_OFFSET_VAR}={v:?} is not an unsigned integer")),
+            Err(_) => 0,
+        }
+    }
 
     /// Deterministic SplitMix64 generator driving all value generation.
     #[derive(Debug, Clone)]
@@ -461,11 +485,13 @@ macro_rules! __proptest_items {
         $(#[$attr])*
         $vis fn $name() {
             let config: $crate::test_runner::Config = $config;
+            let offset = $crate::test_runner::case_offset();
             for case in 0..config.cases {
+                let index = offset.wrapping_add(u64::from(case));
                 let mut rng = $crate::test_runner::TestRng::for_case(
                     module_path!(),
                     stringify!($name),
-                    case as u64,
+                    index,
                 );
                 $(let $arg = $crate::strategy::Strategy::new_value(&($strategy), &mut rng);)+
                 let inputs = format!(
@@ -482,13 +508,15 @@ macro_rules! __proptest_items {
                     Ok(Ok(())) => {}
                     Ok(Err($crate::test_runner::TestCaseError::Reject(_))) => {}
                     Ok(Err($crate::test_runner::TestCaseError::Fail(reason))) => panic!(
-                        "proptest case {}/{} of `{}` failed: {}\ninputs:\n{}",
-                        case + 1, config.cases, stringify!($name), reason, inputs
+                        "proptest case {}/{} of `{}` failed (case index {}, {}={}): {}\ninputs:\n{}",
+                        case + 1, config.cases, stringify!($name), index,
+                        $crate::test_runner::CASE_OFFSET_VAR, offset, reason, inputs
                     ),
                     Err(payload) => {
                         eprintln!(
-                            "proptest case {}/{} of `{}` panicked; inputs:\n{}",
-                            case + 1, config.cases, stringify!($name), inputs
+                            "proptest case {}/{} of `{}` panicked (case index {}, {}={}); inputs:\n{}",
+                            case + 1, config.cases, stringify!($name), index,
+                            $crate::test_runner::CASE_OFFSET_VAR, offset, inputs
                         );
                         ::std::panic::resume_unwind(payload);
                     }
@@ -673,5 +701,75 @@ mod tests {
     #[should_panic(expected = "failed")]
     fn failing_case_reports_inputs() {
         failing::always_fails();
+    }
+
+    mod replay {
+        use crate::prelude::*;
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4))]
+            pub fn fails_with_its_draw(x in any::<u64>()) {
+                prop_assert!(false, "drew {}", x);
+            }
+        }
+    }
+
+    /// Set in the child process that runs [`replay_child`].
+    const CHILD_VAR: &str = "PROPTEST_STANDIN_REPLAY_CHILD";
+
+    /// Fails with `replay::fails_with_its_draw`'s first case when run as
+    /// the child of [`run_replay_child`]; passes as a no-op otherwise.
+    #[test]
+    fn replay_child() {
+        if std::env::var_os(CHILD_VAR).is_some() {
+            replay::fails_with_its_draw();
+        }
+    }
+
+    /// Runs [`replay_child`] in a child process of this test binary with
+    /// the given case offset (unset for `None`) and returns its output.
+    fn run_replay_child(offset: Option<&str>) -> String {
+        let mut cmd = std::process::Command::new(std::env::current_exe().unwrap());
+        cmd.args(["--exact", "tests::replay_child", "--test-threads", "1"])
+            .env(CHILD_VAR, "1");
+        match offset {
+            Some(o) => cmd.env(crate::test_runner::CASE_OFFSET_VAR, o),
+            None => cmd.env_remove(crate::test_runner::CASE_OFFSET_VAR),
+        };
+        let out = cmd.output().unwrap();
+        assert!(!out.status.success(), "the child's first case must fail");
+        String::from_utf8_lossy(&out.stdout).into_owned() + &String::from_utf8_lossy(&out.stderr)
+    }
+
+    /// The first value case `index` of the replay test draws.
+    fn first_draw(index: u64) -> u64 {
+        TestRng::for_case("proptest::tests::replay", "fails_with_its_draw", index).next_u64()
+    }
+
+    #[test]
+    fn unset_offset_draws_the_unshifted_cases() {
+        let out = run_replay_child(None);
+        assert!(
+            out.contains(
+                "case 1/4 of `fails_with_its_draw` failed (case index 0, PROPTEST_CASE_OFFSET=0)"
+            ),
+            "{out}"
+        );
+        assert!(out.contains(&format!("drew {}\n", first_draw(0))), "{out}");
+    }
+
+    #[test]
+    fn offset_shifts_the_case_index_and_is_reported() {
+        let out = run_replay_child(Some("1000"));
+        assert!(
+            out.contains(
+                "case 1/4 of `fails_with_its_draw` failed (case index 1000, PROPTEST_CASE_OFFSET=1000)"
+            ),
+            "{out}"
+        );
+        assert!(
+            out.contains(&format!("drew {}\n", first_draw(1000))),
+            "{out}"
+        );
+        assert_ne!(first_draw(1000), first_draw(0));
     }
 }
