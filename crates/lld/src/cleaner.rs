@@ -14,13 +14,23 @@
 //! old EndARU tuples, from the segment summaries during cleaning". Without
 //! this, freeing a segment could discard the only surviving record of a
 //! link or an allocation and recovery would reconstruct a stale state.
+//!
+//! Every block that moves — forwarded by the cleaner, clustered by the
+//! reorganizers, or evacuated by scrub — goes through one relocation path:
+//! `read_copy` fetches the on-disk copy with the retry budget and `forward`
+//! appends it to the open segment, logs its new location and re-points the
+//! block. The callers differ only in where the bytes come from (the
+//! cleaner reads a victim's whole data region at once) and in what an
+//! unreadable copy means to them: the cleaner quarantines the victim, scrub
+//! reports the block, and the reorganizers leave it in place. All of them
+//! run under one re-entrancy guard, `guarded`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use ld_core::Result;
 use simdisk::BlockDev;
 
-use crate::block_map::{RankMemo, OPEN_SEG};
+use crate::block_map::{BlockEntry, RankMemo, OPEN_SEG};
 use crate::records::Record;
 use crate::usage::SegState;
 use crate::Lld;
@@ -38,14 +48,37 @@ pub enum CleaningPolicy {
 impl<D: BlockDev> Lld<D> {
     /// Runs the cleaner until the free pool is back above the configured
     /// reserve (or no cleanable segment remains). Called automatically when
-    /// a seal drains the pool; also available for explicit idle-time use.
+    /// a seal drains the pool; also available for explicit idle-time use,
+    /// and between the reorganizers' chunks.
     pub(crate) fn clean_to_reserve(&mut self) -> Result<()> {
-        debug_assert!(!self.cleaning);
-        self.cleaning = true;
+        self.cleaner_pass(|lld| {
+            lld.stats.cleaner_runs += 1;
+            let reserve = lld.config.cleaning_reserve_segments;
+            // One victim at a time on the direct path and at depth 1;
+            // `queue_depth` victims when the queue can prefetch them in
+            // one scheduler pass.
+            let batch = lld.config.queue_depth.max(1) as usize;
+            lld.clean_victims(batch, |lld, _| lld.usage.free_count() <= reserve)?;
+            // Nothing cleanable beyond what is already pending, or the
+            // reserve is back (then this is a no-op).
+            lld.drain_pending_if_starved()
+        })
+    }
+
+    /// Explicitly cleans up to `max_segments` segments (idle-time cleaning,
+    /// paper §3: "If LLD runs out of empty segments while busy, it will
+    /// call the segment cleaner"; the reorganizer calls this during idle
+    /// periods). Returns how many segments were reclaimed.
+    pub fn clean(&mut self, max_segments: u32) -> Result<u32> {
+        self.check_up()?;
+        self.cleaner_pass(|lld| lld.clean_victims(1, |_, cleaned| cleaned < max_segments))
+    }
+
+    /// [`Self::guarded`], traced as one `CleanerPass` event.
+    fn cleaner_pass<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         let cleaned0 = self.stats.segments_cleaned;
         let copied0 = self.stats.cleaner_bytes_copied;
-        let result = self.clean_to_reserve_inner();
-        self.cleaning = false;
+        let result = self.guarded(f);
         self.disk.trace(ld_trace::Event::CleanerPass {
             reclaimed: self.stats.segments_cleaned - cleaned0,
             bytes_copied: self.stats.cleaner_bytes_copied - copied0,
@@ -53,62 +86,56 @@ impl<D: BlockDev> Lld<D> {
         result
     }
 
-    fn clean_to_reserve_inner(&mut self) -> Result<()> {
-        self.stats.cleaner_runs += 1;
-        while self.usage.free_count() <= self.config.cleaning_reserve_segments {
-            let batch = self.victim_batch();
-            if batch == 1 {
-                let victim = self.usage.pick_victim(
-                    self.config.cleaning_policy,
-                    self.layout.data_bytes as u64,
-                    self.ts,
-                    None,
-                );
-                let Some(victim) = victim else {
-                    // Nothing cleanable beyond what is already pending.
-                    self.drain_pending_if_starved()?;
-                    return Ok(());
-                };
-                self.clean_segment(victim)?;
-            } else {
-                let victims = self.usage.pick_victims(
-                    self.config.cleaning_policy,
-                    self.layout.data_bytes as u64,
-                    self.ts,
-                    batch,
-                );
-                if victims.is_empty() {
-                    self.drain_pending_if_starved()?;
-                    return Ok(());
-                }
-                self.clean_batch(&victims)?;
+    /// Runs `f` with the cleaner's re-entrancy guard up: seals inside it
+    /// must not start the cleaner (it may be the cleaner, or a relocation
+    /// that foreign forwarded blocks would interleave with). Guards nest;
+    /// the outer state comes back afterwards, error or not.
+    fn guarded<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let outer = std::mem::replace(&mut self.cleaning, true);
+        let result = f(self);
+        self.cleaning = outer;
+        result
+    }
+
+    /// The victim loop: while `more(self, cleaned so far)` holds, picks up
+    /// to `n` victims and cleans them — prefetched through the command
+    /// queue when `n > 1` — then releases reclaimed segments if the pool
+    /// starves. Stops when nothing is cleanable; returns how many victims
+    /// were cleaned.
+    fn clean_victims(&mut self, n: usize, more: impl Fn(&Self, u32) -> bool) -> Result<u32> {
+        let mut cleaned = 0;
+        while more(self, cleaned) {
+            let victims = self.usage.pick_victims(
+                self.config.cleaning_policy,
+                self.layout.data_bytes as u64,
+                self.ts,
+                n,
+            );
+            if victims.is_empty() {
+                break;
             }
+            self.clean_batch(&victims, n > 1)?;
+            cleaned += victims.len() as u32;
             self.drain_pending_if_starved()?;
         }
-        Ok(())
+        Ok(cleaned)
     }
 
-    /// Victims cleaned per cleaner iteration: one on the direct path,
-    /// `queue_depth` when the command queue can prefetch them in one
-    /// scheduler pass.
-    fn victim_batch(&self) -> usize {
-        if self.config.queue_depth >= 2 {
-            self.config.queue_depth as usize
+    /// Cleans a batch of victims. With `prefetch`, each victim's whole
+    /// segment (data and summary are contiguous) is read as one queued
+    /// request; the scheduler orders the batch by position instead of by
+    /// cost-benefit rank. A victim without an image (no prefetch, or its
+    /// read failed) is read by [`Self::clean_segment`]'s per-span retry
+    /// path.
+    fn clean_batch(&mut self, victims: &[u32], prefetch: bool) -> Result<()> {
+        let images = if prefetch {
+            self.prefetch_segments(victims)?
         } else {
-            1
-        }
-    }
-
-    /// Cleans a batch of victims, prefetching each victim's whole segment
-    /// (data and summary are contiguous) as one queued read; the scheduler
-    /// orders the batch by position instead of by cost-benefit rank. A
-    /// victim whose prefetch fails falls back to [`Self::clean_segment`]'s
-    /// per-span retry path.
-    fn clean_batch(&mut self, victims: &[u32]) -> Result<()> {
-        let images = self.prefetch_segments(victims)?;
+            vec![None; victims.len()]
+        };
         let lives = self.map.live_blocks_in(victims);
         for ((&victim, image), live) in victims.iter().zip(images).zip(lives) {
-            self.clean_segment_with(victim, live, image.as_deref())?;
+            self.clean_segment(victim, live, image.as_deref())?;
         }
         Ok(())
     }
@@ -116,10 +143,14 @@ impl<D: BlockDev> Lld<D> {
     /// Submits one whole-segment read per victim to the command queue and
     /// dispatches until all complete. Returns the segment images in victim
     /// order; a `None` means that read failed on a media fault (single
-    /// attempt — the caller's fallback path owns retries). Write
-    /// completions drained along the way propagate their errors.
+    /// attempt — the caller's fallback path owns retries) or that there is
+    /// no queue to prefetch through. Write completions drained along the
+    /// way propagate their errors.
     fn prefetch_segments(&mut self, victims: &[u32]) -> Result<Vec<Option<Vec<u8>>>> {
-        let q = self.queue.as_mut().expect("batching requires a queue"); // PANIC-OK: victim_batch returns 1 when queueing is off
+        let mut images: Vec<Option<Vec<u8>>> = vec![None; victims.len()];
+        let Some(q) = self.queue.as_mut() else {
+            return Ok(images);
+        };
         let mut tags = Vec::with_capacity(victims.len());
         for &v in victims {
             tags.push(q.submit_read(
@@ -129,8 +160,6 @@ impl<D: BlockDev> Lld<D> {
             ));
         }
         self.stats.queued_reads += victims.len() as u64;
-        let mut images: Vec<Option<Vec<u8>>> = vec![None; victims.len()];
-        let q = self.queue.as_mut().expect("still present"); // PANIC-OK: checked above
         while !q.is_empty() {
             let Some(c) = q.dispatch_one(&mut self.disk) else {
                 break;
@@ -170,57 +199,55 @@ impl<D: BlockDev> Lld<D> {
         Ok(())
     }
 
-    /// Explicitly cleans up to `max_segments` segments (idle-time cleaning,
-    /// paper §3: "If LLD runs out of empty segments while busy, it will
-    /// call the segment cleaner"; the reorganizer calls this during idle
-    /// periods). Returns how many segments were reclaimed.
-    pub fn clean(&mut self, max_segments: u32) -> Result<u32> {
-        self.check_up()?;
-        self.cleaning = true;
-        let cleaned0 = self.stats.segments_cleaned;
-        let copied0 = self.stats.cleaner_bytes_copied;
-        let mut cleaned = 0;
-        let result = (|| {
-            for _ in 0..max_segments {
-                let victim = self.usage.pick_victim(
-                    self.config.cleaning_policy,
-                    self.layout.data_bytes as u64,
-                    self.ts,
-                    None,
-                );
-                match victim {
-                    Some(v) => {
-                        self.clean_segment(v)?;
-                        self.drain_pending_if_starved()?;
-                        cleaned += 1;
-                    }
-                    None => break,
-                }
-            }
-            Ok(())
-        })();
-        self.cleaning = false;
-        self.disk.trace(ld_trace::Event::CleanerPass {
-            reclaimed: self.stats.segments_cleaned - cleaned0,
-            bytes_copied: self.stats.cleaner_bytes_copied - copied0,
+    /// Moves one live block into the open segment: appends `bytes` (the
+    /// stored copy `old` describes), logs the new location and re-points
+    /// the block. Returns `false`, moving nothing, when the block no longer
+    /// lives at `old` — the seal that made room may have run the cleaner,
+    /// which can have forwarded it already. The one relocation path of the
+    /// cleaner, both reorganizers and scrub; each counts its own moves.
+    fn forward(&mut self, bid: u64, old: BlockEntry, bytes: &[u8]) -> Result<bool> {
+        self.ensure_room(bytes.len(), 1)?;
+        let Some(entry) = self
+            .map
+            .get_mut(bid)
+            .filter(|cur| cur.seg == old.seg && cur.offset == old.offset)
+        else {
+            return Ok(false);
+        };
+        let offset = self.open.append_data(bytes);
+        entry.seg = OPEN_SEG;
+        entry.offset = offset;
+        self.log_internal(Record::WriteBlock {
+            bid,
+            offset,
+            stored_len: old.stored_len,
+            logical_len: old.logical_len,
+            compressed: old.compressed,
         });
-        result.map(|()| cleaned)
+        self.usage.sub_live(old.seg, u64::from(old.stored_len));
+        self.open_live += u64::from(old.stored_len);
+        self.open_bids.push(bid);
+        Ok(true)
+    }
+
+    /// Takes `seg` out of circulation for good, durably: the `Quarantine`
+    /// record carries the state through a recovery sweep.
+    fn retire_segment(&mut self, seg: u32) -> Result<()> {
+        self.ensure_room(0, 1)?;
+        self.log_internal(Record::Quarantine { seg });
+        self.usage.quarantine(seg);
+        Ok(())
     }
 
     /// Cleans one victim segment: forwards its live blocks (in list order)
     /// and re-logs its live metadata records, then queues the segment for
-    /// release once the forwarded copies are durable.
-    fn clean_segment(&mut self, victim: u32) -> Result<()> {
-        let live = self.map.live_blocks_in(&[victim]).concat();
-        self.clean_segment_with(victim, live, None)
-    }
-
-    /// [`Self::clean_segment`] given the victim's live blocks (ascending,
-    /// gathered from the block map at any point since the victim was
-    /// picked) and an optional prefetched whole-segment image (data
-    /// region followed by summary, as laid out on disk). With an image,
-    /// the victim is cleaned without touching the medium again.
-    fn clean_segment_with(
+    /// release once the forwarded copies are durable. `live` holds the
+    /// victim's live blocks (ascending, gathered from the block map at any
+    /// point since the victim was picked); `prefetch` is an optional
+    /// whole-segment image (data region followed by summary, as laid out
+    /// on disk), with which the victim is cleaned without touching the
+    /// medium again.
+    fn clean_segment(
         &mut self,
         victim: u32,
         mut live: Vec<u64>,
@@ -258,10 +285,7 @@ impl<D: BlockDev> Lld<D> {
                         // reclaimed safely. Retire it instead — the summary
                         // stays on the medium for a later recovery sweep to
                         // retry.
-                        self.ensure_room(0, 1)?;
-                        self.log_internal(Record::Quarantine { seg: victim });
-                        self.usage.quarantine(victim);
-                        return Ok(());
+                        return self.retire_segment(victim);
                     }
                     &buf[..]
                 }
@@ -328,46 +352,31 @@ impl<D: BlockDev> Lld<D> {
                         .then_some(&buf[..])
                 }
             };
-            let mut sectors = Vec::new();
             for bid in live {
-                let e = *self.map.get(bid).expect("liveness checked"); // PANIC-OK: the cleaner only visits bids its liveness check kept
+                let Some(e) = self.map.get(bid).copied() else {
+                    continue;
+                };
                 if e.seg != victim {
                     // A seal during this loop cannot move it, but be safe.
                     continue;
                 }
-                let bytes = if let Some(data) = region {
-                    &data[e.offset as usize..(e.offset + e.stored_len) as usize]
-                } else {
-                    let (start, count) = self.layout.data_sector_span(
-                        victim,
-                        e.offset as usize,
-                        e.stored_len as usize,
-                    );
-                    sectors.clear();
-                    sectors.resize((count as usize) * simdisk::SECTOR_SIZE, 0);
-                    if self.read_span_retrying(start, &mut sectors)?.is_some() {
-                        unreadable_live = true;
-                        continue;
-                    }
-                    let begin = e.offset as usize % simdisk::SECTOR_SIZE;
-                    &sectors[begin..begin + e.stored_len as usize]
+                let copy;
+                let bytes = match region {
+                    Some(data) => &data[e.offset as usize..(e.offset + e.stored_len) as usize],
+                    None => match self.read_copy(&e)? {
+                        Some(b) => {
+                            copy = b;
+                            &copy[..]
+                        }
+                        None => {
+                            unreadable_live = true;
+                            continue;
+                        }
+                    },
                 };
-                self.ensure_room(bytes.len(), 1)?;
-                let offset = self.open.append_data(bytes);
-                self.log_internal(Record::WriteBlock {
-                    bid,
-                    offset,
-                    stored_len: e.stored_len,
-                    logical_len: e.logical_len,
-                    compressed: e.compressed,
-                });
-                let entry = self.map.get_mut(bid).expect("liveness checked"); // PANIC-OK: the cleaner only visits bids its liveness check kept
-                entry.seg = OPEN_SEG;
-                entry.offset = offset;
-                self.usage.sub_live(victim, u64::from(e.stored_len));
-                self.open_live += u64::from(e.stored_len);
-                self.open_bids.push(bid);
-                self.stats.cleaner_bytes_copied += u64::from(e.stored_len);
+                if self.forward(bid, e, bytes)? {
+                    self.stats.cleaner_bytes_copied += u64::from(e.stored_len);
+                }
             }
         }
 
@@ -380,41 +389,13 @@ impl<D: BlockDev> Lld<D> {
             if !e.on_disk() {
                 continue; // Already in the open buffer.
             }
-            let bytes = {
-                let (start, count) =
-                    self.layout
-                        .data_sector_span(e.seg, e.offset as usize, e.stored_len as usize);
-                let mut sectors = vec![0u8; (count as usize) * simdisk::SECTOR_SIZE];
-                if self.read_span_retrying(start, &mut sectors)?.is_some() {
-                    unreadable_live = true;
-                    continue;
-                }
-                let begin = e.offset as usize % simdisk::SECTOR_SIZE;
-                sectors[begin..begin + e.stored_len as usize].to_vec()
-            };
-            self.ensure_room(bytes.len(), 1)?;
-            let still_there = self
-                .map
-                .get(bid)
-                .is_some_and(|cur| cur.seg == e.seg && cur.offset == e.offset);
-            if !still_there {
+            let Some(bytes) = self.read_copy(&e)? else {
+                unreadable_live = true;
                 continue;
+            };
+            if self.forward(bid, e, &bytes)? {
+                self.stats.cleaner_bytes_copied += u64::from(e.stored_len);
             }
-            let offset = self.open.append_data(&bytes);
-            self.log_internal(Record::WriteBlock {
-                bid,
-                offset,
-                stored_len: e.stored_len,
-                logical_len: e.logical_len,
-                compressed: e.compressed,
-            });
-            self.usage.sub_live(e.seg, u64::from(e.stored_len));
-            let entry = self.map.get_mut(bid).expect("checked"); // PANIC-OK: presence checked on the lines above
-            entry.seg = OPEN_SEG;
-            entry.offset = offset;
-            self.open_live += u64::from(e.stored_len);
-            self.open_bids.push(bid);
-            self.stats.cleaner_bytes_copied += u64::from(e.stored_len);
         }
 
         if unreadable_live {
@@ -425,10 +406,7 @@ impl<D: BlockDev> Lld<D> {
             // blocks — must stay on the medium, so the segment is
             // retired rather than freed. A later scrub accounts for the
             // damage and retires the failing sectors.
-            self.ensure_room(0, 1)?;
-            self.log_internal(Record::Quarantine { seg: victim });
-            self.usage.quarantine(victim);
-            return Ok(());
+            return self.retire_segment(victim);
         }
 
         // Re-log live metadata; drop dead records ("removes old logging
@@ -582,17 +560,20 @@ impl<D: BlockDev> Lld<D> {
         }
         scored.sort_unstable_by(|a, b| b.cmp(a));
 
-        let mut rewritten = 0u32;
-        for (_, lid) in scored.into_iter().take(max_lists as usize) {
-            if self.usage.free_count() <= self.config.cleaning_reserve_segments {
-                self.clean_to_reserve()?;
+        let rewritten = self.guarded(|lld| {
+            let mut rewritten = 0u32;
+            for (_, lid) in scored.into_iter().take(max_lists as usize) {
+                if lld.usage.free_count() <= lld.config.cleaning_reserve_segments {
+                    lld.clean_to_reserve()?;
+                }
+                // Walking the list in order clusters it physically.
+                let blocks = lld.walk_list(lid);
+                lld.relocate_in_chunks(blocks)?;
+                lld.stats.reorganized_lists += 1;
+                rewritten += 1;
             }
-            self.cleaning = true;
-            let result = self.rewrite_list(lid);
-            self.cleaning = false;
-            result?;
-            rewritten += 1;
-        }
+            Ok(rewritten)
+        })?;
         let cleaned = self.clean(max_segments)?;
         Ok((rewritten, cleaned))
     }
@@ -624,76 +605,13 @@ impl<D: BlockDev> Lld<D> {
         // Keep list order within the hot set so sequential runs survive.
         self.order_by_lists(&mut bids);
 
-        // Start on a fresh segment so the hot region is contiguous.
-        self.cleaning = true;
-        let result = (|| -> Result<u32> {
-            self.seal()?;
-            let mut moved = 0u32;
-            let chunk_bytes = self
-                .config
-                .cleaning_reserve_segments
-                .saturating_sub(2)
-                .max(1) as usize
-                * self.layout.data_bytes;
-            let mut streamed = 0usize;
-            for bid in bids {
-                if streamed >= chunk_bytes {
-                    streamed = 0;
-                    if self.usage.free_count() <= self.config.cleaning_reserve_segments {
-                        self.cleaning = false;
-                        let r = self.clean_to_reserve();
-                        self.cleaning = true;
-                        r?;
-                    }
-                }
-                let Some(e) = self.map.get(bid).copied() else {
-                    continue;
-                };
-                if !e.on_disk() {
-                    continue;
-                }
-                let bytes = {
-                    let (start, count) = self.layout.data_sector_span(
-                        e.seg,
-                        e.offset as usize,
-                        e.stored_len as usize,
-                    );
-                    let mut sectors = vec![0u8; (count as usize) * simdisk::SECTOR_SIZE];
-                    if self.read_span_retrying(start, &mut sectors)?.is_some() {
-                        continue; // Unreadable: leave it; scrub handles it.
-                    }
-                    let begin = e.offset as usize % simdisk::SECTOR_SIZE;
-                    sectors[begin..begin + e.stored_len as usize].to_vec()
-                };
-                self.ensure_room(bytes.len(), 1)?;
-                let still_there = self
-                    .map
-                    .get(bid)
-                    .is_some_and(|cur| cur.seg == e.seg && cur.offset == e.offset);
-                if !still_there {
-                    continue;
-                }
-                let offset = self.open.append_data(&bytes);
-                self.log_internal(Record::WriteBlock {
-                    bid,
-                    offset,
-                    stored_len: e.stored_len,
-                    logical_len: e.logical_len,
-                    compressed: e.compressed,
-                });
-                self.usage.sub_live(e.seg, u64::from(e.stored_len));
-                let entry = self.map.get_mut(bid).expect("checked"); // PANIC-OK: presence checked on the lines above
-                entry.seg = OPEN_SEG;
-                entry.offset = offset;
-                self.open_live += u64::from(e.stored_len);
-                self.open_bids.push(bid);
-                streamed += e.stored_len as usize;
-                moved += 1;
-            }
-            self.seal()?;
+        let result = self.guarded(|lld| {
+            // Start on a fresh segment so the hot region is contiguous.
+            lld.seal()?;
+            let moved = lld.relocate_in_chunks(bids)?;
+            lld.seal()?;
             Ok(moved)
-        })();
-        self.cleaning = false;
+        });
         // Age the estimates.
         for h in &mut self.heat {
             *h /= 2;
@@ -707,14 +625,15 @@ impl<D: BlockDev> Lld<D> {
         Ok(moved)
     }
 
-    /// Rewrites every block of a list, in list order, into the current
-    /// segment — clustering the list physically.
-    ///
-    /// Cleaning is deferred while a chunk of the list streams out (the
-    /// cleaner would interleave forwarded foreign blocks into the open
-    /// segment and fragment the very list being clustered), but runs
-    /// between chunks so long lists cannot starve the free pool.
-    fn rewrite_list(&mut self, lid: u64) -> Result<()> {
+    /// Streams `bids`, in the order given, into the open segment — the
+    /// reorganizers' loop, run under the cleaning guard. Cleaning is
+    /// deferred while a chunk streams out (the cleaner would interleave
+    /// forwarded foreign blocks and fragment the very run being laid
+    /// down), but runs between chunks so long runs cannot starve the free
+    /// pool. Blocks already in memory stay put (clustered by definition),
+    /// and so do unreadable ones, which scrub handles. Returns how many
+    /// blocks moved.
+    fn relocate_in_chunks(&mut self, bids: Vec<u64>) -> Result<u32> {
         let chunk_bytes = self
             .config
             .cleaning_reserve_segments
@@ -722,60 +641,29 @@ impl<D: BlockDev> Lld<D> {
             .max(1) as usize
             * self.layout.data_bytes;
         let mut streamed = 0usize;
-        for bid in self.walk_list(lid) {
+        let mut moved = 0u32;
+        for bid in bids {
             if streamed >= chunk_bytes {
                 streamed = 0;
                 if self.usage.free_count() <= self.config.cleaning_reserve_segments {
-                    self.cleaning = false;
-                    let r = self.clean_to_reserve();
-                    self.cleaning = true;
-                    r?;
+                    self.clean_to_reserve()?;
                 }
             }
-            let e = *self.map.get(bid).expect("walked"); // PANIC-OK: the bid was read off the chain just walked
-            if !e.on_disk() {
-                continue; // Already in memory (clustered by definition).
-            }
-            let bytes = {
-                let (start, count) =
-                    self.layout
-                        .data_sector_span(e.seg, e.offset as usize, e.stored_len as usize);
-                let mut sectors = vec![0u8; (count as usize) * simdisk::SECTOR_SIZE];
-                if self.read_span_retrying(start, &mut sectors)?.is_some() {
-                    continue; // Unreadable: leave it; scrub handles it.
-                }
-                let begin = e.offset as usize % simdisk::SECTOR_SIZE;
-                sectors[begin..begin + e.stored_len as usize].to_vec()
+            let Some(e) = self.map.get(bid).copied() else {
+                continue;
             };
-            self.ensure_room(bytes.len(), 1)?;
-            // The seal inside ensure_room can trigger the cleaner, which
-            // may itself have forwarded this block; only proceed if the
-            // copy we read is still the live one.
-            let still_there = self
-                .map
-                .get(bid)
-                .is_some_and(|cur| cur.seg == e.seg && cur.offset == e.offset);
-            if !still_there {
+            if !e.on_disk() {
                 continue;
             }
-            let offset = self.open.append_data(&bytes);
-            self.log_internal(Record::WriteBlock {
-                bid,
-                offset,
-                stored_len: e.stored_len,
-                logical_len: e.logical_len,
-                compressed: e.compressed,
-            });
-            self.usage.sub_live(e.seg, u64::from(e.stored_len));
-            let entry = self.map.get_mut(bid).expect("walked"); // PANIC-OK: the bid was read off the chain just walked
-            entry.seg = OPEN_SEG;
-            entry.offset = offset;
-            self.open_live += u64::from(e.stored_len);
-            self.open_bids.push(bid);
-            streamed += e.stored_len as usize;
+            let Some(bytes) = self.read_copy(&e)? else {
+                continue;
+            };
+            if self.forward(bid, e, &bytes)? {
+                streamed += e.stored_len as usize;
+                moved += 1;
+            }
         }
-        self.stats.reorganized_lists += 1;
-        Ok(())
+        Ok(moved)
     }
 
     /// Proactive media scan: reads every segment region — data and summary
@@ -812,8 +700,8 @@ impl<D: BlockDev> Lld<D> {
     /// transient faults have recovered and drop out; persistent faults are
     /// confirmed bad. Segments owning a confirmed-bad sector (plus any
     /// segment already quarantined by the cleaner) have their live blocks
-    /// relocated into the open segment via the cleaner's forwarding
-    /// machinery, then are retired from circulation. Confirmed sectors no
+    /// relocated into the open segment through the relocation path the
+    /// cleaner and the reorganizers use, then are retired from circulation. Confirmed sectors no
     /// longer under any live block join the persistent bad-block remap
     /// table (durable from the next checkpoint) and are traced as
     /// `SectorRemap` events; a sector still covered by a live block that
@@ -831,12 +719,12 @@ impl<D: BlockDev> Lld<D> {
             .into_iter()
             .filter(|s| !self.bad_sectors.contains(s))
             .collect();
-        if self.config.queue_depth >= 2 && suspects.len() > 1 {
+        let batched = self.config.queue_depth >= 2 && suspects.len() > 1;
+        if let Some(q) = self.queue.as_mut().filter(|_| batched) {
             // First pass: single-attempt probes through the command queue,
             // visited in scheduler order instead of sector order. Sectors
             // that read clean (transient faults) drop out here; only the
             // failures get the full retry-budget probe below.
-            let q = self.queue.as_mut().expect("depth >= 2 implies a queue"); // PANIC-OK: the queue exists whenever queue_depth >= 1
             for &s in &suspects {
                 q.submit_read(&self.disk, s, 1);
             }
@@ -880,78 +768,42 @@ impl<D: BlockDev> Lld<D> {
                 .map(|(seg, _)| seg),
         );
 
-        // Evacuate live blocks off every target segment (the cleaner's
-        // forwarding idiom, per-block so one bad sector costs one block).
+        // Evacuate live blocks off every target segment, per block so one
+        // bad sector costs one block.
         let mut relocated = 0u64;
         let mut unreadable = 0u64;
         let segs: Vec<u32> = targets.iter().copied().collect();
-        self.cleaning = true;
-        let result = (|| -> Result<()> {
-            let mut lives = self.map.live_blocks_in(&segs);
-            let mut sealed = self.stats.segments_sealed;
+        self.guarded(|lld| {
+            let mut lives = lld.map.live_blocks_in(&segs);
+            let mut sealed = lld.stats.segments_sealed;
             for (i, &seg) in segs.iter().enumerate() {
-                if self.stats.segments_sealed != sealed {
+                if lld.stats.segments_sealed != sealed {
                     // A seal can fill a later target (a free segment with a
                     // confirmed-bad sector); gather again so those blocks
                     // move too.
-                    lives = self.map.live_blocks_in(&segs);
-                    sealed = self.stats.segments_sealed;
+                    lives = lld.map.live_blocks_in(&segs);
+                    sealed = lld.stats.segments_sealed;
                 }
                 for bid in std::mem::take(&mut lives[i]) {
-                    let Some(e) = self.map.get(bid).copied() else {
+                    let Some(e) = lld.map.get(bid).copied() else {
                         continue;
                     };
-                    if e.seg != seg {
+                    // A zero-length block has nothing stored on the medium.
+                    if e.seg != seg || e.stored_len == 0 {
                         continue;
                     }
-                    if e.stored_len == 0 {
-                        // Nothing stored on the medium; just re-point it.
-                        continue;
-                    }
-                    let (start, count) = self.layout.data_sector_span(
-                        seg,
-                        e.offset as usize,
-                        e.stored_len as usize,
-                    );
-                    let mut sectors = vec![0u8; (count as usize) * simdisk::SECTOR_SIZE];
-                    if self.read_span_retrying(start, &mut sectors)?.is_some() {
+                    let Some(bytes) = lld.read_copy(&e)? else {
                         unreadable += 1;
-                        self.stats.unreadable_blocks += 1;
+                        lld.stats.unreadable_blocks += 1;
                         continue;
+                    };
+                    if lld.forward(bid, e, &bytes)? {
+                        relocated += 1;
                     }
-                    let begin = e.offset as usize % simdisk::SECTOR_SIZE;
-                    let bytes = sectors[begin..begin + e.stored_len as usize].to_vec();
-                    self.ensure_room(bytes.len(), 1)?;
-                    // The seal inside ensure_room cannot clean (the
-                    // cleaning guard is set) but be safe about moves.
-                    let still_there = self
-                        .map
-                        .get(bid)
-                        .is_some_and(|cur| cur.seg == e.seg && cur.offset == e.offset);
-                    if !still_there {
-                        continue;
-                    }
-                    let offset = self.open.append_data(&bytes);
-                    self.log_internal(Record::WriteBlock {
-                        bid,
-                        offset,
-                        stored_len: e.stored_len,
-                        logical_len: e.logical_len,
-                        compressed: e.compressed,
-                    });
-                    self.usage.sub_live(seg, u64::from(e.stored_len));
-                    let entry = self.map.get_mut(bid).expect("checked"); // PANIC-OK: presence checked on the lines above
-                    entry.seg = OPEN_SEG;
-                    entry.offset = offset;
-                    self.open_live += u64::from(e.stored_len);
-                    self.open_bids.push(bid);
-                    relocated += 1;
                 }
             }
             Ok(())
-        })();
-        self.cleaning = false;
-        result?;
+        })?;
 
         // Retire the targets. Their summaries stay on the medium (a
         // recovery sweep may still need them); the checkpoint carries the
@@ -959,10 +811,8 @@ impl<D: BlockDev> Lld<D> {
         // record in the metadata log carries it through a recovery sweep.
         for &seg in &targets {
             if self.usage.get(seg).state != SegState::Quarantined {
-                self.ensure_room(0, 1)?;
-                self.log_internal(Record::Quarantine { seg });
+                self.retire_segment(seg)?;
             }
-            self.usage.quarantine(seg);
         }
 
         // Sectors still covered by a live block could not be evacuated;

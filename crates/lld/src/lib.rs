@@ -161,7 +161,8 @@ pub struct Lld<D: BlockDev> {
     pub(crate) active_aru: Option<u64>,
     pub(crate) next_aru_id: u64,
     pub(crate) shut_down: bool,
-    /// Re-entrancy guard: seals during cleaning must not re-trigger it.
+    /// Re-entrancy guard, up inside the cleaner's `guarded` sections:
+    /// seals there must not start the cleaner.
     pub(crate) cleaning: bool,
     /// Anything logged or buffered since the last durable write.
     pub(crate) dirty: bool,
@@ -868,19 +869,33 @@ impl<D: BlockDev> Lld<D> {
             self.stats.block_reads_from_memory += 1;
             return Ok(self.open.read(e.offset, e.stored_len).to_vec());
         }
+        let Some(bytes) = self.read_copy(e)? else {
+            self.stats.unreadable_blocks += 1;
+            return Err(LdError::Device(format!(
+                "media fault: block copy at segment {} offset {} unreadable after {} attempts",
+                e.seg,
+                e.offset,
+                self.config.read_retries.max(1)
+            )));
+        };
+        Ok(bytes)
+    }
+
+    /// Reads the on-disk block copy `e` describes, re-driving the read up
+    /// to the retry budget. Returns `None` when it stayed unreadable (the
+    /// failing sector has joined the suspect set).
+    pub(crate) fn read_copy(&mut self, e: &block_map::BlockEntry) -> Result<Option<Vec<u8>>> {
         let (start, count) =
             self.layout
                 .data_sector_span(e.seg, e.offset as usize, e.stored_len as usize);
         let mut sectors = vec![0u8; (count as usize) * simdisk::SECTOR_SIZE];
-        if let Some(sector) = self.read_span_retrying(start, &mut sectors)? {
-            self.stats.unreadable_blocks += 1;
-            return Err(LdError::Device(format!(
-                "media fault: sector {sector} unreadable after {} attempts",
-                self.config.read_retries.max(1)
-            )));
+        if self.read_span_retrying(start, &mut sectors)?.is_some() {
+            return Ok(None);
         }
         let begin = e.offset as usize % simdisk::SECTOR_SIZE;
-        Ok(sectors[begin..begin + e.stored_len as usize].to_vec())
+        sectors.truncate(begin + e.stored_len as usize);
+        sectors.drain(..begin);
+        Ok(Some(sectors))
     }
 }
 

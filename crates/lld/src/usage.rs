@@ -184,45 +184,14 @@ impl UsageTable {
         self.segs.iter().enumerate().map(|(i, s)| (i as u32, s))
     }
 
-    /// Picks the best cleaning victim among live segments, excluding
-    /// `exclude` (the segment currently being filled has no on-disk form
-    /// and scratch segments are superseded by the in-memory segment).
-    ///
-    /// Greedy picks the least-utilized segment; cost-benefit picks the
-    /// highest `(1 - u) * age / (1 + u)` (Rosenblum & Ousterhout; paper
-    /// §3.5 notes all Sprite policies apply to LLD).
-    pub fn pick_victim(
-        &self,
-        policy: CleaningPolicy,
-        data_bytes: u64,
-        now_ts: u64,
-        exclude: Option<u32>,
-    ) -> Option<u32> {
-        let candidates = self
-            .segs
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| s.state == SegState::Live && Some(*i as u32) != exclude)
-            // A completely full segment yields nothing; skip it.
-            .filter(|(_, s)| s.live_bytes < data_bytes);
-        match policy {
-            CleaningPolicy::Greedy => candidates
-                .min_by_key(|(_, s)| s.live_bytes)
-                .map(|(i, _)| i as u32),
-            CleaningPolicy::CostBenefit => candidates
-                .max_by(|(_, a), (_, b)| {
-                    cost_benefit(a, data_bytes, now_ts)
-                        .total_cmp(&cost_benefit(b, data_bytes, now_ts))
-                })
-                .map(|(i, _)| i as u32),
-        }
-    }
-
-    /// Picks up to `max` cleaning victims at once, best first — the
-    /// batched form of [`pick_victim`](Self::pick_victim) used when the
-    /// command queue lets the cleaner prefetch several victims in one
-    /// scheduler pass. Ties break toward the lower segment id so the
-    /// batch is deterministic.
+    /// Picks up to `max` cleaning victims among live segments, best first.
+    /// Greedy picks the least-utilized segments; cost-benefit the highest
+    /// `(1 - u) * age / (1 + u)` (Rosenblum & Ousterhout; paper §3.5 notes
+    /// all Sprite policies apply to LLD). Scratch segments are superseded
+    /// by the in-memory segment and full ones yield nothing, so neither is
+    /// a candidate. Ties break toward the lower segment id, so every pick
+    /// — one victim on the direct path, a batch the command queue
+    /// prefetches — is deterministic.
     pub fn pick_victims(
         &self,
         policy: CleaningPolicy,
@@ -330,14 +299,21 @@ mod tests {
         let b = t.alloc_near(3).unwrap();
         t.add_live(a, 100, 1);
         t.add_live(b, 50, 2);
-        assert_eq!(
-            t.pick_victim(CleaningPolicy::Greedy, 1000, 10, None),
-            Some(b)
-        );
-        assert_eq!(
-            t.pick_victim(CleaningPolicy::Greedy, 1000, 10, Some(b)),
-            Some(a)
-        );
+        assert_eq!(t.pick_victims(CleaningPolicy::Greedy, 1000, 10, 1), [b]);
+        assert_eq!(t.pick_victims(CleaningPolicy::Greedy, 1000, 10, 2), [b, a]);
+    }
+
+    #[test]
+    fn single_picks_break_ties_toward_the_lower_segment() {
+        let mut t = UsageTable::new(4);
+        let a = t.alloc_near(1).unwrap();
+        let b = t.alloc_near(3).unwrap();
+        // Same utilization and age: equal scores under both policies.
+        t.add_live(a, 400, 7);
+        t.add_live(b, 400, 7);
+        for policy in [CleaningPolicy::Greedy, CleaningPolicy::CostBenefit] {
+            assert_eq!(t.pick_victims(policy, 1000, 20, 1), [a], "{policy:?}");
+        }
     }
 
     /// `pick_victims` as a full sort of every candidate.
@@ -409,10 +385,7 @@ mod tests {
         // Same utilization, different age: the older one wins.
         t.add_live(a, 500, 1);
         t.add_live(b, 500, 99);
-        assert_eq!(
-            t.pick_victim(CleaningPolicy::CostBenefit, 1000, 100, None),
-            Some(a)
-        );
+        assert_eq!(t.pick_victims(CleaningPolicy::CostBenefit, 1000, 100, 1), [a]);
     }
 
     #[test]
@@ -420,7 +393,7 @@ mod tests {
         let mut t = UsageTable::new(2);
         let a = t.alloc_near(0).unwrap();
         t.add_live(a, 1000, 1);
-        assert_eq!(t.pick_victim(CleaningPolicy::Greedy, 1000, 5, None), None);
+        assert!(t.pick_victims(CleaningPolicy::Greedy, 1000, 5, 1).is_empty());
     }
 
     #[test]
@@ -433,7 +406,7 @@ mod tests {
         // Accounting survives (unevacuated blocks still map here).
         assert_eq!(t.get(a).live_bytes, 700);
         // Not a victim, not allocatable, and release is a no-op.
-        assert_eq!(t.pick_victim(CleaningPolicy::Greedy, 1000, 9, None), None);
+        assert!(t.pick_victims(CleaningPolicy::Greedy, 1000, 9, 1).is_empty());
         t.release(a);
         assert_eq!(t.get(a).state, SegState::Quarantined);
         assert_eq!(t.free_count(), 2);

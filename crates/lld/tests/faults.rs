@@ -169,3 +169,66 @@ fn bad_sector_table_survives_checkpoint_and_recovery() {
     assert_eq!(swept.bad_sector_table(), table);
     assert_eq!(swept.quarantined_segments(), quarantined);
 }
+
+#[test]
+fn reorganizers_leave_unreadable_blocks_in_place() {
+    let mut lld = Lld::format(disk(), test_config()).unwrap();
+    // Two lists written in alternation, so each is fragmented across
+    // every segment they fill.
+    let lids = [
+        lld.new_list(PredList::Start, ListHints::default()).unwrap(),
+        lld.new_list(PredList::Start, ListHints::default()).unwrap(),
+    ];
+    let mut blocks = Vec::new();
+    for i in 0..80 {
+        let b = lld.new_block(lids[i % 2], Pred::Start).unwrap();
+        let d = data(4096, i as u8);
+        lld.write(b, &d).unwrap();
+        blocks.push((b, d));
+    }
+    lld.flush(ld_core::FailureSet::PowerFailure).unwrap();
+    lld.disk_mut().set_faults(FaultConfig {
+        seed: 4,
+        latent_ppm: 20_000,
+        ..FaultConfig::default()
+    });
+    // Find the blocks whose copy is already unreadable (and where it is).
+    let mut buf = vec![0u8; 4096];
+    let mut stranded = Vec::new();
+    for (b, d) in &blocks {
+        match lld.read(*b, &mut buf) {
+            Ok(n) => assert_eq!(&buf[..n], &d[..], "wrong bytes for {b}"),
+            Err(LdError::Device(_)) => stranded.push((*b, lld.block_segment(*b))),
+            Err(e) => panic!("unexpected error {e:?}"),
+        }
+    }
+    assert!(!stranded.is_empty(), "2% latent faults must strand some blocks");
+
+    let (rewritten, _) = lld.reorganize(2, 0).expect("reorganize");
+    assert_eq!(rewritten, 2, "both lists are fragmented");
+    let moved = lld.reorganize_hot(blocks.len()).expect("reorganize_hot");
+    assert!(moved > 0, "readable hot blocks move");
+
+    // Never wrong bytes; a stranded block stays where it was.
+    for (b, d) in &blocks {
+        match lld.read(*b, &mut buf) {
+            Ok(n) => assert_eq!(&buf[..n], &d[..], "wrong bytes for {b}"),
+            Err(LdError::Device(_)) => {}
+            Err(e) => panic!("unexpected error {e:?}"),
+        }
+    }
+    for (b, seg) in &stranded {
+        assert_eq!(lld.block_segment(*b), *seg, "unreadable {b} moved");
+        assert!(lld.read(*b, &mut buf).is_err(), "latent faults persist");
+    }
+
+    // Scrub accounts for every stranded block: it cannot relocate an
+    // unreadable copy, so it reports each one.
+    let (_, _, unreadable) = lld.scrub().expect("scrub");
+    assert!(
+        unreadable >= stranded.len() as u64,
+        "scrub reported {unreadable} of {} stranded blocks",
+        stranded.len()
+    );
+    assert!(lld.quarantined_segments() > 0);
+}

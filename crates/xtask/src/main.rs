@@ -13,9 +13,11 @@
 //!    the non-test code of the core crates. Fallible paths must use typed
 //!    errors; a genuine can't-happen invariant may be waived line-by-line
 //!    with a `// PANIC-OK: <why it cannot fire>` comment, which keeps every
-//!    remaining panic site documented and greppable. (`assert!` is allowed:
-//!    precondition checks on documented panicking APIs are contracts, not
-//!    error handling.)
+//!    remaining panic site documented and greppable. A waiver on a line
+//!    with no panic is stale and reported, so the comments cannot drift
+//!    from the sites they excuse. (`assert!` is allowed: precondition
+//!    checks on documented panicking APIs are contracts, not error
+//!    handling.)
 //! 2. **No wall-clock time or OS randomness in simulation-facing crates.**
 //!    The whole point of `simdisk` is a deterministic simulated clock; a
 //!    host clock or an entropy-seeded RNG anywhere in the simulation stack
@@ -218,7 +220,11 @@ fn check_file(root: &Path, path: &Path, lint: &mut Lint, krate: &str) {
     };
     lint.files_scanned += 1;
     let rel = path.strip_prefix(root).unwrap_or(path).display().to_string();
+    check_source(&rel, path, &source, lint, krate);
+}
 
+/// Lints one file's `source`; `rel` is its repository-relative path.
+fn check_source(rel: &str, path: &Path, source: &str, lint: &mut Lint, krate: &str) {
     let panic_tokens = [".unwrap()", ".expect(", "panic!(", "todo!(", "unimplemented!("];
     let time_tokens = ["std::time::Instant", "Instant::now", "SystemTime", "UNIX_EPOCH"];
     let entropy_tokens = ["thread_rng", "from_entropy", "getrandom", "OsRng", "RandomState"];
@@ -226,7 +232,7 @@ fn check_file(root: &Path, path: &Path, lint: &mut Lint, krate: &str) {
     let panic_free = PANIC_FREE_CRATES.contains(&krate);
     let deterministic = DETERMINISTIC_CRATES.contains(&krate);
     let fs_crate = FS_CRATES.contains(&krate);
-    let dispatch_order = DISPATCH_ORDER_FILES.contains(&rel.as_str());
+    let dispatch_order = DISPATCH_ORDER_FILES.contains(&rel);
     // CLI entry points may print — that is their job.
     let cli_entry = path.file_name().is_some_and(|n| n == "main.rs")
         || path.components().any(|c| c.as_os_str() == "bin");
@@ -277,6 +283,14 @@ fn check_file(root: &Path, path: &Path, lint: &mut Lint, krate: &str) {
             }
             lint.findings.push(msg);
         };
+
+        if waived && !panic_tokens.iter().any(|tok| code.contains(tok)) {
+            report(
+                lint,
+                "stale `PANIC-OK:` waiver: no panic on this line",
+                "delete the comment, or move it onto the line that can panic",
+            );
+        }
 
         if panic_free && !waived {
             for tok in panic_tokens {
@@ -530,6 +544,29 @@ fn baseline_identity() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lint_source(source: &str) -> Vec<String> {
+        let mut lint = Lint {
+            findings: Vec::new(),
+            files_scanned: 0,
+        };
+        let rel = "crates/lld/src/x.rs";
+        check_source(rel, Path::new(rel), source, &mut lint, "lld");
+        lint.findings
+    }
+
+    #[test]
+    fn waivers_must_sit_on_a_panic() {
+        let live = "let e = m.get(b).expect(\"checked\"); // PANIC-OK: checked above\n";
+        assert!(lint_source(live).is_empty());
+        let stale = "let e = m.get(b).copied(); // PANIC-OK: checked above\n";
+        let findings = lint_source(stale);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].starts_with("crates/lld/src/x.rs:1: stale `PANIC-OK:` waiver"));
+        // Test code is exempt, waivers included.
+        let test_only = "#[cfg(test)]\nmod tests {\n    // PANIC-OK: not linted\n}\n";
+        assert!(lint_source(test_only).is_empty());
+    }
 
     #[test]
     fn simdisk_refs_are_extracted_from_paths_and_use_groups() {
