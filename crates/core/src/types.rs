@@ -87,6 +87,23 @@ impl ListHints {
             ..Self::default()
         }
     }
+
+    /// The on-disk form: bit 0 `cluster`, bit 1 `compress`, bit 2
+    /// `interlist_cluster`.
+    pub fn to_bits(self) -> u8 {
+        u8::from(self.cluster)
+            | u8::from(self.compress) << 1
+            | u8::from(self.interlist_cluster) << 2
+    }
+
+    /// Inverse of [`to_bits`](Self::to_bits); higher bits are ignored.
+    pub fn from_bits(bits: u8) -> Self {
+        Self {
+            cluster: bits & 1 != 0,
+            compress: bits & 2 != 0,
+            interlist_cluster: bits & 4 != 0,
+        }
+    }
 }
 
 /// The failure classes a `Flush` must survive (paper Table 1:

@@ -1,9 +1,11 @@
-//! Little-endian wire-format readers shared by every on-disk decoder.
+//! Little-endian wire-format readers and the checksum shared by every
+//! on-disk decoder.
 //!
 //! All the stacked formats in this workspace — LLD segment summaries and
 //! checkpoints, the NVRAM staging image, and the file systems' metadata
 //! blocks — are little-endian with length-checked regions. These helpers
-//! read a fixed-width integer out of a byte slice at an offset.
+//! read a fixed-width integer out of a byte slice at an offset, and
+//! [`fnv1a64`] is the one checksum they are all sealed with.
 //!
 //! # Panics
 //!
@@ -38,6 +40,17 @@ pub fn le_u64(b: &[u8], at: usize) -> u64 {
         b[at + 6],
         b[at + 7],
     ])
+}
+
+/// FNV-1a 64-bit hash: the checksum of LLD summaries, checkpoints and the
+/// NVRAM image, and of Sprite-LFS summaries and checkpoints.
+pub fn fnv1a64(data: &[u8]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &b in data {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
 }
 
 #[cfg(test)]

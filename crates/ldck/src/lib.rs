@@ -34,10 +34,10 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
-use lld::checkpoint::{peek_image, CheckpointPeek, CheckpointView, SegStateView};
+use lld::checkpoint::{peek_image, CheckpointPeek, CheckpointView};
 use lld::layout::HEADER_SECTORS;
 use lld::records::{decode_summary, Record, Summary};
-use lld::{Layout, LldConfig, NO_SEG, NVRAM_SEG, OPEN_SEG, PROVISIONAL_LIST};
+use lld::{BlockEntry, Layout, LldConfig, SegState, NO_SEG, NVRAM_SEG, OPEN_SEG, PROVISIONAL_LIST};
 use simdisk::SECTOR_SIZE;
 
 /// How bad a finding is.
@@ -260,23 +260,11 @@ impl Report {
     }
 }
 
-/// A block-map entry as `ldck` models it (either from the checkpoint or
-/// from its own replay).
-#[derive(Debug, Clone, Copy)]
-struct Blk {
-    seg: u32,
-    offset: u32,
-    stored_len: u32,
-    logical_len: u32,
-    size_class: u32,
-    next: Option<u64>,
-    list: u64,
-}
-
 /// The authoritative state under check.
 #[derive(Debug, Default)]
 struct State {
-    blocks: BTreeMap<u64, Blk>,
+    /// Block-map entries, from the checkpoint or from `ldck`'s own replay.
+    blocks: BTreeMap<u64, BlockEntry>,
     /// `lid -> first`.
     lists: BTreeMap<u64, Option<u64>>,
     /// Remapped sectors replayed from `RetireSector` records (sweep mode;
@@ -467,7 +455,7 @@ fn check_checkpoint_meta(
             );
         }
         match view.usage.get(seg as usize) {
-            Some(u) if u.state != SegStateView::Free => {
+            Some(u) if u.state != SegState::Free => {
                 report.push(
                     Severity::Error,
                     Kind::PayloadSegmentNotFree,
@@ -521,7 +509,7 @@ fn check_checkpoint_meta(
 
     // Usage table vs summaries: Live claims a summary worth keeping.
     for (seg, u) in view.usage.iter().enumerate() {
-        if u.state == SegStateView::Live && summaries[seg].is_none() {
+        if u.state == SegState::Live && summaries[seg].is_none() {
             report.push(
                 Severity::Error,
                 Kind::LiveSegmentWithoutSummary,
@@ -568,7 +556,7 @@ fn check_bad_sector_table(view: &CheckpointView, layout: &Layout, report: &mut R
             continue;
         };
         match view.usage.get(seg as usize) {
-            Some(u) if u.state != SegStateView::Quarantined => {
+            Some(u) if u.state != SegState::Quarantined => {
                 report.push(
                     Severity::Warning,
                     Kind::BadSectorSegmentNotQuarantined,
@@ -586,25 +574,11 @@ fn check_bad_sector_table(view: &CheckpointView, layout: &Layout, report: &mut R
 
 /// Builds the model state from a parsed checkpoint.
 fn state_from_view(view: &CheckpointView) -> State {
-    let mut state = State::default();
-    for b in &view.blocks {
-        state.blocks.insert(
-            b.bid,
-            Blk {
-                seg: b.seg,
-                offset: b.offset,
-                stored_len: b.stored_len,
-                logical_len: b.logical_len,
-                size_class: b.size_class,
-                next: b.next,
-                list: b.list,
-            },
-        );
+    State {
+        blocks: view.blocks.iter().copied().collect(),
+        lists: view.lists.iter().map(|l| (l.lid, l.first)).collect(),
+        bad_sectors: Default::default(),
     }
-    for l in &view.lists {
-        state.lists.insert(l.lid, l.first);
-    }
-    state
 }
 
 /// A record tagged with its physical position, for the replay sort.
@@ -685,15 +659,7 @@ fn apply(state: &mut State, r: &RepRec) {
             lid,
             size_class,
         } => {
-            let e = state.blocks.entry(bid).or_insert(Blk {
-                seg: NO_SEG,
-                offset: 0,
-                stored_len: 0,
-                logical_len: 0,
-                size_class: 0,
-                next: None,
-                list: PROVISIONAL_LIST,
-            });
+            let e = ensure_block(state, bid);
             e.list = lid;
             e.size_class = size_class;
         }
@@ -766,16 +732,10 @@ fn apply(state: &mut State, r: &RepRec) {
     }
 }
 
-fn ensure_block(state: &mut State, bid: u64) -> &mut Blk {
-    state.blocks.entry(bid).or_insert(Blk {
-        seg: NO_SEG,
-        offset: 0,
-        stored_len: 0,
-        logical_len: 0,
-        size_class: 0,
-        next: None,
-        list: PROVISIONAL_LIST,
-    })
+fn ensure_block(state: &mut State, bid: u64) -> &mut BlockEntry {
+    (state.blocks)
+        .entry(bid)
+        .or_insert_with(|| BlockEntry::new(PROVISIONAL_LIST, 0))
 }
 
 /// Structural checks on the authoritative state: physical placement,
@@ -863,7 +823,7 @@ fn check_state(
                     );
                 }
                 if let Some(v) = view {
-                    if v.usage[seg as usize].state == SegStateView::Free {
+                    if v.usage[seg as usize].state == SegState::Free {
                         report.push(
                             Severity::Error,
                             Kind::MappedBlockInFreeSegment,
@@ -916,7 +876,7 @@ fn check_state(
     // bytes track the open segment's pending tail, which is volatile.)
     if let Some(v) = view {
         for (seg, u) in v.usage.iter().enumerate() {
-            if u.state != SegStateView::Live {
+            if u.state != SegState::Live {
                 continue;
             }
             let recomputed = live.get(&(seg as u32)).copied().unwrap_or(0);

@@ -6,11 +6,12 @@
 //! the checker reports the corresponding error — the same classes a broken
 //! cable, a firmware bug, or a misdirected write would produce.
 
-use ld_core::{FailureSet, ListHints, LogicalDisk, Pred, PredList};
+use ld_core::wire::fnv1a64;
+use ld_core::{FailureSet, LdError, ListHints, LogicalDisk, Pred, PredList};
 use ldck::{check_image, Kind, Severity};
-use lld::checkpoint::{peek_image, CheckpointPeek, CheckpointView, SegStateView};
-use lld::records::{fnv1a64, Record, Stamped, SummaryBuilder};
-use lld::{Layout, Lld, LldConfig};
+use lld::checkpoint::{peek_image, CheckpointPeek, CheckpointView};
+use lld::records::{Record, Stamped, SummaryBuilder};
+use lld::{Layout, Lld, LldConfig, SegState};
 use simdisk::{MemDisk, SECTOR_SIZE};
 
 fn config() -> LldConfig {
@@ -89,7 +90,7 @@ fn summary_bit_flip_is_flagged() {
     let live_seg = view
         .usage
         .iter()
-        .position(|u| u.state == SegStateView::Live && u.live_bytes > 0)
+        .position(|u| u.state == SegState::Live && u.live_bytes > 0)
         .expect("a live segment") as u32;
     let base = layout.summary_base(live_seg) as usize * SECTOR_SIZE;
     for probe in [0usize, 9, 33] {
@@ -134,11 +135,18 @@ fn truncated_checkpoint_payload_is_flagged() {
     assert!(kinds(&report).contains(&Kind::CheckpointCorrupt));
 }
 
-/// Rewrites the checkpoint payload via `tamper` and re-stamps the header
-/// checksum, simulating consistent-looking but wrong checkpoint tables
-/// (e.g. a buggy shutdown path).
-fn patch_payload(image: &mut [u8], layout: &Layout, view: &CheckpointView, tamper: impl FnOnce(&mut [u8])) {
-    let header_checksum_at = 16; // magic(4) ver(2) marker(1) pad(1) len(8) -> checksum
+/// Rewrites the checkpoint payload via `tamper` (which may also resize it)
+/// and re-stamps the header's payload length and checksum, simulating
+/// consistent-looking but wrong checkpoint tables (e.g. a buggy shutdown
+/// path).
+fn patch_payload(
+    image: &mut [u8],
+    layout: &Layout,
+    view: &CheckpointView,
+    tamper: impl FnOnce(&mut Vec<u8>),
+) {
+    // magic(4) ver(2) marker(1) pad(1), then len(8) and checksum(8).
+    let (header_len_at, header_checksum_at) = (8, 16);
     let payload_len = {
         let b: [u8; 8] = image[8..16].try_into().expect("fixed");
         u64::from_le_bytes(b) as usize
@@ -160,6 +168,7 @@ fn patch_payload(image: &mut [u8], layout: &Layout, view: &CheckpointView, tampe
         let base = layout.segment_base(seg) as usize * SECTOR_SIZE;
         image[base..base + chunk.len()].copy_from_slice(chunk);
     }
+    image[header_len_at..header_len_at + 8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
     image[header_checksum_at..header_checksum_at + 8].copy_from_slice(&checksum.to_le_bytes());
 }
 
@@ -173,7 +182,7 @@ fn tampered_usage_accounting_is_flagged() {
     let live_idx = view
         .usage
         .iter()
-        .position(|u| u.state == SegStateView::Live && u.live_bytes > 0)
+        .position(|u| u.state == SegState::Live && u.live_bytes > 0)
         .expect("a live segment");
     patch_payload(&mut image, &layout, &view, |payload| {
         // The usage table is the payload's tail: u32 count, then per
@@ -193,6 +202,132 @@ fn tampered_usage_accounting_is_flagged() {
     );
 }
 
+/// Appends a bad-block remap table holding `sectors` verbatim to a
+/// fault-free checkpoint, whose payload ends with the usage table.
+fn forge_remap_table(image: &mut [u8], layout: &Layout, view: &CheckpointView, sectors: &[u64]) {
+    assert!(view.bad_sectors.is_empty(), "image already has a remap table");
+    patch_payload(image, layout, view, |payload| {
+        payload.extend_from_slice(&(sectors.len() as u64).to_le_bytes());
+        for s in sectors {
+            payload.extend_from_slice(&s.to_le_bytes());
+        }
+    });
+}
+
+/// A remap table claiming a sector under a live block. Scrub relocates
+/// data before it remaps a sector, so no honest image pairs a live extent
+/// with a bad sector.
+#[test]
+fn live_block_on_remapped_sector_is_flagged() {
+    let (mut image, layout, view) = clean_image();
+    let live_sector = view
+        .blocks
+        .iter()
+        .find(|(_, b)| b.seg < layout.segments && b.stored_len > 0)
+        .map(|(_, b)| layout.data_sector_span(b.seg, b.offset as usize, b.stored_len as usize).0)
+        .expect("an on-disk live block");
+    forge_remap_table(&mut image, &layout, &view, &[live_sector]);
+    let report = check_image(&image, &config());
+    assert_eq!(report.stats.bad_sectors, 1, "the forged table must parse");
+    assert!(!report.is_clean());
+    assert!(
+        kinds(&report).contains(&Kind::LiveBlockOnBadSector),
+        "wrong findings: {:?}",
+        report.findings
+    );
+}
+
+/// The scrubber serializes a sorted set, so an unsorted remap table is
+/// structurally malformed.
+#[test]
+fn unsorted_remap_table_is_flagged() {
+    let (mut image, layout, view) = clean_image();
+    let s0 = layout.segment_base(0);
+    forge_remap_table(&mut image, &layout, &view, &[s0 + 1, s0]);
+    let report = check_image(&image, &config());
+    assert_eq!(report.stats.bad_sectors, 2, "the forged table must parse");
+    assert!(!report.is_clean());
+    assert!(
+        kinds(&report).contains(&Kind::RemapTableMalformed),
+        "wrong findings: {:?}",
+        report.findings
+    );
+}
+
+/// The lists, their blocks and every block's bytes, in list-of-lists order.
+type Tables = Vec<(ld_core::Lid, Vec<(ld_core::Bid, Vec<u8>)>)>;
+
+/// Opens `image` with LLD and reads back its whole state.
+fn open_image(image: &[u8]) -> ld_core::Result<(bool, Tables)> {
+    let mut disk = MemDisk::with_capacity(image.len() as u64);
+    disk.load_image(image);
+    let mut ld = Lld::open(disk, config())?;
+    let mut tables = Vec::new();
+    for lid in ld.list_of_lists() {
+        let mut blocks = Vec::new();
+        for bid in ld.list_blocks(lid)? {
+            let mut buf = vec![0u8; 4096];
+            let n = ld.read(bid, &mut buf)?;
+            buf.truncate(n);
+            blocks.push((bid, buf));
+        }
+        tables.push((lid, blocks));
+    }
+    Ok((ld.stats().recovered_from_checkpoint, tables))
+}
+
+/// One clean-shutdown image taken through each way the checkpoint reader
+/// can reject it. Start-up and `ldck` parse the checkpoint with the same
+/// reader; this pins what `Lld::open` does and what `ldck` reports for
+/// each class. Where start-up sweeps, it must rebuild exactly the state
+/// the checkpoint holds.
+#[test]
+fn checkpoint_rejection_classes_agree_between_open_and_ldck() {
+    let (image, layout, view) = clean_image();
+    let ldck_kinds = |image: &[u8]| kinds(&check_image(image, &config()));
+
+    // (a) Intact: start-up loads the checkpoint; ldck has nothing to say.
+    let (from_checkpoint, tables) = open_image(&image).expect("open intact image");
+    assert!(from_checkpoint);
+    assert!(tables.iter().any(|(_, blocks)| !blocks.is_empty()));
+    assert_eq!(ldck_kinds(&image), vec![]);
+
+    let swept = |image: &[u8], class: &str| {
+        let (from_checkpoint, swept) = open_image(image).expect("open falls back to the sweep");
+        assert!(!from_checkpoint, "{class}: the checkpoint must be rejected");
+        assert_eq!(swept, tables, "{class}: the sweep must rebuild the checkpoint's state");
+    };
+
+    // (b) Marker cleared: the post-crash state, not corruption.
+    let mut cleared = image.clone();
+    cleared[6] = 0;
+    swept(&cleared, "marker cleared");
+    assert_eq!(ldck_kinds(&cleared), vec![Kind::CheckpointAbsent]);
+
+    // (c) A payload byte flipped: the checksum fails.
+    let mut flipped = image.clone();
+    let base = layout.segment_base(view.payload_segments[0]) as usize * SECTOR_SIZE;
+    flipped[base + 40] ^= 0x01;
+    swept(&flipped, "payload byte flipped");
+    assert_eq!(ldck_kinds(&flipped), vec![Kind::CheckpointCorrupt]);
+
+    // (d) A header segment id past the end of the disk.
+    let mut out_of_range = image.clone();
+    out_of_range[28..32].copy_from_slice(&layout.segments.to_le_bytes());
+    swept(&out_of_range, "segment id out of range");
+    assert_eq!(ldck_kinds(&out_of_range), vec![Kind::CheckpointCorrupt]);
+
+    // (e) A payload that passes its checksum but does not parse: start-up
+    // refuses the image rather than sweeping past a forged checkpoint.
+    let mut unparsable = image.clone();
+    patch_payload(&mut unparsable, &layout, &view, |payload| payload.truncate(20));
+    match open_image(&unparsable) {
+        Err(LdError::Device(msg)) => assert!(msg.contains("failed to parse"), "{msg}"),
+        other => panic!("unparsable checkpoint: expected a device error, got {other:?}"),
+    }
+    assert_eq!(ldck_kinds(&unparsable), vec![Kind::CheckpointCorrupt]);
+}
+
 /// Class 4: one segment's summary copied over another's (a misdirected
 /// write). Both summaries then carry the same physical-write sequence
 /// number, which the writer never produces.
@@ -203,7 +338,7 @@ fn duplicated_summary_is_flagged() {
         .usage
         .iter()
         .enumerate()
-        .filter_map(|(s, u)| (u.state == SegStateView::Live).then_some(s as u32))
+        .filter_map(|(s, u)| (u.state == SegState::Live).then_some(s as u32))
         .collect();
     let (src, dst) = (live[0], *live.last().expect("two live segments"));
     assert_ne!(src, dst, "workload must fill at least two segments");
@@ -235,7 +370,7 @@ fn overlapping_extents_are_flagged() {
     let free_seg = view
         .usage
         .iter()
-        .position(|u| u.state == SegStateView::Free)
+        .position(|u| u.state == SegState::Free)
         .expect("a free segment") as u32;
 
     let mut b = SummaryBuilder::new();
@@ -295,7 +430,7 @@ fn reordered_seal_is_flagged() {
     let free_seg = view
         .usage
         .iter()
-        .position(|u| u.state == SegStateView::Free)
+        .position(|u| u.state == SegState::Free)
         .expect("a free segment") as u32;
     let base = layout.summary_base(free_seg) as usize * SECTOR_SIZE;
     image[base..base + layout.summary_bytes].copy_from_slice(&summary);

@@ -12,20 +12,40 @@
 //! free space, not by a fixed region. A checkpoint is strictly an
 //! optimization: when no free segment is available (or the header is torn)
 //! startup falls back to the recovery sweep.
+//!
+//! One reader parses the format: it checks the header, gathers the
+//! payload segments and parses the payload into a [`CheckpointView`] of
+//! LLD's own table types. Start-up ([`try_load`]) feeds it from the device,
+//! re-driving faulty reads and invalidating the marker; offline tools such
+//! as `ldck` feed it the bytes of an image ([`peek_image`]).
 
-use ld_core::{wire, LdError, ListHints, Result};
+use ld_core::wire::{self, fnv1a64};
+use ld_core::{LdError, ListHints, Result};
 use simdisk::{BlockDev, SECTOR_SIZE};
 
 use crate::block_map::{BlockEntry, BlockMap, ListTable};
 use crate::layout::HEADER_SECTORS;
-use crate::records::fnv1a64;
 use crate::usage::{SegState, SegUsage, UsageTable};
-use crate::{dev, Layout, Lld};
+use crate::{dev, read_sectors_retrying, FailedRead, Layout, Lld};
 
 /// Magic number identifying a checkpoint header ("LDCP").
 pub const CKPT_MAGIC: u32 = 0x4C44_4350;
 /// Checkpoint format version.
 pub const CKPT_VERSION: u16 = 1;
+
+/// Bytes in the fixed header region.
+const HEADER_BYTES: usize = HEADER_SECTORS as usize * SECTOR_SIZE;
+
+/// Segment states by their on-disk code (the `SegState` discriminant).
+const SEG_STATES: [SegState; 4] = [
+    SegState::Free,
+    SegState::Live,
+    SegState::Scratch,
+    SegState::Quarantined,
+];
+
+/// Verdict on a payload whose checksum holds but whose tables do not parse.
+const UNPARSABLE: &str = "payload passed checksum but failed to parse";
 
 /// State reconstructed from a checkpoint.
 pub(crate) struct LoadedState {
@@ -35,30 +55,6 @@ pub(crate) struct LoadedState {
     pub ts: u64,
     pub seq: u64,
     pub bad_sectors: std::collections::BTreeSet<u64>,
-}
-
-/// One block-map entry of a parsed checkpoint, as plain data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockView {
-    /// Logical block number.
-    pub bid: u64,
-    /// Segment holding the live copy (may be a sentinel for never-written
-    /// blocks).
-    pub seg: u32,
-    /// Byte offset within the segment's data region.
-    pub offset: u32,
-    /// Stored (possibly compressed) length.
-    pub stored_len: u32,
-    /// Logical length.
-    pub logical_len: u32,
-    /// Size class in bytes.
-    pub size_class: u32,
-    /// Whether the stored bytes are compressed.
-    pub compressed: bool,
-    /// Successor in the owning list.
-    pub next: Option<u64>,
-    /// Owning list id.
-    pub list: u64,
 }
 
 /// One list-table entry of a parsed checkpoint, as plain data, in
@@ -73,32 +69,8 @@ pub struct ListView {
     pub hints: ListHints,
 }
 
-/// Segment state recorded in a checkpoint's usage table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegStateView {
-    /// No live data and no summary worth keeping.
-    Free,
-    /// Holds live data and/or a summary with live metadata records.
-    Live,
-    /// Durable scratch copy of a partial segment (§3.2).
-    Scratch,
-    /// Retired because of persistent media faults (never reused).
-    Quarantined,
-}
-
-/// One usage-table entry of a parsed checkpoint, indexed by segment id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegUsageView {
-    /// Segment state.
-    pub state: SegStateView,
-    /// Live payload bytes accounted to the segment.
-    pub live_bytes: u64,
-    /// Timestamp of the last write into the segment.
-    pub last_write_ts: u64,
-}
-
-/// A checkpoint parsed from a raw image without touching the device — the
-/// read-only counterpart of [`try_load`], used by offline tooling (`ldck`).
+/// A parsed checkpoint: what [`try_load`] builds LLD's tables from, and
+/// what [`peek_image`] hands offline tooling (`ldck`).
 #[derive(Debug, Clone)]
 pub struct CheckpointView {
     /// Operation-counter value at shutdown.
@@ -107,12 +79,12 @@ pub struct CheckpointView {
     pub seq: u64,
     /// Free segments the payload was written into, in chunk order.
     pub payload_segments: Vec<u32>,
-    /// Block-number map entries.
-    pub blocks: Vec<BlockView>,
+    /// Block-number map entries, keyed by logical block number.
+    pub blocks: Vec<(u64, BlockEntry)>,
     /// List-table entries in list-of-lists order.
     pub lists: Vec<ListView>,
     /// Usage table, one entry per segment.
-    pub usage: Vec<SegUsageView>,
+    pub usage: Vec<SegUsage>,
     /// Bad-block remap table: sectors retired after confirmed media
     /// faults, in ascending order. Empty for checkpoints written before
     /// any fault (the section is omitted from the payload entirely, so
@@ -135,72 +107,108 @@ pub enum CheckpointPeek {
     Valid(CheckpointView),
 }
 
-/// Parses the checkpoint of a raw disk image **read-only**: unlike
-/// [`try_load`] this never invalidates the marker, making it safe for
-/// offline analysis of an image that may still be started from.
-pub fn peek_image(image: &[u8], layout: &Layout) -> CheckpointPeek {
-    let header_len = HEADER_SECTORS as usize * SECTOR_SIZE;
-    let Some(header) = image.get(..header_len) else {
-        return CheckpointPeek::Corrupt(format!(
-            "image shorter than the {header_len}-byte checkpoint header"
-        ));
-    };
-    let magic = wire::le_u32(header, 0);
-    let version = wire::le_u16(header, 4);
-    if magic != CKPT_MAGIC || version != CKPT_VERSION || header[6] != 1 {
-        return CheckpointPeek::Absent;
+/// Why [`read`] rejected a checkpoint.
+enum Reject<E> {
+    /// No valid-marked header.
+    Absent,
+    /// The marker claims validity, but the header or payload is wrong.
+    Corrupt(String),
+    /// The payload passed its checksum but does not parse.
+    Unparsable,
+    /// Fetching a payload segment failed.
+    Fetch(E),
+}
+
+/// The checkpoint reader. Checks the header (magic, version, marker,
+/// payload length, checksum and segment list), fills one segment-sized
+/// chunk per listed payload segment through `fetch`, then verifies the
+/// checksum and parses the payload.
+fn read<E>(
+    header: &[u8],
+    layout: &Layout,
+    mut fetch: impl FnMut(u32, &mut [u8]) -> std::result::Result<(), E>,
+) -> std::result::Result<CheckpointView, Reject<E>> {
+    // Layout: u32 magic, u16 version, u8 valid marker, u8 pad, then fields.
+    if wire::le_u32(header, 0) != CKPT_MAGIC
+        || wire::le_u16(header, 4) != CKPT_VERSION
+        || header[6] != 1
+    {
+        return Err(Reject::Absent);
     }
+    let corrupt = |msg: String| Err(Reject::Corrupt(msg));
     let mut r = Reader {
         data: header,
         pos: 8,
     };
     let (Some(payload_len), Some(checksum), Some(nsegs)) = (r.u64(), r.u64(), r.u32()) else {
-        return CheckpointPeek::Corrupt("checkpoint header fields truncated".into());
+        return corrupt("checkpoint header fields truncated".into());
     };
-    let mut segs = Vec::with_capacity(nsegs as usize);
+    let mut segs = Vec::new();
     for _ in 0..nsegs {
         match r.u32() {
             Some(s) if s < layout.segments => segs.push(s),
             Some(s) => {
-                return CheckpointPeek::Corrupt(format!(
+                return corrupt(format!(
                     "payload segment {s} out of range (disk has {})",
                     layout.segments
                 ))
             }
-            None => return CheckpointPeek::Corrupt("payload segment list truncated".into()),
+            None => return corrupt("payload segment list truncated".into()),
         }
     }
     let payload_len = payload_len as usize;
     if payload_len > segs.len() * layout.segment_bytes {
-        return CheckpointPeek::Corrupt(format!(
+        return corrupt(format!(
             "payload length {payload_len} exceeds the {} listed segments",
             segs.len()
         ));
     }
-    let mut payload = Vec::with_capacity(segs.len() * layout.segment_bytes);
-    for seg in &segs {
-        let base = layout.segment_base(*seg) as usize * SECTOR_SIZE;
-        let Some(chunk) = image.get(base..base + layout.segment_bytes) else {
-            return CheckpointPeek::Corrupt(format!("image truncated inside segment {seg}"));
-        };
-        payload.extend_from_slice(chunk);
+    let mut payload = vec![0u8; segs.len() * layout.segment_bytes];
+    for (seg, chunk) in segs
+        .iter()
+        .zip(payload.chunks_exact_mut(layout.segment_bytes))
+    {
+        fetch(*seg, chunk).map_err(Reject::Fetch)?;
     }
     payload.truncate(payload_len);
     if fnv1a64(&payload) != checksum {
-        return CheckpointPeek::Corrupt("payload checksum mismatch".into());
+        return corrupt("payload checksum mismatch".into());
     }
-    let Some(mut view) = deserialize_view(&payload) else {
-        return CheckpointPeek::Corrupt("payload passed checksum but failed to parse".into());
-    };
+    let mut view = parse(&payload).ok_or(Reject::Unparsable)?;
     if view.usage.len() != layout.segments as usize {
-        return CheckpointPeek::Corrupt(format!(
+        return corrupt(format!(
             "usage table covers {} segments, disk has {}",
             view.usage.len(),
             layout.segments
         ));
     }
     view.payload_segments = segs;
-    CheckpointPeek::Valid(view)
+    Ok(view)
+}
+
+/// Parses the checkpoint of a raw disk image **read-only**: unlike
+/// [`try_load`] this never invalidates the marker, making it safe for
+/// offline analysis of an image that may still be started from.
+pub fn peek_image(image: &[u8], layout: &Layout) -> CheckpointPeek {
+    let Some(header) = image.get(..HEADER_BYTES) else {
+        return CheckpointPeek::Corrupt(format!(
+            "image shorter than the {HEADER_BYTES}-byte checkpoint header"
+        ));
+    };
+    let fetch = |seg: u32, chunk: &mut [u8]| {
+        let base = layout.segment_base(seg) as usize * SECTOR_SIZE;
+        let bytes = image
+            .get(base..base + chunk.len())
+            .ok_or_else(|| format!("image truncated inside segment {seg}"))?;
+        chunk.copy_from_slice(bytes);
+        Ok(())
+    };
+    match read(header, layout, fetch) {
+        Ok(view) => CheckpointPeek::Valid(view),
+        Err(Reject::Absent) => CheckpointPeek::Absent,
+        Err(Reject::Corrupt(msg) | Reject::Fetch(msg)) => CheckpointPeek::Corrupt(msg),
+        Err(Reject::Unparsable) => CheckpointPeek::Corrupt(UNPARSABLE.into()),
+    }
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -216,7 +224,7 @@ struct Reader<'a> {
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
+impl Reader<'_> {
     fn u64(&mut self) -> Option<u64> {
         let b = self.data.get(self.pos..self.pos + 8)?;
         self.pos += 8;
@@ -233,6 +241,22 @@ impl<'a> Reader<'a> {
         let b = *self.data.get(self.pos)?;
         self.pos += 1;
         Some(b)
+    }
+
+    /// An optional id, stored as `id + 1` with 0 for `None`.
+    fn opt(&mut self) -> Option<Option<u64>> {
+        Some(self.u64()?.checked_sub(1))
+    }
+
+    /// `n` items read by `item`. Every item takes at least one byte, so the
+    /// bytes left bound the allocation whatever `n` claims.
+    fn items<T>(&mut self, n: u64, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let left = (self.data.len() - self.pos) as u64;
+        let mut out = Vec::with_capacity(n.min(left) as usize);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Some(out)
     }
 }
 
@@ -259,27 +283,20 @@ fn serialize<D: BlockDev>(lld: &Lld<D>) -> Vec<u8> {
 
     // List table, serialized in list-of-lists order so the chain can be
     // rebuilt with plain installs.
-    let order = lld.lists.order();
-    put_u64(&mut out, order.len() as u64);
-    for lid in &order {
-        let e = lld.lists.get(*lid).expect("order() returns live lists"); // PANIC-OK: order() yields only lids present in the table
-        put_u64(&mut out, *lid);
+    let lists: Vec<_> = (lld.lists.order().into_iter())
+        .filter_map(|lid| Some((lid, lld.lists.get(lid)?)))
+        .collect();
+    put_u64(&mut out, lists.len() as u64);
+    for (lid, e) in lists {
+        put_u64(&mut out, lid);
         put_u64(&mut out, e.first.map_or(0, |f| f + 1));
-        let h = (e.hints.cluster as u8)
-            | ((e.hints.compress as u8) << 1)
-            | ((e.hints.interlist_cluster as u8) << 2);
-        out.push(h);
+        out.push(e.hints.to_bits());
     }
 
     // Segment usage table.
     put_u32(&mut out, lld.usage.len());
     for (_, u) in lld.usage.iter() {
-        out.push(match u.state {
-            SegState::Free => 0,
-            SegState::Live => 1,
-            SegState::Scratch => 2,
-            SegState::Quarantined => 3,
-        });
+        out.push(u.state as u8);
         put_u64(&mut out, u.live_bytes);
         put_u64(&mut out, u.last_write_ts);
     }
@@ -295,83 +312,50 @@ fn serialize<D: BlockDev>(lld: &Lld<D>) -> Vec<u8> {
     out
 }
 
-/// Parses a checkpoint payload into plain data. Shared by [`try_load`]
-/// (which then builds live tables) and [`peek_image`] (read-only analysis),
-/// so there is exactly one decoder for the wire format.
-fn deserialize_view(data: &[u8]) -> Option<CheckpointView> {
+/// Parses a checkpoint payload, the inverse of [`serialize`].
+fn parse(data: &[u8]) -> Option<CheckpointView> {
     let mut r = Reader { data, pos: 0 };
     let ts = r.u64()?;
     let seq = r.u64()?;
-
-    let nblocks = r.u64()?;
-    let mut blocks = Vec::with_capacity(nblocks.min(1 << 24) as usize);
-    for _ in 0..nblocks {
+    let n = r.u64()?;
+    let blocks = r.items(n, |r| {
         let bid = r.u64()?;
-        let seg = r.u32()?;
-        let offset = r.u32()?;
-        let stored_len = r.u32()?;
-        let logical_len = r.u32()?;
-        let size_class = r.u32()?;
-        let compressed = r.u8()? != 0;
-        let next = r.u64()?;
-        let list = r.u64()?;
-        blocks.push(BlockView {
-            bid,
-            seg,
-            offset,
-            stored_len,
-            logical_len,
-            size_class,
-            compressed,
-            next: (next != 0).then(|| next - 1),
-            list,
-        });
-    }
-
-    let nlists = r.u64()?;
-    let mut lists = Vec::with_capacity(nlists.min(1 << 24) as usize);
-    for _ in 0..nlists {
-        let lid = r.u64()?;
-        let first = r.u64()?;
-        let h = r.u8()?;
-        lists.push(ListView {
-            lid,
-            first: (first != 0).then(|| first - 1),
-            hints: ListHints {
-                cluster: h & 1 != 0,
-                compress: h & 2 != 0,
-                interlist_cluster: h & 4 != 0,
-            },
-        });
-    }
-
-    let nsegs = r.u32()?;
-    let mut usage = Vec::with_capacity(nsegs.min(1 << 24) as usize);
-    for _ in 0..nsegs {
-        let state = match r.u8()? {
-            0 => SegStateView::Free,
-            1 => SegStateView::Live,
-            2 => SegStateView::Scratch,
-            3 => SegStateView::Quarantined,
-            _ => return None,
+        let entry = BlockEntry {
+            seg: r.u32()?,
+            offset: r.u32()?,
+            stored_len: r.u32()?,
+            logical_len: r.u32()?,
+            size_class: r.u32()?,
+            compressed: r.u8()? != 0,
+            next: r.opt()?,
+            list: r.u64()?,
         };
-        usage.push(SegUsageView {
-            state,
+        Some((bid, entry))
+    })?;
+    let n = r.u64()?;
+    let lists = r.items(n, |r| {
+        Some(ListView {
+            lid: r.u64()?,
+            first: r.opt()?,
+            hints: ListHints::from_bits(r.u8()?),
+        })
+    })?;
+    let n = r.u32()?;
+    let usage = r.items(n.into(), |r| {
+        Some(SegUsage {
+            state: *SEG_STATES.get(usize::from(r.u8()?))?,
             live_bytes: r.u64()?,
             last_write_ts: r.u64()?,
-        });
-    }
-
+        })
+    })?;
     // Optional bad-block remap table: present iff payload bytes remain
     // (checkpoints written before any media fault omit it).
-    let mut bad_sectors = Vec::new();
-    if r.pos < data.len() {
-        let nbad = r.u64()?;
-        bad_sectors.reserve(nbad.min(1 << 24) as usize);
-        for _ in 0..nbad {
-            bad_sectors.push(r.u64()?);
-        }
-    }
+    let bad_sectors = if r.pos < data.len() {
+        let n = r.u64()?;
+        r.items(n, Reader::u64)?
+    } else {
+        Vec::new()
+    };
     Some(CheckpointView {
         ts,
         seq,
@@ -383,18 +367,11 @@ fn deserialize_view(data: &[u8]) -> Option<CheckpointView> {
     })
 }
 
-/// Builds live tables from a parsed view.
-fn state_from_view(view: CheckpointView) -> LoadedState {
+/// Builds live tables from a parsed checkpoint.
+fn into_state(view: CheckpointView) -> LoadedState {
     let mut map = BlockMap::new();
-    for b in &view.blocks {
-        let mut e = BlockEntry::new(b.list, b.size_class);
-        e.seg = b.seg;
-        e.offset = b.offset;
-        e.stored_len = b.stored_len;
-        e.logical_len = b.logical_len;
-        e.compressed = b.compressed;
-        e.next = b.next;
-        map.install(b.bid, e);
+    for (bid, e) in view.blocks {
+        map.install(bid, e);
     }
     map.rebuild_free_stack();
 
@@ -402,26 +379,16 @@ fn state_from_view(view: CheckpointView) -> LoadedState {
     let mut prev: Option<u64> = None;
     for l in &view.lists {
         lists.install(l.lid, prev, l.hints);
-        lists.get_mut(l.lid).expect("installed").first = l.first; // PANIC-OK: inserted a few lines up
+        if let Some(e) = lists.get_mut(l.lid) {
+            e.first = l.first;
+        }
         prev = Some(l.lid);
     }
     lists.rebuild_free_stack();
 
     let mut usage = UsageTable::new(view.usage.len() as u32);
-    for (seg, u) in view.usage.iter().enumerate() {
-        usage.set(
-            seg as u32,
-            SegUsage {
-                state: match u.state {
-                    SegStateView::Free => SegState::Free,
-                    SegStateView::Live => SegState::Live,
-                    SegStateView::Scratch => SegState::Scratch,
-                    SegStateView::Quarantined => SegState::Quarantined,
-                },
-                live_bytes: u.live_bytes,
-                last_write_ts: u.last_write_ts,
-            },
-        );
+    for (seg, u) in view.usage.into_iter().enumerate() {
+        usage.set(seg as u32, u);
     }
     LoadedState {
         map,
@@ -429,7 +396,7 @@ fn state_from_view(view: CheckpointView) -> LoadedState {
         usage,
         ts: view.ts,
         seq: view.seq,
-        bad_sectors: view.bad_sectors.iter().copied().collect(),
+        bad_sectors: view.bad_sectors.into_iter().collect(),
     }
 }
 
@@ -441,7 +408,7 @@ pub(crate) fn write_checkpoint<D: BlockDev>(lld: &mut Lld<D>) -> Result<()> {
     let seg_bytes = lld.layout.segment_bytes;
     let needed = payload.len().div_ceil(seg_bytes);
     let free = lld.usage.free_list();
-    let header_capacity = (HEADER_SECTORS as usize * SECTOR_SIZE - 64) / 4;
+    let header_capacity = (HEADER_BYTES - 64) / 4;
     if free.len() < needed || needed > header_capacity {
         return Ok(());
     }
@@ -456,7 +423,7 @@ pub(crate) fn write_checkpoint<D: BlockDev>(lld: &mut Lld<D>) -> Result<()> {
             .map_err(dev)?;
     }
 
-    let mut header = Vec::with_capacity(HEADER_SECTORS as usize * SECTOR_SIZE);
+    let mut header = Vec::with_capacity(HEADER_BYTES);
     put_u32(&mut header, CKPT_MAGIC);
     header.extend_from_slice(&CKPT_VERSION.to_le_bytes());
     header.push(1); // Valid marker.
@@ -467,7 +434,7 @@ pub(crate) fn write_checkpoint<D: BlockDev>(lld: &mut Lld<D>) -> Result<()> {
     for seg in segs {
         put_u32(&mut header, *seg);
     }
-    header.resize(HEADER_SECTORS as usize * SECTOR_SIZE, 0);
+    header.resize(HEADER_BYTES, 0);
     lld.disk.write_sectors(0, &header).map_err(dev)?;
     Ok(())
 }
@@ -484,8 +451,9 @@ pub(crate) fn try_load<D: BlockDev>(
     attempts: u32,
     retries: &mut u64,
 ) -> Result<Option<LoadedState>> {
-    let mut header = vec![0u8; HEADER_SECTORS as usize * SECTOR_SIZE];
-    if crate::read_sectors_retrying(disk, 0, &mut header, attempts, retries)?.is_some() {
+    let mut count = |_: &mut D, f: FailedRead| *retries += u64::from(f.retried);
+    let mut header = vec![0u8; HEADER_BYTES];
+    if read_sectors_retrying(disk, 0, &mut header, attempts, &mut count)?.is_some() {
         // Unreadable header: invalidate it outright (writes still work on
         // this fault model) so a later, luckier read cannot resurrect a
         // checkpoint that this start-up's sweep is about to supersede.
@@ -493,170 +461,23 @@ pub(crate) fn try_load<D: BlockDev>(
         disk.write_sectors(0, &header).map_err(dev)?;
         return Ok(None);
     }
-    // Layout: u32 magic, u16 version, u8 valid marker, u8 pad, then fields.
-    let magic = wire::le_u32(&header, 0);
-    let version = wire::le_u16(&header, 4);
-    if magic != CKPT_MAGIC || version != CKPT_VERSION || header[6] != 1 {
-        return Ok(None);
-    }
-    let mut r = Reader {
-        data: &header,
-        pos: 8,
+    // A payload segment fails as `Ok(sector)` when unreadable and as
+    // `Err` on any other device error.
+    let fetch = |seg: u32, chunk: &mut [u8]| {
+        let failed =
+            read_sectors_retrying(disk, layout.segment_base(seg), chunk, attempts, &mut count);
+        failed.transpose().map_or(Ok(()), Err)
     };
-    let (Some(payload_len), Some(checksum), Some(nsegs)) = (r.u64(), r.u64(), r.u32()) else {
-        return Ok(None);
+    let state = match read(&header, layout, fetch) {
+        Ok(view) => Some(into_state(view)),
+        // Unreadable payload: invalidate the marker and sweep instead.
+        Err(Reject::Fetch(Ok(_))) => None,
+        Err(Reject::Fetch(Err(e))) => return Err(e),
+        Err(Reject::Absent | Reject::Corrupt(_)) => return Ok(None),
+        Err(Reject::Unparsable) => return Err(LdError::Device(format!("checkpoint {UNPARSABLE}"))),
     };
-    let mut segs = Vec::with_capacity(nsegs as usize);
-    for _ in 0..nsegs {
-        match r.u32() {
-            Some(s) if s < layout.segments => segs.push(s),
-            _ => return Ok(None),
-        }
-    }
-    let payload_len = payload_len as usize;
-    if payload_len > segs.len() * layout.segment_bytes {
-        return Ok(None);
-    }
-
-    let mut payload = Vec::with_capacity(segs.len() * layout.segment_bytes);
-    let mut chunk = vec![0u8; layout.segment_bytes];
-    for seg in &segs {
-        if crate::read_sectors_retrying(
-            disk,
-            layout.segment_base(*seg),
-            &mut chunk,
-            attempts,
-            retries,
-        )?
-        .is_some()
-        {
-            // Unreadable payload: invalidate the marker and sweep instead.
-            header[6] = 0;
-            disk.write_sectors(0, &header).map_err(dev)?;
-            return Ok(None);
-        }
-        payload.extend_from_slice(&chunk);
-    }
-    payload.truncate(payload_len);
-    if fnv1a64(&payload) != checksum {
-        return Ok(None);
-    }
-    let view = deserialize_view(&payload).ok_or_else(|| {
-        LdError::Device("checkpoint payload passed checksum but failed to parse".into())
-    })?;
-    if view.usage.len() != layout.segments as usize {
-        return Ok(None);
-    }
-    let state = state_from_view(view);
-
     // Invalidate the marker before handing the state out.
     header[6] = 0;
     disk.write_sectors(0, &header).map_err(dev)?;
-    Ok(Some(state))
-}
-
-/// Byte offset just past the usage-table section of a checkpoint payload
-/// (where the optional bad-block remap table begins).
-fn usage_end_offset(data: &[u8]) -> Option<usize> {
-    let mut r = Reader { data, pos: 0 };
-    r.u64()?; // ts
-    r.u64()?; // seq
-    let nblocks = r.u64()?;
-    for _ in 0..nblocks {
-        r.u64()?;
-        r.u32()?;
-        r.u32()?;
-        r.u32()?;
-        r.u32()?;
-        r.u32()?;
-        r.u8()?;
-        r.u64()?;
-        r.u64()?;
-    }
-    let nlists = r.u64()?;
-    for _ in 0..nlists {
-        r.u64()?;
-        r.u64()?;
-        r.u8()?;
-    }
-    let nsegs = r.u32()?;
-    for _ in 0..nsegs {
-        r.u8()?;
-        r.u64()?;
-        r.u64()?;
-    }
-    Some(r.pos)
-}
-
-/// Rewrites the bad-block remap table of a checkpointed raw image in
-/// place, recomputing the payload length and checksum so the image still
-/// parses. `sectors` is written verbatim — unsorted or duplicated entries
-/// are allowed on purpose. Test-fixture support: offline tooling needs
-/// images whose remap table is malformed or disagrees with the block map
-/// to exercise its cross-checks (`ldck --selftest`). Returns `false` when
-/// the image holds no valid checkpoint or the new payload no longer fits
-/// the segments listed in the header.
-pub fn forge_bad_sector_table(image: &mut [u8], layout: &Layout, sectors: &[u64]) -> bool {
-    let header_len = HEADER_SECTORS as usize * SECTOR_SIZE;
-    if image.len() < header_len {
-        return false;
-    }
-    let magic = wire::le_u32(image, 0);
-    let version = wire::le_u16(image, 4);
-    if magic != CKPT_MAGIC || version != CKPT_VERSION || image[6] != 1 {
-        return false;
-    }
-    let mut r = Reader {
-        data: &image[..header_len],
-        pos: 8,
-    };
-    let (Some(payload_len), Some(_), Some(nsegs)) = (r.u64(), r.u64(), r.u32()) else {
-        return false;
-    };
-    let mut segs = Vec::with_capacity(nsegs as usize);
-    for _ in 0..nsegs {
-        match r.u32() {
-            Some(s) if s < layout.segments => segs.push(s),
-            _ => return false,
-        }
-    }
-    let payload_len = payload_len as usize;
-    if payload_len > segs.len() * layout.segment_bytes {
-        return false;
-    }
-    let mut payload = Vec::with_capacity(segs.len() * layout.segment_bytes);
-    for seg in &segs {
-        let base = layout.segment_base(*seg) as usize * SECTOR_SIZE;
-        let Some(chunk) = image.get(base..base + layout.segment_bytes) else {
-            return false;
-        };
-        payload.extend_from_slice(chunk);
-    }
-    payload.truncate(payload_len);
-    let Some(end) = usage_end_offset(&payload) else {
-        return false;
-    };
-    payload.truncate(end);
-    if !sectors.is_empty() {
-        put_u64(&mut payload, sectors.len() as u64);
-        for s in sectors {
-            put_u64(&mut payload, *s);
-        }
-    }
-    if payload.len().div_ceil(layout.segment_bytes) > segs.len() {
-        return false;
-    }
-    for (i, seg) in segs.iter().enumerate() {
-        let base = layout.segment_base(*seg) as usize * SECTOR_SIZE;
-        let start = i * layout.segment_bytes;
-        let chunk = &mut image[base..base + layout.segment_bytes];
-        chunk.fill(0);
-        if start < payload.len() {
-            let end = (start + layout.segment_bytes).min(payload.len());
-            chunk[..end - start].copy_from_slice(&payload[start..end]);
-        }
-    }
-    image[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    image[16..24].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
-    true
+    Ok(state)
 }

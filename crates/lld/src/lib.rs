@@ -65,13 +65,14 @@ mod segbuf;
 mod stats;
 mod usage;
 
-pub use block_map::{NO_SEG, OPEN_SEG};
+pub use block_map::{BlockEntry, NO_SEG, OPEN_SEG};
 pub use cleaner::CleaningPolicy;
 pub use config::{CpuModel, LldConfig};
 pub use layout::Layout;
 pub use memory::{ListGranularity, MemoryModel};
 pub use recovery::{NVRAM_SEG, PROVISIONAL_LIST};
 pub use stats::LldStats;
+pub use usage::{SegState, SegUsage};
 
 /// Identifier of an open atomic recovery unit (§5.4 concurrent extension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,32 +95,52 @@ pub(crate) fn dev(e: DiskError) -> LdError {
     LdError::Device(e.to_string())
 }
 
-/// Reads a sector span with bounded retries against transient media
-/// faults, for code paths that run before an [`Lld`] exists (checkpoint
-/// load, recovery sweep). Returns `Ok(None)` on success, `Ok(Some(sector))`
-/// when the span stayed unreadable after all `attempts`; `retries` counts
-/// the failed attempts that were re-driven. Non-media errors propagate.
+/// One failed attempt of [`read_sectors_retrying`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FailedRead {
+    /// The sector the medium reported unreadable.
+    pub sector: u64,
+    /// 1-based attempt number.
+    pub attempt: u32,
+    /// Simulated time the attempt took.
+    pub us: u64,
+    /// Whether the read is re-driven (`false` on the last attempt).
+    pub retried: bool,
+}
+
+/// Reads a sector span, re-driving it up to `attempts` times against
+/// transient media faults; `on_fault` sees the device and every failed
+/// attempt. This is LLD's one retry loop: [`Lld::read_span_retrying`]
+/// hooks in the suspect set, the retry count and a `ReadRetry` event, while
+/// checkpoint load and the recovery sweep, which run before an [`Lld`]
+/// exists, only count retries. Returns `Ok(None)` on success and
+/// `Ok(Some(sector))` when the span stayed unreadable. Non-media errors
+/// propagate.
 pub(crate) fn read_sectors_retrying<D: BlockDev>(
     disk: &mut D,
     start: u64,
     buf: &mut [u8],
     attempts: u32,
-    retries: &mut u64,
+    mut on_fault: impl FnMut(&mut D, FailedRead),
 ) -> Result<Option<u64>> {
     let attempts = attempts.max(1);
-    for attempt in 1..=attempts {
+    let mut attempt = 1;
+    loop {
+        let t0 = disk.now_us();
         match disk.read_sectors(start, buf) {
             Ok(()) => return Ok(None),
             Err(DiskError::Unreadable { sector }) => {
-                if attempt == attempts {
+                let retried = attempt < attempts;
+                let us = disk.now_us() - t0;
+                on_fault(disk, FailedRead { sector, attempt, us, retried });
+                if !retried {
                     return Ok(Some(sector));
                 }
-                *retries += 1;
+                attempt += 1;
             }
             Err(e) => return Err(dev(e)),
         }
     }
-    unreachable!("loop returns on the last attempt")
 }
 
 /// The log-structured Logical Disk.
@@ -826,36 +847,27 @@ impl<D: BlockDev> Lld<D> {
     /// Reads a sector span, re-driving the request up to the configured
     /// retry budget when the medium reports a fault. Each failed attempt
     /// consumed real simulated disk time (attributed to the mechanical
-    /// components it used) and is traced as a `ReadRetry` event. Returns
-    /// `Ok(None)` on success and `Ok(Some(sector))` when the span stayed
-    /// unreadable; the failing sector joins the suspect set either way so
-    /// a later [`scrub`](Self::scrub) can probe and retire it.
+    /// components it used); each re-driven one is counted and traced as a
+    /// `ReadRetry` event. Returns `Ok(None)` on success and
+    /// `Ok(Some(sector))` when the span stayed unreadable; the failing
+    /// sector joins the suspect set either way so a later
+    /// [`scrub`](Self::scrub) can probe and retire it.
     pub(crate) fn read_span_retrying(&mut self, start: u64, buf: &mut [u8]) -> Result<Option<u64>> {
         // A direct read must observe every queued write (the queue itself
         // orders only its own requests).
         self.drain_queue()?;
-        let attempts = self.config.read_retries.max(1);
-        for attempt in 1..=attempts {
-            let t0 = self.disk.now_us();
-            match self.disk.read_sectors(start, buf) {
-                Ok(()) => return Ok(None),
-                Err(DiskError::Unreadable { sector }) => {
-                    self.suspect_sectors.insert(sector);
-                    if attempt == attempts {
-                        return Ok(Some(sector));
-                    }
-                    self.stats.retries += 1;
-                    let us = self.disk.now_us() - t0;
-                    self.disk.trace(ld_trace::Event::ReadRetry {
-                        sector,
-                        attempt: u64::from(attempt),
-                        us,
-                    });
-                }
-                Err(e) => return Err(dev(e)),
+        let attempts = self.config.read_retries;
+        read_sectors_retrying(&mut self.disk, start, buf, attempts, |disk, f| {
+            self.suspect_sectors.insert(f.sector);
+            if f.retried {
+                self.stats.retries += 1;
+                disk.trace(ld_trace::Event::ReadRetry {
+                    sector: f.sector,
+                    attempt: u64::from(f.attempt),
+                    us: f.us,
+                });
             }
-        }
-        unreachable!("loop returns on the last attempt")
+        })
     }
 
     /// Reads the stored bytes of a block copy (from the open buffer or from

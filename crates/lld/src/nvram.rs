@@ -6,9 +6,7 @@
 //! a partial segment. The image survives a crash; recovery materializes it
 //! into a free segment and replays its records like any other summary.
 
-use ld_core::wire;
-
-use crate::records::fnv1a64;
+use ld_core::wire::{self, fnv1a64};
 
 const NVRAM_MAGIC: u32 = 0x4C44_4E56; // "LDNV"
 const NVRAM_VERSION: u16 = 1;

@@ -315,10 +315,7 @@ impl SummaryBuilder {
             Record::NewList { lid, pred, hints } => {
                 put_varint(&mut self.body, lid);
                 put_opt(&mut self.body, pred);
-                let h = (hints.cluster as u64)
-                    | ((hints.compress as u64) << 1)
-                    | ((hints.interlist_cluster as u64) << 2);
-                put_varint(&mut self.body, h);
+                put_varint(&mut self.body, u64::from(hints.to_bits()));
             }
             Record::DeleteList { lid } => put_varint(&mut self.body, lid),
             Record::ListOrder { lid, pred } => {
@@ -361,7 +358,7 @@ impl SummaryBuilder {
         // base timestamp would silently misorder recovery) and the body.
         let mut hashed = out[8..32].to_vec();
         hashed.extend_from_slice(&self.body);
-        out.extend_from_slice(&fnv1a64(&hashed).to_le_bytes());
+        out.extend_from_slice(&wire::fnv1a64(&hashed).to_le_bytes());
         out.extend_from_slice(&self.body);
         out.resize(summary_bytes, 0);
         out
@@ -399,7 +396,7 @@ pub fn decode_summary(data: &[u8]) -> Option<Summary> {
     let body = data.get(SUMMARY_HEADER_LEN..SUMMARY_HEADER_LEN + body_len)?;
     let mut hashed = data[8..32].to_vec();
     hashed.extend_from_slice(body);
-    if fnv1a64(&hashed) != checksum {
+    if wire::fnv1a64(&hashed) != checksum {
         return None;
     }
 
@@ -445,15 +442,12 @@ pub fn decode_summary(data: &[u8]) -> Option<Summary> {
             T_NEW_LIST => {
                 let lid = get_varint(body, &mut pos)?;
                 let pred = get_opt(body, &mut pos)?;
-                let h = get_varint(body, &mut pos)?;
+                let bits = get_varint(body, &mut pos)?;
                 Record::NewList {
                     lid,
                     pred,
-                    hints: ListHints {
-                        cluster: h & 1 != 0,
-                        compress: h & 2 != 0,
-                        interlist_cluster: h & 4 != 0,
-                    },
+                    // Only the low three bits carry hints.
+                    hints: ListHints::from_bits(bits as u8),
                 }
             }
             T_DELETE_LIST => Record::DeleteList {
@@ -488,16 +482,6 @@ pub fn decode_summary(data: &[u8]) -> Option<Summary> {
         return None;
     }
     Some(Summary { seq, records })
-}
-
-/// FNV-1a 64-bit hash, used as the summary checksum.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -694,7 +678,7 @@ mod tests {
     #[test]
     fn fnv_matches_known_vector() {
         // FNV-1a("") and FNV-1a("a") published test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(wire::fnv1a64(b""), 0xcbf29ce484222325);
+        assert_eq!(wire::fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
     }
 }

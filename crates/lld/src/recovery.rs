@@ -86,7 +86,7 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
             layout.summary_base(seg),
             &mut buf,
             config.read_retries,
-            &mut sweep_retries,
+            |_, f| sweep_retries += u64::from(f.retried),
         )?
         .is_some()
         {

@@ -341,6 +341,99 @@ fn checkpoint_load_equals_sweep_rebuild() {
     assert_eq!(from_sweep.list_of_lists(), ckpt_lists);
 }
 
+/// The checkpoint payload of a cleanly shut down image, gathered from the
+/// segments its header lists, after checking it against the header's
+/// checksum.
+fn checkpoint_payload(image: &[u8], layout: &crate::Layout) -> Vec<u8> {
+    use ld_core::wire::{fnv1a64, le_u32, le_u64};
+    let nsegs = le_u32(image, 24) as usize;
+    let mut payload = Vec::new();
+    for i in 0..nsegs {
+        let base = layout.segment_base(le_u32(image, 28 + 4 * i)) as usize * simdisk::SECTOR_SIZE;
+        payload.extend_from_slice(&image[base..base + layout.segment_bytes]);
+    }
+    payload.truncate(le_u64(image, 8) as usize);
+    assert_eq!(fnv1a64(&payload), le_u64(image, 16), "header checksum");
+    payload
+}
+
+// A change to any of these is a change of the on-disk checkpoint format.
+const GOLDEN_PLAIN_LEN: usize = 3186;
+const GOLDEN_PLAIN_FNV: u64 = 0x27f5_28a0_11cd_51c4;
+const GOLDEN_REMAP_LEN: usize = 7135;
+const GOLDEN_REMAP_FNV: u64 = 0x8924_aee8_9b95_878f;
+
+/// Pins the checkpoint format: the payload length and FNV-1a of two fixed
+/// workloads, one reaching every hint bit, compressed blocks and deleted
+/// blocks, the other the bad-block remap table.
+#[test]
+fn checkpoint_payload_matches_golden_checksum() {
+    let mut lld = small_lld();
+    let plain = lld
+        .new_list(
+            PredList::Start,
+            ListHints {
+                cluster: true,
+                compress: false,
+                interlist_cluster: false,
+            },
+        )
+        .unwrap();
+    let packed = lld
+        .new_list(PredList::After(plain), ListHints::compressed())
+        .unwrap();
+    let mut bids = Vec::new();
+    for i in 0..24u8 {
+        let (lid, data) = if i % 3 == 0 {
+            (packed, vec![i; 4096])
+        } else {
+            (plain, pattern(1000 + 100 * usize::from(i), i))
+        };
+        let bid = lld.new_block(lid, Pred::Start).unwrap();
+        lld.write(bid, &data).unwrap();
+        bids.push((bid, lid));
+    }
+    for &(bid, lid) in bids.iter().step_by(5) {
+        lld.delete_block(bid, lid, None).unwrap();
+    }
+    lld.shutdown().unwrap();
+    let layout = *lld.layout();
+    let payload = checkpoint_payload(&lld.into_disk().image_bytes(), &layout);
+    assert_eq!(
+        (payload.len(), ld_core::wire::fnv1a64(&payload)),
+        (GOLDEN_PLAIN_LEN, GOLDEN_PLAIN_FNV)
+    );
+
+    let config = LldConfig {
+        segment_bytes: 64 << 10,
+        summary_bytes: 4 << 10,
+        read_retries: 16,
+        cpu: crate::CpuModel::free(),
+        ..LldConfig::default()
+    };
+    let mut lld = Lld::format(SimDisk::hp_c3010_with_capacity(16 << 20), config).unwrap();
+    let lid = lld.new_list(PredList::Start, ListHints::default()).unwrap();
+    for i in 0..40u8 {
+        let bid = lld.new_block(lid, Pred::Start).unwrap();
+        lld.write(bid, &pattern(4096, i)).unwrap();
+    }
+    lld.flush(FailureSet::PowerFailure).unwrap();
+    lld.disk_mut().set_faults(simdisk::FaultConfig {
+        seed: 8,
+        latent_ppm: 3_000,
+        ..simdisk::FaultConfig::default()
+    });
+    lld.media_scan().unwrap();
+    assert!(!lld.bad_sector_table().is_empty());
+    lld.shutdown().unwrap();
+    let layout = *lld.layout();
+    let payload = checkpoint_payload(&lld.into_disk().image_bytes(), &layout);
+    assert_eq!(
+        (payload.len(), ld_core::wire::fnv1a64(&payload)),
+        (GOLDEN_REMAP_LEN, GOLDEN_REMAP_FNV)
+    );
+}
+
 #[test]
 fn cleaner_reclaims_overwritten_segments() {
     // Small disk: fill it, then overwrite everything repeatedly so dead

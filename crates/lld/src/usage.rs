@@ -7,20 +7,21 @@ use std::collections::BTreeSet;
 
 use crate::cleaner::CleaningPolicy;
 
-/// Lifecycle state of a physical segment.
+/// Lifecycle state of a physical segment. The discriminant is the state's
+/// byte in a checkpoint's usage table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegState {
     /// Unused; may be allocated for the next segment write.
-    Free,
+    Free = 0,
     /// Holds (or may hold) live data and a valid summary.
-    Live,
+    Live = 1,
     /// Holds the durable copy of the current *partial* segment (§3.2); it
     /// is superseded and freed when the in-memory segment seals.
-    Scratch,
+    Scratch = 2,
     /// Retired because of persistent media faults: never allocated, never
     /// a cleaning victim, never released back to the free set. Live blocks
     /// that could not be evacuated may still map into it.
-    Quarantined,
+    Quarantined = 3,
 }
 
 /// Per-segment usage information.

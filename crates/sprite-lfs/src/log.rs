@@ -394,7 +394,7 @@ impl<D: BlockDev> SpriteLfs<D> {
         // segment write is detected.
         let mut hashed = summary.clone();
         hashed.extend_from_slice(&body[BLOCK..]);
-        summary.extend_from_slice(&fnv(&hashed).to_le_bytes());
+        summary.extend_from_slice(&wire::fnv1a64(&hashed).to_le_bytes());
         assert!(summary.len() <= BLOCK, "summary overflow");
         summary.resize(BLOCK, 0);
         body[..BLOCK].copy_from_slice(&summary);
@@ -784,7 +784,7 @@ impl<D: BlockDev> SpriteLfs<D> {
         for a in &self.imap_addr {
             ckpt.extend_from_slice(&a.to_le_bytes());
         }
-        let sum = fnv(&ckpt);
+        let sum = wire::fnv1a64(&ckpt);
         ckpt.extend_from_slice(&sum.to_le_bytes());
         assert!(ckpt.len() <= BLOCK);
         ckpt.resize(BLOCK, 0);
@@ -816,7 +816,7 @@ impl<D: BlockDev> SpriteLfs<D> {
                 continue;
             }
             let sum = wire::le_u64(&block, end);
-            if fnv(&block[..end]) != sum {
+            if wire::fnv1a64(&block[..end]) != sum {
                 continue;
             }
             let addrs: Vec<u32> = (0..n)
@@ -1196,15 +1196,6 @@ fn io_err(e: simdisk::DiskError) -> LfsError {
     LfsError::Io(e.to_string())
 }
 
-fn fnv(data: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Validates a segment image; returns its sequence number if intact.
 fn summary_seq_if_valid(body: &[u8]) -> Option<u64> {
     if body.len() < BLOCK {
@@ -1223,7 +1214,7 @@ fn summary_seq_if_valid(body: &[u8]) -> Option<u64> {
     let stored = wire::le_u64(body, summary_used);
     let mut hashed = body[..summary_used].to_vec();
     hashed.extend_from_slice(&body[BLOCK..(1 + count) * BLOCK]);
-    (fnv(&hashed) == stored).then_some(seq)
+    (wire::fnv1a64(&hashed) == stored).then_some(seq)
 }
 
 #[cfg(test)]

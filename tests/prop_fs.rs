@@ -7,6 +7,7 @@
 //! also cover directories without an index (after a mount) and directory
 //! i-nodes freed and reused.
 
+use ld_core::wire::fnv1a64;
 use logical_disk_repro::ffs::{Ffs, FfsConfig};
 use logical_disk_repro::minix_fs::{BlockStore, FsConfig, FsCpuModel, LdStore, MinixFs, RawStore};
 use logical_disk_repro::simdisk::MemDisk;
@@ -110,7 +111,7 @@ macro_rules! apply_shared {
                     Ok(ino) => {
                         let mut buf = vec![0u8; *len as usize];
                         match fs.read(ino, u64::from(*offset), &mut buf) {
-                            Ok(n) => format!("read {n} {:?}", fnv(&buf[..n])),
+                            Ok(n) => format!("read {n} {:?}", fnv1a64(&buf[..n])),
                             Err(e) => format!("read-failed {e:?}"),
                         }
                     }
@@ -182,15 +183,6 @@ fn remount<S: BlockStore>(mut fs: MinixFs<S>) -> (MinixFs<S>, String) {
         MinixFs::mount(fs.into_store(), config()).expect("remount"),
         synced,
     )
-}
-
-fn fnv(data: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 fn config() -> FsConfig {
