@@ -41,12 +41,6 @@ pub fn compressible_data(len: usize, seed: u64) -> Vec<u8> {
     out
 }
 
-/// Incompressible (pseudo-random) file content.
-pub fn random_data(len: usize, seed: u64) -> Vec<u8> {
-    let mut r = rng(seed);
-    (0..len).map(|_| r.gen()).collect()
-}
-
 /// The file names of the small-file benchmark (one directory).
 pub fn file_names(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("/f{i:06}")).collect()
@@ -100,13 +94,6 @@ mod tests {
             (0.40..=0.65).contains(&ratio),
             "ratio {ratio:.2} should be near the paper's 60%"
         );
-    }
-
-    #[test]
-    fn random_data_does_not_compress() {
-        let data = random_data(16 << 10, 7);
-        let c = ldcomp::compress(&data);
-        assert!(c.len() >= data.len());
     }
 
     #[test]

@@ -23,8 +23,6 @@ struct ModelBlock {
 #[derive(Debug, Clone)]
 struct ModelList {
     blocks: Vec<Bid>,
-    #[allow(dead_code)] // Hints carry no observable behaviour in the model.
-    hints: ListHints,
 }
 
 /// The in-memory reference implementation.
@@ -81,11 +79,6 @@ impl ModelLd {
     /// The lists currently allocated, in list-of-lists order.
     pub fn list_of_lists(&self) -> &[Lid] {
         &self.list_order
-    }
-
-    /// Number of allocated blocks (diagnostic).
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
     }
 
     fn check_up(&self) -> Result<()> {
@@ -215,7 +208,7 @@ impl LogicalDisk for ModelLd {
         Ok(())
     }
 
-    fn new_list(&mut self, pred: PredList, hints: ListHints) -> Result<Lid> {
+    fn new_list(&mut self, pred: PredList, _hints: ListHints) -> Result<Lid> {
         self.check_up()?;
         let pos = match pred {
             PredList::Start => 0,
@@ -235,13 +228,7 @@ impl LogicalDisk for ModelLd {
             }
         };
         self.list_order.insert(pos, lid);
-        self.lists.insert(
-            lid,
-            ModelList {
-                blocks: Vec::new(),
-                hints,
-            },
-        );
+        self.lists.insert(lid, ModelList { blocks: Vec::new() });
         Ok(lid)
     }
 

@@ -75,11 +75,6 @@ impl Default for ListHints {
 }
 
 impl ListHints {
-    /// Hints requesting clustering but no compression (the common case).
-    pub fn clustered() -> Self {
-        Self::default()
-    }
-
     /// Hints requesting transparent compression as well as clustering.
     pub fn compressed() -> Self {
         Self {

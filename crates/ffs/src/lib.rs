@@ -81,11 +81,6 @@ impl FfsConfig {
     fn inode_blocks_per_cg(&self) -> u32 {
         (self.inodes_per_cg as usize).div_ceil(BLOCK_SIZE / INODE_SIZE) as u32
     }
-
-    /// Data blocks available per group.
-    pub fn data_blocks_per_cg(&self) -> u32 {
-        self.cg_blocks - 1 - self.inode_blocks_per_cg()
-    }
 }
 
 /// Per-group in-memory state.

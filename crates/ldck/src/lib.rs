@@ -245,11 +245,6 @@ impl Report {
         self.errors().next().is_none()
     }
 
-    /// The worst severity present, if any findings exist at all.
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.findings.iter().map(|f| f.severity).max()
-    }
-
     fn push(&mut self, severity: Severity, kind: Kind, seg: Option<u32>, detail: String) {
         self.findings.push(Finding {
             severity,

@@ -382,16 +382,6 @@ impl<D: BlockDev> Lld<D> {
             .count() as u32
     }
 
-    /// Number of allocated blocks.
-    pub fn block_count(&self) -> usize {
-        self.map.allocated()
-    }
-
-    /// Number of allocated lists.
-    pub fn list_count(&self) -> usize {
-        self.lists.allocated()
-    }
-
     /// The list of lists, front to back.
     pub fn list_of_lists(&self) -> Vec<Lid> {
         self.lists.order().into_iter().map(Lid).collect()
@@ -402,21 +392,6 @@ impl<D: BlockDev> Lld<D> {
     pub fn block_segment(&self, bid: Bid) -> Option<u32> {
         let e = self.map.get(bid.0)?;
         e.on_disk().then_some(e.seg)
-    }
-
-    /// Total live payload bytes on disk (excluding the open segment).
-    pub fn live_bytes(&self) -> u64 {
-        self.usage.total_live_bytes()
-    }
-
-    /// Bytes of payload currently buffered in the open segment.
-    pub fn open_segment_bytes(&self) -> usize {
-        self.open.data_used()
-    }
-
-    /// Records currently buffered in the open segment's summary.
-    pub fn open_segment_records(&self) -> u32 {
-        self.open.record_count()
     }
 
     // ----- concurrent atomic recovery units (§5.4 extension) -----

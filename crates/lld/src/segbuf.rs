@@ -47,11 +47,6 @@ impl SegmentBuffer {
         self.used == 0 && self.summary.count() == 0
     }
 
-    /// Number of records accumulated.
-    pub fn record_count(&self) -> u32 {
-        self.summary.count()
-    }
-
     /// Whether `bytes` more data and `records` more records fit.
     pub fn has_room(&self, bytes: usize, records: usize) -> bool {
         self.used + bytes <= self.data_capacity
@@ -163,7 +158,6 @@ mod tests {
         for i in 0..4 {
             b.push_record(rec(i));
         }
-        assert!(b.record_count() == 4);
     }
 
     #[test]

@@ -65,13 +65,6 @@ impl UsageTable {
         self.segs.len() as u32
     }
 
-    /// Whether the table is empty (zero segments — never true in practice).
-    // Conventional pair for `len()`; only exercised by tests.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.segs.is_empty()
-    }
-
     /// Number of free segments.
     pub fn free_count(&self) -> u32 {
         self.free.len() as u32
@@ -168,11 +161,6 @@ impl UsageTable {
             self.free.remove(&seg);
         }
         self.segs[seg as usize] = usage;
-    }
-
-    /// Total live bytes across all segments.
-    pub fn total_live_bytes(&self) -> u64 {
-        self.segs.iter().map(|s| s.live_bytes).sum()
     }
 
     /// The free segments, in ascending order.
@@ -282,7 +270,6 @@ mod tests {
         assert_eq!(t.get(s).last_write_ts, 9);
         t.sub_live(s, 1500);
         assert_eq!(t.get(s).live_bytes, 0);
-        assert_eq!(t.total_live_bytes(), 0);
     }
 
     #[test]

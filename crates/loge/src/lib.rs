@@ -110,8 +110,6 @@ pub struct Loge<D: BlockDev> {
     free: BTreeSet<u32>,
     /// Exported logical block count.
     logical_blocks: u32,
-    /// Total physical blocks.
-    phys_blocks: u32,
     /// Timestamp counter stamped into block headers.
     ts: u64,
     /// Controller's notion of head position: last physical block touched.
@@ -135,7 +133,6 @@ impl<D: BlockDev> Loge<D> {
             table: vec![0; logical_blocks as usize],
             free: (0..phys_blocks).collect(),
             logical_blocks,
-            phys_blocks,
             ts: 1,
             head: 0,
             stats: LogeStats::default(),
@@ -182,7 +179,6 @@ impl<D: BlockDev> Loge<D> {
             table,
             free,
             logical_blocks,
-            phys_blocks,
             ts: max_ts + 1,
             head: 0,
             stats: LogeStats {
@@ -196,11 +192,6 @@ impl<D: BlockDev> Loge<D> {
     /// Exported capacity in logical blocks.
     pub fn logical_blocks(&self) -> u32 {
         self.logical_blocks
-    }
-
-    /// Total physical blocks (logical capacity plus the relocation pool).
-    pub fn physical_blocks(&self) -> u32 {
-        self.phys_blocks
     }
 
     /// Statistics.
@@ -357,8 +348,8 @@ mod tests {
         for bid in 0..25u32 {
             loge.write(bid, &pattern(0x80 | bid as u8)).unwrap();
         }
-        let phys = loge.phys_blocks;
         let disk = loge.into_disk();
+        let (phys, _) = geometry(&disk);
         let mut rec = Loge::recover(disk).unwrap();
         assert_eq!(rec.stats().recovery_blocks_scanned, u64::from(phys));
         let mut buf = vec![0u8; BLOCK];

@@ -59,8 +59,6 @@ pub mod test_runner {
     pub enum TestCaseError {
         /// The case failed an assertion.
         Fail(String),
-        /// The case asked to be discarded (`prop_assume!`-style).
-        Reject(String),
     }
 
     impl TestCaseError {
@@ -68,18 +66,12 @@ pub mod test_runner {
         pub fn fail(reason: impl Into<String>) -> Self {
             Self::Fail(reason.into())
         }
-
-        /// A rejected (discarded) case with the given reason.
-        pub fn reject(reason: impl Into<String>) -> Self {
-            Self::Reject(reason.into())
-        }
     }
 
     impl fmt::Display for TestCaseError {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             match self {
                 Self::Fail(r) => write!(f, "{r}"),
-                Self::Reject(r) => write!(f, "rejected: {r}"),
             }
         }
     }
@@ -506,7 +498,6 @@ macro_rules! __proptest_items {
                 ));
                 match outcome {
                     Ok(Ok(())) => {}
-                    Ok(Err($crate::test_runner::TestCaseError::Reject(_))) => {}
                     Ok(Err($crate::test_runner::TestCaseError::Fail(reason))) => panic!(
                         "proptest case {}/{} of `{}` failed (case index {}, {}={}): {}\ninputs:\n{}",
                         case + 1, config.cases, stringify!($name), index,

@@ -51,16 +51,6 @@ impl Default for FaultConfig {
     }
 }
 
-impl FaultConfig {
-    /// Whether any fault class is enabled.
-    pub fn any_enabled(&self) -> bool {
-        self.transient_ppm > 0
-            || self.latent_ppm > 0
-            || self.grown_ppm > 0
-            || self.background_ppm > 0
-    }
-}
-
 /// Live fault state: the config plus the little memory the model needs
 /// (how often each transient sector has already failed, and which sectors
 /// have grown defects).
@@ -102,10 +92,6 @@ impl FaultState {
             transient_fails: HashMap::new(),
             grown_bad: HashSet::new(),
         }
-    }
-
-    pub(crate) fn config(&self) -> &FaultConfig {
-        &self.config
     }
 
     /// Decides whether a media read of `sector` at simulated time `now_us`
@@ -248,7 +234,6 @@ mod tests {
     #[test]
     fn disabled_config_never_faults() {
         let mut f = FaultState::new(FaultConfig::default());
-        assert!(!FaultConfig::default().any_enabled());
         for sector in 0..1000 {
             assert!(!f.read_fails(sector, sector * 17));
             assert!(!f.write_grows_defect(sector));

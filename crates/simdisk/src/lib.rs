@@ -315,11 +315,6 @@ impl SimDisk {
         self.faults = None;
     }
 
-    /// The active fault configuration, if any.
-    pub fn fault_config(&self) -> Option<&FaultConfig> {
-        self.faults.as_ref().map(|f| f.config())
-    }
-
     /// The raw disk image as one contiguous byte buffer. Out-of-band
     /// analysis access (`ldck`): charges no simulated time, records no
     /// stats, and works even while the device is down after a crash.
@@ -642,7 +637,6 @@ impl BlockDev for SimDisk {
 pub struct MemDisk {
     store: SparseStore,
     clock_us: u64,
-    nvram: Vec<u8>,
 }
 
 impl MemDisk {
@@ -651,14 +645,7 @@ impl MemDisk {
         Self {
             store: SparseStore::new(total_sectors),
             clock_us: 0,
-            nvram: Vec::new(),
         }
-    }
-
-    /// Attaches `bytes` of NVRAM.
-    pub fn with_nvram_bytes(mut self, bytes: usize) -> Self {
-        self.nvram = vec![0u8; bytes];
-        self
     }
 
     /// Creates a device with at least `bytes` capacity.
@@ -731,32 +718,6 @@ impl BlockDev for MemDisk {
 
     fn advance_us(&mut self, us: u64) {
         self.clock_us += us;
-    }
-
-    fn nvram_bytes(&self) -> usize {
-        self.nvram.len()
-    }
-
-    fn nvram_write(&mut self, offset: usize, data: &[u8]) -> Result<(), DiskError> {
-        if offset + data.len() > self.nvram.len() {
-            return Err(DiskError::OutOfRange {
-                sector: offset as u64,
-                count: data.len() as u64,
-            });
-        }
-        self.nvram[offset..offset + data.len()].copy_from_slice(data);
-        Ok(())
-    }
-
-    fn nvram_read(&mut self, offset: usize, buf: &mut [u8]) -> Result<(), DiskError> {
-        if offset + buf.len() > self.nvram.len() {
-            return Err(DiskError::OutOfRange {
-                sector: offset as u64,
-                count: buf.len() as u64,
-            });
-        }
-        buf.copy_from_slice(&self.nvram[offset..offset + buf.len()]);
-        Ok(())
     }
 }
 

@@ -191,11 +191,6 @@ impl RequestQueue {
         }
     }
 
-    /// The configured scheduler.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> &QueueStats {
         &self.stats
@@ -212,14 +207,6 @@ impl RequestQueue {
     /// Whether no request is pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether any pending request overlaps `[sector, sector + count)`.
-    pub fn overlaps(&self, sector: u64, count: u64) -> bool {
-        self.pending.iter().any(|r| match r.op.span() {
-            Some((s, c)) => s < sector + count && sector < s + c,
-            None => false,
-        })
     }
 
     /// Queues a read of `count` sectors at `sector`; returns its tag. The

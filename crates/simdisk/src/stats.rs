@@ -60,11 +60,6 @@ impl DiskStats {
         }
     }
 
-    /// Total bytes transferred in either direction.
-    pub fn bytes_transferred(&self) -> u64 {
-        (self.sectors_read + self.sectors_written) * crate::geometry::SECTOR_SIZE as u64
-    }
-
     /// Returns `self - earlier`, for measuring a benchmark phase.
     ///
     /// Returns `None` if `earlier` is not actually an earlier snapshot of

@@ -21,9 +21,9 @@
 //! This implementation is a real, recoverable mini-LFS: log-structured
 //! segments with summaries, dirty i-nodes packed into i-node blocks at
 //! segment flush, an i-node map written at checkpoints (two alternating
-//! checkpoint regions), roll-forward recovery from the newest checkpoint,
-//! and a greedy cleaner. [`WriteCounters`] splits every block written by
-//! category so the Table 6 quantities are *measured*, not assumed.
+//! checkpoint regions) and roll-forward recovery from the newest
+//! checkpoint. [`WriteCounters`] splits every block written by category
+//! so the Table 6 quantities are *measured*, not assumed.
 
 mod fsops;
 mod log;

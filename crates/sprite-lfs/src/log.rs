@@ -1,5 +1,5 @@
-//! The log-structured core: segments, i-node map, checkpoints,
-//! roll-forward recovery, and the cleaner.
+//! The log-structured core: segments, i-node map, checkpoints and
+//! roll-forward recovery.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -76,8 +76,6 @@ pub struct WriteCounters {
     pub summary_blocks: u64,
     /// Whole segments written.
     pub segments_written: u64,
-    /// Live blocks the cleaner copied forward.
-    pub cleaner_copied: u64,
     /// Dirty i-nodes flushed (the numerator of ε).
     pub dirty_inodes_flushed: u64,
 }
@@ -166,9 +164,8 @@ pub struct SpriteLfs<D: BlockDev> {
     disk: D,
     config: LfsConfig,
     nsegs: u32,
-    /// Per-segment state and live-block estimate.
+    /// Per-segment state.
     seg_state: Vec<SegState>,
-    seg_live: Vec<i64>,
     /// Open segment: assigned id and pending blocks.
     open_seg: u32,
     open: Vec<(Kind, Vec<u8>)>,
@@ -211,7 +208,6 @@ impl<D: BlockDev> SpriteLfs<D> {
             disk,
             nsegs,
             seg_state: vec![SegState::Free; nsegs as usize],
-            seg_live: vec![0; nsegs as usize],
             open_seg: 0,
             open: Vec::new(),
             open_ops: Vec::new(),
@@ -269,22 +265,10 @@ impl<D: BlockDev> SpriteLfs<D> {
         self.disk
     }
 
-    /// Number of free segments.
-    pub fn free_segments(&self) -> u32 {
-        self.seg_state
-            .iter()
-            .filter(|s| **s == SegState::Free)
-            .count() as u32
-    }
-
     // ----- address math -----
 
     fn seg_base(&self, seg: u32) -> u32 {
         2 + seg * self.config.segment_blocks
-    }
-
-    fn seg_of(&self, addr: u32) -> u32 {
-        (addr - 2) / self.config.segment_blocks
     }
 
     fn open_base(&self) -> u32 {
@@ -310,15 +294,6 @@ impl<D: BlockDev> SpriteLfs<D> {
             .map_err(io_err)
     }
 
-    // ----- live accounting -----
-
-    fn retire(&mut self, addr: u32) {
-        if addr != 0 && addr != u32::MAX {
-            let seg = self.seg_of(addr);
-            self.seg_live[seg as usize] -= 1;
-        }
-    }
-
     // ----- the open segment -----
 
     fn append(&mut self, kind: Kind, data: Vec<u8>) -> Result<u32> {
@@ -328,7 +303,6 @@ impl<D: BlockDev> SpriteLfs<D> {
         }
         let addr = self.next_addr();
         self.open.push((kind, data));
-        self.seg_live[self.open_seg as usize] += 1;
         Ok(addr)
     }
 
@@ -456,25 +430,13 @@ impl<D: BlockDev> SpriteLfs<D> {
                 }
                 let addr = self.append(Kind::Indirect { ino, table }, block)?;
                 match table {
-                    TABLE_IND => {
-                        let inode = self.inode_mut(ino)?;
-                        let old = inode.ptrs[NDIRECT];
-                        inode.ptrs[NDIRECT] = addr;
-                        self.retire(old);
-                    }
-                    TABLE_DIND_TOP => {
-                        let inode = self.inode_mut(ino)?;
-                        let old = inode.ptrs[NDIRECT + 1];
-                        inode.ptrs[NDIRECT + 1] = addr;
-                        self.retire(old);
-                    }
+                    TABLE_IND => self.inode_mut(ino)?.ptrs[NDIRECT] = addr,
+                    TABLE_DIND_TOP => self.inode_mut(ino)?.ptrs[NDIRECT + 1] = addr,
                     sub => {
                         // Update (and dirty) the top table.
                         let mut top = self.load_table(ino, TABLE_DIND_TOP)?;
-                        let old = top[sub as usize];
                         top[sub as usize] = addr;
                         self.dirty_tables.insert((ino, TABLE_DIND_TOP), top);
-                        self.retire(old);
                     }
                 }
             }
@@ -495,13 +457,7 @@ impl<D: BlockDev> SpriteLfs<D> {
                 );
             }
             let addr = self.append(Kind::InodeBlock, block)?;
-            // The segment-live ledger counts i-node residency per slot.
-            self.seg_live[self.open_seg as usize] += chunk.len() as i64 - 1;
             for (slot, (ino, _)) in chunk.iter().enumerate() {
-                let old = self.imap[*ino as usize];
-                if old != 0 && old != u32::MAX {
-                    self.retire((old - 1) / INODES_PER_BLOCK as u32);
-                }
                 self.imap[*ino as usize] = addr * INODES_PER_BLOCK as u32 + slot as u32 + 1;
                 self.imap_dirty.insert(*ino / IMAP_PER_BLOCK as u32);
                 self.counters.dirty_inodes_flushed += 1;
@@ -585,10 +541,7 @@ impl<D: BlockDev> SpriteLfs<D> {
 
     fn set_block_addr(&mut self, ino: u32, idx: u64, addr: u32) -> Result<()> {
         if idx < NDIRECT as u64 {
-            let inode = self.inode_mut(ino)?;
-            let old = inode.ptrs[idx as usize];
-            inode.ptrs[idx as usize] = addr;
-            self.retire(old);
+            self.inode_mut(ino)?.ptrs[idx as usize] = addr;
             return Ok(());
         }
         let rel = idx - NDIRECT as u64;
@@ -602,12 +555,10 @@ impl<D: BlockDev> SpriteLfs<D> {
             ((rel / PPB as u64) as u32, (rel % PPB as u64) as usize)
         };
         let mut t = self.load_table(ino, table)?;
-        let old = t[entry];
         t[entry] = addr;
         self.dirty_tables.insert((ino, table), t);
         // The i-node is considered dirty too (mtime in real Sprite).
         self.inode_mut(ino)?;
-        self.retire(old);
         Ok(())
     }
 
@@ -685,25 +636,6 @@ impl<D: BlockDev> SpriteLfs<D> {
         self.read_block(ROOT_INO, blk_idx, &mut block)?;
         dirent::clear(&mut block[slot * DIRENT_SIZE..(slot + 1) * DIRENT_SIZE]);
         self.write_block(ROOT_INO, blk_idx, &block)?;
-        // Retire the file's blocks.
-        let inode = self.load_inode(ino)?;
-        let nblocks = inode.size.div_ceil(BLOCK as u64);
-        for i in 0..nblocks {
-            let a = self.block_addr(ino, i)?;
-            self.retire(a);
-        }
-        self.retire(inode.ptrs[NDIRECT]);
-        if inode.ptrs[NDIRECT + 1] != 0 {
-            let top = self.load_table(ino, TABLE_DIND_TOP)?;
-            for a in top {
-                self.retire(a);
-            }
-            self.retire(inode.ptrs[NDIRECT + 1]);
-        }
-        let old = self.imap[ino as usize];
-        if old != 0 && old != u32::MAX {
-            self.retire((old - 1) / INODES_PER_BLOCK as u32);
-        }
         self.imap[ino as usize] = 0;
         self.imap_dirty.insert(ino / IMAP_PER_BLOCK as u32);
         self.dirty_inodes.remove(&ino);
@@ -768,12 +700,8 @@ impl<D: BlockDev> SpriteLfs<D> {
                 let v = self.imap.get(lo + i).copied().unwrap_or(0);
                 block[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
             }
-            let old = self.imap_addr[blk as usize];
             let addr = self.append(Kind::Imap { blk }, block)?;
             self.imap_addr[blk as usize] = addr;
-            if old != 0 {
-                self.retire(old);
-            }
         }
         self.flush()?;
 
@@ -835,7 +763,6 @@ impl<D: BlockDev> SpriteLfs<D> {
             disk,
             nsegs,
             seg_state: vec![SegState::Free; nsegs as usize],
-            seg_live: vec![0; nsegs as usize],
             open_seg: 0,
             open: Vec::new(),
             open_ops: Vec::new(),
@@ -1014,22 +941,23 @@ impl<D: BlockDev> SpriteLfs<D> {
         Ok(())
     }
 
-    /// Rebuilds per-segment live counts from the reachable state.
+    /// Rebuilds segment states from the reachable state: a segment that
+    /// holds a reachable block is Live, every other one Free.
     fn rebuild_usage(&mut self) -> Result<()> {
-        self.seg_live = vec![0; self.nsegs as usize];
         let inos: Vec<u32> = (0..self.imap.len() as u32)
             .filter(|&i| self.imap[i as usize] != 0 || self.dirty_inodes.contains_key(&i))
             .collect();
-        let credit = |this: &mut Self, addr: u32| {
+        let mut live = vec![false; self.nsegs as usize];
+        let segment_blocks = self.config.segment_blocks;
+        let mut credit = |addr: u32| {
             if addr != 0 && addr != u32::MAX {
-                let seg = this.seg_of(addr);
-                this.seg_live[seg as usize] += 1;
+                live[((addr - 2) / segment_blocks) as usize] = true;
             }
         };
         for ino in inos {
             let entry = self.imap[ino as usize];
             if entry != 0 && entry != u32::MAX {
-                credit(self, (entry - 1) / INODES_PER_BLOCK as u32);
+                credit((entry - 1) / INODES_PER_BLOCK as u32);
             }
             let inode = match self.load_inode(ino) {
                 Ok(i) => i,
@@ -1038,158 +966,25 @@ impl<D: BlockDev> SpriteLfs<D> {
             let nblocks = inode.size.div_ceil(BLOCK as u64);
             for idx in 0..nblocks {
                 if let Ok(a) = self.block_addr(ino, idx) {
-                    credit(self, a);
+                    credit(a);
                 }
             }
-            credit(self, inode.ptrs[NDIRECT]);
+            credit(inode.ptrs[NDIRECT]);
             if inode.ptrs[NDIRECT + 1] != 0 {
-                credit(self, inode.ptrs[NDIRECT + 1]);
-                let top = self.load_table(ino, TABLE_DIND_TOP)?;
-                for a in top {
-                    credit(self, a);
+                credit(inode.ptrs[NDIRECT + 1]);
+                for a in self.load_table(ino, TABLE_DIND_TOP)? {
+                    credit(a);
                 }
             }
         }
-        for blk in 0..self.imap_addr.len() {
-            credit(self, self.imap_addr[blk]);
+        for &a in &self.imap_addr {
+            credit(a);
         }
-        for seg in 0..self.nsegs as usize {
-            self.seg_state[seg] = if self.seg_live[seg] > 0 {
-                SegState::Live
-            } else {
-                SegState::Free
-            };
+        for (state, live) in self.seg_state.iter_mut().zip(live) {
+            *state = if live { SegState::Live } else { SegState::Free };
         }
         Ok(())
     }
-
-    // ----- cleaning -----
-
-    /// Greedily cleans up to `max` segments; returns how many were freed.
-    /// Every copied block cascades exactly like a user write — the Sprite
-    /// cleaning cost the paper contrasts with LLD's (§5.1).
-    pub fn clean(&mut self, max: u32) -> Result<u32> {
-        let mut cleaned = 0;
-        for _ in 0..max {
-            let victim = (0..self.nsegs)
-                .filter(|&s| s != self.open_seg && self.seg_state[s as usize] == SegState::Live)
-                .min_by_key(|&s| self.seg_live[s as usize].max(0));
-            let Some(victim) = victim else { break };
-            if self.seg_live[victim as usize] >= i64::from(self.config.segment_blocks - 1) {
-                break; // Nothing reclaimable.
-            }
-            self.clean_segment(victim)?;
-            cleaned += 1;
-        }
-        Ok(cleaned)
-    }
-
-    fn clean_segment(&mut self, victim: u32) -> Result<()> {
-        let base = self.seg_base(victim);
-        let nblocks = self.config.segment_blocks as usize;
-        let mut body = vec![0u8; nblocks * BLOCK];
-        self.disk
-            .read_sectors(u64::from(base) * SECTORS_PER_BLOCK, &mut body)
-            .map_err(io_err)?;
-        if summary_seq_if_valid(&body).is_some() {
-            let count = wire::le_u32(&body, 4) as usize;
-            let mut pos = 20;
-            for i in 0..count {
-                let kind = body[pos];
-                let a = wire::le_u32(&body, pos + 1);
-                let b = wire::le_u32(&body, pos + 5);
-                pos += 9;
-                let addr = base + 1 + i as u32;
-                let payload = body[(1 + i) * BLOCK..(2 + i) * BLOCK].to_vec();
-                match kind {
-                    0 => {
-                        // Live data: current pointer still references it.
-                        let (ino, idx) = (a, u64::from(b));
-                        let live = self.imap.get(ino as usize).is_some_and(|&e| e != 0)
-                            && self.block_addr(ino, idx).is_ok_and(|cur| cur == addr);
-                        if live {
-                            let new = self.append(Kind::Data { ino, idx: b }, payload)?;
-                            self.set_block_addr(ino, idx, new)?;
-                            self.counters.cleaner_copied += 1;
-                        }
-                    }
-                    1 => {
-                        for slot in 0..INODES_PER_BLOCK {
-                            let entry = addr * INODES_PER_BLOCK as u32 + slot as u32 + 1;
-                            if let Some(ino) = self.imap.iter().position(|&e| e == entry) {
-                                // Re-dirty so it is rewritten at next flush.
-                                let img = &payload[slot * INODE_BYTES..(slot + 1) * INODE_BYTES];
-                                if let Some(inode) = Inode::decode(img) {
-                                    self.dirty_inodes.insert(ino as u32, inode);
-                                    self.retire(addr);
-                                    self.imap[ino as u32 as usize] = u32::MAX;
-                                    self.imap_dirty.insert(ino as u32 / IMAP_PER_BLOCK as u32);
-                                    self.counters.cleaner_copied += 1;
-                                }
-                            }
-                        }
-                    }
-                    2 => {
-                        let blk = a as usize;
-                        if blk < self.imap_addr.len() && self.imap_addr[blk] == addr {
-                            self.imap_dirty.insert(a);
-                            self.imap_addr[blk] = 0;
-                            self.retire(addr);
-                            self.counters.cleaner_copied += 1;
-                        }
-                    }
-                    3 => {
-                        let (ino, table) = (a, b);
-                        let cur = self.table_addr(ino, table)?;
-                        if cur == Some(addr) {
-                            let content: Vec<u32> = (0..PPB)
-                                .map(|k| {
-                                    wire::le_u32(&payload, 4 * k)
-                                })
-                                .collect();
-                            self.dirty_tables.insert((ino, table), content);
-                            self.retire(addr);
-                            self.counters.cleaner_copied += 1;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // Make the forwarded copies durable, then reclaim the victim.
-        self.flush()?;
-        self.seg_state[victim as usize] = SegState::Free;
-        self.seg_live[victim as usize] = 0;
-        Ok(())
-    }
-
-    fn table_addr(&mut self, ino: u32, table: u32) -> Result<Option<u32>> {
-        if self.imap.get(ino as usize).copied().unwrap_or(0) == 0
-            && !self.dirty_inodes.contains_key(&ino)
-        {
-            return Ok(None);
-        }
-        if self.dirty_tables.contains_key(&(ino, table)) {
-            return Ok(None); // Already dirty in memory; disk copy is dead.
-        }
-        let inode = self.load_inode(ino)?;
-        Ok(match table {
-            TABLE_IND => nonzero(inode.ptrs[NDIRECT]),
-            TABLE_DIND_TOP => nonzero(inode.ptrs[NDIRECT + 1]),
-            sub => {
-                if inode.ptrs[NDIRECT + 1] == 0 {
-                    None
-                } else {
-                    let top = self.load_table(ino, TABLE_DIND_TOP)?;
-                    nonzero(top[sub as usize])
-                }
-            }
-        })
-    }
-}
-
-fn nonzero(a: u32) -> Option<u32> {
-    (a != 0).then_some(a)
 }
 
 fn io_err(e: simdisk::DiskError) -> LfsError {

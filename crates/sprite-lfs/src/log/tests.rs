@@ -191,76 +191,6 @@ fn unflushed_tail_lost_after_crash() {
 }
 
 #[test]
-fn cleaner_reclaims_dead_segments() {
-    let mut fs = SpriteLfs::format(
-        MemDisk::with_capacity(8 << 20),
-        LfsConfig {
-            segment_blocks: 16,
-            ninodes: 64,
-        },
-    )
-    .unwrap();
-    let f = fs.create("churn").unwrap();
-    // Overwrite the same blocks repeatedly to produce dead segments.
-    for round in 0..12u8 {
-        for i in 0..8u64 {
-            fs.write_block(f, i, &pattern(round ^ i as u8)).unwrap();
-        }
-        fs.flush().unwrap();
-    }
-    let free_before = fs.free_segments();
-    let cleaned = fs.clean(8).unwrap();
-    assert!(cleaned > 0, "cleaner found victims");
-    assert!(fs.free_segments() > free_before);
-    // Data survives cleaning.
-    for i in 0..8u64 {
-        let mut buf = vec![0u8; BLOCK];
-        fs.read_block(f, i, &mut buf).unwrap();
-        assert_eq!(buf, pattern(11 ^ i as u8), "block {i}");
-    }
-}
-
-#[test]
-fn cleaner_copies_live_blocks_and_cascades() {
-    let mut fs = SpriteLfs::format(
-        MemDisk::with_capacity(8 << 20),
-        LfsConfig {
-            segment_blocks: 16,
-            ninodes: 64,
-        },
-    )
-    .unwrap();
-    // Two interleaved files fill segments together; overwriting only one
-    // leaves half-live segments that the cleaner must copy from.
-    let a = fs.create("hot").unwrap();
-    let b = fs.create("cold").unwrap();
-    for i in 0..12u64 {
-        fs.write_block(a, i, &pattern(i as u8)).unwrap();
-        fs.write_block(b, i, &pattern(0x80 | i as u8)).unwrap();
-    }
-    fs.flush().unwrap();
-    for round in 1..4u8 {
-        for i in 0..12u64 {
-            fs.write_block(a, i, &pattern(round.wrapping_mul(31) ^ i as u8))
-                .unwrap();
-        }
-        fs.flush().unwrap();
-    }
-    let cleaned = fs.clean(6).unwrap();
-    assert!(cleaned > 0);
-    assert!(
-        fs.counters().cleaner_copied > 0,
-        "half-live segments force the cleaner to copy"
-    );
-    // Cold file intact after its blocks were moved.
-    for i in 0..12u64 {
-        let mut buf = vec![0u8; BLOCK];
-        fs.read_block(b, i, &mut buf).unwrap();
-        assert_eq!(buf, pattern(0x80 | i as u8), "cold block {i}");
-    }
-}
-
-#[test]
 fn root_directory_grows() {
     let mut fs = lfs();
     // 4096/32 = 128 entries per block; create enough to grow the dir.

@@ -54,9 +54,6 @@ pub use hist::{Histogram, BUCKETS};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Default ring capacity used by integration points that do not care.
-pub const DEFAULT_CAPACITY: usize = 4096;
-
 #[derive(Debug)]
 struct Inner {
     /// Pre-allocated ring; grows by `push` only until `cap` is reached.

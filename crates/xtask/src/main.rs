@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! cargo run -p xtask -- lint    # invariant lints over the workspace source
-//! cargo run -p xtask -- ci      # build + test + clippy + lint + ldck smoke
+//! cargo run -p xtask -- ci      # build + test + examples + clippy + lint + smokes
 //! ```
 //!
-//! The `lint` subcommand enforces three workspace invariants that rustc and
+//! The `lint` subcommand enforces six workspace invariants that rustc and
 //! clippy do not express:
 //!
 //! 1. **No panicking error handling in library code.** `.unwrap()`,
@@ -21,9 +21,8 @@
 //! 2. **No wall-clock time or OS randomness in simulation-facing crates.**
 //!    The whole point of `simdisk` is a deterministic simulated clock; a
 //!    host clock or an entropy-seeded RNG anywhere in the simulation stack
-//!    would silently break reproducibility. The rule has no exception in
-//!    this workspace: host time is measured only by the standalone
-//!    `ldperf` benchmark.
+//!    would silently break reproducibility. The rule takes no waiver: host
+//!    time is measured only by the standalone `ldperf` benchmark.
 //! 3. **Layering.** File-system crates sit on the `BlockDev` abstraction;
 //!    they must not reach into `simdisk` internals (stores, geometry,
 //!    timing), otherwise the FS-on-LD-on-simdisk stack stops being
@@ -31,17 +30,31 @@
 //! 4. **No console output from storage library code.** `println!` /
 //!    `eprintln!` in the storage crates corrupts experiment output and is
 //!    invisible in tests; diagnostics belong in typed errors, stats
-//!    counters, or `ld-trace` events. CLI entry points (`main.rs`,
-//!    `bin/`) are exempt; a deliberate library print may be waived with
-//!    `// PRINT-OK: <why>`.
+//!    counters, or `ld-trace` events. Only CLI entry points (`main.rs`,
+//!    `bin/`) may print.
 //! 5. **Deterministic dispatch order in the I/O scheduler and cleaner.**
 //!    The command queue promises bit-reproducible schedules (ties break by
 //!    submission order), and the cleaner re-logs the records a victim's
 //!    summary mentions in iteration order; a `HashMap`/`HashSet` there
 //!    would let hasher state pick what reaches the disk, and when. These
 //!    modules must use only ordered containers (`Vec`, `VecDeque`,
-//!    `BTreeMap`, `BTreeSet`).
+//!    `BTreeMap`, `BTreeSet`). The rule takes no waiver.
+//! 6. **Every `pub fn` has a caller (unused-pub).** A `pub fn` in the
+//!    library code of `crates/*/src` needs a call site somewhere in the
+//!    repository: library code, tests, examples or `ldperf`. A call site
+//!    is `.name(`, `name(`, `name::<` or a path `Type::name` (so
+//!    `Self::name` passed as a function pointer counts), with comments
+//!    stripped and the declaring `fn name` itself not counted; a variable,
+//!    a field or a comment that shares the name is not a caller. A
+//!    `// API-OK: <why it has no caller>` comment on the declaration, or in
+//!    the comment and attribute lines directly above it, waives the
+//!    finding. A waiver on a `pub fn` that has callers, or on no `pub fn`
+//!    at all, is stale and reported.
+//!
+//! Each waiver belongs to exactly one rule: `PANIC-OK` to rule 1, `API-OK`
+//! to rule 6.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -114,11 +127,11 @@ const DISPATCH_ORDER_FILES: &[&str] = &[
     "crates/lld/src/block_map.rs",
 ];
 
-/// Per-line waiver marker for documented invariants.
-const WAIVER: &str = "PANIC-OK:";
+/// Per-line waiver of the panic rule for documented invariants.
+const PANIC_WAIVER: &str = "PANIC-OK:";
 
-/// Per-line waiver marker for deliberate library prints.
-const PRINT_WAIVER: &str = "PRINT-OK:";
+/// Waiver of the unused-pub rule for a `pub fn` kept without a caller.
+const API_WAIVER: &str = "API-OK:";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -149,33 +162,53 @@ fn repo_root() -> PathBuf {
 // lint
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct Lint {
     findings: Vec<String>,
     files_scanned: usize,
 }
 
+impl Lint {
+    fn report(&mut self, rel: &str, lineno: usize, what: &str, hint: &str) {
+        let mut msg = String::new();
+        let _ = write!(msg, "{rel}:{lineno}: {what}");
+        if !hint.is_empty() {
+            let _ = write!(msg, " ({hint})");
+        }
+        self.findings.push(msg);
+    }
+}
+
 fn lint() -> ExitCode {
     let root = repo_root();
-    let mut lint = Lint {
-        findings: Vec::new(),
-        files_scanned: 0,
-    };
+    let mut lint = Lint::default();
+    let sources: Vec<(String, String)> = rust_sources(&root)
+        .into_iter()
+        .filter_map(|path| {
+            let source = std::fs::read_to_string(&path).ok()?;
+            let rel = path.strip_prefix(&root).unwrap_or(&path).display().to_string();
+            Some((rel, source))
+        })
+        .collect();
 
-    let mut crates: Vec<&str> = PANIC_FREE_CRATES.to_vec();
-    for krate in DETERMINISTIC_CRATES.iter().chain(PRINT_FREE_CRATES) {
-        if !crates.contains(krate) {
-            crates.push(krate);
+    for (rel, source) in &sources {
+        let Some(krate) = library_crate(rel) else {
+            continue;
+        };
+        if [PANIC_FREE_CRATES, DETERMINISTIC_CRATES, PRINT_FREE_CRATES]
+            .iter()
+            .any(|set| set.contains(&krate))
+        {
+            lint.files_scanned += 1;
+            check_source(rel, source, &mut lint);
         }
     }
-    for krate in crates {
-        for file in library_sources(&root.join("crates").join(krate).join("src")) {
-            check_file(&root, &file, &mut lint, krate);
-        }
-    }
+    check_unused_pub(&sources, &mut lint);
 
     if lint.findings.is_empty() {
         println!(
-            "xtask lint: {} files clean (no stray panics, wall clocks, prints, or layering leaks)",
+            "xtask lint: {} files clean (no stray panics, wall clocks, prints, layering leaks, \
+             or pub fns without a caller)",
             lint.files_scanned
         );
         ExitCode::SUCCESS
@@ -188,11 +221,11 @@ fn lint() -> ExitCode {
     }
 }
 
-/// All non-test `.rs` files under `dir`: skips `tests.rs` and any `tests/`
-/// directory component.
-fn library_sources(dir: &Path) -> Vec<PathBuf> {
+/// Every `.rs` file under `root`, skipping build output (`target/`) and
+/// hidden directories, sorted.
+fn rust_sources(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
+    let mut stack = vec![root.to_path_buf()];
     while let Some(d) = stack.pop() {
         let Ok(entries) = std::fs::read_dir(&d) else {
             continue;
@@ -202,10 +235,10 @@ fn library_sources(dir: &Path) -> Vec<PathBuf> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if name != "tests" {
+                if name != "target" && !name.starts_with('.') {
                     stack.push(path);
                 }
-            } else if name.ends_with(".rs") && name != "tests.rs" {
+            } else if name.ends_with(".rs") {
                 out.push(path);
             }
         }
@@ -214,42 +247,36 @@ fn library_sources(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-fn check_file(root: &Path, path: &Path, lint: &mut Lint, krate: &str) {
-    let Ok(source) = std::fs::read_to_string(path) else {
-        return;
+/// The crate whose library code the repository-relative path `rel` is:
+/// `crates/<crate>/src/**`, except `tests.rs` files and `tests/`
+/// directories.
+fn library_crate(rel: &str) -> Option<&str> {
+    let mut parts = rel.split('/');
+    let (Some("crates"), Some(krate), Some("src")) = (parts.next(), parts.next(), parts.next())
+    else {
+        return None;
     };
-    lint.files_scanned += 1;
-    let rel = path.strip_prefix(root).unwrap_or(path).display().to_string();
-    check_source(&rel, path, &source, lint, krate);
+    let rest: Vec<&str> = parts.collect();
+    let test_only = rest.contains(&"tests") || rest.last() == Some(&"tests.rs");
+    (!rest.is_empty() && !test_only).then_some(krate)
 }
 
-/// Lints one file's `source`; `rel` is its repository-relative path.
-fn check_source(rel: &str, path: &Path, source: &str, lint: &mut Lint, krate: &str) {
-    let panic_tokens = [".unwrap()", ".expect(", "panic!(", "todo!(", "unimplemented!("];
-    let time_tokens = ["std::time::Instant", "Instant::now", "SystemTime", "UNIX_EPOCH"];
-    let entropy_tokens = ["thread_rng", "from_entropy", "getrandom", "OsRng", "RandomState"];
-    let print_tokens = ["println!", "eprintln!", "print!(", "eprint!("];
-    let panic_free = PANIC_FREE_CRATES.contains(&krate);
-    let deterministic = DETERMINISTIC_CRATES.contains(&krate);
-    let fs_crate = FS_CRATES.contains(&krate);
-    let dispatch_order = DISPATCH_ORDER_FILES.contains(&rel);
-    // CLI entry points may print — that is their job.
-    let cli_entry = path.file_name().is_some_and(|n| n == "main.rs")
-        || path.components().any(|c| c.as_os_str() == "bin");
-    let print_free = PRINT_FREE_CRATES.contains(&krate) && !cli_entry;
+/// Whether `rel` is a CLI entry point (`main.rs` or under `bin/`).
+fn is_cli_entry(rel: &str) -> bool {
+    rel.ends_with("/main.rs") || rel.split('/').any(|c| c == "bin")
+}
 
+/// The lines of `source` outside `#[cfg(test)]` items, as `(line number,
+/// raw line, code)`, where `code` is the line with its `//` comment
+/// stripped so tokens in docs and comments don't count.
+fn non_test_lines(source: &str) -> Vec<(usize, &str, &str)> {
+    let mut out = Vec::new();
     let mut in_test_region = false;
     let mut pending_test_attr = false;
     let mut depth_at_region_start = 0i32;
     let mut depth = 0i32;
-
     for (lineno, raw) in source.lines().enumerate() {
-        let lineno = lineno + 1;
-        // Strip line comments so tokens in docs and comments don't count —
-        // except the waiver marker, which lives *in* the comment.
-        let waived = raw.contains(WAIVER);
         let code = raw.split("//").next().unwrap_or("");
-
         // Track `#[cfg(test)]`-gated regions by brace depth: everything
         // inside an item annotated as test-only is exempt.
         if !in_test_region && (raw.contains("#[cfg(test)]") || raw.contains("#[cfg(any(test")) {
@@ -274,19 +301,34 @@ fn check_source(rel: &str, path: &Path, source: &str, lint: &mut Lint, krate: &s
             }
             continue;
         }
+        out.push((lineno + 1, raw, code));
+    }
+    out
+}
 
-        let report = |lint: &mut Lint, what: &str, hint: &str| {
-            let mut msg = String::new();
-            let _ = write!(msg, "{rel}:{lineno}: {what}");
-            if !hint.is_empty() {
-                let _ = write!(msg, " ({hint})");
-            }
-            lint.findings.push(msg);
-        };
+/// Rules 1–5 over one library file; `rel` is its repository-relative path.
+fn check_source(rel: &str, source: &str, lint: &mut Lint) {
+    let Some(krate) = library_crate(rel) else {
+        return;
+    };
+    let panic_tokens = [".unwrap()", ".expect(", "panic!(", "todo!(", "unimplemented!("];
+    let time_tokens = ["std::time::Instant", "Instant::now", "SystemTime", "UNIX_EPOCH"];
+    let entropy_tokens = ["thread_rng", "from_entropy", "getrandom", "OsRng", "RandomState"];
+    let print_tokens = ["println!", "eprintln!", "print!(", "eprint!("];
+    let panic_free = PANIC_FREE_CRATES.contains(&krate);
+    let deterministic = DETERMINISTIC_CRATES.contains(&krate);
+    let fs_crate = FS_CRATES.contains(&krate);
+    let dispatch_order = DISPATCH_ORDER_FILES.contains(&rel);
+    // CLI entry points may print — that is their job.
+    let print_free = PRINT_FREE_CRATES.contains(&krate) && !is_cli_entry(rel);
 
+    for (lineno, raw, code) in non_test_lines(source) {
+        // The waiver marker lives *in* the comment, so look at the raw line.
+        let waived = raw.contains(PANIC_WAIVER);
         if waived && !panic_tokens.iter().any(|tok| code.contains(tok)) {
-            report(
-                lint,
+            lint.report(
+                rel,
+                lineno,
                 "stale `PANIC-OK:` waiver: no panic on this line",
                 "delete the comment, or move it onto the line that can panic",
             );
@@ -295,8 +337,9 @@ fn check_source(rel: &str, path: &Path, source: &str, lint: &mut Lint, krate: &s
         if panic_free && !waived {
             for tok in panic_tokens {
                 if code.contains(tok) {
-                    report(
-                        lint,
+                    lint.report(
+                        rel,
+                        lineno,
                         &format!("`{tok}` in library code"),
                         "return a typed error, or document the invariant with `// PANIC-OK: ...`",
                     );
@@ -304,11 +347,12 @@ fn check_source(rel: &str, path: &Path, source: &str, lint: &mut Lint, krate: &s
             }
         }
 
-        if deterministic && !waived {
+        if deterministic {
             for tok in time_tokens {
                 if code.contains(tok) {
-                    report(
-                        lint,
+                    lint.report(
+                        rel,
+                        lineno,
                         &format!("wall-clock `{tok}` in simulation-facing code"),
                         "use the simulated clock (BlockDev::now_us)",
                     );
@@ -316,8 +360,9 @@ fn check_source(rel: &str, path: &Path, source: &str, lint: &mut Lint, krate: &s
             }
             for tok in entropy_tokens {
                 if code.contains(tok) {
-                    report(
-                        lint,
+                    lint.report(
+                        rel,
+                        lineno,
                         &format!("OS entropy `{tok}` in simulation-facing code"),
                         "seed deterministically (SeedableRng::seed_from_u64)",
                     );
@@ -325,24 +370,25 @@ fn check_source(rel: &str, path: &Path, source: &str, lint: &mut Lint, krate: &s
             }
         }
 
-        if print_free && !raw.contains(PRINT_WAIVER) {
+        if print_free {
             for tok in print_tokens {
                 if code.contains(tok) {
-                    report(
-                        lint,
+                    lint.report(
+                        rel,
+                        lineno,
                         &format!("`{tok}` in storage library code"),
-                        "use typed errors, stats counters, or ld-trace events; \
-                         waive a deliberate print with `// PRINT-OK: ...`",
+                        "use typed errors, stats counters, or ld-trace events",
                     );
                 }
             }
         }
 
-        if dispatch_order && !waived {
+        if dispatch_order {
             for tok in ["HashMap", "HashSet", "hash_map", "hash_set"] {
                 if code.contains(tok) {
-                    report(
-                        lint,
+                    lint.report(
+                        rel,
+                        lineno,
                         &format!("unordered container `{tok}` where order reaches the disk"),
                         "hasher state would decide dispatch or re-log order; \
                          use Vec/VecDeque/BTreeMap/BTreeSet so runs replay bit-identically",
@@ -354,8 +400,9 @@ fn check_source(rel: &str, path: &Path, source: &str, lint: &mut Lint, krate: &s
         if fs_crate {
             for hit in find_simdisk_refs(code) {
                 if !SIMDISK_ALLOWED.contains(&hit.as_str()) {
-                    report(
-                        lint,
+                    lint.report(
+                        rel,
+                        lineno,
                         &format!("file system reaches simdisk internal `simdisk::{hit}`"),
                         "file systems see the disk only through BlockDev",
                     );
@@ -363,6 +410,130 @@ fn check_source(rel: &str, path: &Path, source: &str, lint: &mut Lint, krate: &s
             }
         }
     }
+}
+
+/// A `pub fn` in library code, with the line of the `API-OK` waiver that
+/// covers it, if any.
+struct PubFn<'a> {
+    rel: &'a str,
+    lineno: usize,
+    name: &'a str,
+    waiver: Option<usize>,
+}
+
+/// Rule 6 (unused-pub) over `sources`, the `(repository-relative path,
+/// text)` of every `.rs` file in the repository.
+fn check_unused_pub(sources: &[(String, String)], lint: &mut Lint) {
+    let mut called = BTreeSet::new();
+    let mut decls = Vec::new();
+    for (rel, source) in sources {
+        for line in source.lines() {
+            called_names(line.split("//").next().unwrap_or(""), &mut called);
+        }
+        // A binary's `pub fn`s are rustc's `dead_code` business.
+        if library_crate(rel).is_some() && !is_cli_entry(rel) {
+            pub_fns(rel, source, &mut decls, lint);
+        }
+    }
+    for f in decls {
+        match (called.contains(f.name), f.waiver) {
+            (false, None) => lint.report(
+                f.rel,
+                f.lineno,
+                &format!("`pub fn {}` has no caller in the repository", f.name),
+                "delete it, or say why it stays with `// API-OK: ...`",
+            ),
+            (true, Some(at)) => lint.report(
+                f.rel,
+                at,
+                &format!("stale `API-OK:` waiver: `{}` has callers", f.name),
+                "delete the comment",
+            ),
+            _ => {}
+        }
+    }
+}
+
+/// Adds to `called` every name `code` calls or names by path: `.name(`,
+/// `name(`, `name::<` and `Type::name`. Declarations (`fn name`) and bare
+/// mentions (variables, fields) add nothing.
+fn called_names<'a>(code: &'a str, called: &mut BTreeSet<&'a str>) {
+    let mut start = None;
+    for (i, c) in code.char_indices().chain([(code.len(), ' ')]) {
+        match (start, is_ident(c)) {
+            (None, true) => start = Some(i),
+            (Some(s), false) => {
+                start = None;
+                let (before, after) = (&code[..s], &code[i..]);
+                let declared = before
+                    .trim_end()
+                    .strip_suffix("fn")
+                    .is_some_and(|b| !b.ends_with(is_ident));
+                if !declared
+                    && (after.starts_with('(')
+                        || after.starts_with("::<")
+                        || before.ends_with("::"))
+                {
+                    called.insert(&code[s..i]);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Appends the `pub fn`s of one library `source` (outside test items) to
+/// `decls`. A waiver covers the `pub fn` on its own line or the first one
+/// below it across comment and attribute lines; a waiver that covers no
+/// `pub fn` is reported.
+fn pub_fns<'a>(rel: &'a str, source: &'a str, decls: &mut Vec<PubFn<'a>>, lint: &mut Lint) {
+    let stray = |lint: &mut Lint, at: usize| {
+        lint.report(
+            rel,
+            at,
+            "stale `API-OK:` waiver: no `pub fn` follows it",
+            "put it on the `pub fn` it excuses, or delete it",
+        );
+    };
+    let mut waiver = None;
+    for (lineno, raw, code) in non_test_lines(source) {
+        if raw.contains(API_WAIVER) {
+            if let Some(at) = waiver.replace(lineno) {
+                stray(lint, at);
+            }
+        }
+        let rest = code.trim_start();
+        if let Some(name) = pub_fn_name(rest) {
+            decls.push(PubFn {
+                rel,
+                lineno,
+                name,
+                waiver: waiver.take(),
+            });
+        } else if !rest.is_empty() && !rest.starts_with("#[") {
+            if let Some(at) = waiver.take() {
+                stray(lint, at);
+            }
+        }
+    }
+    if let Some(at) = waiver {
+        stray(lint, at);
+    }
+}
+
+/// The name declared by a line starting `pub fn` or `pub const fn`.
+fn pub_fn_name(code: &str) -> Option<&str> {
+    let rest = code.strip_prefix("pub ")?;
+    let rest = rest
+        .strip_prefix("const ")
+        .unwrap_or(rest)
+        .strip_prefix("fn ")?;
+    let end = rest.find(|c| !is_ident(c)).unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
 }
 
 /// Extracts the first path component after each `simdisk::` in a line.
@@ -397,9 +568,11 @@ fn find_simdisk_refs(code: &str) -> Vec<String> {
 // ci
 // ---------------------------------------------------------------------------
 
-/// One CI step: a cargo invocation, or the baseline byte comparison.
+/// One CI step: a cargo invocation, the examples, or the baseline byte
+/// comparison.
 enum Step {
     Cargo(&'static [&'static str]),
+    Examples,
     BaselineIdentity,
 }
 
@@ -409,6 +582,7 @@ fn ci() -> ExitCode {
     let steps: &[(&str, Step)] = &[
         ("build", Step::Cargo(&["build", "--release"])),
         ("test", Step::Cargo(&["test", "-q", "--workspace"])),
+        ("examples", Step::Examples),
         // The media-fault suites re-run in release: the proptest matrices
         // explore far more cases per second there, and release is what
         // `repro` ships.
@@ -479,6 +653,7 @@ fn ci() -> ExitCode {
     for (name, step) in steps {
         let result = match step {
             Step::Cargo(args) => cargo(name, args),
+            Step::Examples => examples(),
             Step::BaselineIdentity => baseline_identity(),
         };
         if let Err(e) = result {
@@ -502,6 +677,43 @@ fn cargo(name: &str, args: &[&str]) -> Result<(), String> {
         Ok(s) => Err(s.to_string()),
         Err(e) => Err(format!("cannot run cargo: {e}")),
     }
+}
+
+/// Runs every example in release. `offline_check` writes a clean and a
+/// crashed image under `target/`, and `ldck` must pass both at the
+/// example's geometry; every other example runs without arguments.
+fn examples() -> Result<(), String> {
+    let dir = repo_root().join("examples");
+    let entries =
+        std::fs::read_dir(&dir).map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
+    let mut names: Vec<String> = entries
+        .filter_map(|e| {
+            e.ok()?
+                .file_name()
+                .into_string()
+                .ok()?
+                .strip_suffix(".rs")
+                .map(String::from)
+        })
+        .collect();
+    names.sort();
+    let images = ["target/offline-clean.img", "target/offline-crashed.img"];
+    for name in &names {
+        let mut args = vec!["run", "-q", "--release", "--example", name];
+        if name == "offline_check" {
+            args.push("--");
+            args.extend(images);
+        }
+        cargo(&format!("example {name}"), &args)?;
+    }
+    for image in images {
+        let args = [
+            "run", "-q", "--release", "-p", "ldck", "--", "--segment-bytes", "64k",
+            "--summary-bytes", "4k", image,
+        ];
+        cargo(&format!("ldck {image}"), &args)?;
+    }
+    Ok(())
 }
 
 /// Regenerates every experiment at full scale into one JSON array and
@@ -545,15 +757,28 @@ fn baseline_identity() -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn lint_source(source: &str) -> Vec<String> {
-        let mut lint = Lint {
-            findings: Vec::new(),
-            files_scanned: 0,
-        };
-        let rel = "crates/lld/src/x.rs";
-        check_source(rel, Path::new(rel), source, &mut lint, "lld");
+    fn lint_file(rel: &str, source: &str) -> Vec<String> {
+        let mut lint = Lint::default();
+        check_source(rel, source, &mut lint);
         lint.findings
     }
+
+    fn lint_source(source: &str) -> Vec<String> {
+        lint_file("crates/lld/src/x.rs", source)
+    }
+
+    /// Rule 6 over in-memory `(path, source)` files.
+    fn unused_pub(files: &[(&str, &str)]) -> Vec<String> {
+        let sources: Vec<(String, String)> = files
+            .iter()
+            .map(|(rel, source)| (rel.to_string(), source.to_string()))
+            .collect();
+        let mut lint = Lint::default();
+        check_unused_pub(&sources, &mut lint);
+        lint.findings
+    }
+
+    const LIB: &str = "crates/lld/src/x.rs";
 
     #[test]
     fn waivers_must_sit_on_a_panic() {
@@ -566,6 +791,96 @@ mod tests {
         // Test code is exempt, waivers included.
         let test_only = "#[cfg(test)]\nmod tests {\n    // PANIC-OK: not linted\n}\n";
         assert!(lint_source(test_only).is_empty());
+    }
+
+    #[test]
+    fn panic_waivers_waive_only_the_panic() {
+        let clock = "let t = Instant::now().elapsed().unwrap(); // PANIC-OK: host time\n";
+        let findings = lint_source(clock);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].contains("wall-clock `Instant::now`"), "{findings:?}");
+        let entropy = "let r = StdRng::from_entropy().gen::<u8>().max(x.unwrap()); // PANIC-OK: set\n";
+        let findings = lint_source(entropy);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].contains("OS entropy `from_entropy`"), "{findings:?}");
+        let order = "let m: HashMap<u32, u32> = it.collect::<Option<_>>().unwrap(); // PANIC-OK: all some\n";
+        let findings = lint_file("crates/lld/src/cleaner.rs", order);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].contains("unordered container `HashMap`"), "{findings:?}");
+    }
+
+    #[test]
+    fn a_pub_fn_without_a_caller_is_a_finding() {
+        let findings = unused_pub(&[(LIB, "impl T {\n    pub fn dead(&self) {}\n}\n")]);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].starts_with("crates/lld/src/x.rs:2: `pub fn dead` has no caller"));
+        // Test items, CLI entry points and non-library files declare nothing.
+        let test_only = "#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+        assert!(unused_pub(&[(LIB, test_only)]).is_empty());
+        for rel in ["crates/ldck/src/main.rs", "crates/bench/src/bin/repro.rs", "tests/t.rs"] {
+            assert!(unused_pub(&[(rel, "pub fn dead() {}\n")]).is_empty(), "{rel}");
+        }
+    }
+
+    #[test]
+    fn calls_and_paths_clear_a_pub_fn() {
+        let decl = "impl T {\n    pub fn live(&self) -> u32 {\n        0\n    }\n}\n";
+        for caller in [
+            "let n = t.live();",
+            "let n = T::live(&t);",
+            "let n: Vec<u32> = ts.iter().map(Self::live).collect();",
+            "let n = t.live::<u8>();",
+            "use crate::x::live;\nlet n = live(&t);",
+        ] {
+            let findings = unused_pub(&[(LIB, decl), ("tests/t.rs", caller)]);
+            assert!(findings.is_empty(), "{caller}: {findings:?}");
+        }
+        // A caller in the declaring file counts too.
+        let both = "pub fn live() {}\nfn user() {\n    live();\n}\n";
+        assert!(unused_pub(&[(LIB, both)]).is_empty());
+    }
+
+    #[test]
+    fn mentions_that_are_not_calls_do_not_clear_a_pub_fn() {
+        let decl = "pub fn block_count(&self) -> usize {\n    0\n}\n";
+        for mention in [
+            "// Call block_count() for the total.\n",
+            "/// See [`Lld::block_count`].\n",
+            "let block_count = 3;\nf(block_count);\n",
+            "let n = s.block_count + 1;\n",
+            "Stats { block_count: 0 }\n",
+        ] {
+            let findings = unused_pub(&[(LIB, decl), ("tests/t.rs", mention)]);
+            assert_eq!(findings.len(), 1, "{mention}: {findings:?}");
+        }
+        // Two same-named dead methods do not clear each other.
+        let findings = unused_pub(&[(LIB, decl), ("crates/core/src/model.rs", decl)]);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+    }
+
+    #[test]
+    fn api_waivers_must_sit_on_a_pub_fn_without_callers() {
+        let above = "/// Docs.\n// API-OK: the stable name tools script against\n#[inline]\npub fn kept() {}\n";
+        assert!(unused_pub(&[(LIB, above)]).is_empty());
+        let same_line = "pub fn kept() {} // API-OK: the stable name tools script against\n";
+        assert!(unused_pub(&[(LIB, same_line)]).is_empty());
+        // A waiver on a pub fn that has callers is stale.
+        let findings = unused_pub(&[(LIB, above), ("tests/t.rs", "kept();\n")]);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(
+            findings[0].starts_with("crates/lld/src/x.rs:2: stale `API-OK:` waiver: `kept` has callers"),
+            "{findings:?}"
+        );
+        // So is one that covers no pub fn.
+        for stray in [
+            "// API-OK: why\nfn private() {}\n",
+            "// API-OK: why\n",
+            "let x = 1; // API-OK: why\n",
+        ] {
+            let findings = unused_pub(&[(LIB, stray)]);
+            assert_eq!(findings.len(), 1, "{stray}: {findings:?}");
+            assert!(findings[0].contains("stale `API-OK:` waiver: no `pub fn`"), "{findings:?}");
+        }
     }
 
     #[test]
