@@ -614,21 +614,30 @@ impl<D: BlockDev> Lld<D> {
             .ok_or(LdError::NoSpace)?;
         let seq = self.next_seq();
         let fill_bytes = self.open.data_used() as u64;
-        let bytes = self.open.encode_full(seq);
+        let base = self.layout.segment_base(seg);
         let t0 = self.disk.now_us();
         if let Some(q) = self.queue.as_mut() {
-            // Write-behind: submit and only drain down to the allowance.
-            // Submission costs no simulated time; the device time is paid
-            // when the scheduler dispatches (possibly coalesced with an
-            // adjacent seal).
-            q.submit_write(&self.disk, self.layout.segment_base(seg), &bytes);
+            // Write-behind: hand the image to the queue and only drain
+            // down to the allowance. Submission costs no simulated time;
+            // the device time is paid when the scheduler dispatches
+            // (possibly coalesced with an adjacent seal).
+            q.submit_write(&self.disk, base, self.open.take_sealed(seq));
             self.stats.queued_segment_writes += 1;
-            self.drain_queue_to(self.config.writeback_allowance())?;
         } else {
             self.disk
-                .write_sectors(self.layout.segment_base(seg), &bytes)
+                .write_sectors(base, self.open.seal(seq))
                 .map_err(dev)?;
         }
+        // Re-point blocks whose live copy was in memory: the image is in
+        // the queue or on the medium now, and no longer in the buffer.
+        for bid in std::mem::take(&mut self.open_bids) {
+            if let Some(e) = self.map.get_mut(bid) {
+                if e.seg == OPEN_SEG {
+                    e.seg = seg;
+                }
+            }
+        }
+        self.drain_queue_to(self.config.writeback_allowance())?;
         let write_us = self.disk.now_us() - t0;
         self.disk.trace(ld_trace::Event::SegmentSeal {
             seg,
@@ -642,14 +651,6 @@ impl<D: BlockDev> Lld<D> {
         let extra = self.open.compress_us_pending.saturating_sub(write_us);
         self.charge_cpu(extra);
 
-        // Re-point blocks whose live copy was in memory.
-        for bid in std::mem::take(&mut self.open_bids) {
-            if let Some(e) = self.map.get_mut(bid) {
-                if e.seg == OPEN_SEG {
-                    e.seg = seg;
-                }
-            }
-        }
         // alloc_near marked the segment Live with zero bytes.
         self.usage.add_live(seg, self.open_live, self.ts);
         if let Some(s) = self.scratch.take() {

@@ -7,9 +7,14 @@ use crate::records::{Stamped, SummaryBuilder};
 
 /// The open segment buffer: a data region filling from the front and a
 /// summary accumulating records.
+///
+/// `image` is the whole segment as it goes to disk, data region then
+/// summary region, allocated once. Only `image[..used]` is specified
+/// between seals; a full seal zeroes the padding after it and writes the
+/// summary in place, so the segment leaves memory without another copy.
 #[derive(Debug)]
 pub struct SegmentBuffer {
-    data: Vec<u8>,
+    image: Vec<u8>,
     used: usize,
     data_capacity: usize,
     summary_capacity: usize,
@@ -23,7 +28,7 @@ impl SegmentBuffer {
     /// Creates an empty buffer for a segment with the given region sizes.
     pub fn new(data_capacity: usize, summary_capacity: usize) -> Self {
         Self {
-            data: vec![0u8; data_capacity],
+            image: vec![0u8; data_capacity + summary_capacity],
             used: 0,
             data_capacity,
             summary_capacity,
@@ -66,7 +71,7 @@ impl SegmentBuffer {
             "segment buffer overflow"
         );
         let offset = self.used;
-        self.data[offset..offset + bytes.len()].copy_from_slice(bytes);
+        self.image[offset..offset + bytes.len()].copy_from_slice(bytes);
         self.used += bytes.len();
         offset as u32
     }
@@ -91,31 +96,42 @@ impl SegmentBuffer {
         let offset = offset as usize;
         let len = len as usize;
         assert!(offset + len <= self.used, "read beyond buffered data");
-        &self.data[offset..offset + len]
+        &self.image[offset..offset + len]
     }
 
-    /// Serializes the whole segment (data, padding, summary) for a full
-    /// seal — written to disk in a single operation.
-    pub fn encode_full(&self, seq: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.data_capacity + self.summary_capacity);
-        out.extend_from_slice(&self.data);
-        out.extend_from_slice(&self.summary.finish(seq, self.summary_capacity));
-        out
+    /// Completes the whole segment (data, zero padding, summary) in place
+    /// for a full seal, and returns it — written to disk in a single
+    /// operation.
+    pub fn seal(&mut self, seq: u64) -> &[u8] {
+        self.image[self.used..self.data_capacity].fill(0);
+        let summary = self.summary.finish(seq, self.summary_capacity);
+        self.image[self.data_capacity..].copy_from_slice(&summary);
+        &self.image
+    }
+
+    /// [`seal`](Self::seal)s the segment and hands its image over,
+    /// leaving a fresh one behind. The blocks appended so far leave with
+    /// it: [`read`](Self::read) must not be asked for them again, and
+    /// [`reset`](Self::reset) should follow.
+    pub fn take_sealed(&mut self, seq: u64) -> Vec<u8> {
+        self.seal(seq);
+        let fresh = vec![0u8; self.image.len()];
+        std::mem::replace(&mut self.image, fresh)
     }
 
     /// Serializes the pieces of a partial write (§3.2): the sector-aligned
     /// data prefix actually used (possibly empty) and the summary.
     pub fn encode_partial(&self, seq: u64) -> (Vec<u8>, Vec<u8>) {
         let prefix_len = self.used.div_ceil(SECTOR_SIZE) * SECTOR_SIZE;
-        let mut prefix = self.data[..self.used].to_vec();
+        let mut prefix = self.image[..self.used].to_vec();
         prefix.resize(prefix_len, 0);
         (prefix, self.summary.finish(seq, self.summary_capacity))
     }
 
-    /// Empties the buffer for the next segment.
+    /// Empties the buffer for the next segment. The old bytes stay until
+    /// overwritten; nothing reads past `used`.
     pub fn reset(&mut self) {
         self.used = 0;
-        self.data.fill(0);
         self.summary = SummaryBuilder::new();
         self.compress_us_pending = 0;
     }
@@ -165,13 +181,43 @@ mod tests {
         let mut b = SegmentBuffer::new(2048, 1024);
         b.append_data(&[7u8; 100]);
         b.push_record(rec(5));
-        let bytes = b.encode_full(9);
+        let bytes = b.seal(9).to_vec();
         assert_eq!(bytes.len(), 2048 + 1024);
         assert_eq!(&bytes[..100], &[7u8; 100][..]);
         assert!(bytes[100..2048].iter().all(|&x| x == 0));
         let s = decode_summary(&bytes[2048..]).unwrap();
         assert_eq!(s.seq, 9);
         assert_eq!(s.records.len(), 1);
+    }
+
+    #[test]
+    fn seal_pads_over_the_previous_segment() {
+        let mut b = SegmentBuffer::new(2048, 1024);
+        b.append_data(&[7u8; 1500]);
+        b.push_record(rec(5));
+        b.seal(1);
+        b.reset();
+        b.append_data(&[1u8; 10]);
+        b.push_record(rec(6));
+        let bytes = b.seal(2);
+        assert_eq!(&bytes[..10], &[1u8; 10][..]);
+        assert!(bytes[10..2048].iter().all(|&x| x == 0), "stale data leaked");
+        assert_eq!(decode_summary(&bytes[2048..]).unwrap().seq, 2);
+    }
+
+    #[test]
+    fn taking_the_sealed_image_leaves_a_fresh_buffer() {
+        let mut b = SegmentBuffer::new(2048, 1024);
+        b.append_data(&[7u8; 100]);
+        b.push_record(rec(5));
+        let expected = b.seal(3).to_vec();
+        let taken = b.take_sealed(3);
+        assert_eq!(taken, expected);
+        b.reset();
+        assert!(b.is_empty());
+        b.append_data(&[2u8; 4]);
+        assert_eq!(b.read(0, 4), &[2u8; 4][..]);
+        assert_eq!(b.seal(4).len(), 2048 + 1024);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 mod faults;
 mod geometry;
 pub mod queue;
+#[cfg(test)]
+mod reference;
 mod stats;
 mod store;
 mod timing;
@@ -194,7 +196,7 @@ pub struct SimDisk {
     /// Remaining sectors until an injected crash fires, if armed.
     crash_after_writes: Option<u64>,
     down: bool,
-    /// Media-fault model; `None` (the default) costs one branch per sector.
+    /// Media-fault model; `None` (the default) costs one branch per run.
     faults: Option<FaultState>,
     /// Optional event tracer; `None` costs one branch per request.
     tracer: Option<ld_trace::Tracer>,
@@ -298,10 +300,12 @@ impl SimDisk {
     /// cannot immediately re-crash from a stale
     /// [`crash_after_writes`](Self::crash_after_writes)). The medium
     /// retains exactly the sectors that were durably written; media-fault
-    /// state (grown defects, transient counters) also survives.
+    /// state (grown defects, transient counters) also survives. The
+    /// drive's read-ahead buffer does not: it lost power with the host.
     pub fn revive(&mut self) {
         self.down = false;
         self.crash_after_writes = None;
+        self.cache_range = (0, 0);
     }
 
     /// Enables the deterministic media-fault model. Faults survive crashes
@@ -374,48 +378,52 @@ impl SimDisk {
         }
     }
 
-    /// Transfers `count` sectors starting at `sector`, advancing the clock
-    /// across track and cylinder boundaries. `op` is called once per sector
-    /// with the sector number and may abort the transfer early (crash).
+    /// Transfers `count` sectors starting at `sector` in whole track runs,
+    /// advancing the clock across track and cylinder boundaries. `op` is
+    /// called once per run with the disk (its clock at the start of the
+    /// run), the run's first sector and its length; it moves the run's
+    /// bytes, or aborts the transfer with the number of the run's sectors
+    /// to charge (a crash or a read fault, up to and including the sector
+    /// that failed).
     fn transfer<F>(&mut self, sector: u64, count: u64, mut op: F) -> Result<(), DiskError>
     where
-        F: FnMut(&mut Self, u64) -> Result<(), DiskError>,
+        F: FnMut(&mut Self, u64, u64) -> Result<(), (u64, DiskError)>,
     {
         let sector_us = self.timing.sector_us(&self.geometry);
-        let mut prev_cylinder = self.geometry.chs(sector).cylinder;
+        let spt = u64::from(self.geometry.sectors_per_track);
+        let first = self.geometry.chs(sector);
+        let mut cylinder = first.cylinder;
+        let mut run = sector;
+        let mut len = (spt - u64::from(first.sector)).min(count);
+        let end = sector + count;
         let mut moved = 0u64;
-        let mut result = Ok(());
-        for i in 0..count {
-            let cur_sector = sector + i;
-            let chs = self.geometry.chs(cur_sector);
-            if i > 0 && chs.sector == 0 {
-                // Crossed a track boundary. Layout skew is assumed to match
-                // the switch cost, so no extra rotational wait is charged.
-                if chs.cylinder != prev_cylinder {
-                    let t = self.timing.min_seek_us;
-                    self.stats.switch_us += t;
-                    self.clock_us += t;
-                    self.head_cylinder = chs.cylinder;
-                    self.trace(ld_trace::Event::HeadSwitch { us: t });
-                } else {
-                    self.stats.switch_us += self.timing.head_switch_us;
-                    self.clock_us += self.timing.head_switch_us;
-                    self.trace(ld_trace::Event::HeadSwitch {
-                        us: self.timing.head_switch_us,
-                    });
-                }
+        let result = loop {
+            let (charged, outcome) = match op(self, run, len) {
+                Ok(()) => (len, Ok(())),
+                Err((charged, e)) => (charged, Err(e)),
+            };
+            self.clock_us += charged * sector_us;
+            self.stats.transfer_us += charged * sector_us;
+            moved += charged;
+            run += len;
+            if outcome.is_err() || run == end {
+                break outcome;
             }
-            self.clock_us += sector_us;
-            self.stats.transfer_us += sector_us;
-            moved += 1;
-            if let Err(e) = op(self, cur_sector) {
-                // A crash mid-transfer: time up to and including the
-                // aborting sector was already charged; report it.
-                result = Err(e);
-                break;
-            }
-            prev_cylinder = chs.cylinder;
-        }
+            // Crossed a track boundary. Layout skew is assumed to match the
+            // switch cost, so no extra rotational wait is charged.
+            let next = self.geometry.cylinder_of(run);
+            let t = if next != cylinder {
+                self.head_cylinder = next;
+                self.timing.min_seek_us
+            } else {
+                self.timing.head_switch_us
+            };
+            self.stats.switch_us += t;
+            self.clock_us += t;
+            self.trace(ld_trace::Event::HeadSwitch { us: t });
+            cylinder = next;
+            len = spt.min(end - run);
+        };
         if moved > 0 {
             self.trace(ld_trace::Event::Transfer {
                 sectors: moved,
@@ -477,10 +485,8 @@ impl BlockDev for SimDisk {
                     us: t,
                 });
             }
-            for (i, chunk) in buf.chunks_mut(SECTOR_SIZE).enumerate() {
-                self.store.read_sector(sector + i as u64, chunk);
-                self.stats.sectors_read += 1;
-            }
+            self.store.read_run(sector, buf);
+            self.stats.sectors_read += count;
             return Ok(());
         }
         if self.timing.readahead_buffer_sectors > 0 {
@@ -491,19 +497,27 @@ impl BlockDev for SimDisk {
             });
         }
         self.position_for(sector);
-        let mut bufs: Vec<&mut [u8]> = buf.chunks_mut(SECTOR_SIZE).collect();
-        self.transfer(sector, count, |disk, s| {
-            let now = disk.clock_us;
-            if let Some(f) = disk.faults.as_mut() {
-                if f.read_fails(s, now) {
+        let sector_us = self.timing.sector_us(&self.geometry);
+        self.transfer(sector, count, |disk, s, n| {
+            // Each sector's fault query runs at that sector's own clock;
+            // the sectors ahead of a failure are read, the rest are not.
+            let start = disk.clock_us;
+            let failed = disk
+                .faults
+                .as_mut()
+                .and_then(|f| (0..n).find(|&i| f.read_fails(s + i, start + (i + 1) * sector_us)));
+            let good = failed.unwrap_or(n);
+            let at = (s - sector) as usize * SECTOR_SIZE;
+            disk.store
+                .read_run(s, &mut buf[at..at + good as usize * SECTOR_SIZE]);
+            disk.stats.sectors_read += good;
+            match failed {
+                None => Ok(()),
+                Some(i) => {
                     disk.stats.read_faults += 1;
-                    return Err(DiskError::Unreadable { sector: s });
+                    Err((i + 1, DiskError::Unreadable { sector: s + i }))
                 }
             }
-            let idx = (s - sector) as usize;
-            disk.store.read_sector(s, bufs[idx]);
-            disk.stats.sectors_read += 1;
-            Ok(())
         })?;
         // The drive keeps reading ahead into its buffer; the head ends up
         // at the end of the buffered range.
@@ -532,22 +546,34 @@ impl BlockDev for SimDisk {
         // read-ahead buffer (conservative, like disabling write caching).
         self.cache_range = (0, 0);
         self.position_for(sector);
-        let chunks: Vec<&[u8]> = data.chunks(SECTOR_SIZE).collect();
-        self.transfer(sector, count, |disk, s| {
-            if let Some(left) = disk.crash_after_writes {
-                if left == 0 {
-                    disk.down = true;
-                    return Err(DiskError::Crashed);
+        self.transfer(sector, count, |disk, s, n| {
+            // An armed crash splits the run: the sectors before the crash
+            // sector land, the crash sector is charged but never written.
+            let landed = match disk.crash_after_writes {
+                Some(left) if left < n => {
+                    disk.crash_after_writes = Some(0);
+                    left
                 }
-                disk.crash_after_writes = Some(left - 1);
-            }
-            let idx = (s - sector) as usize;
-            disk.store.write_sector(s, chunks[idx]);
-            disk.stats.sectors_written += 1;
+                Some(left) => {
+                    disk.crash_after_writes = Some(left - n);
+                    n
+                }
+                None => n,
+            };
+            let at = (s - sector) as usize * SECTOR_SIZE;
+            disk.store
+                .write_run(s, &data[at..at + landed as usize * SECTOR_SIZE]);
+            disk.stats.sectors_written += landed;
             if let Some(f) = disk.faults.as_mut() {
                 // A grown defect fires silently: the write lands, the
                 // damage shows up on the next read of the sector.
-                f.write_grows_defect(s);
+                for w in s..s + landed {
+                    f.write_grows_defect(w);
+                }
+            }
+            if landed < n {
+                disk.down = true;
+                return Err((landed + 1, DiskError::Crashed));
             }
             Ok(())
         })
@@ -569,7 +595,10 @@ impl BlockDev for SimDisk {
         if self.down {
             return Err(DiskError::Down);
         }
-        if offset + data.len() > self.nvram.len() {
+        if offset
+            .checked_add(data.len())
+            .is_none_or(|end| end > self.nvram.len())
+        {
             return Err(DiskError::OutOfRange {
                 sector: offset as u64,
                 count: data.len() as u64,
@@ -585,7 +614,10 @@ impl BlockDev for SimDisk {
         if self.down {
             return Err(DiskError::Down);
         }
-        if offset + buf.len() > self.nvram.len() {
+        if offset
+            .checked_add(buf.len())
+            .is_none_or(|end| end > self.nvram.len())
+        {
             return Err(DiskError::OutOfRange {
                 sector: offset as u64,
                 count: buf.len() as u64,
@@ -687,9 +719,7 @@ impl BlockDev for MemDisk {
         {
             return Err(DiskError::OutOfRange { sector, count });
         }
-        for (i, chunk) in buf.chunks_mut(SECTOR_SIZE).enumerate() {
-            self.store.read_sector(sector + i as u64, chunk);
-        }
+        self.store.read_run(sector, buf);
         self.clock_us += 1;
         Ok(())
     }
@@ -705,9 +735,7 @@ impl BlockDev for MemDisk {
         {
             return Err(DiskError::OutOfRange { sector, count });
         }
-        for (i, chunk) in data.chunks(SECTOR_SIZE).enumerate() {
-            self.store.write_sector(sector + i as u64, chunk);
-        }
+        self.store.write_run(sector, data);
         self.clock_us += 1;
         Ok(())
     }
@@ -913,6 +941,36 @@ mod tests {
             disk.write_sectors(i * 4, &data).unwrap();
         }
         assert!(!disk.is_down());
+    }
+
+    // Regression guard: the read-ahead buffer loses power with the host,
+    // so the first read after a revive inside the old buffered range goes
+    // to the medium instead of being served at bus speed.
+    #[test]
+    fn revive_drops_the_readahead_buffer() {
+        let mut disk = small_disk();
+        let mut buf = vec![0u8; 4 * SECTOR_SIZE];
+        disk.read_sectors(0, &mut buf).unwrap();
+        disk.crash_now();
+        disk.revive();
+        let before = *disk.stats();
+        disk.read_sectors(8, &mut buf).unwrap();
+        assert_eq!(disk.stats().cache_misses, before.cache_misses + 1);
+        assert_eq!(disk.stats().cached_reads, before.cached_reads);
+    }
+
+    #[test]
+    fn nvram_offsets_that_overflow_are_out_of_range() {
+        let mut disk = small_disk().with_nvram(4096);
+        let mut buf = [0u8; 8];
+        assert!(matches!(
+            disk.nvram_write(usize::MAX, &buf),
+            Err(DiskError::OutOfRange { .. })
+        ));
+        assert!(matches!(
+            disk.nvram_read(usize::MAX, &mut buf),
+            Err(DiskError::OutOfRange { .. })
+        ));
     }
 
     #[test]

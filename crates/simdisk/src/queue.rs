@@ -227,9 +227,10 @@ impl RequestQueue {
         tag
     }
 
-    /// Queues a write; returns the tag of the request that will carry it
-    /// (an earlier request's tag when the write coalesces into it).
-    pub fn submit_write<D: BlockDev>(&mut self, disk: &D, sector: u64, data: &[u8]) -> u64 {
+    /// Queues a write, taking ownership of its bytes; returns the tag of
+    /// the request that will carry it (an earlier request's tag when the
+    /// write coalesces into it).
+    pub fn submit_write<D: BlockDev>(&mut self, disk: &D, sector: u64, data: Vec<u8>) -> u64 {
         let count = (data.len() / SECTOR_SIZE) as u64;
         self.stats.submitted += 1;
         // Coalesce into the most recently submitted request when it is a
@@ -243,7 +244,7 @@ impl RequestQueue {
             }) if *s0 + (d0.len() / SECTOR_SIZE) as u64 == sector
                 && (d0.len() / SECTOR_SIZE) as u64 + count <= MAX_COALESCED_SECTORS =>
             {
-                d0.extend_from_slice(data);
+                d0.extend_from_slice(&data);
                 self.stats.coalesced += 1;
                 self.stats.coalesced_sectors += count;
                 *tag
@@ -251,11 +252,10 @@ impl RequestQueue {
             _ => {
                 let tag = self.next_tag;
                 self.next_tag += 1;
-                let op = Op::Write {
-                    sector,
-                    data: data.to_vec(),
-                };
-                self.pending.push_back(Request { tag, op });
+                self.pending.push_back(Request {
+                    tag,
+                    op: Op::Write { sector, data },
+                });
                 tag
             }
         };
@@ -468,7 +468,7 @@ mod tests {
             for &(sector, write) in script {
                 let data = vec![0xA5u8; 8 * SECTOR_SIZE];
                 if write {
-                    q.submit_write(disk, sector, &data);
+                    q.submit_write(disk, sector, data);
                 } else {
                     q.submit_read(disk, sector, 8);
                 }
@@ -497,7 +497,7 @@ mod tests {
             let mut tags = Vec::new();
             for (i, &s) in sectors.iter().enumerate() {
                 let data = vec![i as u8; SECTOR_SIZE];
-                tags.push(q.submit_write(&d, s, &data));
+                tags.push(q.submit_write(&d, s, data));
             }
             let done: Vec<u64> = q.drain(&mut d).into_iter().map(|c| c.tag).collect();
             assert_eq!(done, tags, "{sched:?} reordered writes");
@@ -545,7 +545,7 @@ mod tests {
         let mut q = RequestQueue::new(Scheduler::Satf);
         // An expensive write, then an overlapping read: the read must not
         // jump ahead (it would return stale data).
-        q.submit_write(&d, far, &vec![0x77u8; SECTOR_SIZE]);
+        q.submit_write(&d, far, vec![0x77u8; SECTOR_SIZE]);
         q.submit_read(&d, far, 1);
         let done = q.drain(&mut d);
         assert!(done[0].write);
@@ -569,11 +569,11 @@ mod tests {
     fn adjacent_ascending_writes_coalesce() {
         let mut d = disk();
         let mut q = RequestQueue::new(Scheduler::Fcfs);
-        let t0 = q.submit_write(&d, 100, &vec![1u8; 2 * SECTOR_SIZE]);
-        let t1 = q.submit_write(&d, 102, &vec![2u8; SECTOR_SIZE]);
+        let t0 = q.submit_write(&d, 100, vec![1u8; 2 * SECTOR_SIZE]);
+        let t1 = q.submit_write(&d, 102, vec![2u8; SECTOR_SIZE]);
         assert_eq!(t0, t1, "adjacent ascending write must merge");
         // Descending adjacency and gaps do not merge.
-        let t2 = q.submit_write(&d, 99, &vec![3u8; SECTOR_SIZE]);
+        let t2 = q.submit_write(&d, 99, vec![3u8; SECTOR_SIZE]);
         assert_ne!(t0, t2);
         let done = q.drain(&mut d);
         assert_eq!(done.len(), 2);
@@ -598,8 +598,8 @@ mod tests {
         a.write_sectors(1128, &data).unwrap();
         let mut b = disk();
         let mut q = RequestQueue::new(Scheduler::Fcfs);
-        q.submit_write(&b, 1000, &data);
-        q.submit_write(&b, 1128, &data);
+        q.submit_write(&b, 1000, data.clone());
+        q.submit_write(&b, 1128, data);
         q.drain(&mut b);
         assert!(
             b.now_us() < a.now_us(),
@@ -635,7 +635,7 @@ mod tests {
                 for i in 0..12u64 {
                     let s = (i * 7919) % (d.total_sectors() - 8);
                     if i % 3 == 0 {
-                        q.submit_write(&d, s, &vec![i as u8; SECTOR_SIZE]);
+                        q.submit_write(&d, s, vec![i as u8; SECTOR_SIZE]);
                     } else {
                         q.submit_read(&d, s, 1);
                     }

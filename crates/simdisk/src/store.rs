@@ -80,33 +80,74 @@ impl SparseStore {
         }
     }
 
-    /// Reads one sector into `buf`.
+    /// Reads `buf.len() / SECTOR_SIZE` consecutive sectors starting at
+    /// `sector` into `buf`, one page-contiguous piece at a time.
     ///
     /// # Panics
     ///
-    /// Panics if `sector` is out of range or `buf` is not exactly one sector;
-    /// the device front-end validates user-facing ranges before calling.
-    pub fn read_sector(&self, sector: u64, buf: &mut [u8]) {
-        assert!(sector < self.total_sectors, "sector {sector} out of range");
-        assert_eq!(buf.len(), SECTOR_SIZE);
-        let (page, offset) = Self::locate(sector);
-        match &self.pages[page] {
-            Some(data) => buf.copy_from_slice(&data[offset..offset + SECTOR_SIZE]),
-            None => buf.fill(0),
+    /// Panics if the run reaches past the end of the store or `buf` is not
+    /// a whole number of sectors; the device front-end validates
+    /// user-facing ranges before calling.
+    pub fn read_run(&self, sector: u64, buf: &mut [u8]) {
+        self.check_run(sector, buf.len());
+        let mut sector = sector;
+        let mut rest = buf;
+        while !rest.is_empty() {
+            let (page, offset) = Self::locate(sector);
+            let n = (PAGE_BYTES - offset).min(rest.len());
+            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            match &self.pages[page] {
+                Some(data) => piece.copy_from_slice(&data[offset..offset + piece.len()]),
+                None => piece.fill(0),
+            }
+            sector += (piece.len() / SECTOR_SIZE) as u64;
+            rest = tail;
         }
     }
 
-    /// Writes one sector from `data`.
+    /// Writes `data.len() / SECTOR_SIZE` consecutive sectors starting at
+    /// `sector`, one page-contiguous piece at a time. A page the run
+    /// covers whole is built straight from `data`, never zero-filled first.
     ///
     /// # Panics
     ///
-    /// Panics if `sector` is out of range or `data` is not exactly one sector.
-    pub fn write_sector(&mut self, sector: u64, data: &[u8]) {
-        assert!(sector < self.total_sectors, "sector {sector} out of range");
-        assert_eq!(data.len(), SECTOR_SIZE);
-        let (page, offset) = Self::locate(sector);
-        let page = self.pages[page].get_or_insert_with(|| vec![0u8; PAGE_BYTES].into_boxed_slice());
-        page[offset..offset + SECTOR_SIZE].copy_from_slice(data);
+    /// Panics if the run reaches past the end of the store or `data` is not
+    /// a whole number of sectors.
+    pub fn write_run(&mut self, sector: u64, data: &[u8]) {
+        self.check_run(sector, data.len());
+        let mut sector = sector;
+        let mut rest = data;
+        while !rest.is_empty() {
+            let (page, offset) = Self::locate(sector);
+            let n = (PAGE_BYTES - offset).min(rest.len());
+            let (piece, tail) = rest.split_at(n);
+            match &mut self.pages[page] {
+                Some(p) => p[offset..offset + piece.len()].copy_from_slice(piece),
+                slot @ None if piece.len() == PAGE_BYTES => *slot = Some(piece.into()),
+                slot @ None => {
+                    let mut p = vec![0u8; PAGE_BYTES].into_boxed_slice();
+                    p[offset..offset + piece.len()].copy_from_slice(piece);
+                    *slot = Some(p);
+                }
+            }
+            sector += (piece.len() / SECTOR_SIZE) as u64;
+            rest = tail;
+        }
+    }
+
+    fn check_run(&self, sector: u64, len: usize) {
+        assert_eq!(
+            len % SECTOR_SIZE,
+            0,
+            "run of {len} bytes is not whole sectors"
+        );
+        let count = (len / SECTOR_SIZE) as u64;
+        assert!(
+            sector
+                .checked_add(count)
+                .is_some_and(|end| end <= self.total_sectors),
+            "sectors {sector}..+{count} out of range"
+        );
     }
 
     fn locate(sector: u64) -> (usize, usize) {
@@ -124,7 +165,7 @@ mod tests {
     fn unwritten_sectors_read_zero() {
         let store = SparseStore::new(1000);
         let mut buf = [0xAAu8; SECTOR_SIZE];
-        store.read_sector(999, &mut buf);
+        store.read_run(999, &mut buf);
         assert!(buf.iter().all(|&b| b == 0));
         assert_eq!(store.resident_bytes(), 0);
     }
@@ -136,12 +177,12 @@ mod tests {
         for (i, b) in data.iter_mut().enumerate() {
             *b = (i % 251) as u8;
         }
-        store.write_sector(4242, &data);
+        store.write_run(4242, &data);
         let mut buf = [0u8; SECTOR_SIZE];
-        store.read_sector(4242, &mut buf);
+        store.read_run(4242, &mut buf);
         assert_eq!(buf, data);
         // Neighbouring sector in the same page is untouched.
-        store.read_sector(4243, &mut buf);
+        store.read_run(4243, &mut buf);
         assert!(buf.iter().all(|&b| b == 0));
     }
 
@@ -150,8 +191,8 @@ mod tests {
         // 1 GiB disk, touch two far-apart sectors: two pages resident.
         let mut store = SparseStore::new((1 << 30) / SECTOR_SIZE as u64);
         let data = [1u8; SECTOR_SIZE];
-        store.write_sector(0, &data);
-        store.write_sector(store.total_sectors() - 1, &data);
+        store.write_run(0, &data);
+        store.write_run(store.total_sectors() - 1, &data);
         assert_eq!(store.resident_bytes(), 2 * PAGE_BYTES);
     }
 
@@ -159,6 +200,42 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_write_panics() {
         let mut store = SparseStore::new(8);
-        store.write_sector(8, &[0u8; SECTOR_SIZE]);
+        store.write_run(8, &[0u8; SECTOR_SIZE]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn run_reaching_past_the_end_panics() {
+        let store = SparseStore::new(8);
+        store.read_run(6, &mut [0u8; 3 * SECTOR_SIZE]);
+    }
+
+    #[test]
+    fn runs_cross_pages_like_single_sectors() {
+        // Three pages and a bit: runs that start mid-page, cover a page
+        // whole, and end mid-page, checked against a flat byte model.
+        let total = 3 * SECTORS_PER_PAGE + 5;
+        let mut store = SparseStore::new(total);
+        let mut model = vec![0u8; total as usize * SECTOR_SIZE];
+        let runs = [
+            (120u64, 140u64, 1u8),
+            (3, 2, 2),
+            (2 * SECTORS_PER_PAGE + 7, 126, 3),
+        ];
+        for (sector, count, seed) in runs {
+            let data: Vec<u8> = (0..count as usize * SECTOR_SIZE)
+                .map(|i| seed.wrapping_add(i as u8))
+                .collect();
+            store.write_run(sector, &data);
+            let at = sector as usize * SECTOR_SIZE;
+            model[at..at + data.len()].copy_from_slice(&data);
+        }
+        assert_eq!(store.snapshot(), model);
+        let mut buf = vec![0xAAu8; 300 * SECTOR_SIZE];
+        store.read_run(50, &mut buf);
+        assert_eq!(buf, model[50 * SECTOR_SIZE..350 * SECTOR_SIZE]);
+        // An empty run touches nothing.
+        store.read_run(total, &mut []);
+        assert_eq!(store.resident_bytes(), 4 * PAGE_BYTES);
     }
 }

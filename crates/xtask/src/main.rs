@@ -605,6 +605,11 @@ fn ci() -> ExitCode {
             "queue differential",
             Step::Cargo(&["test", "-q", "--release", "--test", "queue_differential"]),
         ),
+        // simdisk's track-run path against its per-sector reference.
+        (
+            "simdisk differential",
+            Step::Cargo(&["test", "-q", "--release", "-p", "simdisk", "--lib", "reference::"]),
+        ),
         // Every experiment at quick scale, through both report renderers.
         (
             "repro smoke",

@@ -180,8 +180,8 @@ proptest! {
             match *op {
                 ScriptOp::Write { sector, len, seed } => {
                     let data = fill(seed, len as usize * sector_bytes);
-                    let tag = queue.submit_write(&disk, sector, &data);
                     fifo_disk.write_sectors(sector, &data).expect("fifo write");
+                    let tag = queue.submit_write(&disk, sector, data);
                     // Coalescing reuses the tail write's tag; ordering is
                     // asserted over surviving (distinct) tags.
                     if write_tags.last() != Some(&tag) {
