@@ -5,56 +5,23 @@
 //! a different size. Keys are store addresses; values are whole block
 //! images (variable-sized, supporting the small-i-node block variant).
 //!
-//! Recency is a lazy queue of `(tick, addr)` pairs. A touch (`get`,
-//! `get_mut`, insert) stamps a fresh tick on the entry as `last_used` and
-//! pushes the pair on the back: O(1). The block's older pairs go stale and
-//! stay; eviction pops from the front, skipping pairs whose entry is gone or
-//! was touched since. Ticks only increase and each entry has one live pair,
-//! so the first live pair is the entry with the smallest `last_used`: the
-//! victim a scan of the whole cache would pick. A touch that finds the queue
-//! longer than twice the entries first compacts it to its live pairs, which
-//! bounds it on hit-only traffic and makes eviction amortised O(1).
+//! Entries live in a slab, a `Vec` with one element per resident block, and
+//! are chained into a doubly linked recency list through slab indices: the
+//! head is the most recently used block, the tail the least. A slot table
+//! indexed by address holds each resident block's slab index, so a lookup
+//! is one array load. A touch (`get`, `get_mut`, insert) unlinks the entry
+//! and relinks it at the head; eviction takes the tail. Both are O(1) and
+//! exact: the tail is always the block a scan for the oldest touch would
+//! pick. A removed entry's place in the slab is filled by the last entry,
+//! so the slab never holds more than the resident blocks.
 //!
-//! The entry map hashes addresses with [`AddrHasher`], a fixed
-//! multiply-and-fold hash, not SipHash: the map is probed several times
-//! per file-system call, and nothing iterates it in hash order except
-//! [`take_dirty`](BufferCache::take_dirty), which sorts by address.
+//! Store addresses are small and dense (the stack allocates them from
+//! zero), so the table is a plain `Vec<u32>`. It grows on insert only, at
+//! least doubling, so it is never more than twice the largest address
+//! ever cached: under 1 MB for the 100 K blocks of the paper's 400 MB disk.
 
-use std::collections::hash_map::Entry as Slot;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Odd 64-bit multiplier (2^64 / golden ratio).
-const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// A fixed hasher for `u32` block addresses. The key is multiplied into a
-/// 128-bit product whose high half is folded into its low half, so every
-/// key bit reaches the low bits the map takes its bucket index from; a
-/// plain multiply would send all multiples of 4,096 to bucket 0. It has no
-/// defence against crafted collisions, which is safe only because the keys
-/// are addresses the stack allocates itself, never outside input.
-#[derive(Debug, Default, Clone, Copy)]
-struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.0 = self.0.rotate_left(32) ^ u64::from(n);
-    }
-
-    fn finish(&self) -> u64 {
-        let p = u128::from(self.0) * u128::from(MIX);
-        (p as u64) ^ ((p >> 64) as u64)
-    }
-}
-
-/// Block address → cache entry.
-type AddrMap<V> = HashMap<u32, V, BuildHasherDefault<AddrHasher>>;
+/// No entry: the end of the recency list, or an address with no block.
+const NIL: u32 = u32::MAX;
 
 /// Eviction victim handed back to the caller for write-back.
 #[derive(Debug, PartialEq, Eq)]
@@ -67,21 +34,29 @@ pub struct Evicted {
 
 #[derive(Debug)]
 struct Entry {
+    addr: u32,
     data: Vec<u8>,
     dirty: bool,
-    last_used: u64,
+    /// The next more recently used entry, or `NIL` at the head.
+    prev: u32,
+    /// The next less recently used entry, or `NIL` at the tail.
+    next: u32,
 }
 
 /// The cache. Capacity is in bytes; entries are whole blocks.
 #[derive(Debug)]
 pub struct BufferCache {
-    entries: AddrMap<Entry>,
-    /// `(tick, addr)` per touch, oldest first; see the module doc.
-    recency: VecDeque<(u64, u32)>,
+    /// The resident blocks, in no particular order.
+    slab: Vec<Entry>,
+    /// Slab index of the block at each address, or `NIL`.
+    slots: Vec<u32>,
+    /// Most recently used entry.
+    head: u32,
+    /// Least recently used entry: the next victim.
+    tail: u32,
     capacity_bytes: usize,
     used_bytes: usize,
     dirty_bytes: usize,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
@@ -90,12 +65,13 @@ impl BufferCache {
     /// Creates a cache holding at most `capacity_bytes` of block data.
     pub fn new(capacity_bytes: usize) -> Self {
         Self {
-            entries: AddrMap::default(),
-            recency: VecDeque::new(),
+            slab: Vec::new(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
             capacity_bytes,
             used_bytes: 0,
             dirty_bytes: 0,
-            tick: 0,
             hits: 0,
             misses: 0,
         }
@@ -116,30 +92,55 @@ impl BufferCache {
         self.dirty_bytes
     }
 
-    /// Makes `addr` the most recently used block, if resident. Takes fields,
-    /// not `self`, so that `get` can count a hit while holding the entry.
-    fn touch<'a>(
-        entries: &'a mut AddrMap<Entry>,
-        recency: &mut VecDeque<(u64, u32)>,
-        tick: &mut u64,
-        addr: u32,
-    ) -> Option<&'a mut Entry> {
-        *tick += 1;
-        if recency.len() > 2 * entries.len() {
-            recency.retain(|&(t, a)| entries.get(&a).is_some_and(|e| e.last_used == t));
+    /// The slab index of resident block `addr`.
+    fn find(&self, addr: u32) -> Option<usize> {
+        match self.slots.get(addr as usize) {
+            Some(&i) if i != NIL => Some(i as usize),
+            _ => None,
         }
-        let e = entries.get_mut(&addr)?;
-        e.last_used = *tick;
-        recency.push_back((*tick, addr));
-        Some(e)
+    }
+
+    /// Takes entry `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let Entry { prev, next, .. } = self.slab[i];
+        match prev {
+            NIL => self.head = next,
+            p => self.slab[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slab[n as usize].prev = prev,
+        }
+    }
+
+    /// Links unlinked entry `i` in at the head.
+    fn push_front(&mut self, i: usize) {
+        let e = &mut self.slab[i];
+        e.prev = NIL;
+        e.next = self.head;
+        match self.head {
+            NIL => self.tail = i as u32,
+            h => self.slab[h as usize].prev = i as u32,
+        }
+        self.head = i as u32;
+    }
+
+    /// Makes resident block `addr` the most recently used; its slab index.
+    fn touch(&mut self, addr: u32) -> Option<usize> {
+        let i = self.find(addr)?;
+        if self.head != i as u32 {
+            self.unlink(i);
+            self.push_front(i);
+        }
+        Some(i)
     }
 
     /// Looks up a block, refreshing recency. Records a hit or miss.
     pub fn get(&mut self, addr: u32) -> Option<&[u8]> {
-        match Self::touch(&mut self.entries, &mut self.recency, &mut self.tick, addr) {
-            Some(e) => {
+        match self.touch(addr) {
+            Some(i) => {
                 self.hits += 1;
-                Some(&e.data)
+                Some(&self.slab[i].data)
             }
             None => {
                 self.misses += 1;
@@ -148,15 +149,30 @@ impl BufferCache {
         }
     }
 
+    /// The most recently used block: the one the last `get`, `get_mut` or
+    /// insert found or inserted.
+    pub fn mru(&self) -> Option<&[u8]> {
+        self.slab.get(self.head as usize).map(|e| e.data.as_slice())
+    }
+
+    /// Counts a hit for a touch of a resident block that the caller leaves
+    /// out. Only exact when a later touch of the same block comes before
+    /// any insert and before the caller stops touching blocks: then the
+    /// recency order at every eviction, and at the end, is the same as
+    /// with the touch.
+    pub fn count_hit(&mut self) {
+        self.hits += 1;
+    }
+
     /// Whether a block is resident (no recency update, no stats).
     pub fn contains(&self, addr: u32) -> bool {
-        self.entries.contains_key(&addr)
+        self.find(addr).is_some()
     }
 
     /// Reads a resident block without refreshing recency or counting a
     /// hit or miss.
     pub fn peek(&self, addr: u32) -> Option<&[u8]> {
-        self.entries.get(&addr).map(|e| e.data.as_slice())
+        self.find(addr).map(|i| self.slab[i].data.as_slice())
     }
 
     /// Inserts a clean block (after a read from the store). Returns dirty
@@ -174,29 +190,38 @@ impl BufferCache {
     fn insert(&mut self, addr: u32, data: Vec<u8>, dirty: bool) -> Vec<Evicted> {
         self.used_bytes += data.len();
         self.dirty_bytes += if dirty { data.len() } else { 0 };
-        let entry = Entry {
-            data,
-            dirty,
-            last_used: 0,
-        };
-        if let Some(old) = self.entries.insert(addr, entry) {
-            self.forget(&old);
+        match self.touch(addr) {
+            Some(i) => {
+                let e = &mut self.slab[i];
+                let old = std::mem::replace(&mut e.data, data);
+                let was_dirty = std::mem::replace(&mut e.dirty, dirty);
+                self.forget(&old, was_dirty);
+            }
+            None => {
+                let a = addr as usize;
+                if a >= self.slots.len() {
+                    let len = (a + 1).max(2 * self.slots.len());
+                    self.slots.resize(len, NIL);
+                }
+                let i = self.slab.len();
+                self.slots[a] = i as u32;
+                self.slab.push(Entry {
+                    addr,
+                    data,
+                    dirty,
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.push_front(i);
+            }
         }
-        Self::touch(&mut self.entries, &mut self.recency, &mut self.tick, addr);
         let mut evicted = Vec::new();
-        // Never evicts the block just inserted: its pair is the newest.
-        while self.used_bytes > self.capacity_bytes && self.entries.len() > 1 {
-            let Some((tick, victim)) = self.recency.pop_front() else {
-                break;
-            };
-            let e = match self.entries.entry(victim) {
-                Slot::Occupied(o) if o.get().last_used == tick => o.remove(),
-                _ => continue, // Stale pair.
-            };
-            self.forget(&e);
+        // Never evicts the block just inserted: it is the head.
+        while self.used_bytes > self.capacity_bytes && self.slab.len() > 1 {
+            let e = self.remove(self.tail as usize);
             if e.dirty {
                 evicted.push(Evicted {
-                    addr: victim,
+                    addr: e.addr,
                     data: e.data,
                 });
             }
@@ -204,31 +229,55 @@ impl BufferCache {
         evicted
     }
 
-    /// Takes a block that just left the cache off the byte counters.
-    fn forget(&mut self, e: &Entry) {
-        self.used_bytes -= e.data.len();
-        self.dirty_bytes -= if e.dirty { e.data.len() } else { 0 };
+    /// Takes a block's bytes off the counters as it leaves the cache.
+    fn forget(&mut self, data: &[u8], dirty: bool) {
+        self.used_bytes -= data.len();
+        self.dirty_bytes -= if dirty { data.len() } else { 0 };
+    }
+
+    /// Takes entry `i` out of the list, the slot table and the slab, and
+    /// moves the last entry into its place.
+    fn remove(&mut self, i: usize) -> Entry {
+        self.unlink(i);
+        let e = self.slab.swap_remove(i);
+        self.slots[e.addr as usize] = NIL;
+        if let Some(&Entry {
+            addr, prev, next, ..
+        }) = self.slab.get(i)
+        {
+            let to = i as u32;
+            self.slots[addr as usize] = to;
+            match prev {
+                NIL => self.head = to,
+                p => self.slab[p as usize].next = to,
+            }
+            match next {
+                NIL => self.tail = to,
+                n => self.slab[n as usize].prev = to,
+            }
+        }
+        self.forget(&e.data, e.dirty);
+        e
     }
 
     /// Marks a resident block dirty (in-place mutation already applied via
     /// [`get_mut`](Self::get_mut)).
     pub fn mark_dirty(&mut self, addr: u32) {
-        if let Some(e) = self.entries.get_mut(&addr).filter(|e| !e.dirty) {
-            e.dirty = true;
-            self.dirty_bytes += e.data.len();
+        if let Some(i) = self.find(addr).filter(|&i| !self.slab[i].dirty) {
+            self.slab[i].dirty = true;
+            self.dirty_bytes += self.slab[i].data.len();
         }
     }
 
     /// Mutable access to a resident block (refreshes recency).
     pub fn get_mut(&mut self, addr: u32) -> Option<&mut [u8]> {
-        Self::touch(&mut self.entries, &mut self.recency, &mut self.tick, addr)
-            .map(|e| e.data.as_mut_slice())
+        self.touch(addr).map(|i| self.slab[i].data.as_mut_slice())
     }
 
     /// Removes a block without write-back (e.g. freed file blocks).
     pub fn discard(&mut self, addr: u32) {
-        if let Some(e) = self.entries.remove(&addr) {
-            self.forget(&e);
+        if let Some(i) = self.find(addr) {
+            self.remove(i);
         }
     }
 
@@ -237,13 +286,13 @@ impl BufferCache {
     /// sequential write-back.
     pub fn take_dirty(&mut self) -> Vec<Evicted> {
         let mut dirty: Vec<Evicted> = self
-            .entries
+            .slab
             .iter_mut()
-            .filter(|(_, e)| e.dirty)
-            .map(|(a, e)| {
+            .filter(|e| e.dirty)
+            .map(|e| {
                 e.dirty = false;
                 Evicted {
-                    addr: *a,
+                    addr: e.addr,
                     data: e.data.clone(),
                 }
             })
@@ -257,8 +306,11 @@ impl BufferCache {
     /// used by the benchmarks to defeat the cache between phases.
     pub fn drop_all(&mut self) -> Vec<Evicted> {
         let dirty = self.take_dirty();
-        self.entries.clear();
-        self.recency.clear();
+        for e in self.slab.drain(..) {
+            self.slots[e.addr as usize] = NIL;
+        }
+        self.head = NIL;
+        self.tail = NIL;
         self.used_bytes = 0;
         dirty
     }
@@ -273,33 +325,22 @@ impl BufferCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::hash::BuildHasher;
 
-    #[test]
-    fn addr_hasher_spreads_strided_keys_over_low_bits() {
-        let build = BuildHasherDefault::<AddrHasher>::default();
-        for stride in [1u32, 8, 4096] {
-            // The 2,048-bucket index of a 6 MB cache of 4 KB blocks.
-            let buckets: HashSet<u64> = (0..4096u32)
-                .map(|k| build.hash_one(k * stride) & 2047)
-                .collect();
-            assert!(
-                buckets.len() >= 1024,
-                "stride {stride}: {} of 2048 buckets",
-                buckets.len()
-            );
+    /// Checks the list against the slab and the slot table: it runs from
+    /// head to tail through every entry once, with matching back links.
+    fn assert_linked(c: &BufferCache) {
+        let mut seen = 0;
+        let (mut prev, mut cur) = (NIL, c.head);
+        while cur != NIL {
+            let e = &c.slab[cur as usize];
+            assert_eq!(e.prev, prev, "back link of {}", e.addr);
+            assert_eq!(c.slots[e.addr as usize], cur, "slot of {}", e.addr);
+            (prev, cur) = (cur, e.next);
+            seen += 1;
         }
-    }
-
-    #[test]
-    fn addr_hasher_takes_any_bytes() {
-        let mut h = AddrHasher::default();
-        h.write(&[]);
-        h.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
-        let mut g = AddrHasher::default();
-        g.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
-        assert_eq!(h.finish(), g.finish());
+        assert_eq!(c.tail, prev);
+        assert_eq!(seen, c.slab.len());
+        assert_eq!(c.slots.iter().filter(|&&i| i != NIL).count(), seen);
     }
 
     #[test]
@@ -335,6 +376,7 @@ mod tests {
         let ev = c.insert_clean(4, vec![0u8; 1000]);
         assert!(ev.is_empty(), "clean eviction is silent");
         assert!(c.contains(1) && !c.contains(2));
+        assert_linked(&c);
     }
 
     #[test]
@@ -368,6 +410,8 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert!(!c.contains(1) && !c.contains(2));
         assert_eq!(c.used_bytes(), 0);
+        assert_eq!(c.mru(), None);
+        assert_linked(&c);
     }
 
     #[test]
@@ -389,15 +433,49 @@ mod tests {
     }
 
     #[test]
-    fn recency_queue_is_compacted_on_hits() {
+    fn hits_leave_one_slab_entry_per_resident_block() {
         let mut c = BufferCache::new(1 << 20);
         for a in 0..4 {
-            c.insert_clean(a, vec![0u8; 8]);
+            c.insert_clean(a * 1000, vec![0u8; 8]);
         }
-        for _ in 0..100_000 {
-            assert!(c.get(2).is_some());
-            assert!(c.recency.len() <= 2 * c.entries.len() + 1);
+        let slots = c.slots.len();
+        for k in 0..100_000u32 {
+            assert!(c.get((k % 4) * 1000).is_some());
+            assert_eq!(c.slab.len(), 4);
         }
+        assert_eq!(c.slots.len(), slots, "hits never grow the slot table");
+        assert_linked(&c);
+    }
+
+    #[test]
+    fn unknown_addresses_miss_without_growing_the_table() {
+        let mut c = BufferCache::new(1 << 20);
+        c.insert_clean(7, vec![1]);
+        let slots = c.slots.len();
+        for addr in [u32::MAX, u32::MAX - 1, 8, 1 << 20] {
+            assert!(c.get(addr).is_none());
+            assert!(c.peek(addr).is_none());
+            assert!(!c.contains(addr));
+            assert!(c.get_mut(addr).is_none());
+        }
+        assert_eq!(c.stats(), (0, 4));
+        assert_eq!(c.slots.len(), slots);
+        assert_eq!(c.mru(), Some(&[1u8][..]));
+    }
+
+    #[test]
+    fn mru_is_the_block_last_found_or_inserted() {
+        let mut c = BufferCache::new(1 << 20);
+        c.insert_clean(1, vec![1]);
+        c.insert_clean(2, vec![2]);
+        assert_eq!(c.mru(), Some(&[2u8][..]));
+        c.get(1);
+        assert_eq!(c.mru(), Some(&[1u8][..]));
+        c.get(9);
+        c.peek(2);
+        assert_eq!(c.mru(), Some(&[1u8][..]), "a miss or a peek moves nothing");
+        c.discard(1);
+        assert_eq!(c.mru(), Some(&[2u8][..]));
     }
 
     #[test]
@@ -411,6 +489,7 @@ mod tests {
         assert!(ev.is_empty());
         assert!(c.contains(1) && !c.contains(2) && c.contains(3));
         assert_eq!(c.dirty_bytes(), 1000);
+        assert_linked(&c);
     }
 
     #[test]
@@ -421,8 +500,29 @@ mod tests {
         c.insert_clean(3, vec![0u8; 1000]);
         c.discard(1);
         assert_eq!(c.dirty_bytes(), 0);
+        assert_linked(&c);
         c.insert_clean(1, vec![0u8; 1000]);
         c.insert_clean(4, vec![0u8; 1000]);
         assert!(c.contains(1) && !c.contains(2) && c.contains(3));
+        assert_linked(&c);
+    }
+
+    #[test]
+    fn removal_moves_the_last_entry_and_keeps_the_list() {
+        let mut c = BufferCache::new(1 << 20);
+        for a in [10, 20, 30, 40, 50] {
+            c.insert_clean(a, vec![a as u8]);
+        }
+        c.get(10);
+        // Remove the head, the tail, a middle entry and the slab's last.
+        for a in [10, 20, 40, 50] {
+            c.discard(a);
+            assert_linked(&c);
+        }
+        assert_eq!(c.slab.len(), 1);
+        assert_eq!(c.mru(), Some(&[30u8][..]));
+        c.discard(30);
+        assert_linked(&c);
+        assert_eq!((c.head, c.tail, c.used_bytes()), (NIL, NIL, 0));
     }
 }

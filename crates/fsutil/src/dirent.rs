@@ -6,8 +6,9 @@
 //!
 //! MINIX finds a name, or a free slot, by reading a directory block by
 //! block until one holds it, and those buffer-cache touches decide the
-//! simulated time. [`locate`] keeps every touch but, given a [`DirIndex`],
-//! skips the compares: the index says which block the scan stops in.
+//! simulated time. [`locate`] keeps what every touch does to the cache
+//! but, given a [`DirIndex`], skips the compares: the index says which
+//! block the scan stops in.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -259,19 +260,27 @@ pub struct Located {
 
 /// Runs MINIX's linear scan of a directory of `nblocks` blocks for
 /// `probe`: reads blocks in order, up to the one that answers it, or all of
-/// them. `read(idx, look)` maps block `idx` (through any indirect block)
-/// and reads it through the buffer cache, returning its store address or
-/// `None` for a hole; given `look`, it also shows `look` the block's bytes.
+/// them. `read(idx, last, look)` maps block `idx` (through any indirect
+/// block) and reads it through the buffer cache, returning its store
+/// address or `None` for a hole; given `look`, it also shows `look` the
+/// block's bytes.
+///
+/// `last` is false only when the scan is sure to read block `idx + 1`
+/// next. The reader may then leave out a cache touch that the next block's
+/// read is sure to repeat before anything is inserted or the scan ends
+/// (`Fs` leaves out the directory's indirect block this way), so every
+/// eviction and the final recency order are those of the eager walk.
 ///
 /// With the directory's `index` the scan reads exactly those blocks but
-/// compares no bytes: the index names the stop block (debug builds still
-/// compare, and check the index against every block read). Without one it
-/// compares each block as it goes.
+/// compares no bytes: the index names the stop block, so `last` is known
+/// for every block. Debug builds still show each block read to a check of
+/// the index against its bytes. Without an index the scan compares each
+/// block as it goes, and any block may be its last.
 pub fn locate<E>(
     nblocks: u64,
     probe: Probe<'_>,
     index: Option<DirIndex>,
-    mut read: impl FnMut(u64, Option<&mut dyn FnMut(&[u8])>) -> Result<Option<u32>, E>,
+    mut read: impl FnMut(u64, bool, Option<&mut dyn FnMut(&[u8])>) -> Result<Option<u32>, E>,
 ) -> Result<Located, E> {
     let known = index.as_ref().map(|ix| ix.find(probe));
     let end = known.flatten().map_or(nblocks, |at| at.block + 1);
@@ -291,11 +300,13 @@ pub fn locate<E>(
                 };
                 read(
                     idx,
+                    idx + 1 == end,
                     cfg!(debug_assertions).then_some(&mut check as &mut dyn FnMut(&[u8])),
                 )?
             }
             None => read(
                 idx,
+                true,
                 Some(&mut |block: &[u8]| {
                     found = probe.in_block(block).map(|(slot, ino)| DirSlot {
                         block: idx,
@@ -471,18 +482,19 @@ mod tests {
         );
     }
 
-    /// Blocks in memory; records every block read, as a cache would.
+    /// Blocks in memory; records every block read, as a cache would, with
+    /// whether the scan said it might be the last.
     struct Blocks {
         blocks: Vec<Option<Vec<u8>>>,
-        reads: Vec<u64>,
+        reads: Vec<(u64, bool)>,
     }
 
     impl Blocks {
         /// [`locate`] over these blocks: block `idx` lives at `1000 + idx`.
         fn locate(&mut self, probe: Probe<'_>, index: Option<DirIndex>) -> Located {
             let nblocks = self.blocks.len() as u64;
-            locate(nblocks, probe, index, |idx, look| {
-                self.reads.push(idx);
+            locate(nblocks, probe, index, |idx, last, look| {
+                self.reads.push((idx, last));
                 let Some(block) = &self.blocks[idx as usize] else {
                     return Ok::<_, ()>(None);
                 };
@@ -531,7 +543,13 @@ mod tests {
             let scan_reads = std::mem::take(&mut fs.reads);
             let indexed = fs.locate(probe, index.take());
             assert_eq!(indexed.stop, scan.stop, "{probe:?}");
-            assert_eq!(fs.reads, scan_reads, "{probe:?}");
+            // The same blocks; without an index, each may be the last.
+            assert!(scan_reads.iter().all(|&(_, last)| last), "{probe:?}");
+            let idxs = |reads: &[(u64, bool)]| reads.iter().map(|r| r.0).collect::<Vec<_>>();
+            assert_eq!(idxs(&fs.reads), idxs(&scan_reads), "{probe:?}");
+            let lasts: Vec<bool> = fs.reads.iter().map(|r| r.1).collect();
+            let n = lasts.len();
+            assert_eq!(lasts, (0..n).map(|k| k + 1 == n).collect::<Vec<_>>());
             index = indexed.index;
         }
         // e20 is in the fourth block, after the hole, at address 1003.

@@ -386,10 +386,13 @@ impl<L: Layout> Fs<L> {
     }
 
     /// Reads a block of allocated size `len` through the cache and returns
-    /// its bytes.
+    /// its bytes: those of the most recently used block, which the touch
+    /// has just made it.
     pub fn fetch(&mut self, addr: Addr, len: usize) -> Result<&[u8]> {
         self.touch(addr, len)?;
-        self.cached(addr)
+        self.cache
+            .mru()
+            .ok_or_else(|| FsError::Store(format!("block {addr} left the cache")))
     }
 
     /// A resident block's bytes, without touching recency or the counters.
@@ -606,9 +609,10 @@ impl<L: Layout> Fs<L> {
     //
     // MINIX scans a directory block by block (`dirent::locate`). An indexed
     // directory still reads each block the scan reads, in the same order,
-    // but compares no bytes. Each operation takes the index out of `dirs`
-    // and puts it back only on success, so an error part-way drops it and
-    // the next scan that reads every block rebuilds it.
+    // but compares no bytes, and leaves out the indirect-block touches a
+    // later one repeats (`dir_block`). Each operation takes the index out
+    // of `dirs` and puts it back only on success, so an error part-way
+    // drops it and the next scan that reads every block rebuilds it.
 
     /// Writes the initial "." and ".." entries of a new directory and
     /// indexes them.
@@ -635,16 +639,49 @@ impl<L: Layout> Fs<L> {
     fn dir_locate(&mut self, dir_ino: Ino, dir: &Inode, probe: Probe<'_>) -> Result<Located> {
         let bs = self.layout.block_size();
         let index = self.dirs.remove(&dir_ino);
-        dirent::locate(dir.size.div_ceil(bs as u64), probe, index, |idx, look| {
-            let Some(a) = self.block_at(dir, idx)? else {
-                return Ok(None);
-            };
-            match look {
-                Some(look) => look(self.fetch(a, bs)?),
-                None => self.touch(a, bs)?,
+        dirent::locate(
+            dir.size.div_ceil(bs as u64),
+            probe,
+            index,
+            |idx, last, look| {
+                let Some(a) = self.dir_block(dir, idx, last)? else {
+                    return Ok(None);
+                };
+                let block = self.fetch(a, bs)?;
+                if let Some(look) = look {
+                    look(block);
+                }
+                Ok(Some(a))
+            },
+        )
+    }
+
+    /// [`block_at`](Self::block_at) for block `idx` of a directory scan
+    /// that reads block `idx + 1` next unless `last`.
+    ///
+    /// In the single-indirect range the walk touches the indirect block
+    /// before each directory block. When the scan goes on to a block mapped
+    /// by the same indirect block, and both it and the block it maps here
+    /// are resident, this leaves that touch out: it reads the pointer with
+    /// a peek and counts the hit. Nothing is inserted before the next
+    /// block's walk, which touches the indirect block for real before any
+    /// miss and before the scan's last block, so every eviction, the final
+    /// recency order and the counters are those of the eager walk.
+    fn dir_block(&mut self, dir: &Inode, idx: u64, last: bool) -> Result<Option<Addr>> {
+        let ppb = self.layout.block_size() / 4;
+        let lazy = match (last, self.path_of(idx)?) {
+            (false, PtrPath::Indirect(i)) if i + 1 < ppb => nonzero(dir.ptrs[IND])
+                .and_then(|ind| self.cache.peek(ind))
+                .map(|table| nonzero(wire::le_u32(table, i * 4))),
+            _ => None,
+        };
+        match lazy {
+            Some(a) if a.is_none_or(|a| self.cache.contains(a)) => {
+                self.cache.count_hit();
+                Ok(a)
             }
-            Ok(Some(a))
-        })
+            _ => self.block_at(dir, idx),
+        }
     }
 
     /// Puts a directory's index back once its operation has succeeded.

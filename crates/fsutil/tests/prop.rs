@@ -6,35 +6,51 @@
 //! written block, and that capacity is respected. The second is a
 //! reference LRU that picks each victim by scanning every entry for the
 //! smallest `last_used`; the cache must evict the same blocks in the same
-//! order.
+//! order. Most addresses are drawn from a few dozen, so blocks are touched
+//! again; the rest reach up to 2^20, so the cache's address-indexed slot
+//! table grows mid-run and is reused after `discard` and `drop_all`.
 
 use fsutil::{Bitmap, BufferCache, Evicted};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
-/// Addresses the ops draw from.
-const ADDRS: u8 = 24;
+/// Addresses most ops draw from.
+const ADDRS: u32 = 24;
+/// Bound of the wide addresses.
+const WIDE: u32 = 1 << 20;
 
 #[derive(Debug, Clone)]
 enum Op {
-    WriteDirty { addr: u8, val: u8, len: u8 },
-    InsertClean { addr: u8, val: u8, len: u8 },
-    Get { addr: u8 },
-    GetMutDirty { addr: u8, val: u8 },
-    Contains { addr: u8 },
-    Discard { addr: u8 },
+    WriteDirty { addr: u32, val: u8, len: u8 },
+    InsertClean { addr: u32, val: u8, len: u8 },
+    Get { addr: u32 },
+    Peek { addr: u32 },
+    GetMutDirty { addr: u32, val: u8 },
+    Contains { addr: u32 },
+    Discard { addr: u32 },
     TakeDirty,
     DropAll,
 }
 
+/// A block address: mostly one of a few dozen, sometimes one of eight far
+/// apart below [`WIDE`] (which recur), sometimes any below it.
+fn addr() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        8 => 0..ADDRS,
+        1 => (1u32..=8).prop_map(|k| k * (WIDE / 8) - 1),
+        1 => 0..WIDE,
+    ]
+}
+
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        5 => (any::<u8>(), any::<u8>(), 1u8..32).prop_map(|(a, v, l)| Op::WriteDirty { addr: a % ADDRS, val: v, len: l }),
-        3 => (any::<u8>(), any::<u8>(), 1u8..32).prop_map(|(a, v, l)| Op::InsertClean { addr: a % ADDRS, val: v, len: l }),
-        5 => any::<u8>().prop_map(|a| Op::Get { addr: a % ADDRS }),
-        2 => (any::<u8>(), any::<u8>()).prop_map(|(a, v)| Op::GetMutDirty { addr: a % ADDRS, val: v }),
-        1 => any::<u8>().prop_map(|a| Op::Contains { addr: a % ADDRS }),
-        1 => any::<u8>().prop_map(|a| Op::Discard { addr: a % ADDRS }),
+        5 => (addr(), any::<u8>(), 1u8..32).prop_map(|(addr, val, len)| Op::WriteDirty { addr, val, len }),
+        3 => (addr(), any::<u8>(), 1u8..32).prop_map(|(addr, val, len)| Op::InsertClean { addr, val, len }),
+        5 => addr().prop_map(|addr| Op::Get { addr }),
+        2 => addr().prop_map(|addr| Op::Peek { addr }),
+        2 => (addr(), any::<u8>()).prop_map(|(addr, val)| Op::GetMutDirty { addr, val }),
+        1 => addr().prop_map(|addr| Op::Contains { addr }),
+        1 => addr().prop_map(|addr| Op::Discard { addr }),
         1 => Just(Op::TakeDirty),
         1 => Just(Op::DropAll),
     ]
@@ -59,38 +75,47 @@ proptest! {
             match op {
                 Op::WriteDirty { addr, val, len } => {
                     let data = vec![val; len as usize];
-                    for ev in cache.insert_dirty(addr.into(), data.clone()) {
+                    for ev in cache.insert_dirty(addr, data.clone()) {
                         store.insert(ev.addr, ev.data);
                     }
-                    truth.insert(addr.into(), data);
-                    discarded.remove(&u32::from(addr));
+                    truth.insert(addr, data);
+                    discarded.remove(&addr);
                 }
                 Op::InsertClean { addr, val, len } => {
                     let data = vec![val; len as usize];
                     // A clean insert models a read from the store; only
                     // valid if it matches the store's content, so update
                     // both consistently.
-                    for ev in cache.insert_clean(addr.into(), data.clone()) {
+                    for ev in cache.insert_clean(addr, data.clone()) {
                         store.insert(ev.addr, ev.data);
                     }
-                    store.insert(addr.into(), data.clone());
-                    truth.insert(addr.into(), data);
-                    discarded.remove(&u32::from(addr));
+                    store.insert(addr, data.clone());
+                    truth.insert(addr, data);
+                    discarded.remove(&addr);
                 }
                 Op::Get { addr } => {
-                    if let Some(data) = cache.get(addr.into()) {
+                    if let Some(data) = cache.get(addr) {
                         prop_assert_eq!(
                             data,
-                            truth.get(&u32::from(addr)).map(Vec::as_slice).unwrap_or(&[]),
+                            truth.get(&addr).map(Vec::as_slice).unwrap_or(&[]),
                             "cache returned stale data for {}", addr
                         );
                     }
                 }
+                Op::Peek { addr } => {
+                    if let Some(data) = cache.peek(addr) {
+                        prop_assert_eq!(
+                            data,
+                            truth.get(&addr).map(Vec::as_slice).unwrap_or(&[]),
+                            "peek returned stale data for {}", addr
+                        );
+                    }
+                }
                 Op::GetMutDirty { addr, val } => {
-                    if let Some(data) = cache.get_mut(addr.into()) {
+                    if let Some(data) = cache.get_mut(addr) {
                         data[0] = val;
-                        cache.mark_dirty(addr.into());
-                        if let Some(t) = truth.get_mut(&u32::from(addr)) {
+                        cache.mark_dirty(addr);
+                        if let Some(t) = truth.get_mut(&addr) {
                             t[0] = val;
                         }
                     }
@@ -98,8 +123,8 @@ proptest! {
                 // Residency is checked by `cache_matches_reference_lru`.
                 Op::Contains { .. } => {}
                 Op::Discard { addr } => {
-                    cache.discard(addr.into());
-                    discarded.insert(addr.into());
+                    cache.discard(addr);
+                    discarded.insert(addr);
                 }
                 Op::TakeDirty => {
                     for ev in cache.take_dirty() {
@@ -229,37 +254,50 @@ proptest! {
     fn cache_matches_reference_lru(ops in proptest::collection::vec(op(), 1..200)) {
         let mut cache = BufferCache::new(256);
         let mut reference = ReferenceLru::new(256);
+        // Every address an op has named, for the residency check.
+        let mut named: BTreeSet<u32> = BTreeSet::new();
         for (i, op) in ops.into_iter().enumerate() {
             match op {
                 Op::WriteDirty { addr, val, len } | Op::InsertClean { addr, val, len } => {
                     let dirty = matches!(op, Op::WriteDirty { .. });
                     let data = vec![val; len as usize];
                     let got = if dirty {
-                        cache.insert_dirty(addr.into(), data.clone())
+                        cache.insert_dirty(addr, data.clone())
                     } else {
-                        cache.insert_clean(addr.into(), data.clone())
+                        cache.insert_clean(addr, data.clone())
                     };
-                    prop_assert_eq!(got, reference.insert(addr.into(), data, dirty), "evictions at op {}", i);
+                    prop_assert_eq!(got, reference.insert(addr, data, dirty), "evictions at op {}", i);
+                    named.insert(addr);
                 }
                 Op::Get { addr } => {
-                    let got = cache.get(addr.into()).map(<[u8]>::to_vec);
-                    prop_assert_eq!(got, reference.get(addr.into()), "get at op {}", i);
+                    let got = cache.get(addr).map(<[u8]>::to_vec);
+                    prop_assert_eq!(got, reference.get(addr), "get at op {}", i);
+                    named.insert(addr);
+                }
+                Op::Peek { addr } => {
+                    let got = cache.peek(addr).map(<[u8]>::to_vec);
+                    let want = reference.entries.get(&addr).map(|e| e.0.clone());
+                    prop_assert_eq!(got, want, "peek at op {}", i);
+                    named.insert(addr);
                 }
                 Op::GetMutDirty { addr, val } => {
-                    let hit = cache.get_mut(addr.into()).map(|d| d[0] = val).is_some();
-                    cache.mark_dirty(addr.into());
-                    let ref_hit = reference.touch(addr.into()).map(|e| {
+                    let hit = cache.get_mut(addr).map(|d| d[0] = val).is_some();
+                    cache.mark_dirty(addr);
+                    let ref_hit = reference.touch(addr).map(|e| {
                         e.0[0] = val;
                         e.1 = true;
                     });
                     prop_assert_eq!(hit, ref_hit.is_some(), "get_mut at op {}", i);
+                    named.insert(addr);
                 }
                 Op::Contains { addr } => {
-                    prop_assert_eq!(cache.contains(addr.into()), reference.entries.contains_key(&addr.into()));
+                    prop_assert_eq!(cache.contains(addr), reference.entries.contains_key(&addr));
+                    named.insert(addr);
                 }
                 Op::Discard { addr } => {
-                    cache.discard(addr.into());
-                    reference.entries.remove(&addr.into());
+                    cache.discard(addr);
+                    reference.entries.remove(&addr);
+                    named.insert(addr);
                 }
                 Op::TakeDirty => {
                     prop_assert_eq!(cache.take_dirty(), reference.take_dirty(), "take_dirty at op {}", i);
@@ -269,9 +307,11 @@ proptest! {
                     reference.entries.clear();
                 }
             }
-            for a in 0..u32::from(ADDRS) {
+            for &a in named.iter().chain(&[u32::MAX]) {
                 prop_assert_eq!(cache.contains(a), reference.entries.contains_key(&a), "residency of {} after op {}", a, i);
             }
+            let mru = reference.entries.values().max_by_key(|e| e.2).map(|e| e.0.as_slice());
+            prop_assert_eq!(cache.mru(), mru, "most recent block after op {}", i);
             prop_assert_eq!(cache.used_bytes(), reference.used_bytes(), "used_bytes after op {}", i);
             prop_assert_eq!(cache.dirty_bytes(), reference.dirty_bytes(), "dirty_bytes after op {}", i);
             prop_assert_eq!(cache.stats(), (reference.hits, reference.misses), "stats after op {}", i);

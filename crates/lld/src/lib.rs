@@ -756,8 +756,11 @@ impl<D: BlockDev> Lld<D> {
     /// Clears any NVRAM image (its contents just became durable on disk).
     pub(crate) fn invalidate_nvram(&mut self) {
         if self.disk.nvram_bytes() >= nvram::INVALIDATE.len() {
-            // Best effort; a failed invalidation only costs a redundant
-            // materialization at the next recovery.
+            // Best effort: a lost or failed write leaves the image for the
+            // next recovery, which replays nothing twice. A tail a seal or
+            // partial write has since carried to disk loses to that newer
+            // copy of its records, and one recovery has materialized is
+            // recognised by its summary seq and only invalidated again.
             let _ = self.disk.nvram_write(0, &nvram::INVALIDATE);
         }
     }

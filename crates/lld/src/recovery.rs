@@ -77,6 +77,8 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
     let mut all: Vec<SortRec> = Vec::new();
     let mut seg_has_summary = vec![false; layout.segments as usize];
     let mut seg_max_ts = vec![0u64; layout.segments as usize];
+    // Every summary seq found on disk.
+    let mut seqs: HashSet<u64> = HashSet::new();
     let mut buf = vec![0u8; layout.summary_bytes];
     let mut sweep_retries = 0u64;
 
@@ -100,6 +102,7 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
             continue;
         };
         seg_has_summary[seg as usize] = true;
+        seqs.insert(summary.seq);
         for (idx, s) in summary.records.into_iter().enumerate() {
             seg_max_ts[seg as usize] = seg_max_ts[seg as usize].max(s.ts);
             all.push(SortRec {
@@ -116,26 +119,35 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
 
     // The §5.3 NVRAM extension: a crash may have left the open segment's
     // tail in battery-backed NVRAM. Its records join the replay under a
-    // placeholder segment id; the data is materialized afterwards.
+    // placeholder segment id; the data is materialized afterwards. A tail
+    // whose summary seq a segment already carries is on disk already: an
+    // earlier recovery materialized it and lost the invalidation. Seqs are
+    // never reused, so that segment is its copy; its records replay from
+    // there, and the image is only invalidated.
     let mut nvram_image: Option<(Vec<u8>, Vec<u8>)> = None;
+    let mut nvram_on_disk = false;
     let nv_capacity = disk.nvram_bytes();
     if nv_capacity > 0 {
         let mut raw = vec![0u8; nv_capacity];
         disk.nvram_read(0, &mut raw).map_err(dev)?;
         if let Some((summary_bytes, data)) = crate::nvram::decode_image(&raw) {
-            if let Some(summary) = decode_summary(&summary_bytes) {
-                for (idx, s) in summary.records.iter().enumerate() {
-                    all.push(SortRec {
-                        ts: s.ts,
-                        seq: summary.seq,
-                        idx: idx as u32,
-                        seg: NVRAM_SEG,
-                        ends_aru: s.ends_aru,
-                        aru: s.aru,
-                        rec: s.rec,
-                    });
+            match decode_summary(&summary_bytes) {
+                Some(summary) if seqs.contains(&summary.seq) => nvram_on_disk = true,
+                Some(summary) => {
+                    for (idx, s) in summary.records.iter().enumerate() {
+                        all.push(SortRec {
+                            ts: s.ts,
+                            seq: summary.seq,
+                            idx: idx as u32,
+                            seg: NVRAM_SEG,
+                            ends_aru: s.ends_aru,
+                            aru: s.aru,
+                            rec: s.rec,
+                        });
+                    }
+                    nvram_image = Some((summary_bytes, data));
                 }
-                nvram_image = Some((summary_bytes, data));
+                None => {}
             }
         }
     }
@@ -337,7 +349,7 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
     );
     lld.bad_sectors = bad_sectors;
     // The image is now durable on disk; clear it.
-    if nvram_applied {
+    if nvram_applied || nvram_on_disk {
         lld.invalidate_nvram();
     }
     lld.stats.recovery_summaries_read = u64::from(layout.segments);

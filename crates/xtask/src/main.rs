@@ -568,10 +568,11 @@ fn find_simdisk_refs(code: &str) -> Vec<String> {
 // ci
 // ---------------------------------------------------------------------------
 
-/// One CI step: a cargo invocation, the examples, or the baseline byte
-/// comparison.
+/// One CI step: a cargo invocation (with extra environment variables, or
+/// none), the examples, or the baseline byte comparison.
 enum Step {
     Cargo(&'static [&'static str]),
+    CargoEnv(&'static [(&'static str, &'static str)], &'static [&'static str]),
     Examples,
     BaselineIdentity,
 }
@@ -609,6 +610,15 @@ fn ci() -> ExitCode {
         (
             "simdisk differential",
             Step::Cargo(&["test", "-q", "--release", "-p", "simdisk", "--lib", "reference::"]),
+        ),
+        // The buffer cache against its reference LRU, on cases the plain
+        // test step never draws: the offset shifts every case index.
+        (
+            "cache differential",
+            Step::CargoEnv(
+                &[("PROPTEST_CASE_OFFSET", "1000000")],
+                &["test", "-q", "--release", "-p", "fsutil", "--test", "prop"],
+            ),
         ),
         // Every experiment at quick scale, through both report renderers.
         (
@@ -657,7 +667,8 @@ fn ci() -> ExitCode {
     ];
     for (name, step) in steps {
         let result = match step {
-            Step::Cargo(args) => cargo(name, args),
+            Step::Cargo(args) => cargo(name, &[], args),
+            Step::CargoEnv(env, args) => cargo(name, env, args),
             Step::Examples => examples(),
             Step::BaselineIdentity => baseline_identity(),
         };
@@ -670,11 +681,13 @@ fn ci() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs `cargo <args>` at the repository root.
-fn cargo(name: &str, args: &[&str]) -> Result<(), String> {
-    println!("xtask ci: {name} (cargo {})", args.join(" "));
+/// Runs `cargo <args>` at the repository root, with `env` set.
+fn cargo(name: &str, env: &[(&str, &str)], args: &[&str]) -> Result<(), String> {
+    let vars: String = env.iter().map(|(k, v)| format!("{k}={v} ")).collect();
+    println!("xtask ci: {name} ({vars}cargo {})", args.join(" "));
     match Command::new("cargo")
         .args(args)
+        .envs(env.iter().copied())
         .current_dir(repo_root())
         .status()
     {
@@ -709,14 +722,14 @@ fn examples() -> Result<(), String> {
             args.push("--");
             args.extend(images);
         }
-        cargo(&format!("example {name}"), &args)?;
+        cargo(&format!("example {name}"), &[], &args)?;
     }
     for image in images {
         let args = [
             "run", "-q", "--release", "-p", "ldck", "--", "--segment-bytes", "64k",
             "--summary-bytes", "4k", image,
         ];
-        cargo(&format!("ldck {image}"), &args)?;
+        cargo(&format!("ldck {image}"), &[], &args)?;
     }
     Ok(())
 }
@@ -731,7 +744,7 @@ fn baseline_identity() -> Result<(), String> {
         "run", "-q", "--release", "-p", "ld-bench", "--bin", "repro", "--", "--json-out", out,
         "all",
     ];
-    cargo("baseline identity", &args)?;
+    cargo("baseline identity", &[], &args)?;
     let read = |f: &Path| {
         std::fs::read_to_string(f).map_err(|e| format!("cannot read {}: {e}", f.display()))
     };
