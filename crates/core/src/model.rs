@@ -376,21 +376,18 @@ impl LogicalDisk for ModelLd {
 
     fn move_list(&mut self, lid: Lid, pred: PredList) -> Result<()> {
         self.check_up()?;
-        if !self.lists.contains_key(&lid) {
-            return Err(LdError::UnknownList(lid));
-        }
-        self.list_order.retain(|&l| l != lid);
-        let pos = match pred {
+        let at = |l: Lid| self.list_order.iter().position(|&x| x == l);
+        let from = at(lid).ok_or(LdError::UnknownList(lid))?;
+        let to = match pred {
             PredList::Start => 0,
-            PredList::After(p) => {
-                self.list_order
-                    .iter()
-                    .position(|&l| l == p)
-                    .ok_or(LdError::UnknownList(p))?
-                    + 1
-            }
+            // A list cannot follow itself.
+            PredList::After(p) if p == lid => return Err(LdError::UnknownList(p)),
+            PredList::After(p) => at(p).ok_or(LdError::UnknownList(p))? + 1,
         };
-        self.list_order.insert(pos, lid);
+        // Both checked: only now does the order change.
+        self.list_order.remove(from);
+        let to = if from < to { to - 1 } else { to };
+        self.list_order.insert(to, lid);
         Ok(())
     }
 
@@ -512,6 +509,37 @@ mod tests {
         assert_eq!(ld.list_of_lists(), &[a, b, c]);
         ld.move_list(c, PredList::Start).unwrap();
         assert_eq!(ld.list_of_lists(), &[c, a, b]);
+        ld.move_list(c, PredList::After(b)).unwrap();
+        assert_eq!(ld.list_of_lists(), &[a, b, c]);
+    }
+
+    #[test]
+    fn rejected_move_list_names_the_missing_list_and_changes_nothing() {
+        let mut ld = ld();
+        let a = ld.new_list(PredList::Start, ListHints::default()).unwrap();
+        let b = ld
+            .new_list(PredList::After(a), ListHints::default())
+            .unwrap();
+        let dead = ld
+            .new_list(PredList::After(b), ListHints::default())
+            .unwrap();
+        ld.delete_list(dead, None).unwrap();
+        assert_eq!(
+            ld.move_list(a, PredList::After(dead)),
+            Err(LdError::UnknownList(dead))
+        );
+        assert_eq!(
+            ld.move_list(dead, PredList::After(a)),
+            Err(LdError::UnknownList(dead))
+        );
+        assert_eq!(
+            ld.move_list(a, PredList::After(a)),
+            Err(LdError::UnknownList(a))
+        );
+        assert_eq!(ld.list_of_lists(), &[a, b]);
+        ld.move_list(b, PredList::Start).unwrap();
+        ld.move_list(b, PredList::After(a)).unwrap();
+        assert_eq!(ld.list_of_lists(), &[a, b]);
     }
 
     #[test]

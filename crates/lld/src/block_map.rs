@@ -7,14 +7,26 @@
 //! themselves form a singly linked *list of lists*. Both tables live
 //! entirely in main memory (§3.4 analyses the cost of that choice; the
 //! `memory` module reproduces the analysis).
+//!
+//! [`apply`] is the one meaning of each summary record for these tables.
+//! The live operations apply their records through it (`Lld::commit`)
+//! before logging them, and the recovery sweep replays the log through it,
+//! so what a record did at run time is what it does again at recovery.
+//! Number allocation, space accounting and the owner of a moved sub-list
+//! stay with the live operations; recovery derives owners by walking lists.
 
 use ld_core::ListHints;
+
+use crate::records::Record;
 
 /// Sentinel segment id: the block's live copy is in the in-memory open
 /// segment buffer (not yet durable).
 pub const OPEN_SEG: u32 = u32::MAX;
 /// Sentinel segment id: the block is allocated but has never been written.
 pub const NO_SEG: u32 = u32::MAX - 1;
+/// Owner sentinel for blocks reconstructed from a `WriteBlock`/`Link`
+/// record before their `NewBlock` record was replayed.
+pub const PROVISIONAL_LIST: u64 = u64::MAX;
 
 /// One entry of the block-number map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,11 +116,16 @@ impl BlockMap {
 
     /// Installs an entry under a specific number (recovery replay).
     pub fn install(&mut self, bid: u64, entry: BlockEntry) {
+        *self.slot(bid) = Some(entry);
+    }
+
+    /// The slot of `bid`, growing the dense index to reach it.
+    fn slot(&mut self, bid: u64) -> &mut Option<BlockEntry> {
         let idx = bid as usize;
         if idx >= self.entries.len() {
             self.entries.resize(idx + 1, None);
         }
-        self.entries[idx] = Some(entry);
+        &mut self.entries[idx]
     }
 
     /// Frees a block number for reuse. Returns the old entry.
@@ -118,12 +135,6 @@ impl BlockMap {
             self.free.push(bid);
         }
         e
-    }
-
-    /// Removes an entry without pushing the number onto the free stack
-    /// (recovery replay, where the free stack is rebuilt afterwards).
-    pub fn remove_raw(&mut self, bid: u64) -> Option<BlockEntry> {
-        self.entries.get_mut(bid as usize)?.take()
     }
 
     /// Looks up a block.
@@ -297,13 +308,7 @@ impl ListTable {
                 (self.entries.len() - 1) as u64
             }
         };
-        let next_list = match pred {
-            None => self.head.replace(lid),
-            Some(p) => {
-                let pe = self.entries[p as usize].as_mut().expect("checked above"); // PANIC-OK: presence checked on the lines above
-                pe.next_list.replace(lid)
-            }
-        };
+        let next_list = self.splice_after(lid, pred);
         self.entries[lid as usize] = Some(ListEntry {
             first: None,
             next_list,
@@ -328,19 +333,21 @@ impl ListTable {
         if self.entries[idx].is_some() {
             self.unlink_from_order(lid);
         }
-        let next_list = match pred.filter(|&p| p != lid && self.get(p).is_some()) {
-            None => self.head.replace(lid),
-            Some(p) => self.entries[p as usize]
-                .as_mut()
-                .expect("filtered") // PANIC-OK: the filter above keeps only Some entries
-                .next_list
-                .replace(lid),
-        };
+        let next_list = self.splice_after(lid, pred.filter(|&p| p != lid));
         self.entries[idx] = Some(ListEntry {
             first,
             next_list,
             hints,
         });
+    }
+
+    /// Points `pred` (the front for `None` or a list not allocated) at
+    /// `lid` in the list of lists; returns the list `lid` must point at.
+    fn splice_after(&mut self, lid: u64, pred: Option<u64>) -> Option<u64> {
+        match pred.and_then(|p| self.get_mut(p)) {
+            Some(pe) => pe.next_list.replace(lid),
+            None => self.head.replace(lid),
+        }
     }
 
     fn unlink_from_order(&mut self, lid: u64) {
@@ -353,7 +360,9 @@ impl ListTable {
             let next = self.entries[c as usize].and_then(|e| e.next_list);
             if next == Some(lid) {
                 let target_next = self.entries[lid as usize].and_then(|e| e.next_list);
-                self.entries[c as usize].as_mut().expect("walked").next_list = target_next; // PANIC-OK: the bid was read off the chain just walked
+                if let Some(ce) = self.get_mut(c) {
+                    ce.next_list = target_next;
+                }
                 return;
             }
             cur = next;
@@ -366,51 +375,29 @@ impl ListTable {
     pub fn free(&mut self, lid: u64, pred_hint: Option<u64>) -> Option<ListEntry> {
         let entry = *self.entries.get(lid as usize)?.as_ref()?;
         // Fast path via the hint.
-        let hint_ok =
-            pred_hint.is_some_and(|p| self.get(p).is_some_and(|pe| pe.next_list == Some(lid)));
-        if hint_ok {
-            let p = pred_hint.expect("checked"); // PANIC-OK: presence checked on the lines above
-            self.entries[p as usize]
-                .as_mut()
-                .expect("checked") // PANIC-OK: presence checked on the lines above
-                .next_list = entry.next_list;
-        } else {
-            self.unlink_from_order(lid);
+        match pred_hint
+            .and_then(|p| self.get_mut(p))
+            .filter(|pe| pe.next_list == Some(lid))
+        {
+            Some(pe) => pe.next_list = entry.next_list,
+            None => self.unlink_from_order(lid),
         }
         self.entries[lid as usize] = None;
         self.free.push(lid);
         Some(entry)
     }
 
-    /// Removes an entry without recycling the id (recovery replay).
-    pub fn remove_raw(&mut self, lid: u64) -> Option<ListEntry> {
-        self.unlink_from_order(lid);
-        self.entries.get_mut(lid as usize)?.take()
-    }
-
-    /// Moves `lid` after `pred` in the list of lists.
+    /// Moves `lid` after `pred` in the list of lists, keeping its blocks
+    /// and hints. Returns `false`, moving nothing, unless `lid` and `pred`
+    /// are allocated and distinct.
     pub fn move_after(&mut self, lid: u64, pred: Option<u64>) -> bool {
-        if self.get(lid).is_none() {
+        let Some(hints) = self.get(lid).map(|e| e.hints) else {
+            return false;
+        };
+        if pred.is_some_and(|p| p == lid || self.get(p).is_none()) {
             return false;
         }
-        if let Some(p) = pred {
-            if p == lid || self.get(p).is_none() {
-                return false;
-            }
-        }
-        self.unlink_from_order(lid);
-        let next_list = match pred {
-            None => self.head.replace(lid),
-            Some(p) => self.entries[p as usize]
-                .as_mut()
-                .expect("checked") // PANIC-OK: presence checked on the lines above
-                .next_list
-                .replace(lid),
-        };
-        self.entries[lid as usize]
-            .as_mut()
-            .expect("checked") // PANIC-OK: presence checked on the lines above
-            .next_list = next_list;
+        self.install(lid, pred, hints);
         true
     }
 
@@ -467,6 +454,109 @@ impl ListTable {
             .filter_map(|(i, e)| e.is_none().then_some(i as u64))
             .collect();
     }
+}
+
+/// Applies one summary record to the tables: what `rec` means, for the
+/// live operation that logs it (at [`OPEN_SEG`]) and for the recovery
+/// sweep that replays it (at `seg`, the segment whose summary held it).
+///
+/// Replay can meet a record about a block or list whose creating record it
+/// has not seen: such a block gets the [`PROVISIONAL_LIST`] owner, such a
+/// list default hints. A replayed `DeleteBlock`/`DeleteList` frees numbers
+/// onto the free stacks, which the sweep rebuilds afterwards. `EndAru` and
+/// the medium-health records change neither table.
+pub(crate) fn apply(map: &mut BlockMap, lists: &mut ListTable, seg: u32, rec: &Record) {
+    match *rec {
+        Record::NewBlock {
+            bid,
+            lid,
+            size_class,
+        } => match map.get_mut(bid) {
+            // A cleaner re-log arriving after newer WriteBlock state must
+            // not clobber the physical fields.
+            Some(e) => {
+                e.list = lid;
+                e.size_class = size_class;
+            }
+            None => map.install(bid, BlockEntry::new(lid, size_class)),
+        },
+        Record::DeleteBlock { bid } => {
+            map.free(bid);
+        }
+        Record::WriteBlock {
+            bid,
+            offset,
+            stored_len,
+            logical_len,
+            compressed,
+        } => {
+            let e = ensure_block(map, bid);
+            *e = BlockEntry {
+                seg,
+                offset,
+                stored_len,
+                logical_len,
+                compressed,
+                ..*e
+            };
+        }
+        Record::Link { bid, next } => ensure_block(map, bid).next = next,
+        Record::ListHead { lid, first } => {
+            if lists.get(lid).is_none() {
+                lists.install(lid, None, ListHints::default());
+            }
+            if let Some(l) = lists.get_mut(lid) {
+                l.first = first;
+            }
+        }
+        Record::NewList { lid, pred, hints } => lists.install(lid, pred, hints),
+        Record::DeleteList { lid } => {
+            // Free the list's blocks as they are linked at this point of
+            // the log (matching the runtime semantics at that timestamp).
+            let mut cur = lists.get(lid).and_then(|e| e.first);
+            let mut guard = map.capacity_slots() + 1;
+            while let Some(b) = cur {
+                cur = map.get(b).and_then(|e| e.next);
+                map.free(b);
+                guard -= 1;
+                if guard == 0 {
+                    break;
+                }
+            }
+            lists.free(lid, None);
+        }
+        Record::ListOrder { lid, pred } => {
+            if lists.get(lid).is_some() {
+                lists.move_after(lid, pred.filter(|&p| lists.get(p).is_some()));
+            } else {
+                lists.install(lid, pred, ListHints::default());
+            }
+        }
+        Record::Swap { a, b } => {
+            // Exchange the physical fields; skip unless both blocks exist
+            // at this point of the log.
+            if let (Some(&ea), Some(&eb)) = (map.get(a), map.get(b)) {
+                for (bid, copy) in [(a, eb), (b, ea)] {
+                    if let Some(e) = map.get_mut(bid) {
+                        *e = BlockEntry {
+                            size_class: e.size_class,
+                            next: e.next,
+                            list: e.list,
+                            ..copy
+                        };
+                    }
+                }
+            }
+        }
+        Record::EndAru | Record::RetireSector { .. } | Record::Quarantine { .. } => {}
+    }
+}
+
+/// The entry of `bid`, installed with a provisional owner when replay has
+/// not met the block's `NewBlock` record yet.
+fn ensure_block(map: &mut BlockMap, bid: u64) -> &mut BlockEntry {
+    map.slot(bid)
+        .get_or_insert(BlockEntry::new(PROVISIONAL_LIST, 0))
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ld_core::Result;
 use simdisk::BlockDev;
 
-use crate::block_map::{BlockEntry, RankMemo, OPEN_SEG};
+use crate::block_map::{BlockEntry, RankMemo};
 use crate::records::Record;
 use crate::usage::SegState;
 use crate::Lld;
@@ -207,17 +207,15 @@ impl<D: BlockDev> Lld<D> {
     /// cleaner, both reorganizers and scrub; each counts its own moves.
     fn forward(&mut self, bid: u64, old: BlockEntry, bytes: &[u8]) -> Result<bool> {
         self.ensure_room(bytes.len(), 1)?;
-        let Some(entry) = self
+        let still_there = self
             .map
-            .get_mut(bid)
-            .filter(|cur| cur.seg == old.seg && cur.offset == old.offset)
-        else {
+            .get(bid)
+            .is_some_and(|cur| cur.seg == old.seg && cur.offset == old.offset);
+        if !still_there {
             return Ok(false);
-        };
+        }
         let offset = self.open.append_data(bytes);
-        entry.seg = OPEN_SEG;
-        entry.offset = offset;
-        self.log_internal(Record::WriteBlock {
+        self.commit_internal(Record::WriteBlock {
             bid,
             offset,
             stored_len: old.stored_len,

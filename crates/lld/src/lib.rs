@@ -65,12 +65,12 @@ mod segbuf;
 mod stats;
 mod usage;
 
-pub use block_map::{BlockEntry, NO_SEG, OPEN_SEG};
+pub use block_map::{BlockEntry, NO_SEG, OPEN_SEG, PROVISIONAL_LIST};
 pub use cleaner::CleaningPolicy;
 pub use config::{CpuModel, LldConfig};
 pub use layout::Layout;
 pub use memory::{ListGranularity, MemoryModel};
-pub use recovery::{NVRAM_SEG, PROVISIONAL_LIST};
+pub use recovery::NVRAM_SEG;
 pub use stats::LldStats;
 pub use usage::{SegState, SegUsage};
 
@@ -387,6 +387,11 @@ impl<D: BlockDev> Lld<D> {
         self.lists.order().into_iter().map(Lid).collect()
     }
 
+    /// The hints list `lid` was created with (`None` if it does not exist).
+    pub fn list_hints(&self, lid: Lid) -> Option<ListHints> {
+        self.lists.get(lid.0).map(|l| l.hints)
+    }
+
     /// The physical segment currently holding `bid`'s live copy, if it is
     /// on disk (introspection for clustering experiments).
     pub fn block_segment(&self, bid: Bid) -> Option<u32> {
@@ -509,6 +514,20 @@ impl<D: BlockDev> Lld<D> {
                 | Record::DeleteList { .. }
                 | Record::ListOrder { .. }
         )
+    }
+
+    /// Applies `rec` to the block map and list table through
+    /// [`block_map::apply`], the function the recovery sweep replays it
+    /// with, then logs it. Callers must have reserved summary room.
+    pub(crate) fn commit(&mut self, rec: Record) {
+        block_map::apply(&mut self.map, &mut self.lists, OPEN_SEG, &rec);
+        self.log(rec);
+    }
+
+    /// [`commit`](Self::commit), logged outside any user ARU.
+    pub(crate) fn commit_internal(&mut self, rec: Record) {
+        block_map::apply(&mut self.map, &mut self.lists, OPEN_SEG, &rec);
+        self.log_internal(rec);
     }
 
     /// Logs a record outside any user ARU (cleaner/reorganizer traffic).
@@ -963,19 +982,13 @@ impl<D: BlockDev> LogicalDisk for Lld<D> {
         let old = *self.map.get(bid.0).expect("entry verified above"); // PANIC-OK: presence checked at the top of the function
         self.kill_copy(&old);
         let offset = self.open.append_data(&stored);
-        self.log(Record::WriteBlock {
+        self.commit(Record::WriteBlock {
             bid: bid.0,
             offset,
             stored_len: stored.len() as u32,
             logical_len: data.len() as u32,
             compressed,
         });
-        let entry = self.map.get_mut(bid.0).expect("entry verified above"); // PANIC-OK: presence checked at the top of the function
-        entry.seg = OPEN_SEG;
-        entry.offset = offset;
-        entry.stored_len = stored.len() as u32;
-        entry.logical_len = data.len() as u32;
-        entry.compressed = compressed;
         self.open_live += stored.len() as u64;
         self.open_bids.push(bid.0);
         self.touch(bid.0);
@@ -1017,34 +1030,25 @@ impl<D: BlockDev> LogicalDisk for Lld<D> {
             lid: lid.0,
             size_class: size as u32,
         });
-        match pred {
+        let next = match pred {
             Pred::Start => {
-                let list = self.lists.get_mut(lid.0).expect("verified above"); // PANIC-OK: presence checked at the top of the function
-                let old_head = list.first.replace(bid);
-                self.map.get_mut(bid).expect("just allocated").next = old_head; // PANIC-OK: inserted a few lines up
-                self.log(Record::ListHead {
+                let old_head = self.lists.get(lid.0).and_then(|l| l.first);
+                self.commit(Record::ListHead {
                     lid: lid.0,
                     first: Some(bid),
                 });
-                self.log(Record::Link {
-                    bid,
-                    next: old_head,
-                });
+                old_head
             }
             Pred::After(p) => {
-                let pe = self.map.get_mut(p.0).expect("verified above"); // PANIC-OK: presence checked at the top of the function
-                let old_next = pe.next.replace(bid);
-                self.map.get_mut(bid).expect("just allocated").next = old_next; // PANIC-OK: inserted a few lines up
-                self.log(Record::Link {
+                let old_next = self.map.get(p.0).and_then(|e| e.next);
+                self.commit(Record::Link {
                     bid: p.0,
                     next: Some(bid),
                 });
-                self.log(Record::Link {
-                    bid,
-                    next: old_next,
-                });
+                old_next
             }
-        }
+        };
+        self.commit(Record::Link { bid, next });
         self.charge_cpu(2 * self.list_cpu());
         Ok(Bid(bid))
     }
@@ -1061,26 +1065,19 @@ impl<D: BlockDev> LogicalDisk for Lld<D> {
         self.rank_memo = None;
         // The entry may have moved during a seal; its links are unchanged.
         let e = *self.map.get(bid.0).expect("entry verified above"); // PANIC-OK: presence checked at the top of the function
-        match pred {
-            None => {
-                self.lists.get_mut(lid.0).expect("verified").first = e.next; // PANIC-OK: presence checked at the top of the function
-                self.log(Record::ListHead {
-                    lid: lid.0,
-                    first: e.next,
-                });
-            }
-            Some(p) => {
-                self.map.get_mut(p).expect("found by search").next = e.next; // PANIC-OK: the predecessor was found by the walk above
-                self.log(Record::Link {
-                    bid: p,
-                    next: e.next,
-                });
-            }
-        }
+        self.commit(match pred {
+            None => Record::ListHead {
+                lid: lid.0,
+                first: e.next,
+            },
+            Some(p) => Record::Link {
+                bid: p,
+                next: e.next,
+            },
+        });
         self.kill_copy(&e);
         self.allocated_logical -= u64::from(e.size_class);
-        self.map.free(bid.0);
-        self.log(Record::DeleteBlock { bid: bid.0 });
+        self.commit(Record::DeleteBlock { bid: bid.0 });
         self.charge_cpu(self.list_cpu());
         Ok(())
     }
@@ -1276,55 +1273,43 @@ impl<D: BlockDev> LogicalDisk for Lld<D> {
         let src_pred = self.find_pred(src.0, first.0, None)?;
         self.ensure_room(0, 4)?;
         self.rank_memo = None;
-        let after_chain = self.map.get(last.0).expect("walked").next; // PANIC-OK: the bid was read off the chain just walked
+        let after_chain = self.map.get(last.0).and_then(|e| e.next);
         // Unlink from src.
-        match src_pred {
-            None => {
-                self.lists.get_mut(src.0).expect("verified").first = after_chain; // PANIC-OK: presence checked at the top of the function
-                self.log(Record::ListHead {
-                    lid: src.0,
-                    first: after_chain,
-                });
-            }
-            Some(p) => {
-                self.map.get_mut(p).expect("found").next = after_chain; // PANIC-OK: the predecessor was found by the walk above
-                self.log(Record::Link {
-                    bid: p,
-                    next: after_chain,
-                });
-            }
-        }
+        self.commit(match src_pred {
+            None => Record::ListHead {
+                lid: src.0,
+                first: after_chain,
+            },
+            Some(p) => Record::Link {
+                bid: p,
+                next: after_chain,
+            },
+        });
         // Link into dst.
-        match dst_pred {
+        let next = match dst_pred {
             Pred::Start => {
-                let dl = self.lists.get_mut(dst.0).expect("verified"); // PANIC-OK: presence checked at the top of the function
-                let old = dl.first.replace(first.0);
-                self.map.get_mut(last.0).expect("walked").next = old; // PANIC-OK: the bid was read off the chain just walked
-                self.log(Record::ListHead {
+                let old_head = self.lists.get(dst.0).and_then(|l| l.first);
+                self.commit(Record::ListHead {
                     lid: dst.0,
                     first: Some(first.0),
                 });
-                self.log(Record::Link {
-                    bid: last.0,
-                    next: old,
-                });
+                old_head
             }
             Pred::After(p) => {
-                let pe = self.map.get_mut(p.0).expect("verified"); // PANIC-OK: presence checked at the top of the function
-                let old = pe.next.replace(first.0);
-                self.map.get_mut(last.0).expect("walked").next = old; // PANIC-OK: the bid was read off the chain just walked
-                self.log(Record::Link {
+                let old_next = self.map.get(p.0).and_then(|e| e.next);
+                self.commit(Record::Link {
                     bid: p.0,
                     next: Some(first.0),
                 });
-                self.log(Record::Link {
-                    bid: last.0,
-                    next: old,
-                });
+                old_next
             }
-        }
+        };
+        self.commit(Record::Link { bid: last.0, next });
+        // Ownership is not logged: recovery derives it by walking lists.
         for c in &chain {
-            self.map.get_mut(*c).expect("walked").list = dst.0; // PANIC-OK: the bid was read off the chain just walked
+            if let Some(e) = self.map.get_mut(*c) {
+                e.list = dst.0;
+            }
         }
         self.charge_cpu(2 * self.list_cpu() + chain.len() as u64 * self.walk_cpu());
         Ok(())
@@ -1333,19 +1318,20 @@ impl<D: BlockDev> LogicalDisk for Lld<D> {
     fn move_list(&mut self, lid: Lid, pred: PredList) -> Result<()> {
         self.check_up()?;
         self.charge_cpu(self.config.cpu.per_command_us);
+        if self.lists.get(lid.0).is_none() {
+            return Err(LdError::UnknownList(lid));
+        }
         let pred_raw = match pred {
             PredList::Start => None,
+            // A list cannot follow itself.
+            PredList::After(p) if p == lid || self.lists.get(p.0).is_none() => {
+                return Err(LdError::UnknownList(p));
+            }
             PredList::After(p) => Some(p.0),
         };
-        if pred_raw == Some(lid.0) {
-            return Err(LdError::UnknownList(lid));
-        }
         self.ensure_room(0, 1)?;
         self.rank_memo = None;
-        if !self.lists.move_after(lid.0, pred_raw) {
-            return Err(LdError::UnknownList(lid));
-        }
-        self.log(Record::ListOrder {
+        self.commit(Record::ListOrder {
             lid: lid.0,
             pred: pred_raw,
         });
@@ -1372,33 +1358,15 @@ impl<D: BlockDev> LogicalDisk for Lld<D> {
         if a == b {
             return Ok(());
         }
+        // The seal inside ensure_room may re-point open-segment copies;
+        // the swap reads both entries as they are after it.
         self.ensure_room(0, 1)?;
-        // The seal inside ensure_room may have re-pointed open-segment
-        // copies; re-read both entries before swapping.
-        let ea = *self.map.get(a.0).expect("verified above"); // PANIC-OK: presence checked at the top of the function
-        let eb = *self.map.get(b.0).expect("verified above"); // PANIC-OK: presence checked at the top of the function
-        {
-            let ma = self.map.get_mut(a.0).expect("verified above"); // PANIC-OK: presence checked at the top of the function
-            ma.seg = eb.seg;
-            ma.offset = eb.offset;
-            ma.stored_len = eb.stored_len;
-            ma.logical_len = eb.logical_len;
-            ma.compressed = eb.compressed;
-        }
-        {
-            let mb = self.map.get_mut(b.0).expect("verified above"); // PANIC-OK: presence checked at the top of the function
-            mb.seg = ea.seg;
-            mb.offset = ea.offset;
-            mb.stored_len = ea.stored_len;
-            mb.logical_len = ea.logical_len;
-            mb.compressed = ea.compressed;
-        }
         // Per-segment live bytes are unchanged (both copies stay live in
         // their segments), but open-segment bookkeeping must see both bids
         // so a later seal re-points whichever now lives in the buffer.
         self.open_bids.push(a.0);
         self.open_bids.push(b.0);
-        self.log(Record::Swap { a: a.0, b: b.0 });
+        self.commit(Record::Swap { a: a.0, b: b.0 });
         Ok(())
     }
 

@@ -6,7 +6,9 @@
 //! newest record per entity wins. Atomic recovery units are honoured by the
 //! paper's rule: records that do not end an ARU are queued until a record
 //! that does commit arrives (their own `EndARU` or any more recently
-//! committed operation); a trailing incomplete ARU is discarded.
+//! committed operation); a trailing incomplete ARU is discarded. Each
+//! record replays through `block_map::apply`, the function the live
+//! operations applied it with before logging it.
 //!
 //! No checkpoints are taken during normal operation — recovery cost is one
 //! summary read per segment, which §4.2 measures at 12 seconds for 788
@@ -18,14 +20,10 @@ use std::collections::HashSet;
 use ld_core::Result;
 use simdisk::BlockDev;
 
-use crate::block_map::{BlockEntry, BlockMap, ListTable, NO_SEG};
+use crate::block_map::{apply, BlockMap, ListTable, PROVISIONAL_LIST};
 use crate::records::{decode_summary, Record};
 use crate::usage::{SegState, SegUsage, UsageTable};
 use crate::{checkpoint, dev, Layout, Lld, LldConfig, DEFAULT_BLOCK_SIZE};
-
-/// Owner sentinel for blocks reconstructed from a `WriteBlock`/`Link`
-/// record before their `NewBlock` record was replayed.
-pub const PROVISIONAL_LIST: u64 = u64::MAX;
 
 /// Placeholder segment id for blocks whose data lives in the NVRAM image
 /// until it is materialized into a real segment.
@@ -199,11 +197,11 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
             Some(id) => {
                 // The unit's EndAru: commit its deferred records in order.
                 for p in pending.remove(&id).unwrap_or_default() {
-                    apply(&mut map, &mut lists, p);
+                    apply(&mut map, &mut lists, p.seg, &p.rec);
                 }
-                apply(&mut map, &mut lists, r);
+                apply(&mut map, &mut lists, r.seg, &r.rec);
             }
-            None => apply(&mut map, &mut lists, r),
+            None => apply(&mut map, &mut lists, r.seg, &r.rec),
         }
     }
     discarded += pending.values().map(|v| v.len() as u64).sum::<u64>();
@@ -244,7 +242,7 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
         .collect();
     let orphans = orphan_bids.len() as u64;
     for bid in orphan_bids {
-        map.remove_raw(bid);
+        map.free(bid);
     }
     // Blocks with a zero size class (provisional entries repaired by a
     // later NewBlock re-log always have one; be safe regardless).
@@ -379,105 +377,4 @@ fn break_chain(map: &mut BlockMap, lists: &mut ListTable, lid: u64, prev: Option
             }
         }
     }
-}
-
-fn apply(map: &mut BlockMap, lists: &mut ListTable, r: &SortRec) {
-    match r.rec {
-        Record::NewBlock {
-            bid,
-            lid,
-            size_class,
-        } => match map.get_mut(bid) {
-            // A cleaner re-log arriving after newer WriteBlock state must
-            // not clobber the physical fields.
-            Some(e) => {
-                e.list = lid;
-                e.size_class = size_class;
-            }
-            None => map.install(bid, BlockEntry::new(lid, size_class)),
-        },
-        Record::DeleteBlock { bid } => {
-            map.remove_raw(bid);
-        }
-        Record::WriteBlock {
-            bid,
-            offset,
-            stored_len,
-            logical_len,
-            compressed,
-        } => {
-            let e = ensure_block(map, bid);
-            e.seg = r.seg;
-            e.offset = offset;
-            e.stored_len = stored_len;
-            e.logical_len = logical_len;
-            e.compressed = compressed;
-        }
-        Record::Link { bid, next } => {
-            ensure_block(map, bid).next = next;
-        }
-        Record::ListHead { lid, first } => {
-            if lists.get(lid).is_none() {
-                lists.install(lid, None, ld_core::ListHints::default());
-            }
-            lists.get_mut(lid).expect("installed").first = first; // PANIC-OK: inserted a few lines up
-        }
-        Record::NewList { lid, pred, hints } => {
-            lists.install(lid, pred, hints);
-        }
-        Record::DeleteList { lid } => {
-            // Free the list's blocks as they are linked *right now* in the
-            // replay (matching the runtime semantics at that timestamp).
-            let mut cur = lists.get(lid).and_then(|e| e.first);
-            let mut guard = map.capacity_slots() + 1;
-            while let Some(b) = cur {
-                cur = map.get(b).and_then(|e| e.next);
-                map.remove_raw(b);
-                guard -= 1;
-                if guard == 0 {
-                    break;
-                }
-            }
-            lists.remove_raw(lid);
-        }
-        Record::ListOrder { lid, pred } => {
-            if lists.get(lid).is_some() {
-                lists.move_after(lid, pred.filter(|&p| lists.get(p).is_some()));
-            } else {
-                lists.install(lid, pred, ld_core::ListHints::default());
-            }
-        }
-        Record::EndAru => {}
-        Record::Swap { a, b } => {
-            // Swap the physical fields; skip unless both blocks exist at
-            // this point of the replay.
-            if map.get(a).is_some() && map.get(b).is_some() {
-                let ea = *map.get(a).expect("checked"); // PANIC-OK: presence checked on the lines above
-                let eb = *map.get(b).expect("checked"); // PANIC-OK: presence checked on the lines above
-                let ma = map.get_mut(a).expect("checked"); // PANIC-OK: presence checked on the lines above
-                ma.seg = eb.seg;
-                ma.offset = eb.offset;
-                ma.stored_len = eb.stored_len;
-                ma.logical_len = eb.logical_len;
-                ma.compressed = eb.compressed;
-                let mb = map.get_mut(b).expect("checked"); // PANIC-OK: presence checked on the lines above
-                mb.seg = ea.seg;
-                mb.offset = ea.offset;
-                mb.stored_len = ea.stored_len;
-                mb.logical_len = ea.logical_len;
-                mb.compressed = ea.compressed;
-            }
-        }
-        // Collected in a pre-pass (monotone facts, no ordering needed).
-        Record::RetireSector { .. } | Record::Quarantine { .. } => {}
-    }
-}
-
-fn ensure_block(map: &mut BlockMap, bid: u64) -> &mut BlockEntry {
-    if map.get(bid).is_none() {
-        let mut e = BlockEntry::new(PROVISIONAL_LIST, 0);
-        e.seg = NO_SEG;
-        map.install(bid, e);
-    }
-    map.get_mut(bid).expect("just installed") // PANIC-OK: inserted a few lines up
 }

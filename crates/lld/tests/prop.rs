@@ -6,7 +6,8 @@
 //!    contents).
 //! 2. **Crash-anywhere**: after a random prefix of operations and a crash,
 //!    recovery must reconstruct exactly the state as of the last `Flush`
-//!    (plus anything in sealed segments), with ARU atomicity.
+//!    (plus anything in sealed segments), with ARU atomicity, list order
+//!    and list hints.
 //! 3. **Cleaning amid list churn**: every operation that changes list
 //!    structure, interleaved with overwrite bursts that force cleaning and
 //!    with `reorganize` and `reorganize_hot`. Debug builds check every
@@ -106,7 +107,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (any::<prop::sample::Index>(), 0usize..2048, any::<u8>())
             .prop_map(|(l, len, seed)| Op::AruBlock { lid: l.index(64), len, seed }),
         1 => (any::<prop::sample::Index>(), any::<prop::sample::Index>())
-            .prop_map(|(l, p)| Op::MoveList { lid: l.index(64), pred: p.index(64) }),
+            .prop_map(|(l, p)| Op::MoveList { lid: l.index(64), pred: p.index(512) }),
         2 => (any::<prop::sample::Index>(), any::<prop::sample::Index>())
             .prop_map(|(a, b)| Op::Swap { a: a.index(64), b: b.index(64) }),
         2 => (any::<prop::sample::Index>(), 0u64..12)
@@ -139,7 +140,7 @@ fn churn_op_strategy() -> impl Strategy<Value = Op> {
                 pred: pred.index(64),
             }),
         2 => (any::<prop::sample::Index>(), any::<prop::sample::Index>())
-            .prop_map(|(l, p)| Op::MoveList { lid: l.index(64), pred: p.index(64) }),
+            .prop_map(|(l, p)| Op::MoveList { lid: l.index(64), pred: p.index(512) }),
         3 => (1usize..256, any::<u8>()).prop_map(|(blocks, seed)| Op::Burst { blocks, seed }),
         1 => (1u32..4).prop_map(|max| Op::Clean { max }),
         1 => (1usize..32).prop_map(|max| Op::ReorganizeHot { max }),
@@ -306,9 +307,16 @@ fn apply_both(
             let Some(l) = pick(lids, *lid) else {
                 return Ok(());
             };
-            let pred = match pick(lids, *pred) {
-                Some(p) if p != l => PredList::After(p),
-                _ => PredList::Start,
+            // Mostly a live predecessor; sometimes the list itself or the
+            // lowest id not live (a deleted list, or one never made), which
+            // both must reject, naming it, and leave the order as it was.
+            let pred = match *pred % 8 {
+                0 => PredList::After(l),
+                1 => PredList::After((0..).map(Lid).find(|x| !lids.contains(x)).unwrap()),
+                _ => match pick(lids, *pred / 8) {
+                    Some(p) if p != l => PredList::After(p),
+                    _ => PredList::Start,
+                },
             };
             let a = lld.move_list(l, pred);
             let m = model.move_list(l, pred);
@@ -429,6 +437,11 @@ fn check_equivalent(
     lids: &[Lid],
     bids: &[Bid],
 ) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        &lld.list_of_lists()[..],
+        model.list_of_lists(),
+        "list of lists"
+    );
     for l in lids {
         prop_assert_eq!(
             lld.list_blocks(*l),
@@ -502,6 +515,11 @@ proptest! {
         let snapshot = model.clone();
         let snap_lids = lids.clone();
         let snap_bids = bids.clone();
+        let snap_order: Vec<(Lid, Option<ListHints>)> = lld
+            .list_of_lists()
+            .into_iter()
+            .map(|l| (l, lld.list_hints(l)))
+            .collect();
 
         // Run the rest without flushing (ops may still seal segments on
         // their own — those survive; that is allowed by the contract, but
@@ -533,6 +551,13 @@ proptest! {
             // must equal the snapshot exactly.
             let mut snap = snapshot;
             check_equivalent(&mut rec, &mut snap, &snap_lids, &snap_bids)?;
+            // The list of lists and every list's hints come back too.
+            let order: Vec<(Lid, Option<ListHints>)> = rec
+                .list_of_lists()
+                .into_iter()
+                .map(|l| (l, rec.list_hints(l)))
+                .collect();
+            prop_assert_eq!(order, snap_order, "list order and hints after recovery");
             // Blocks created after the flush must not exist.
             for b in bids.iter().filter(|b| !snap_bids.contains(b)) {
                 let r = rec.read(*b, &mut vec![0u8; 8192]);

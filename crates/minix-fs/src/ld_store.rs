@@ -37,8 +37,6 @@ pub struct LdStore<D: BlockDev> {
     /// ("inserts its first block immediately after the last block of some
     /// other file").
     last_meta: Option<Bid>,
-    /// Whether file lists ask LLD for transparent compression.
-    compress: bool,
 }
 
 fn store_err(e: LdError) -> FsError {
@@ -76,7 +74,6 @@ impl<D: BlockDev> LdStore<D> {
             lld,
             meta_list,
             last_meta: Some(sb),
-            compress,
         })
     }
 
@@ -95,12 +92,10 @@ impl<D: BlockDev> LdStore<D> {
             .map_err(store_err)?
             .last()
             .copied();
-        let compress = false; // Informational only; lists carry their own hints.
         Ok(Self {
             lld,
             meta_list,
             last_meta,
-            compress,
         })
     }
 
@@ -207,11 +202,10 @@ impl<D: BlockDev> BlockStore for LdStore<D> {
             Some(g) => PredList::After(Lid(g - 1)),
             None => PredList::After(self.meta_list),
         };
-        let hints = if self.compress {
-            ListHints::compressed()
-        } else {
-            ListHints::default()
-        };
+        // Every file list takes the meta list's hints, which LLD keeps
+        // across checkpoints and recovery sweeps: a compressed store stays
+        // compressed after a remount.
+        let hints = self.lld.list_hints(self.meta_list).unwrap_or_default();
         let lid = match self.lld.new_list(pred, hints) {
             Ok(lid) => lid,
             // The neighbour hint may name a list deleted since (the hinted

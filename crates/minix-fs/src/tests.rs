@@ -274,6 +274,49 @@ fn sync_persists_across_crash_ld() {
 }
 
 #[test]
+fn compressed_store_keeps_compressing_after_remount() {
+    // File lists take their hints from the meta list, whose hints LLD
+    // carries through the crash and the recovery sweep.
+    let text: Vec<u8> = b"the logical disk separates file and disk management. "
+        .iter()
+        .copied()
+        .cycle()
+        .take(16 << 10)
+        .collect();
+    let store = LdStore::format_compressed(
+        MemDisk::with_capacity(16 << 20),
+        lld::LldConfig::small_for_tests(),
+    )
+    .unwrap();
+    let mut fs = MinixFs::format(store, FsConfig::small_for_tests()).unwrap();
+    let before = fs.create("/before").unwrap();
+    fs.write(before, 0, &text).unwrap();
+    fs.sync().unwrap();
+
+    let disk = fs.into_store().into_disk();
+    let store = LdStore::mount(disk, lld::LldConfig::small_for_tests()).unwrap();
+    let mut fs = MinixFs::mount(store, FsConfig::small_for_tests()).unwrap();
+    let after = fs.create("/after").unwrap();
+    fs.write(after, 0, &text).unwrap();
+    fs.sync().unwrap();
+
+    let lld = fs.store().lld();
+    for lid in lld.list_of_lists() {
+        assert_eq!(lld.list_hints(lid), Some(ld_core::ListHints::compressed()));
+    }
+    let stats = lld.stats();
+    assert!(
+        stats.stored_bytes_written * 2 < stats.user_bytes_written,
+        "after the remount {} user bytes were stored as {}",
+        stats.user_bytes_written,
+        stats.stored_bytes_written
+    );
+    let mut buf = vec![0u8; text.len()];
+    assert_eq!(fs.read(after, 0, &mut buf).unwrap(), text.len());
+    assert_eq!(buf, text);
+}
+
+#[test]
 fn many_files_in_one_directory() {
     // A miniature of the paper's small-file benchmark shape.
     on_both(|fs| {

@@ -620,6 +620,15 @@ fn ci() -> ExitCode {
                 &["test", "-q", "--release", "-p", "fsutil", "--test", "prop"],
             ),
         ),
+        // LLD against the model and against its own crash replay, on cases
+        // the plain test step never draws.
+        (
+            "lld replay differential",
+            Step::CargoEnv(
+                &[("PROPTEST_CASE_OFFSET", "1000000")],
+                &["test", "-q", "--release", "-p", "lld", "--test", "prop"],
+            ),
+        ),
         // Every experiment at quick scale, through both report renderers.
         (
             "repro smoke",
