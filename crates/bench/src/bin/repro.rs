@@ -52,23 +52,108 @@ type Experiment = (&'static str, &'static str, &'static str, fn(Opts) -> Report)
 
 /// Every experiment, in `repro all` order; `repro --list` prints them by id.
 const EXPERIMENTS: &[Experiment] = &[
-    ("calibrate", "E12", "disk-model calibration: 2400 vs ~300 KB/s raw streams (§4.2)", calibrate::run),
-    ("table2", "E1", "Table 2 — LLD main memory per GB of disk (§2.3)", table2::run),
-    ("table3", "E2", "Table 3 — % cost LLD adds to a disk (§2.3)", table3::run),
-    ("table4", "E3", "Table 4 — small-file create/read/delete, files/s (§4.2)", table4::run),
-    ("table5", "E4", "Table 5 — 80 MB large-file five-phase I/O, KB/s (§4.2)", table5::run),
-    ("table6", "E5", "Table 6 — blocks written per op vs Sprite LFS (§5.1)", table6::run),
-    ("recovery", "E6", "recovery time after failure: 12 s, 788 summaries (§4.2)", recovery::run),
-    ("lists", "E7", "the cost of supporting lists: ~15% on create/delete (§4.2)", lists::run),
-    ("segsize", "E8", "segment-size sweep: 512/256/128 KB within a few % (§4.2)", segsize::run),
-    ("inodes", "E9", "small-i-node-block variant: reads worse, writes same (§4.2)", inodes::run),
-    ("compression", "E10", "compression: 1600 KB/s write, 800 KB/s read (§4.2)", compression::run),
-    ("loge", "E11", "Loge comparison: write streams + ≥10x faster recovery (§5.2)", loge_cmp::run),
-    ("nvram", "E14", "extension: NVRAM flush absorption, Baker et al. (§5.3)", nvram_exp::run),
-    ("hotcold", "E15", "extension: adaptive block rearrangement, Akyürek & Salem (§5.3)", hotcold::run),
-    ("ablate", "E13", "ablations: cleaner policy, partial-segment threshold (§3.5, §3.2)", ablate::run),
-    ("faults", "E16", "extension: media faults — throughput, scrub, remap (§4.2 rig)", faults::run),
-    ("queueing", "E17", "command queueing: scheduler x depth sweep, write-behind (§4.2)", queueing::run),
+    (
+        "calibrate",
+        "E12",
+        "disk-model calibration: 2400 vs ~300 KB/s raw streams (§4.2)",
+        calibrate::run,
+    ),
+    (
+        "table2",
+        "E1",
+        "Table 2 — LLD main memory per GB of disk (§2.3)",
+        table2::run,
+    ),
+    (
+        "table3",
+        "E2",
+        "Table 3 — % cost LLD adds to a disk (§2.3)",
+        table3::run,
+    ),
+    (
+        "table4",
+        "E3",
+        "Table 4 — small-file create/read/delete, files/s (§4.2)",
+        table4::run,
+    ),
+    (
+        "table5",
+        "E4",
+        "Table 5 — 80 MB large-file five-phase I/O, KB/s (§4.2)",
+        table5::run,
+    ),
+    (
+        "table6",
+        "E5",
+        "Table 6 — blocks written per op vs Sprite LFS (§5.1)",
+        table6::run,
+    ),
+    (
+        "recovery",
+        "E6",
+        "recovery time after failure: 12 s, 788 summaries (§4.2)",
+        recovery::run,
+    ),
+    (
+        "lists",
+        "E7",
+        "the cost of supporting lists: ~15% on create/delete (§4.2)",
+        lists::run,
+    ),
+    (
+        "segsize",
+        "E8",
+        "segment-size sweep: 512/256/128 KB within a few % (§4.2)",
+        segsize::run,
+    ),
+    (
+        "inodes",
+        "E9",
+        "small-i-node-block variant: reads worse, writes same (§4.2)",
+        inodes::run,
+    ),
+    (
+        "compression",
+        "E10",
+        "compression: 1600 KB/s write, 800 KB/s read (§4.2)",
+        compression::run,
+    ),
+    (
+        "loge",
+        "E11",
+        "Loge comparison: write streams + ≥10x faster recovery (§5.2)",
+        loge_cmp::run,
+    ),
+    (
+        "nvram",
+        "E14",
+        "extension: NVRAM flush absorption, Baker et al. (§5.3)",
+        nvram_exp::run,
+    ),
+    (
+        "hotcold",
+        "E15",
+        "extension: adaptive block rearrangement, Akyürek & Salem (§5.3)",
+        hotcold::run,
+    ),
+    (
+        "ablate",
+        "E13",
+        "ablations: cleaner policy, partial-segment threshold (§3.5, §3.2)",
+        ablate::run,
+    ),
+    (
+        "faults",
+        "E16",
+        "extension: media faults — throughput, scrub, remap (§4.2 rig)",
+        faults::run,
+    ),
+    (
+        "queueing",
+        "E17",
+        "command queueing: scheduler x depth sweep, write-behind (§4.2)",
+        queueing::run,
+    ),
 ];
 
 /// Prints `msg` and exits with the usage-error status.
@@ -91,7 +176,13 @@ fn flag_value<'a>(args: &'a [String], flag: &str, what: &str) -> Option<&'a str>
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let names = || EXPERIMENTS.iter().map(|e| e.0).collect::<Vec<_>>().join(" ");
+    let names = || {
+        EXPERIMENTS
+            .iter()
+            .map(|e| e.0)
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
     if args.iter().any(|a| a == "--list") {
         println!("experiments (run with `repro [--quick] <name>...`):");
         let mut index: Vec<_> = EXPERIMENTS.iter().collect();
@@ -108,8 +199,12 @@ fn main() {
             fail(&format!("cannot write trace file {}: {e}", path.display()));
         }
     }
-    let faults = flag_value(&args, "--faults", "a spec argument (e.g. seed=7,transient=2000)")
-        .map(|spec| ld_bench::faultctl::parse_spec(spec).unwrap_or_else(|msg| fail(&msg)));
+    let faults = flag_value(
+        &args,
+        "--faults",
+        "a spec argument (e.g. seed=7,transient=2000)",
+    )
+    .map(|spec| ld_bench::faultctl::parse_spec(spec).unwrap_or_else(|msg| fail(&msg)));
     let json_out = flag_value(&args, "--json-out", "a file argument").map(PathBuf::from);
     let opts = Opts {
         quick: args.iter().any(|a| a == "--quick"),
@@ -157,7 +252,10 @@ fn main() {
             [one] => one.clone(),
             docs => format!(
                 "[\n{}\n]\n",
-                docs.iter().map(|d| d.trim_end()).collect::<Vec<_>>().join(",\n")
+                docs.iter()
+                    .map(|d| d.trim_end())
+                    .collect::<Vec<_>>()
+                    .join(",\n")
             ),
         };
         if let Err(e) = std::fs::write(path, doc) {

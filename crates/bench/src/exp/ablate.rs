@@ -115,7 +115,11 @@ pub fn run(opts: super::Opts) -> Report {
     }
 
     let mut report = Report::new("ablate", opts.quick);
-    report.note("E13: ablations\n\n").table(t1).note("\n").table(t2);
+    report
+        .note("E13: ablations\n\n")
+        .table(t1)
+        .note("\n")
+        .table(t2);
     report
 }
 

@@ -61,11 +61,25 @@ pub fn run(opts: super::Opts) -> Report {
             col("simulated", "simulated", ""),
         ],
     );
-    t.row(["0.5 MB sequential writes (KB/s)".into(), "2400".into(), num(seg_kbs, 0)])
-        .row(["back-to-back 4 KB writes (KB/s)".into(), "~300".into(), num(small_kbs, 0)])
-        .row(["average seek (ms)".into(), "11.5".into(), num(avg_seek_ms, 1)]);
+    t.row([
+        "0.5 MB sequential writes (KB/s)".into(),
+        "2400".into(),
+        num(seg_kbs, 0),
+    ])
+    .row([
+        "back-to-back 4 KB writes (KB/s)".into(),
+        "~300".into(),
+        num(small_kbs, 0),
+    ])
+    .row([
+        "average seek (ms)".into(),
+        "11.5".into(),
+        num(avg_seek_ms, 1),
+    ]);
     let mut report = Report::new("calibrate", opts.quick);
-    report.note("E12: raw-disk calibration (HP C3010 model)\n\n").table(t);
+    report
+        .note("E12: raw-disk calibration (HP C3010 model)\n\n")
+        .table(t);
     report
 }
 
@@ -73,7 +87,12 @@ pub fn run(opts: super::Opts) -> Report {
 mod tests {
     #[test]
     fn calibration_matches_paper_anchors() {
-        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None }).text();
+        let out = super::run(super::super::Opts {
+            quick: true,
+            trace: None,
+            faults: None,
+        })
+        .text();
         assert!(out.contains("2400"));
         // Extract the simulated segment throughput and check the band.
         let line = out

@@ -19,11 +19,7 @@ fn throughputs(disk_bytes: u64, file_bytes: u64, compress: bool) -> (f64, f64, f
         LdStore::format(rig::disk_sized(disk_bytes), rig::lld_config())
     }
     .expect("format");
-    let mut fs = MinixFs::format(
-        store,
-        rig::minix_config(),
-    )
-    .expect("format fs");
+    let mut fs = MinixFs::format(store, rig::minix_config()).expect("format fs");
 
     let chunk = 8192usize;
     let data = compressible_data(chunk, 0xC0);

@@ -74,7 +74,11 @@ fn create_read<S: BlockStore>(fs: &mut MinixFs<S>, n: usize, data: &[u8]) -> Res
         let mut buf = vec![0u8; data.len()];
         for i in 0..n {
             let h = fs.lookup(&format!("/f{i:04}"))?;
-            assert_eq!(fs.read(h, 0, &mut buf)?, data.len(), "short read under faults");
+            assert_eq!(
+                fs.read(h, 0, &mut buf)?,
+                data.len(),
+                "short read under faults"
+            );
             assert_eq!(buf, data, "a read returned wrong bytes");
             reads_done += 1;
         }
@@ -223,30 +227,49 @@ pub fn run(opts: super::Opts) -> Report {
 
     assert!(stats.retries > 0, "the media scan must have retried reads");
     assert!(remapped > 0, "the latent schedule must retire some sectors");
-    assert_eq!(unreadable, 0, "no live block may sit on a latent sector (re-tune SCRUB_SEED)");
-    assert_eq!(intact, survivors, "every surviving file must come through the scrub intact");
-    assert!(report.is_clean(), "scrubbed image must pass ldck: {:?}", report.findings);
+    assert_eq!(
+        unreadable, 0,
+        "no live block may sit on a latent sector (re-tune SCRUB_SEED)"
+    );
+    assert_eq!(
+        intact, survivors,
+        "every surviving file must come through the scrub intact"
+    );
+    assert!(
+        report.is_clean(),
+        "scrubbed image must pass ldck: {:?}",
+        report.findings
+    );
     assert_eq!(
         report.stats.bad_sectors, remapped,
         "the checkpointed remap table must carry every retired sector"
     );
 
-    let mut s = Table::new("", [col("quantity", "quantity", ""), col("value", "value", "")]);
-    s.row(["latent schedule (ppm)".into(), u64::from(scrub_cfg.latent_ppm).into()])
-        .row(["sectors retired to remap table".into(), remapped.into()])
-        .row(["live blocks relocated".into(), relocated.into()])
-        .row(["unreadable blocks".into(), unreadable.into()])
-        .row([format!("files intact (of {survivors})").into(), (intact as u64).into()])
-        .row(["read retries spent".into(), stats.retries.into()])
-        .row([
-            "ldck on final image".into(),
-            format!(
-                "{}, {} remap entries",
-                if report.is_clean() { "clean" } else { "errors" },
-                report.stats.bad_sectors
-            )
-            .into(),
-        ]);
+    let mut s = Table::new(
+        "",
+        [col("quantity", "quantity", ""), col("value", "value", "")],
+    );
+    s.row([
+        "latent schedule (ppm)".into(),
+        u64::from(scrub_cfg.latent_ppm).into(),
+    ])
+    .row(["sectors retired to remap table".into(), remapped.into()])
+    .row(["live blocks relocated".into(), relocated.into()])
+    .row(["unreadable blocks".into(), unreadable.into()])
+    .row([
+        format!("files intact (of {survivors})").into(),
+        (intact as u64).into(),
+    ])
+    .row(["read retries spent".into(), stats.retries.into()])
+    .row([
+        "ldck on final image".into(),
+        format!(
+            "{}, {} remap entries",
+            if report.is_clean() { "clean" } else { "errors" },
+            report.stats.bad_sectors
+        )
+        .into(),
+    ]);
     out.note(format!(
         "\nLatent-fault scrub ({} MB partition, media scan + relocate + remap):\n\n",
         demo_disk >> 20

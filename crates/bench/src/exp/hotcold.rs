@@ -89,7 +89,10 @@ pub fn run(opts: super::Opts) -> Report {
             col("hot-set segments", "hot_segments", ""),
         ],
     );
-    for (label, p) in [("before rearrangement", before), ("after rearrangement", after)] {
+    for (label, p) in [
+        ("before rearrangement", before),
+        ("after rearrangement", after),
+    ] {
         t.row([
             label.into(),
             num(p.avg_read_us / 1000.0, 2),

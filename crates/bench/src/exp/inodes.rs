@@ -53,7 +53,12 @@ pub fn run(opts: super::Opts) -> Report {
     );
     for (label, mode) in variants {
         let r = small_file(&mut build(disk_bytes, mode), n, 1 << 10);
-        t.row([label.into(), rate(r.create_per_s), rate(r.read_per_s), rate(r.delete_per_s)]);
+        t.row([
+            label.into(),
+            rate(r.create_per_s),
+            rate(r.read_per_s),
+            rate(r.delete_per_s),
+        ]);
     }
     report.table(t).note("\n");
 

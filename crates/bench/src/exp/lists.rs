@@ -14,7 +14,11 @@ fn run_variant(disk_bytes: u64, n: usize, maintain_lists: bool) -> (f64, f64, f6
         maintain_lists,
         ..rig::lld_config()
     };
-    let mut fs = MinixLld(rig::minix_lld_with(disk_bytes, lld_config, rig::minix_config()));
+    let mut fs = MinixLld(rig::minix_lld_with(
+        disk_bytes,
+        lld_config,
+        rig::minix_config(),
+    ));
     let r = small_file(&mut fs, n, 1 << 10);
     (r.create_per_s, r.read_per_s, r.delete_per_s)
 }
@@ -43,7 +47,12 @@ pub fn run(opts: super::Opts) -> Report {
         ("read", with.1, without.1),
         ("delete", with.2, without.2),
     ] {
-        t.row([phase.into(), rate(w), rate(wo), with_suffix(100.0 * (wo - w) / wo, 1, "%")]);
+        t.row([
+            phase.into(),
+            rate(w),
+            rate(wo),
+            with_suffix(100.0 * (wo - w) / wo, 1, "%"),
+        ]);
     }
     let mut report = Report::new("lists", opts.quick);
     report

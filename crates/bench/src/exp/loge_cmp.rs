@@ -37,8 +37,7 @@ pub fn run(opts: super::Opts) -> Report {
     let inplace_kbs = kb_per_s((nblocks * block) as u64, disk.now_us() - t0);
 
     // Loge.
-    let mut lg =
-        Loge::format(rig::disk_sized(disk_bytes)).expect("format loge");
+    let mut lg = Loge::format(rig::disk_sized(disk_bytes)).expect("format loge");
     let t0 = lg.disk().now_us();
     for &i in order.iter().take(nblocks) {
         lg.write((i % span) as u32, &data).expect("write");
@@ -81,9 +80,13 @@ pub fn run(opts: super::Opts) -> Report {
             col("recovery (s)", "recovery_s", "s"),
         ],
     );
-    t.row(["update-in-place".into(), rate(inplace_kbs), num(f64::NAN, 2)])
-        .row(["Loge".into(), rate(loge_kbs), secs(loge_rec_us)])
-        .row(["LLD".into(), rate(lld_kbs), secs(lld_rec_us)]);
+    t.row([
+        "update-in-place".into(),
+        rate(inplace_kbs),
+        num(f64::NAN, 2),
+    ])
+    .row(["Loge".into(), rate(loge_kbs), secs(loge_rec_us)])
+    .row(["LLD".into(), rate(lld_kbs), secs(lld_rec_us)]);
     let ratio = loge_rec_us as f64 / lld_rec_us.max(1) as f64;
     let mut report = Report::new("loge", opts.quick);
     report
@@ -103,7 +106,12 @@ pub fn run(opts: super::Opts) -> Report {
 mod tests {
     #[test]
     fn loge_relations_hold_quick() {
-        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None }).text();
+        let out = super::run(super::super::Opts {
+            quick: true,
+            trace: None,
+            faults: None,
+        })
+        .text();
         // Extract the recovery ratio line.
         let line = out
             .lines()

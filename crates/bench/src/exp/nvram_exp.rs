@@ -23,11 +23,7 @@ struct Row {
 fn run_one(disk_bytes: u64, nfiles: usize, nvram_bytes: usize) -> Row {
     let disk = rig::disk_sized(disk_bytes).with_nvram(nvram_bytes);
     let store = LdStore::format(disk, rig::lld_config()).expect("format");
-    let mut fs = MinixFs::format(
-        store,
-        rig::minix_config(),
-    )
-    .expect("mkfs");
+    let mut fs = MinixFs::format(store, rig::minix_config()).expect("mkfs");
     let data = compressible_data(2 << 10, 0x4E);
 
     let ops_before = {

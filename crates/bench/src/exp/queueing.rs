@@ -48,21 +48,54 @@ impl Point {
 /// The cleaner-under-load sweep: every scheduler at depth 4, FCFS at
 /// depths 0/1/4 as the baselines, SATF additionally at depth 8.
 pub const SWEEP: &[Point] = &[
-    Point { scheduler: Scheduler::Fcfs, depth: 0 },
-    Point { scheduler: Scheduler::Fcfs, depth: 1 },
-    Point { scheduler: Scheduler::Fcfs, depth: 4 },
-    Point { scheduler: Scheduler::Sstf, depth: 4 },
-    Point { scheduler: Scheduler::Look, depth: 4 },
-    Point { scheduler: Scheduler::Satf, depth: 4 },
-    Point { scheduler: Scheduler::Satf, depth: 8 },
+    Point {
+        scheduler: Scheduler::Fcfs,
+        depth: 0,
+    },
+    Point {
+        scheduler: Scheduler::Fcfs,
+        depth: 1,
+    },
+    Point {
+        scheduler: Scheduler::Fcfs,
+        depth: 4,
+    },
+    Point {
+        scheduler: Scheduler::Sstf,
+        depth: 4,
+    },
+    Point {
+        scheduler: Scheduler::Look,
+        depth: 4,
+    },
+    Point {
+        scheduler: Scheduler::Satf,
+        depth: 4,
+    },
+    Point {
+        scheduler: Scheduler::Satf,
+        depth: 8,
+    },
 ];
 
 /// The (cheaper) microbenchmark sweep.
 const MICRO_SWEEP: &[Point] = &[
-    Point { scheduler: Scheduler::Fcfs, depth: 0 },
-    Point { scheduler: Scheduler::Fcfs, depth: 1 },
-    Point { scheduler: Scheduler::Look, depth: 4 },
-    Point { scheduler: Scheduler::Satf, depth: 8 },
+    Point {
+        scheduler: Scheduler::Fcfs,
+        depth: 0,
+    },
+    Point {
+        scheduler: Scheduler::Fcfs,
+        depth: 1,
+    },
+    Point {
+        scheduler: Scheduler::Look,
+        depth: 4,
+    },
+    Point {
+        scheduler: Scheduler::Satf,
+        depth: 8,
+    },
 ];
 
 fn with_queue(base: LldConfig, p: Point) -> LldConfig {
@@ -151,14 +184,26 @@ pub fn micro(p: Point, disk_bytes: u64, nfiles: usize, large_bytes: u64) -> Micr
     q.depth_sum += q2.depth_sum;
     q.max_depth = q.max_depth.max(q2.max_depth);
 
-    MicroResult { small, large, queue: q }
+    MicroResult {
+        small,
+        large,
+        queue: q,
+    }
 }
 
 /// The leading columns of both sweep tables: the queue configuration.
-const POINT_COLS: [Col; 3] = [json_col("scheduler", ""), json_col("depth", ""), text_col("queue")];
+const POINT_COLS: [Col; 3] = [
+    json_col("scheduler", ""),
+    json_col("depth", ""),
+    text_col("queue"),
+];
 
 fn point_cells(p: Point) -> [Cell; 3] {
-    [p.scheduler.name().into(), u64::from(p.depth).into(), p.label().into()]
+    [
+        p.scheduler.name().into(),
+        u64::from(p.depth).into(),
+        p.label().into(),
+    ]
 }
 
 /// Runs both sweeps.
@@ -287,17 +332,26 @@ mod tests {
         let disk = 24 << 20;
         let writes = 4_000;
         let fcfs1 = cleaner_under_load(
-            Point { scheduler: Scheduler::Fcfs, depth: 1 },
+            Point {
+                scheduler: Scheduler::Fcfs,
+                depth: 1,
+            },
             disk,
             writes,
         );
         let look4 = cleaner_under_load(
-            Point { scheduler: Scheduler::Look, depth: 4 },
+            Point {
+                scheduler: Scheduler::Look,
+                depth: 4,
+            },
             disk,
             writes,
         );
         let satf8 = cleaner_under_load(
-            Point { scheduler: Scheduler::Satf, depth: 8 },
+            Point {
+                scheduler: Scheduler::Satf,
+                depth: 8,
+            },
             disk,
             writes,
         );
@@ -314,12 +368,18 @@ mod tests {
     #[test]
     fn depth1_matches_direct_path_throughput() {
         let off = cleaner_under_load(
-            Point { scheduler: Scheduler::Fcfs, depth: 0 },
+            Point {
+                scheduler: Scheduler::Fcfs,
+                depth: 0,
+            },
             16 << 20,
             2_000,
         );
         let one = cleaner_under_load(
-            Point { scheduler: Scheduler::Fcfs, depth: 1 },
+            Point {
+                scheduler: Scheduler::Fcfs,
+                depth: 1,
+            },
             16 << 20,
             2_000,
         );

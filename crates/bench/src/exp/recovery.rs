@@ -40,11 +40,7 @@ pub fn run(opts: super::Opts) -> Report {
     let t0 = disk.now_us();
     let store = LdStore::mount(disk, rig::lld_config()).expect("LD recovery");
     let lld_stats = *store.lld().stats();
-    let mut fs = MinixFs::mount(
-        store,
-        rig::minix_config(),
-    )
-    .expect("mount");
+    let mut fs = MinixFs::mount(store, rig::minix_config()).expect("mount");
     let total_us = fs.now_us() - t0;
 
     // Verify the recovered state actually works.
@@ -71,7 +67,11 @@ pub fn run(opts: super::Opts) -> Report {
         "788".into(),
         lld_stats.recovery_summaries_read.into(),
     ])
-    .row(["LD sweep time (s)".into(), "-".into(), secs(lld_stats.recovery_us)])
+    .row([
+        "LD sweep time (s)".into(),
+        "-".into(),
+        secs(lld_stats.recovery_us),
+    ])
     .row(["LD + MINIX total (s)".into(), "12".into(), secs(total_us)]);
     let mut report = Report::new("recovery", opts.quick);
     report
@@ -87,7 +87,12 @@ pub fn run(opts: super::Opts) -> Report {
 mod tests {
     #[test]
     fn recovery_runs_and_reads_only_summaries() {
-        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None }).text();
+        let out = super::run(super::super::Opts {
+            quick: true,
+            trace: None,
+            faults: None,
+        })
+        .text();
         assert!(out.contains("segment summaries read"));
     }
 }

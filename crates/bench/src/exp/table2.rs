@@ -45,9 +45,17 @@ pub fn run(opts: super::Opts) -> Report {
         ],
     );
     for (name, a, b) in [
-        ("Block-number map", single.block_map_bytes, comp.block_map_bytes),
+        (
+            "Block-number map",
+            single.block_map_bytes,
+            comp.block_map_bytes,
+        ),
         ("List table", single.list_table_bytes, comp.list_table_bytes),
-        ("Segment usage table", single.usage_table_bytes, comp.usage_table_bytes),
+        (
+            "Segment usage table",
+            single.usage_table_bytes,
+            comp.usage_table_bytes,
+        ),
         ("Total", single.total_bytes(), comp.total_bytes()),
     ] {
         t.row([name.into(), mb(a).into(), a.into(), mb(b).into(), b.into()]);
@@ -80,7 +88,12 @@ pub fn run(opts: super::Opts) -> Report {
 mod tests {
     #[test]
     fn table2_reproduces_paper_cells() {
-        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None }).text();
+        let out = super::run(super::super::Opts {
+            quick: true,
+            trace: None,
+            faults: None,
+        })
+        .text();
         assert!(out.contains("1.5 Mbyte"), "block map col 1:\n{out}");
         assert!(
             out.contains("3.8 Mbyte") || out.contains("3.7 Mbyte"),

@@ -60,7 +60,12 @@ pub fn run(opts: super::Opts) -> Report {
 mod tests {
     #[test]
     fn table3_reproduces_paper_cells() {
-        let out = super::run(super::super::Opts { quick: true, trace: None, faults: None }).text();
+        let out = super::run(super::super::Opts {
+            quick: true,
+            trace: None,
+            faults: None,
+        })
+        .text();
         // Paper cells: $30+$750 → 6%/18%; $50+$750 → 10%/31%;
         // $30+$1500 → 3%/9%; $50+$1500 → 5%/15%.
         assert!(out.contains("6% or 18%"), "{out}");

@@ -28,10 +28,12 @@ pub fn run(opts: super::Opts) -> Report {
         (n_small, 1 << 10, "1-Kbyte files"),
         (n_big, 10 << 10, "10-Kbyte files"),
     ] {
-        let (results, footnotes) =
-            on_paper_stacks(rig::PARTITION_BYTES, &opts, &format!("table4/{label}"), |fs| {
-                small_file(fs, n, bytes)
-            });
+        let (results, footnotes) = on_paper_stacks(
+            rig::PARTITION_BYTES,
+            &opts,
+            &format!("table4/{label}"),
+            |fs| small_file(fs, n, bytes),
+        );
         let mut t = Table::new(
             format!("{n} x {label}"),
             [

@@ -47,8 +47,13 @@ impl Cost {
 
     /// The breakdown cell, then the total on its own.
     fn cells(&self) -> [Cell; 2] {
-        let (total, data, inode, indirect, imap) =
-            (self.total(), self.data, self.inode, self.indirect, self.imap);
+        let (total, data, inode, indirect, imap) = (
+            self.total(),
+            self.data,
+            self.inode,
+            self.indirect,
+            self.imap,
+        );
         let breakdown =
             format!("{total:.2} (d {data:.2} + i {inode:.3} + ind {indirect:.2} + map {imap:.3})");
         [breakdown.into(), num(total, 2)]

@@ -29,8 +29,15 @@ impl Cell {
     fn text(&self) -> String {
         match self {
             Cell::Num { v, .. } if v.is_nan() => "-".to_string(),
-            Cell::Num { v, prec, signed: true, suffix } => format!("{v:+.prec$}{suffix}"),
-            Cell::Num { v, prec, suffix, .. } => format!("{v:.prec$}{suffix}"),
+            Cell::Num {
+                v,
+                prec,
+                signed: true,
+                suffix,
+            } => format!("{v:+.prec$}{suffix}"),
+            Cell::Num {
+                v, prec, suffix, ..
+            } => format!("{v:.prec$}{suffix}"),
             Cell::Int(n) => n.to_string(),
             Cell::Text(s) => s.clone(),
         }
@@ -66,7 +73,12 @@ impl From<String> for Cell {
 
 /// A number with `prec` decimals.
 pub fn num(v: f64, prec: usize) -> Cell {
-    Cell::Num { v, prec, signed: false, suffix: "" }
+    Cell::Num {
+        v,
+        prec,
+        signed: false,
+        suffix: "",
+    }
 }
 
 /// A rate (KB/s, files/s): a whole number, `-` when undefined.
@@ -81,12 +93,22 @@ pub fn secs(us: u64) -> Cell {
 
 /// A number followed by a unit symbol, such as `12.5%` or `1.24x`.
 pub fn with_suffix(v: f64, prec: usize, suffix: &'static str) -> Cell {
-    Cell::Num { v, prec, signed: false, suffix }
+    Cell::Num {
+        v,
+        prec,
+        signed: false,
+        suffix,
+    }
 }
 
 /// A relative change in whole percent, with its sign: `+0%`, `-14%`.
 pub fn change_pct(v: f64) -> Cell {
-    Cell::Num { v, prec: 0, signed: true, suffix: "%" }
+    Cell::Num {
+        v,
+        prec: 0,
+        signed: true,
+        suffix: "%",
+    }
 }
 
 /// A table column: its text header, its JSON key and the unit of its
@@ -149,14 +171,19 @@ struct Grid {
 impl Grid {
     /// Indices of the columns `keep` selects.
     fn columns(&self, keep: fn(&Col) -> bool) -> Vec<usize> {
-        (0..self.cols.len()).filter(|&i| keep(&self.cols[i])).collect()
+        (0..self.cols.len())
+            .filter(|&i| keep(&self.cols[i]))
+            .collect()
     }
 
     /// Aligned columns: the first left-aligned, the rest right-aligned.
     /// A zero-column table renders as an empty header and separator.
     fn text(&self) -> String {
         let shown = self.columns(|c| !c.head.is_empty());
-        let header: Vec<String> = shown.iter().map(|&i| self.cols[i].head.to_string()).collect();
+        let header: Vec<String> = shown
+            .iter()
+            .map(|&i| self.cols[i].head.to_string())
+            .collect();
         let rows: Vec<Vec<String>> = self
             .rows
             .iter()
@@ -203,7 +230,11 @@ impl Grid {
                 .collect::<Vec<_>>()
                 .join(", ")
         };
-        let unit = |i: usize| Some(self.cols[i].unit).filter(|u| !u.is_empty()).map(json_str);
+        let unit = |i: usize| {
+            Some(self.cols[i].unit)
+                .filter(|u| !u.is_empty())
+                .map(json_str)
+        };
         let rows: Vec<String> = self
             .rows
             .iter()
@@ -237,7 +268,11 @@ pub struct Report {
 impl Report {
     /// An empty report for experiment `id` (the `BENCH_<id>.json` name).
     pub fn new(id: &'static str, quick: bool) -> Self {
-        Self { id, quick, ..Self::default() }
+        Self {
+            id,
+            quick,
+            ..Self::default()
+        }
     }
 
     /// Appends free text, printed verbatim (with its own newlines) in
@@ -356,8 +391,12 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = Table::new("", [col("name", "", ""), col("v1", "", ""), col("v2", "", "")]);
-        t.row(["alpha".into(), 1.into(), 22.into()]).row(["b".into(), 333.into(), 4.into()]);
+        let mut t = Table::new(
+            "",
+            [col("name", "", ""), col("v1", "", ""), col("v2", "", "")],
+        );
+        t.row(["alpha".into(), 1.into(), 22.into()])
+            .row(["b".into(), 333.into(), 4.into()]);
         let s = report_of(t).text();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -418,7 +457,10 @@ mod tests {
         r.note("line one\nline \"two\"\t\\ end\u{1}\n");
         let j = r.json();
         assert!(j.contains(r#""title": "a \"quoted\"\\path""#), "{j}");
-        assert!(j.contains(r#""line one\nline \"two\"\t\\ end\u0001""#), "{j}");
+        assert!(
+            j.contains(r#""line one\nline \"two\"\t\\ end\u0001""#),
+            "{j}"
+        );
     }
 
     /// The text table and the JSON rows carry the same cells, in the same
@@ -427,10 +469,17 @@ mod tests {
     fn text_and_json_hold_the_same_cells() {
         let mut t = Table::new(
             "t",
-            [col("fs", "fs", ""), col("rate", "rate", "KB/s"), col("n", "n", "")],
+            [
+                col("fs", "fs", ""),
+                col("rate", "rate", "KB/s"),
+                col("n", "n", ""),
+            ],
         );
-        t.row(["MINIX LLD".into(), rate(1851.96), 7.into()])
-            .row(["MINIX".into(), rate(f64::NAN), 0.into()]);
+        t.row(["MINIX LLD".into(), rate(1851.96), 7.into()]).row([
+            "MINIX".into(),
+            rate(f64::NAN),
+            0.into(),
+        ]);
         let r = report_of(t);
         let text = r.text();
         let cells: Vec<Vec<&str>> = text
@@ -440,8 +489,14 @@ mod tests {
             .collect();
         assert_eq!(cells, [["7", "1852", "MINIX LLD"], ["0", "-", "MINIX"]]);
         let json = r.json();
-        assert!(json.contains(r#"{"fs": "MINIX LLD", "rate": 1852.0, "n": 7}"#), "{json}");
-        assert!(json.contains(r#"{"fs": "MINIX", "rate": null, "n": 0}"#), "{json}");
+        assert!(
+            json.contains(r#"{"fs": "MINIX LLD", "rate": 1852.0, "n": 7}"#),
+            "{json}"
+        );
+        assert!(
+            json.contains(r#"{"fs": "MINIX", "rate": null, "n": 0}"#),
+            "{json}"
+        );
     }
 
     #[test]
@@ -454,6 +509,9 @@ mod tests {
         let j = r.json();
         assert!(j.contains("  \"file_mb\": 80,\n"), "{j}");
         assert!(j.contains("{\"hidden\": 2}"), "{j}");
-        assert!(j.ends_with("  \"notes\": [\n    \"heading\"\n  ]\n}\n"), "{j}");
+        assert!(
+            j.ends_with("  \"notes\": [\n    \"heading\"\n  ]\n}\n"),
+            "{j}"
+        );
     }
 }

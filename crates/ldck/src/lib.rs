@@ -290,9 +290,7 @@ pub fn check_image(image: &[u8], config: &LldConfig) -> Report {
     }
     let total_sectors = (image.len() / SECTOR_SIZE) as u64;
     let segment_sectors = (config.segment_bytes / SECTOR_SIZE) as u64;
-    if segment_sectors == 0
-        || total_sectors.saturating_sub(HEADER_SECTORS) / segment_sectors == 0
-    {
+    if segment_sectors == 0 || total_sectors.saturating_sub(HEADER_SECTORS) / segment_sectors == 0 {
         report.push(
             Severity::Error,
             Kind::Geometry,
@@ -357,11 +355,7 @@ fn finish_stats(state: &State, report: &mut Report) {
     }
     report.stats.blocks = state.blocks.len() as u64;
     report.stats.lists = state.lists.len() as u64;
-    report.stats.nvram_blocks = state
-        .blocks
-        .values()
-        .filter(|b| b.seg == NVRAM_SEG)
-        .count() as u64;
+    report.stats.nvram_blocks = state.blocks.values().filter(|b| b.seg == NVRAM_SEG).count() as u64;
 }
 
 /// Decodes the summary region of every segment. `None` per segment means
@@ -782,7 +776,10 @@ fn check_state(
                     Severity::Error,
                     Kind::BlockOutOfBounds,
                     None,
-                    format!("block {bid} maps to segment {seg}, device has {}", layout.segments),
+                    format!(
+                        "block {bid} maps to segment {seg}, device has {}",
+                        layout.segments
+                    ),
                 );
                 continue;
             }
@@ -829,7 +826,10 @@ fn check_state(
                 }
                 *live.entry(seg).or_default() += u64::from(b.stored_len);
                 if b.stored_len > 0 {
-                    extents.entry(seg).or_default().push((b.offset, b.stored_len, bid));
+                    extents
+                        .entry(seg)
+                        .or_default()
+                        .push((b.offset, b.stored_len, bid));
                     if !bad.is_empty() {
                         let (start, count) =
                             layout.data_sector_span(seg, b.offset as usize, b.stored_len as usize);
@@ -935,7 +935,10 @@ fn check_chains(state: &State, authoritative: bool, report: &mut Report) {
                     Severity::Error,
                     Kind::ListOwnershipMismatch,
                     None,
-                    format!("block {b} is owned by list {} but chained on list {lid}", e.list),
+                    format!(
+                        "block {b} is owned by list {} but chained on list {lid}",
+                        e.list
+                    ),
                 );
             }
             cur = e.next;
@@ -951,7 +954,10 @@ fn check_chains(state: &State, authoritative: bool, report: &mut Report) {
                 Severity::Error,
                 Kind::UnreachableBlock,
                 None,
-                format!("block {bid} (list {}) is not reachable from any list head", b.list),
+                format!(
+                    "block {bid} (list {}) is not reachable from any list head",
+                    b.list
+                ),
             );
         } else if b.list == PROVISIONAL_LIST {
             report.push(

@@ -194,8 +194,7 @@ fn selftest() -> ExitCode {
         config.segment_bytes,
         config.summary_bytes,
     );
-    let lld::checkpoint::CheckpointPeek::Valid(view) =
-        lld::checkpoint::peek_image(&image, &layout)
+    let lld::checkpoint::CheckpointPeek::Valid(view) = lld::checkpoint::peek_image(&image, &layout)
     else {
         return fail("clean image lost its checkpoint");
     };

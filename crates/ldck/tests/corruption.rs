@@ -205,7 +205,10 @@ fn tampered_usage_accounting_is_flagged() {
 /// Appends a bad-block remap table holding `sectors` verbatim to a
 /// fault-free checkpoint, whose payload ends with the usage table.
 fn forge_remap_table(image: &mut [u8], layout: &Layout, view: &CheckpointView, sectors: &[u64]) {
-    assert!(view.bad_sectors.is_empty(), "image already has a remap table");
+    assert!(
+        view.bad_sectors.is_empty(),
+        "image already has a remap table"
+    );
     patch_payload(image, layout, view, |payload| {
         payload.extend_from_slice(&(sectors.len() as u64).to_le_bytes());
         for s in sectors {
@@ -224,7 +227,11 @@ fn live_block_on_remapped_sector_is_flagged() {
         .blocks
         .iter()
         .find(|(_, b)| b.seg < layout.segments && b.stored_len > 0)
-        .map(|(_, b)| layout.data_sector_span(b.seg, b.offset as usize, b.stored_len as usize).0)
+        .map(|(_, b)| {
+            layout
+                .data_sector_span(b.seg, b.offset as usize, b.stored_len as usize)
+                .0
+        })
         .expect("an on-disk live block");
     forge_remap_table(&mut image, &layout, &view, &[live_sector]);
     let report = check_image(&image, &config());
@@ -295,7 +302,10 @@ fn checkpoint_rejection_classes_agree_between_open_and_ldck() {
     let swept = |image: &[u8], class: &str| {
         let (from_checkpoint, swept) = open_image(image).expect("open falls back to the sweep");
         assert!(!from_checkpoint, "{class}: the checkpoint must be rejected");
-        assert_eq!(swept, tables, "{class}: the sweep must rebuild the checkpoint's state");
+        assert_eq!(
+            swept, tables,
+            "{class}: the sweep must rebuild the checkpoint's state"
+        );
     };
 
     // (b) Marker cleared: the post-crash state, not corruption.
@@ -320,7 +330,9 @@ fn checkpoint_rejection_classes_agree_between_open_and_ldck() {
     // (e) A payload that passes its checksum but does not parse: start-up
     // refuses the image rather than sweeping past a forged checkpoint.
     let mut unparsable = image.clone();
-    patch_payload(&mut unparsable, &layout, &view, |payload| payload.truncate(20));
+    patch_payload(&mut unparsable, &layout, &view, |payload| {
+        payload.truncate(20)
+    });
     match open_image(&unparsable) {
         Err(LdError::Device(msg)) => assert!(msg.contains("failed to parse"), "{msg}"),
         other => panic!("unparsable checkpoint: expected a device error, got {other:?}"),
@@ -380,21 +392,72 @@ fn overlapping_extents_are_flagged() {
         aru: None,
         rec,
     };
-    b.push(stamp(ts0, Record::NewList { lid: 99, pred: None, hints: ListHints::default() }));
-    b.push(stamp(ts0 + 1, Record::NewBlock { bid: 9001, lid: 99, size_class: 4096 }));
+    b.push(stamp(
+        ts0,
+        Record::NewList {
+            lid: 99,
+            pred: None,
+            hints: ListHints::default(),
+        },
+    ));
+    b.push(stamp(
+        ts0 + 1,
+        Record::NewBlock {
+            bid: 9001,
+            lid: 99,
+            size_class: 4096,
+        },
+    ));
     b.push(stamp(
         ts0 + 2,
-        Record::WriteBlock { bid: 9001, offset: 0, stored_len: 4096, logical_len: 4096, compressed: false },
+        Record::WriteBlock {
+            bid: 9001,
+            offset: 0,
+            stored_len: 4096,
+            logical_len: 4096,
+            compressed: false,
+        },
     ));
-    b.push(stamp(ts0 + 3, Record::NewBlock { bid: 9002, lid: 99, size_class: 4096 }));
+    b.push(stamp(
+        ts0 + 3,
+        Record::NewBlock {
+            bid: 9002,
+            lid: 99,
+            size_class: 4096,
+        },
+    ));
     b.push(stamp(
         ts0 + 4,
         // Overlaps 9001's 0..4096 extent.
-        Record::WriteBlock { bid: 9002, offset: 2048, stored_len: 4096, logical_len: 4096, compressed: false },
+        Record::WriteBlock {
+            bid: 9002,
+            offset: 2048,
+            stored_len: 4096,
+            logical_len: 4096,
+            compressed: false,
+        },
     ));
-    b.push(stamp(ts0 + 5, Record::ListHead { lid: 99, first: Some(9001) }));
-    b.push(stamp(ts0 + 6, Record::Link { bid: 9001, next: Some(9002) }));
-    b.push(stamp(ts0 + 7, Record::Link { bid: 9002, next: None }));
+    b.push(stamp(
+        ts0 + 5,
+        Record::ListHead {
+            lid: 99,
+            first: Some(9001),
+        },
+    ));
+    b.push(stamp(
+        ts0 + 6,
+        Record::Link {
+            bid: 9001,
+            next: Some(9002),
+        },
+    ));
+    b.push(stamp(
+        ts0 + 7,
+        Record::Link {
+            bid: 9002,
+            next: None,
+        },
+    ));
     let summary = b.finish(forged_seq, layout.summary_bytes);
     let base = layout.summary_base(free_seg) as usize * SECTOR_SIZE;
     image[base..base + layout.summary_bytes].copy_from_slice(&summary);

@@ -37,7 +37,8 @@ pub(crate) fn open<D: BlockDev>(mut disk: D, config: LldConfig) -> Result<Lld<D>
         config.summary_bytes,
     );
     let mut retries = 0u64;
-    if let Some(state) = checkpoint::try_load(&mut disk, &layout, config.read_retries, &mut retries)?
+    if let Some(state) =
+        checkpoint::try_load(&mut disk, &layout, config.read_retries, &mut retries)?
     {
         let mut lld = Lld::from_parts(
             disk,

@@ -102,7 +102,9 @@ impl LldStats {
                 .checked_sub(earlier.list_records_logged)?,
             records_logged: self.records_logged.checked_sub(earlier.records_logged)?,
             cleaner_runs: self.cleaner_runs.checked_sub(earlier.cleaner_runs)?,
-            segments_cleaned: self.segments_cleaned.checked_sub(earlier.segments_cleaned)?,
+            segments_cleaned: self
+                .segments_cleaned
+                .checked_sub(earlier.segments_cleaned)?,
             cleaner_bytes_copied: self
                 .cleaner_bytes_copied
                 .checked_sub(earlier.cleaner_bytes_copied)?,
@@ -114,7 +116,9 @@ impl LldStats {
                 .checked_sub(earlier.reorganized_lists)?,
             nvram_saves: self.nvram_saves.checked_sub(earlier.nvram_saves)?,
             retries: self.retries.checked_sub(earlier.retries)?,
-            remapped_sectors: self.remapped_sectors.checked_sub(earlier.remapped_sectors)?,
+            remapped_sectors: self
+                .remapped_sectors
+                .checked_sub(earlier.remapped_sectors)?,
             unreadable_blocks: self
                 .unreadable_blocks
                 .checked_sub(earlier.unreadable_blocks)?,

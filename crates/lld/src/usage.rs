@@ -373,7 +373,10 @@ mod tests {
         // Same utilization, different age: the older one wins.
         t.add_live(a, 500, 1);
         t.add_live(b, 500, 99);
-        assert_eq!(t.pick_victims(CleaningPolicy::CostBenefit, 1000, 100, 1), [a]);
+        assert_eq!(
+            t.pick_victims(CleaningPolicy::CostBenefit, 1000, 100, 1),
+            [a]
+        );
     }
 
     #[test]
@@ -381,7 +384,9 @@ mod tests {
         let mut t = UsageTable::new(2);
         let a = t.alloc_near(0).unwrap();
         t.add_live(a, 1000, 1);
-        assert!(t.pick_victims(CleaningPolicy::Greedy, 1000, 5, 1).is_empty());
+        assert!(t
+            .pick_victims(CleaningPolicy::Greedy, 1000, 5, 1)
+            .is_empty());
     }
 
     #[test]
@@ -394,7 +399,9 @@ mod tests {
         // Accounting survives (unevacuated blocks still map here).
         assert_eq!(t.get(a).live_bytes, 700);
         // Not a victim, not allocatable, and release is a no-op.
-        assert!(t.pick_victims(CleaningPolicy::Greedy, 1000, 9, 1).is_empty());
+        assert!(t
+            .pick_victims(CleaningPolicy::Greedy, 1000, 9, 1)
+            .is_empty());
         t.release(a);
         assert_eq!(t.get(a).state, SegState::Quarantined);
         assert_eq!(t.free_count(), 2);

@@ -109,7 +109,10 @@ fn scrub_relocates_remaps_and_quarantines() {
     let (_, remapped, _) = lld.media_scan().expect("media scan");
     assert!(remapped > 0, "the schedule must retire some sectors");
     assert_eq!(lld.bad_sector_table().len() as u64, remapped);
-    assert!(lld.quarantined_segments() > 0, "bad sectors imply quarantine");
+    assert!(
+        lld.quarantined_segments() > 0,
+        "bad sectors imply quarantine"
+    );
     // Surviving blocks: either intact or reported, never silently wrong.
     let mut buf = vec![0u8; 4096];
     for (b, d) in blocks.iter().step_by(2) {
@@ -202,7 +205,10 @@ fn reorganizers_leave_unreadable_blocks_in_place() {
             Err(e) => panic!("unexpected error {e:?}"),
         }
     }
-    assert!(!stranded.is_empty(), "2% latent faults must strand some blocks");
+    assert!(
+        !stranded.is_empty(),
+        "2% latent faults must strand some blocks"
+    );
 
     let (rewritten, _) = lld.reorganize(2, 0).expect("reorganize");
     assert_eq!(rewritten, 2, "both lists are fragmented");

@@ -91,7 +91,9 @@ fn build_image(
 ) -> Vec<u8> {
     let mut lld = Lld::format(SimDisk::hp_c3010_with_capacity(CAPACITY), test_config()).unwrap();
     let lid = lld.new_list(PredList::Start, ListHints::default()).unwrap();
-    let lid2 = lld.new_list(PredList::After(lid), ListHints::default()).unwrap();
+    let lid2 = lld
+        .new_list(PredList::After(lid), ListHints::default())
+        .unwrap();
     let mut blocks = Vec::new();
     for i in 0..nblocks {
         let l = if i % 3 == 0 { lid2 } else { lid };

@@ -69,8 +69,7 @@ impl SuperBlock {
         if data.len() < need {
             return Err(FsError::BadSuperblock);
         }
-        let mut read =
-            |i: usize| wire::le_u32(data, 20 + 4 * i);
+        let mut read = |i: usize| wire::le_u32(data, 20 + 4 * i);
         let inode_containers = (0..nc).map(&mut read).collect();
         let bitmap_blocks = (nc..nc + nb).map(&mut read).collect();
         Ok(Self {

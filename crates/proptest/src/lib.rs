@@ -282,12 +282,12 @@ pub mod strategy {
             }
         };
     }
-    impl_tuple_strategy!(A/a);
-    impl_tuple_strategy!(A/a, B/b);
-    impl_tuple_strategy!(A/a, B/b, C/c);
-    impl_tuple_strategy!(A/a, B/b, C/c, D/d);
-    impl_tuple_strategy!(A/a, B/b, C/c, D/d, E/e);
-    impl_tuple_strategy!(A/a, B/b, C/c, D/d, E/e, F/f);
+    impl_tuple_strategy!(A / a);
+    impl_tuple_strategy!(A / a, B / b);
+    impl_tuple_strategy!(A / a, B / b, C / c);
+    impl_tuple_strategy!(A / a, B / b, C / c, D / d);
+    impl_tuple_strategy!(A / a, B / b, C / c, D / d, E / e);
+    impl_tuple_strategy!(A / a, B / b, C / c, D / d, E / e, F / f);
 }
 
 pub mod arbitrary {
@@ -426,7 +426,12 @@ pub mod collection {
         type Value = Vec<S::Value>;
         fn new_value(&self, rng: &mut TestRng) -> Self::Value {
             let span = (self.size.max - self.size.min) as u64;
-            let len = self.size.min + if span > 0 { rng.below(span) as usize } else { 0 };
+            let len = self.size.min
+                + if span > 0 {
+                    rng.below(span) as usize
+                } else {
+                    0
+                };
             (0..len).map(|_| self.element.new_value(rng)).collect()
         }
     }

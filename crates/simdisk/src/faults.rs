@@ -65,9 +65,8 @@ pub(crate) struct FaultState {
 
 /// SplitMix64-style mixer: a high-quality pure hash of (seed, salt, x).
 fn mix(seed: u64, salt: u64, x: u64) -> u64 {
-    let mut z = seed
-        ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let mut z =
+        seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -105,9 +104,10 @@ impl FaultState {
             return true;
         }
         if scheduled(mix(seed, SALT_TRANSIENT, sector), self.config.transient_ppm) {
-            let budget = 1 + (mix(seed, SALT_TRANSIENT_COUNT, sector)
-                % u64::from(self.config.transient_max_failures.max(1)))
-                as u32;
+            let budget = 1
+                + (mix(seed, SALT_TRANSIENT_COUNT, sector)
+                    % u64::from(self.config.transient_max_failures.max(1)))
+                    as u32;
             let delivered = self.transient_fails.entry(sector).or_insert(0);
             if *delivered < budget {
                 *delivered += 1;
@@ -139,8 +139,10 @@ impl FaultState {
     /// a grown defect (the data was written, but the sector will fail
     /// every subsequent read).
     pub(crate) fn write_grows_defect(&mut self, sector: u64) -> bool {
-        if scheduled(mix(self.config.seed, SALT_GROWN, sector), self.config.grown_ppm)
-            && self.grown_bad.insert(sector)
+        if scheduled(
+            mix(self.config.seed, SALT_GROWN, sector),
+            self.config.grown_ppm,
+        ) && self.grown_bad.insert(sector)
         {
             return true;
         }

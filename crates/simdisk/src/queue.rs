@@ -240,7 +240,11 @@ impl RequestQueue {
         let tag = match self.pending.back_mut() {
             Some(Request {
                 tag,
-                op: Op::Write { sector: s0, data: d0 },
+                op:
+                    Op::Write {
+                        sector: s0,
+                        data: d0,
+                    },
             }) if *s0 + (d0.len() / SECTOR_SIZE) as u64 == sector
                 && (d0.len() / SECTOR_SIZE) as u64 + count <= MAX_COALESCED_SECTORS =>
             {
@@ -306,7 +310,10 @@ impl RequestQueue {
     /// ties break by position in `eligible` (== submission order).
     fn pick<D: BlockDev>(&mut self, disk: &D, eligible: &[usize]) -> usize {
         let cyl_of = |i: usize| {
-            let (sector, _) = self.pending[i].op.span().expect("eligible is never a barrier"); // PANIC-OK: eligible() filters barriers out
+            let (sector, _) = self.pending[i]
+                .op
+                .span()
+                .expect("eligible is never a barrier"); // PANIC-OK: eligible() filters barriers out
             disk.sched_cylinder(sector)
         };
         match self.scheduler {
@@ -549,7 +556,10 @@ mod tests {
         q.submit_read(&d, far, 1);
         let done = q.drain(&mut d);
         assert!(done[0].write);
-        assert_eq!(done[1].result.as_ref().unwrap().as_deref(), Some(&[0x77u8; SECTOR_SIZE][..]));
+        assert_eq!(
+            done[1].result.as_ref().unwrap().as_deref(),
+            Some(&[0x77u8; SECTOR_SIZE][..])
+        );
     }
 
     #[test]
@@ -583,7 +593,10 @@ mod tests {
         let mut buf = vec![0u8; 4 * SECTOR_SIZE];
         d.read_sectors(99, &mut buf).unwrap();
         assert_eq!(&buf[..SECTOR_SIZE], &[3u8; SECTOR_SIZE][..]);
-        assert_eq!(&buf[SECTOR_SIZE..3 * SECTOR_SIZE], &vec![1u8; 2 * SECTOR_SIZE][..]);
+        assert_eq!(
+            &buf[SECTOR_SIZE..3 * SECTOR_SIZE],
+            &vec![1u8; 2 * SECTOR_SIZE][..]
+        );
         assert_eq!(&buf[3 * SECTOR_SIZE..], &[2u8; SECTOR_SIZE][..]);
     }
 

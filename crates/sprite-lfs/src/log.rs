@@ -516,9 +516,7 @@ impl<D: BlockDev> SpriteLfs<D> {
         }
         let mut block = vec![0u8; BLOCK];
         self.read_phys(addr, &mut block)?;
-        Ok((0..PPB)
-            .map(|i| wire::le_u32(&block, 4 * i))
-            .collect())
+        Ok((0..PPB).map(|i| wire::le_u32(&block, 4 * i)).collect())
     }
 
     fn block_addr(&mut self, ino: u32, idx: u64) -> Result<u32> {
@@ -747,11 +745,7 @@ impl<D: BlockDev> SpriteLfs<D> {
             if wire::fnv1a64(&block[..end]) != sum {
                 continue;
             }
-            let addrs: Vec<u32> = (0..n)
-                .map(|i| {
-                    wire::le_u32(&block, 16 + 4 * i)
-                })
-                .collect();
+            let addrs: Vec<u32> = (0..n).map(|i| wire::le_u32(&block, 16 + 4 * i)).collect();
             if best.as_ref().is_none_or(|(s, _)| seq > *s) {
                 best = Some((seq, addrs));
             }
@@ -915,11 +909,7 @@ impl<D: BlockDev> SpriteLfs<D> {
                     let ino = *a;
                     let table = *b;
                     let block = &body[(1 + i) * BLOCK..(2 + i) * BLOCK];
-                    let content: Vec<u32> = (0..PPB)
-                        .map(|k| {
-                            wire::le_u32(block, 4 * k)
-                        })
-                        .collect();
+                    let content: Vec<u32> = (0..PPB).map(|k| wire::le_u32(block, 4 * k)).collect();
                     if self.imap.get(ino as usize).copied().unwrap_or(0) != 0
                         || self.dirty_inodes.contains_key(&ino)
                     {

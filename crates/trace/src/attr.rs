@@ -150,10 +150,7 @@ mod tests {
         assert!(a.render().contains("memo"));
         assert!(a.footnote().contains("retry memo 25 us"));
         // Zero memo leaves the rendering untouched (zero-cost when off).
-        let quiet = Attribution {
-            retry_us: 0,
-            ..a
-        };
+        let quiet = Attribution { retry_us: 0, ..a };
         assert!(!quiet.render().contains("memo"));
         assert!(!quiet.footnote().contains("memo"));
     }
@@ -201,7 +198,14 @@ mod tests {
             ..Attribution::default()
         };
         let f = a.footnote();
-        for needle in ["seek 1", "rotation 2", "transfer 3", "switch 4", "overhead 5", "busy 15"] {
+        for needle in [
+            "seek 1",
+            "rotation 2",
+            "transfer 3",
+            "switch 4",
+            "overhead 5",
+            "busy 15",
+        ] {
             assert!(f.contains(needle), "missing {needle} in {f}");
         }
     }

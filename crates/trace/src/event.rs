@@ -288,8 +288,15 @@ impl std::fmt::Display for TraceEvent {
             Event::FsOp { op, start_us, us } => {
                 write!(f, "FsOp         {} started {start_us}, {us} us", op.name())
             }
-            Event::ReadRetry { sector, attempt, us } => {
-                write!(f, "ReadRetry    sector {sector}, attempt {attempt}, {us} us")
+            Event::ReadRetry {
+                sector,
+                attempt,
+                us,
+            } => {
+                write!(
+                    f,
+                    "ReadRetry    sector {sector}, attempt {attempt}, {us} us"
+                )
             }
             Event::SectorRemap { sector } => write!(f, "SectorRemap  sector {sector}"),
             Event::ScrubPass {

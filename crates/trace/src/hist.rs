@@ -88,17 +88,15 @@ impl Histogram {
     pub fn render(&self, name: &str, unit: &str) -> String {
         let mut out = format!(
             "{name}: n={} mean={} max={} {unit}\n",
-            self.count, self.mean(), self.max
+            self.count,
+            self.mean(),
+            self.max
         );
         if self.count == 0 {
             return out;
         }
         let peak = self.buckets.iter().copied().max().unwrap_or(1).max(1);
-        let hi = self
-            .buckets
-            .iter()
-            .rposition(|&c| c > 0)
-            .unwrap_or(0);
+        let hi = self.buckets.iter().rposition(|&c| c > 0).unwrap_or(0);
         let lo = self.buckets.iter().position(|&c| c > 0).unwrap_or(0);
         for i in lo..=hi {
             let c = self.buckets[i];

@@ -54,7 +54,12 @@ pub fn get_u64_array(line: &str, key: &str) -> Option<Vec<u64>> {
 
 /// Encodes one stamped event as a JSONL line (no trailing newline).
 pub fn encode_event(e: &TraceEvent) -> String {
-    let head = format!("{{\"at_us\":{},\"seq\":{},\"ev\":\"{}\"", e.at_us, e.seq, e.event.name());
+    let head = format!(
+        "{{\"at_us\":{},\"seq\":{},\"ev\":\"{}\"",
+        e.at_us,
+        e.seq,
+        e.event.name()
+    );
     let body = match e.event {
         Event::SeekStart { from_cyl, to_cyl } => {
             format!(",\"from_cyl\":{from_cyl},\"to_cyl\":{to_cyl}")
@@ -242,28 +247,77 @@ mod tests {
     #[test]
     fn every_event_variant_roundtrips() {
         let events = [
-            Event::SeekStart { from_cyl: 3, to_cyl: 900 },
+            Event::SeekStart {
+                from_cyl: 3,
+                to_cyl: 900,
+            },
             Event::SeekDone { us: 11_500 },
             Event::RotWait { us: 5_500 },
-            Event::Transfer { sectors: 8, us: 408 },
+            Event::Transfer {
+                sectors: 8,
+                us: 408,
+            },
             Event::HeadSwitch { us: 1_600 },
             Event::CmdOverhead { us: 1_100 },
-            Event::CacheHit { sector: 40, sectors: 8 },
-            Event::CacheMiss { sector: 48, sectors: 8 },
-            Event::SegmentSeal { seg: 7, write_seq: 42, fill_bytes: 500_000, cap_bytes: 520_192 },
-            Event::PartialWrite { seg: 8, bytes: 12_000 },
-            Event::CleanerPass { reclaimed: 3, bytes_copied: 90_000 },
-            Event::RecoverySweep { summaries: 788, us: 12_000_000 },
-            Event::FsOp { op: FsOpKind::Create, start_us: 100, us: 250 },
-            Event::ReadRetry { sector: 4096, attempt: 2, us: 14_000 },
+            Event::CacheHit {
+                sector: 40,
+                sectors: 8,
+            },
+            Event::CacheMiss {
+                sector: 48,
+                sectors: 8,
+            },
+            Event::SegmentSeal {
+                seg: 7,
+                write_seq: 42,
+                fill_bytes: 500_000,
+                cap_bytes: 520_192,
+            },
+            Event::PartialWrite {
+                seg: 8,
+                bytes: 12_000,
+            },
+            Event::CleanerPass {
+                reclaimed: 3,
+                bytes_copied: 90_000,
+            },
+            Event::RecoverySweep {
+                summaries: 788,
+                us: 12_000_000,
+            },
+            Event::FsOp {
+                op: FsOpKind::Create,
+                start_us: 100,
+                us: 250,
+            },
+            Event::ReadRetry {
+                sector: 4096,
+                attempt: 2,
+                us: 14_000,
+            },
             Event::SectorRemap { sector: 4096 },
-            Event::ScrubPass { relocated: 12, remapped: 3, unreadable: 0 },
-            Event::QueueSubmit { tag: 17, sector: 2048, sectors: 128 },
+            Event::ScrubPass {
+                relocated: 12,
+                remapped: 3,
+                unreadable: 0,
+            },
+            Event::QueueSubmit {
+                tag: 17,
+                sector: 2048,
+                sectors: 128,
+            },
             Event::QueueDispatch { tag: 17, depth: 6 },
-            Event::QueueComplete { tag: 17, us: 190_000 },
+            Event::QueueComplete {
+                tag: 17,
+                us: 190_000,
+            },
         ];
         for (i, event) in events.into_iter().enumerate() {
-            let stamped = TraceEvent { at_us: 1000 + i as u64, seq: i as u64, event };
+            let stamped = TraceEvent {
+                at_us: 1000 + i as u64,
+                seq: i as u64,
+                event,
+            };
             let line = encode_event(&stamped);
             let back = decode_event(&line);
             assert_eq!(back, Some(stamped), "roundtrip failed for {line}");
@@ -301,7 +355,10 @@ mod tests {
     fn foreign_and_malformed_lines_are_rejected_not_panicked() {
         assert_eq!(decode_event(""), None);
         assert_eq!(decode_event("{\"meta\":\"run\"}"), None);
-        assert_eq!(decode_event("{\"at_us\":5,\"seq\":1,\"ev\":\"Nope\"}"), None);
+        assert_eq!(
+            decode_event("{\"at_us\":5,\"seq\":1,\"ev\":\"Nope\"}"),
+            None
+        );
         assert_eq!(decode_attribution("{\"garbage\":true}"), None);
         assert_eq!(get_u64_array("{\"b\":[1, 2,3]}", "b"), Some(vec![1, 2, 3]));
         assert_eq!(get_u64_array("{\"b\":[]}", "b"), Some(vec![]));

@@ -405,7 +405,13 @@ mod tests {
     #[test]
     fn histograms_fill_from_events() {
         let t = Tracer::new(64);
-        t.record(0, Event::SeekStart { from_cyl: 10, to_cyl: 200 });
+        t.record(
+            0,
+            Event::SeekStart {
+                from_cyl: 10,
+                to_cyl: 200,
+            },
+        );
         t.record(0, Event::RotWait { us: 5_500 });
         t.record(
             0,
@@ -438,7 +444,13 @@ mod tests {
         t.record(5, Event::SeekDone { us: 100 });
         t.record(10, Event::CmdOverhead { us: 50 });
         // Non-time events add nothing to any component.
-        t.record(10, Event::CacheHit { sector: 0, sectors: 1 });
+        t.record(
+            10,
+            Event::CacheHit {
+                sector: 0,
+                sectors: 1,
+            },
+        );
         t.record(
             10,
             Event::FsOp {
@@ -487,16 +499,36 @@ mod tests {
     #[test]
     fn retry_memo_sums_failed_attempts() {
         let t = Tracer::new(16);
-        t.record(0, Event::ReadRetry { sector: 9, attempt: 1, us: 30 });
+        t.record(
+            0,
+            Event::ReadRetry {
+                sector: 9,
+                attempt: 1,
+                us: 30,
+            },
+        );
         t.record(0, Event::SeekDone { us: 5 });
-        t.record(0, Event::ReadRetry { sector: 9, attempt: 2, us: 12 });
+        t.record(
+            0,
+            Event::ReadRetry {
+                sector: 9,
+                attempt: 2,
+                us: 12,
+            },
+        );
         assert_eq!(t.retry_us(), 42);
     }
 
     #[test]
     fn dump_tail_is_readable() {
         let t = Tracer::new(64);
-        t.record(7, Event::PartialWrite { seg: 3, bytes: 4096 });
+        t.record(
+            7,
+            Event::PartialWrite {
+                seg: 3,
+                bytes: 4096,
+            },
+        );
         let s = t.dump_tail(100);
         assert!(s.contains("PartialWrite"));
         assert!(s.contains("seg 3"));

@@ -120,10 +120,9 @@ fn render_section(title: &str, text: &str, tail: usize) -> u32 {
         if jsonl::get_str(line, "meta") != Some("hist") {
             continue;
         }
-        let (Some(name), Some(count)) = (
-            jsonl::get_str(line, "name"),
-            jsonl::get_u64(line, "count"),
-        ) else {
+        let (Some(name), Some(count)) =
+            (jsonl::get_str(line, "name"), jsonl::get_u64(line, "count"))
+        else {
             continue;
         };
         if count == 0 {
@@ -202,7 +201,13 @@ fn record_workload(t: &Tracer) -> Attribution {
         clock += rot;
         t.record(clock, Event::RotWait { us: rot });
         clock += xfer;
-        t.record(clock, Event::Transfer { sectors: 1 + i % 8, us: xfer });
+        t.record(
+            clock,
+            Event::Transfer {
+                sectors: 1 + i % 8,
+                us: xfer,
+            },
+        );
         t.record(clock, Event::CmdOverhead { us: 1_100 });
         clock += 1_100;
         attr.seek_us += seek;
@@ -218,19 +223,51 @@ fn record_workload(t: &Tracer) -> Attribution {
         // own (the mechanical components above already hold it), but they
         // must survive the JSONL roundtrip and feed their histogram or memo.
         if i % 4 == 0 {
-            t.record(clock, Event::QueueSubmit { tag: i, sector: i * 64, sectors: 8 });
-            t.record(clock, Event::QueueDispatch { tag: i, depth: 1 + i % 6 });
+            t.record(
+                clock,
+                Event::QueueSubmit {
+                    tag: i,
+                    sector: i * 64,
+                    sectors: 8,
+                },
+            );
+            t.record(
+                clock,
+                Event::QueueDispatch {
+                    tag: i,
+                    depth: 1 + i % 6,
+                },
+            );
             t.record(clock, Event::QueueComplete { tag: i, us: xfer });
         }
         if i % 5 == 0 {
-            t.record(clock, Event::CacheHit { sector: i * 64, sectors: 8 });
+            t.record(
+                clock,
+                Event::CacheHit {
+                    sector: i * 64,
+                    sectors: 8,
+                },
+            );
             attr.cache_hits += 1;
         } else if i % 5 == 1 {
-            t.record(clock, Event::CacheMiss { sector: i * 64, sectors: 8 });
+            t.record(
+                clock,
+                Event::CacheMiss {
+                    sector: i * 64,
+                    sectors: 8,
+                },
+            );
             attr.cache_misses += 1;
         }
         if i % 50 == 0 {
-            t.record(clock, Event::ReadRetry { sector: i * 64, attempt: 1, us: rot });
+            t.record(
+                clock,
+                Event::ReadRetry {
+                    sector: i * 64,
+                    attempt: 1,
+                    us: rot,
+                },
+            );
         }
         if i % 25 == 0 {
             t.record(
@@ -252,8 +289,20 @@ fn record_workload(t: &Tracer) -> Attribution {
             );
         }
     }
-    t.record(clock, Event::CleanerPass { reclaimed: 2, bytes_copied: 123_456 });
-    t.record(clock, Event::RecoverySweep { summaries: 788, us: 12_000_000 });
+    t.record(
+        clock,
+        Event::CleanerPass {
+            reclaimed: 2,
+            bytes_copied: 123_456,
+        },
+    );
+    t.record(
+        clock,
+        Event::RecoverySweep {
+            summaries: 788,
+            us: 12_000_000,
+        },
+    );
     attr.retry_us = t.retry_us();
     attr
 }
@@ -291,7 +340,10 @@ fn selftest_checks() -> Result<String, String> {
         ..attr
     };
     match ld_trace::verify_jsonl(&full.to_jsonl(&over)) {
-        Err(ld_trace::TraceError::Incomplete { component: "rotation", .. }) => {}
+        Err(ld_trace::TraceError::Incomplete {
+            component: "rotation",
+            ..
+        }) => {}
         other => return Err(format!("over-attributed export verified as {other:?}")),
     }
     // The parsed-back event stream and attribution must reconstruct

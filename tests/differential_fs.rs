@@ -6,9 +6,7 @@
 //! file, directory listing, and size must come out byte-identical.
 
 use logical_disk_repro::lld::LldConfig;
-use logical_disk_repro::minix_fs::{
-    BlockStore, FsConfig, FsCpuModel, LdStore, MinixFs, RawStore,
-};
+use logical_disk_repro::minix_fs::{BlockStore, FsConfig, FsCpuModel, LdStore, MinixFs, RawStore};
 use logical_disk_repro::simdisk::SimDisk;
 
 const CAPACITY: u64 = 24 << 20;
@@ -55,8 +53,10 @@ fn run_workload<S: BlockStore>(fs: &mut MinixFs<S>) {
             _ => "/tmp",
         };
         let ino = fs.lookup(&format!("{dir}/file{i:02}")).unwrap();
-        fs.write(ino, 100 + i as u64 * 37, &content(500 + i, 900)).unwrap();
-        fs.write(ino, (200 + i * 731) as u64, &content(600 + i, 400)).unwrap();
+        fs.write(ino, 100 + i as u64 * 37, &content(500 + i, 900))
+            .unwrap();
+        fs.write(ino, (200 + i * 731) as u64, &content(600 + i, 400))
+            .unwrap();
     }
     fs.rename("/docs/file00", "/tmp/renamed00").unwrap();
     fs.rename("/docs/old/file04", "/docs/file04").unwrap();
@@ -77,18 +77,18 @@ fn run_workload<S: BlockStore>(fs: &mut MinixFs<S>) {
 
 /// Recursively reads the whole tree: (path, size, contents) per file plus
 /// (path, child names) per directory, in traversal order.
-fn walk<S: BlockStore>(
-    fs: &mut MinixFs<S>,
-    dir: &str,
-    out: &mut Vec<(String, u64, Vec<u8>)>,
-) {
+fn walk<S: BlockStore>(fs: &mut MinixFs<S>, dir: &str, out: &mut Vec<(String, u64, Vec<u8>)>) {
     let entries = fs.readdir(dir).unwrap();
     let names: Vec<String> = entries
         .iter()
         .filter(|d| d.name != "." && d.name != "..")
         .map(|d| d.name.clone())
         .collect();
-    out.push((dir.to_string(), names.len() as u64, names.join("\n").into_bytes()));
+    out.push((
+        dir.to_string(),
+        names.len() as u64,
+        names.join("\n").into_bytes(),
+    ));
     for name in names {
         let path = if dir == "/" {
             format!("/{name}")

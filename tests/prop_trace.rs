@@ -41,8 +41,8 @@ fn build_fs() -> MinixFs<LdStore<SimDisk>> {
         cpu: FsCpuModel::free(),
         ..FsConfig::default()
     };
-    let store = LdStore::format(SimDisk::hp_c3010_with_capacity(16 << 20), lld_config)
-        .expect("format");
+    let store =
+        LdStore::format(SimDisk::hp_c3010_with_capacity(16 << 20), lld_config).expect("format");
     MinixFs::format(store, fs_config).expect("mkfs")
 }
 
@@ -209,7 +209,10 @@ fn recovery_sweep_is_traced_once() {
     disk.revive();
     let store = LdStore::mount(disk, config).expect("recovery");
     let stats = *store.lld().stats();
-    assert!(!stats.recovered_from_checkpoint, "a crash must force the sweep");
+    assert!(
+        !stats.recovered_from_checkpoint,
+        "a crash must force the sweep"
+    );
     let sweeps: Vec<(u64, u64)> = tracer
         .tail(usize::MAX)
         .into_iter()

@@ -59,20 +59,22 @@ fn run_workload(
     logical_disk_repro::lld::LldStats,
 ) {
     let (lld_config, fs_config) = configs(queue_depth, scheduler);
-    let store = LdStore::format(SimDisk::hp_c3010_with_capacity(24 << 20), lld_config)
-        .expect("format");
+    let store =
+        LdStore::format(SimDisk::hp_c3010_with_capacity(24 << 20), lld_config).expect("format");
     let mut fs = MinixFs::format(store, fs_config).expect("mkfs");
 
     let mut live: Vec<String> = Vec::new();
     for i in 0..40usize {
         let path = format!("/f{i:02}");
         let ino = fs.create(&path).expect("create");
-        fs.write(ino, 0, &content(i, 1500 + i * 217)).expect("write");
+        fs.write(ino, 0, &content(i, 1500 + i * 217))
+            .expect("write");
         live.push(path);
         if i % 3 == 0 {
             let p = &live[i / 2];
             let ino = fs.lookup(p).expect("lookup");
-            fs.write(ino, 128, &content(100 + i, 900)).expect("overwrite");
+            fs.write(ino, 128, &content(100 + i, 900))
+                .expect("overwrite");
         }
         if i % 7 == 4 {
             let p = live.remove(i % live.len());
@@ -105,7 +107,10 @@ fn fcfs_depth1_is_bit_identical_to_direct_path() {
     assert_eq!(img0, img1, "queueing at depth 1 changed the medium");
 
     // The LLD stats agree except for the queue's own accounting.
-    assert!(lld1.queued_segment_writes > 0, "depth 1 never used the queue");
+    assert!(
+        lld1.queued_segment_writes > 0,
+        "depth 1 never used the queue"
+    );
     lld1.queued_segment_writes = 0;
     lld1.queued_reads = 0;
     lld1.queue_drains = 0;
