@@ -53,7 +53,9 @@ pub trait LogicalDisk {
     fn free_bytes(&self) -> u64;
 
     /// Reads logical block `bid` into `buf`; returns the number of bytes the
-    /// block holds. (`Read(Bid, Buf, Cnt)` in Table 1.)
+    /// block holds. (`Read(Bid, Buf, Cnt)` in Table 1.) Bytes of `buf` past
+    /// that count are left as they were; after an error, `buf`'s contents
+    /// are unspecified.
     fn read(&mut self, bid: Bid, buf: &mut [u8]) -> Result<usize>;
 
     /// Writes `data` as the new contents of logical block `bid`.

@@ -19,9 +19,20 @@
 //! zero), so the table is a plain `Vec<u32>`. It grows on insert only, at
 //! least doubling, so it is never more than twice the largest address
 //! ever cached: under 1 MB for the 100 K blocks of the paper's 400 MB disk.
+//!
+//! The buffers of images that leave without a write-back — clean
+//! evictions, discards, and images an insert replaces — go to a small pool
+//! of spares, at most [`SPARE_MAX`], and [`BufferCache::spare`] and
+//! [`BufferCache::spare_copy`] hand them out for the next image the caller
+//! fills: a miss reads into a recycled buffer instead of a freshly zeroed
+//! one. The pool changes no counter and no recency: it holds only buffers
+//! no entry owns.
 
 /// No entry: the end of the recency list, or an address with no block.
 const NIL: u32 = u32::MAX;
+
+/// The most spare buffers the cache keeps.
+pub const SPARE_MAX: usize = 16;
 
 /// Eviction victim handed back to the caller for write-back.
 #[derive(Debug, PartialEq, Eq)]
@@ -54,6 +65,8 @@ pub struct BufferCache {
     head: u32,
     /// Least recently used entry: the next victim.
     tail: u32,
+    /// Buffers no entry owns, for reuse: at most [`SPARE_MAX`].
+    spare: Vec<Vec<u8>>,
     capacity_bytes: usize,
     used_bytes: usize,
     dirty_bytes: usize,
@@ -69,6 +82,7 @@ impl BufferCache {
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
+            spare: Vec::new(),
             capacity_bytes,
             used_bytes: 0,
             dirty_bytes: 0,
@@ -90,6 +104,44 @@ impl BufferCache {
     /// Bytes of dirty (not yet written back) data.
     pub fn dirty_bytes(&self) -> usize {
         self.dirty_bytes
+    }
+
+    /// A buffer of `len` bytes for an image the caller overwrites in full
+    /// before inserting it: a spare of that length when there is one (its
+    /// bytes are left over from the image it held), else a zeroed one.
+    pub fn spare(&mut self, len: usize) -> Vec<u8> {
+        self.take_spare(len).unwrap_or_else(|| vec![0; len])
+    }
+
+    /// How many spare buffers the cache holds.
+    pub fn spares(&self) -> usize {
+        self.spare.len()
+    }
+
+    /// A copy of `data` for an image to insert: in a spare of its length
+    /// when there is one, else in a fresh buffer.
+    pub fn spare_copy(&mut self, data: &[u8]) -> Vec<u8> {
+        match self.take_spare(data.len()) {
+            Some(mut buf) => {
+                buf.copy_from_slice(data);
+                buf
+            }
+            None => data.to_vec(),
+        }
+    }
+
+    /// Takes a spare of `len` bytes out of the pool, if there is one.
+    fn take_spare(&mut self, len: usize) -> Option<Vec<u8>> {
+        let i = self.spare.iter().rposition(|b| b.len() == len)?;
+        Some(self.spare.swap_remove(i))
+    }
+
+    /// Keeps a buffer that left the cache as a spare, while the pool has
+    /// room.
+    fn recycle(&mut self, buf: Vec<u8>) {
+        if self.spare.len() < SPARE_MAX {
+            self.spare.push(buf);
+        }
     }
 
     /// The slab index of resident block `addr`.
@@ -196,6 +248,7 @@ impl BufferCache {
                 let old = std::mem::replace(&mut e.data, data);
                 let was_dirty = std::mem::replace(&mut e.dirty, dirty);
                 self.forget(&old, was_dirty);
+                self.recycle(old);
             }
             None => {
                 let a = addr as usize;
@@ -224,6 +277,8 @@ impl BufferCache {
                     addr: e.addr,
                     data: e.data,
                 });
+            } else {
+                self.recycle(e.data);
             }
         }
         evicted
@@ -277,7 +332,8 @@ impl BufferCache {
     /// Removes a block without write-back (e.g. freed file blocks).
     pub fn discard(&mut self, addr: u32) {
         if let Some(i) = self.find(addr) {
-            self.remove(i);
+            let e = self.remove(i);
+            self.recycle(e.data);
         }
     }
 

@@ -259,7 +259,10 @@ pub trait Layout: Sized {
     /// them durable.
     fn sync(fs: &mut Fs<Self>) -> Result<()>;
 
-    /// Reads a block from the medium into `buf` (its allocated length).
+    /// Reads a block from the medium into `buf` (its allocated length),
+    /// filling all of `buf`: bytes the medium does not hold for the block
+    /// (a never-written block, or a short write) read as zero. `buf` comes
+    /// with arbitrary bytes in it, left over from a recycled cache buffer.
     fn read_block(&mut self, addr: Addr, buf: &mut [u8]) -> Result<()>;
     /// Reads several full blocks in one batch ([`ReadAhead::Batch`]).
     fn read_blocks(&mut self, addrs: &[Addr]) -> Result<Vec<Vec<u8>>> {
@@ -374,10 +377,10 @@ impl<L: Layout> Fs<L> {
     }
 
     /// Reads a block of allocated size `len` through the cache: a hit, or a
-    /// read from the medium and an insert.
+    /// read from the medium into a spare buffer and an insert.
     fn touch(&mut self, addr: Addr, len: usize) -> Result<()> {
         if self.cache.get(addr).is_none() {
-            let mut buf = vec![0u8; len];
+            let mut buf = self.cache.spare(len);
             self.layout.read_block(addr, &mut buf)?;
             let evicted = self.cache.insert_clean(addr, buf);
             self.write_back(evicted)?;
@@ -390,21 +393,23 @@ impl<L: Layout> Fs<L> {
     /// has just made it.
     pub fn fetch(&mut self, addr: Addr, len: usize) -> Result<&[u8]> {
         self.touch(addr, len)?;
-        self.cache
-            .mru()
-            .ok_or_else(|| FsError::Store(format!("block {addr} left the cache")))
+        self.cache.mru().ok_or_else(|| left_cache(addr))
     }
 
     /// A resident block's bytes, without touching recency or the counters.
     fn cached(&self, addr: Addr) -> Result<&[u8]> {
-        self.cache
-            .peek(addr)
-            .ok_or_else(|| FsError::Store(format!("block {addr} left the cache")))
+        self.cache.peek(addr).ok_or_else(|| left_cache(addr))
     }
 
-    /// Loads a copy of a block of allocated size `len` through the cache.
-    pub fn load(&mut self, addr: Addr, len: usize) -> Result<Vec<u8>> {
-        self.fetch(addr, len).map(<[u8]>::to_vec)
+    /// Changes a block of allocated size `len` in place through the cache,
+    /// with the same hits, misses, recency and evictions as fetching a copy,
+    /// changing it and [`save`](Self::save)-ing it back, but no copy.
+    pub fn edit(&mut self, addr: Addr, len: usize, f: impl FnOnce(&mut [u8])) -> Result<()> {
+        self.touch(addr, len)?;
+        let block = self.cache.get_mut(addr).ok_or_else(|| left_cache(addr))?;
+        f(block);
+        self.cache.mark_dirty(addr);
+        Ok(())
     }
 
     /// Stores a block image through the cache (write-back).
@@ -455,17 +460,19 @@ impl<L: Layout> Fs<L> {
 
     fn put_inode(&mut self, ino: Ino, inode: Option<&Inode>, meta: bool) -> Result<()> {
         let (addr, off, len) = self.slot(ino)?;
-        let mut block = self.load(addr, len)?;
-        let slot = &mut block[off..off + INODE_SIZE];
-        match inode {
-            Some(inode) => L::encode_inode(inode, slot),
-            None => slot.fill(0),
+        let put = |block: &mut [u8]| {
+            let slot = &mut block[off..off + INODE_SIZE];
+            match inode {
+                Some(inode) => L::encode_inode(inode, slot),
+                None => slot.fill(0),
+            }
+        };
+        if !(meta && L::SYNC_META) {
+            return self.edit(addr, len, put);
         }
-        if meta {
-            self.save_meta(addr, block)
-        } else {
-            self.save(addr, block)
-        }
+        let mut block = self.fetch(addr, len)?.to_vec();
+        put(&mut block);
+        self.save_meta(addr, block)
     }
 
     // ----- the pointer walk -----
@@ -479,9 +486,9 @@ impl<L: Layout> Fs<L> {
     /// Points entry `i` of pointer block `table` at `a`.
     fn set_entry(&mut self, table: Addr, i: usize, a: Addr) -> Result<()> {
         let bs = self.layout.block_size();
-        let mut block = self.load(table, bs)?;
-        block[i * 4..i * 4 + 4].copy_from_slice(&a.to_le_bytes());
-        self.save(table, block)
+        self.edit(table, bs, |block| {
+            block[i * 4..i * 4 + 4].copy_from_slice(&a.to_le_bytes())
+        })
     }
 
     fn path_of(&self, idx: u64) -> Result<PtrPath> {
@@ -864,11 +871,12 @@ impl<L: Layout> Fs<L> {
             let n = rest.len().min(bs - inner);
             let a = self.block_alloc(&mut inode, idx)?;
             if n == bs {
-                self.save(a, rest[..n].to_vec())?;
-            } else {
-                let mut block = self.load(a, bs)?;
-                block[inner..inner + n].copy_from_slice(&rest[..n]);
+                let block = self.cache.spare_copy(&rest[..n]);
                 self.save(a, block)?;
+            } else {
+                self.edit(a, bs, |block| {
+                    block[inner..inner + n].copy_from_slice(&rest[..n])
+                })?;
             }
             pos += n as u64;
             rest = &rest[n..];
@@ -1023,6 +1031,11 @@ impl<L: Layout> Fs<L> {
 
 fn nonzero(a: Addr) -> Option<Addr> {
     (a != 0).then_some(a)
+}
+
+/// The error for a block the cache should hold but does not.
+fn left_cache(addr: Addr) -> FsError {
+    FsError::Store(format!("block {addr} left the cache"))
 }
 
 /// The bytes of directory slot `at` in its block.

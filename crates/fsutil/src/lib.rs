@@ -18,6 +18,6 @@ pub mod fs;
 pub mod path;
 
 pub use bitmap::Bitmap;
-pub use cache::{BufferCache, Evicted};
+pub use cache::{BufferCache, Evicted, SPARE_MAX};
 pub use ld_core::wire;
 pub use path::PathError;

@@ -8,9 +8,14 @@
 //! smallest `last_used`; the cache must evict the same blocks in the same
 //! order. Most addresses are drawn from a few dozen, so blocks are touched
 //! again; the rest reach up to 2^20, so the cache's address-indexed slot
-//! table grows mid-run and is reused after `discard` and `drop_all`.
+//! table grows mid-run and is reused after `discard` and `drop_all`. In
+//! that test every inserted image is built in a buffer from the cache's
+//! spare pool (`spare_copy` for dirty inserts, `spare` then a copy for
+//! clean ones), so the pool is in play throughout, and a `Spare` op
+//! scribbles over a spare buffer: no resident block may change, and the
+//! pool stays bounded.
 
-use fsutil::{Bitmap, BufferCache, Evicted};
+use fsutil::{Bitmap, BufferCache, Evicted, SPARE_MAX};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 
@@ -30,6 +35,7 @@ enum Op {
     Discard { addr: u32 },
     TakeDirty,
     DropAll,
+    Spare { len: u8 },
 }
 
 /// A block address: mostly one of a few dozen, sometimes one of eight far
@@ -53,6 +59,7 @@ fn op() -> impl Strategy<Value = Op> {
         1 => addr().prop_map(|addr| Op::Discard { addr }),
         1 => Just(Op::TakeDirty),
         1 => Just(Op::DropAll),
+        1 => (1u8..32).prop_map(|len| Op::Spare { len }),
     ]
 }
 
@@ -120,8 +127,9 @@ proptest! {
                         }
                     }
                 }
-                // Residency is checked by `cache_matches_reference_lru`.
-                Op::Contains { .. } => {}
+                // Residency and the pool are checked by
+                // `cache_matches_reference_lru`.
+                Op::Contains { .. } | Op::Spare { .. } => {}
                 Op::Discard { addr } => {
                     cache.discard(addr);
                     discarded.insert(addr);
@@ -261,10 +269,19 @@ proptest! {
                 Op::WriteDirty { addr, val, len } | Op::InsertClean { addr, val, len } => {
                     let dirty = matches!(op, Op::WriteDirty { .. });
                     let data = vec![val; len as usize];
-                    let got = if dirty {
-                        cache.insert_dirty(addr, data.clone())
+                    let image = if dirty {
+                        cache.spare_copy(&data)
                     } else {
-                        cache.insert_clean(addr, data.clone())
+                        let mut image = cache.spare(len as usize);
+                        prop_assert_eq!(image.len(), len as usize, "spare length at op {}", i);
+                        image.copy_from_slice(&data);
+                        image
+                    };
+                    prop_assert_eq!(&image, &data, "spare copy at op {}", i);
+                    let got = if dirty {
+                        cache.insert_dirty(addr, image)
+                    } else {
+                        cache.insert_clean(addr, image)
                     };
                     prop_assert_eq!(got, reference.insert(addr, data, dirty), "evictions at op {}", i);
                     named.insert(addr);
@@ -306,6 +323,17 @@ proptest! {
                     prop_assert_eq!(cache.drop_all(), reference.take_dirty(), "drop_all at op {}", i);
                     reference.entries.clear();
                 }
+                Op::Spare { len } => {
+                    let mut junk = cache.spare(len as usize);
+                    prop_assert_eq!(junk.len(), len as usize, "spare length at op {}", i);
+                    junk.fill(0xEE);
+                }
+            }
+            prop_assert!(cache.spares() <= SPARE_MAX, "{} spares after op {}", cache.spares(), i);
+            // No spare shares bytes with a resident block: every one still
+            // holds exactly the reference's bytes.
+            for (a, e) in &reference.entries {
+                prop_assert_eq!(cache.peek(*a), Some(e.0.as_slice()), "bytes of {} after op {}", a, i);
             }
             for &a in named.iter().chain(&[u32::MAX]) {
                 prop_assert_eq!(cache.contains(a), reference.entries.contains_key(&a), "residency of {} after op {}", a, i);

@@ -70,9 +70,10 @@ impl<S: BlockStore> Minix<S> {
     /// Points `ino`'s index entry at `addr` (0 clears it).
     fn set_index(fs: &mut Fs<Self>, ino: Ino, addr: Addr) -> Result<()> {
         let (container, off) = fs.layout.index_entry(ino);
-        let mut index_block = fs.load(container, fs.layout.bs)?;
-        index_block[off..off + 4].copy_from_slice(&addr.to_le_bytes());
-        fs.save(container, index_block)
+        let bs = fs.layout.bs;
+        fs.edit(container, bs, |block| {
+            block[off..off + 4].copy_from_slice(&addr.to_le_bytes())
+        })
     }
 
     /// Frees an i-node. `block_owned_by_group` marks that the i-node's
@@ -228,9 +229,11 @@ impl<S: BlockStore> Layout for Minix<S> {
     }
 
     fn read_block(&mut self, addr: Addr, buf: &mut [u8]) -> Result<()> {
-        // Never-written blocks legitimately read back short (LD) — the
-        // zero padding stands in for them.
-        self.store.read_block(addr, buf).map(|_| ())
+        // Never-written and short-written blocks legitimately read back
+        // short (LD): zero padding stands in for the rest.
+        let n = self.store.read_block(addr, buf)?;
+        buf[n..].fill(0);
+        Ok(())
     }
 
     fn read_blocks(&mut self, addrs: &[Addr]) -> Result<Vec<Vec<u8>>> {

@@ -51,7 +51,9 @@ pub trait BlockStore {
     fn superblock_addr(&self) -> Addr;
 
     /// Reads a block; returns the number of valid bytes (full blocks
-    /// return `block_size`, small blocks their stored length).
+    /// return `block_size`, small blocks their stored length, LD's
+    /// never-written and short-written blocks less). Bytes of `buf` past
+    /// that count are left as they were.
     fn read_block(&mut self, addr: Addr, buf: &mut [u8]) -> Result<usize>;
 
     /// Writes a block (data may be shorter than the block's size class).

@@ -5,7 +5,7 @@ use simdisk::{MemDisk, SimDisk};
 
 use crate::{
     AllocHint, BlockStore, FileType, FsConfig, FsError, InodeMode, LdStore, MinixFs, RawStore,
-    ROOT_INO,
+    INODE_SIZE, ROOT_INO,
 };
 
 fn raw_fs() -> MinixFs<RawStore<MemDisk>> {
@@ -680,4 +680,88 @@ fn write_past_the_largest_file_allocates_nothing() {
     // A write that ends exactly at the limit fits.
     fs.write(ino, max - 100, &[7; 100]).unwrap();
     assert_eq!(fs.stat(ino).unwrap().size, max);
+}
+
+/// Fills the buffer cache's spare pool with buffers of nonzero bytes, then
+/// reads three blocks whose stores return fewer bytes than the block's
+/// length, or none: each must come out of the cache zero-padded, although
+/// the buffer it was read into held another block's bytes.
+fn recycled_buffers_read_back_zero_padded<S: BlockStore>(mut fs: MinixFs<S>) {
+    let bs = fs.store().block_size();
+    let small = if fs.store().supports_small_blocks() {
+        INODE_SIZE
+    } else {
+        bs
+    };
+    // Nonzero blocks, small and full, evicted clean: the small ones from
+    // the store into the cache, then a file of twice the cache's size,
+    // synced, dropped and read back.
+    let junk = vec![0xABu8; bs];
+    for _ in 0..4 {
+        let a = fs
+            .store_mut()
+            .alloc_sized(&AllocHint::after(None), small)
+            .unwrap();
+        fs.store_mut().write_block(a, &junk[..small]).unwrap();
+        fs.fs.fetch(a, small).unwrap();
+    }
+    let ino = fs.create("/junk").unwrap();
+    let cache_bytes = FsConfig::small_for_tests().cache_bytes;
+    fs.write(ino, 0, &vec![0xAB; 2 * cache_bytes]).unwrap();
+    fs.sync().unwrap();
+    fs.drop_caches().unwrap();
+    let mut buf = vec![0u8; 2 * cache_bytes];
+    assert_eq!(fs.read(ino, 0, &mut buf).unwrap(), buf.len());
+    assert!(buf.iter().all(|&b| b == 0xAB));
+    assert!(fs.fs.cache.spares() > 0, "clean evictions left spares");
+
+    // A partial write into a fresh block: the rest of the block is zero,
+    // in the cache and after write-back.
+    let f = fs.create("/f").unwrap();
+    fs.write(f, 100, &[7; 10]).unwrap();
+    fs.write(f, 2 * bs as u64, &[8]).unwrap();
+    let mut want = vec![0u8; bs];
+    want[100..110].fill(7);
+    for round in ["cached", "written back"] {
+        let mut got = vec![0xFFu8; bs];
+        assert_eq!(fs.read(f, 0, &mut got).unwrap(), bs);
+        assert_eq!(got, want, "partial write into a fresh block, {round}");
+        fs.drop_caches().unwrap();
+    }
+
+    // A small block holding 10 bytes.
+    let a = fs
+        .store_mut()
+        .alloc_sized(&AllocHint::after(None), small)
+        .unwrap();
+    fs.store_mut().write_block(a, &[9; 10]).unwrap();
+    let mut want = vec![0u8; small];
+    want[..10].fill(9);
+    assert_eq!(
+        fs.fs.fetch(a, small).unwrap(),
+        &want[..],
+        "short small block"
+    );
+
+    // A block never written.
+    let a = fs.store_mut().alloc_block(&AllocHint::after(None)).unwrap();
+    assert_eq!(
+        fs.fs.fetch(a, bs).unwrap(),
+        &vec![0u8; bs][..],
+        "never-written block"
+    );
+}
+
+#[test]
+fn recycled_cache_buffers_read_back_zero_padded() {
+    recycled_buffers_read_back_zero_padded(raw_fs());
+    recycled_buffers_read_back_zero_padded(ld_fs());
+    let store = LdStore::format_compressed(
+        MemDisk::with_capacity(16 << 20),
+        lld::LldConfig::small_for_tests(),
+    )
+    .unwrap();
+    recycled_buffers_read_back_zero_padded(
+        MinixFs::format(store, FsConfig::small_for_tests()).unwrap(),
+    );
 }
