@@ -246,17 +246,23 @@ fn torn_segment_write_is_ignored_at_recovery() {
     lld.write(a, &pattern(4096, 1)).unwrap();
     lld.flush(FailureSet::PowerFailure).unwrap();
 
-    // Arm a crash that tears the next segment write halfway.
+    // Record the next segment write.
     let b = lld.new_block(lid, Pred::After(a)).unwrap();
     lld.write(b, &pattern(4096, 2)).unwrap();
-    lld.disk_mut().crash_after_writes(10);
-    let r = lld.flush(FailureSet::PowerFailure);
-    assert!(r.is_err(), "torn write must surface as an error");
+    lld.disk_mut().record_writes();
+    lld.flush(FailureSet::PowerFailure).unwrap();
+    let mut images = lld.disk_mut().take_recording().unwrap();
+    assert!(images.sectors() > 10);
 
-    let config = lld.config().clone();
-    let mut disk = lld.into_disk();
-    disk.revive();
-    let mut lld = Lld::open(disk, config).unwrap();
+    // A flush the crash interrupts surfaces as an error.
+    lld.write(b, &pattern(4096, 3)).unwrap();
+    lld.disk_mut().crash_now();
+    let r = lld.flush(FailureSet::PowerFailure);
+    assert!(r.is_err(), "a crashed write must surface as an error");
+
+    // Tear the recorded segment write after 10 sectors.
+    images.advance_to(10);
+    let mut lld = Lld::open(images.disk(), lld.config().clone()).unwrap();
     // The torn partial is invisible; the earlier flushed state survives.
     assert_eq!(lld.list_blocks(lid).unwrap(), vec![a]);
     let mut buf = vec![0u8; 4096];

@@ -9,7 +9,9 @@
 //!   position, per-sector transfer, head/cylinder switch costs, and
 //!   per-command overhead,
 //! - sparse in-memory storage (capacity-independent memory use),
-//! - crash and torn-write fault injection for recovery experiments,
+//! - crash injection ([`SimDisk::crash_now`]) and a write recorder that
+//!   rebuilds the disk as a crash at any sector, torn writes included,
+//!   would have left it ([`CrashImages`]),
 //! - per-request [`DiskStats`] so benchmarks can attribute simulated time.
 //!
 //! Two devices are provided: [`SimDisk`] (full timing model, used by every
@@ -19,6 +21,7 @@
 mod faults;
 mod geometry;
 pub mod queue;
+mod record;
 #[cfg(test)]
 mod reference;
 mod stats;
@@ -28,6 +31,7 @@ mod timing;
 pub use faults::FaultConfig;
 pub use geometry::{Chs, Geometry, SECTOR_SIZE};
 pub use queue::{Completion, QueueStats, RequestQueue, Scheduler};
+pub use record::CrashImages;
 pub use stats::DiskStats;
 pub use timing::{hp_c3010, TimingModel};
 
@@ -49,9 +53,6 @@ pub enum DiskError {
         /// Offending buffer length in bytes.
         len: usize,
     },
-    /// An injected crash fired during this request; a prefix of the write
-    /// may have reached the medium (a torn write).
-    Crashed,
     /// The device is down after a crash; call [`SimDisk::revive`] first.
     Down,
     /// A media fault made this sector unreadable on this attempt (see
@@ -72,7 +73,6 @@ impl std::fmt::Display for DiskError {
             DiskError::Misaligned { len } => {
                 write!(f, "buffer of {len} bytes is not sector aligned")
             }
-            DiskError::Crashed => write!(f, "injected crash fired during request"),
             DiskError::Down => write!(f, "device is down after a crash"),
             DiskError::Unreadable { sector } => {
                 write!(f, "media fault: sector {sector} unreadable")
@@ -193,13 +193,13 @@ pub struct SimDisk {
     cache_range: (u64, u64),
     /// Battery-backed NVRAM; survives crashes.
     nvram: Vec<u8>,
-    /// Remaining sectors until an injected crash fires, if armed.
-    crash_after_writes: Option<u64>,
     down: bool,
     /// Media-fault model; `None` (the default) costs one branch per run.
     faults: Option<FaultState>,
     /// Optional event tracer; `None` costs one branch per request.
     tracer: Option<ld_trace::Tracer>,
+    /// Write log for crash images; `None` costs one branch per run.
+    recording: Option<Box<CrashImages>>,
 }
 
 impl SimDisk {
@@ -214,10 +214,10 @@ impl SimDisk {
             stats: DiskStats::default(),
             cache_range: (0, 0),
             nvram: Vec::new(),
-            crash_after_writes: None,
             down: false,
             faults: None,
             tracer: None,
+            recording: None,
         }
     }
 
@@ -276,36 +276,47 @@ impl SimDisk {
         self.store.resident_bytes()
     }
 
-    /// Arms a crash that fires after `sectors` more sectors have been
-    /// written. A crash mid-request persists the sectors written so far
-    /// (a torn write), fails the request with [`DiskError::Crashed`], and
-    /// takes the device [down](DiskError::Down) until [`revive`](Self::revive).
-    pub fn crash_after_writes(&mut self, sectors: u64) {
-        self.crash_after_writes = Some(sectors);
-    }
-
     /// Crashes the device immediately; all subsequent requests fail with
     /// [`DiskError::Down`] until revived. Contents already written persist.
+    /// A crash inside a request, a torn write, is built from a recording
+    /// instead ([`record_writes`](Self::record_writes)).
     pub fn crash_now(&mut self) {
         self.down = true;
     }
 
-    /// Whether the device is down after a crash.
-    pub fn is_down(&self) -> bool {
-        self.down
-    }
-
-    /// Brings a crashed device back online, clearing any armed crash
-    /// countdown (so a disk crashed via [`crash_now`](Self::crash_now)
-    /// cannot immediately re-crash from a stale
-    /// [`crash_after_writes`](Self::crash_after_writes)). The medium
-    /// retains exactly the sectors that were durably written; media-fault
+    /// Brings a crashed device back online. The medium retains exactly
+    /// the sectors that were durably written; media-fault
     /// state (grown defects, transient counters) also survives. The
     /// drive's read-ahead buffer does not: it lost power with the host.
     pub fn revive(&mut self) {
         self.down = false;
-        self.crash_after_writes = None;
         self.cache_range = (0, 0);
+    }
+
+    /// Starts recording from the current medium and NVRAM, replacing a
+    /// recording already running: from now on every sector run that
+    /// lands and every NVRAM write is logged, in order, so that
+    /// [`take_recording`](Self::take_recording) can rebuild the disk as a
+    /// crash at any point of the run would have left it. Recording
+    /// charges no simulated time and changes nothing the disk does.
+    pub fn record_writes(&mut self) {
+        let (medium, nvram) = (self.store.snapshot(), self.nvram.clone());
+        let images = CrashImages::new(self.geometry, self.timing, medium, nvram);
+        self.recording = Some(Box::new(images));
+    }
+
+    /// Sectors logged since [`record_writes`](Self::record_writes) (0 when
+    /// not recording): the prefix of the log that is on the medium now.
+    pub fn recorded_sectors(&self) -> u64 {
+        self.recording.as_ref().map_or(0, |images| images.sectors())
+    }
+
+    /// Stops recording and returns the crash images of the recorded run,
+    /// or `None` if the disk was not recording.
+    pub fn take_recording(&mut self) -> Option<CrashImages> {
+        let mut images = self.recording.take()?;
+        images.advance_to(0);
+        Some(*images)
     }
 
     /// Enables the deterministic media-fault model. Faults survive crashes
@@ -337,7 +348,7 @@ impl SimDisk {
     ///
     /// Panics if the image size does not match this device's capacity.
     pub fn load_image(&mut self, image: &[u8]) {
-        self.store.load(image);
+        self.store.load(image, |_| true);
         self.cache_range = (0, 0);
     }
 
@@ -383,8 +394,8 @@ impl SimDisk {
     /// called once per run with the disk (its clock at the start of the
     /// run), the run's first sector and its length; it moves the run's
     /// bytes, or aborts the transfer with the number of the run's sectors
-    /// to charge (a crash or a read fault, up to and including the sector
-    /// that failed).
+    /// to charge (a read fault, up to and including the sector that
+    /// failed).
     fn transfer<F>(&mut self, sector: u64, count: u64, mut op: F) -> Result<(), DiskError>
     where
         F: FnMut(&mut Self, u64, u64) -> Result<(), (u64, DiskError)>,
@@ -547,33 +558,19 @@ impl BlockDev for SimDisk {
         self.cache_range = (0, 0);
         self.position_for(sector);
         self.transfer(sector, count, |disk, s, n| {
-            // An armed crash splits the run: the sectors before the crash
-            // sector land, the crash sector is charged but never written.
-            let landed = match disk.crash_after_writes {
-                Some(left) if left < n => {
-                    disk.crash_after_writes = Some(0);
-                    left
-                }
-                Some(left) => {
-                    disk.crash_after_writes = Some(left - n);
-                    n
-                }
-                None => n,
-            };
             let at = (s - sector) as usize * SECTOR_SIZE;
-            disk.store
-                .write_run(s, &data[at..at + landed as usize * SECTOR_SIZE]);
-            disk.stats.sectors_written += landed;
+            let run = &data[at..at + n as usize * SECTOR_SIZE];
+            disk.store.write_run(s, run);
+            if let Some(r) = disk.recording.as_mut() {
+                r.landed(s, run);
+            }
+            disk.stats.sectors_written += n;
             if let Some(f) = disk.faults.as_mut() {
                 // A grown defect fires silently: the write lands, the
                 // damage shows up on the next read of the sector.
-                for w in s..s + landed {
+                for w in s..s + n {
                     f.write_grows_defect(w);
                 }
-            }
-            if landed < n {
-                disk.down = true;
-                return Err((landed + 1, DiskError::Crashed));
             }
             Ok(())
         })
@@ -605,6 +602,9 @@ impl BlockDev for SimDisk {
             });
         }
         self.nvram[offset..offset + data.len()].copy_from_slice(data);
+        if let Some(r) = self.recording.as_mut() {
+            r.nvram_written(offset, data);
+        }
         // Battery-backed RAM over the host bus: ~2 µs per 512 bytes.
         self.clock_us += 2 * (data.len().div_ceil(512) as u64);
         Ok(())
@@ -699,7 +699,7 @@ impl MemDisk {
     ///
     /// Panics if the image size does not match this device's capacity.
     pub fn load_image(&mut self, image: &[u8]) {
-        self.store.load(image);
+        self.store.load(image, |_| true);
     }
 }
 
@@ -843,21 +843,57 @@ mod tests {
         );
     }
 
-    #[test]
-    fn crash_after_writes_tears_the_request() {
-        let mut disk = small_disk();
-        disk.crash_after_writes(3);
-        let data: Vec<u8> = (0..8 * SECTOR_SIZE).map(|_| 0xEEu8).collect();
-        assert_eq!(disk.write_sectors(0, &data), Err(DiskError::Crashed));
-        assert!(disk.is_down());
-        assert_eq!(disk.write_sectors(0, &data[..512]), Err(DiskError::Down));
+    /// A recording whose log interleaves NVRAM writes with two requests.
+    fn recorded_run() -> (SimDisk, Vec<u8>, CrashImages) {
+        let mut disk = small_disk().with_nvram(4096);
+        disk.write_sectors(5, &[0x11u8; SECTOR_SIZE]).unwrap();
+        let base = disk.image_bytes();
+        disk.record_writes();
+        disk.write_sectors(0, &[0xEEu8; 8 * SECTOR_SIZE]).unwrap();
+        assert_eq!(disk.recorded_sectors(), 8);
+        disk.nvram_write(0, &[7u8; 16]).unwrap();
+        disk.write_sectors(200, &[0x22u8; 4 * SECTOR_SIZE]).unwrap();
+        disk.nvram_write(16, &[8u8; 16]).unwrap();
+        let images = disk.take_recording().unwrap();
+        assert_eq!(disk.recorded_sectors(), 0, "taking the recording stops it");
+        (disk, base, images)
+    }
 
-        disk.revive();
-        let mut buf = vec![0u8; 8 * SECTOR_SIZE];
-        disk.read_sectors(0, &mut buf).unwrap();
-        // Exactly the first three sectors were persisted.
-        assert!(buf[..3 * SECTOR_SIZE].iter().all(|&b| b == 0xEE));
-        assert!(buf[3 * SECTOR_SIZE..].iter().all(|&b| b == 0));
+    #[test]
+    fn every_prefix_lands_exactly_the_sectors_before_it() {
+        let (mut disk, base, mut images) = recorded_run();
+        assert_eq!(images.sectors(), 12);
+        let order: Vec<usize> = (0..8).chain(200..204).collect();
+        for n in 0..=12 {
+            images.advance_to(n);
+            // The base, then the first `n` sectors in the order written:
+            // prefix 0 is the base, and 1..8 tear the first request.
+            let mut medium = base.clone();
+            for &s in &order[..n as usize] {
+                let byte = if s < 8 { 0xEE } else { 0x22 };
+                medium[s * SECTOR_SIZE..(s + 1) * SECTOR_SIZE].fill(byte);
+            }
+            assert!(images.medium() == medium.as_slice(), "prefix {n}");
+            // Each NVRAM write keeps its place: the one made after the
+            // 8th sector is in prefix 8 on, the last one only at the end.
+            assert_eq!(images.nvram()[..16] == [7; 16], n >= 8, "prefix {n}");
+            assert_eq!(images.nvram()[16..32] == [8; 16], n == 12, "prefix {n}");
+            // A disk booted from the prefix holds it; rendering a written
+            // disk on the working image shows that disk, then puts the
+            // prefix back (checked by the next round).
+            let mut booted = images.disk();
+            assert!(booted.image_bytes() == medium, "prefix {n}");
+            booted.write_sectors(300, &[3u8; SECTOR_SIZE]).unwrap();
+            let image = booted.image_bytes();
+            assert!(images.with_medium_of(&booted, |m| m == image.as_slice()));
+            let blank = small_disk();
+            assert!(images.with_medium_of(&blank, |m| m.iter().all(|&b| b == 0)));
+        }
+        // The full prefix is the state the run ended in.
+        let mut nvram = vec![0u8; 4096];
+        disk.nvram_read(0, &mut nvram).unwrap();
+        assert_eq!(images.nvram(), &nvram[..]);
+        assert!(images.medium() == disk.image_bytes().as_slice());
     }
 
     #[test]
@@ -921,26 +957,6 @@ mod tests {
         disk.write_sectors(0, &data[..512]).unwrap();
         disk.read_sectors(far + 8, &mut buf).unwrap(); // Miss again.
         assert_eq!(disk.stats().cached_reads, hits0 + 8);
-    }
-
-    // Regression guard: `revive` must clear a countdown armed by
-    // `crash_after_writes` even when the crash actually fired via
-    // `crash_now` — a revived disk with a stale countdown would re-crash
-    // on the first writes after recovery.
-    #[test]
-    fn revive_clears_stale_crash_countdown() {
-        let mut disk = small_disk();
-        disk.crash_after_writes(1000);
-        disk.crash_now();
-        assert!(disk.is_down());
-        disk.revive();
-        // Write more sectors than the stale countdown allowed; with the
-        // countdown cleared this must succeed.
-        let data = vec![1u8; 4 * SECTOR_SIZE];
-        for i in 0..300u64 {
-            disk.write_sectors(i * 4, &data).unwrap();
-        }
-        assert!(!disk.is_down());
     }
 
     // Regression guard: the read-ahead buffer loses power with the host,

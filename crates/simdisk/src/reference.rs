@@ -136,15 +136,11 @@ impl SimDisk {
         self.position_for(sector);
         let chunks: Vec<&[u8]> = data.chunks(SECTOR_SIZE).collect();
         self.reference_transfer(sector, count, |disk, s| {
-            if let Some(left) = disk.crash_after_writes {
-                if left == 0 {
-                    disk.down = true;
-                    return Err(DiskError::Crashed);
-                }
-                disk.crash_after_writes = Some(left - 1);
-            }
             let idx = (s - sector) as usize;
             disk.store.write_run(s, chunks[idx]);
+            if let Some(r) = disk.recording.as_mut() {
+                r.landed(s, chunks[idx]);
+            }
             disk.stats.sectors_written += 1;
             if let Some(f) = disk.faults.as_mut() {
                 f.write_grows_defect(s);
@@ -186,10 +182,6 @@ mod tests {
             skip: u64,
             len: u64,
         },
-        /// Arm a crash after `after` more sector writes.
-        Crash {
-            after: u64,
-        },
         CrashNow,
         Revive,
         Think {
@@ -217,7 +209,6 @@ mod tests {
             6 => (at(), len(), any::<u8>()).prop_map(|(at, len, seed)| Step::Write { at, len, seed }),
             5 => (at(), len()).prop_map(|(at, len)| Step::Read { at, len }),
             4 => (0u64..8, 1u64..40).prop_map(|(skip, len)| Step::ReadOn { skip, len }),
-            2 => (0u64..400).prop_map(|after| Step::Crash { after }),
             1 => Just(Step::CrashNow),
             2 => Just(Step::Revive),
             2 => (0u64..20_000).prop_map(|us| Step::Think { us }),
@@ -257,6 +248,7 @@ mod tests {
         };
         let mut disk = SimDisk::new(geometry, hp_c3010::timing());
         disk.set_tracer(ld_trace::Tracer::new(1 << 16));
+        disk.record_writes();
         if let Some(cfg) = faults {
             disk.set_faults(cfg);
         }
@@ -264,14 +256,14 @@ mod tests {
     }
 
     /// Everything a caller can observe of a disk between requests.
-    fn observe(d: &SimDisk) -> (u64, crate::DiskStats, bool, u32, (u64, u64), Option<u64>) {
+    fn observe(d: &SimDisk) -> (u64, crate::DiskStats, bool, u32, (u64, u64), u64) {
         (
             d.clock_us,
             d.stats,
             d.down,
             d.head_cylinder,
             d.cache_range,
-            d.crash_after_writes,
+            d.recorded_sectors(),
         )
     }
 
@@ -286,8 +278,8 @@ mod tests {
 
         /// Track runs and the per-sector reference agree on everything
         /// observable: each result and read buffer, the clock, the stats,
-        /// the head and read-ahead state, the crash countdown, the trace
-        /// events and the final medium.
+        /// the head and read-ahead state, the trace events, the final
+        /// medium and the write log, sector for sector.
         #[test]
         fn runs_match_the_per_sector_reference(
             shape in 0u8..2,
@@ -335,11 +327,6 @@ mod tests {
                         prop_assert!(x == y, "step {}: read buffers differ", i);
                         r
                     }
-                    Step::Crash { after } => {
-                        runs.crash_after_writes(after);
-                        reference.crash_after_writes(after);
-                        (Ok(()), Ok(()))
-                    }
                     Step::CrashNow => {
                         runs.crash_now();
                         reference.crash_now();
@@ -363,6 +350,8 @@ mod tests {
             prop_assert_eq!(runs.tracer.as_ref().map(|t| t.dropped()), Some(0));
             prop_assert!(events(&runs) == events(&reference), "trace events differ");
             prop_assert!(runs.image_bytes() == reference.image_bytes(), "media differ");
+            let log = |d: &mut SimDisk| d.take_recording().map(|images| images.log);
+            prop_assert!(log(&mut runs) == log(&mut reference), "write logs differ");
         }
     }
 }

@@ -9,7 +9,15 @@ use crate::geometry::SECTOR_SIZE;
 
 /// Sectors per page: 128 sectors = 64 KiB pages.
 const SECTORS_PER_PAGE: u64 = 128;
-const PAGE_BYTES: usize = SECTORS_PER_PAGE as usize * SECTOR_SIZE;
+pub(crate) const PAGE_BYTES: usize = SECTORS_PER_PAGE as usize * SECTOR_SIZE;
+
+/// An unwritten page, for telling zero pages apart with one `memcmp`.
+static ZERO_PAGE: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
+
+/// Whether `chunk` (at most a page) is all zero.
+pub(crate) fn is_zero(chunk: &[u8]) -> bool {
+    chunk == &ZERO_PAGE[..chunk.len()]
+}
 
 /// Lazily allocated sector array.
 #[derive(Debug)]
@@ -57,27 +65,67 @@ impl SparseStore {
     /// Restores the sector array from a contiguous image previously
     /// captured with [`snapshot`](Self::snapshot). All-zero pages stay
     /// unallocated, so sparsity survives a snapshot/load round trip.
+    /// Pages that `maybe_nonzero` rules out must be zero in `image`: they
+    /// are left unallocated without being read.
     ///
     /// # Panics
     ///
     /// Panics if the image is not a whole number of pages covering exactly
     /// this store's capacity (i.e. anything but a [`snapshot`](Self::snapshot)
     /// of an identically-sized store).
-    pub fn load(&mut self, image: &[u8]) {
+    pub fn load(&mut self, image: &[u8], maybe_nonzero: impl Fn(usize) -> bool) {
+        self.check_image(image);
+        for (i, chunk) in image.chunks(PAGE_BYTES).enumerate() {
+            self.pages[i] = if !maybe_nonzero(i) || is_zero(chunk) {
+                None
+            } else if chunk.len() == PAGE_BYTES {
+                Some(chunk.into())
+            } else {
+                let mut page = vec![0u8; PAGE_BYTES].into_boxed_slice();
+                page[..chunk.len()].copy_from_slice(chunk);
+                Some(page)
+            };
+        }
+    }
+
+    /// Writes this store's contents over `image`, a buffer the size of a
+    /// [`snapshot`](Self::snapshot), on every page where the two may
+    /// differ: each allocated page, and each unallocated page that
+    /// `maybe_nonzero` does not rule out (zeroed). `save` is handed each
+    /// such page's old bytes before it is overwritten, so the caller can
+    /// put them back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` does not match this store's capacity.
+    pub fn overlay(
+        &self,
+        image: &mut [u8],
+        maybe_nonzero: impl Fn(usize) -> bool,
+        mut save: impl FnMut(usize, &[u8]),
+    ) {
+        self.check_image(image);
+        for (i, chunk) in image.chunks_mut(PAGE_BYTES).enumerate() {
+            match &self.pages[i] {
+                Some(page) => {
+                    save(i, chunk);
+                    chunk.copy_from_slice(&page[..chunk.len()]);
+                }
+                None if maybe_nonzero(i) => {
+                    save(i, chunk);
+                    chunk.fill(0);
+                }
+                None => {}
+            }
+        }
+    }
+
+    fn check_image(&self, image: &[u8]) {
         assert_eq!(
             image.len(),
             self.total_sectors as usize * SECTOR_SIZE,
             "image size must match device capacity"
         );
-        for (i, chunk) in image.chunks(PAGE_BYTES).enumerate() {
-            if chunk.iter().all(|&b| b == 0) {
-                self.pages[i] = None;
-            } else {
-                let mut page = vec![0u8; PAGE_BYTES].into_boxed_slice();
-                page[..chunk.len()].copy_from_slice(chunk);
-                self.pages[i] = Some(page);
-            }
-        }
     }
 
     /// Reads `buf.len() / SECTOR_SIZE` consecutive sectors starting at
@@ -237,5 +285,15 @@ mod tests {
         // An empty run touches nothing.
         store.read_run(total, &mut []);
         assert_eq!(store.resident_bytes(), 4 * PAGE_BYTES);
+        // A load round-trips, the short last page included, and keeps
+        // zero pages unallocated.
+        let mut copy = SparseStore::new(total);
+        copy.write_run(SECTORS_PER_PAGE + 1, &[9u8; SECTOR_SIZE]);
+        copy.load(&model, |_| true);
+        assert_eq!(copy.snapshot(), model);
+        assert_eq!(copy.resident_bytes(), 4 * PAGE_BYTES);
+        model[..3 * PAGE_BYTES].fill(0);
+        copy.load(&model, |_| true);
+        assert_eq!(copy.resident_bytes(), PAGE_BYTES);
     }
 }

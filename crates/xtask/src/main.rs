@@ -633,7 +633,7 @@ fn ci() -> ExitCode {
                 "-q",
                 "--release",
                 "--test",
-                "fault_matrix",
+                "crash_matrix",
                 "--test",
                 "differential_fs",
             ]),
@@ -674,8 +674,9 @@ fn ci() -> ExitCode {
                 &["test", "-q", "--release", "-p", "lld", "--test", "prop"],
             ),
         ),
-        // The file-system crash matrix, NVRAM cases included, on cases the
-        // plain test step never draws.
+        // The file-system crash matrix (queue mode, NVRAM and transient
+        // faults, several crash points per recorded run) and its
+        // latent-fault property, on cases the plain test step never draws.
         (
             "crash matrix replay",
             Step::CargoEnv(

@@ -5,14 +5,14 @@
 //! keeps both or neither (paper §2.1: atomic recovery units make fsck-style
 //! consistency checks unnecessary and support application transactions).
 //!
-//! The demo crashes the disk at every possible written-sector boundary and
-//! tallies what recovery produced.
+//! The demo records the transfer's disk writes once, crashes it at every
+//! written-sector boundary and tallies what recovery produced.
 //!
 //! Run with: `cargo run --example crash_recovery`
 
 use ld_core::{Bid, FailureSet, LdError, ListHints, LogicalDisk, Pred, PredList};
 use lld::{Lld, LldConfig};
-use simdisk::SimDisk;
+use simdisk::{CrashImages, SimDisk};
 
 fn balances(ld: &mut Lld<SimDisk>, a: Bid, b: Bid) -> Option<(u64, u64)> {
     let mut buf = [0u8; 8];
@@ -27,15 +27,15 @@ fn balances(ld: &mut Lld<SimDisk>, a: Bid, b: Bid) -> Option<(u64, u64)> {
     Some((va, vb))
 }
 
-/// Runs one transfer with a crash armed after `crash_after` sectors.
-/// Returns the recovered balances.
-fn run_once(crash_after: u64, use_aru: bool) -> Option<(u64, u64)> {
+/// Runs one transfer on a recording disk. Returns its crash images, the
+/// configuration to recover with and the two accounts.
+fn record_transfer(use_aru: bool) -> (CrashImages, LldConfig, Bid, Bid) {
     let disk = SimDisk::hp_c3010_with_capacity(16 << 20);
     let config = LldConfig {
         flush_threshold_pct: 99, // Force partial-segment flushes.
         ..LldConfig::default()
     };
-    let mut ld = Lld::format(disk, config).expect("format");
+    let mut ld = Lld::format(disk, config.clone()).expect("format");
     let lid = ld
         .new_list(PredList::Start, ListHints::default())
         .expect("list");
@@ -46,10 +46,9 @@ fn run_once(crash_after: u64, use_aru: bool) -> Option<(u64, u64)> {
     ld.flush(FailureSet::PowerFailure).expect("flush");
 
     // Transfer 40 from a to b. The unlucky application syncs between the
-    // two writes (or a segment boundary falls there); the crash fires at
-    // an arbitrary point of the disk traffic that follows.
-    ld.disk_mut().crash_after_writes(crash_after);
-    let attempt = (|| -> Result<(), LdError> {
+    // two writes (or a segment boundary falls there).
+    ld.disk_mut().record_writes();
+    let transfer = (|| -> Result<(), LdError> {
         if use_aru {
             ld.begin_aru()?;
         }
@@ -61,23 +60,22 @@ fn run_once(crash_after: u64, use_aru: bool) -> Option<(u64, u64)> {
         }
         ld.flush(FailureSet::PowerFailure)
     })();
-    let _ = attempt; // A crash mid-flush surfaces as an error; expected.
-
-    let config = ld.config().clone();
-    let mut disk = ld.into_disk();
-    disk.revive();
-    let mut ld = Lld::open(disk, config).expect("recover");
-    balances(&mut ld, a, b)
+    transfer.expect("transfer");
+    let images = ld.disk_mut().take_recording().expect("recording");
+    (images, config, a, b)
 }
 
 fn main() {
     for use_aru in [false, true] {
+        let (mut images, config, a, b) = record_transfer(use_aru);
         let mut consistent = 0u32;
         let mut torn = 0u32;
         let mut outcomes = std::collections::BTreeMap::new();
-        // Crash after 0, 1, 2, ... sectors of the post-transfer flush.
-        for crash_after in 0..24 {
-            let Some((va, vb)) = run_once(crash_after, use_aru) else {
+        // Crash after 0, 1, 2, ... sectors of the transfer's disk traffic.
+        for n in 0..=images.sectors() {
+            images.advance_to(n);
+            let mut ld = Lld::open(images.disk(), config.clone()).expect("recover");
+            let Some((va, vb)) = balances(&mut ld, a, b) else {
                 continue;
             };
             *outcomes.entry((va, vb)).or_insert(0u32) += 1;
@@ -88,12 +86,13 @@ fn main() {
             }
         }
         println!(
-            "{}: {} consistent recoveries, {} torn; outcomes: {:?}",
+            "{}: {} crash points, {} consistent recoveries, {} torn; outcomes: {:?}",
             if use_aru {
                 "with ARU   "
             } else {
                 "without ARU"
             },
+            images.sectors() + 1,
             consistent,
             torn,
             outcomes

@@ -48,14 +48,18 @@ fn main() {
     std::fs::write(&clean_path, ld.into_disk().image_bytes()).expect("write image");
     println!("wrote {clean_path} (clean shutdown)");
 
-    // Crash mid-workload: power fails after a fixed number of sector
-    // writes; whatever made it to the platter is the image.
+    // Crash mid-workload: record the run, then keep what a power failure
+    // after 900 sector writes would have left on the platter.
     let mut disk = SimDisk::hp_c3010_with_capacity(4 << 20);
-    disk.crash_after_writes(900);
+    disk.record_writes();
     let mut ld = Lld::format(disk, config).expect("format");
-    let _ = workload(&mut ld, 24); // Dies partway through — that's the point.
-    let mut disk = ld.into_disk();
-    disk.revive();
-    std::fs::write(&crashed_path, disk.image_bytes()).expect("write image");
+    workload(&mut ld, 24).expect("workload");
+    let mut images = ld.into_disk().take_recording().expect("recording");
+    assert!(
+        900 < images.sectors(),
+        "the crash falls inside the workload"
+    );
+    images.advance_to(900);
+    std::fs::write(&crashed_path, images.medium()).expect("write image");
     println!("wrote {crashed_path} (crashed mid-workload)");
 }

@@ -99,33 +99,39 @@ fn main() {
         store.read_previous(5),
     );
 
-    // A transaction interrupted mid-commit: arm a crash so the disk dies
-    // while the swaps are being flushed.
-    store.ld.disk_mut().crash_after_writes(1);
-    let result = store.transact(&[(2, "record 2 v2".into()), (5, "record 5 v2".into())]);
-    println!("\ninterrupted transaction -> {result:?}");
-
+    // A transaction interrupted mid-commit: record its disk writes, then
+    // crash it at every written sector and recover.
+    store.ld.disk_mut().record_writes();
+    store
+        .transact(&[(2, "record 2 v2".into()), (5, "record 5 v2".into())])
+        .expect("commit");
     let config = store.ld.config().clone();
-    let mut disk = store.ld.into_disk();
-    disk.revive();
-    let records = store.records;
-    let mut ld = Lld::open(disk, config).expect("recover");
-    let mut read = |bid: Bid| {
-        let mut buf = vec![0u8; 4096];
-        let n = ld.read(bid, &mut buf).expect("read");
-        String::from_utf8_lossy(&buf[..n]).into_owned()
-    };
-    let r2 = read(records[2].0);
-    let r5 = read(records[5].0);
-    println!("after crash + recovery: r2 = {r2:?}, r5 = {r5:?}");
-    let both_old = r2 == "record 2 v1" && r5 == "record 5 v1";
-    let both_new = r2 == "record 2 v2" && r5 == "record 5 v2";
-    assert!(
-        both_old || both_new,
-        "the transaction must be all-or-nothing"
-    );
+    let mut images = store.ld.disk_mut().take_recording().expect("recording");
+    let (mut committed, mut rolled_back) = (0u32, 0u32);
+    for n in 0..=images.sectors() {
+        images.advance_to(n);
+        let mut ld = Lld::open(images.disk(), config.clone()).expect("recover");
+        let mut read = |bid: Bid| {
+            let mut buf = vec![0u8; 4096];
+            let n = ld.read(bid, &mut buf).expect("read");
+            String::from_utf8_lossy(&buf[..n]).into_owned()
+        };
+        let r2 = read(store.records[2].0);
+        let r5 = read(store.records[5].0);
+        let both_old = r2 == "record 2 v1" && r5 == "record 5 v1";
+        let both_new = r2 == "record 2 v2" && r5 == "record 5 v2";
+        assert!(
+            both_old || both_new,
+            "crash at sector {n}: r2 = {r2:?}, r5 = {r5:?}; the transaction must be all-or-nothing"
+        );
+        if both_new {
+            committed += 1;
+        } else {
+            rolled_back += 1;
+        }
+    }
     println!(
-        "-> {} (all-or-nothing held)",
-        if both_new { "committed" } else { "rolled back" }
+        "\ncrashed at each of {} sectors of the commit: {rolled_back} rolled back, {committed} committed (all-or-nothing held)",
+        images.sectors() + 1
     );
 }

@@ -129,35 +129,30 @@ fn all_configuration_variants_run_the_workload() {
 
 #[test]
 fn torn_segment_write_cannot_corrupt_the_file_system() {
-    // Crash the disk at many different points mid-traffic; after each
-    // crash the file system must mount and every reachable file must read
-    // fully and match one of its two legitimate versions.
-    for crash_after in [10u64, 50, 200, 500, 900, 1500, 2500] {
-        let store = LdStore::format(SimDisk::hp_c3010_with_capacity(24 << 20), lld_config())
-            .expect("format");
-        let mut fs = MinixFs::format(store, fs_config()).expect("mkfs");
-        let v1 = content(1, 5000);
-        let v2 = content(2, 5000);
-        let ino = fs.create("/target").expect("create");
-        fs.write(ino, 0, &v1).expect("write");
-        fs.sync().expect("sync");
-
-        fs.store_mut().disk_mut().crash_after_writes(crash_after);
-        // Overwrite with v2; a crash may interrupt anywhere.
-        let _ = fs.write(ino, 0, &v2);
-        let _ = fs.sync();
-
-        let mut disk = fs.into_store().into_disk();
-        disk.revive();
-        let store = LdStore::mount(disk, lld_config()).expect("recovery");
+    // Record one overwrite and its sync, then crash it at every sector
+    // prefix of its log; after each crash the file system must mount and
+    // the file must read fully, each block one of its two versions.
+    let store =
+        LdStore::format(SimDisk::hp_c3010_with_capacity(24 << 20), lld_config()).expect("format");
+    let mut fs = MinixFs::format(store, fs_config()).expect("mkfs");
+    let v1 = content(1, 5000);
+    let v2 = content(2, 5000);
+    let ino = fs.create("/target").expect("create");
+    fs.write(ino, 0, &v1).expect("write");
+    fs.sync().expect("sync");
+    fs.store_mut().disk_mut().record_writes();
+    fs.write(ino, 0, &v2).expect("overwrite");
+    fs.sync().expect("sync");
+    let mut disk = fs.into_store().into_disk();
+    let mut images = disk.take_recording().expect("recording");
+    let len = images.sectors();
+    for n in 0..=len {
+        images.advance_to(n);
+        let store = LdStore::mount(images.disk(), lld_config()).expect("recovery");
         let mut fs = MinixFs::mount(store, fs_config()).expect("mount");
         let ino = fs.lookup("/target").expect("file still exists");
         let mut buf = vec![0u8; 5000];
-        assert_eq!(
-            fs.read(ino, 0, &mut buf).expect("read"),
-            5000,
-            "crash_after={crash_after}"
-        );
+        assert_eq!(fs.read(ino, 0, &mut buf).expect("read"), 5000, "prefix {n}");
         // The file system cache wrote v2 in 4 KB blocks; LD guarantees
         // recovery to a segment boundary, so each BLOCK is entirely v1 or
         // entirely v2 (the paper's guarantee is block-level, not
@@ -167,10 +162,14 @@ fn torn_segment_write_cannot_corrupt_the_file_system() {
             let hi = lo + chunk.len();
             assert!(
                 chunk == &v1[lo..hi] || chunk == &v2[lo..hi],
-                "crash_after={crash_after}: block {i} is neither version"
+                "prefix {n}: block {i} is neither version"
             );
         }
+        if n == len {
+            assert_eq!(buf, v2, "the sync returned, so v2 is durable");
+        }
     }
+    println!("{} crash prefixes of the overwrite checked", len + 1);
 }
 
 #[test]
