@@ -1,15 +1,38 @@
 //! Recovery is a pure function of the image: opening the same disk image
 //! twice — whether it recovers via the checkpoint or the full summary
-//! sweep, on a healthy or a deterministically faulty medium — must yield
-//! identical block maps, contents, stats, remap tables, and post-recovery
-//! images, and `ldck` must agree both times.
+//! sweep, on a healthy or a deterministically faulty medium, with or
+//! without an NVRAM tail — must yield identical block maps, contents,
+//! stats, remap tables, and post-recovery images and NVRAM, and `ldck`
+//! must agree both times.
 
 use ld_core::{ListHints, LogicalDisk, Pred, PredList};
 use lld::{Lld, LldConfig, LldStats};
 use proptest::prelude::*;
-use simdisk::{FaultConfig, SimDisk};
+use simdisk::{BlockDev, FaultConfig, SimDisk};
 
 const CAPACITY: u64 = 16 << 20;
+
+/// NVRAM attached to the disk in the cases that sample it.
+const NVRAM_BYTES: usize = 256 << 10;
+
+/// A disk image: the medium and the NVRAM (empty when none is attached).
+#[derive(Debug, PartialEq)]
+struct Image {
+    medium: Vec<u8>,
+    nvram: Vec<u8>,
+}
+
+impl Image {
+    /// The medium and NVRAM of `disk`, which must be up.
+    fn of(disk: &mut SimDisk) -> Self {
+        let mut nvram = vec![0u8; disk.nvram_bytes()];
+        disk.nvram_read(0, &mut nvram).expect("nvram read");
+        Self {
+            medium: disk.image_bytes(),
+            nvram,
+        }
+    }
+}
 
 fn test_config() -> LldConfig {
     LldConfig {
@@ -40,16 +63,17 @@ struct Observed {
     free_segments: u32,
 }
 
-/// Loads `image` into a fresh medium (with the given fault schedule — the
+/// Loads `image` into a fresh disk (with the given fault schedule — the
 /// schedule belongs to the medium, not the image), recovers, and returns
 /// the observable state plus the post-recovery image.
 fn open_and_observe(
-    image: &[u8],
+    image: &Image,
     config: &LldConfig,
     faults: Option<FaultConfig>,
-) -> (Observed, Vec<u8>) {
-    let mut disk = SimDisk::hp_c3010_with_capacity(CAPACITY);
-    disk.load_image(image);
+) -> (Observed, Image) {
+    let mut disk = SimDisk::hp_c3010_with_capacity(CAPACITY).with_nvram(image.nvram.len());
+    disk.load_image(&image.medium);
+    disk.nvram_write(0, &image.nvram).expect("nvram write");
     if let Some(f) = faults {
         disk.set_faults(f);
     }
@@ -77,19 +101,25 @@ fn open_and_observe(
         quarantined: lld.quarantined_segments(),
         free_segments: lld.free_segments(),
     };
-    (obs, lld.into_disk().image_bytes())
+    (obs, Image::of(&mut lld.into_disk()))
 }
 
 /// A deterministic little workload: lists, writes, deletes, overwrites,
 /// periodic flushes, and (optionally) a scrubbed faulty medium with an
-/// unflushed tail before a crash. Returns the crashed/shut-down image.
+/// unflushed tail before a crash. With NVRAM attached, flushes below the
+/// seal threshold land there. Returns the crashed/shut-down image.
 fn build_image(
     nblocks: usize,
     delete_stride: usize,
     fault_cfg: Option<FaultConfig>,
+    nvram: bool,
     clean_shutdown: bool,
-) -> Vec<u8> {
-    let mut lld = Lld::format(SimDisk::hp_c3010_with_capacity(CAPACITY), test_config()).unwrap();
+) -> Image {
+    let mut disk = SimDisk::hp_c3010_with_capacity(CAPACITY);
+    if nvram {
+        disk = disk.with_nvram(NVRAM_BYTES);
+    }
+    let mut lld = Lld::format(disk, test_config()).unwrap();
     let lid = lld.new_list(PredList::Start, ListHints::default()).unwrap();
     let lid2 = lld
         .new_list(PredList::After(lid), ListHints::default())
@@ -120,7 +150,7 @@ fn build_image(
     lld.write(b, &content(999, 3000)).unwrap();
     if clean_shutdown {
         lld.shutdown().expect("shutdown");
-        return lld.into_disk().image_bytes();
+        return Image::of(&mut lld.into_disk());
     }
     lld.flush(ld_core::FailureSet::PowerFailure).unwrap();
     let b = lld.new_block(lid2, Pred::Start).unwrap();
@@ -128,7 +158,7 @@ fn build_image(
     let mut disk = lld.into_disk();
     disk.crash_now();
     disk.revive();
-    disk.image_bytes()
+    Image::of(&mut disk)
 }
 
 proptest! {
@@ -143,6 +173,7 @@ proptest! {
         delete_stride in 2usize..5,
         fault_seed in any::<u64>(),
         with_faults in any::<bool>(),
+        nvram in any::<bool>(),
         latent_ppm in 500u32..3_000,
     ) {
         let config = test_config();
@@ -151,21 +182,34 @@ proptest! {
             latent_ppm,
             ..FaultConfig::default()
         });
-        let image = build_image(nblocks, delete_stride, fault_cfg, false);
+        let image = build_image(nblocks, delete_stride, fault_cfg, nvram, false);
         let (obs1, post1) = open_and_observe(&image, &config, fault_cfg);
         let (obs2, post2) = open_and_observe(&image, &config, fault_cfg);
         prop_assert_eq!(&obs1, &obs2, "two recoveries of one image diverged");
         prop_assert_eq!(&post1, &post2, "post-recovery images diverged");
         prop_assert!(!obs1.stats.recovered_from_checkpoint);
+        prop_assert!(nvram || !obs1.stats.recovery_nvram_applied);
 
         // A sweep writes no checkpoint, so the device it leaves behind
-        // sweeps again on the next open, to the same state.
-        let (obs3, post3) = open_and_observe(&post1, &config, fault_cfg);
+        // sweeps again on the next open, to the same state. A first sweep
+        // that materialized an NVRAM tail also invalidated it, so the
+        // second finds none: only that flag and the time may differ.
+        let (mut obs3, post3) = open_and_observe(&post1, &config, fault_cfg);
+        prop_assert!(!obs3.stats.recovery_nvram_applied);
+        if obs1.stats.recovery_nvram_applied {
+            obs3.stats.recovery_nvram_applied = true;
+            obs3.stats.recovery_us = obs1.stats.recovery_us;
+        }
         prop_assert_eq!(&obs1, &obs3, "re-opening the recovered device diverged");
-        prop_assert_eq!(post1, post3, "a second sweep changed the image");
+        prop_assert_eq!(&post1, &post3, "a second sweep changed the image");
 
-        let report = ldck::check_image(&image, &config);
+        let report = ldck::check_image(&image.medium, &config);
         prop_assert!(report.is_clean(), "crashed image: {:?}", report.findings);
+        // ldck reads only the medium, and the remap records may still sit
+        // in the NVRAM tail of the crashed image; the recovered medium
+        // holds them all.
+        let report = ldck::check_image(&post1.medium, &config);
+        prop_assert!(report.is_clean(), "recovered image: {:?}", report.findings);
         prop_assert_eq!(
             report.stats.bad_sectors,
             obs1.bad_sectors.len() as u64,
@@ -189,7 +233,7 @@ proptest! {
             latent_ppm,
             ..FaultConfig::default()
         });
-        let image = build_image(nblocks, delete_stride, fault_cfg, true);
+        let image = build_image(nblocks, delete_stride, fault_cfg, false, true);
         let (obs1, post1) = open_and_observe(&image, &config, fault_cfg);
         let (obs2, post2) = open_and_observe(&image, &config, fault_cfg);
         prop_assert_eq!(&obs1, &obs2, "two checkpoint restores diverged");
@@ -205,7 +249,7 @@ proptest! {
         prop_assert_eq!(obs1.quarantined, obs3.quarantined);
         prop_assert_eq!(&obs1.lists, &obs3.lists);
 
-        let report = ldck::check_image(&image, &config);
+        let report = ldck::check_image(&image.medium, &config);
         prop_assert!(report.is_clean(), "scrubbed image: {:?}", report.findings);
         prop_assert_eq!(report.stats.bad_sectors, obs1.bad_sectors.len() as u64);
     }

@@ -301,14 +301,16 @@ impl SimDisk {
     /// charges no simulated time and changes nothing the disk does.
     pub fn record_writes(&mut self) {
         let (medium, nvram) = (self.store.snapshot(), self.nvram.clone());
-        let images = CrashImages::new(self.geometry, self.timing, medium, nvram);
+        let nonzero = self.store.allocated_pages();
+        let images = CrashImages::new(self.geometry, self.timing, medium, nonzero, nvram);
         self.recording = Some(Box::new(images));
     }
 
-    /// Sectors logged since [`record_writes`](Self::record_writes) (0 when
-    /// not recording): the prefix of the log that is on the medium now.
-    pub fn recorded_sectors(&self) -> u64 {
-        self.recording.as_ref().map_or(0, |images| images.sectors())
+    /// Positions logged since [`record_writes`](Self::record_writes), one
+    /// per sector and one per NVRAM write (0 when not recording): the
+    /// prefix of the log that is persistent now.
+    pub fn recorded_writes(&self) -> u64 {
+        self.recording.as_ref().map_or(0, |images| images.writes())
     }
 
     /// Stops recording and returns the crash images of the recorded run,
@@ -850,34 +852,44 @@ mod tests {
         let base = disk.image_bytes();
         disk.record_writes();
         disk.write_sectors(0, &[0xEEu8; 8 * SECTOR_SIZE]).unwrap();
-        assert_eq!(disk.recorded_sectors(), 8);
+        assert_eq!(disk.recorded_writes(), 8);
         disk.nvram_write(0, &[7u8; 16]).unwrap();
+        assert_eq!(disk.recorded_writes(), 9);
         disk.write_sectors(200, &[0x22u8; 4 * SECTOR_SIZE]).unwrap();
         disk.nvram_write(16, &[8u8; 16]).unwrap();
         let images = disk.take_recording().unwrap();
-        assert_eq!(disk.recorded_sectors(), 0, "taking the recording stops it");
+        assert_eq!(disk.recorded_writes(), 0, "taking the recording stops it");
         (disk, base, images)
     }
 
     #[test]
     fn every_prefix_lands_exactly_the_sectors_before_it() {
         let (mut disk, base, mut images) = recorded_run();
-        assert_eq!(images.sectors(), 12);
-        let order: Vec<usize> = (0..8).chain(200..204).collect();
-        for n in 0..=12 {
+        // Twelve sectors and two NVRAM writes, one position each.
+        assert_eq!(images.writes(), 14);
+        // Position by position: the sector written, or `None` for an NVRAM
+        // write.
+        let order: Vec<Option<usize>> = (0..8)
+            .map(Some)
+            .chain([None])
+            .chain((200..204).map(Some))
+            .chain([None])
+            .collect();
+        for n in 0..=14 {
             images.advance_to(n);
-            // The base, then the first `n` sectors in the order written:
+            // The base, then the first `n` positions in the order written:
             // prefix 0 is the base, and 1..8 tear the first request.
             let mut medium = base.clone();
-            for &s in &order[..n as usize] {
+            for &s in order[..n as usize].iter().flatten() {
                 let byte = if s < 8 { 0xEE } else { 0x22 };
                 medium[s * SECTOR_SIZE..(s + 1) * SECTOR_SIZE].fill(byte);
             }
             assert!(images.medium() == medium.as_slice(), "prefix {n}");
-            // Each NVRAM write keeps its place: the one made after the
-            // 8th sector is in prefix 8 on, the last one only at the end.
-            assert_eq!(images.nvram()[..16] == [7; 16], n >= 8, "prefix {n}");
-            assert_eq!(images.nvram()[16..32] == [8; 16], n == 12, "prefix {n}");
+            // Each NVRAM write has its own position: prefix 8 holds the
+            // whole first request without the NVRAM write that followed
+            // it, prefix 9 adds it, and only the full prefix has the last.
+            assert_eq!(images.nvram()[..16] == [7; 16], n >= 9, "prefix {n}");
+            assert_eq!(images.nvram()[16..32] == [8; 16], n == 14, "prefix {n}");
             // A disk booted from the prefix holds it; rendering a written
             // disk on the working image shows that disk, then puts the
             // prefix back (checked by the next round).

@@ -172,6 +172,12 @@ mod tests {
             len: u64,
             seed: u8,
         },
+        /// A write of zeros: over unwritten pages it must allocate
+        /// nothing, over written ones it must still land.
+        Zeros {
+            at: At,
+            len: u64,
+        },
         Read {
             at: At,
             len: u64,
@@ -207,6 +213,7 @@ mod tests {
     fn step() -> impl Strategy<Value = Step> {
         prop_oneof![
             6 => (at(), len(), any::<u8>()).prop_map(|(at, len, seed)| Step::Write { at, len, seed }),
+            3 => (at(), len()).prop_map(|(at, len)| Step::Zeros { at, len }),
             5 => (at(), len()).prop_map(|(at, len)| Step::Read { at, len }),
             4 => (0u64..8, 1u64..40).prop_map(|(skip, len)| Step::ReadOn { skip, len }),
             1 => Just(Step::CrashNow),
@@ -256,14 +263,15 @@ mod tests {
     }
 
     /// Everything a caller can observe of a disk between requests.
-    fn observe(d: &SimDisk) -> (u64, crate::DiskStats, bool, u32, (u64, u64), u64) {
+    fn observe(d: &SimDisk) -> (u64, crate::DiskStats, bool, u32, (u64, u64), u64, usize) {
         (
             d.clock_us,
             d.stats,
             d.down,
             d.head_cylinder,
             d.cache_range,
-            d.recorded_sectors(),
+            d.recorded_writes(),
+            d.resident_bytes(),
         )
     }
 
@@ -278,8 +286,9 @@ mod tests {
 
         /// Track runs and the per-sector reference agree on everything
         /// observable: each result and read buffer, the clock, the stats,
-        /// the head and read-ahead state, the trace events, the final
-        /// medium and the write log, sector for sector.
+        /// the head and read-ahead state, the pages the medium holds, the
+        /// trace events, the final medium and the write log, sector for
+        /// sector.
         #[test]
         fn runs_match_the_per_sector_reference(
             shape in 0u8..2,
@@ -307,6 +316,11 @@ mod tests {
                     Step::Write { at, len, seed } => {
                         let (sector, len) = place(at, len);
                         let data = fill(seed, len as usize * SECTOR_SIZE);
+                        (runs.write_sectors(sector, &data), reference.reference_write(sector, &data))
+                    }
+                    Step::Zeros { at, len } => {
+                        let (sector, len) = place(at, len);
+                        let data = vec![0u8; len as usize * SECTOR_SIZE];
                         (runs.write_sectors(sector, &data), reference.reference_write(sector, &data))
                     }
                     Step::Read { at, len } => {

@@ -2,8 +2,16 @@
 //!
 //! A simulated disk can be multiple gigabytes; most experiments touch a small
 //! fraction of it. Sectors are stored in lazily allocated fixed-size pages so
-//! memory scales with the touched footprint, not the disk capacity.
-//! Unwritten sectors read back as zeroes, like a freshly formatted drive.
+//! memory scales with the non-zero footprint, not the disk capacity.
+//!
+//! The invariant: an unallocated page reads zero, and a page is allocated
+//! only by a write carrying a non-zero byte into it. Unwritten sectors read
+//! back as zeroes, like a freshly formatted drive, and a run of zeros aimed
+//! at an unallocated page (a format invalidating every segment summary or
+//! zeroing a table) leaves it unallocated. An allocated page stays
+//! allocated and is overwritten as usual, zeros included. So every
+//! unallocated page is zero, and the allocated pages are a "may be
+//! non-zero" mask of the medium that costs no scan.
 
 use crate::geometry::SECTOR_SIZE;
 
@@ -15,11 +23,12 @@ pub(crate) const PAGE_BYTES: usize = SECTORS_PER_PAGE as usize * SECTOR_SIZE;
 static ZERO_PAGE: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
 
 /// Whether `chunk` (at most a page) is all zero.
-pub(crate) fn is_zero(chunk: &[u8]) -> bool {
+fn is_zero(chunk: &[u8]) -> bool {
     chunk == &ZERO_PAGE[..chunk.len()]
 }
 
-/// Lazily allocated sector array.
+/// Lazily allocated sector array: only pages that were written a non-zero
+/// byte hold memory (see the module docs).
 #[derive(Debug)]
 pub struct SparseStore {
     pages: Vec<Option<Box<[u8]>>>,
@@ -44,6 +53,12 @@ impl SparseStore {
     /// Bytes of memory currently committed to page storage.
     pub fn resident_bytes(&self) -> usize {
         self.pages.iter().filter(|p| p.is_some()).count() * PAGE_BYTES
+    }
+
+    /// Per page: is it allocated? By the store's invariant this is a "may
+    /// hold a non-zero byte" mask: a `false` page reads zero.
+    pub(crate) fn allocated_pages(&self) -> Vec<bool> {
+        self.pages.iter().map(Option::is_some).collect()
     }
 
     /// Copies the entire sector array into one contiguous buffer
@@ -155,7 +170,9 @@ impl SparseStore {
 
     /// Writes `data.len() / SECTOR_SIZE` consecutive sectors starting at
     /// `sector`, one page-contiguous piece at a time. A page the run
-    /// covers whole is built straight from `data`, never zero-filled first.
+    /// covers whole is built straight from `data`, never zero-filled first,
+    /// and an all-zero piece aimed at an unallocated page is dropped: the
+    /// page already reads zero.
     ///
     /// # Panics
     ///
@@ -171,6 +188,7 @@ impl SparseStore {
             let (piece, tail) = rest.split_at(n);
             match &mut self.pages[page] {
                 Some(p) => p[offset..offset + piece.len()].copy_from_slice(piece),
+                None if is_zero(piece) => {}
                 slot @ None if piece.len() == PAGE_BYTES => *slot = Some(piece.into()),
                 slot @ None => {
                     let mut p = vec![0u8; PAGE_BYTES].into_boxed_slice();
@@ -242,6 +260,31 @@ mod tests {
         store.write_run(0, &data);
         store.write_run(store.total_sectors() - 1, &data);
         assert_eq!(store.resident_bytes(), 2 * PAGE_BYTES);
+    }
+
+    #[test]
+    fn zero_runs_allocate_nothing_and_still_overwrite() {
+        let mut store = SparseStore::new(4 * SECTORS_PER_PAGE);
+        // Zeros into unallocated pages, a whole page and pieces of two.
+        store.write_run(0, &[0u8; PAGE_BYTES]);
+        store.write_run(SECTORS_PER_PAGE + 100, &[0u8; 60 * SECTOR_SIZE]);
+        assert_eq!(store.resident_bytes(), 0);
+        // A run across three pages with non-zero bytes only in the middle
+        // one allocates that page alone.
+        let mut run = vec![0u8; (SECTORS_PER_PAGE as usize + 20) * SECTOR_SIZE];
+        run[20 * SECTOR_SIZE] = 5;
+        store.write_run(SECTORS_PER_PAGE - 10, &run);
+        assert_eq!(store.allocated_pages(), [false, true, false, false]);
+        let mut model = vec![0u8; 4 * PAGE_BYTES];
+        model[(SECTORS_PER_PAGE as usize + 10) * SECTOR_SIZE] = 5;
+        assert_eq!(store.snapshot(), model);
+        // Zeros over an allocated page still land and read back zero.
+        store.write_run(SECTORS_PER_PAGE + 10, &[0u8; SECTOR_SIZE]);
+        let mut buf = [0xAAu8; SECTOR_SIZE];
+        store.read_run(SECTORS_PER_PAGE + 10, &mut buf);
+        assert_eq!(buf, [0u8; SECTOR_SIZE]);
+        assert_eq!(store.snapshot(), vec![0u8; 4 * PAGE_BYTES]);
+        assert_eq!(store.resident_bytes(), PAGE_BYTES);
     }
 
     #[test]

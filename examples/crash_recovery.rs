@@ -71,8 +71,8 @@ fn main() {
         let mut consistent = 0u32;
         let mut torn = 0u32;
         let mut outcomes = std::collections::BTreeMap::new();
-        // Crash after 0, 1, 2, ... sectors of the transfer's disk traffic.
-        for n in 0..=images.sectors() {
+        // Crash after 0, 1, 2, ... writes of the transfer's disk traffic.
+        for n in 0..=images.writes() {
             images.advance_to(n);
             let mut ld = Lld::open(images.disk(), config.clone()).expect("recover");
             let Some((va, vb)) = balances(&mut ld, a, b) else {
@@ -92,7 +92,7 @@ fn main() {
             } else {
                 "without ARU"
             },
-            images.sectors() + 1,
+            images.writes() + 1,
             consistent,
             torn,
             outcomes

@@ -49,16 +49,13 @@ fn main() {
     println!("wrote {clean_path} (clean shutdown)");
 
     // Crash mid-workload: record the run, then keep what a power failure
-    // after 900 sector writes would have left on the platter.
+    // after 900 writes would have left on the platter.
     let mut disk = SimDisk::hp_c3010_with_capacity(4 << 20);
     disk.record_writes();
     let mut ld = Lld::format(disk, config).expect("format");
     workload(&mut ld, 24).expect("workload");
     let mut images = ld.into_disk().take_recording().expect("recording");
-    assert!(
-        900 < images.sectors(),
-        "the crash falls inside the workload"
-    );
+    assert!(900 < images.writes(), "the crash falls inside the workload");
     images.advance_to(900);
     std::fs::write(&crashed_path, images.medium()).expect("write image");
     println!("wrote {crashed_path} (crashed mid-workload)");

@@ -100,7 +100,7 @@ fn main() {
     );
 
     // A transaction interrupted mid-commit: record its disk writes, then
-    // crash it at every written sector and recover.
+    // crash it after every write it made and recover.
     store.ld.disk_mut().record_writes();
     store
         .transact(&[(2, "record 2 v2".into()), (5, "record 5 v2".into())])
@@ -108,7 +108,7 @@ fn main() {
     let config = store.ld.config().clone();
     let mut images = store.ld.disk_mut().take_recording().expect("recording");
     let (mut committed, mut rolled_back) = (0u32, 0u32);
-    for n in 0..=images.sectors() {
+    for n in 0..=images.writes() {
         images.advance_to(n);
         let mut ld = Lld::open(images.disk(), config.clone()).expect("recover");
         let mut read = |bid: Bid| {
@@ -122,7 +122,7 @@ fn main() {
         let both_new = r2 == "record 2 v2" && r5 == "record 5 v2";
         assert!(
             both_old || both_new,
-            "crash at sector {n}: r2 = {r2:?}, r5 = {r5:?}; the transaction must be all-or-nothing"
+            "crash at write {n}: r2 = {r2:?}, r5 = {r5:?}; the transaction must be all-or-nothing"
         );
         if both_new {
             committed += 1;
@@ -131,7 +131,7 @@ fn main() {
         }
     }
     println!(
-        "\ncrashed at each of {} sectors of the commit: {rolled_back} rolled back, {committed} committed (all-or-nothing held)",
-        images.sectors() + 1
+        "\ncrashed at each of {} points of the commit: {rolled_back} rolled back, {committed} committed (all-or-nothing held)",
+        images.writes() + 1
     );
 }

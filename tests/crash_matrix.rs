@@ -149,7 +149,7 @@ proptest! {
                 }
                 if sync {
                     fs.sync()?;
-                    let at = fs.store().disk().recorded_sectors();
+                    let at = fs.store().disk().recorded_writes();
                     for file in &mut baseline {
                         for d in file.durable_at.iter_mut().filter(|d| **d == u64::MAX) {
                             *d = at;
@@ -164,7 +164,7 @@ proptest! {
 
         // Crash points strictly inside the log, in increasing order, then
         // its end.
-        let len = images.sectors();
+        let len = images.writes();
         let inside = len.saturating_sub(1) as usize;
         let mut crash_at: Vec<u64> =
             points.iter().filter(|_| inside > 0).map(|p| 1 + p.index(inside) as u64).collect();
@@ -174,7 +174,7 @@ proptest! {
 
         for &n in &crash_at {
             let case = format!(
-                "queue mode {queue_mode}, nvram {nvram}, transient {} ppm, crash at sector {n} of {len}",
+                "queue mode {queue_mode}, nvram {nvram}, transient {} ppm, crash at write {n} of {len}",
                 faults.transient_ppm
             );
             images.advance_to(n);

@@ -145,7 +145,7 @@ fn torn_segment_write_cannot_corrupt_the_file_system() {
     fs.sync().expect("sync");
     let mut disk = fs.into_store().into_disk();
     let mut images = disk.take_recording().expect("recording");
-    let len = images.sectors();
+    let len = images.writes();
     for n in 0..=len {
         images.advance_to(n);
         let store = LdStore::mount(images.disk(), lld_config()).expect("recovery");
