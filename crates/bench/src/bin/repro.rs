@@ -11,6 +11,12 @@
 //! `--list` prints the full experiment index (E1–E17) with one-line
 //! descriptions and paper-section anchors.
 //!
+//! Every run checks the paper's claims (`ld_bench::claims`) against the
+//! reports it produced. It prints nothing when they hold; a claim that
+//! fails is named on stderr, with its experiment, row and key, and
+//! `repro` exits 1 after writing its output. Under `--faults` the claims
+//! are not checked: they describe perfect media.
+//!
 //! `--json-out` writes the same results as JSON: one document for one
 //! experiment, an array of them for several. The committed
 //! `BENCH_<experiment>.json` baselines are these documents.
@@ -40,121 +46,8 @@
 
 use std::path::PathBuf;
 
-use ld_bench::exp::{
-    ablate, calibrate, compression, faults, hotcold, inodes, lists, loge_cmp, nvram_exp, queueing,
-    recovery, segsize, table2, table3, table4, table5, table6, Opts,
-};
-use ld_bench::report::Report;
-
-/// CLI name, experiment id, a one-line description with its paper-section
-/// anchor, and the entry point.
-type Experiment = (&'static str, &'static str, &'static str, fn(Opts) -> Report);
-
-/// Every experiment, in `repro all` order; `repro --list` prints them by id.
-const EXPERIMENTS: &[Experiment] = &[
-    (
-        "calibrate",
-        "E12",
-        "disk-model calibration: 2400 vs ~300 KB/s raw streams (§4.2)",
-        calibrate::run,
-    ),
-    (
-        "table2",
-        "E1",
-        "Table 2 — LLD main memory per GB of disk (§2.3)",
-        table2::run,
-    ),
-    (
-        "table3",
-        "E2",
-        "Table 3 — % cost LLD adds to a disk (§2.3)",
-        table3::run,
-    ),
-    (
-        "table4",
-        "E3",
-        "Table 4 — small-file create/read/delete, files/s (§4.2)",
-        table4::run,
-    ),
-    (
-        "table5",
-        "E4",
-        "Table 5 — 80 MB large-file five-phase I/O, KB/s (§4.2)",
-        table5::run,
-    ),
-    (
-        "table6",
-        "E5",
-        "Table 6 — blocks written per op vs Sprite LFS (§5.1)",
-        table6::run,
-    ),
-    (
-        "recovery",
-        "E6",
-        "recovery time after failure: 12 s, 788 summaries (§4.2)",
-        recovery::run,
-    ),
-    (
-        "lists",
-        "E7",
-        "the cost of supporting lists: ~15% on create/delete (§4.2)",
-        lists::run,
-    ),
-    (
-        "segsize",
-        "E8",
-        "segment-size sweep: 512/256/128 KB within a few % (§4.2)",
-        segsize::run,
-    ),
-    (
-        "inodes",
-        "E9",
-        "small-i-node-block variant: reads worse, writes same (§4.2)",
-        inodes::run,
-    ),
-    (
-        "compression",
-        "E10",
-        "compression: 1600 KB/s write, 800 KB/s read (§4.2)",
-        compression::run,
-    ),
-    (
-        "loge",
-        "E11",
-        "Loge comparison: write streams + ≥10x faster recovery (§5.2)",
-        loge_cmp::run,
-    ),
-    (
-        "nvram",
-        "E14",
-        "extension: NVRAM flush absorption, Baker et al. (§5.3)",
-        nvram_exp::run,
-    ),
-    (
-        "hotcold",
-        "E15",
-        "extension: adaptive block rearrangement, Akyürek & Salem (§5.3)",
-        hotcold::run,
-    ),
-    (
-        "ablate",
-        "E13",
-        "ablations: cleaner policy, partial-segment threshold (§3.5, §3.2)",
-        ablate::run,
-    ),
-    (
-        "faults",
-        "E16",
-        "extension: media faults — throughput, scrub, remap (§4.2 rig)",
-        faults::run,
-    ),
-    (
-        "queueing",
-        "E17",
-        "command queueing: scheduler x depth sweep, write-behind (§4.2)",
-        queueing::run,
-    ),
-];
+use ld_bench::claims;
+use ld_bench::exp::{Opts, EXPERIMENTS};
 
 /// Prints `msg` and exits with the usage-error status.
 fn fail(msg: &str) -> ! {
@@ -236,6 +129,7 @@ fn main() {
     };
 
     let mut json_docs: Vec<String> = Vec::new();
+    let mut broken: Vec<String> = Vec::new();
     for (i, name) in list.iter().enumerate() {
         let Some(&(_, _, _, run)) = EXPERIMENTS.iter().find(|e| e.0 == *name) else {
             fail(&format!("unknown experiment '{name}'; known: {}", names()));
@@ -246,6 +140,10 @@ fn main() {
         }
         println!("{}", report.text());
         json_docs.push(report.json());
+        // The claims describe perfect media.
+        if opts.faults.is_none() {
+            broken.extend(claims::check(name, &report));
+        }
     }
     if let Some(path) = &json_out {
         let doc = match json_docs.as_slice() {
@@ -262,5 +160,11 @@ fn main() {
             fail(&format!("cannot write {}: {e}", path.display()));
         }
         eprintln!("wrote {}", path.display());
+    }
+    if !broken.is_empty() {
+        for msg in &broken {
+            eprintln!("{msg}");
+        }
+        std::process::exit(1);
     }
 }

@@ -1,9 +1,11 @@
 //! E13 — design-choice ablations:
 //!
 //! 1. **Cleaner policy** (§3.5): greedy vs Sprite cost-benefit under a
-//!    hot/cold overwrite workload — cost-benefit should move fewer live
-//!    bytes (lower write amplification) because it leaves hot segments
-//!    alone until their remaining live data is worth moving.
+//!    hot/cold overwrite workload. Cost-benefit leaves hot segments alone
+//!    until their remaining live data is worth moving, but on this
+//!    workload it does not lower write amplification: at full scale it
+//!    copies slightly more than greedy (1.27x vs 1.24x), and the claim
+//!    checked is only that it stays within 10% of greedy.
 //! 2. **Partial-segment threshold** (§3.2): with frequent `Flush` calls,
 //!    sweep the threshold at which a flush seals instead of writing a
 //!    partial segment, and report the partial/seal mix and total disk
@@ -123,31 +125,15 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
+crate::claims::quick_test!(higher_threshold_means_more_partials_fewer_seals, "ablate";
     #[test]
     fn cost_benefit_beats_greedy_on_hot_cold() {
         let (amp_greedy, _) = hot_cold(CleaningPolicy::Greedy, 16 << 20, 3_000);
         let (amp_cb, _) = hot_cold(CleaningPolicy::CostBenefit, 16 << 20, 3_000);
-        // Cost-benefit should not be noticeably worse; usually better.
+        // Cost-benefit should not be noticeably worse than greedy.
         assert!(
             amp_cb <= amp_greedy * 1.10,
             "cost-benefit amplification {amp_cb:.2} vs greedy {amp_greedy:.2}"
         );
     }
-
-    #[test]
-    fn higher_threshold_means_more_partials_fewer_seals() {
-        // A lower threshold seals earlier, so it produces more (padded)
-        // seals and fewer partial writes per flush cycle.
-        let (p50, s50, _) = flush_heavy(50, 48 << 20, 30);
-        let (p90, s90, _) = flush_heavy(90, 48 << 20, 30);
-        assert!(
-            p90 >= p50,
-            "90% threshold partials {p90} should be >= 50% threshold {p50}"
-        );
-        assert!(s50 >= s90, "lower threshold seals more ({s50} vs {s90})");
-    }
-}
+);

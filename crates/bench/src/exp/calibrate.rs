@@ -83,28 +83,4 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn calibration_matches_paper_anchors() {
-        let out = super::run(super::super::Opts {
-            quick: true,
-            trace: None,
-            faults: None,
-        })
-        .text();
-        assert!(out.contains("2400"));
-        // Extract the simulated segment throughput and check the band.
-        let line = out
-            .lines()
-            .find(|l| l.contains("sequential writes"))
-            .expect("row present");
-        let sim: f64 = line
-            .split_whitespace()
-            .last()
-            .expect("value")
-            .parse()
-            .expect("numeric");
-        assert!((2100.0..2700.0).contains(&sim), "simulated {sim}");
-    }
-}
+crate::claims::quick_test!(calibration_matches_paper_anchors, "calibrate");

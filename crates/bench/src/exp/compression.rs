@@ -86,35 +86,4 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn compression_shapes_match_paper() {
-        let (w_plain, r_plain, _) = throughputs(96 << 20, 6 << 20, false);
-        let (w_comp, r_comp, ratio) = throughputs(96 << 20, 6 << 20, true);
-        // Ratio near 60%.
-        assert!((0.40..0.70).contains(&ratio), "ratio {ratio:.2}");
-        // Write loses some throughput but stays within ~40% (paper: 21%).
-        assert!(w_comp < w_plain);
-        assert!(
-            w_comp > 0.55 * w_plain,
-            "write with compression {w_comp:.0} vs without {w_plain:.0}"
-        );
-        // Read pays the serialized decompression: clearly slower.
-        assert!(
-            r_comp < 0.8 * r_plain,
-            "read with compression {r_comp:.0} vs without {r_plain:.0}"
-        );
-        // Absolute bands around the paper's 1600/800 (KB/s).
-        assert!(
-            (1100.0..2100.0).contains(&w_comp),
-            "write {w_comp:.0} KB/s (paper 1600)"
-        );
-        assert!(
-            (500.0..1100.0).contains(&r_comp),
-            "read {r_comp:.0} KB/s (paper 800)"
-        );
-    }
-}
+crate::claims::quick_test!(compression_shapes_match_paper, "compression");

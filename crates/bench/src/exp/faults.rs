@@ -34,9 +34,10 @@ const SWEEP_SEED: u64 = 0xFA01;
 /// a pure hash, so this choice is load-bearing: it is picked so that no
 /// latent sector lands under the demo's live file data (the data on a
 /// latent sector is genuinely unreadable — no amount of machinery can
-/// resurrect it, only report it). The run asserts zero unreadable blocks;
-/// if an allocation change ever moves live data onto a scheduled sector,
-/// that assert fires and this seed needs re-tuning.
+/// resurrect it, only report it). The claim `E16.scrub-loses-no-file`
+/// requires zero unreadable blocks; if an allocation change ever moves
+/// live data onto a scheduled sector, it fails and this seed needs
+/// re-tuning.
 const SCRUB_SEED: u64 = 26;
 
 /// LLD config for this experiment: the rig's, with a retry budget deep
@@ -113,7 +114,6 @@ pub fn run(opts: super::Opts) -> Report {
             col("MINIX (files/s)", "minix_files_per_s", "files/s"),
         ],
     );
-    let mut minix_failed = false;
     for &ppm in rates {
         let cfg = (ppm > 0).then(|| transient(ppm));
 
@@ -152,10 +152,7 @@ pub fn run(opts: super::Opts) -> Report {
         }
         let minix = match create_read(&mut raw, n, &data) {
             Ok(files_per_s) => rate(files_per_s),
-            Err(done) => {
-                minix_failed = true;
-                format!("failed ({done}/{n} reads)").into()
-            }
+            Err(done) => format!("failed ({done}/{n} reads)").into(),
         };
         t.row([
             u64::from(ppm).into(),
@@ -166,10 +163,6 @@ pub fn run(opts: super::Opts) -> Report {
             minix,
         ]);
     }
-    assert!(
-        minix_failed,
-        "plain MINIX should not survive the sweep's top error rate"
-    );
     let mut out = Report::new("faults", opts.quick);
     out.note(format!(
         "E16: media faults — {n} x 4 KB files, create+read, {} MB partition\n\
@@ -225,26 +218,6 @@ pub fn run(opts: super::Opts) -> Report {
     let image = store.into_disk().image_bytes();
     let report = ldck::check_image(&image, &lld_config());
 
-    assert!(stats.retries > 0, "the media scan must have retried reads");
-    assert!(remapped > 0, "the latent schedule must retire some sectors");
-    assert_eq!(
-        unreadable, 0,
-        "no live block may sit on a latent sector (re-tune SCRUB_SEED)"
-    );
-    assert_eq!(
-        intact, survivors,
-        "every surviving file must come through the scrub intact"
-    );
-    assert!(
-        report.is_clean(),
-        "scrubbed image must pass ldck: {:?}",
-        report.findings
-    );
-    assert_eq!(
-        report.stats.bad_sectors, remapped,
-        "the checkpointed remap table must carry every retired sector"
-    );
-
     let mut s = Table::new(
         "",
         [col("quantity", "quantity", ""), col("value", "value", "")],
@@ -278,17 +251,4 @@ pub fn run(opts: super::Opts) -> Report {
     out
 }
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn faults_experiment_completes_quick() {
-        let out = super::run(super::super::Opts {
-            quick: true,
-            ..Default::default()
-        })
-        .text();
-        assert!(out.contains("transient (ppm)"));
-        assert!(out.contains("Latent-fault scrub"));
-        assert!(out.contains("clean"));
-    }
-}
+crate::claims::quick_test!(faults_experiment_completes_quick, "faults");

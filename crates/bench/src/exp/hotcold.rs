@@ -58,15 +58,6 @@ fn measure_reads(
     }
 }
 
-/// An LLD on a fresh `disk_bytes` rig disk holding `nblocks` flushed
-/// blocks on one list.
-fn loaded(disk_bytes: u64, nblocks: usize) -> (Lld<SimDisk>, Vec<ld_core::Bid>) {
-    let mut ld = Lld::format(rig::disk_sized(disk_bytes), rig::lld_config()).expect("format");
-    let bids = fill_list(&mut ld, nblocks, Some(&compressible_data(4096, 0x807)));
-    ld.flush(FailureSet::PowerFailure).expect("flush");
-    (ld, bids)
-}
-
 /// Runs the before/after comparison.
 pub fn run(opts: super::Opts) -> Report {
     let (disk_bytes, nblocks, reads) = if opts.quick {
@@ -74,7 +65,9 @@ pub fn run(opts: super::Opts) -> Report {
     } else {
         (rig::PARTITION_BYTES, 16_000, 8_000)
     };
-    let (mut ld, bids) = loaded(disk_bytes, nblocks);
+    let mut ld = Lld::format(rig::disk_sized(disk_bytes), rig::lld_config()).expect("format");
+    let bids = fill_list(&mut ld, nblocks, Some(&compressible_data(4096, 0x807)));
+    ld.flush(FailureSet::PowerFailure).expect("flush");
     let hot = nblocks / 10;
     let before = measure_reads(&mut ld, &bids, hot, reads, 1);
     let moved = ld.reorganize_hot(hot + hot / 4).expect("reorganize_hot");
@@ -113,24 +106,4 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rearrangement_cuts_seek_time() {
-        let (mut ld, bids) = loaded(64 << 20, 2_000);
-        let hot = bids.len() / 10;
-        let before = measure_reads(&mut ld, &bids, hot, 1_500, 1);
-        ld.reorganize_hot(hot + hot / 4).expect("reorganize_hot");
-        let after = measure_reads(&mut ld, &bids, hot, 1_500, 2);
-        assert!(
-            after.avg_seek_us < 0.6 * before.avg_seek_us,
-            "seek time should drop by ~half ({:.0} -> {:.0} us)",
-            before.avg_seek_us,
-            after.avg_seek_us
-        );
-        assert!(after.avg_read_us < before.avg_read_us);
-        assert!(after.hot_segments < before.hot_segments);
-    }
-}
+crate::claims::quick_test!(rearrangement_cuts_seek_time, "hotcold");

@@ -78,10 +78,7 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
+crate::claims::quick_test!(small_inodes_hurt_small_file_reads, "inodes";
     #[test]
     fn small_inodes_same_large_file_performance() {
         let mut packed = build(64 << 20, InodeMode::Packed);
@@ -97,19 +94,4 @@ mod tests {
             delta * 100.0
         );
     }
-
-    #[test]
-    fn small_inodes_hurt_small_file_reads() {
-        let mut packed = build(48 << 20, InodeMode::Packed);
-        let rp = small_file(&mut packed, 400, 1 << 10);
-        let mut small = build(48 << 20, InodeMode::SmallBlocks);
-        let rs = small_file(&mut small, 400, 1 << 10);
-        assert!(
-            rp.read_per_s > rs.read_per_s,
-            "packed reads {:.0}/s must beat per-i-node reads {:.0}/s \
-             (each i-node read separately)",
-            rp.read_per_s,
-            rs.read_per_s
-        );
-    }
-}
+);

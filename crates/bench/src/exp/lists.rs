@@ -64,31 +64,4 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn list_overhead_shows_in_create_delete_only() {
-        let with = super::run_variant(64 << 20, 500, true);
-        let without = super::run_variant(64 << 20, 500, false);
-        // Create/delete get slower with lists...
-        assert!(
-            without.0 > with.0,
-            "create without lists ({:.0}/s) should beat with lists ({:.0}/s)",
-            without.0,
-            with.0
-        );
-        let create_overhead = (without.0 - with.0) / without.0;
-        assert!(
-            (0.02..0.45).contains(&create_overhead),
-            "create overhead {:.1}% should be noticeable but bounded",
-            create_overhead * 100.0
-        );
-        // ...while reads barely change.
-        let read_delta = ((without.1 - with.1) / without.1).abs();
-        assert!(
-            read_delta < 0.10,
-            "read overhead {:.1}% should be negligible",
-            read_delta * 100.0
-        );
-    }
-}
+crate::claims::quick_test!(list_overhead_shows_in_create_delete_only, "lists");

@@ -102,32 +102,4 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn loge_relations_hold_quick() {
-        let out = super::run(super::super::Opts {
-            quick: true,
-            trace: None,
-            faults: None,
-        })
-        .text();
-        // Extract the recovery ratio line.
-        let line = out
-            .lines()
-            .find(|l| l.contains("Recovery ratio"))
-            .expect("ratio line");
-        let ratio: f64 = line
-            .split_whitespace()
-            .last()
-            .expect("value")
-            .trim_end_matches('x')
-            .parse()
-            .expect("numeric");
-        assert!(
-            ratio >= 10.0,
-            "LLD recovery must be at least 10x faster than Loge's whole-disk \
-             scan (got {ratio:.0}x)"
-        );
-    }
-}
+crate::claims::quick_test!(loge_relations_hold_quick, "loge");

@@ -100,26 +100,4 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn nvram_removes_partials_and_cuts_disk_ops() {
-        let none = run_one(48 << 20, 150, 0);
-        let full = run_one(48 << 20, 150, 512 << 10);
-        assert!(none.partials > 0, "baseline must write partial segments");
-        assert_eq!(
-            full.partials, 0,
-            "0.5 MB NVRAM should absorb every below-threshold flush"
-        );
-        assert!(full.nvram_saves > 0);
-        let cut = 1.0 - full.disk_ops as f64 / none.disk_ops as f64;
-        assert!(
-            cut > 0.10,
-            "disk ops should drop noticeably (got {:.0}%)",
-            cut * 100.0
-        );
-        assert!(full.files_per_s > none.files_per_s);
-    }
-}
+crate::claims::quick_test!(nvram_removes_partials_and_cuts_disk_ops, "nvram");

@@ -321,49 +321,7 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The acceptance relation: a rotational-aware scheduler at depth
-    /// >= 4 beats FCFS at depth 1 on the cleaner-under-load workload.
-    #[test]
-    fn reordering_beats_depth1_on_cleaner_load() {
-        let disk = 24 << 20;
-        let writes = 4_000;
-        let fcfs1 = cleaner_under_load(
-            Point {
-                scheduler: Scheduler::Fcfs,
-                depth: 1,
-            },
-            disk,
-            writes,
-        );
-        let look4 = cleaner_under_load(
-            Point {
-                scheduler: Scheduler::Look,
-                depth: 4,
-            },
-            disk,
-            writes,
-        );
-        let satf8 = cleaner_under_load(
-            Point {
-                scheduler: Scheduler::Satf,
-                depth: 8,
-            },
-            disk,
-            writes,
-        );
-        let best = look4.kb_per_s.max(satf8.kb_per_s);
-        assert!(
-            best > fcfs1.kb_per_s * 1.02,
-            "deep queueing must beat FCFS@1 measurably: best {:.0} KB/s vs {:.0} KB/s",
-            best,
-            fcfs1.kb_per_s
-        );
-    }
-
+crate::claims::quick_test!(reordering_beats_depth1_on_cleaner_load, "queueing";
     /// Queueing off and FCFS depth 1 agree bit-for-bit on throughput.
     #[test]
     fn depth1_matches_direct_path_throughput() {
@@ -386,4 +344,4 @@ mod tests {
         assert_eq!(off.kb_per_s.to_bits(), one.kb_per_s.to_bits());
         assert_eq!(off.segments_cleaned, one.segments_cleaned);
     }
-}
+);

@@ -83,16 +83,4 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn recovery_runs_and_reads_only_summaries() {
-        let out = super::run(super::super::Opts {
-            quick: true,
-            trace: None,
-            faults: None,
-        })
-        .text();
-        assert!(out.contains("segment summaries read"));
-    }
-}
+crate::claims::quick_test!(recovery_runs_and_reads_only_summaries, "recovery");

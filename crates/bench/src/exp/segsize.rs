@@ -71,27 +71,4 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sixty_four_kb_segments_lose_write_performance() {
-        let disk = 128 << 20;
-        let kbs512 = seq_write_kbs(disk, 16 << 20, 512 << 10);
-        let kbs128 = seq_write_kbs(disk, 16 << 20, 128 << 10);
-        let kbs64 = seq_write_kbs(disk, 16 << 20, 64 << 10);
-        // 128 KB within ~12% of 512 KB.
-        assert!(
-            (kbs512 - kbs128).abs() / kbs512 < 0.12,
-            "128KB {kbs128:.0} vs 512KB {kbs512:.0}"
-        );
-        // 64 KB clearly worse (paper: -23%).
-        let loss = (kbs512 - kbs64) / kbs512;
-        assert!(
-            (0.05..0.45).contains(&loss),
-            "64KB loses {:.0}% (expected near 23%)",
-            loss * 100.0
-        );
-    }
-}
+crate::claims::quick_test!(sixty_four_kb_segments_lose_write_performance, "segsize");

@@ -84,22 +84,4 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn table2_reproduces_paper_cells() {
-        let out = super::run(super::super::Opts {
-            quick: true,
-            trace: None,
-            faults: None,
-        })
-        .text();
-        assert!(out.contains("1.5 Mbyte"), "block map col 1:\n{out}");
-        assert!(
-            out.contains("3.8 Mbyte") || out.contains("3.7 Mbyte"),
-            "block map col 2 should be ~3.8 MB:\n{out}"
-        );
-        assert!(out.contains("4 byte"), "list table col 1:\n{out}");
-        assert!(out.contains("4.6 Mbyte"), "total col 2:\n{out}");
-    }
-}
+crate::claims::quick_test!(table2_reproduces_paper_cells, "table2");

@@ -56,21 +56,4 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn table3_reproduces_paper_cells() {
-        let out = super::run(super::super::Opts {
-            quick: true,
-            trace: None,
-            faults: None,
-        })
-        .text();
-        // Paper cells: $30+$750 → 6%/18%; $50+$750 → 10%/31%;
-        // $30+$1500 → 3%/9%; $50+$1500 → 5%/15%.
-        assert!(out.contains("6% or 18%"), "{out}");
-        assert!(out.contains("10% or 31%"), "{out}");
-        assert!(out.contains("3% or 9%"), "{out}");
-        assert!(out.contains("5% or 15%"), "{out}");
-    }
-}
+crate::claims::quick_test!(table3_reproduces_paper_cells, "table3");

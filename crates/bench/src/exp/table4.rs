@@ -1,14 +1,8 @@
 //! E3 — Table 4: small-file I/O. "The cost of creating, reading, and
 //! deleting 10,000 1-Kbyte files and 1,000 10-Kbyte files in one
 //! directory", in files per second, for MINIX LLD, MINIX, and SunOS.
-//!
-//! Relations the paper reports (the exact cell values are what this
-//! experiment regenerates):
-//! - create: MINIX LLD > MINIX ("MINIX LLD collects many changes in a
-//!   single write") ≫ SunOS (synchronous creates);
-//! - read: MINIX LLD ≈ MINIX; SunOS worse ("probably ... unsuccessful
-//!   read-ahead");
-//! - delete: MINIX LLD ≈ MINIX ≫ SunOS (synchronous deletes).
+//! The relations the paper reports are the `E3.*` claims in
+//! `crate::claims`.
 
 use crate::driver::on_paper_stacks;
 use crate::exp::phases::small_file;
@@ -64,40 +58,4 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::driver::PAPER_STACKS;
-
-    /// The Table 4 relations hold at reduced scale.
-    #[test]
-    fn relations_hold_quick() {
-        let [lld, raw, sun] =
-            PAPER_STACKS.map(|build| small_file(build(64 << 20).as_mut(), 300, 1 << 10));
-
-        assert!(
-            lld.create_per_s > 1.5 * raw.create_per_s,
-            "LLD create {:.0}/s must beat MINIX {:.0}/s clearly",
-            lld.create_per_s,
-            raw.create_per_s
-        );
-        assert!(
-            raw.create_per_s > 2.0 * sun.create_per_s,
-            "MINIX create {:.0}/s must beat synchronous SunOS {:.0}/s",
-            raw.create_per_s,
-            sun.create_per_s
-        );
-        assert!(
-            lld.delete_per_s > 2.0 * sun.delete_per_s,
-            "LLD delete {:.0}/s must beat synchronous SunOS {:.0}/s",
-            lld.delete_per_s,
-            sun.delete_per_s
-        );
-        // Reads are within 2x of each other for the MINIX variants.
-        let ratio = lld.read_per_s / raw.read_per_s;
-        assert!(
-            (0.5..=2.0).contains(&ratio),
-            "MINIX LLD and MINIX read rates should be comparable (ratio {ratio:.2})"
-        );
-    }
-}
+crate::claims::quick_test!(relations_hold_quick, "table4");

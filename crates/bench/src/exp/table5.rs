@@ -1,18 +1,7 @@
 //! E4 — Table 5: large-file I/O. "Performance results in Kbyte/sec for
 //! writing and reading a 80-Mbyte file (in 8-Kbyte chunks)."
-//!
-//! Relations the paper reports:
-//! - MINIX LLD "shows excellent performance on all writes ... 85% of the
-//!   available bandwidth"; MINIX "uses only 13%" (the extra-rotation
-//!   effect);
-//! - MINIX beats MINIX LLD on sequential reads (prefetching; LLD's is
-//!   disabled);
-//! - MINIX LLD beats MINIX on random reads ("MINIX's read-ahead strategy
-//!   fails");
-//! - after random writes, the sequential re-read favours MINIX (update in
-//!   place preserves layout);
-//! - SunOS beats both on sequential writes and all reads, but loses to
-//!   MINIX LLD on random writes.
+//! The relations the paper reports are the `E4.*` claims in
+//! `crate::claims`.
 
 use crate::driver::on_paper_stacks;
 use crate::exp::phases::large_file;
@@ -60,65 +49,4 @@ pub fn run(opts: super::Opts) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::driver::PAPER_STACKS;
-
-    #[test]
-    fn relations_hold_quick() {
-        // The file must be much larger than the 6 MB buffer cache or the
-        // random-read phase degenerates into a cache benchmark.
-        let [lld, raw, sun] =
-            PAPER_STACKS.map(|build| large_file(build(96 << 20).as_mut(), 16 << 20, 8192));
-
-        // LLD writes are log-structured: several times MINIX's.
-        assert!(
-            lld.write_seq > 3.0 * raw.write_seq,
-            "LLD seq write {:.0} vs MINIX {:.0}",
-            lld.write_seq,
-            raw.write_seq
-        );
-        assert!(
-            lld.write_rand > 3.0 * raw.write_rand,
-            "LLD rand write {:.0} vs MINIX {:.0}",
-            lld.write_rand,
-            raw.write_rand
-        );
-        // LLD uses a large fraction of the 2400 KB/s bandwidth.
-        assert!(
-            lld.write_seq > 1_500.0,
-            "LLD seq write only {:.0} KB/s",
-            lld.write_seq
-        );
-        // MINIX is rotation-bound around 300 KB/s.
-        assert!(
-            (150.0..600.0).contains(&raw.write_seq),
-            "MINIX seq write {:.0} KB/s should be rotation-bound",
-            raw.write_seq
-        );
-        // Prefetching helps MINIX sequential reads beat LLD's.
-        assert!(
-            raw.read_seq > lld.read_seq,
-            "MINIX seq read {:.0} vs LLD {:.0}",
-            raw.read_seq,
-            lld.read_seq
-        );
-        // Random reads: MINIX's read-ahead fails, LLD does not pay for it.
-        assert!(
-            lld.read_rand > raw.read_rand,
-            "LLD rand read {:.0} vs MINIX {:.0}",
-            lld.read_rand,
-            raw.read_rand
-        );
-        // SunOS wins sequential writes and reads, loses random writes.
-        assert!(sun.write_seq > raw.write_seq);
-        assert!(sun.read_seq > lld.read_seq);
-        assert!(
-            lld.write_rand > sun.write_rand,
-            "LLD rand write {:.0} vs SunOS {:.0}",
-            lld.write_rand,
-            sun.write_rand
-        );
-    }
-}
+crate::claims::quick_test!(relations_hold_quick, "table5");

@@ -279,17 +279,26 @@ pub fn run(opts: super::Opts) -> Report {
 mod tests {
     use super::*;
 
+    /// Every E5 claim (`crate::claims`) holds at quick scale.
+    #[test]
+    fn claims_hold_quick() {
+        crate::claims::assert_quick("table6");
+    }
+
+    /// Sprite LFS rewrites indirect blocks when it overwrites blocks in
+    /// the indirect range: with a flush every 4 ops they cost more than
+    /// 0.15 blocks/op. The report's "overwrite, indirect" row flushes
+    /// every 16 ops and shows 0.06 at quick scale, so this probe is not a
+    /// claim over the report. (MINIX LLD's side is the E5 claims.)
     #[test]
     fn lld_avoids_cascading_updates() {
-        let n = 64;
         let data = compressible_data(4096, 1);
-        // Sprite: overwrite in the indirect range costs an indirect block.
         let mut sp = SpriteProbe::new();
         let big = sp.fs.create("big").expect("create");
         for idx in [0u64, 10, 50, 100] {
             sp.fs.write_block(big, idx, &data).expect("prefill");
         }
-        let sprite = sp.measure_batched(n, 4, &mut |fs, i| {
+        let sprite = sp.measure_batched(64, 4, &mut |fs, i| {
             fs.write_block(big, 10 + (i % 90) as u64, &data)
                 .expect("ow");
         });
@@ -298,30 +307,6 @@ mod tests {
             "Sprite overwrites in the indirect range must rewrite indirect \
              blocks ({:.2}/op)",
             sprite.indirect
-        );
-
-        // MINIX LLD: same workload, no indirect rewrites — total stays
-        // close to 1 block/op.
-        let mut ml = LldProbe::new();
-        let big = ml.fs.create("/big").expect("create");
-        for idx in [0u64, 10, 50, 100] {
-            ml.fs.write(big, idx * 4096, &data).expect("prefill");
-        }
-        ml.fs.sync().expect("sync");
-        let lld = ml.measure_batched(n, 4, &mut |fs, i| {
-            fs.write(big, ((10 + i % 90) * 4096) as u64, &data)
-                .expect("ow");
-        });
-        assert!(
-            lld.total() < 1.3,
-            "MINIX LLD overwrite should cost ~1+ε blocks, got {:.2}",
-            lld.total()
-        );
-        assert!(
-            sprite.total() > lld.total(),
-            "Sprite {:.2} must exceed LLD {:.2}",
-            sprite.total(),
-            lld.total()
         );
     }
 }

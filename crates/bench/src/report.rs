@@ -26,7 +26,17 @@ pub enum Cell {
 }
 
 impl Cell {
-    fn text(&self) -> String {
+    /// The cell's value as a number; `None` for text.
+    pub(crate) fn number(&self) -> Option<f64> {
+        match self {
+            Cell::Num { v, .. } => Some(*v),
+            Cell::Int(n) => Some(*n as f64),
+            Cell::Text(_) => None,
+        }
+    }
+
+    /// The cell as the text table shows it.
+    pub(crate) fn text(&self) -> String {
         match self {
             Cell::Num { v, .. } if v.is_nan() => "-".to_string(),
             Cell::Num {
@@ -295,6 +305,48 @@ impl Report {
         self
     }
 
+    /// The cell under JSON key `key` in the one table row that has that
+    /// key and whose cells match every `(key, text)` pair of `row`, each
+    /// compared with the cell's text rendering. An empty `row` picks the
+    /// top-level value `key` instead. No match, or several, is an error
+    /// that names the row and the key.
+    pub(crate) fn cell(&self, row: &[(&str, &str)], key: &str) -> Result<&Cell, String> {
+        let mut hits = Vec::new();
+        if row.is_empty() {
+            hits.extend(
+                self.values
+                    .iter()
+                    .filter(|(k, _)| *k == key)
+                    .map(|(_, v)| v),
+            );
+        }
+        for part in &self.parts {
+            let Part::Table(g) = part else { continue };
+            let col = |k: &str| g.cols.iter().position(|c| !k.is_empty() && c.key == k);
+            let Some(at) = col(key).filter(|_| !row.is_empty()) else {
+                continue;
+            };
+            hits.extend(
+                g.rows
+                    .iter()
+                    .filter(|r| {
+                        row.iter()
+                            .all(|&(k, v)| col(k).is_some_and(|i| r[i].text() == v))
+                    })
+                    .map(|r| &r[at]),
+            );
+        }
+        match hits[..] {
+            [one] => Ok(one),
+            [] => Err(format!("no {} has key {key}", show_row(row))),
+            _ => Err(format!(
+                "{} rows match {} with key {key}",
+                hits.len(),
+                show_row(row)
+            )),
+        }
+    }
+
     /// The rendered text report.
     pub fn text(&self) -> String {
         self.parts
@@ -330,6 +382,16 @@ impl Report {
         let (tables, notes) = (json_list(&tables, "  "), json_list(&notes, "  "));
         let _ = write!(out, "  \"tables\": {tables},\n  \"notes\": {notes}\n}}\n");
         out
+    }
+}
+
+/// A row selector for messages: `row [fs=MINIX LLD]`, or `value` for
+/// the top-level values.
+pub(crate) fn show_row(row: &[(&str, &str)]) -> String {
+    let pairs: Vec<String> = row.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    match row {
+        [] => "value".to_string(),
+        _ => format!("row [{}]", pairs.join(", ")),
     }
 }
 

@@ -29,8 +29,9 @@
 //!   themselves**, so a crash mid-queue loses a clean *suffix* of the
 //!   submitted writes, exactly like the unqueued path loses the tail of an
 //!   interrupted request;
-//! - any two overlapping requests;
-//! - anything across a [`RequestQueue::barrier`], which is a full fence.
+//! - any two overlapping requests.
+//!
+//! A caller that needs a fence drains the queue.
 //!
 //! Adjacent-request coalescing is restricted to the same shape: a write
 //! that starts exactly where the *most recently submitted* (still pending)
@@ -76,17 +77,6 @@ impl Scheduler {
         }
     }
 
-    /// Inverse of [`Scheduler::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "fcfs" => Scheduler::Fcfs,
-            "sstf" => Scheduler::Sstf,
-            "look" => Scheduler::Look,
-            "satf" => Scheduler::Satf,
-            _ => return None,
-        })
-    }
-
     /// All schedulers, for sweeps.
     pub const ALL: [Scheduler; 4] = [
         Scheduler::Fcfs,
@@ -109,8 +99,6 @@ pub struct QueueStats {
     pub coalesced: u64,
     /// Sectors absorbed by coalescing.
     pub coalesced_sectors: u64,
-    /// Barriers submitted.
-    pub barriers: u64,
     /// Sum over dispatches of the pending-queue depth at dispatch time;
     /// `depth_sum / dispatched` is the mean effective depth.
     pub depth_sum: u64,
@@ -132,15 +120,13 @@ impl QueueStats {
 enum Op {
     Read { sector: u64, count: u64 },
     Write { sector: u64, data: Vec<u8> },
-    Barrier,
 }
 
 impl Op {
-    fn span(&self) -> Option<(u64, u64)> {
+    fn span(&self) -> (u64, u64) {
         match self {
-            Op::Read { sector, count } => Some((*sector, *count)),
-            Op::Write { sector, data } => Some((*sector, (data.len() / SECTOR_SIZE) as u64)),
-            Op::Barrier => None,
+            Op::Read { sector, count } => (*sector, *count),
+            Op::Write { sector, data } => (*sector, (data.len() / SECTOR_SIZE) as u64),
         }
     }
 }
@@ -196,12 +182,9 @@ impl RequestQueue {
         &self.stats
     }
 
-    /// Pending requests (barriers excluded — they occupy no device time).
+    /// Pending requests.
     pub fn len(&self) -> usize {
-        self.pending
-            .iter()
-            .filter(|r| !matches!(r.op, Op::Barrier))
-            .count()
+        self.pending.len()
     }
 
     /// Whether no request is pending.
@@ -235,8 +218,8 @@ impl RequestQueue {
         self.stats.submitted += 1;
         // Coalesce into the most recently submitted request when it is a
         // still-pending write ending exactly where this one starts. Only
-        // the tail request qualifies, so no barrier and no other write can
-        // sit between the two halves.
+        // the tail request qualifies, so no other write can sit between
+        // the two halves.
         let tag = match self.pending.back_mut() {
             Some(Request {
                 tag,
@@ -271,31 +254,17 @@ impl RequestQueue {
         tag
     }
 
-    /// Inserts a full ordering fence: nothing submitted after the barrier
-    /// dispatches before everything submitted ahead of it has completed.
-    pub fn barrier(&mut self) {
-        self.stats.barriers += 1;
-        self.pending.push_back(Request {
-            tag: self.next_tag,
-            op: Op::Barrier,
-        });
-        self.next_tag += 1;
-    }
-
-    /// Indices of requests allowed to dispatch now: everything before the
-    /// first barrier that (a) overlaps no earlier pending request and
-    /// (b) for writes, follows no earlier pending write (writes are FIFO).
+    /// Indices of requests allowed to dispatch now: those that (a) overlap
+    /// no earlier pending request and (b) for writes, follow no earlier
+    /// pending write (writes are FIFO).
     fn eligible(&self) -> Vec<usize> {
         let mut out = Vec::new();
         let mut write_seen = false;
         for (i, r) in self.pending.iter().enumerate() {
-            let (sector, count) = match r.op.span() {
-                None => break, // Barrier: nothing beyond it is eligible.
-                Some(span) => span,
-            };
-            let overlaps_earlier = self.pending.iter().take(i).any(|p| match p.op.span() {
-                Some((s, c)) => s < sector + count && sector < s + c,
-                None => false,
+            let (sector, count) = r.op.span();
+            let overlaps_earlier = self.pending.iter().take(i).any(|p| {
+                let (s, c) = p.op.span();
+                s < sector + count && sector < s + c
             });
             let is_write = matches!(r.op, Op::Write { .. });
             if !(overlaps_earlier || (is_write && write_seen)) {
@@ -309,13 +278,7 @@ impl RequestQueue {
     /// Picks which eligible request to dispatch, per the scheduler. All
     /// ties break by position in `eligible` (== submission order).
     fn pick<D: BlockDev>(&mut self, disk: &D, eligible: &[usize]) -> usize {
-        let cyl_of = |i: usize| {
-            let (sector, _) = self.pending[i]
-                .op
-                .span()
-                .expect("eligible is never a barrier"); // PANIC-OK: eligible() filters barriers out
-            disk.sched_cylinder(sector)
-        };
+        let cyl_of = |i: usize| disk.sched_cylinder(self.pending[i].op.span().0);
         match self.scheduler {
             Scheduler::Fcfs => eligible[0],
             Scheduler::Sstf => {
@@ -352,13 +315,7 @@ impl RequestQueue {
                 }
             }
             Scheduler::Satf => {
-                let access = |i: usize| {
-                    let (sector, _) = self.pending[i]
-                        .op
-                        .span()
-                        .expect("eligible is never a barrier"); // PANIC-OK: eligible() filters barriers out
-                    disk.sched_access_us(sector)
-                };
+                let access = |i: usize| disk.sched_access_us(self.pending[i].op.span().0);
                 *eligible
                     .iter()
                     .min_by_key(|&&i| access(i))
@@ -370,11 +327,6 @@ impl RequestQueue {
     /// Dispatches the scheduler's best eligible request against the
     /// device and returns its completion; `None` when the queue is empty.
     pub fn dispatch_one<D: BlockDev>(&mut self, disk: &mut D) -> Option<Completion> {
-        // A barrier at the front has everything ahead of it completed:
-        // it is satisfied, drop it.
-        while matches!(self.pending.front().map(|r| &r.op), Some(Op::Barrier)) {
-            self.pending.pop_front();
-        }
         self.pending.front()?;
         let eligible = self.eligible();
         debug_assert!(!eligible.is_empty(), "front request is always eligible");
@@ -412,15 +364,6 @@ impl RequestQueue {
                     result,
                 }
             }
-            // Unreachable: eligible() never yields a barrier. Kept as a
-            // harmless empty completion rather than a panic path.
-            Op::Barrier => Completion {
-                tag: req.tag,
-                sector: 0,
-                sectors: 0,
-                write: false,
-                result: Ok(None),
-            },
         };
         disk.trace(ld_trace::Event::QueueComplete {
             tag: completion.tag,
@@ -560,19 +503,6 @@ mod tests {
             done[1].result.as_ref().unwrap().as_deref(),
             Some(&[0x77u8; SECTOR_SIZE][..])
         );
-    }
-
-    #[test]
-    fn barrier_is_a_full_fence() {
-        let mut d = disk();
-        let far = d.total_sectors() - 8;
-        let mut q = RequestQueue::new(Scheduler::Satf);
-        q.submit_read(&d, far, 1); // Expensive.
-        q.barrier();
-        q.submit_read(&d, 0, 1); // Cheap, but fenced behind the barrier.
-        let order: Vec<u64> = q.drain(&mut d).into_iter().map(|c| c.sector).collect();
-        assert_eq!(order, vec![far, 0]);
-        assert_eq!(q.stats().barriers, 1);
     }
 
     #[test]

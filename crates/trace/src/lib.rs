@@ -430,12 +430,18 @@ mod tests {
                 us: 1234,
             },
         );
+        for (tag, depth) in [(0, 1), (1, 5), (2, 3)] {
+            t.record(0, Event::QueueDispatch { tag, depth });
+        }
         let hists = t.histograms();
         assert_eq!(hists[0].2.count(), 1);
         assert_eq!(hists[0].2.max(), 190);
         assert_eq!(hists[1].2.sum(), 5_500);
         assert_eq!(hists[2].2.max(), 75);
         assert_eq!(hists[3].2.mean(), 1234);
+        let (name, _, depth) = &hists[4];
+        assert_eq!(*name, "queue_depth");
+        assert_eq!((depth.count(), depth.sum(), depth.max()), (3, 9, 5));
     }
 
     #[test]
@@ -507,7 +513,9 @@ mod tests {
                 us: 30,
             },
         );
-        t.record(0, Event::SeekDone { us: 5 });
+        for _ in 0..16 {
+            t.record(0, Event::SeekDone { us: 5 });
+        }
         t.record(
             0,
             Event::ReadRetry {
@@ -516,6 +524,8 @@ mod tests {
                 us: 12,
             },
         );
+        // The ring dropped the first retry; the memo still counts it.
+        assert_eq!(t.dropped(), 2);
         assert_eq!(t.retry_us(), 42);
     }
 

@@ -684,7 +684,9 @@ fn ci() -> ExitCode {
                 &["test", "-q", "--release", "--test", "crash_matrix"],
             ),
         ),
-        // Every experiment at quick scale, through both report renderers.
+        // Every experiment at quick scale, through both report renderers;
+        // `repro` exits non-zero when a paper claim (`ld_bench::claims`)
+        // fails at this scale.
         (
             "repro smoke",
             Step::Cargo(&[
@@ -739,6 +741,7 @@ fn ci() -> ExitCode {
             ]),
         ),
         // Stopgap until `repro --check` diffs each experiment cell by cell.
+        // Its full-scale run also gates every paper claim.
         ("baseline identity", Step::BaselineIdentity),
         // The benchmark is a package of its own, outside the workspace; its
         // tests check seed-0 runs against `BENCH_table4/table5/e17.json`.
@@ -767,23 +770,6 @@ fn ci() -> ExitCode {
         (
             "lint",
             Step::Cargo(&["run", "-q", "-p", "xtask", "--", "lint"]),
-        ),
-        (
-            "ldck smoke",
-            Step::Cargo(&["run", "-q", "-p", "ldck", "--", "--selftest"]),
-        ),
-        (
-            "ldtrace smoke",
-            Step::Cargo(&[
-                "run",
-                "-q",
-                "-p",
-                "ld-trace",
-                "--bin",
-                "ldtrace",
-                "--",
-                "--selftest",
-            ]),
         ),
     ];
     for (name, step) in steps {

@@ -10,7 +10,7 @@
 //!   at depth 1 may not cost or save a single microsecond.
 //! - **No scheduler reorders writes.** Whatever the scheduler does with
 //!   reads, writes dispatch in submission order among themselves, reads
-//!   never jump an overlapping request or a barrier, and coalescing
+//!   never jump an overlapping request, and coalescing
 //!   never changes bytes. A reference execution that performs the same
 //!   operations strictly FIFO on a second disk must end with the same
 //!   image, and every read must see the medium as of its submission
@@ -136,8 +136,6 @@ enum ScriptOp {
     Write { sector: u64, len: u64, seed: u8 },
     /// Read `len` sectors at `sector`.
     Read { sector: u64, len: u64 },
-    /// Full fence.
-    Barrier,
 }
 
 fn op_strategy(total_sectors: u64) -> impl Strategy<Value = ScriptOp> {
@@ -146,7 +144,6 @@ fn op_strategy(total_sectors: u64) -> impl Strategy<Value = ScriptOp> {
         4 => (0..span, 1u64..8, any::<u8>())
             .prop_map(|(sector, len, seed)| ScriptOp::Write { sector, len, seed }),
         3 => (0..span, 1u64..8).prop_map(|(sector, len)| ScriptOp::Read { sector, len }),
-        1 => Just(ScriptOp::Barrier),
     ]
 }
 
@@ -157,8 +154,7 @@ fn fill(seed: u8, bytes: usize) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every scheduler preserves per-sector write ordering across write
-    /// barriers: the queued execution ends with the same medium contents
+    /// Every scheduler preserves per-sector write ordering: the queued execution ends with the same medium contents
     /// as a strict FIFO execution of the same script, write completions
     /// arrive in submission order, and every read returns the bytes the
     /// medium held at its submission point (so no read jumps an
@@ -199,7 +195,6 @@ proptest! {
                     fifo_disk.read_sectors(sector, &mut buf).expect("fifo read");
                     expected_reads.push((tag, buf));
                 }
-                ScriptOp::Barrier => queue.barrier(),
             }
         }
 
