@@ -3,19 +3,19 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--quick] [--trace <file>] [--faults <spec>] [--json-out <file>] <experiment>...
-//! repro [--quick] [--trace <file>] [--faults <spec>] [--json-out <file>] all
+//! repro [--quick] [--trace <file>] [--json-out <file>] <experiment>...
+//! repro [--quick] [--trace <file>] [--json-out <file>] all
 //! repro --list
 //! ```
 //!
 //! `--list` prints the full experiment index (E1–E17) with one-line
-//! descriptions and paper-section anchors.
+//! descriptions and paper-section anchors. Any other argument that starts
+//! with `--` is an error: `repro` prints the usage and exits 2.
 //!
 //! Every run checks the paper's claims (`ld_bench::claims`) against the
 //! reports it produced. It prints nothing when they hold; a claim that
 //! fails is named on stderr, with its experiment, row and key, and
-//! `repro` exits 1 after writing its output. Under `--faults` the claims
-//! are not checked: they describe perfect media.
+//! `repro` exits 1 after writing its output.
 //!
 //! `--json-out` writes the same results as JSON: one document for one
 //! experiment, an array of them for several. The committed
@@ -27,22 +27,12 @@
 //! the file with `ldtrace <file>`. Tracing never changes the simulated
 //! timings — table cells are identical with and without it.
 //!
-//! `--faults` injects the deterministic media-fault model into the MINIX
-//! LLD stack of `table4`/`table5` (e.g.
-//! `--faults seed=7,transient=2000,latent=0`; rates in ppm of sectors)
-//! and appends a degraded-mode footnote: retries, remapped sectors,
-//! unreadable blocks, and the `ldck` verdict on the post-run image. The
-//! other stacks stay on perfect media — they have no retry machinery; the
-//! `faults` experiment covers that comparison. Note latent/grown faults
-//! destroy whatever data sits on the scheduled sectors; LLD reports such
-//! loss, it cannot undo it.
-//!
 //! Experiments: `calibrate` (E12), `table2` (E1), `table3` (E2), `table4`
 //! (E3), `table5` (E4), `table6` (E5), `recovery` (E6), `lists` (E7),
 //! `segsize` (E8), `inodes` (E9), `compression` (E10), `loge` (E11),
-//! `ablate` (E13), `nvram` (E14), `hotcold` (E15), `faults` (E16),
-//! `queueing` (E17). See `DESIGN.md` for the index and `EXPERIMENTS.md`
-//! for recorded results.
+//! `ablate` (E13), `nvram` (E14), `hotcold` (E15), `faults` (E16, the
+//! stacks on faulty media), `queueing` (E17). See `DESIGN.md` for the
+//! index and `EXPERIMENTS.md` for recorded results.
 
 use std::path::PathBuf;
 
@@ -55,8 +45,26 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The flags that take no value.
+const FLAGS: [&str; 2] = ["--quick", "--list"];
 /// The flags that take a value.
-const VALUE_FLAGS: [&str; 3] = ["--trace", "--faults", "--json-out"];
+const VALUE_FLAGS: [&str; 2] = ["--trace", "--json-out"];
+
+/// The experiment names among `args`: every argument that is neither a
+/// flag nor a value flag's value. An unknown flag is an error.
+fn experiment_names(args: &[String]) -> Result<Vec<&str>, String> {
+    let mut names = Vec::new();
+    for (i, a) in args.iter().enumerate() {
+        if a.starts_with("--") {
+            if !FLAGS.contains(&a.as_str()) && !VALUE_FLAGS.contains(&a.as_str()) {
+                return Err(format!("unknown flag '{a}'"));
+            }
+        } else if i == 0 || !VALUE_FLAGS.contains(&args[i - 1].as_str()) {
+            names.push(a.as_str());
+        }
+    }
+    Ok(names)
+}
 
 /// The value after `flag`, if the flag is given; exits when it is missing.
 fn flag_value<'a>(args: &'a [String], flag: &str, what: &str) -> Option<&'a str> {
@@ -76,6 +84,18 @@ fn main() {
             .collect::<Vec<_>>()
             .join(" ")
     };
+    let usage = || {
+        eprintln!(
+            "usage: repro [--quick] [--trace <file>] [--json-out <file>] \
+             <experiment>... | all | --list"
+        );
+        eprintln!("experiments: {}", names());
+    };
+    let wanted = experiment_names(&args).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        usage();
+        std::process::exit(2);
+    });
     if args.iter().any(|a| a == "--list") {
         println!("experiments (run with `repro [--quick] <name>...`):");
         let mut index: Vec<_> = EXPERIMENTS.iter().collect();
@@ -92,33 +112,13 @@ fn main() {
             fail(&format!("cannot write trace file {}: {e}", path.display()));
         }
     }
-    let faults = flag_value(
-        &args,
-        "--faults",
-        "a spec argument (e.g. seed=7,transient=2000)",
-    )
-    .map(|spec| ld_bench::faultctl::parse_spec(spec).unwrap_or_else(|msg| fail(&msg)));
     let json_out = flag_value(&args, "--json-out", "a file argument").map(PathBuf::from);
     let opts = Opts {
         quick: args.iter().any(|a| a == "--quick"),
         trace,
-        faults,
     };
-    let wanted: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| {
-            !a.starts_with("--") && (i == 0 || !VALUE_FLAGS.contains(&args[i - 1].as_str()))
-        })
-        .map(|(_, a)| a.as_str())
-        .collect();
-
     if wanted.is_empty() || wanted.contains(&"help") {
-        eprintln!(
-            "usage: repro [--quick] [--trace <file>] [--faults <spec>] \
-             [--json-out <file>] <experiment>... | all | --list"
-        );
-        eprintln!("experiments: {}", names());
+        usage();
         std::process::exit(if wanted.is_empty() { 2 } else { 0 });
     }
 
@@ -140,10 +140,7 @@ fn main() {
         }
         println!("{}", report.text());
         json_docs.push(report.json());
-        // The claims describe perfect media.
-        if opts.faults.is_none() {
-            broken.extend(claims::check(name, &report));
-        }
+        broken.extend(claims::check(name, &report));
     }
     if let Some(path) = &json_out {
         let doc = match json_docs.as_slice() {
@@ -166,5 +163,30 @@ fn main() {
             eprintln!("{msg}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::experiment_names;
+
+    fn split(line: &str) -> Result<Vec<String>, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        experiment_names(&args).map(|names| names.into_iter().map(String::from).collect())
+    }
+
+    #[test]
+    fn flags_are_known_and_values_are_not_experiments() {
+        assert_eq!(
+            split("--quick --trace t.jsonl table4 --json-out o.json table5"),
+            Ok(vec!["table4".to_string(), "table5".to_string()])
+        );
+        assert_eq!(split("--list"), Ok(vec![]));
+        for bad in ["--quik", "--bogus"] {
+            assert_eq!(
+                split(&format!("{bad} seed=7 table4")),
+                Err(format!("unknown flag '{bad}'"))
+            );
+        }
     }
 }

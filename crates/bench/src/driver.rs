@@ -47,13 +47,6 @@ pub trait Bencher {
     /// every layer (file system, disk manager if any, disk) records its
     /// events into a single timeline.
     fn attach_tracer(&mut self, tracer: ld_trace::Tracer);
-
-    /// The LD store under this file system, if it has one. It is the only
-    /// stack with retry machinery, so the only one `repro --faults` runs
-    /// on faulty media.
-    fn ld_store(&mut self) -> Option<&mut LdStore<SimDisk>> {
-        None
-    }
 }
 
 /// The three file systems of Tables 4 and 5, in column order, each built
@@ -64,9 +57,9 @@ pub const PAPER_STACKS: [fn(u64) -> Box<dyn Bencher>; 3] = [
     |bytes| Box::new(Sunos(rig::sunos(bytes))),
 ];
 
-/// Runs `work` once on each of the [`PAPER_STACKS`], with `repro`'s fault
-/// injection and tracing applied. Returns each stack's label and result,
-/// plus the footnotes tracing and faults add (empty when both are off).
+/// Runs `work` once on each of the [`PAPER_STACKS`], with `repro`'s
+/// tracing applied. Returns each stack's label and result, plus the
+/// footnotes tracing adds (empty when it is off).
 pub fn on_paper_stacks<R>(
     disk_bytes: u64,
     opts: &Opts,
@@ -77,11 +70,9 @@ pub fn on_paper_stacks<R>(
     let mut footnotes = String::new();
     for build in PAPER_STACKS {
         let mut fs = build(disk_bytes);
-        crate::faultctl::inject(fs.as_mut(), opts);
         let tr = crate::tracectl::maybe_attach(fs.as_mut(), opts);
         results.push((fs.label(), work(fs.as_mut())));
         footnotes.push_str(&crate::tracectl::finish(tr, fs.as_ref(), opts, exp));
-        footnotes.push_str(&crate::faultctl::finish(fs.as_mut(), opts));
     }
     (results, footnotes)
 }
@@ -153,10 +144,6 @@ impl Bencher for MinixLld {
 
     fn attach_tracer(&mut self, tracer: ld_trace::Tracer) {
         self.0.store_mut().disk_mut().set_tracer(tracer);
-    }
-
-    fn ld_store(&mut self) -> Option<&mut LdStore<SimDisk>> {
-        Some(self.0.store_mut())
     }
 }
 

@@ -31,10 +31,6 @@ pub struct Opts {
     /// Append structured trace output (JSONL) for traced experiments to
     /// this file; `None` disables tracing entirely (the default).
     pub trace: Option<std::path::PathBuf>,
-    /// Inject this media-fault model into the MINIX LLD stack of the
-    /// traced experiments (`repro --faults`); `None` (the default) runs
-    /// on perfect media and costs nothing.
-    pub faults: Option<simdisk::FaultConfig>,
 }
 
 /// CLI name, experiment id, a one-line description with its paper-section

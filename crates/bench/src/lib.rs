@@ -14,7 +14,6 @@
 pub mod claims;
 pub mod driver;
 pub mod exp;
-pub mod faultctl;
 pub mod report;
 pub mod rig;
 pub mod tracectl;

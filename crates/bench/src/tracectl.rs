@@ -44,15 +44,12 @@ pub fn finish(run: Option<TraceRun>, fs: &dyn Bencher, opts: &Opts, exp: &str) -
     let Some(path) = opts.trace.as_ref() else {
         return String::new();
     };
-    // The disk's counters over the run are the attribution; the tracer
-    // adds the retry memo, which they cannot separate.
-    let attr = ld_trace::Attribution {
-        retry_us: run.tracer.retry_us(),
-        ..fs.disk_stats()
-            .delta_since(&run.stats0)
-            .expect("disk stats are not reset during a traced run")
-            .attribution()
-    };
+    // The disk's counters over the run are the attribution.
+    let attr = fs
+        .disk_stats()
+        .delta_since(&run.stats0)
+        .expect("disk stats are not reset during a traced run")
+        .attribution();
     let mut f = std::fs::OpenOptions::new()
         .create(true)
         .append(true)

@@ -45,8 +45,7 @@ impl DiskStats {
 
     /// The mechanical breakdown of [`busy_us`](Self::busy_us) as the
     /// attribution table, with the read-ahead hit and miss counts as its
-    /// memo. The retry memo stays 0: these counters cannot tell a failed
-    /// attempt's time apart, only the tracer's `ReadRetry` events can.
+    /// memo.
     pub fn attribution(&self) -> ld_trace::Attribution {
         ld_trace::Attribution {
             seek_us: self.seek_us,
@@ -54,7 +53,6 @@ impl DiskStats {
             transfer_us: self.transfer_us,
             switch_us: self.switch_us,
             overhead_us: self.overhead_us,
-            retry_us: 0,
             cache_hits: self.cached_reads,
             cache_misses: self.cache_misses,
         }

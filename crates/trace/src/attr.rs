@@ -21,11 +21,6 @@ pub struct Attribution {
     pub switch_us: u64,
     /// Per-command host and controller overhead.
     pub overhead_us: u64,
-    /// Memo: time consumed by read attempts that failed on a media fault
-    /// and were retried. Those attempts drove the mechanism as usual, so
-    /// their time is *already inside* the five components above; this
-    /// field is informational and excluded from [`busy_us`](Self::busy_us).
-    pub retry_us: u64,
     /// Memo: read requests served from the drive's read-ahead buffer.
     /// Counts, not time — a hit's (bus-rate) time is already inside the
     /// transfer/overhead components.
@@ -64,15 +59,6 @@ impl Attribution {
             out.push_str(&format!("{label:<10} {us:>12}     {p:>3}.{t}%\n"));
         }
         out.push_str(&format!("{:<10} {busy:>12}    100.0%\n", "busy"));
-        if self.retry_us > 0 {
-            // Memo row: retry time is a subset of the components above,
-            // not a sixth component, so it sits outside the 100% total.
-            let (p, t) = pct(self.retry_us, busy);
-            out.push_str(&format!(
-                "{:<10} {:>12}     {p:>3}.{t}%  (memo: included above)\n",
-                "retry", self.retry_us,
-            ));
-        }
         if self.cache_hits > 0 || self.cache_misses > 0 {
             // Memo row: request counts, not time — hit time is bus-rate
             // transfer + overhead, already inside the components above.
@@ -97,9 +83,6 @@ impl Attribution {
             })
             .collect();
         let mut out = format!("{} = busy {busy} us", parts.join(" + "));
-        if self.retry_us > 0 {
-            out.push_str(&format!(" [retry memo {} us]", self.retry_us));
-        }
         if self.cache_hits > 0 || self.cache_misses > 0 {
             out.push_str(&format!(
                 " [readahead {} hits / {} misses]",
@@ -137,22 +120,20 @@ mod tests {
     }
 
     #[test]
-    fn retry_memo_is_excluded_from_busy_and_components() {
+    fn memo_free_attribution_renders_components_and_busy_only() {
         let a = Attribution {
             seek_us: 10,
             transfer_us: 30,
-            retry_us: 25,
             ..Attribution::default()
         };
-        assert_eq!(a.busy_us(), 40, "retry memo must not inflate busy");
-        let total: u64 = a.components().iter().map(|(_, us)| us).sum();
-        assert_eq!(total, 40);
-        assert!(a.render().contains("memo"));
-        assert!(a.footnote().contains("retry memo 25 us"));
-        // Zero memo leaves the rendering untouched (zero-cost when off).
-        let quiet = Attribution { retry_us: 0, ..a };
-        assert!(!quiet.render().contains("memo"));
-        assert!(!quiet.footnote().contains("memo"));
+        // Header, rule, five components, busy.
+        assert_eq!(a.render().lines().count(), 8);
+        assert!(a.render().ends_with("busy                 40    100.0%\n"));
+        assert_eq!(
+            a.footnote(),
+            "seek 10 (25.0%) + rotation 0 (0.0%) + transfer 30 (75.0%) + \
+             switch 0 (0.0%) + overhead 0 (0.0%) = busy 40 us"
+        );
     }
 
     #[test]

@@ -200,15 +200,10 @@ pub fn decode_event(line: &str) -> Option<TraceEvent> {
     Some(TraceEvent { at_us, seq, event })
 }
 
-/// Encodes the attribution meta line. The `retry_us` and readahead memo
-/// fields are emitted only when nonzero, so traces from runs that never
-/// exercised them are byte-identical to the old format.
+/// Encodes the attribution meta line. The readahead memo fields are
+/// emitted only when nonzero, so traces from runs that never exercised
+/// them are byte-identical to the old format.
 pub fn encode_attribution(a: &Attribution) -> String {
-    let retry = if a.retry_us > 0 {
-        format!(",\"retry_us\":{}", a.retry_us)
-    } else {
-        String::new()
-    };
     let cache = if a.cache_hits > 0 || a.cache_misses > 0 {
         format!(
             ",\"cache_hits\":{},\"cache_misses\":{}",
@@ -218,8 +213,8 @@ pub fn encode_attribution(a: &Attribution) -> String {
         String::new()
     };
     format!(
-        "{{\"meta\":\"attribution\",\"seek_us\":{},\"rotation_us\":{},\"transfer_us\":{},\"switch_us\":{},\"overhead_us\":{}{}{},\"busy_us\":{}}}",
-        a.seek_us, a.rotation_us, a.transfer_us, a.switch_us, a.overhead_us, retry, cache, a.busy_us()
+        "{{\"meta\":\"attribution\",\"seek_us\":{},\"rotation_us\":{},\"transfer_us\":{},\"switch_us\":{},\"overhead_us\":{}{},\"busy_us\":{}}}",
+        a.seek_us, a.rotation_us, a.transfer_us, a.switch_us, a.overhead_us, cache, a.busy_us()
     )
 }
 
@@ -234,7 +229,6 @@ pub fn decode_attribution(line: &str) -> Option<Attribution> {
         transfer_us: get_u64(line, "transfer_us")?,
         switch_us: get_u64(line, "switch_us")?,
         overhead_us: get_u64(line, "overhead_us")?,
-        retry_us: get_u64(line, "retry_us").unwrap_or(0),
         cache_hits: get_u64(line, "cache_hits").unwrap_or(0),
         cache_misses: get_u64(line, "cache_misses").unwrap_or(0),
     })
@@ -335,13 +329,11 @@ mod tests {
             ..Attribution::default()
         };
         let line = encode_attribution(&a);
-        assert!(!line.contains("retry_us"), "zero memo stays off the wire");
         assert!(!line.contains("cache_"), "zero memo stays off the wire");
         assert_eq!(decode_attribution(&line), Some(a));
         assert_eq!(get_u64(&line, "busy_us"), Some(15));
-        // Nonzero memos roundtrip and leave busy untouched.
+        // A nonzero memo roundtrips and leaves busy untouched.
         let b = Attribution {
-            retry_us: 9,
             cache_hits: 2,
             cache_misses: 1,
             ..a

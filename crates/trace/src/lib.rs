@@ -12,9 +12,7 @@
 //! - log2 [`Histogram`]s (seek distance, rotational wait, segment fill at
 //!   seal, per-FS-op latency, queue depth),
 //! - the [`Attribution`] table of mechanical disk time, which the disk's
-//!   own counters fill (`simdisk::DiskStats::attribution`); the tracer
-//!   adds only the retry memo, the one figure those counters cannot
-//!   separate,
+//!   own counters fill (`simdisk::DiskStats::attribution`),
 //! - JSONL export and the `ldtrace` CLI that renders an I/O timeline and
 //!   the attribution table, and checks that a complete trace's events
 //!   sum to that table.
@@ -64,8 +62,6 @@ struct Inner {
     /// Events ever recorded (recorded - ring length = dropped); also the
     /// next event's sequence number.
     recorded: u64,
-    /// Time of failed read attempts (sum of [`Event::ReadRetry`] `us`).
-    retry_us: u64,
     hist_seek_cyl: Histogram,
     hist_rot_us: Histogram,
     hist_seal_fill_pct: Histogram,
@@ -93,7 +89,6 @@ impl Tracer {
             cap,
             next: 0,
             recorded: 0,
-            retry_us: 0,
             hist_seek_cyl: Histogram::new(),
             hist_rot_us: Histogram::new(),
             hist_seal_fill_pct: Histogram::new(),
@@ -128,9 +123,6 @@ impl Tracer {
                 }
             }
             Event::FsOp { us, .. } => inner.hist_fsop_us.record(us),
-            // Memo only: the failed attempt's time already flowed into the
-            // mechanical components via the events the disk emitted.
-            Event::ReadRetry { us, .. } => inner.retry_us += us,
             Event::QueueDispatch { depth, .. } => inner.hist_queue_depth.record(depth),
             _ => {}
         }
@@ -192,14 +184,6 @@ impl Tracer {
             out.push('\n');
         }
         out
-    }
-
-    /// Time consumed by read attempts that failed and were retried, since
-    /// the tracer was created (independent of ring eviction). It is
-    /// already inside the disk's mechanical components; this is the
-    /// [`Attribution::retry_us`] memo.
-    pub fn retry_us(&self) -> u64 {
-        self.0.borrow().retry_us
     }
 
     /// The metric histograms as `(name, unit, histogram)` triples.
@@ -500,33 +484,6 @@ mod tests {
             ..Attribution::default()
         };
         assert_eq!(verify_jsonl(&t.to_jsonl(&attr)), Ok(4));
-    }
-
-    #[test]
-    fn retry_memo_sums_failed_attempts() {
-        let t = Tracer::new(16);
-        t.record(
-            0,
-            Event::ReadRetry {
-                sector: 9,
-                attempt: 1,
-                us: 30,
-            },
-        );
-        for _ in 0..16 {
-            t.record(0, Event::SeekDone { us: 5 });
-        }
-        t.record(
-            0,
-            Event::ReadRetry {
-                sector: 9,
-                attempt: 2,
-                us: 12,
-            },
-        );
-        // The ring dropped the first retry; the memo still counts it.
-        assert_eq!(t.dropped(), 2);
-        assert_eq!(t.retry_us(), 42);
     }
 
     #[test]

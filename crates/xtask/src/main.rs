@@ -609,52 +609,31 @@ fn ci() -> ExitCode {
         ("build", Step::Cargo(&["build", "--release"])),
         ("test", Step::Cargo(&["test", "-q", "--workspace"])),
         ("examples", Step::Examples),
-        // The media-fault suites re-run in release: the proptest matrices
-        // explore far more cases per second there, and release is what
-        // `repro` ships.
-        (
-            "fault suite (lld)",
-            Step::Cargo(&[
-                "test",
-                "-q",
-                "--release",
-                "-p",
-                "lld",
-                "--test",
-                "faults",
-                "--test",
-                "recovery_idempotent",
-            ]),
-        ),
-        (
-            "fault suite (fs)",
-            Step::Cargo(&[
-                "test",
-                "-q",
-                "--release",
-                "--test",
-                "crash_matrix",
-                "--test",
-                "differential_fs",
-            ]),
-        ),
-        // Queueing: the depth-1 differential + ordering proptests.
+        // Queueing: the depth-1 differential + ordering proptests, on
+        // cases the plain test step never draws.
         (
             "queue differential",
-            Step::Cargo(&["test", "-q", "--release", "--test", "queue_differential"]),
+            Step::CargoEnv(
+                &[("PROPTEST_CASE_OFFSET", "1000000")],
+                &["test", "-q", "--release", "--test", "queue_differential"],
+            ),
         ),
-        // simdisk's track-run path against its per-sector reference.
+        // simdisk's track-run path against its per-sector reference, on
+        // cases the plain test step never draws.
         (
             "simdisk differential",
-            Step::Cargo(&[
-                "test",
-                "-q",
-                "--release",
-                "-p",
-                "simdisk",
-                "--lib",
-                "reference::",
-            ]),
+            Step::CargoEnv(
+                &[("PROPTEST_CASE_OFFSET", "1000000")],
+                &[
+                    "test",
+                    "-q",
+                    "--release",
+                    "-p",
+                    "simdisk",
+                    "--lib",
+                    "reference::",
+                ],
+            ),
         ),
         // The buffer cache against its reference LRU, on cases the plain
         // test step never draws: the offset shifts every case index.
