@@ -76,6 +76,14 @@ impl ModelLd {
         }
     }
 
+    /// Models a restart: freed ids are reused lowest first from now on,
+    /// as LLD's recovery rebuilds its free stacks, so the two keep
+    /// allocating the same ids.
+    pub fn restart(&mut self) {
+        self.free_bids.sort_unstable_by(|a, b| b.cmp(a));
+        self.free_lids.sort_unstable_by(|a, b| b.cmp(a));
+    }
+
     /// The lists currently allocated, in list-of-lists order.
     pub fn list_of_lists(&self) -> &[Lid] {
         &self.list_order

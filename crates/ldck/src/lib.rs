@@ -661,9 +661,19 @@ fn apply(state: &mut State, r: &RepRec) {
             stored_len,
             logical_len,
             compressed: _,
+        }
+        | Record::Locate {
+            bid,
+            offset,
+            stored_len,
+            logical_len,
+            ..
         } => {
             let e = ensure_block(state, bid);
-            e.seg = r.seg;
+            e.seg = match r.rec {
+                Record::Locate { seg, .. } => seg,
+                _ => r.seg,
+            };
             e.offset = offset;
             e.stored_len = stored_len;
             e.logical_len = logical_len;

@@ -295,6 +295,11 @@ impl ListTable {
         self.entries.len() - self.free.len()
     }
 
+    /// Size of the dense index (high-water mark of list numbers).
+    pub fn capacity_slots(&self) -> u64 {
+        self.entries.len() as u64
+    }
+
     /// Allocates a new list after `pred` in the list of lists
     /// (`None` = front). Returns `None` if `pred` is not allocated.
     pub fn alloc(&mut self, pred: Option<u64>, hints: ListHints) -> Option<u64> {
@@ -489,7 +494,19 @@ pub(crate) fn apply(map: &mut BlockMap, lists: &mut ListTable, seg: u32, rec: &R
             stored_len,
             logical_len,
             compressed,
+        }
+        | Record::Locate {
+            bid,
+            offset,
+            stored_len,
+            logical_len,
+            compressed,
+            ..
         } => {
+            let seg = match *rec {
+                Record::Locate { seg, .. } => seg,
+                _ => seg,
+            };
             let e = ensure_block(map, bid);
             *e = BlockEntry {
                 seg,

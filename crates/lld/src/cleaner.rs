@@ -228,13 +228,106 @@ impl<D: BlockDev> Lld<D> {
         Ok(true)
     }
 
-    /// Takes `seg` out of circulation for good, durably: the `Quarantine`
-    /// record carries the state through a recovery sweep.
-    fn retire_segment(&mut self, seg: u32) -> Result<()> {
-        self.ensure_room(0, 1)?;
-        self.log_internal(Record::Quarantine { seg });
-        self.usage.quarantine(seg);
+    /// Takes each of `segs` out of circulation for good, durably: the
+    /// `Quarantine` record carries the state through a recovery sweep.
+    /// The sweep rebuilds every table from the summaries, so when a
+    /// segment's summary is lost (the flag beside it: unreadable, or
+    /// holding a confirmed-bad sector) it must not stay the only copy of
+    /// any live record. What it held cannot be read, so the whole state is
+    /// re-logged once for the batch: every list and block id below the
+    /// high-water marks (live or deleted), where each on-disk copy lies
+    /// (a lost `Swap` moved copies without a `WriteBlock`), the bad-sector
+    /// table and the quarantined segments. The one retirement path of the
+    /// cleaner and scrub.
+    fn retire_segments(&mut self, segs: &[(u32, bool)]) -> Result<()> {
+        for &(seg, _) in segs {
+            self.ensure_room(0, 1)?;
+            self.log_internal(Record::Quarantine { seg });
+            self.usage.quarantine(seg);
+        }
+        if !segs.iter().any(|&(_, lost)| lost) {
+            return Ok(());
+        }
+        let mut logged = 0;
+        // Live lists first, in order, so each names a predecessor placed
+        // before it; then the deleted ids.
+        let mut lids = self.lists.order();
+        lids.extend((0..self.lists.capacity_slots()).filter(|&l| self.lists.get(l).is_none()));
+        for lid in lids {
+            logged += self.relog_list(lid)?;
+        }
+        for bid in 0..self.map.capacity_slots() as u64 {
+            logged += self.relog_block(bid)? + self.relog_location(bid)?;
+        }
+        let mut health: Vec<Record> = (self.bad_sectors.iter())
+            .map(|&sector| Record::RetireSector { sector })
+            .collect();
+        health.extend(
+            (self.usage.iter())
+                .filter(|&(seg, u)| {
+                    u.state == SegState::Quarantined && !segs.iter().any(|s| s.0 == seg)
+                })
+                .map(|(seg, _)| Record::Quarantine { seg }),
+        );
+        for rec in health {
+            self.ensure_room(0, 1)?;
+            self.log_internal(rec);
+            logged += 1;
+        }
+        self.stats.retire_records_relogged += logged;
         Ok(())
+    }
+
+    /// Logs where block `bid`'s copy lies, as a [`Record::Locate`], if it
+    /// lies on the medium. Returns the records logged.
+    fn relog_location(&mut self, bid: u64) -> Result<u64> {
+        self.ensure_room(0, 1)?;
+        let Some(&e) = self.map.get(bid).filter(|e| e.on_disk()) else {
+            return Ok(0);
+        };
+        self.log_internal(Record::Locate {
+            bid,
+            seg: e.seg,
+            offset: e.offset,
+            stored_len: e.stored_len,
+            logical_len: e.logical_len,
+            compressed: e.compressed,
+        });
+        Ok(1)
+    }
+
+    /// Logs the current state of block `bid`: `NewBlock` and `Link` while
+    /// it lives, else `DeleteBlock`. Returns the records logged.
+    fn relog_block(&mut self, bid: u64) -> Result<u64> {
+        self.ensure_room(0, 2)?;
+        let Some(e) = self.map.get(bid) else {
+            self.log_internal(Record::DeleteBlock { bid });
+            return Ok(1);
+        };
+        let (lid, size_class, next) = (e.list, e.size_class, e.next);
+        self.log_internal(Record::NewBlock {
+            bid,
+            lid,
+            size_class,
+        });
+        self.log_internal(Record::Link { bid, next });
+        Ok(2)
+    }
+
+    /// Logs the current state of list `lid`: `NewList` (with its place in
+    /// the list of lists) and `ListHead` while it lives, else
+    /// `DeleteList`. Returns the records logged.
+    fn relog_list(&mut self, lid: u64) -> Result<u64> {
+        self.ensure_room(0, 2)?;
+        let Some(e) = self.lists.get(lid) else {
+            self.log_internal(Record::DeleteList { lid });
+            return Ok(1);
+        };
+        let (first, hints) = (e.first, e.hints);
+        let pred = self.lists.order_pred(lid);
+        self.log_internal(Record::NewList { lid, pred, hints });
+        self.log_internal(Record::ListHead { lid, first });
+        Ok(2)
     }
 
     /// Cleans one victim segment: forwards its live blocks (in list order)
@@ -268,6 +361,7 @@ impl<D: BlockDev> Lld<D> {
         let mut swap_bids: BTreeSet<u64> = BTreeSet::new();
         let mut mentioned_sectors: BTreeSet<u64> = BTreeSet::new();
         let mut mentioned_quarantines: BTreeSet<u32> = BTreeSet::new();
+        let mut located: BTreeSet<(u32, u32)> = BTreeSet::new();
         let summary = {
             let mut buf = Vec::new();
             let bytes = match prefetch {
@@ -278,12 +372,11 @@ impl<D: BlockDev> Lld<D> {
                         .read_span_retrying(self.layout.summary_base(victim), &mut buf)?
                         .is_some()
                     {
-                        // The summary holds the only copy of this segment's
-                        // metadata records; without it the segment cannot be
-                        // reclaimed safely. Retire it instead — the summary
-                        // stays on the medium for a later recovery sweep to
-                        // retry.
-                        return self.retire_segment(victim);
+                        // Without the summary the segment's dead records
+                        // cannot be told from its live ones, so it cannot be
+                        // reclaimed. Retire it instead; its live blocks stay
+                        // for a later scrub to evacuate.
+                        return self.retire_segments(&[(victim, true)]);
                     }
                     &buf[..]
                 }
@@ -322,6 +415,12 @@ impl<D: BlockDev> Lld<D> {
                     }
                     Record::Quarantine { seg } => {
                         mentioned_quarantines.insert(seg);
+                    }
+                    Record::Locate {
+                        bid, seg, offset, ..
+                    } => {
+                        mentioned_bids.push(bid);
+                        located.insert((seg, offset));
                     }
                 }
             }
@@ -404,45 +503,31 @@ impl<D: BlockDev> Lld<D> {
             // blocks — must stay on the medium, so the segment is
             // retired rather than freed. A later scrub accounts for the
             // damage and retires the failing sectors.
-            return self.retire_segment(victim);
+            return self.retire_segments(&[(victim, false)]);
         }
 
         // Re-log live metadata; drop dead records ("removes old logging
         // information"). One decision per entity.
         for bid in mentioned_bids {
-            self.ensure_room(0, 2)?;
-            match self.map.get(bid) {
-                Some(e) => {
-                    let (lid, size_class, next) = (e.list, e.size_class, e.next);
-                    self.log_internal(Record::NewBlock {
-                        bid,
-                        lid,
-                        size_class,
-                    });
-                    self.log_internal(Record::Link { bid, next });
-                    self.stats.cleaner_records_relogged += 2;
-                }
-                None => {
-                    self.log_internal(Record::DeleteBlock { bid });
-                    self.stats.cleaner_records_relogged += 1;
-                }
-            }
+            self.stats.cleaner_records_relogged += self.relog_block(bid)?;
+        }
+        // A `Locate` stands for a lost summary, whose `Swap`s moved copies
+        // without a `WriteBlock`: re-log where each located copy lies, for
+        // whichever block holds it now (later `Swap`s can have passed it on;
+        // a later `WriteBlock` or deletion leaves it to none).
+        let mut holders: Vec<u64> = Vec::new();
+        if !located.is_empty() {
+            holders.extend(
+                (self.map.iter())
+                    .filter(|(_, e)| e.on_disk() && located.contains(&(e.seg, e.offset)))
+                    .map(|(bid, _)| bid),
+            );
+        }
+        for bid in holders {
+            self.stats.cleaner_records_relogged += self.relog_location(bid)?;
         }
         for lid in mentioned_lids {
-            self.ensure_room(0, 2)?;
-            match self.lists.get(lid) {
-                Some(e) => {
-                    let (first, hints) = (e.first, e.hints);
-                    let pred = self.lists.order_pred(lid);
-                    self.log_internal(Record::NewList { lid, pred, hints });
-                    self.log_internal(Record::ListHead { lid, first });
-                    self.stats.cleaner_records_relogged += 2;
-                }
-                None => {
-                    self.log_internal(Record::DeleteList { lid });
-                    self.stats.cleaner_records_relogged += 1;
-                }
-            }
+            self.stats.cleaner_records_relogged += self.relog_list(lid)?;
         }
         // Medium-health facts are monotone (a retired sector never comes
         // back), so any mentioned here is still current — re-log it before
@@ -713,38 +798,10 @@ impl<D: BlockDev> Lld<D> {
     pub fn scrub(&mut self) -> Result<(u64, u64, u64)> {
         self.check_up()?;
         // Probe suspects one sector at a time with the usual retry budget.
-        let mut suspects: Vec<u64> = std::mem::take(&mut self.suspect_sectors)
+        let suspects: Vec<u64> = std::mem::take(&mut self.suspect_sectors)
             .into_iter()
             .filter(|s| !self.bad_sectors.contains(s))
             .collect();
-        let batched = self.config.queue_depth >= 2 && suspects.len() > 1;
-        if let Some(q) = self.queue.as_mut().filter(|_| batched) {
-            // First pass: single-attempt probes through the command queue,
-            // visited in scheduler order instead of sector order. Sectors
-            // that read clean (transient faults) drop out here; only the
-            // failures get the full retry-budget probe below.
-            for &s in &suspects {
-                q.submit_read(&self.disk, s, 1);
-            }
-            self.stats.queued_reads += suspects.len() as u64;
-            let mut failed = Vec::new();
-            while !q.is_empty() {
-                let Some(c) = q.dispatch_one(&mut self.disk) else {
-                    break;
-                };
-                match c.result {
-                    Ok(_) => {}
-                    Err(simdisk::DiskError::Unreadable { .. }) if !c.write => {
-                        failed.push(c.sector);
-                    }
-                    Err(e) => {
-                        q.abandon();
-                        return Err(crate::dev(e));
-                    }
-                }
-            }
-            suspects = failed;
-        }
         let mut confirmed: BTreeSet<u64> = BTreeSet::new();
         let mut probe = vec![0u8; simdisk::SECTOR_SIZE];
         for s in suspects {
@@ -807,11 +864,16 @@ impl<D: BlockDev> Lld<D> {
         // recovery sweep may still need them); the checkpoint carries the
         // quarantined state across clean restarts, and a `Quarantine`
         // record in the metadata log carries it through a recovery sweep.
-        for &seg in &targets {
-            if self.usage.get(seg).state != SegState::Quarantined {
-                self.retire_segment(seg)?;
-            }
-        }
+        let retiring: Vec<(u32, bool)> = targets
+            .iter()
+            .filter(|&&seg| self.usage.get(seg).state != SegState::Quarantined)
+            .map(|&seg| {
+                let summary = self.layout.summary_base(seg);
+                let end = summary + self.layout.summary_sectors();
+                (seg, confirmed.range(summary..end).next().is_some())
+            })
+            .collect();
+        self.retire_segments(&retiring)?;
 
         // Sectors still covered by a live block could not be evacuated;
         // keep them suspect instead of declaring them remapped.

@@ -79,8 +79,7 @@ pub struct LldConfig {
     /// built without the queue. `1` routes segment writes through the
     /// queue but drains synchronously after each submit (identical
     /// timing; exercised by the differential test). `>= 2` additionally
-    /// enables batched cleaner victim reads and batched scrub probes at
-    /// this depth.
+    /// enables batched cleaner victim reads at this depth.
     pub queue_depth: u32,
     /// Sealed segments allowed in flight (submitted but not yet on the
     /// medium) before a seal blocks and drains — write-behind. Clamped to

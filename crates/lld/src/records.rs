@@ -116,6 +116,25 @@ pub enum Record {
         /// The quarantined segment.
         seg: u32,
     },
+    /// A [`Record::WriteBlock`] naming its segment: block `bid`'s copy lies
+    /// at `offset` in segment `seg`'s data region. Logged for every block
+    /// on the medium when a segment is retired for a lost summary (whose
+    /// `Swap`s moved copies without a `WriteBlock`), and re-logged by the
+    /// cleaner for whichever block holds that copy then.
+    Locate {
+        /// The located block.
+        bid: u64,
+        /// The segment holding the copy.
+        seg: u32,
+        /// Byte offset within that segment's data region.
+        offset: u32,
+        /// Stored (possibly compressed) length in bytes.
+        stored_len: u32,
+        /// Logical (uncompressed) length in bytes.
+        logical_len: u32,
+        /// Whether the stored bytes are compressed.
+        compressed: bool,
+    },
 }
 
 /// A record with its timestamp and ARU tag.
@@ -150,6 +169,7 @@ const T_END_ARU: u8 = 9;
 const T_SWAP: u8 = 10;
 const T_RETIRE_SECTOR: u8 = 11;
 const T_QUARANTINE: u8 = 12;
+const T_LOCATE: u8 = 13;
 // Tag byte flags.
 const F_ENDS_ARU: u8 = 0x80;
 const F_COMPRESSED: u8 = 0x40;
@@ -263,11 +283,15 @@ impl SummaryBuilder {
             Record::Swap { .. } => T_SWAP,
             Record::RetireSector { .. } => T_RETIRE_SECTOR,
             Record::Quarantine { .. } => T_QUARANTINE,
+            Record::Locate { .. } => T_LOCATE,
         };
         if s.ends_aru {
             tag |= F_ENDS_ARU;
         }
         if let Record::WriteBlock {
+            compressed: true, ..
+        }
+        | Record::Locate {
             compressed: true, ..
         } = s.rec
         {
@@ -329,6 +353,21 @@ impl SummaryBuilder {
             }
             Record::RetireSector { sector } => put_varint(&mut self.body, sector),
             Record::Quarantine { seg } => put_varint(&mut self.body, u64::from(seg)),
+            Record::Locate {
+                bid,
+                seg,
+                offset,
+                stored_len,
+                logical_len,
+                compressed: _,
+            } => {
+                // Segment and offset share a varint, so the record has
+                // the four fields `MAX_RECORD_LEN` allows for.
+                put_varint(&mut self.body, bid);
+                put_varint(&mut self.body, u64::from(seg) << 32 | u64::from(offset));
+                put_varint(&mut self.body, u64::from(stored_len));
+                put_varint(&mut self.body, u64::from(logical_len));
+            }
         }
         self.prev_ts = s.ts;
         self.count += 1;
@@ -468,6 +507,18 @@ pub fn decode_summary(data: &[u8]) -> Option<Summary> {
             T_QUARANTINE => Record::Quarantine {
                 seg: get_varint(body, &mut pos)? as u32,
             },
+            T_LOCATE => {
+                let bid = get_varint(body, &mut pos)?;
+                let at = get_varint(body, &mut pos)?;
+                Record::Locate {
+                    bid,
+                    seg: u32::try_from(at >> 32).ok()?,
+                    offset: at as u32,
+                    stored_len: get_varint(body, &mut pos)? as u32,
+                    logical_len: get_varint(body, &mut pos)? as u32,
+                    compressed,
+                }
+            }
             _ => return None,
         };
         records.push(Stamped {
@@ -581,6 +632,19 @@ mod tests {
                 ends_aru: true,
                 aru: None,
                 rec: Record::Quarantine { seg: 17 },
+            },
+            Stamped {
+                ts: 115,
+                ends_aru: true,
+                aru: None,
+                rec: Record::Locate {
+                    bid: u64::MAX >> 1,
+                    seg: u32::MAX,
+                    offset: u32::MAX,
+                    stored_len: u32::MAX,
+                    logical_len: u32::MAX,
+                    compressed: true,
+                },
             },
         ]
     }

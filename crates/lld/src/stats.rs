@@ -33,6 +33,10 @@ pub struct LldStats {
     pub cleaner_bytes_copied: u64,
     /// Records the cleaner re-logged to keep metadata recoverable.
     pub cleaner_records_relogged: u64,
+    /// Records re-logged because a retired segment's summary was lost:
+    /// every live list and block, so that no summary a sweep cannot read
+    /// is the only copy of a live record.
+    pub retire_records_relogged: u64,
     /// Segments rewritten by the reorganizer.
     pub reorganized_lists: u64,
     /// Segment summaries read by the last recovery sweep.
@@ -58,7 +62,7 @@ pub struct LldStats {
     /// the tagged command queue instead of the direct path.
     pub queued_segment_writes: u64,
     /// Reads submitted through the queue: batched cleaner victim
-    /// prefetches and batched scrub probes.
+    /// prefetches.
     pub queued_reads: u64,
     /// Times a non-empty queue was drained to empty (every read, flush,
     /// and checkpoint fences behind all in-flight writes).
@@ -111,6 +115,9 @@ impl LldStats {
             cleaner_records_relogged: self
                 .cleaner_records_relogged
                 .checked_sub(earlier.cleaner_records_relogged)?,
+            retire_records_relogged: self
+                .retire_records_relogged
+                .checked_sub(earlier.retire_records_relogged)?,
             reorganized_lists: self
                 .reorganized_lists
                 .checked_sub(earlier.reorganized_lists)?,

@@ -388,8 +388,13 @@ fn checkpoint_payload(image: &[u8], layout: &crate::Layout) -> Vec<u8> {
 // A change to any of these is a change of the on-disk checkpoint format.
 const GOLDEN_PLAIN_LEN: usize = 3186;
 const GOLDEN_PLAIN_FNV: u64 = 0x27f5_28a0_11cd_51c4;
+// The remap workload's scan retires a segment whose summary holds a bad
+// sector, so scrub re-logs the whole state (every list and block id, where
+// each on-disk copy lies, the bad sectors and quarantined segments); those
+// records move the timestamps and summary seqs the checkpoint carries (the
+// length stays 7135).
 const GOLDEN_REMAP_LEN: usize = 7135;
-const GOLDEN_REMAP_FNV: u64 = 0x8924_aee8_9b95_878f;
+const GOLDEN_REMAP_FNV: u64 = 0x42b3_f121_db60_7f8f;
 
 /// Pins the checkpoint format: the payload length and FNV-1a of two fixed
 /// workloads, one reaching every hint bit, compressed blocks and deleted
@@ -453,6 +458,7 @@ fn checkpoint_payload_matches_golden_checksum() {
     });
     lld.media_scan().unwrap();
     assert!(!lld.bad_sector_table().is_empty());
+    assert!(lld.stats().retire_records_relogged > 0);
     lld.shutdown().unwrap();
     let layout = *lld.layout();
     let payload = checkpoint_payload(&lld.into_disk().image_bytes(), &layout);

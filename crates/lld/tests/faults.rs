@@ -1,39 +1,30 @@
 //! Unit-level media-fault behaviour of the disk manager: bounded read
 //! retry, scrub/relocate/remap, quarantine, and persistence of the bad
-//! sector table across checkpoint and recovery.
+//! sector table across checkpoint and recovery (the crash harness,
+//! `harness`, checks the recoveries).
 
-use ld_core::{LdError, ListHints, LogicalDisk, Pred, PredList};
-use lld::{Lld, LldConfig};
+mod harness;
+
+use harness::{config, content, Run};
+use ld_core::{Bid, LdError, Lid, ListHints, LogicalDisk, Pred, PredList};
+use lld::Lld;
+use proptest::prelude::*;
 use simdisk::{FaultConfig, SimDisk};
 
-fn test_config() -> LldConfig {
-    LldConfig {
-        segment_bytes: 64 << 10,
-        summary_bytes: 4 << 10,
-        read_retries: 16,
-        cpu: lld::CpuModel::free(),
-        ..LldConfig::default()
-    }
-}
+const CAPACITY: u64 = 16 << 20;
 
 fn disk() -> SimDisk {
-    SimDisk::hp_c3010_with_capacity(16 << 20)
-}
-
-fn data(len: usize, seed: u8) -> Vec<u8> {
-    (0..len)
-        .map(|i| (i as u8).wrapping_mul(13) ^ seed)
-        .collect()
+    SimDisk::hp_c3010_with_capacity(CAPACITY)
 }
 
 /// Writes `n` 4 KB blocks on one list and flushes; returns their ids and
 /// contents.
-fn populate(lld: &mut Lld<SimDisk>, n: usize) -> Vec<(ld_core::Bid, Vec<u8>)> {
+fn populate(lld: &mut Lld<SimDisk>, n: usize) -> Vec<(Bid, Vec<u8>)> {
     let lid = lld.new_list(PredList::Start, ListHints::default()).unwrap();
     let mut blocks = Vec::new();
     for i in 0..n {
         let b = lld.new_block(lid, Pred::Start).unwrap();
-        let d = data(4096, i as u8);
+        let d = content(i as u64, 4096);
         lld.write(b, &d).unwrap();
         blocks.push((b, d));
     }
@@ -41,9 +32,24 @@ fn populate(lld: &mut Lld<SimDisk>, n: usize) -> Vec<(ld_core::Bid, Vec<u8>)> {
     blocks
 }
 
+/// The blocks that read back a device error; every other block must read
+/// back its contents.
+fn unreadable(lld: &mut Lld<SimDisk>, blocks: &[(Bid, Vec<u8>)]) -> Vec<Bid> {
+    let mut buf = vec![0u8; 4096];
+    let mut lost = Vec::new();
+    for (b, d) in blocks {
+        match lld.read(*b, &mut buf) {
+            Ok(n) => assert_eq!(&buf[..n], &d[..], "wrong bytes for {b}"),
+            Err(LdError::Device(_)) => lost.push(*b),
+            Err(e) => panic!("unexpected error {e:?}"),
+        }
+    }
+    lost
+}
+
 #[test]
 fn transient_faults_are_retried_below_the_client() {
-    let mut lld = Lld::format(disk(), test_config()).unwrap();
+    let mut lld = Lld::format(disk(), config()).unwrap();
     let blocks = populate(&mut lld, 40);
     lld.disk_mut().set_faults(FaultConfig {
         seed: 11,
@@ -69,113 +75,102 @@ fn transient_faults_are_retried_below_the_client() {
 
 #[test]
 fn latent_fault_under_live_block_reports_loss() {
-    let mut lld = Lld::format(disk(), test_config()).unwrap();
+    let mut lld = Lld::format(disk(), config()).unwrap();
     let blocks = populate(&mut lld, 40);
     lld.disk_mut().set_faults(FaultConfig {
         seed: 4,
         latent_ppm: 20_000, // 2%: some blocks certainly hit.
         ..FaultConfig::default()
     });
-    let mut buf = vec![0u8; 4096];
-    let mut lost = 0usize;
-    for (b, d) in &blocks {
-        match lld.read(*b, &mut buf) {
-            Ok(n) => assert_eq!(&buf[..n], &d[..], "wrong bytes for {b}"),
-            Err(LdError::Device(_)) => lost += 1,
-            Err(e) => panic!("unexpected error {e:?}"),
-        }
-    }
+    let lost = unreadable(&mut lld, &blocks).len() as u64;
     assert!(lost > 0, "2% latent faults over 40 blocks must lose some");
-    assert_eq!(lld.stats().unreadable_blocks, lost as u64);
+    assert_eq!(lld.stats().unreadable_blocks, lost);
 }
 
-#[test]
-fn scrub_relocates_remaps_and_quarantines() {
-    let mut lld = Lld::format(disk(), test_config()).unwrap();
-    let blocks = populate(&mut lld, 40);
-    // Delete every other block so live segments carry dead extents —
-    // latent sectors under those are remappable, and the surviving
-    // neighbours must be relocated off the quarantined segments.
-    let lid = lld.list_of_lists()[0];
-    for (b, _) in blocks.iter().skip(1).step_by(2) {
-        lld.delete_block(*b, lid, None).unwrap();
-    }
-    lld.flush(ld_core::FailureSet::PowerFailure).unwrap();
-    lld.disk_mut().set_faults(FaultConfig {
+/// Forty 4 KB blocks on one list with every other one deleted, so live
+/// segments carry dead extents (latent sectors under those are
+/// remappable, and the surviving neighbours must be relocated off the
+/// quarantined segments), then a media scan that finds the medium's
+/// latent defects. Returns the run, its list and the sectors remapped.
+fn scrubbed() -> Result<(Run, Lid, u64), TestCaseError> {
+    let faults = FaultConfig {
         seed: 8,
         latent_ppm: 3_000,
         ..FaultConfig::default()
-    });
-    let (_, remapped, _) = lld.media_scan().expect("media scan");
-    assert!(remapped > 0, "the schedule must retire some sectors");
-    assert_eq!(lld.bad_sector_table().len() as u64, remapped);
-    assert!(
-        lld.quarantined_segments() > 0,
+    };
+    let mut run = Run::format(CAPACITY, false, config()).with_faults(Some(faults));
+    let lid = run.new_list(PredList::Start, ListHints::default())?;
+    let mut blocks = Vec::new();
+    for i in 0..40 {
+        let b = run.new_block(lid, Pred::Start)?;
+        run.write(b, &content(i, 4096))?;
+        blocks.push(b);
+    }
+    run.flush()?;
+    for &b in blocks.iter().skip(1).step_by(2) {
+        run.delete_block(b, lid)?;
+    }
+    run.flush()?;
+    let (_, remapped, _) = run.scan()?;
+    Ok((run, lid, remapped))
+}
+
+#[test]
+fn scrub_relocates_remaps_and_quarantines() -> TestCaseResult {
+    let (mut run, lid, remapped) = scrubbed()?;
+    prop_assert!(remapped > 0, "the schedule must retire some sectors");
+    prop_assert_eq!(run.lld.bad_sector_table().len() as u64, remapped);
+    prop_assert!(
+        run.lld.quarantined_segments() > 0,
         "bad sectors imply quarantine"
     );
-    // Surviving blocks: either intact or reported, never silently wrong.
-    let mut buf = vec![0u8; 4096];
-    for (b, d) in blocks.iter().step_by(2) {
-        if let Ok(n) = lld.read(*b, &mut buf) {
-            assert_eq!(&buf[..n], &d[..], "wrong bytes for {b}");
-        }
-    }
-    // Still writable: new blocks land outside quarantined segments.
-    let b = lld.new_block(lid, Pred::Start).unwrap();
-    lld.write(b, &data(4096, 0xEE)).unwrap();
-    lld.flush(ld_core::FailureSet::PowerFailure).unwrap();
+    // Still writable: new blocks land outside quarantined segments. The
+    // recovered blocks read back intact or reported, never silently wrong.
+    let b = run.new_block(lid, Pred::Start)?;
+    run.write(b, &content(0xEE, 4096))?;
+    run.flush()?;
+    let mut crashes = run.crashes();
+    let end = crashes.writes();
+    crashes.check(end, &[], None)?;
+    Ok(())
 }
 
 #[test]
-fn bad_sector_table_survives_checkpoint_and_recovery() {
-    let mut lld = Lld::format(disk(), test_config()).unwrap();
-    let blocks = populate(&mut lld, 40);
-    let lid = lld.list_of_lists()[0];
-    for (b, _) in blocks.iter().skip(1).step_by(2) {
-        lld.delete_block(*b, lid, None).unwrap();
+fn bad_sector_table_survives_checkpoint_and_recovery() -> TestCaseResult {
+    let (mut run, lid, _) = scrubbed()?;
+    let table = run.lld.bad_sector_table();
+    let quarantined = run.lld.quarantined_segments();
+    prop_assert!(!table.is_empty());
+
+    // A clean shutdown's checkpoint carries the table, and a restart
+    // restores it.
+    run.shutdown()?;
+    let shut = run.position();
+    let mut run = run.reopen()?;
+    prop_assert!(run.lld.stats().recovered_from_checkpoint);
+    prop_assert_eq!(run.lld.bad_sector_table(), table.clone());
+    prop_assert_eq!(run.lld.quarantined_segments(), quarantined);
+
+    // A flushed write and an unflushed tail; the crash recovers by the
+    // sweep, with the checkpoint stale but its bad-sector section still
+    // the source of truth.
+    let b = run.new_block(lid, Pred::Start)?;
+    run.write(b, &content(0x77, 4096))?;
+    run.flush()?;
+    let b = run.new_block(lid, Pred::Start)?;
+    run.write(b, &content(0x78, 4096))?;
+    let mut crashes = run.crashes();
+    for n in [shut, crashes.writes()] {
+        let state = crashes.check(n, &[], None)?.recovery.observed.state;
+        prop_assert_eq!(&state.bad_sectors, &table);
+        prop_assert_eq!(state.quarantined, quarantined);
     }
-    lld.flush(ld_core::FailureSet::PowerFailure).unwrap();
-    lld.disk_mut().set_faults(FaultConfig {
-        seed: 8,
-        latent_ppm: 3_000,
-        ..FaultConfig::default()
-    });
-    lld.media_scan().expect("media scan");
-    let table = lld.bad_sector_table();
-    let quarantined = lld.quarantined_segments();
-    assert!(!table.is_empty());
-
-    // Clean shutdown → checkpoint carries the table; ldck agrees.
-    let config = lld.config().clone();
-    lld.shutdown().expect("shutdown");
-    let disk = lld.into_disk();
-    let report = ldck::check_image(&disk.image_bytes(), &config);
-    assert!(report.is_clean(), "image has errors: {:?}", report.findings);
-    assert_eq!(report.stats.bad_sectors, table.len() as u64);
-
-    // Checkpoint path restores it…
-    let mut rec = Lld::open(disk, config.clone()).unwrap();
-    assert_eq!(rec.bad_sector_table(), table);
-    assert_eq!(rec.quarantined_segments(), quarantined);
-
-    // …and so does the full recovery sweep after a crash (the checkpoint
-    // is stale but its bad-sector section is still the source of truth).
-    let mut b2 = rec.new_block(lid, Pred::Start).unwrap();
-    rec.write(b2, &data(4096, 0x77)).unwrap();
-    rec.flush(ld_core::FailureSet::PowerFailure).unwrap();
-    b2 = rec.new_block(lid, Pred::Start).unwrap();
-    rec.write(b2, &data(4096, 0x78)).unwrap(); // Unflushed tail.
-    let mut disk = rec.into_disk();
-    disk.crash_now();
-    disk.revive();
-    let swept = Lld::open(disk, config).unwrap();
-    assert_eq!(swept.bad_sector_table(), table);
-    assert_eq!(swept.quarantined_segments(), quarantined);
+    Ok(())
 }
 
 #[test]
 fn reorganizers_leave_unreadable_blocks_in_place() {
-    let mut lld = Lld::format(disk(), test_config()).unwrap();
+    let mut lld = Lld::format(disk(), config()).unwrap();
     // Two lists written in alternation, so each is fragmented across
     // every segment they fill.
     let lids = [
@@ -185,7 +180,7 @@ fn reorganizers_leave_unreadable_blocks_in_place() {
     let mut blocks = Vec::new();
     for i in 0..80 {
         let b = lld.new_block(lids[i % 2], Pred::Start).unwrap();
-        let d = data(4096, i as u8);
+        let d = content(i as u64, 4096);
         lld.write(b, &d).unwrap();
         blocks.push((b, d));
     }
@@ -196,15 +191,10 @@ fn reorganizers_leave_unreadable_blocks_in_place() {
         ..FaultConfig::default()
     });
     // Find the blocks whose copy is already unreadable (and where it is).
-    let mut buf = vec![0u8; 4096];
-    let mut stranded = Vec::new();
-    for (b, d) in &blocks {
-        match lld.read(*b, &mut buf) {
-            Ok(n) => assert_eq!(&buf[..n], &d[..], "wrong bytes for {b}"),
-            Err(LdError::Device(_)) => stranded.push((*b, lld.block_segment(*b))),
-            Err(e) => panic!("unexpected error {e:?}"),
-        }
-    }
+    let stranded: Vec<_> = unreadable(&mut lld, &blocks)
+        .into_iter()
+        .map(|b| (b, lld.block_segment(b)))
+        .collect();
     assert!(
         !stranded.is_empty(),
         "2% latent faults must strand some blocks"
@@ -216,13 +206,8 @@ fn reorganizers_leave_unreadable_blocks_in_place() {
     assert!(moved > 0, "readable hot blocks move");
 
     // Never wrong bytes; a stranded block stays where it was.
-    for (b, d) in &blocks {
-        match lld.read(*b, &mut buf) {
-            Ok(n) => assert_eq!(&buf[..n], &d[..], "wrong bytes for {b}"),
-            Err(LdError::Device(_)) => {}
-            Err(e) => panic!("unexpected error {e:?}"),
-        }
-    }
+    unreadable(&mut lld, &blocks);
+    let mut buf = vec![0u8; 4096];
     for (b, seg) in &stranded {
         assert_eq!(lld.block_segment(*b), *seg, "unreadable {b} moved");
         assert!(lld.read(*b, &mut buf).is_err(), "latent faults persist");

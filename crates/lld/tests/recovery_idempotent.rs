@@ -1,172 +1,92 @@
-//! Recovery is a pure function of the image: opening the same disk image
-//! twice — whether it recovers via the checkpoint or the full summary
-//! sweep, on a healthy or a deterministically faulty medium, with or
-//! without an NVRAM tail — must yield identical block maps, contents,
-//! stats, remap tables, and post-recovery images and NVRAM, and `ldck`
-//! must agree both times.
+//! Recovery is a pure function of the image, and the image it recovers is
+//! the truth: a crash anywhere in a small workload — on a healthy or a
+//! scrubbed faulty medium, with or without an NVRAM tail, ending in a crash
+//! or a clean shutdown — recovers via the checkpoint or the full summary
+//! sweep to the model's state, twice over, and re-recovers to it after a
+//! crash inside its own writes (`harness`).
 
-use ld_core::{ListHints, LogicalDisk, Pred, PredList};
-use lld::{Lld, LldConfig, LldStats};
+mod harness;
+
+use harness::{config, content, Op, Run};
+use ld_core::{Bid, ListHints, Pred, PredList};
 use proptest::prelude::*;
-use simdisk::{BlockDev, FaultConfig, SimDisk};
+use simdisk::{BlockDev, FaultConfig, SimDisk, SECTOR_SIZE};
 
 const CAPACITY: u64 = 16 << 20;
 
-/// NVRAM attached to the disk in the cases that sample it.
-const NVRAM_BYTES: usize = 256 << 10;
-
-/// A disk image: the medium and the NVRAM (empty when none is attached).
-#[derive(Debug, PartialEq)]
-struct Image {
-    medium: Vec<u8>,
-    nvram: Vec<u8>,
-}
-
-impl Image {
-    /// The medium and NVRAM of `disk`, which must be up.
-    fn of(disk: &mut SimDisk) -> Self {
-        let mut nvram = vec![0u8; disk.nvram_bytes()];
-        disk.nvram_read(0, &mut nvram).expect("nvram read");
-        Self {
-            medium: disk.image_bytes(),
-            nvram,
-        }
-    }
-}
-
-fn test_config() -> LldConfig {
-    LldConfig {
-        segment_bytes: 64 << 10,
-        summary_bytes: 4 << 10,
-        read_retries: 16,
-        cpu: lld::CpuModel::free(),
-        ..LldConfig::default()
-    }
-}
-
-fn content(seed: usize, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|j| ((seed * 37 + j * 11) % 253) as u8)
-        .collect()
-}
-
-/// Everything a client (or an auditor) can observe about a recovered
-/// disk manager. Reads that fail are recorded as failures — a loss
-/// reported on one recovery must be reported on the other too.
-#[derive(Debug, PartialEq)]
-struct Observed {
-    stats: LldStats,
-    lists: Vec<(ld_core::Lid, Vec<ld_core::Bid>)>,
-    contents: Vec<(ld_core::Bid, Result<Vec<u8>, String>)>,
-    bad_sectors: Vec<u64>,
-    quarantined: u32,
-    free_segments: u32,
-}
-
-/// Loads `image` into a fresh disk (with the given fault schedule — the
-/// schedule belongs to the medium, not the image), recovers, and returns
-/// the observable state plus the post-recovery image.
-fn open_and_observe(
-    image: &Image,
-    config: &LldConfig,
-    faults: Option<FaultConfig>,
-) -> (Observed, Image) {
-    let mut disk = SimDisk::hp_c3010_with_capacity(CAPACITY).with_nvram(image.nvram.len());
-    disk.load_image(&image.medium);
-    disk.nvram_write(0, &image.nvram).expect("nvram write");
-    if let Some(f) = faults {
-        disk.set_faults(f);
-    }
-    let mut lld = Lld::open(disk, config.clone()).expect("open");
-    let stats = *lld.stats();
-    let mut lists = Vec::new();
-    let mut contents = Vec::new();
-    for lid in lld.list_of_lists() {
-        let bids = lld.list_blocks(lid).expect("list_blocks");
-        for &b in &bids {
-            let mut buf = vec![0u8; 64 << 10];
-            let r = match lld.read(b, &mut buf) {
-                Ok(n) => Ok(buf[..n].to_vec()),
-                Err(e) => Err(e.to_string()),
-            };
-            contents.push((b, r));
-        }
-        lists.push((lid, bids));
-    }
-    let obs = Observed {
-        stats,
-        lists,
-        contents,
-        bad_sectors: lld.bad_sector_table(),
-        quarantined: lld.quarantined_segments(),
-        free_segments: lld.free_segments(),
-    };
-    (obs, Image::of(&mut lld.into_disk()))
-}
-
-/// A deterministic little workload: lists, writes, deletes, overwrites,
-/// periodic flushes, and (optionally) a scrubbed faulty medium with an
-/// unflushed tail before a crash. With NVRAM attached, flushes below the
-/// seal threshold land there. Returns the crashed/shut-down image.
-fn build_image(
+/// A deterministic little workload: lists, writes, deletes, periodic
+/// flushes, (optionally) a scan of a faulty medium, and more writes, then
+/// either a clean shutdown or a flush and an unflushed tail. With NVRAM
+/// attached, flushes below the seal threshold land there.
+fn workload(
     nblocks: usize,
     delete_stride: usize,
-    fault_cfg: Option<FaultConfig>,
+    faults: Option<FaultConfig>,
     nvram: bool,
     clean_shutdown: bool,
-) -> Image {
-    let mut disk = SimDisk::hp_c3010_with_capacity(CAPACITY);
-    if nvram {
-        disk = disk.with_nvram(NVRAM_BYTES);
-    }
-    let mut lld = Lld::format(disk, test_config()).unwrap();
-    let lid = lld.new_list(PredList::Start, ListHints::default()).unwrap();
-    let lid2 = lld
-        .new_list(PredList::After(lid), ListHints::default())
-        .unwrap();
+) -> Result<Run, TestCaseError> {
+    let mut run = Run::format(CAPACITY, nvram, config()).with_faults(faults);
+    let lid = run.new_list(PredList::Start, ListHints::default())?;
+    let lid2 = run.new_list(PredList::After(lid), ListHints::default())?;
+    let owner = |i: usize| if i.is_multiple_of(3) { lid2 } else { lid };
     let mut blocks = Vec::new();
     for i in 0..nblocks {
-        let l = if i % 3 == 0 { lid2 } else { lid };
-        let b = lld.new_block(l, Pred::Start).unwrap();
-        lld.write(b, &content(i, 1024 + (i % 5) * 600)).unwrap();
+        let b = run.new_block(owner(i), Pred::Start)?;
+        run.write(b, &content(i as u64, 1024 + (i % 5) * 600))?;
         blocks.push(b);
         if i % 7 == 0 {
-            lld.flush(ld_core::FailureSet::PowerFailure).unwrap();
+            run.flush()?;
         }
     }
     for (i, &b) in blocks.iter().enumerate() {
         if i % delete_stride == 1 {
-            let l = if i % 3 == 0 { lid2 } else { lid };
-            lld.delete_block(b, l, None).unwrap();
+            run.delete_block(b, owner(i))?;
         }
     }
-    lld.flush(ld_core::FailureSet::PowerFailure).unwrap();
-    if let Some(f) = fault_cfg {
-        lld.disk_mut().set_faults(f);
-        lld.media_scan().expect("media scan");
+    run.flush()?;
+    if faults.is_some() {
+        run.scan()?;
     }
-    // Post-scrub activity plus an unflushed tail the recovery must discard.
-    let b = lld.new_block(lid, Pred::Start).unwrap();
-    lld.write(b, &content(999, 3000)).unwrap();
+    let b = run.new_block(lid, Pred::Start)?;
+    run.write(b, &content(999, 3000))?;
     if clean_shutdown {
-        lld.shutdown().expect("shutdown");
-        return Image::of(&mut lld.into_disk());
+        run.shutdown()?;
+        return Ok(run);
     }
-    lld.flush(ld_core::FailureSet::PowerFailure).unwrap();
-    let b = lld.new_block(lid2, Pred::Start).unwrap();
-    lld.write(b, &content(1000, 1500)).unwrap();
-    let mut disk = lld.into_disk();
-    disk.crash_now();
-    disk.revive();
-    Image::of(&mut disk)
+    run.flush()?;
+    let b = run.new_block(lid2, Pred::Start)?;
+    run.write(b, &content(1000, 1500))?;
+    Ok(run)
+}
+
+/// Crash points of the checkpoint path: the drawn ones and the cleanly
+/// shut down image, which restores from the checkpoint (or, when a latent
+/// fault hits the header region, sweeps); a crash at the end of the
+/// restore's writes re-opens the consumed image by the sweep.
+fn checkpoint_case(
+    nblocks: usize,
+    delete_stride: usize,
+    fault_seed: u64,
+    latent_ppm: u32,
+    nvram: bool,
+    drawn: &[u64],
+) -> Result<(), TestCaseError> {
+    let faults = Some(FaultConfig {
+        seed: fault_seed,
+        latent_ppm,
+        ..FaultConfig::default()
+    });
+    let run = workload(nblocks, delete_stride, faults, nvram, true)?;
+    let end = run.crashes().check_drawn(drawn)?;
+    let reopened = &end.reopened().observed.stats;
+    prop_assert!(!reopened.recovered_from_checkpoint);
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Sweep path: a crashed image (healthy or scrubbed-faulty medium)
-    /// recovers to the same observable state and the same on-disk bytes
-    /// no matter how many times it is opened.
+    /// Sweep path: crashes in a workload ending in an unflushed tail.
     #[test]
     fn sweep_recovery_is_idempotent(
         nblocks in 8usize..48,
@@ -175,82 +95,116 @@ proptest! {
         with_faults in any::<bool>(),
         nvram in any::<bool>(),
         latent_ppm in 500u32..3_000,
+        drawn in proptest::collection::vec(any::<u64>(), 3),
     ) {
-        let config = test_config();
-        let fault_cfg = with_faults.then(|| FaultConfig {
+        let faults = with_faults.then_some(FaultConfig {
             seed: fault_seed,
             latent_ppm,
             ..FaultConfig::default()
         });
-        let image = build_image(nblocks, delete_stride, fault_cfg, nvram, false);
-        let (obs1, post1) = open_and_observe(&image, &config, fault_cfg);
-        let (obs2, post2) = open_and_observe(&image, &config, fault_cfg);
-        prop_assert_eq!(&obs1, &obs2, "two recoveries of one image diverged");
-        prop_assert_eq!(&post1, &post2, "post-recovery images diverged");
-        prop_assert!(!obs1.stats.recovered_from_checkpoint);
-        prop_assert!(nvram || !obs1.stats.recovery_nvram_applied);
-
-        // A sweep writes no checkpoint, so the device it leaves behind
-        // sweeps again on the next open, to the same state. A first sweep
-        // that materialized an NVRAM tail also invalidated it, so the
-        // second finds none: only that flag and the time may differ.
-        let (mut obs3, post3) = open_and_observe(&post1, &config, fault_cfg);
-        prop_assert!(!obs3.stats.recovery_nvram_applied);
-        if obs1.stats.recovery_nvram_applied {
-            obs3.stats.recovery_nvram_applied = true;
-            obs3.stats.recovery_us = obs1.stats.recovery_us;
-        }
-        prop_assert_eq!(&obs1, &obs3, "re-opening the recovered device diverged");
-        prop_assert_eq!(&post1, &post3, "a second sweep changed the image");
-
-        let report = ldck::check_image(&image.medium, &config);
-        prop_assert!(report.is_clean(), "crashed image: {:?}", report.findings);
-        // ldck reads only the medium, and the remap records may still sit
-        // in the NVRAM tail of the crashed image; the recovered medium
-        // holds them all.
-        let report = ldck::check_image(&post1.medium, &config);
-        prop_assert!(report.is_clean(), "recovered image: {:?}", report.findings);
-        prop_assert_eq!(
-            report.stats.bad_sectors,
-            obs1.bad_sectors.len() as u64,
-            "ldck's sweep reconstructs a different remap table than recovery"
-        );
+        let run = workload(nblocks, delete_stride, faults, nvram, false)?;
+        let end = run.crashes().check_drawn(&drawn)?;
+        let stats = end.recovery.observed.stats;
+        prop_assert!(!stats.recovered_from_checkpoint);
+        prop_assert!(nvram || !stats.recovery_nvram_applied);
     }
 
     /// Checkpoint path: a cleanly shut down scrubbed image restores the
-    /// same state twice — and the consumed-checkpoint image it leaves
-    /// behind *re-recovers* (now via the sweep) to that same state.
+    /// same state twice, and the consumed-checkpoint image it leaves
+    /// behind re-recovers (now by the sweep) to that same state.
     #[test]
     fn checkpoint_recovery_is_idempotent(
         nblocks in 8usize..40,
         delete_stride in 2usize..5,
         fault_seed in any::<u64>(),
         latent_ppm in 500u32..3_000,
+        nvram in any::<bool>(),
+        drawn in proptest::collection::vec(any::<u64>(), 3),
     ) {
-        let config = test_config();
-        let fault_cfg = Some(FaultConfig {
-            seed: fault_seed,
-            latent_ppm,
-            ..FaultConfig::default()
-        });
-        let image = build_image(nblocks, delete_stride, fault_cfg, false, true);
-        let (obs1, post1) = open_and_observe(&image, &config, fault_cfg);
-        let (obs2, post2) = open_and_observe(&image, &config, fault_cfg);
-        prop_assert_eq!(&obs1, &obs2, "two checkpoint restores diverged");
-        prop_assert_eq!(&post1, &post2, "post-restore images diverged");
-        // A latent fault on the header region makes `open` fall back to
-        // the sweep — legitimate, and obs1 == obs2 already pins the flag.
-
-        // Opening consumed the checkpoint (or fell back); the remap table
-        // must survive the subsequent sweep with the same contents.
-        let (obs3, _) = open_and_observe(&post1, &config, fault_cfg);
-        prop_assert!(!obs3.stats.recovered_from_checkpoint);
-        prop_assert_eq!(&obs1.bad_sectors, &obs3.bad_sectors);
-        prop_assert_eq!(obs1.quarantined, obs3.quarantined);
-        prop_assert_eq!(&obs1.lists, &obs3.lists);
-
-        let report = ldck::check_image(&image.medium, &config);
-        prop_assert!(report.is_clean(), "scrubbed image: {:?}", report.findings);
-        prop_assert_eq!(report.stats.bad_sectors, obs1.bad_sectors.len() as u64);
+        checkpoint_case(nblocks, delete_stride, fault_seed, latent_ppm, nvram, &drawn)?;
     }
+}
+
+/// Case 1,000,001 of the checkpoint property before scrub re-logged the
+/// metadata of a segment it retires for a bad summary sector: the sweep
+/// after the restore lost that summary's records (list 1 kept 4 of its 11
+/// blocks, and the list order flipped).
+#[test]
+fn scrubbed_summary_sector_keeps_its_records() -> TestCaseResult {
+    checkpoint_case(33, 3, 6_256_656_522_886_595_536, 1164, false, &[])
+}
+
+/// A lost summary can hold records that no re-log of the live lists and
+/// blocks replaces: a `Swap` of two blocks whose copies lie in another
+/// segment, and the deletion of a block and of a list created there. Scrub
+/// retires the segment whose summary turns unreadable; the sweep after the
+/// restore must still see the swapped contents and neither deleted entity.
+#[test]
+fn lost_summary_keeps_swaps_and_deletions() -> TestCaseResult {
+    let mut run = Run::format(CAPACITY, false, config());
+    let lid = run.new_list(PredList::Start, ListHints::default())?;
+    let doomed = run.new_list(PredList::After(lid), ListHints::default())?;
+    let d = run.new_block(doomed, Pred::Start)?;
+    run.write(d, &content(0, 4096))?;
+    // Fill segment `t` with `a`, `b`, `c` and more, until it seals.
+    let mut made = Vec::new();
+    let sealed = run.lld.stats().segments_sealed;
+    for seed in 1.. {
+        let b = run.new_block(lid, Pred::Start)?;
+        run.write(b, &content(seed, 4096))?;
+        made.push(b);
+        if run.lld.stats().segments_sealed > sealed {
+            break;
+        }
+    }
+    let (a, b, c) = (made[0], made[1], made[2]);
+    let at = |run: &Run, x: Bid| run.bids.iter().position(|&y| y == x).expect("live");
+    run.apply(&Op::Swap {
+        a: at(&run, a),
+        b: at(&run, b),
+    })?;
+    // New blocks first, so the deleted ids stay free.
+    let filler: Vec<Bid> = (0..20)
+        .map(|_| run.new_block(lid, Pred::Start))
+        .collect::<Result<_, _>>()?;
+    run.delete_block(c, lid)?;
+    let pos = run.lids.iter().position(|&l| l == doomed).expect("live");
+    run.apply(&Op::DeleteList { lid: pos })?;
+    // Fill segment `s`, which holds those records, until it seals.
+    let sealed = run.lld.stats().segments_sealed;
+    for (i, &f) in filler.iter().enumerate() {
+        run.write(f, &content(100 + i as u64, 4096))?;
+    }
+    prop_assert!(run.lld.stats().segments_sealed > sealed);
+    run.flush()?;
+
+    // A medium whose only defect near them is in `s`'s summary.
+    let (t, s) = (run.lld.block_segment(a), run.lld.block_segment(filler[0]));
+    let (Some(t), Some(s)) = (t, s) else {
+        return Err(TestCaseError::fail("both segments are sealed"));
+    };
+    let layout = *run.lld.layout();
+    let bad = |f: FaultConfig, from: u64, count: u64| {
+        let mut disk = SimDisk::hp_c3010_with_capacity(CAPACITY);
+        disk.set_faults(f);
+        let mut buf = [0u8; SECTOR_SIZE];
+        (from..from + count).any(|x| disk.read_sectors(x, &mut buf).is_err())
+    };
+    let faults = (0..)
+        .map(|seed| FaultConfig {
+            seed,
+            latent_ppm: 20_000,
+            ..FaultConfig::default()
+        })
+        .find(|&f| {
+            bad(f, layout.summary_base(s), layout.summary_sectors())
+                && !bad(f, layout.segment_base(t), layout.segment_sectors)
+        });
+    let mut run = run.with_faults(faults);
+    run.scan()?;
+    prop_assert!(run.lld.stats().retire_records_relogged > 0);
+    run.shutdown()?;
+    let end = run.crashes().check_drawn(&[])?;
+    prop_assert!(!end.reopened().observed.stats.recovered_from_checkpoint);
+    Ok(())
 }

@@ -644,13 +644,28 @@ fn ci() -> ExitCode {
                 &["test", "-q", "--release", "-p", "fsutil", "--test", "prop"],
             ),
         ),
-        // LLD against the model and against its own crash replay, on cases
-        // the plain test step never draws.
+        // Every test on LLD's crash harness, on cases the plain test step
+        // never draws: the model, crash, cleaning-churn, sweep and
+        // checkpoint properties, and the NVRAM and media-fault tests.
         (
             "lld replay differential",
             Step::CargoEnv(
                 &[("PROPTEST_CASE_OFFSET", "1000000")],
-                &["test", "-q", "--release", "-p", "lld", "--test", "prop"],
+                &[
+                    "test",
+                    "-q",
+                    "--release",
+                    "-p",
+                    "lld",
+                    "--test",
+                    "prop",
+                    "--test",
+                    "recovery_idempotent",
+                    "--test",
+                    "nvram_rerecovery",
+                    "--test",
+                    "faults",
+                ],
             ),
         ),
         // The file-system crash matrix (queue mode, NVRAM and transient
