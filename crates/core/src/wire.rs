@@ -45,7 +45,13 @@ pub fn le_u64(b: &[u8], at: usize) -> u64 {
 /// FNV-1a 64-bit hash: the checksum of LLD summaries, checkpoints and the
 /// NVRAM image, and of Sprite-LFS summaries and checkpoints.
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
+    fnv1a64_extend(0xcbf29ce484222325, data)
+}
+
+/// Continues an FNV-1a 64-bit hash `h` over `data`:
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ++ b)`, so a checksum over
+/// several regions needs no buffer that joins them.
+pub fn fnv1a64_extend(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100000001b3);
@@ -63,5 +69,14 @@ mod tests {
         assert_eq!(le_u16(&b, 3), u16::from_le_bytes([4, 5]));
         assert_eq!(le_u32(&b, 2), u32::from_le_bytes([3, 4, 5, 6]));
         assert_eq!(le_u64(&b, 1), u64::from_le_bytes([2, 3, 4, 5, 6, 7, 8, 9]));
+    }
+
+    #[test]
+    fn extending_a_hash_equals_hashing_the_concatenation() {
+        let b: Vec<u8> = (0..=255).collect();
+        for split in [0, 1, 24, 255, 256] {
+            let (head, tail) = b.split_at(split);
+            assert_eq!(fnv1a64_extend(fnv1a64(head), tail), fnv1a64(&b));
+        }
     }
 }

@@ -20,10 +20,11 @@
 //! `read_copy` fetches the on-disk copy with the retry budget and `forward`
 //! appends it to the open segment, logs its new location and re-points the
 //! block. The callers differ only in where the bytes come from (the
-//! cleaner reads a victim's whole data region at once) and in what an
-//! unreadable copy means to them: the cleaner quarantines the victim, scrub
-//! reports the block, and the reorganizers leave it in place. All of them
-//! run under one re-entrancy guard, `guarded`.
+//! cleaner reads each victim once, from the sector holding its first live
+//! byte through its summary) and in what an unreadable copy means to them:
+//! the cleaner quarantines the victim, scrub reports the block, and the
+//! reorganizers leave it in place. All of them run under one re-entrancy
+//! guard, `guarded`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -121,43 +122,76 @@ impl<D: BlockDev> Lld<D> {
         Ok(cleaned)
     }
 
-    /// Cleans a batch of victims. With `prefetch`, each victim's whole
-    /// segment (data and summary are contiguous) is read as one queued
-    /// request; the scheduler orders the batch by position instead of by
-    /// cost-benefit rank. A victim without an image (no prefetch, or its
-    /// read failed) is read by [`Self::clean_segment`]'s per-span retry
-    /// path.
+    /// Cleans a batch of victims, reading each one once: the span from the
+    /// sector holding its first live byte through the end of its summary
+    /// ([`Self::span_start`]). With `prefetch`, the spans are read as one
+    /// queued request each, which the scheduler orders by position instead
+    /// of by cost-benefit rank. A victim without a prefetched span (no
+    /// prefetch, or its read failed) reads it with the retry budget just
+    /// before it is cleaned; if that fails too, [`Self::clean_segment`]
+    /// takes its one fallback.
     fn clean_batch(&mut self, victims: &[u32], prefetch: bool) -> Result<()> {
+        let lives = self.map.live_blocks_in(victims);
+        let starts: Vec<u64> = lives.iter().map(|live| self.span_start(live)).collect();
         let images = if prefetch {
-            self.prefetch_segments(victims)?
+            self.prefetch_spans(victims, &starts)?
         } else {
             vec![None; victims.len()]
         };
-        let lives = self.map.live_blocks_in(victims);
-        for ((&victim, image), live) in victims.iter().zip(images).zip(lives) {
-            self.clean_segment(victim, live, image.as_deref())?;
+        let batch = victims.iter().zip(lives).zip(starts).zip(images);
+        for (((&victim, live), start), image) in batch {
+            let span = match image {
+                Some(img) => Some(img),
+                None => self.read_span(victim, start)?,
+            };
+            self.clean_segment(victim, live, start, span.as_deref())?;
         }
         Ok(())
     }
 
-    /// Submits one whole-segment read per victim to the command queue and
-    /// dispatches until all complete. Returns the segment images in victim
-    /// order; a `None` means that read failed on a media fault (single
-    /// attempt — the caller's fallback path owns retries) or that there is
-    /// no queue to prefetch through. Write completions drained along the
-    /// way propagate their errors.
-    fn prefetch_segments(&mut self, victims: &[u32]) -> Result<Vec<Option<Vec<u8>>>> {
+    /// The first sector (counted from the segment's base) of a victim's
+    /// span: the one holding the first byte of any of its `live` blocks.
+    /// Zero-length blocks store nothing and do not count; with no live
+    /// byte the span is the summary alone. The bytes before it are never
+    /// used. The dead bytes after it are read anyway: one request costs
+    /// one positioning, and a drive reads the sectors under the head at
+    /// bus speed.
+    fn span_start(&self, live: &[u64]) -> u64 {
+        let first = (live.iter())
+            .filter_map(|&bid| self.map.get(bid))
+            .filter(|e| e.stored_len > 0)
+            .map(|e| e.offset as usize)
+            .min()
+            .unwrap_or(self.layout.data_bytes);
+        (first / simdisk::SECTOR_SIZE) as u64
+    }
+
+    /// Reads `victim`'s span from sector `start` with the retry budget;
+    /// `None` when it stayed unreadable.
+    fn read_span(&mut self, victim: u32, start: u64) -> Result<Option<Vec<u8>>> {
+        let count = self.layout.segment_sectors - start;
+        let mut buf = vec![0u8; count as usize * simdisk::SECTOR_SIZE];
+        self.stats.cleaner_sectors_read += count;
+        let failed = self.read_span_retrying(self.layout.segment_base(victim) + start, &mut buf)?;
+        Ok(failed.is_none().then_some(buf))
+    }
+
+    /// Submits one span read per victim (from its sector in `starts`) to
+    /// the command queue and dispatches until all complete. Returns the
+    /// spans in victim order; a `None` means that read failed on a media
+    /// fault (single attempt — the caller re-reads with the retry budget)
+    /// or that there is no queue to prefetch through. Write completions
+    /// drained along the way propagate their errors.
+    fn prefetch_spans(&mut self, victims: &[u32], starts: &[u64]) -> Result<Vec<Option<Vec<u8>>>> {
         let mut images: Vec<Option<Vec<u8>>> = vec![None; victims.len()];
         let Some(q) = self.queue.as_mut() else {
             return Ok(images);
         };
         let mut tags = Vec::with_capacity(victims.len());
-        for &v in victims {
-            tags.push(q.submit_read(
-                &self.disk,
-                self.layout.segment_base(v),
-                self.layout.segment_sectors,
-            ));
+        for (&v, &start) in victims.iter().zip(starts) {
+            let count = self.layout.segment_sectors - start;
+            tags.push(q.submit_read(&self.disk, self.layout.segment_base(v) + start, count));
+            self.stats.cleaner_sectors_read += count;
         }
         self.stats.queued_reads += victims.len() as u64;
         while !q.is_empty() {
@@ -172,8 +206,8 @@ impl<D: BlockDev> Lld<D> {
                 }
                 Ok(None) => {} // An in-flight seal landed on the way.
                 Err(simdisk::DiskError::Unreadable { .. }) if !c.write => {
-                    // Leave the image absent; the per-victim fallback
-                    // re-reads with the retry budget and owns quarantine.
+                    // Leave the image absent; the caller re-reads with the
+                    // retry budget, and the fallback owns quarantine.
                 }
                 Err(e) => {
                     q.abandon();
@@ -334,15 +368,17 @@ impl<D: BlockDev> Lld<D> {
     /// and re-logs its live metadata records, then queues the segment for
     /// release once the forwarded copies are durable. `live` holds the
     /// victim's live blocks (ascending, gathered from the block map at any
-    /// point since the victim was picked); `prefetch` is an optional
-    /// whole-segment image (data region followed by summary, as laid out
-    /// on disk), with which the victim is cleaned without touching the
-    /// medium again.
+    /// point since the victim was picked); `span` is the victim as read
+    /// from sector `start` through the end of its summary (as laid out on
+    /// disk), with which it is cleaned without touching the medium again.
+    /// Without a span (its read stayed unreadable) the one fallback runs:
+    /// the summary alone with the retry budget, then each live block.
     fn clean_segment(
         &mut self,
         victim: u32,
         mut live: Vec<u64>,
-        prefetch: Option<&[u8]>,
+        start: u64,
+        span: Option<&[u8]>,
     ) -> Result<()> {
         debug_assert_eq!(self.usage.get(victim).state, SegState::Live);
 
@@ -364,10 +400,11 @@ impl<D: BlockDev> Lld<D> {
         let mut located: BTreeSet<(u32, u32)> = BTreeSet::new();
         let summary = {
             let mut buf = Vec::new();
-            let bytes = match prefetch {
-                Some(img) => &img[self.layout.data_bytes..],
+            let bytes = match span {
+                Some(span) => &span[span.len() - self.layout.summary_bytes..],
                 None => {
                     buf.resize(self.layout.summary_bytes, 0);
+                    self.stats.cleaner_sectors_read += self.layout.summary_sectors();
                     if self
                         .read_span_retrying(self.layout.summary_base(victim), &mut buf)?
                         .is_some()
@@ -433,47 +470,38 @@ impl<D: BlockDev> Lld<D> {
         // (interfile order = list-of-lists order, intrafile = list order).
         self.order_by_lists(&mut live);
 
-        // Forward live blocks. Read the whole data region once — the
-        // cleaner works in segment-sized I/O. If that streaming read hits
-        // a bad sector even after retries, fall back to per-block reads so
-        // one fault does not doom every live block in the segment.
+        // Forward live blocks out of the span, whose first byte is data
+        // offset `skip`. In the fallback each is read on its own, so one
+        // bad sector costs one block, not every live block in the segment.
+        let skip = start as usize * simdisk::SECTOR_SIZE;
         let mut unreadable_live = false;
-        if !live.is_empty() {
-            let mut buf = Vec::new();
-            let region = match prefetch {
-                Some(img) => Some(&img[..self.layout.data_bytes]),
-                None => {
-                    buf.resize(self.layout.data_bytes, 0);
-                    self.read_span_retrying(self.layout.segment_base(victim), &mut buf)?
-                        .is_none()
-                        .then_some(&buf[..])
-                }
+        for bid in live {
+            let Some(e) = self.map.get(bid).copied() else {
+                continue;
             };
-            for bid in live {
-                let Some(e) = self.map.get(bid).copied() else {
-                    continue;
-                };
-                if e.seg != victim {
-                    // A seal during this loop cannot move it, but be safe.
-                    continue;
-                }
-                let copy;
-                let bytes = match region {
-                    Some(data) => &data[e.offset as usize..(e.offset + e.stored_len) as usize],
-                    None => match self.read_copy(&e)? {
-                        Some(b) => {
-                            copy = b;
-                            &copy[..]
-                        }
-                        None => {
-                            unreadable_live = true;
-                            continue;
-                        }
-                    },
-                };
-                if self.forward(bid, e, bytes)? {
-                    self.stats.cleaner_bytes_copied += u64::from(e.stored_len);
-                }
+            if e.seg != victim {
+                // A seal during this loop cannot move it, but be safe.
+                continue;
+            }
+            let (at, len) = (e.offset as usize, e.stored_len as usize);
+            let copy;
+            let bytes = match span {
+                // A zero-length block stores nothing, maybe before `skip`.
+                _ if len == 0 => &[][..],
+                Some(span) => &span[at - skip..at - skip + len],
+                None => match self.cleaner_read_copy(&e)? {
+                    Some(b) => {
+                        copy = b;
+                        &copy[..]
+                    }
+                    None => {
+                        unreadable_live = true;
+                        continue;
+                    }
+                },
+            };
+            if self.forward(bid, e, bytes)? {
+                self.stats.cleaner_bytes_copied += u64::from(e.stored_len);
             }
         }
 
@@ -486,7 +514,7 @@ impl<D: BlockDev> Lld<D> {
             if !e.on_disk() {
                 continue; // Already in the open buffer.
             }
-            let Some(bytes) = self.read_copy(&e)? else {
+            let Some(bytes) = self.cleaner_read_copy(&e)? else {
                 unreadable_live = true;
                 continue;
             };
@@ -561,6 +589,16 @@ impl<D: BlockDev> Lld<D> {
         );
         self.stats.segments_cleaned += 1;
         Ok(())
+    }
+
+    /// [`Self::read_copy`] on the cleaner's behalf, counted in
+    /// `cleaner_sectors_read`.
+    fn cleaner_read_copy(&mut self, e: &BlockEntry) -> Result<Option<Vec<u8>>> {
+        let (_, count) =
+            self.layout
+                .data_sector_span(e.seg, e.offset as usize, e.stored_len as usize);
+        self.stats.cleaner_sectors_read += count;
+        self.read_copy(e)
     }
 
     /// Orders block ids by (list-of-lists position, position within list);

@@ -22,9 +22,8 @@ pub fn encode_image(data: &[u8], summary: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&[0u8; 2]);
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
     out.extend_from_slice(&(summary.len() as u32).to_le_bytes());
-    let mut hashed = summary.to_vec();
-    hashed.extend_from_slice(data);
-    out.extend_from_slice(&fnv1a64(&hashed).to_le_bytes());
+    let checksum = wire::fnv1a64_extend(fnv1a64(summary), data);
+    out.extend_from_slice(&checksum.to_le_bytes());
     out.extend_from_slice(summary);
     out.extend_from_slice(data);
     out

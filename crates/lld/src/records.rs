@@ -433,9 +433,7 @@ pub fn decode_summary(data: &[u8]) -> Option<Summary> {
     let body_len = wire::le_u32(data, 28) as usize;
     let checksum = wire::le_u64(data, 32);
     let body = data.get(SUMMARY_HEADER_LEN..SUMMARY_HEADER_LEN + body_len)?;
-    let mut hashed = data[8..32].to_vec();
-    hashed.extend_from_slice(body);
-    if wire::fnv1a64(&hashed) != checksum {
+    if wire::fnv1a64_extend(wire::fnv1a64(&data[8..32]), body) != checksum {
         return None;
     }
 
@@ -660,6 +658,21 @@ mod tests {
         let s = decode_summary(&bytes).expect("valid summary");
         assert_eq!(s.seq, 42);
         assert_eq!(s.records, sample_records());
+    }
+
+    /// Pins the summary format: the stored checksum and the FNV-1a of the
+    /// whole region for the sample records, and for an empty summary.
+    #[test]
+    fn summary_bytes_match_golden_checksums() {
+        let mut b = SummaryBuilder::new();
+        for r in sample_records() {
+            b.push(r);
+        }
+        let full = b.finish(42, 4096);
+        let empty = SummaryBuilder::new().finish(1, 512);
+        let pin = |bytes: &[u8]| (wire::le_u64(bytes, 32), wire::fnv1a64(bytes));
+        assert_eq!(pin(&full), (0xd29b_3ca4_d67d_a7e2, 0x4a83_0587_1ab1_66c8));
+        assert_eq!(pin(&empty), (0x5b2a_969b_42d2_38a4, 0x3f44_e94a_7644_9665));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! summaries (experiment E6 reproduces this). A *clean* shutdown does write
 //! a checkpoint ([`crate::checkpoint`]); `open` prefers it when valid.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use ld_core::Result;
 use simdisk::BlockDev;
@@ -151,122 +151,22 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
         }
     }
 
-    // Medium-health records are monotone facts — a retired sector or a
-    // quarantined segment never comes back — so they are collected outside
-    // the timestamp replay (duplicates from cleaner re-logs collapse in
-    // the sets) and applied after the usage rebuild below.
-    let mut bad_sectors: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-    let mut quarantined: Vec<u32> = Vec::new();
-    for r in &all {
-        match r.rec {
-            Record::RetireSector { sector } => {
-                bad_sectors.insert(sector);
-            }
-            Record::Quarantine { seg } => quarantined.push(seg),
-            _ => {}
-        }
-    }
-
     // Replay in global operation order. For equal timestamps (a partial
     // segment superseded by its sealed form carries the same records), the
     // later physical write wins.
     all.sort_by_key(|r| (r.ts, r.seq, r.idx));
     let max_ts = all.last().map_or(0, |r| r.ts);
     let max_seq = all.iter().map(|r| r.seq).max().unwrap_or(0);
-
-    let mut map = BlockMap::new();
-    let mut lists = ListTable::new();
-    // Records of explicit ARUs are deferred, grouped by their unit id
-    // (§5.4 concurrent extension; a serial ARU is the one-group case), and
-    // applied when the unit's EndAru record arrives. Units that never
-    // ended — the crash interrupted them — are discarded wholesale,
-    // giving the all-or-nothing guarantee.
-    let mut pending: std::collections::HashMap<u64, Vec<&SortRec>> =
-        std::collections::HashMap::new();
-    let mut discarded = 0u64;
-    for (i, r) in all.iter().enumerate() {
-        // A partial segment superseded by a later partial (or its seal)
-        // carries the *same* records under a higher sequence number. The
-        // timestamp uniquely identifies a logical record, so apply only
-        // the newest physical copy — replaying duplicates would, for
-        // non-idempotent records like Swap, undo themselves.
-        if all.get(i + 1).is_some_and(|next| next.ts == r.ts) {
-            continue;
-        }
-        match r.aru {
-            Some(id) if !r.ends_aru => pending.entry(id).or_default().push(r),
-            Some(id) => {
-                // The unit's EndAru: commit its deferred records in order.
-                for p in pending.remove(&id).unwrap_or_default() {
-                    apply(&mut map, &mut lists, p.seg, &p.rec);
-                }
-                apply(&mut map, &mut lists, r.seg, &r.rec);
-            }
-            None => apply(&mut map, &mut lists, r.seg, &r.rec),
-        }
-    }
-    discarded += pending.values().map(|v| v.len() as u64).sum::<u64>();
-    drop(pending);
-
-    // Post-pass 1: assign list owners by walking every list (the summaries
-    // do not log per-block ownership changes; ownership is derivable).
-    let mut visited: HashSet<u64> = HashSet::new();
-    let lids: Vec<u64> = lists.iter().map(|(l, _)| l).collect();
-    for lid in lids {
-        let mut prev: Option<u64> = None;
-        let mut cur = lists.get(lid).and_then(|e| e.first);
-        while let Some(b) = cur {
-            if !visited.insert(b) {
-                // Cycle or cross-linked lists: truncate defensively.
-                break_chain(&mut map, &mut lists, lid, prev);
-                break;
-            }
-            match map.get_mut(b) {
-                Some(e) => {
-                    e.list = lid;
-                    prev = Some(b);
-                    cur = e.next;
-                }
-                None => {
-                    // Dangling link to a freed block: truncate.
-                    break_chain(&mut map, &mut lists, lid, prev);
-                    break;
-                }
-            }
-        }
-    }
-
-    // Post-pass 2: drop blocks that no surviving record attached to a list.
-    let orphan_bids: Vec<u64> = map
-        .iter()
-        .filter_map(|(bid, e)| (e.list == PROVISIONAL_LIST).then_some(bid))
-        .collect();
-    let orphans = orphan_bids.len() as u64;
-    for bid in orphan_bids {
-        map.free(bid);
-    }
-    // Blocks with a zero size class (provisional entries repaired by a
-    // later NewBlock re-log always have one; be safe regardless).
-    let fix: Vec<u64> = map
-        .iter()
-        .filter_map(|(bid, e)| (e.size_class == 0).then_some(bid))
-        .collect();
-    for bid in fix {
-        let default = DEFAULT_BLOCK_SIZE as u32;
-        let e = map.get_mut(bid).expect("listed above"); // PANIC-OK: the key comes from the snapshot being iterated
-        e.size_class = e.logical_len.max(default);
-    }
-
-    map.rebuild_free_stack();
-    lists.rebuild_free_stack();
+    let state = replay(&all, &BTreeSet::new());
 
     // Rebuild the segment usage table from the final block map. Segments
     // with a valid summary stay Live even at zero live bytes: their
     // summaries may hold the only copy of live metadata records, which the
-    // cleaner re-logs before the segment is reused.
+    // cleaner re-logs before the segment is reused. `reclaim` frees those
+    // the state provably does not need when the pool is short.
     let mut usage = UsageTable::new(layout.segments);
     let mut live = vec![0u64; layout.segments as usize];
-    for (_, e) in map.iter() {
+    for (_, e) in state.map.iter() {
         if e.on_disk() && e.seg != NVRAM_SEG {
             live[e.seg as usize] += u64::from(e.stored_len);
         }
@@ -287,12 +187,12 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
     // quarantined segment must never rejoin the free pool, and every
     // retired sector's segment is quarantined (the invariant `ldck`
     // checks), whether or not its own Quarantine record survived.
-    for &seg in &quarantined {
+    for &seg in &state.quarantined {
         if seg < layout.segments {
             usage.quarantine(seg);
         }
     }
-    for &s in &bad_sectors {
+    for &s in &state.bad_sectors {
         if let Some(seg) = layout.segment_of_sector(s) {
             usage.quarantine(seg);
         }
@@ -301,10 +201,19 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
     // Materialize the NVRAM image into a free segment if any live block
     // still points into it.
     let mut nvram_applied = false;
-    let nvram_refs: Vec<u64> = map
-        .iter()
+    let nvram_refs: Vec<u64> = (state.map.iter())
         .filter_map(|(bid, e)| (e.seg == NVRAM_SEG).then_some(bid))
         .collect();
+    let wanted = config.cleaning_reserve_segments + u32::from(!nvram_refs.is_empty());
+    reclaim(&all, &state, &seg_max_ts, &mut usage, wanted);
+    let Replayed {
+        mut map,
+        lists,
+        bad_sectors,
+        discarded,
+        orphans,
+        ..
+    } = state;
     if !nvram_refs.is_empty() {
         let (summary_bytes, data) = nvram_image
             .as_ref()
@@ -364,6 +273,201 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
     Ok(lld)
 }
 
+/// What a replay of the log rebuilds.
+struct Replayed {
+    map: BlockMap,
+    lists: ListTable,
+    /// Medium-health facts, collected outside the timestamp order.
+    bad_sectors: BTreeSet<u64>,
+    quarantined: BTreeSet<u32>,
+    /// Records of explicit ARUs that never ended.
+    discarded: u64,
+    /// Blocks no surviving record attached to a list.
+    orphans: u64,
+}
+
+impl Replayed {
+    /// Whether `self` and `other` are the same disk state: every table,
+    /// its high-water mark and the list of lists.
+    fn same_state(&self, other: &Replayed) -> bool {
+        self.map.capacity_slots() == other.map.capacity_slots()
+            && self.map.iter().eq(other.map.iter())
+            && self.lists.capacity_slots() == other.lists.capacity_slots()
+            && self.lists.iter().eq(other.lists.iter())
+            && self.lists.order() == other.lists.order()
+            && self.bad_sectors == other.bad_sectors
+            && self.quarantined == other.quarantined
+    }
+}
+
+/// Replays `all` (sorted by timestamp, sequence and index), leaving out
+/// the records of the segments in `without`.
+fn replay(all: &[SortRec], without: &BTreeSet<u32>) -> Replayed {
+    let kept = || all.iter().filter(|r| !without.contains(&r.seg));
+
+    // Medium-health records are monotone facts — a retired sector or a
+    // quarantined segment never comes back — so they are collected outside
+    // the timestamp replay (duplicates from cleaner re-logs collapse in
+    // the sets) and applied after the usage rebuild.
+    let mut bad_sectors: BTreeSet<u64> = BTreeSet::new();
+    let mut quarantined: BTreeSet<u32> = BTreeSet::new();
+    for r in kept() {
+        match r.rec {
+            Record::RetireSector { sector } => {
+                bad_sectors.insert(sector);
+            }
+            Record::Quarantine { seg } => {
+                quarantined.insert(seg);
+            }
+            _ => {}
+        }
+    }
+
+    let mut map = BlockMap::new();
+    let mut lists = ListTable::new();
+    // Records of explicit ARUs are deferred, grouped by their unit id
+    // (§5.4 concurrent extension; a serial ARU is the one-group case), and
+    // applied when the unit's EndAru record arrives. Units that never
+    // ended — the crash interrupted them — are discarded wholesale,
+    // giving the all-or-nothing guarantee.
+    let mut pending: std::collections::HashMap<u64, Vec<&SortRec>> =
+        std::collections::HashMap::new();
+    let mut records = kept().peekable();
+    while let Some(r) = records.next() {
+        // A partial segment superseded by a later partial (or its seal)
+        // carries the *same* records under a higher sequence number. The
+        // timestamp uniquely identifies a logical record, so apply only
+        // the newest physical copy — replaying duplicates would, for
+        // non-idempotent records like Swap, undo themselves.
+        if records.peek().is_some_and(|next| next.ts == r.ts) {
+            continue;
+        }
+        match r.aru {
+            Some(id) if !r.ends_aru => pending.entry(id).or_default().push(r),
+            Some(id) => {
+                // The unit's EndAru: commit its deferred records in order.
+                for p in pending.remove(&id).unwrap_or_default() {
+                    apply(&mut map, &mut lists, p.seg, &p.rec);
+                }
+                apply(&mut map, &mut lists, r.seg, &r.rec);
+            }
+            None => apply(&mut map, &mut lists, r.seg, &r.rec),
+        }
+    }
+    let discarded = pending.values().map(|v| v.len() as u64).sum::<u64>();
+    drop(pending);
+
+    // Post-pass 1: assign list owners by walking every list (the summaries
+    // do not log per-block ownership changes; ownership is derivable).
+    let mut visited: HashSet<u64> = HashSet::new();
+    let lids: Vec<u64> = lists.iter().map(|(l, _)| l).collect();
+    for lid in lids {
+        let mut prev: Option<u64> = None;
+        let mut cur = lists.get(lid).and_then(|e| e.first);
+        while let Some(b) = cur {
+            if !visited.insert(b) {
+                // Cycle or cross-linked lists: truncate defensively.
+                break_chain(&mut map, &mut lists, lid, prev);
+                break;
+            }
+            match map.get_mut(b) {
+                Some(e) => {
+                    e.list = lid;
+                    prev = Some(b);
+                    cur = e.next;
+                }
+                None => {
+                    // Dangling link to a freed block: truncate.
+                    break_chain(&mut map, &mut lists, lid, prev);
+                    break;
+                }
+            }
+        }
+    }
+
+    // Post-pass 2: drop blocks that no surviving record attached to a list.
+    let orphan_bids: Vec<u64> = map
+        .iter()
+        .filter_map(|(bid, e)| (e.list == PROVISIONAL_LIST).then_some(bid))
+        .collect();
+    let orphans = orphan_bids.len() as u64;
+    for bid in orphan_bids {
+        map.free(bid);
+    }
+    // Blocks with a zero size class (provisional entries repaired by a
+    // later NewBlock re-log always have one; be safe regardless).
+    let fix: Vec<u64> = map
+        .iter()
+        .filter_map(|(bid, e)| (e.size_class == 0).then_some(bid))
+        .collect();
+    for bid in fix {
+        let default = DEFAULT_BLOCK_SIZE as u32;
+        let e = map.get_mut(bid).expect("listed above"); // PANIC-OK: the key comes from the snapshot being iterated
+        e.size_class = e.logical_len.max(default);
+    }
+
+    map.rebuild_free_stack();
+    lists.rebuild_free_stack();
+    Replayed {
+        map,
+        lists,
+        bad_sectors,
+        quarantined,
+        discarded,
+        orphans,
+    }
+}
+
+/// Frees Live segments until `usage` has `wanted` free ones, if it has
+/// fewer. Once every segment has been written, every one holds a valid
+/// summary and the sweep finds no free segment at all, although at run
+/// time the cleaner kept a reserve of them: cleaned victims and superseded
+/// partial writes whose summaries nothing needs any more. Without a free
+/// segment the next seal fails with `NoSpace` and an NVRAM tail cannot be
+/// materialized. A segment is freed only if leaving its summary out of the
+/// replay (together with those freed before it) rebuilds `truth`, the
+/// state of the whole log; candidates hold no live bytes, oldest records
+/// first. Most are victims the cleaner had freed, so the ones still
+/// needed are tried together first, and one at a time only if that fails.
+fn reclaim(
+    all: &[SortRec],
+    truth: &Replayed,
+    seg_max_ts: &[u64],
+    usage: &mut UsageTable,
+    wanted: u32,
+) {
+    let mut candidates: Vec<u32> = (usage.iter())
+        .filter(|(_, u)| u.state == SegState::Live && u.live_bytes == 0)
+        .map(|(seg, _)| seg)
+        .collect();
+    candidates.sort_by_key(|&seg| (seg_max_ts[seg as usize], seg));
+    let mut candidates = candidates.into_iter();
+    let mut without = BTreeSet::new();
+    let mut free = |segs: &[u32], usage: &mut UsageTable| {
+        without.extend(segs);
+        let unneeded = replay(all, &without).same_state(truth);
+        for seg in segs {
+            if unneeded {
+                usage.release(*seg);
+            } else {
+                without.remove(seg);
+            }
+        }
+        unneeded
+    };
+    while let Some(short) = wanted.checked_sub(usage.free_count()).filter(|&n| n > 0) {
+        let group: Vec<u32> = candidates.by_ref().take(short as usize).collect();
+        if group.is_empty() {
+            return;
+        }
+        if !free(&group, usage) && group.len() > 1 {
+            for seg in group {
+                free(&[seg], usage);
+            }
+        }
+    }
+}
+
 /// Truncates a list after `prev` (or empties it when `prev` is `None`).
 fn break_chain(map: &mut BlockMap, lists: &mut ListTable, lid: u64, prev: Option<u64>) {
     match prev {
@@ -377,5 +481,83 @@ fn break_chain(map: &mut BlockMap, lists: &mut ListTable, lid: u64, prev: Option
                 l.first = None;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The records of one segment, stamped from `ts` on, each its own ARU.
+    fn logged(seg: u32, seq: u64, ts: u64, recs: &[Record]) -> Vec<SortRec> {
+        (recs.iter().enumerate())
+            .map(|(i, &rec)| SortRec {
+                ts: ts + i as u64,
+                seq,
+                idx: i as u32,
+                seg,
+                ends_aru: true,
+                aru: None,
+                rec,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reclaim_frees_only_summaries_the_state_does_not_need() {
+        let list = |lid, pred| Record::NewList {
+            lid,
+            pred,
+            hints: ld_core::ListHints::default(),
+        };
+        let block = [
+            Record::NewBlock {
+                bid: 0,
+                lid: 0,
+                size_class: 4096,
+            },
+            Record::Link { bid: 0, next: None },
+            Record::ListHead {
+                lid: 0,
+                first: Some(0),
+            },
+            Record::WriteBlock {
+                bid: 0,
+                offset: 0,
+                stored_len: 4096,
+                logical_len: 4096,
+                compressed: false,
+            },
+        ];
+        // Segment 0 as first written; segment 1 the cleaner's copy of all
+        // of it, now holding the block; segment 2 the only record of list 1.
+        let mut all = logged(0, 1, 1, &[&[list(0, None)][..], &block].concat());
+        all.extend(logged(1, 2, 10, &[&[list(0, None)][..], &block].concat()));
+        all.extend(logged(2, 3, 20, &[list(1, Some(0))]));
+        let truth = replay(&all, &BTreeSet::new());
+        assert_eq!(truth.lists.order(), vec![0, 1]);
+
+        let mut usage = UsageTable::new(4);
+        for seg in 0..3 {
+            usage.set(
+                seg,
+                SegUsage {
+                    state: SegState::Live,
+                    live_bytes: if seg == 1 { 4096 } else { 0 },
+                    last_write_ts: 0,
+                },
+            );
+        }
+        reclaim(&all, &truth, &[5, 14, 20, 0], &mut usage, 4);
+        let free: Vec<SegState> = (0..4).map(|seg| usage.get(seg).state).collect();
+        assert_eq!(
+            free,
+            [
+                SegState::Free,
+                SegState::Live,
+                SegState::Live,
+                SegState::Free
+            ]
+        );
     }
 }

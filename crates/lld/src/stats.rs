@@ -31,6 +31,10 @@ pub struct LldStats {
     pub segments_cleaned: u64,
     /// Live bytes the cleaner copied forward (write amplification).
     pub cleaner_bytes_copied: u64,
+    /// Sectors the cleaner asked the disk for: each victim's span (from its
+    /// first live sector through its summary), and in the fallback the
+    /// summary and each live block (retries not counted again).
+    pub cleaner_sectors_read: u64,
     /// Records the cleaner re-logged to keep metadata recoverable.
     pub cleaner_records_relogged: u64,
     /// Records re-logged because a retired segment's summary was lost:
@@ -112,6 +116,9 @@ impl LldStats {
             cleaner_bytes_copied: self
                 .cleaner_bytes_copied
                 .checked_sub(earlier.cleaner_bytes_copied)?,
+            cleaner_sectors_read: self
+                .cleaner_sectors_read
+                .checked_sub(earlier.cleaner_sectors_read)?,
             cleaner_records_relogged: self
                 .cleaner_records_relogged
                 .checked_sub(earlier.cleaner_records_relogged)?,

@@ -1279,6 +1279,58 @@ fn cleaning_forwards_blocks_in_list_order() {
     }
 }
 
+/// Regression: once every segment had been written, a sweep found a valid
+/// summary in each and no free segment, so the first seal after it failed
+/// with `NoSpace` and an NVRAM tail could not be materialized (recovery
+/// failed), although the cleaner had kept its reserve free at run time.
+#[test]
+fn sweep_of_a_disk_with_a_summary_in_every_segment_keeps_the_reserve() {
+    for nvram in [false, true] {
+        let mut disk = SimDisk::hp_c3010_with_capacity(1 << 20);
+        if nvram {
+            disk = disk.with_nvram(256 << 10);
+        }
+        let config = LldConfig::small_for_tests();
+        let reserve = config.cleaning_reserve_segments;
+        let mut lld = Lld::format(disk, config).unwrap();
+        let lid = lld.new_list(PredList::Start, ListHints::default()).unwrap();
+        let bids: Vec<Bid> = (0..16)
+            .map(|_| lld.new_block(lid, Pred::Start).unwrap())
+            .collect();
+        let mut round = 0u8;
+        let mut wrap = |lld: &mut Lld<SimDisk>| {
+            for _ in 0..40 {
+                round = round.wrapping_add(1);
+                for b in &bids {
+                    lld.write(*b, &pattern(4096, round)).unwrap();
+                }
+            }
+            // Below the flush threshold: NVRAM absorbs it when present.
+            lld.write(bids[0], &pattern(4096, round ^ 0xFF)).unwrap();
+            lld.flush(FailureSet::PowerFailure).unwrap();
+        };
+        wrap(&mut lld);
+        assert!(lld.stats().segments_cleaned > u64::from(lld.layout().segments));
+        let mut lld = crash_and_reopen(lld);
+        assert_eq!(lld.stats().recovery_nvram_applied, nvram);
+        assert!(
+            lld.free_segments() >= reserve,
+            "nvram {nvram}: {}",
+            lld.free_segments()
+        );
+        // The disk keeps working, and what it holds survives another crash.
+        wrap(&mut lld);
+        let mut lld = crash_and_reopen(lld);
+        assert_eq!(lld.list_blocks(lid).unwrap().len(), bids.len());
+        let mut buf = vec![0u8; 4096];
+        for (i, b) in bids.iter().enumerate() {
+            lld.read(*b, &mut buf).unwrap();
+            let want = if i == 0 { round ^ 0xFF } else { round };
+            assert_eq!(buf, pattern(4096, want), "nvram {nvram}: block {i}");
+        }
+    }
+}
+
 /// A structural operation drops the rank memo *after* its `ensure_room`:
 /// the seal there can run the cleaner, which fills the memo from the lists
 /// as they were before the operation. Dropped any earlier, the memo would

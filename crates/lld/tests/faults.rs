@@ -1,15 +1,16 @@
 //! Unit-level media-fault behaviour of the disk manager: bounded read
-//! retry, scrub/relocate/remap, quarantine, and persistence of the bad
-//! sector table across checkpoint and recovery (the crash harness,
-//! `harness`, checks the recoveries).
+//! retry, scrub/relocate/remap, quarantine, persistence of the bad sector
+//! table across checkpoint and recovery (the crash harness, `harness`,
+//! checks the recoveries), and which of a cleaner victim's sectors are
+//! read, with and without a latent sector among them.
 
 mod harness;
 
 use harness::{config, content, Run};
 use ld_core::{Bid, LdError, Lid, ListHints, LogicalDisk, Pred, PredList};
-use lld::Lld;
+use lld::{Lld, LldConfig};
 use proptest::prelude::*;
-use simdisk::{FaultConfig, SimDisk};
+use simdisk::{BlockDev, FaultConfig, Scheduler, SimDisk, SECTOR_SIZE};
 
 const CAPACITY: u64 = 16 << 20;
 
@@ -17,9 +18,12 @@ fn disk() -> SimDisk {
     SimDisk::hp_c3010_with_capacity(CAPACITY)
 }
 
+/// Blocks with their contents.
+type Blocks = Vec<(Bid, Vec<u8>)>;
+
 /// Writes `n` 4 KB blocks on one list and flushes; returns their ids and
 /// contents.
-fn populate(lld: &mut Lld<SimDisk>, n: usize) -> Vec<(Bid, Vec<u8>)> {
+fn populate(lld: &mut Lld<SimDisk>, n: usize) -> Blocks {
     let lid = lld.new_list(PredList::Start, ListHints::default()).unwrap();
     let mut blocks = Vec::new();
     for i in 0..n {
@@ -222,4 +226,192 @@ fn reorganizers_leave_unreadable_blocks_in_place() {
         stranded.len()
     );
     assert!(lld.quarantined_segments() > 0);
+}
+
+/// A victim for the cleaner at queue depth `depth` (SATF): the first
+/// sealed segment, full of 4 KB blocks until its first `dead` and its last
+/// were deleted. Returns the disk manager, the list, the victim and its
+/// live blocks with their contents.
+fn victim_with_dead_head(depth: u32, dead: usize) -> (Lld<SimDisk>, Lid, u32, Blocks) {
+    let config = LldConfig {
+        queue_depth: depth,
+        writeback_depth: depth.saturating_sub(1),
+        scheduler: Scheduler::Satf,
+        ..config()
+    };
+    let mut lld = Lld::format(SimDisk::hp_c3010_with_capacity(2 << 20), config).unwrap();
+    let per_segment = lld.layout().data_bytes / 4096;
+    let lid = lld.new_list(PredList::Start, ListHints::default()).unwrap();
+    let mut blocks = Vec::new();
+    for i in 0..per_segment {
+        let b = lld.new_block(lid, Pred::Start).unwrap();
+        let d = content(i as u64, 4096);
+        lld.write(b, &d).unwrap();
+        blocks.push((b, d));
+    }
+    // Full past the flush threshold, so the flush seals it.
+    lld.flush(ld_core::FailureSet::PowerFailure).unwrap();
+    let victim = lld.block_segment(blocks[0].0).unwrap();
+    let last = blocks.pop().expect("a full segment");
+    for (b, _) in blocks.drain(..dead).chain([last]) {
+        lld.delete_block(b, lid, None).unwrap();
+    }
+    (lld, lid, victim, blocks)
+}
+
+/// Fills the disk with 4 KB blocks on `lid` until the cleaner runs, which
+/// it does once the free pool reaches the reserve: the victim is then the
+/// only segment not full.
+fn fill_until_the_cleaner_runs(lld: &mut Lld<SimDisk>, lid: Lid) {
+    let runs = lld.stats().cleaner_runs;
+    for seed in 1000.. {
+        if lld.stats().cleaner_runs > runs {
+            return;
+        }
+        let b = lld.new_block(lid, Pred::Start).unwrap();
+        lld.write(b, &content(seed, 4096)).unwrap();
+    }
+}
+
+/// Latent defects whose only bad sectors in the `sectors` of a segment
+/// starting at `base` are at offsets `bad` from it, at least one of them.
+fn latent_only_in(base: u64, sectors: u64, bad: std::ops::Range<u64>) -> FaultConfig {
+    let fails = |f: FaultConfig, s: u64| {
+        let mut disk = disk();
+        disk.set_faults(f);
+        disk.read_sectors(base + s, &mut [0u8; SECTOR_SIZE])
+            .is_err()
+    };
+    (0..)
+        .map(|seed| FaultConfig {
+            seed,
+            latent_ppm: 10_000,
+            ..FaultConfig::default()
+        })
+        .find(|&f| {
+            let hit: Vec<u64> = (0..sectors).filter(|&s| fails(f, s)).collect();
+            !hit.is_empty() && hit.iter().all(|s| bad.contains(s))
+        })
+        .expect("some seed places the defect")
+}
+
+/// The span rule: the cleaner reads a victim once, from the sector holding
+/// its first live byte through the end of its summary (the summary alone
+/// when nothing is live), on the direct path and as a queued prefetch.
+#[test]
+fn cleaner_reads_each_victim_from_its_first_live_sector() {
+    for depth in [0, 8] {
+        for dead in [0, 1, 5, 13, 14] {
+            let (mut lld, lid, _, blocks) = victim_with_dead_head(depth, dead);
+            let layout = *lld.layout();
+            let span = if blocks.is_empty() {
+                layout.summary_sectors()
+            } else {
+                layout.segment_sectors - 8 * dead as u64
+            };
+            let (before, reads) = (*lld.stats(), lld.disk().stats().read_ops);
+            fill_until_the_cleaner_runs(&mut lld, lid);
+            let after = *lld.stats();
+            assert_eq!(
+                (
+                    after.segments_cleaned,
+                    after.cleaner_sectors_read - before.cleaner_sectors_read,
+                    lld.disk().stats().read_ops - reads,
+                    after.queued_reads - before.queued_reads,
+                ),
+                (1, span, 1, u64::from(depth > 1)),
+                "depth {depth}, first live block at {dead} x 4 KB"
+            );
+            assert_eq!(unreadable(&mut lld, &blocks), vec![], "depth {depth}");
+        }
+    }
+}
+
+/// A zero-length block stores nothing, so it does not start the span even
+/// when it is the victim's first live block.
+#[test]
+fn a_zero_length_block_does_not_start_the_span() {
+    let mut lld = Lld::format(SimDisk::hp_c3010_with_capacity(2 << 20), config()).unwrap();
+    let lid = lld.new_list(PredList::Start, ListHints::default()).unwrap();
+    let per_segment = lld.layout().data_bytes / 4096;
+    let mut bids = Vec::new();
+    for i in 0..=per_segment {
+        let b = lld.new_block(lid, Pred::Start).unwrap();
+        // The empty block sits at data offset 4 x 4 KB, the next one too.
+        let len = if i == 4 { 0 } else { 4096 };
+        lld.write(b, &content(i as u64, len)).unwrap();
+        bids.push(b);
+    }
+    lld.flush(ld_core::FailureSet::PowerFailure).unwrap();
+    // Everything before the empty block and the one after it: the first
+    // live byte is at 5 x 4 KB.
+    for &b in bids[..4].iter().chain([&bids[5], &bids[per_segment]]) {
+        lld.delete_block(b, lid, None).unwrap();
+    }
+    let before = lld.stats().cleaner_sectors_read;
+    fill_until_the_cleaner_runs(&mut lld, lid);
+    assert_eq!(lld.stats().segments_cleaned, 1);
+    let read = lld.stats().cleaner_sectors_read - before;
+    assert_eq!(read, lld.layout().segment_sectors - 5 * 8);
+    assert_eq!(lld.block_len(bids[4]), Ok(0));
+}
+
+/// The bytes before a victim's first live block are never read: a latent
+/// sector there costs the cleaner nothing, on the direct path and in the
+/// queued prefetch.
+#[test]
+fn cleaner_never_reads_a_latent_sector_before_the_first_live_block() {
+    for depth in [0, 8] {
+        let (mut lld, lid, victim, blocks) = victim_with_dead_head(depth, 4);
+        let layout = *lld.layout();
+        let base = layout.segment_base(victim);
+        lld.disk_mut()
+            .set_faults(latent_only_in(base, layout.segment_sectors, 0..4 * 8));
+        fill_until_the_cleaner_runs(&mut lld, lid);
+        let stats = *lld.stats();
+        assert_eq!(stats.segments_cleaned, 1, "depth {depth}");
+        assert_eq!(stats.retries, 0, "depth {depth}");
+        assert_eq!(lld.disk().stats().read_faults, 0, "depth {depth}");
+        assert_eq!(lld.suspect_sector_count(), 0, "depth {depth}");
+        assert_eq!(unreadable(&mut lld, &blocks), vec![], "depth {depth}");
+        lld.flush(ld_core::FailureSet::PowerFailure).unwrap();
+        let report = ldck::check_image(&lld.disk().image_bytes(), lld.config());
+        assert!(report.is_clean(), "depth {depth}: {:?}", report.findings);
+    }
+}
+
+/// A latent sector inside the span, under a live block, fails the span
+/// read; the one fallback reads the summary and then each live block, so
+/// every other block is forwarded, and the victim, still holding the
+/// unreadable one, is retired rather than freed.
+#[test]
+fn latent_sector_inside_the_span_takes_the_one_fallback() {
+    for depth in [0, 8] {
+        let (mut lld, lid, victim, blocks) = victim_with_dead_head(depth, 4);
+        let layout = *lld.layout();
+        let base = layout.segment_base(victim);
+        let faults = latent_only_in(base, layout.segment_sectors, 4 * 8..14 * 8);
+        lld.disk_mut().set_faults(faults);
+        fill_until_the_cleaner_runs(&mut lld, lid);
+        let stats = *lld.stats();
+        let retries = u64::from(lld.config().read_retries - 1);
+        assert_eq!(stats.segments_cleaned, 0, "depth {depth}");
+        assert_eq!(lld.quarantined_segments(), 1, "depth {depth}");
+        // The span read and the stranded block's read spent the budget.
+        assert_eq!(stats.retries, 2 * retries, "depth {depth}");
+        assert_eq!(lld.suspect_sector_count(), 1, "depth {depth}");
+        let stranded = unreadable(&mut lld, &blocks);
+        assert_eq!(stranded.len(), 1, "depth {depth}");
+        for (b, _) in &blocks {
+            let stays = stranded.contains(b);
+            assert_eq!(
+                lld.block_segment(*b) == Some(victim),
+                stays,
+                "depth {depth}: {b}"
+            );
+        }
+        lld.flush(ld_core::FailureSet::PowerFailure).unwrap();
+        let report = ldck::check_image(&lld.disk().image_bytes(), lld.config());
+        assert!(report.is_clean(), "depth {depth}: {:?}", report.findings);
+    }
 }

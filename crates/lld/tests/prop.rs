@@ -5,9 +5,13 @@
 //!    observable behaviour (same results, same list structures, same block
 //!    contents).
 //! 2. **Crash-anywhere**: a crash at drawn points of the same workloads,
-//!    with NVRAM sampled, recovers to the model's state at an operation
-//!    boundary no older than the last flush (ARUs all or nothing, list
-//!    order and hints included).
+//!    with NVRAM and the command queue (depth 8, SATF) sampled, recovers to
+//!    the model's state at an operation boundary no older than the last
+//!    flush (ARUs all or nothing, list order and hints included). Those
+//!    workloads seldom fill a segment, so a second property overwrites one
+//!    list on a 1 MB disk until the cleaner runs: prefetched victim spans,
+//!    seals in flight before their NVRAM invalidation, and sweeps of a disk
+//!    whose every segment holds a summary all meet crashes there.
 //! 3. **Cleaning amid list churn**: every operation that changes list
 //!    structure, interleaved with overwrite bursts that force cleaning and
 //!    with `reorganize` and `reorganize_hot`. Debug builds check every
@@ -20,6 +24,7 @@ use harness::{config, Op, Run};
 use ld_core::{ListHints, Pred, PredList};
 use lld::LldConfig;
 use proptest::prelude::*;
+use simdisk::Scheduler;
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
@@ -81,6 +86,19 @@ fn churn_op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The harness configuration, with the command queue at depth 8 (SATF,
+/// seven seals in flight) if `queued`: cleaner victims are prefetched as
+/// one batch, and a seal's NVRAM invalidation waits for the queue to empty.
+fn queued_config(queued: bool) -> LldConfig {
+    let depth = if queued { 8 } else { 0 };
+    LldConfig {
+        queue_depth: depth,
+        writeback_depth: depth.saturating_sub(1),
+        scheduler: Scheduler::Satf,
+        ..config()
+    }
+}
+
 /// Appends two lists of eight 4 KB blocks.
 fn add_two_lists(run: &mut Run) -> Result<(), TestCaseError> {
     for _ in 0..2 {
@@ -114,9 +132,10 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..100),
         flush_at in 0usize..100,
         nvram in any::<bool>(),
+        queued in any::<bool>(),
         drawn in proptest::collection::vec(any::<u64>(), 2),
     ) {
-        let mut run = Run::format(8 << 20, nvram, config());
+        let mut run = Run::format(8 << 20, nvram, queued_config(queued));
         let flush_at = flush_at.min(ops.len());
         for op in &ops[..flush_at] {
             run.apply(op)?;
@@ -124,6 +143,33 @@ proptest! {
         run.apply(&Op::Flush)?;
         for op in &ops[flush_at..] {
             run.apply(op)?;
+        }
+        run.crashes().check_drawn(&drawn)?;
+    }
+
+    /// Overwrite bursts on one list fill a 1 MB disk until the cleaner
+    /// runs, batched and prefetched when queued, with flushes NVRAM absorbs
+    /// when sampled: a crash anywhere, between a queued seal and its
+    /// deferred NVRAM invalidation too, recovers the last flushed state,
+    /// and so does a sweep of a disk on which every segment holds a summary.
+    #[test]
+    fn crash_amid_queued_cleaning_recovers(
+        steps in proptest::collection::vec((1usize..32, any::<u8>(), any::<bool>()), 1..24),
+        nvram in any::<bool>(),
+        queued in any::<bool>(),
+        drawn in proptest::collection::vec(any::<u64>(), 2),
+    ) {
+        let mut run = Run::format(1 << 20, nvram, queued_config(queued));
+        let lid = run.new_list(PredList::Start, ListHints::default())?;
+        let mut pred = Pred::Start;
+        for _ in 0..24 {
+            pred = Pred::After(run.new_block(lid, pred)?);
+        }
+        for (blocks, seed, flush) in steps {
+            run.apply(&Op::Burst { blocks, seed })?;
+            if flush {
+                run.apply(&Op::Flush)?;
+            }
         }
         run.crashes().check_drawn(&drawn)?;
     }
