@@ -29,7 +29,9 @@
 //!      it observes the same stats too.
 //!
 //! A continuation of the workload after each of those recoveries ([`Then`])
-//! is checked at its log's end the same way.
+//! is checked at its log's end the same way. A directed workload takes the
+//! log span of the operation it is about ([`Run::during`]) and has
+//! [`Crashes::check_inside`] check prefixes spread over it.
 //!
 //! NVRAM and latent media faults are the two dimensions. Latent defects
 //! surface when the workload scans the medium ([`Run::scan`]); a crash
@@ -42,6 +44,7 @@
 #![allow(dead_code)] // Each test binary uses its own part.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use ld_core::model::ModelLd;
 use ld_core::{Bid, FailureSet, LdError, Lid, ListHints, LogicalDisk, Pred, PredList};
@@ -238,6 +241,12 @@ pub struct State {
 }
 
 impl State {
+    /// The blocks of `lid`, if it is a list.
+    pub fn list(&self, lid: Lid) -> Option<&[Bid]> {
+        let mut lists = self.lists.iter();
+        lists.find(|l| l.0 == lid).map(|l| &l.2[..])
+    }
+
     /// The first difference between `self` and `other`, if any.
     fn diff(&self, other: &State) -> Option<String> {
         if self.lists != other.lists {
@@ -310,6 +319,9 @@ pub struct Run {
     /// Log position from which crash images carry the defects.
     faulty_from: Option<u64>,
     boundaries: Vec<Boundary>,
+    /// The state an open ARU started from: a crash before its end
+    /// recovers to it, however much of the unit a flush made durable.
+    aru_base: Option<(ModelLd, BTreeMap<Lid, ListHints>)>,
 }
 
 impl Run {
@@ -358,6 +370,7 @@ impl Run {
             scanned: faults.is_some(),
             faulty_from: faults.map(|_| 0),
             boundaries: vec![start],
+            aru_base: None,
         }
     }
 
@@ -378,11 +391,15 @@ impl Run {
         if durable && self.scanned && self.faulty_from.is_none() {
             self.faulty_from = Some(at);
         }
+        let (model, hints) = match &self.aru_base {
+            Some((model, hints)) => (model.clone(), hints.clone()),
+            None => (self.model.clone(), self.hints.clone()),
+        };
         self.boundaries.push(Boundary {
             at,
             durable,
-            model: self.model.clone(),
-            hints: self.hints.clone(),
+            model,
+            hints,
         });
     }
 
@@ -398,7 +415,7 @@ impl Run {
     }
 
     /// [`Run::step`] as one operation.
-    fn both<T: PartialEq + std::fmt::Debug>(
+    pub fn both<T: PartialEq + std::fmt::Debug>(
         &mut self,
         f: impl Fn(&mut dyn LogicalDisk) -> ld_core::Result<T>,
     ) -> Result<ld_core::Result<T>, TestCaseError> {
@@ -423,7 +440,7 @@ impl Run {
 
     /// Runs maintenance the model does not see on LLD alone, which must
     /// succeed, as one operation.
-    fn maintain<T>(
+    pub fn maintain<T>(
         &mut self,
         what: &str,
         f: impl FnOnce(&mut Lld<SimDisk>) -> ld_core::Result<T>,
@@ -458,6 +475,24 @@ impl Run {
         Ok(bid)
     }
 
+    /// Allocates a block of `size` bytes where both may fail alike.
+    pub fn new_sized_block(
+        &mut self,
+        lid: Lid,
+        pred: Pred,
+        size: usize,
+    ) -> Result<ld_core::Result<Bid>, TestCaseError> {
+        let r = self.both(|ld| ld.new_block_with_size(lid, pred, size))?;
+        if let Ok(bid) = r {
+            self.born(bid);
+        }
+        Ok(r)
+    }
+
+    pub fn read(&mut self, bid: Bid) -> Result<Vec<u8>, TestCaseError> {
+        ok(self.both(|ld| read(ld, bid))?)
+    }
+
     pub fn write(&mut self, bid: Bid, data: &[u8]) -> Result<(), TestCaseError> {
         ok(self.both(|ld| ld.write(bid, data))?)
     }
@@ -468,11 +503,45 @@ impl Run {
         Ok(())
     }
 
+    pub fn delete_list(&mut self, lid: Lid) -> Result<(), TestCaseError> {
+        let dead = self.model.list_blocks(lid).unwrap_or_default();
+        ok(self.both(|ld| ld.delete_list(lid, None))?)?;
+        self.lids.retain(|&l| l != lid);
+        self.bids.retain(|b| !dead.contains(b));
+        Ok(())
+    }
+
+    /// Opens an ARU on both. Until it ends, every boundary holds the state
+    /// it started from.
+    pub fn begin_aru(&mut self) -> Result<(), TestCaseError> {
+        ok(self.step(|ld| ld.begin_aru())?)?;
+        self.aru_base = Some((self.model.clone(), self.hints.clone()));
+        self.boundary(false);
+        Ok(())
+    }
+
+    pub fn end_aru(&mut self) -> Result<(), TestCaseError> {
+        ok(self.step(|ld| ld.end_aru())?)?;
+        self.aru_base = None;
+        self.boundary(false);
+        Ok(())
+    }
+
     /// Flushes both; a flush that returns ends a durable boundary.
     pub fn flush(&mut self) -> Result<(), TestCaseError> {
         let r = self.step(|ld| ld.flush(FailureSet::PowerFailure))?;
         self.boundary(r.is_ok());
         Ok(())
+    }
+
+    /// Runs `op` and returns the span of the log it wrote.
+    pub fn during(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> Result<(), TestCaseError>,
+    ) -> Result<Range<u64>, TestCaseError> {
+        let from = self.position();
+        op(self)?;
+        Ok(from..self.position())
     }
 
     /// Lets the medium's latent defects surface and runs `media_scan`.
@@ -785,6 +854,29 @@ impl Crashes {
             last = Some(self.check(n, drawn, None)?);
         }
         Ok(last.expect("the log's end"))
+    }
+
+    /// Checks `k` prefixes spread evenly over the writes of one operation,
+    /// `span` of the log (its last write included), and then the log's
+    /// end, continued by `then`; returns what the end showed.
+    pub fn check_inside(
+        &mut self,
+        span: Range<u64>,
+        k: u64,
+        then: Then,
+    ) -> Result<Checked, TestCaseError> {
+        prop_assert!(span.start < span.end, "the operation wrote nothing");
+        let len = span.end - span.start;
+        let mut at: Vec<u64> = (1..=k)
+            .map(|i| span.start + (len * i).div_ceil(k))
+            .collect();
+        at.push(self.writes());
+        at.dedup();
+        let end = at.pop().expect("the log's end");
+        for n in at {
+            self.check(n, &[], None)?;
+        }
+        self.check(end, &[], then)
     }
 
     /// Checks (a)–(d) at the crash image of prefix `n`, which must not be

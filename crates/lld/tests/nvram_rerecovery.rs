@@ -19,11 +19,15 @@
 //!
 //! After each of these recoveries the disk takes more writes, enough to
 //! seal a segment, and a flush; that image must check and recover too.
+//!
+//! A flush whose tail does not fit in NVRAM writes a partial segment
+//! instead, and recovers from it.
 
 mod harness;
 
 use harness::{config, content, Run};
 use ld_core::{ListHints, Pred, PredList};
+use lld::LldConfig;
 use proptest::prelude::*;
 
 /// Room for the few segments these workloads fill; every crash image
@@ -68,6 +72,7 @@ fn write_more(run: &mut Run) -> Result<(), TestCaseError> {
 fn lost_invalidation_does_not_materialize_the_tail_twice() -> TestCaseResult {
     let run = three_flushed_blocks(true)?;
     prop_assert_eq!(run.lld.stats().nvram_saves, 1, "NVRAM absorbs the flush");
+    prop_assert_eq!(run.lld.stats().partial_segment_writes, 0);
 
     // The recovery materializes the tail and invalidates the image; every
     // crash inside it (33 positions) recovers to the same state, free
@@ -163,5 +168,31 @@ fn lost_invalidation_after_a_seal_replays_the_sealed_copy() -> TestCaseResult {
     );
     let end = crashes.writes();
     crashes.check(end, &[], None)?;
+    Ok(())
+}
+
+/// A flush below the seal threshold whose tail does not fit in NVRAM
+/// writes a partial segment instead: 66 blocks of 4 KB in a 512 KB segment
+/// stay below its 75% threshold but exceed the 256 KB NVRAM.
+#[test]
+fn nvram_too_small_for_tail_writes_a_partial_segment() -> TestCaseResult {
+    let config = LldConfig {
+        segment_bytes: 512 << 10,
+        ..LldConfig::small_for_tests()
+    };
+    let mut run = Run::format(CAPACITY, true, config);
+    let lid = run.new_list(PredList::Start, ListHints::default())?;
+    let mut pred = Pred::Start;
+    for seed in 0..66 {
+        let b = run.new_block(lid, pred)?;
+        run.write(b, &content(seed, 4096))?;
+        pred = Pred::After(b);
+    }
+    let flush = run.during(Run::flush)?;
+    let stats = run.lld.stats();
+    prop_assert_eq!(stats.nvram_saves, 0, "the tail does not fit in NVRAM");
+    prop_assert_eq!(stats.partial_segment_writes, 1);
+    let end = run.crashes().check_inside(flush, 4, None)?;
+    prop_assert!(!end.recovery.observed.stats.recovery_nvram_applied);
     Ok(())
 }

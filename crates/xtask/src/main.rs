@@ -609,73 +609,15 @@ fn ci() -> ExitCode {
         ("build", Step::Cargo(&["build", "--release"])),
         ("test", Step::Cargo(&["test", "-q", "--workspace"])),
         ("examples", Step::Examples),
-        // Queueing: the depth-1 differential + ordering proptests, on
-        // cases the plain test step never draws.
+        // Every test of the workspace in release, each property on cases
+        // the plain test step never draws: the offset shifts every case
+        // index (the queue, simdisk, cache and LLD differentials, the LLD
+        // crash harness, the crash matrix and every other property).
         (
-            "queue differential",
+            "replay",
             Step::CargoEnv(
                 &[("PROPTEST_CASE_OFFSET", "1000000")],
-                &["test", "-q", "--release", "--test", "queue_differential"],
-            ),
-        ),
-        // simdisk's track-run path against its per-sector reference, on
-        // cases the plain test step never draws.
-        (
-            "simdisk differential",
-            Step::CargoEnv(
-                &[("PROPTEST_CASE_OFFSET", "1000000")],
-                &[
-                    "test",
-                    "-q",
-                    "--release",
-                    "-p",
-                    "simdisk",
-                    "--lib",
-                    "reference::",
-                ],
-            ),
-        ),
-        // The buffer cache against its reference LRU, on cases the plain
-        // test step never draws: the offset shifts every case index.
-        (
-            "cache differential",
-            Step::CargoEnv(
-                &[("PROPTEST_CASE_OFFSET", "1000000")],
-                &["test", "-q", "--release", "-p", "fsutil", "--test", "prop"],
-            ),
-        ),
-        // Every test on LLD's crash harness, on cases the plain test step
-        // never draws: the model, crash, cleaning-churn, sweep and
-        // checkpoint properties, and the NVRAM and media-fault tests.
-        (
-            "lld replay differential",
-            Step::CargoEnv(
-                &[("PROPTEST_CASE_OFFSET", "1000000")],
-                &[
-                    "test",
-                    "-q",
-                    "--release",
-                    "-p",
-                    "lld",
-                    "--test",
-                    "prop",
-                    "--test",
-                    "recovery_idempotent",
-                    "--test",
-                    "nvram_rerecovery",
-                    "--test",
-                    "faults",
-                ],
-            ),
-        ),
-        // The file-system crash matrix (queue mode, NVRAM and transient
-        // faults, several crash points per recorded run) and its
-        // latent-fault property, on cases the plain test step never draws.
-        (
-            "crash matrix replay",
-            Step::CargoEnv(
-                &[("PROPTEST_CASE_OFFSET", "1000000")],
-                &["test", "-q", "--release", "--test", "crash_matrix"],
+                &["test", "-q", "--release", "--workspace"],
             ),
         ),
         // Every experiment at quick scale, through both report renderers;

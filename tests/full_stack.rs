@@ -1,8 +1,6 @@
 //! Full-stack integration tests: MINIX over LLD over the simulated disk.
 
-use logical_disk_repro::minix_fs::{
-    BlockStore, FsConfig, FsError, InodeMode, LdStore, MinixFs, RawStore,
-};
+use logical_disk_repro::minix_fs::{BlockStore, FsConfig, FsError, InodeMode, LdStore, MinixFs};
 use logical_disk_repro::simdisk::SimDisk;
 
 fn lld_config() -> logical_disk_repro::lld::LldConfig {
@@ -70,24 +68,6 @@ fn workload<S: BlockStore>(fs: &mut MinixFs<S>) -> Vec<(String, Vec<u8>)> {
     }
     out.sort();
     out
-}
-
-#[test]
-fn raw_and_ld_backends_agree_observably() {
-    let raw_store = RawStore::format(SimDisk::hp_c3010_with_capacity(32 << 20)).expect("format");
-    let mut raw = MinixFs::format(raw_store, fs_config()).expect("mkfs");
-    let a = workload(&mut raw);
-
-    let ld_store =
-        LdStore::format(SimDisk::hp_c3010_with_capacity(32 << 20), lld_config()).expect("format");
-    let mut ld = MinixFs::format(ld_store, fs_config()).expect("mkfs");
-    let b = workload(&mut ld);
-
-    assert_eq!(a.len(), b.len(), "same number of live files");
-    for ((pa, ca), (pb, cb)) in a.iter().zip(b.iter()) {
-        assert_eq!(pa, pb);
-        assert_eq!(ca, cb, "contents of {pa} differ between backends");
-    }
 }
 
 #[test]
