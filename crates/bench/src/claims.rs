@@ -347,7 +347,13 @@ pub(crate) static CLAIMS: &[Claim] = &[
         const OFF: Row = &[("scheduler", "fcfs"), ("depth", "0")];
         const ONE: Row = &[("scheduler", "fcfs"), ("depth", "1")];
         Ok(c.num(OFF, "kb_per_s")?.to_bits() == c.num(ONE, "kb_per_s")?.to_bits()
-            && c.num(OFF, "segments_cleaned")? == c.num(ONE, "segments_cleaned")?)
+            && c.num(OFF, "segments_cleaned")? == c.num(ONE, "segments_cleaned")?
+            && c.num(OFF, "recovery_s")?.to_bits() == c.num(ONE, "recovery_s")?.to_bits())
+    }),
+    claim("E17.queued-sweep-recovers-faster", "§3.6", "queueing", |c| {
+        let recovery_s =
+            |scheduler, depth| c.num(&[("scheduler", scheduler), ("depth", depth)], "recovery_s");
+        Ok(recovery_s("satf", "8")? < recovery_s("fcfs", "0")?)
     }),
 ];
 

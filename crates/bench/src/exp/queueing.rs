@@ -23,7 +23,7 @@ use simdisk::{BlockDev, QueueStats, Scheduler};
 
 use crate::driver::MinixLld;
 use crate::exp::phases::{large_file, small_file, LargeFileResult, SmallFileResult};
-use crate::report::{col, json_col, num, rate, text_col, Cell, Col, Report, Table};
+use crate::report::{col, json_col, num, rate, secs, text_col, Cell, Col, Report, Table};
 use crate::rig;
 use crate::workload::{compressible_data, fill_list, hot_cold_pick, rng};
 
@@ -118,12 +118,17 @@ pub struct CleanerResult {
     pub victim_kb_read: u64,
     /// Partial segment writes, one per victim released below depth 2.
     pub partials: u64,
+    /// Queue counters of the overwrite run (the recovery's not included).
     pub queue: QueueStats,
+    /// Simulated µs of the recovery sweep after a crash at the end of the
+    /// run (summary reads through the queue when there is one).
+    pub recovery_us: u64,
 }
 
-/// 90/10 hot/cold overwrites on a 70 %-full LLD with 128 KB segments.
-/// Small segments keep per-transfer positioning significant, which is
-/// exactly what scheduling and coalescing recover.
+/// 90/10 hot/cold overwrites on a 70 %-full LLD with 128 KB segments,
+/// then a crash and the recovery sweep. Small segments keep per-transfer
+/// positioning significant, which is exactly what scheduling and
+/// coalescing recover.
 pub fn cleaner_under_load(p: Point, disk_bytes: u64, writes: usize) -> CleanerResult {
     let config = with_queue(
         LldConfig {
@@ -132,7 +137,7 @@ pub fn cleaner_under_load(p: Point, disk_bytes: u64, writes: usize) -> CleanerRe
         },
         p,
     );
-    let mut ld = Lld::format(rig::disk_sized(disk_bytes), config).expect("format");
+    let mut ld = Lld::format(rig::disk_sized(disk_bytes), config.clone()).expect("format");
     let nblocks = (ld.capacity_bytes() * 7 / 10 / 4096) as usize;
     let data = compressible_data(4096, 0xAB);
     let bids = fill_list(&mut ld, nblocks, Some(&data));
@@ -147,14 +152,22 @@ pub fn cleaner_under_load(p: Point, disk_bytes: u64, writes: usize) -> CleanerRe
     }
     ld.flush(FailureSet::PowerFailure).expect("flush");
     let elapsed = ld.disk().now_us() - t0;
+    let stats = *ld.stats();
+    let queue = ld.queue_stats().unwrap_or_default();
 
-    let stats = ld.stats();
+    let mut disk = ld.into_disk();
+    disk.crash_now();
+    disk.revive();
+    let recovered = Lld::open(disk, config).expect("recover");
+    assert!(!recovered.stats().recovered_from_checkpoint);
+
     CleanerResult {
         kb_per_s: crate::report::kb_per_s(writes as u64 * 4096, elapsed),
         segments_cleaned: stats.segments_cleaned,
         victim_kb_read: stats.cleaner_sectors_read * simdisk::SECTOR_SIZE as u64 / 1024,
         partials: stats.partial_segment_writes,
-        queue: ld.queue_stats().unwrap_or_default(),
+        queue,
+        recovery_us: recovered.stats().recovery_us,
     }
 }
 
@@ -239,6 +252,7 @@ pub fn run(opts: super::Opts) -> Report {
             text_col("depth mean/max"),
             json_col("mean_depth", ""),
             json_col("max_depth", ""),
+            col("recovery s", "recovery_s", "s"),
         ],
     );
     let mut baseline: Option<CleanerResult> = None;
@@ -272,6 +286,7 @@ pub fn run(opts: super::Opts) -> Report {
             },
             num(q.mean_depth(), 1),
             q.max_depth.into(),
+            secs(r.recovery_us),
         ]);
     }
     let (best, deep) = best.expect("sweep has deep points");
@@ -343,7 +358,8 @@ pub fn run(opts: super::Opts) -> Report {
 }
 
 crate::claims::quick_test!(reordering_beats_depth1_on_cleaner_load, "queueing";
-    /// Queueing off and FCFS depth 1 agree bit-for-bit on throughput.
+    /// Queueing off and FCFS depth 1 agree bit-for-bit on throughput and
+    /// recovery time.
     #[test]
     fn depth1_matches_direct_path_throughput() {
         let off = cleaner_under_load(
@@ -364,5 +380,6 @@ crate::claims::quick_test!(reordering_beats_depth1_on_cleaner_load, "queueing";
         );
         assert_eq!(off.kb_per_s.to_bits(), one.kb_per_s.to_bits());
         assert_eq!(off.segments_cleaned, one.segments_cleaned);
+        assert_eq!(off.recovery_us, one.recovery_us);
     }
 );

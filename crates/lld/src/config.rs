@@ -76,10 +76,13 @@ pub struct LldConfig {
     pub read_retries: u32,
     /// Tagged-command-queue depth. `0` disables queueing entirely — every
     /// request takes the direct depth-1 path, bit-identical to an LLD
-    /// built without the queue. `1` routes segment writes through the
-    /// queue but drains synchronously after each submit (identical
-    /// timing; exercised by the differential test). `>= 2` additionally
-    /// enables batched cleaner victim reads at this depth.
+    /// built without the queue. `1` routes segment writes and the
+    /// recovery sweep's summary reads through the queue but drains
+    /// synchronously after each submit (identical timing; exercised by
+    /// the differential test). `>= 2` additionally enables batched
+    /// cleaner victim reads at this depth, and keeps this many summary
+    /// reads in flight during the recovery sweep, so the scheduler
+    /// orders them by position.
     pub queue_depth: u32,
     /// Sealed segments allowed in flight (submitted but not yet on the
     /// medium) before a seal blocks and drains — write-behind. Clamped to
@@ -131,6 +134,11 @@ impl LldConfig {
     /// Payload bytes available in each segment.
     pub fn segment_data_bytes(&self) -> usize {
         self.segment_bytes - self.summary_bytes
+    }
+
+    /// The command queue this configuration runs with: `None` at depth 0.
+    pub(crate) fn command_queue(&self) -> Option<simdisk::RequestQueue> {
+        (self.queue_depth >= 1).then(|| simdisk::RequestQueue::new(self.scheduler))
     }
 
     /// Sealed segments allowed in flight after a seal submits — the

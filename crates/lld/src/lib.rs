@@ -206,7 +206,8 @@ pub struct Lld<D: BlockDev> {
     /// Tagged command queue (present iff `config.queue_depth >= 1`).
     /// Segment writes submit here; every direct read or write of the
     /// medium first drains it, so queued writes are never reordered
-    /// against unqueued I/O.
+    /// against unqueued I/O. After a recovery sweep it is the queue the
+    /// sweep read the summaries through, so its counters include them.
     pub(crate) queue: Option<simdisk::RequestQueue>,
     /// An NVRAM invalidation deferred because the seal that supersedes
     /// the NVRAM image is still in flight in the queue. Invalidating
@@ -254,9 +255,11 @@ impl<D: BlockDev> Lld<D> {
             disk.write_sectors(layout.summary_base(seg), &sector)
                 .map_err(dev)?;
         }
+        let queue = config.command_queue();
         Ok(Self::from_parts(
             disk,
             config,
+            queue,
             layout,
             BlockMap::new(),
             ListTable::new(),
@@ -278,6 +281,7 @@ impl<D: BlockDev> Lld<D> {
     pub(crate) fn from_parts(
         disk: D,
         config: LldConfig,
+        queue: Option<simdisk::RequestQueue>,
         layout: Layout,
         map: BlockMap,
         lists: ListTable,
@@ -287,7 +291,6 @@ impl<D: BlockDev> Lld<D> {
     ) -> Self {
         let allocated_logical = map.iter().map(|(_, e)| u64::from(e.size_class)).sum();
         let open = SegmentBuffer::new(layout.data_bytes, layout.summary_bytes);
-        let queue = (config.queue_depth >= 1).then(|| simdisk::RequestQueue::new(config.scheduler));
         Self {
             disk,
             config,

@@ -14,16 +14,29 @@
 //! summary read per segment, which §4.2 measures at 12 seconds for 788
 //! summaries (experiment E6 reproduces this). A *clean* shutdown does write
 //! a checkpoint ([`crate::checkpoint`]); `open` prefers it when valid.
+//!
+//! Without a command queue the sweep reads the summaries one at a time in
+//! segment order. With one (`queue_depth ≥ 1`) it reads them through a
+//! [`RequestQueue`] under `config.scheduler`, keeping `queue_depth` reads
+//! in flight and submitting the next as each completes; the queue then
+//! becomes the recovered LLD's. SATF orders the pending reads by
+//! positioning cost, a summary in the drive's read-ahead buffer first;
+//! FCFS, and any scheduler at depth 1, reads in segment order like the
+//! direct sweep. A queued read that fails is read again with the full
+//! retry budget. The records are sorted into one replay order however
+//! the summaries arrived, so the recovered state does not depend on it.
 
 use std::collections::{BTreeSet, HashSet};
 
 use ld_core::Result;
-use simdisk::BlockDev;
+use simdisk::{BlockDev, DiskError, RequestQueue};
 
 use crate::block_map::{apply, BlockMap, ListTable, PROVISIONAL_LIST};
 use crate::records::{decode_summary, Record};
 use crate::usage::{SegState, SegUsage, UsageTable};
-use crate::{checkpoint, dev, Layout, Lld, LldConfig, DEFAULT_BLOCK_SIZE};
+use crate::{
+    checkpoint, dev, read_sectors_retrying, FailedRead, Layout, Lld, LldConfig, DEFAULT_BLOCK_SIZE,
+};
 
 /// Placeholder segment id for blocks whose data lives in the NVRAM image
 /// until it is materialized into a real segment.
@@ -40,9 +53,11 @@ pub(crate) fn open<D: BlockDev>(mut disk: D, config: LldConfig) -> Result<Lld<D>
     if let Some(state) =
         checkpoint::try_load(&mut disk, &layout, config.read_retries, &mut retries)?
     {
+        let queue = config.command_queue();
         let mut lld = Lld::from_parts(
             disk,
             config,
+            queue,
             layout,
             state.map,
             state.lists,
@@ -78,43 +93,35 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
     let mut seg_max_ts = vec![0u64; layout.segments as usize];
     // Every summary seq found on disk.
     let mut seqs: HashSet<u64> = HashSet::new();
-    let mut buf = vec![0u8; layout.summary_bytes];
     let mut sweep_retries = 0u64;
+    let mut queue = config.command_queue();
 
-    for seg in 0..layout.segments {
-        if crate::read_sectors_retrying(
-            &mut disk,
-            layout.summary_base(seg),
-            &mut buf,
-            config.read_retries,
-            |_, f| sweep_retries += u64::from(f.retried),
-        )?
-        .is_some()
-        {
-            // A summary unreadable even after retries is treated like a
-            // torn segment write: the segment contributes nothing to the
-            // replay. The paper's guarantee ("up to the last segment
-            // successfully written") degrades by exactly this segment.
-            continue;
-        }
-        let Some(summary) = decode_summary(&buf) else {
-            continue;
-        };
-        seg_has_summary[seg as usize] = true;
-        seqs.insert(summary.seq);
-        for (idx, s) in summary.records.into_iter().enumerate() {
-            seg_max_ts[seg as usize] = seg_max_ts[seg as usize].max(s.ts);
-            all.push(SortRec {
-                ts: s.ts,
-                seq: summary.seq,
-                idx: idx as u32,
-                seg,
-                ends_aru: s.ends_aru,
-                aru: s.aru,
-                rec: s.rec,
-            });
-        }
-    }
+    read_summaries(
+        &mut disk,
+        &config,
+        &layout,
+        queue.as_mut(),
+        &mut sweep_retries,
+        |seg, buf| {
+            let Some(summary) = decode_summary(buf) else {
+                return;
+            };
+            seg_has_summary[seg as usize] = true;
+            seqs.insert(summary.seq);
+            for (idx, s) in summary.records.into_iter().enumerate() {
+                seg_max_ts[seg as usize] = seg_max_ts[seg as usize].max(s.ts);
+                all.push(SortRec {
+                    ts: s.ts,
+                    seq: summary.seq,
+                    idx: idx as u32,
+                    seg,
+                    ends_aru: s.ends_aru,
+                    aru: s.aru,
+                    rec: s.rec,
+                });
+            }
+        },
+    )?;
 
     // The §5.3 NVRAM extension: a crash may have left the open segment's
     // tail in battery-backed NVRAM. Its records join the replay under a
@@ -153,8 +160,10 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
 
     // Replay in global operation order. For equal timestamps (a partial
     // segment superseded by its sealed form carries the same records), the
-    // later physical write wins.
-    all.sort_by_key(|r| (r.ts, r.seq, r.idx));
+    // later physical write wins. The segment breaks any remaining tie the
+    // way the segment-order sweep's stable sort did, so the order does not
+    // depend on the order in which the summaries were read.
+    all.sort_by_key(|r| (r.ts, r.seq, r.idx, r.seg));
     let max_ts = all.last().map_or(0, |r| r.ts);
     let max_seq = all.iter().map(|r| r.seq).max().unwrap_or(0);
     let state = replay(&all, &BTreeSet::new());
@@ -248,6 +257,7 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
     let mut lld = Lld::from_parts(
         disk,
         config,
+        queue,
         layout,
         map,
         lists,
@@ -261,6 +271,9 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
         lld.invalidate_nvram();
     }
     lld.stats.recovery_summaries_read = u64::from(layout.segments);
+    if lld.queue.is_some() {
+        lld.stats.queued_reads += u64::from(layout.segments);
+    }
     lld.stats.recovery_us = elapsed;
     lld.stats.retries += sweep_retries;
     lld.stats.recovery_records_discarded = discarded;
@@ -271,6 +284,67 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
         us: elapsed,
     });
     Ok(lld)
+}
+
+/// Reads every segment's summary and hands each readable one to `visit`
+/// with its segment. A summary unreadable even after retries is treated
+/// like a torn segment write: the segment contributes nothing to the
+/// replay. The paper's guarantee ("up to the last segment successfully
+/// written") degrades by exactly this segment.
+///
+/// Without a queue the summaries are read in segment order, each with the
+/// retry budget. With one, `queue_depth` reads stay in flight, one more is
+/// submitted in segment order as each completes, and the scheduler picks
+/// which pending read goes next (SATF: the one the head reaches soonest,
+/// or one the drive's read-ahead buffer holds). A queued read that fails
+/// is read again with the full budget. At depth 1, or under FCFS, the
+/// reads go in segment order as without a queue.
+fn read_summaries<D: BlockDev>(
+    disk: &mut D,
+    config: &LldConfig,
+    layout: &Layout,
+    queue: Option<&mut RequestQueue>,
+    retries: &mut u64,
+    mut visit: impl FnMut(u32, &[u8]),
+) -> Result<()> {
+    // One summary read with the retry budget, straight to the device.
+    let mut buf = vec![0u8; layout.summary_bytes];
+    let mut direct = |disk: &mut D, seg: u32, visit: &mut dyn FnMut(u32, &[u8])| -> Result<()> {
+        let start = layout.summary_base(seg);
+        let count = |_: &mut D, f: FailedRead| *retries += u64::from(f.retried);
+        if read_sectors_retrying(disk, start, &mut buf, config.read_retries, count)?.is_none() {
+            visit(seg, &buf);
+        }
+        Ok(())
+    };
+    let Some(q) = queue else {
+        for seg in 0..layout.segments {
+            direct(disk, seg, &mut visit)?;
+        }
+        return Ok(());
+    };
+    let mut segs = 0..layout.segments;
+    let submit = |q: &mut RequestQueue, disk: &D, seg: u32| {
+        q.submit_read(disk, layout.summary_base(seg), layout.summary_sectors());
+    };
+    for seg in segs.by_ref().take(config.queue_depth as usize) {
+        submit(q, disk, seg);
+    }
+    while let Some(c) = q.dispatch_one(disk) {
+        if let Some(next) = segs.next() {
+            submit(q, disk, next);
+        }
+        // Only summary reads are queued: each names its segment.
+        let Some(seg) = layout.segment_of_sector(c.sector) else {
+            continue;
+        };
+        match c.result {
+            Ok(Some(image)) => visit(seg, &image),
+            Ok(None) | Err(DiskError::Unreadable { .. }) => direct(disk, seg, &mut visit)?,
+            Err(e) => return Err(dev(e)),
+        }
+    }
+    Ok(())
 }
 
 /// What a replay of the log rebuilds.

@@ -66,7 +66,7 @@ pub struct LldStats {
     /// the tagged command queue instead of the direct path.
     pub queued_segment_writes: u64,
     /// Reads submitted through the queue: batched cleaner victim
-    /// prefetches.
+    /// prefetches and the recovery sweep's summary reads.
     pub queued_reads: u64,
     /// Times a non-empty queue was drained to empty (every read, flush,
     /// and checkpoint fences behind all in-flight writes).

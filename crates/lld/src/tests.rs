@@ -1,12 +1,14 @@
 //! Tests of the full LLD stack over the disk simulator.
 //!
 //! Crash tests live on the crash harness (`tests/harness`), which checks
-//! every crash image against `ModelLd`. The three here crash through the
-//! write recorder instead, because the model cannot express them or they
-//! measure the recovery itself: the two concurrent-ARU tests (the model
+//! every crash image against `ModelLd`. The four here crash through the
+//! write recorder instead, because the model cannot express them, they
+//! measure the recovery itself, or the harness's per-operation model
+//! copies would make them slow: the two concurrent-ARU tests (the model
 //! has no `begin_aru_id`/`activate_aru`) recover every prefix of their
-//! recording, and `recovery_time_scales_with_summaries_not_data` counts
-//! what one recovery reads.
+//! recording, `recovery_time_scales_with_summaries_not_data` counts what
+//! one recovery reads, and `checkpoint_larger_than_the_free_pool_is_skipped`
+//! shuts down 8,000 blocks.
 
 use ld_core::{Bid, FailureSet, LdError, ListHints, LogicalDisk, Pred, PredList};
 use simdisk::{BlockDev, SimDisk};
@@ -487,6 +489,53 @@ fn recovery_time_scales_with_summaries_not_data() {
         sectors_read <= summary_sectors + 16,
         "recovery read {sectors_read} sectors; summaries are only {summary_sectors}"
     );
+}
+
+/// A shutdown whose checkpoint outgrows the free pool writes none: 8,000
+/// blocks of one byte, never written, take 45 payload bytes each (360 KB,
+/// more than the free segments of a 512 KB disk hold) but only a few
+/// summary bytes. The header stays invalid, and a crash before, inside or
+/// at the end of the shutdown's writes sweeps to the flushed list.
+#[test]
+fn checkpoint_larger_than_the_free_pool_is_skipped() {
+    let disk = SimDisk::hp_c3010_with_capacity(512 << 10);
+    let config = LldConfig {
+        summary_bytes: 32 << 10,
+        cleaning_reserve_segments: 2,
+        ..LldConfig::small_for_tests()
+    };
+    let mut lld = Lld::format(disk, config).unwrap();
+    let lid = lld.new_list(PredList::Start, ListHints::default()).unwrap();
+    let mut bids: Vec<Bid> = (0..8_000)
+        .map(|_| lld.new_block_with_size(lid, Pred::Start, 1).unwrap())
+        .collect();
+    bids.reverse();
+    lld.flush(FailureSet::PowerFailure).unwrap();
+    let free = lld.free_segments() as usize * lld.layout().segment_bytes;
+    assert!(
+        bids.len() * 45 > free,
+        "the payload must outgrow {free} bytes"
+    );
+    lld.disk_mut().record_writes();
+    lld.shutdown().unwrap();
+    let layout = *lld.layout();
+    let image = lld.disk().image_bytes();
+    assert!(matches!(
+        crate::checkpoint::peek_image(&image, &layout),
+        crate::checkpoint::CheckpointPeek::Absent
+    ));
+    let config = lld.config().clone();
+    let mut images = lld.disk_mut().take_recording().unwrap();
+    let writes = images.writes();
+    assert!(writes > 0, "the shutdown seals the open segment");
+    for n in (0..=4).map(|q| writes * q / 4) {
+        images.advance_to(n);
+        let mut lld = Lld::open(images.disk(), config.clone()).unwrap();
+        assert!(!lld.stats().recovered_from_checkpoint, "prefix {n}");
+        assert_eq!(lld.list_of_lists(), vec![lid]);
+        assert_eq!(lld.list_blocks(lid).unwrap(), bids, "prefix {n}");
+        assert!(bids.iter().all(|&b| lld.block_len(b) == Ok(0)));
+    }
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Unit-level media-fault behaviour of the disk manager: bounded read
 //! retry, scrub/relocate/remap, quarantine, persistence of the bad sector
 //! table across checkpoint and recovery (the crash harness, `harness`,
-//! checks the recoveries), and which of a cleaner victim's sectors are
-//! read, with and without a latent sector among them.
+//! checks the recoveries), which of a cleaner victim's sectors are read,
+//! with and without a latent sector among them, and a latent summary
+//! sector in the recovery sweep read through the command queue.
 
 mod harness;
 
@@ -414,4 +415,78 @@ fn latent_sector_inside_the_span_takes_the_one_fallback() {
         let report = ldck::check_image(&lld.disk().image_bytes(), lld.config());
         assert!(report.is_clean(), "depth {depth}: {:?}", report.findings);
     }
+}
+
+/// Latent defects of which exactly one sector lies in a summary of the
+/// first `written` segments of a `capacity` disk, and none in the
+/// checkpoint header or any other summary. Returns them and that segment.
+fn latent_in_one_summary(capacity: u64, written: u32) -> (FaultConfig, u32) {
+    let layout = *Lld::format(SimDisk::hp_c3010_with_capacity(capacity), config())
+        .unwrap()
+        .layout();
+    let summaries = (0..layout.segments).flat_map(|seg| {
+        (0..layout.summary_sectors()).map(move |s| (seg, layout.summary_base(seg) + s))
+    });
+    let header = (0..layout.segment_base(0)).map(|s| (u32::MAX, s));
+    (0..)
+        .find_map(|seed| {
+            let faults = FaultConfig {
+                seed,
+                latent_ppm: 1_000,
+                ..FaultConfig::default()
+            };
+            let mut disk = SimDisk::hp_c3010_with_capacity(capacity);
+            disk.set_faults(faults);
+            let bad: Vec<u32> = (header.clone().chain(summaries.clone()))
+                .filter(|&(_, s)| disk.read_sectors(s, &mut [0u8; SECTOR_SIZE]).is_err())
+                .map(|(seg, _)| seg)
+                .collect();
+            match bad[..] {
+                [seg] if seg < written => Some((faults, seg)),
+                _ => None,
+            }
+        })
+        .expect("some seed places the defect")
+}
+
+/// A latent sector in one summary, swept at queue depth 8 (SATF) and on
+/// the direct path: the queued read of that summary fails once, the
+/// retry path reads it again with the full budget, and the recovery
+/// equals the direct one's, down to the retries it counts, with ldck
+/// clean on the harness.
+#[test]
+fn a_latent_summary_sector_fails_the_queued_read_once() -> TestCaseResult {
+    const DISK: u64 = 2 << 20;
+    let (faults, seg) = latent_in_one_summary(DISK, 3);
+    let recover_at = |depth: u32| -> Result<harness::Recovery, TestCaseError> {
+        let config = LldConfig {
+            queue_depth: depth,
+            writeback_depth: depth.saturating_sub(1),
+            scheduler: Scheduler::Satf,
+            ..config()
+        };
+        let mut run = Run::format(DISK, false, config).with_faults(Some(faults));
+        let lid = run.new_list(PredList::Start, ListHints::default())?;
+        for i in 0..40 {
+            let b = run.new_block(lid, Pred::Start)?;
+            run.write(b, &content(i, 4096))?;
+        }
+        run.flush()?;
+        run.scan()?;
+        run.flush()?;
+        let mut crashes = run.crashes();
+        Ok(crashes.check_drawn(&[])?.recovery)
+    };
+    let direct = recover_at(0)?;
+    let queued = recover_at(8)?;
+    let retries = u64::from(config().read_retries);
+    prop_assert_eq!(direct.disk.read_faults, retries, "segment {}", seg);
+    prop_assert_eq!(queued.disk.read_faults, retries + 1, "segment {}", seg);
+    prop_assert!(queued.observed.state == direct.observed.state);
+    let (mut a, b) = (queued.observed.stats, direct.observed.stats);
+    prop_assert_eq!(a.queued_reads, a.recovery_summaries_read);
+    a.queued_reads = 0;
+    a.recovery_us = b.recovery_us;
+    prop_assert_eq!(a, b);
+    Ok(())
 }

@@ -15,7 +15,8 @@
 //!    - (a) `ldck` passes the image before and after recovery, and its
 //!      sweep of the recovered medium rebuilds the recovered remap table;
 //!    - (b) two recoveries give the same [`Observed`] and leave the same
-//!      medium and NVRAM;
+//!      medium and NVRAM; with a command queue, a sweep reads every
+//!      summary through it;
 //!    - (c) the recovered lists, list order, hints and contents are the
 //!      model's at some boundary from the last durable one before the crash
 //!      to the operation in flight at it, and every other block id ever
@@ -785,6 +786,8 @@ fn ok<T>(r: ld_core::Result<T>) -> Result<T, TestCaseError> {
 /// What one recovery showed: its observation and what it wrote.
 pub struct Recovery {
     pub observed: Observed,
+    /// The disk's counters at the end of the recovery itself.
+    pub disk: simdisk::DiskStats,
     /// The NVRAM it left.
     nvram: Vec<u8>,
     /// Whether it changed the NVRAM.
@@ -1067,6 +1070,19 @@ fn recover(
     }
     let mut lld = Lld::open(disk, config.clone())
         .map_err(|e| TestCaseError::fail(format!("{when}: recovery failed: {e}")))?;
+    let (stats, disk) = (*lld.stats(), *lld.disk().stats());
+    // With a command queue, the sweep reads every summary through it.
+    let queued = if config.queue_depth >= 1 && !stats.recovered_from_checkpoint {
+        stats.recovery_summaries_read
+    } else {
+        0
+    };
+    prop_assert_eq!(
+        stats.queued_reads,
+        queued,
+        "{}: summaries read queued",
+        when
+    );
     let observed = observe(&mut lld, top);
     let mut nvram = vec![0u8; lld.disk().nvram_bytes()];
     lld.disk_mut()
@@ -1076,6 +1092,7 @@ fn recover(
     let wrote = nvram_written || lld.disk().stats().sectors_written > 0;
     let recovery = Recovery {
         observed,
+        disk,
         nvram,
         nvram_written,
         wrote,

@@ -157,7 +157,18 @@ pub trait BlockDev {
     /// Scheduling hint: estimated positioning cost (command overhead +
     /// seek + rotational wait, in microseconds) to begin a transfer at
     /// `sector` if it were dispatched right now. Pure: consults only the
-    /// simulated clock and head position, never moves either.
+    /// simulated clock, the head position and the drive's read-ahead
+    /// buffer, never changes any of them.
+    ///
+    /// A `sector` inside the read-ahead buffer costs the command overhead
+    /// alone, which is what a read served from the buffer is charged
+    /// before its bus transfer. The hint sees neither the length nor the
+    /// direction of the request, so it over-credits two requests that
+    /// start in the buffer: a read that runs past the buffer's end, and a
+    /// write (both go to the platter). LLD's queued reads end at a segment
+    /// end. After one of them the buffer ends at a segment end too when the
+    /// segment size divides the buffer's (128 KB segments, 256 sectors),
+    /// so the next queued read that starts in the buffer ends in it.
     fn sched_access_us(&self, sector: u64) -> u64 {
         let _ = sector;
         0
@@ -446,6 +457,12 @@ impl SimDisk {
         result
     }
 
+    /// Whether `sector` is in the drive's read-ahead buffer.
+    fn buffered(&self, sector: u64) -> bool {
+        let (c0, c1) = self.cache_range;
+        self.timing.readahead_buffer_sectors > 0 && (c0..c1).contains(&sector)
+    }
+
     fn check(&self, sector: u64, len: usize) -> Result<u64, DiskError> {
         if self.down {
             return Err(DiskError::Down);
@@ -475,8 +492,7 @@ impl BlockDev for SimDisk {
         // Drive read-ahead buffer: a request entirely within the buffered
         // range is served at bus speed with no mechanical activity (the
         // drive filled its cache segment while the host was busy).
-        let (c0, c1) = self.cache_range;
-        if self.timing.readahead_buffer_sectors > 0 && sector >= c0 && sector + count <= c1 {
+        if self.buffered(sector) && sector + count <= self.cache_range.1 {
             self.stats.cached_reads += 1;
             self.trace(ld_trace::Event::CacheHit {
                 sector,
@@ -642,11 +658,15 @@ impl BlockDev for SimDisk {
     }
 
     fn sched_access_us(&self, sector: u64) -> u64 {
-        // Mirrors `position_for` without side effects: overhead, then the
-        // seek, then the rotational wait evaluated at the clock the platter
-        // would show once the head arrives.
+        // A buffered sector is what `read_sectors` charges a hit before its
+        // transfer. Any other mirrors `position_for` without side effects:
+        // overhead, then the seek, then the rotational wait evaluated at the
+        // clock the platter would show once the head arrives.
         if sector >= self.geometry.total_sectors() {
             return u64::MAX;
+        }
+        if self.buffered(sector) {
+            return self.timing.command_overhead_us;
         }
         let chs = self.geometry.chs(sector);
         let seek = self
@@ -1090,5 +1110,94 @@ mod tests {
         assert_eq!(disk.now_us(), t0 + 12_345);
         // Think time is not disk busy time.
         assert_eq!(disk.stats().busy_us(), 0);
+    }
+
+    /// The scheduling hint against the disk's own charges.
+    mod estimate {
+        use proptest::prelude::*;
+
+        use crate::{BlockDev, SimDisk, SECTOR_SIZE};
+
+        /// One request of [`the_estimate_is_what_the_disk_charges`]'s scripts.
+        #[derive(Debug, Clone, Copy)]
+        enum Req {
+            Read {
+                at: u64,
+                len: u64,
+            },
+            /// A read `skip` sectors past the last read's end: inside the
+            /// read-ahead buffer when short, past its end when long.
+            ReadOn {
+                skip: u64,
+                len: u64,
+            },
+            Write {
+                at: u64,
+                len: u64,
+            },
+            Think {
+                us: u64,
+            },
+        }
+
+        fn req() -> impl Strategy<Value = Req> {
+            prop_oneof![
+                3 => (any::<u64>(), 1u64..64).prop_map(|(at, len)| Req::Read { at, len }),
+                4 => (0u64..300, 1u64..64).prop_map(|(skip, len)| Req::ReadOn { skip, len }),
+                2 => (any::<u64>(), 1u64..64).prop_map(|(at, len)| Req::Write { at, len }),
+                2 => (0u64..40_000).prop_map(|us| Req::Think { us }),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `sched_access_us` before a request is the positioning the
+            /// request is then charged (overhead + seek + rotation in
+            /// `DiskStats`), at every clock phase, for every read that starts
+            /// outside the read-ahead buffer or lies wholly inside it, and for
+            /// every write that starts outside it. The two requests the hint
+            /// cannot tell apart, a read that runs past the buffer's end and a
+            /// write into it, cost at least the estimate.
+            #[test]
+            fn the_estimate_is_what_the_disk_charges(
+                script in proptest::collection::vec(req(), 1..64),
+            ) {
+                let mut disk = SimDisk::hp_c3010_with_capacity(4 << 20);
+                let total = disk.total_sectors();
+                let mut last_end = 0u64;
+                for (i, &r) in script.iter().enumerate() {
+                    let (sector, len, write) = match r {
+                        Req::Read { at, len } => (at % (total - len), len, false),
+                        Req::ReadOn { skip, len } => ((last_end + skip) % (total - len), len, false),
+                        Req::Write { at, len } => (at % (total - len), len, true),
+                        Req::Think { us } => {
+                            disk.advance_us(us);
+                            continue;
+                        }
+                    };
+                    let estimate = disk.sched_access_us(sector);
+                    let exact = !disk.buffered(sector)
+                        || (!write && sector + len <= disk.cache_range.1);
+                    let before = *disk.stats();
+                    let mut buf = vec![0u8; len as usize * SECTOR_SIZE];
+                    if write {
+                        disk.write_sectors(sector, &buf).unwrap();
+                    } else {
+                        disk.read_sectors(sector, &mut buf).unwrap();
+                        last_end = sector + len;
+                    }
+                    let s = disk.stats();
+                    let charged = (s.overhead_us - before.overhead_us)
+                        + (s.seek_us - before.seek_us)
+                        + (s.rotation_us - before.rotation_us);
+                    if exact {
+                        prop_assert_eq!(estimate, charged, "request {}: {:?}", i, r);
+                    } else {
+                        prop_assert!(estimate <= charged, "request {}: {:?}", i, r);
+                    }
+                }
+            }
+        }
     }
 }

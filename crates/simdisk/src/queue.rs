@@ -62,7 +62,8 @@ pub enum Scheduler {
     /// Shortest access time first: full positioning cost (command
     /// overhead plus seek plus rotational wait) from the CHS geometry and
     /// the rotational position model, evaluated at the current simulated
-    /// clock.
+    /// clock; the command overhead alone for a request starting in the
+    /// drive's read-ahead buffer ([`BlockDev::sched_access_us`]).
     Satf,
 }
 
@@ -486,6 +487,34 @@ mod tests {
         q.submit_read(&d, 0, 8);
         let order: Vec<u64> = q.drain(&mut d).into_iter().map(|c| c.sector).collect();
         assert_eq!(order, vec![0, far], "SATF must take the cheap one first");
+    }
+
+    #[test]
+    fn satf_takes_a_buffered_read_first() {
+        let mut d = disk();
+        let mut buf = vec![0u8; 8 * SECTOR_SIZE];
+        d.read_sectors(1000, &mut buf).unwrap();
+        let buffered = 1000 + 8 + 100;
+        // The unbuffered read the platter reaches soonest is mechanically
+        // cheaper than the buffered one: only the buffer puts that first.
+        let mechanical = |d: &mut SimDisk, s: u64| {
+            let range = std::mem::take(&mut d.cache_range);
+            let us = d.sched_access_us(s);
+            d.cache_range = range;
+            us
+        };
+        let unbuffered = (d.cache_range.1..d.cache_range.1 + 400)
+            .min_by_key(|&s| mechanical(&mut d, s))
+            .unwrap();
+        assert!(mechanical(&mut d, unbuffered) < mechanical(&mut d, buffered));
+        assert_eq!(d.sched_access_us(buffered), d.timing().command_overhead_us);
+        let mut q = RequestQueue::new(Scheduler::Satf);
+        q.submit_read(&d, unbuffered, 8);
+        q.submit_read(&d, buffered, 8);
+        let hits = d.stats().cached_reads;
+        let order: Vec<u64> = q.drain(&mut d).into_iter().map(|c| c.sector).collect();
+        assert_eq!(order, vec![buffered, unbuffered]);
+        assert_eq!(d.stats().cached_reads, hits + 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Differential and ordering properties for the simdisk command queue.
 //!
-//! Two contracts from the queueing design are checked here at the
+//! Three contracts from the queueing design are checked here at the
 //! whole-stack and queue level:
 //!
 //! - **Depth-1 FCFS is the direct path.** With `queue_depth: 1` and the
@@ -8,6 +8,10 @@
 //!   the run must be *bit-identical* to `queue_depth: 0` — same final
 //!   medium image, same simulated clock, same disk statistics. Queueing
 //!   at depth 1 may not cost or save a single microsecond.
+//! - **An FCFS queue sweeps like the direct path.** The recovery sweep
+//!   reads its summaries through the queue whenever there is one; under
+//!   FCFS, at depth 1 or deeper, it recovers the same state in the same
+//!   simulated time as the direct sweep.
 //! - **No scheduler reorders writes.** Whatever the scheduler does with
 //!   reads, writes dispatch in submission order among themselves, reads
 //!   never jump an overlapping request, and coalescing
@@ -16,10 +20,10 @@
 //!   image, and every read must see the medium as of its submission
 //!   point.
 
-use logical_disk_repro::ld_core::LogicalDisk;
-use logical_disk_repro::lld::LldConfig;
+use logical_disk_repro::ld_core::{Bid, FailureSet, Lid, ListHints, LogicalDisk, Pred, PredList};
+use logical_disk_repro::lld::{Lld, LldConfig, LldStats};
 use logical_disk_repro::minix_fs::{FsConfig, FsCpuModel, LdStore, MinixFs};
-use logical_disk_repro::simdisk::{BlockDev, RequestQueue, Scheduler, SimDisk};
+use logical_disk_repro::simdisk::{BlockDev, DiskStats, RequestQueue, Scheduler, SimDisk};
 use proptest::prelude::*;
 
 fn configs(queue_depth: u32, scheduler: Scheduler) -> (LldConfig, FsConfig) {
@@ -126,6 +130,106 @@ fn depth1_identity_holds_for_every_scheduler() {
         let (img, clock, _, _) = run_workload(1, sched);
         assert_eq!(clock0, clock, "{sched:?} at depth 1 changed the clock");
         assert_eq!(img0, img, "{sched:?} at depth 1 changed the medium");
+    }
+}
+
+/// The medium of a raw LLD run at depth 0 after a crash: three lists of
+/// blocks of several sizes, overwrites and deletions, a flush, and an
+/// unflushed tail the crash loses.
+fn crash_image() -> Vec<u8> {
+    let (config, _) = configs(0, Scheduler::Fcfs);
+    let disk = SimDisk::hp_c3010_with_capacity(24 << 20);
+    let mut ld = Lld::format(disk, config).expect("format");
+    let lids: Vec<Lid> = (0..3)
+        .map(|_| {
+            ld.new_list(PredList::Start, ListHints::default())
+                .expect("list")
+        })
+        .collect();
+    let mut bids: Vec<(Lid, Bid)> = Vec::new();
+    for i in 0..900usize {
+        let lid = lids[i % 3];
+        let bid = ld.new_block(lid, Pred::Start).expect("block");
+        ld.write(bid, &content(i, 512 + (i * 997) % 3585))
+            .expect("write");
+        bids.push((lid, bid));
+        if i % 4 == 3 {
+            let (_, b) = bids[i / 2];
+            ld.write(b, &content(i + 7, 4096)).expect("overwrite");
+        }
+        if i % 9 == 8 {
+            let (lid, b) = bids.remove(i % bids.len());
+            ld.delete_block(b, lid, None).expect("delete");
+        }
+    }
+    ld.flush(FailureSet::PowerFailure).expect("flush");
+    let (_, b) = bids[0];
+    ld.write(b, &content(1, 100)).expect("unflushed write");
+    let mut disk = ld.into_disk();
+    disk.crash_now();
+    disk.revive();
+    disk.image_bytes()
+}
+
+/// A list's blocks with their contents.
+type Contents = Vec<(Bid, Vec<u8>)>;
+
+/// What one recovery of a crash image shows.
+#[derive(Debug, PartialEq)]
+struct Recovered {
+    /// Every list, in list-of-lists order.
+    lists: Vec<(Lid, Contents)>,
+    lld: LldStats,
+    disk: DiskStats,
+    clock: u64,
+}
+
+/// Recovers `image` at queue depth `depth` (FCFS).
+fn recover(image: &[u8], depth: u32) -> Recovered {
+    let (config, _) = configs(depth, Scheduler::Fcfs);
+    let mut disk = SimDisk::hp_c3010_with_capacity(24 << 20);
+    disk.load_image(image);
+    let mut ld = Lld::open(disk, config).expect("recover");
+    let (lld, disk, clock) = (*ld.stats(), *ld.disk().stats(), ld.disk().now_us());
+    let mut buf = vec![0u8; 4096];
+    let lists = (ld.list_of_lists().into_iter())
+        .map(|lid| {
+            let blocks = (ld.list_blocks(lid).expect("list").into_iter())
+                .map(|bid| {
+                    let n = ld.read(bid, &mut buf).expect("read");
+                    (bid, buf[..n].to_vec())
+                })
+                .collect();
+            (lid, blocks)
+        })
+        .collect();
+    Recovered {
+        lists,
+        lld,
+        disk,
+        clock,
+    }
+}
+
+/// The recovery sweep through an FCFS queue reads the summaries in
+/// segment order, however many are in flight: at depths 1 and 4 it
+/// recovers the same lists and contents as the direct sweep, in the same
+/// simulated time, with the same disk statistics.
+#[test]
+fn fcfs_queued_sweep_is_bit_identical_to_direct_sweep() {
+    let image = crash_image();
+    let direct = recover(&image, 0);
+    assert!(!direct.lld.recovered_from_checkpoint);
+    assert!(direct.lld.recovery_us > 0);
+    assert_eq!(direct.lists.len(), 3);
+    for depth in [1, 4] {
+        let mut queued = recover(&image, depth);
+        assert_eq!(
+            queued.lld.queued_reads, queued.lld.recovery_summaries_read,
+            "depth {depth}: every summary read goes through the queue"
+        );
+        queued.lld.queued_reads = 0;
+        assert_eq!(queued, direct, "depth {depth}");
     }
 }
 
