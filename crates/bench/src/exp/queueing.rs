@@ -121,7 +121,7 @@ pub struct CleanerResult {
     /// Queue counters of the overwrite run (the recovery's not included).
     pub queue: QueueStats,
     /// Simulated µs of the recovery sweep after a crash at the end of the
-    /// run (summary reads through the queue when there is one).
+    /// run (planned summary reads, the same at every queue configuration).
     pub recovery_us: u64,
 }
 

@@ -8,7 +8,7 @@
 use minix_fs::{LdStore, MinixFs};
 use simdisk::BlockDev;
 
-use crate::report::{col, secs, Report, Table};
+use crate::report::{col, num, secs, Report, Table};
 use crate::rig;
 use crate::workload::compressible_data;
 
@@ -40,6 +40,7 @@ pub fn run(opts: super::Opts) -> Report {
     let t0 = disk.now_us();
     let store = LdStore::mount(disk, rig::lld_config()).expect("LD recovery");
     let lld_stats = *store.lld().stats();
+    let sweep = *store.lld().disk().stats();
     let mut fs = MinixFs::mount(store, rig::minix_config()).expect("mount");
     let total_us = fs.now_us() - t0;
 
@@ -73,6 +74,24 @@ pub fn run(opts: super::Opts) -> Report {
         secs(lld_stats.recovery_us),
     ])
     .row(["LD + MINIX total (s)".into(), "12".into(), secs(total_us)]);
+    // Where the sweep's time goes, per summary read: the disk's counters
+    // from the crash to the end of the LD recovery (the checkpoint header
+    // probe included).
+    let per_summary = |us: u64| {
+        num(
+            us as f64 / 1e3 / lld_stats.recovery_summaries_read as f64,
+            2,
+        )
+    };
+    for (quantity, us) in [
+        ("mean seek per summary (ms)", sweep.seek_us),
+        ("mean rotational wait per summary (ms)", sweep.rotation_us),
+        ("mean overhead per summary (ms)", sweep.overhead_us),
+        ("mean transfer per summary (ms)", sweep.transfer_us),
+        ("mean head switch per summary (ms)", sweep.switch_us),
+    ] {
+        t.row([quantity.into(), "-".into(), per_summary(us)]);
+    }
     let mut report = Report::new("recovery", opts.quick);
     report
         .note(format!(

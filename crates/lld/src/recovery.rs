@@ -15,21 +15,16 @@
 //! summaries (experiment E6 reproduces this). A *clean* shutdown does write
 //! a checkpoint ([`crate::checkpoint`]); `open` prefers it when valid.
 //!
-//! Without a command queue the sweep reads the summaries one at a time in
-//! segment order. With one (`queue_depth ≥ 1`) it reads them through a
-//! [`RequestQueue`] under `config.scheduler`, keeping `queue_depth` reads
-//! in flight and submitting the next as each completes; the queue then
-//! becomes the recovered LLD's. SATF orders the pending reads by
-//! positioning cost, a summary in the drive's read-ahead buffer first;
-//! FCFS, and any scheduler at depth 1, reads in segment order like the
-//! direct sweep. A queued read that fails is read again with the full
-//! retry budget. The records are sorted into one replay order however
-//! the summaries arrived, so the recovered state does not depend on it.
+//! The sweep knows every read before it starts, so it plans them: each
+//! next read is the remaining summary the head reaches soonest, by the
+//! device's own estimate. The command queue takes no part. The records
+//! are sorted into one replay order however the summaries arrived, so
+//! the order of reading cannot change the recovered state.
 
 use std::collections::{BTreeSet, HashSet};
 
 use ld_core::Result;
-use simdisk::{BlockDev, DiskError, RequestQueue};
+use simdisk::BlockDev;
 
 use crate::block_map::{apply, BlockMap, ListTable, PROVISIONAL_LIST};
 use crate::records::{decode_summary, Record};
@@ -53,11 +48,9 @@ pub(crate) fn open<D: BlockDev>(mut disk: D, config: LldConfig) -> Result<Lld<D>
     if let Some(state) =
         checkpoint::try_load(&mut disk, &layout, config.read_retries, &mut retries)?
     {
-        let queue = config.command_queue();
         let mut lld = Lld::from_parts(
             disk,
             config,
-            queue,
             layout,
             state.map,
             state.lists,
@@ -94,13 +87,11 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
     // Every summary seq found on disk.
     let mut seqs: HashSet<u64> = HashSet::new();
     let mut sweep_retries = 0u64;
-    let mut queue = config.command_queue();
 
     read_summaries(
         &mut disk,
         &config,
         &layout,
-        queue.as_mut(),
         &mut sweep_retries,
         |seg, buf| {
             let Some(summary) = decode_summary(buf) else {
@@ -160,10 +151,11 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
 
     // Replay in global operation order. For equal timestamps (a partial
     // segment superseded by its sealed form carries the same records), the
-    // later physical write wins. The segment breaks any remaining tie the
-    // way the segment-order sweep's stable sort did, so the order does not
-    // depend on the order in which the summaries were read.
-    all.sort_by_key(|r| (r.ts, r.seq, r.idx, r.seg));
+    // later physical write wins. No two records share a key: a segment
+    // holds one summary and `idx` is a record's place in it. So the sort
+    // needs no stability, and no scratch buffer, to give one order however
+    // the summaries were read.
+    all.sort_unstable_by_key(|r| (r.ts, r.seq, r.idx, r.seg));
     let max_ts = all.last().map_or(0, |r| r.ts);
     let max_seq = all.iter().map(|r| r.seq).max().unwrap_or(0);
     let state = replay(&all, &BTreeSet::new());
@@ -257,7 +249,6 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
     let mut lld = Lld::from_parts(
         disk,
         config,
-        queue,
         layout,
         map,
         lists,
@@ -271,9 +262,6 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
         lld.invalidate_nvram();
     }
     lld.stats.recovery_summaries_read = u64::from(layout.segments);
-    if lld.queue.is_some() {
-        lld.stats.queued_reads += u64::from(layout.segments);
-    }
     lld.stats.recovery_us = elapsed;
     lld.stats.retries += sweep_retries;
     lld.stats.recovery_records_discarded = discarded;
@@ -292,59 +280,80 @@ fn sweep<D: BlockDev>(mut disk: D, config: LldConfig, layout: Layout) -> Result<
 /// replay. The paper's guarantee ("up to the last segment successfully
 /// written") degrades by exactly this segment.
 ///
-/// Without a queue the summaries are read in segment order, each with the
-/// retry budget. With one, `queue_depth` reads stay in flight, one more is
-/// submitted in segment order as each completes, and the scheduler picks
-/// which pending read goes next (SATF: the one the head reaches soonest,
-/// or one the drive's read-ahead buffer holds). A queued read that fails
-/// is read again with the full budget. At depth 1, or under FCFS, the
-/// reads go in segment order as without a queue.
+/// The reads are planned: each next one is the remaining summary with the
+/// smallest [`BlockDev::sched_access_us`], the lower segment on a tie,
+/// read directly with the retry budget. Summaries lie a segment apart,
+/// which on the drives modelled here is a few sectors apart in angle, so
+/// segment order reaches each one just after it has passed under the
+/// head; the plan trades that rotational wait for short seeks.
+///
+/// The search is bounded to [`PLAN_WINDOW`] summaries on either side of
+/// the first remaining one at or past the head's cylinder, found by binary
+/// search since `sched_cylinder` does not decrease with the segment. The
+/// bound comes from what the device reports: `sched_access_us` is the
+/// command overhead, a seek that grows with the distance between the
+/// summary's `sched_cylinder` and `sched_head_cylinder`, and a rotational
+/// wait under one revolution. So a summary farther out beats the window's
+/// best only if the wait it saves exceeds the seek it adds. On the HP
+/// C3010, 512 KB segments (E6, Loge) put summaries 0.9 cylinder and 4
+/// sectors of angle apart, 128 KB segments (E17) 0.22 cylinder and 16
+/// sectors; either way 15 successive summaries stand at 15 angles 4
+/// sectors (0.74 ms) apart, so a window reaching 15 ahead holds one with
+/// little wait left to save (at ±6 a sweep of E6's disk waits 5.8 ms a
+/// summary, as in segment order). On those disks every unbounded scan
+/// chose within −13…+16 positions, and
+/// `planned_order_matches_the_unbounded_scan` holds the two orders equal.
+/// With many summaries a cylinder (64 KB segments or less on 400 MB) the
+/// unbounded choice can lie farther out; the plan then differs from it in
+/// order only, never in the recovered state. Each step costs a binary
+/// search and `2 * PLAN_WINDOW + 1` estimates, not one per remaining
+/// summary.
 fn read_summaries<D: BlockDev>(
     disk: &mut D,
     config: &LldConfig,
     layout: &Layout,
-    queue: Option<&mut RequestQueue>,
     retries: &mut u64,
     mut visit: impl FnMut(u32, &[u8]),
 ) -> Result<()> {
-    // One summary read with the retry budget, straight to the device.
     let mut buf = vec![0u8; layout.summary_bytes];
-    let mut direct = |disk: &mut D, seg: u32, visit: &mut dyn FnMut(u32, &[u8])| -> Result<()> {
-        let start = layout.summary_base(seg);
+    let mut left = summaries(disk, layout);
+    while let Some(i) = next_summary(disk, layout, &left, PLAN_WINDOW) {
+        let (_, seg) = left.remove(i);
         let count = |_: &mut D, f: FailedRead| *retries += u64::from(f.retried);
+        let start = layout.summary_base(seg);
         if read_sectors_retrying(disk, start, &mut buf, config.read_retries, count)?.is_none() {
             visit(seg, &buf);
         }
-        Ok(())
-    };
-    let Some(q) = queue else {
-        for seg in 0..layout.segments {
-            direct(disk, seg, &mut visit)?;
-        }
-        return Ok(());
-    };
-    let mut segs = 0..layout.segments;
-    let submit = |q: &mut RequestQueue, disk: &D, seg: u32| {
-        q.submit_read(disk, layout.summary_base(seg), layout.summary_sectors());
-    };
-    for seg in segs.by_ref().take(config.queue_depth as usize) {
-        submit(q, disk, seg);
-    }
-    while let Some(c) = q.dispatch_one(disk) {
-        if let Some(next) = segs.next() {
-            submit(q, disk, next);
-        }
-        // Only summary reads are queued: each names its segment.
-        let Some(seg) = layout.segment_of_sector(c.sector) else {
-            continue;
-        };
-        match c.result {
-            Ok(Some(image)) => visit(seg, &image),
-            Ok(None) | Err(DiskError::Unreadable { .. }) => direct(disk, seg, &mut visit)?,
-            Err(e) => return Err(dev(e)),
-        }
     }
     Ok(())
+}
+
+/// How many summaries on either side of the first remaining one at or past
+/// the head's cylinder the sweep's plan considers (see [`read_summaries`]).
+const PLAN_WINDOW: usize = 16;
+
+/// Every segment with its summary's cylinder, in segment order.
+fn summaries<D: BlockDev>(disk: &D, layout: &Layout) -> Vec<(u64, u32)> {
+    (0..layout.segments)
+        .map(|seg| (disk.sched_cylinder(layout.summary_base(seg)), seg))
+        .collect()
+}
+
+/// The index in `left` (remaining [`summaries`]) of the summary to read
+/// next: the cheapest to reach among the `window` on either side of the
+/// first at or past the head's cylinder, the first on a tie. `None` once
+/// `left` is empty.
+fn next_summary<D: BlockDev>(
+    disk: &D,
+    layout: &Layout,
+    left: &[(u64, u32)],
+    window: usize,
+) -> Option<usize> {
+    let head = disk.sched_head_cylinder();
+    let pivot = left.partition_point(|&(cyl, _)| cyl < head);
+    let end = pivot.saturating_add(window).saturating_add(1);
+    (pivot.saturating_sub(window)..end.min(left.len()))
+        .min_by_key(|&i| disk.sched_access_us(layout.summary_base(left[i].1)))
 }
 
 /// What a replay of the log rebuilds.
@@ -561,6 +570,56 @@ fn break_chain(map: &mut BlockMap, lists: &mut ListTable, lid: u64, prev: Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simdisk::SimDisk;
+
+    /// The order in which the sweep reads the summaries of `layout`,
+    /// planned over `window` summaries on either side, from `disk`'s head
+    /// and clock.
+    fn planned_order(mut disk: SimDisk, layout: &Layout, window: usize) -> Vec<u32> {
+        let mut left = summaries(&disk, layout);
+        let mut buf = vec![0u8; layout.summary_bytes];
+        let mut order = Vec::new();
+        while let Some(i) = next_summary(&disk, layout, &left, window) {
+            let (_, seg) = left.remove(i);
+            disk.read_sectors(layout.summary_base(seg), &mut buf)
+                .unwrap();
+            order.push(seg);
+        }
+        order
+    }
+
+    /// The bounded plan reads in the unbounded scan's order on the disks
+    /// of E6 and Loge (400 MB, 512 KB segments) and E17 (48 MB, 128 KB
+    /// segments), at full and quick scale, from heads at the start, a
+    /// third and two thirds of the disk, at three platter angles.
+    #[test]
+    fn planned_order_matches_the_unbounded_scan() {
+        let disks = [
+            (400 << 20, 512 << 10),
+            (64 << 20, 512 << 10),
+            (48 << 20, 128 << 10),
+            (24 << 20, 128 << 10),
+        ];
+        for (bytes, segment_bytes) in disks {
+            for start in 0..3 {
+                let disk = || {
+                    let mut disk = SimDisk::hp_c3010_with_capacity(bytes);
+                    let sector = disk.total_sectors() * start / 3;
+                    disk.read_sectors(sector, &mut [0u8; 512]).unwrap();
+                    disk.advance_us(start * 4_321);
+                    disk
+                };
+                let layout = Layout::compute(disk().total_sectors(), segment_bytes, 8 << 10);
+                assert_eq!(
+                    planned_order(disk(), &layout, PLAN_WINDOW),
+                    planned_order(disk(), &layout, usize::MAX),
+                    "{} MB disk, {} KB segments, start {start}",
+                    bytes >> 20,
+                    segment_bytes >> 10
+                );
+            }
+        }
+    }
 
     /// The records of one segment, stamped from `ts` on, each its own ARU.
     fn logged(seg: u32, seq: u64, ts: u64, recs: &[Record]) -> Vec<SortRec> {

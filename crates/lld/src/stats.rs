@@ -65,8 +65,8 @@ pub struct LldStats {
     /// Segment writes (seals and partial-flush images) submitted through
     /// the tagged command queue instead of the direct path.
     pub queued_segment_writes: u64,
-    /// Reads submitted through the queue: batched cleaner victim
-    /// prefetches and the recovery sweep's summary reads.
+    /// Reads submitted through the queue: the cleaner's batched victim
+    /// prefetches. The recovery sweep reads directly, so it adds none.
     pub queued_reads: u64,
     /// Times a non-empty queue was drained to empty (every read, flush,
     /// and checkpoint fences behind all in-flight writes).

@@ -1,14 +1,16 @@
 //! Tests of the full LLD stack over the disk simulator.
 //!
 //! Crash tests live on the crash harness (`tests/harness`), which checks
-//! every crash image against `ModelLd`. The four here crash through the
+//! every crash image against `ModelLd`. The five here crash through the
 //! write recorder instead, because the model cannot express them, they
 //! measure the recovery itself, or the harness's per-operation model
 //! copies would make them slow: the two concurrent-ARU tests (the model
 //! has no `begin_aru_id`/`activate_aru`) recover every prefix of their
 //! recording, `recovery_time_scales_with_summaries_not_data` counts what
-//! one recovery reads, and `checkpoint_larger_than_the_free_pool_is_skipped`
-//! shuts down 8,000 blocks.
+//! one recovery reads, `planned_sweep_waits_little_and_recovers_the_same_state_from_any_head`
+//! times the sweep on a 400 MB disk, and
+//! `checkpoint_larger_than_the_free_pool_is_skipped` shuts down 8,000
+//! blocks.
 
 use ld_core::{Bid, FailureSet, LdError, ListHints, LogicalDisk, Pred, PredList};
 use simdisk::{BlockDev, SimDisk};
@@ -489,6 +491,82 @@ fn recovery_time_scales_with_summaries_not_data() {
         sectors_read <= summary_sectors + 16,
         "recovery read {sectors_read} sectors; summaries are only {summary_sectors}"
     );
+}
+
+/// The sweep plans its reads. On a 400 MB LLD with the paper's 512 KB
+/// segments, summaries lie 4 sectors apart in angle, so segment order
+/// would wait about half a revolution for each; the plan waits less than
+/// a quarter. A head left on another cylinder changes the order of
+/// reading but not the recovered state.
+#[test]
+fn planned_sweep_waits_little_and_recovers_the_same_state_from_any_head() {
+    let disk = SimDisk::hp_c3010_with_capacity(400 << 20);
+    let mut lld = Lld::format(disk, LldConfig::default()).unwrap();
+    lld.disk_mut().record_writes();
+    let lids: Vec<_> = (0..3)
+        .map(|_| lld.new_list(PredList::Start, ListHints::default()).unwrap())
+        .collect();
+    for i in 0..600u16 {
+        let bid = lld
+            .new_block(lids[usize::from(i % 3)], Pred::Start)
+            .unwrap();
+        lld.write(bid, &pattern(4096, i as u8)).unwrap();
+    }
+    lld.flush(FailureSet::PowerFailure).unwrap();
+    let mut images = lld.disk_mut().take_recording().unwrap();
+    images.advance_to(images.writes());
+
+    // Recovers the image with the head first moved to `sector`; returns the
+    // recovered lists with their contents, the stats, the cylinders the
+    // sweep sought in order, and its mean rotational wait.
+    let recover = |sector: u64| {
+        let mut disk = images.disk();
+        disk.read_sectors(sector, &mut [0u8; 512]).unwrap();
+        disk.reset_stats();
+        let tracer = ld_trace::Tracer::new(1 << 14);
+        disk.set_tracer(tracer.clone());
+        let mut lld = Lld::open(disk, LldConfig::default()).unwrap();
+        let sought: Vec<u32> = (tracer.tail(usize::MAX).into_iter())
+            .filter_map(|e| match e.event {
+                ld_trace::Event::SeekStart { to_cyl, .. } => Some(to_cyl),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tracer.dropped(), 0);
+        let mut stats = *lld.stats();
+        let wait = lld.disk().stats().rotation_us / stats.recovery_summaries_read;
+        stats.recovery_us = 0;
+        let mut buf = vec![0u8; 4096];
+        let lists: Vec<_> = (lld.list_of_lists().into_iter())
+            .map(|lid| {
+                let blocks: Vec<_> = (lld.list_blocks(lid).unwrap().into_iter())
+                    .map(|bid| {
+                        let n = lld.read(bid, &mut buf).unwrap();
+                        (bid, buf[..n].to_vec())
+                    })
+                    .collect();
+                (lid, blocks)
+            })
+            .collect();
+        (lists, stats, sought, wait)
+    };
+    let (lists, stats, sought, wait) = recover(0);
+    let quarter = SimDisk::hp_c3010_with_capacity(400 << 20)
+        .timing()
+        .revolution_us()
+        / 4;
+    assert!(wait < quarter, "mean rotational wait {wait} us");
+    assert_eq!(stats.recovery_summaries_read, 800);
+    assert_eq!(lists.len(), 3);
+    assert!(lists.iter().all(|(_, blocks)| blocks.len() == 200));
+
+    let (lists_mid, stats_mid, sought_mid, _) = recover(400_000);
+    assert_ne!(
+        sought, sought_mid,
+        "the head's cylinder must change the order"
+    );
+    assert_eq!(lists, lists_mid);
+    assert_eq!(stats, stats_mid);
 }
 
 /// A shutdown whose checkpoint outgrows the free pool writes none: 8,000

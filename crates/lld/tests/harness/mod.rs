@@ -15,8 +15,8 @@
 //!    - (a) `ldck` passes the image before and after recovery, and its
 //!      sweep of the recovered medium rebuilds the recovered remap table;
 //!    - (b) two recoveries give the same [`Observed`] and leave the same
-//!      medium and NVRAM; with a command queue, a sweep reads every
-//!      summary through it;
+//!      medium and NVRAM; a sweep reads no summary through the command
+//!      queue;
 //!    - (c) the recovered lists, list order, hints and contents are the
 //!      model's at some boundary from the last durable one before the crash
 //!      to the operation in flight at it, and every other block id ever
@@ -1071,18 +1071,8 @@ fn recover(
     let mut lld = Lld::open(disk, config.clone())
         .map_err(|e| TestCaseError::fail(format!("{when}: recovery failed: {e}")))?;
     let (stats, disk) = (*lld.stats(), *lld.disk().stats());
-    // With a command queue, the sweep reads every summary through it.
-    let queued = if config.queue_depth >= 1 && !stats.recovered_from_checkpoint {
-        stats.recovery_summaries_read
-    } else {
-        0
-    };
-    prop_assert_eq!(
-        stats.queued_reads,
-        queued,
-        "{}: summaries read queued",
-        when
-    );
+    // The sweep reads every summary directly, whatever the queue.
+    prop_assert_eq!(stats.queued_reads, 0, "{}: summaries read queued", when);
     let observed = observe(&mut lld, top);
     let mut nvram = vec![0u8; lld.disk().nvram_bytes()];
     lld.disk_mut()

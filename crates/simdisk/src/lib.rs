@@ -158,7 +158,9 @@ pub trait BlockDev {
     /// seek + rotational wait, in microseconds) to begin a transfer at
     /// `sector` if it were dispatched right now. Pure: consults only the
     /// simulated clock, the head position and the drive's read-ahead
-    /// buffer, never changes any of them.
+    /// buffer, never changes any of them. Two callers use it: SATF in
+    /// [`queue`] picks the pending request it prices lowest, and LLD's
+    /// recovery sweep reads next the remaining summary it prices lowest.
     ///
     /// A `sector` inside the read-ahead buffer costs the command overhead
     /// alone, which is what a read served from the buffer is charged

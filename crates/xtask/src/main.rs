@@ -816,12 +816,19 @@ fn baseline_identity() -> Result<(), String> {
         .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
         .collect();
     committed.sort();
+    let mut mismatches = Vec::new();
     for name in &committed {
-        if !fresh.contains(read(&root.join(name))?.trim()) {
-            return Err(format!(
-                "{out} has no document identical to the committed {name}"
-            ));
+        let text = read(&root.join(name))?;
+        if !fresh.contains(text.trim()) {
+            mismatches.push(first_difference(name, &text, &fresh));
         }
+    }
+    if !mismatches.is_empty() {
+        return Err(format!(
+            "{out} has no document identical to {} committed file(s):\n{}",
+            mismatches.len(),
+            mismatches.join("\n")
+        ));
     }
     // Every document opens with a `{` line of its own; rows are one line each.
     let documents = fresh.lines().filter(|l| *l == "{").count();
@@ -834,9 +841,72 @@ fn baseline_identity() -> Result<(), String> {
     Ok(())
 }
 
+/// Where the committed BENCH document `text` (file `name`) first departs
+/// from the regenerated document of the same experiment in `fresh`, the
+/// array `repro --json-out` wrote: the line number and both versions of
+/// the line. A regenerated document starts at a `{` line and ends at a
+/// `}` or `},` line, both unindented.
+fn first_difference(name: &str, text: &str, fresh: &str) -> String {
+    let committed: Vec<&str> = text.trim().lines().collect();
+    let experiment = (committed.iter()).find(|l| l.trim_start().starts_with("\"experiment\":"));
+    let Some(experiment) = experiment else {
+        return format!("  {name}: no \"experiment\" line");
+    };
+    let mut documents: Vec<Vec<&str>> = Vec::new();
+    for line in fresh.lines() {
+        match line {
+            "{" => documents.push(vec![line]),
+            "}" | "}," => documents.last_mut().into_iter().for_each(|d| d.push("}")),
+            _ => documents.last_mut().into_iter().for_each(|d| d.push(line)),
+        }
+    }
+    let Some(document) = documents.iter().find(|d| d.contains(experiment)) else {
+        return format!(
+            "  {name}: no regenerated document has {}",
+            experiment.trim()
+        );
+    };
+    let n = committed.len().max(document.len());
+    let differs = (0..n).find(|&i| committed.get(i) != document.get(i));
+    let shown = |l: Option<&&str>| l.map_or("(end of document)", |l| *l).trim().to_string();
+    match differs {
+        Some(i) => format!(
+            "  {name} line {}:\n    committed   {}\n    regenerated {}",
+            i + 1,
+            shown(committed.get(i)),
+            shown(document.get(i))
+        ),
+        None => format!("  {name}: differs only in whitespace around the document"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A mismatching baseline names its file, the first differing line and
+    /// both versions of it; a missing experiment says so.
+    #[test]
+    fn first_difference_names_the_file_and_the_first_differing_row() {
+        let fresh = "[\n{\n  \"experiment\": \"a\",\n  \"rows\": [\n    {\"x\": 1}\n  ]\n},\n\
+                     {\n  \"experiment\": \"b\",\n  \"rows\": [\n    {\"x\": 3},\n    {\"x\": 5}\n  ]\n}\n]\n";
+        let committed =
+            "{\n  \"experiment\": \"b\",\n  \"rows\": [\n    {\"x\": 3},\n    {\"x\": 4}\n  ]\n}\n";
+        assert_eq!(
+            first_difference("BENCH_b.json", committed, fresh),
+            "  BENCH_b.json line 5:\n    committed   {\"x\": 4}\n    regenerated {\"x\": 5}"
+        );
+        let shorter = "{\n  \"experiment\": \"a\",\n  \"rows\": [\n  ]\n}\n";
+        assert_eq!(
+            first_difference("BENCH_a.json", shorter, fresh),
+            "  BENCH_a.json line 4:\n    committed   ]\n    regenerated {\"x\": 1}"
+        );
+        let missing = "{\n  \"experiment\": \"c\"\n}\n";
+        assert_eq!(
+            first_difference("BENCH_c.json", missing, fresh),
+            "  BENCH_c.json: no regenerated document has \"experiment\": \"c\""
+        );
+    }
 
     fn lint_file(rel: &str, source: &str) -> Vec<String> {
         let mut lint = Lint::default();

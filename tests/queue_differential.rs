@@ -8,10 +8,10 @@
 //!   the run must be *bit-identical* to `queue_depth: 0` — same final
 //!   medium image, same simulated clock, same disk statistics. Queueing
 //!   at depth 1 may not cost or save a single microsecond.
-//! - **An FCFS queue sweeps like the direct path.** The recovery sweep
-//!   reads its summaries through the queue whenever there is one; under
-//!   FCFS, at depth 1 or deeper, it recovers the same state in the same
-//!   simulated time as the direct sweep.
+//! - **The recovery sweep ignores the queue.** The sweep plans its own
+//!   summary reads and issues them directly, so under any scheduler at
+//!   any depth it recovers the same state in the same simulated time as
+//!   at depth 0, down to every LLD and disk counter.
 //! - **No scheduler reorders writes.** Whatever the scheduler does with
 //!   reads, writes dispatch in submission order among themselves, reads
 //!   never jump an overlapping request, and coalescing
@@ -184,9 +184,9 @@ struct Recovered {
     clock: u64,
 }
 
-/// Recovers `image` at queue depth `depth` (FCFS).
-fn recover(image: &[u8], depth: u32) -> Recovered {
-    let (config, _) = configs(depth, Scheduler::Fcfs);
+/// Recovers `image` at queue depth `depth` under `scheduler`.
+fn recover(image: &[u8], depth: u32, scheduler: Scheduler) -> Recovered {
+    let (config, _) = configs(depth, scheduler);
     let mut disk = SimDisk::hp_c3010_with_capacity(24 << 20);
     disk.load_image(image);
     let mut ld = Lld::open(disk, config).expect("recover");
@@ -211,25 +211,23 @@ fn recover(image: &[u8], depth: u32) -> Recovered {
     }
 }
 
-/// The recovery sweep through an FCFS queue reads the summaries in
-/// segment order, however many are in flight: at depths 1 and 4 it
-/// recovers the same lists and contents as the direct sweep, in the same
-/// simulated time, with the same disk statistics.
+/// The recovery sweep reads the same summaries in the same order whatever
+/// the queue: FCFS and SATF at depths 1, 4 and 8 recover the same lists
+/// and contents as depth 0, in the same simulated time, with the same
+/// `LldStats` (no counter masked) and disk statistics.
 #[test]
-fn fcfs_queued_sweep_is_bit_identical_to_direct_sweep() {
+fn sweep_is_bit_identical_at_every_depth_and_scheduler() {
     let image = crash_image();
-    let direct = recover(&image, 0);
+    let direct = recover(&image, 0, Scheduler::Fcfs);
     assert!(!direct.lld.recovered_from_checkpoint);
     assert!(direct.lld.recovery_us > 0);
+    assert_eq!(direct.lld.queued_reads, 0);
     assert_eq!(direct.lists.len(), 3);
-    for depth in [1, 4] {
-        let mut queued = recover(&image, depth);
-        assert_eq!(
-            queued.lld.queued_reads, queued.lld.recovery_summaries_read,
-            "depth {depth}: every summary read goes through the queue"
-        );
-        queued.lld.queued_reads = 0;
-        assert_eq!(queued, direct, "depth {depth}");
+    for scheduler in [Scheduler::Fcfs, Scheduler::Satf] {
+        for depth in [1, 4, 8] {
+            let queued = recover(&image, depth, scheduler);
+            assert_eq!(queued, direct, "{scheduler:?} at depth {depth}");
+        }
     }
 }
 
