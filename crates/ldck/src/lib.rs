@@ -704,24 +704,6 @@ fn apply(state: &mut State, r: &RepRec) {
             state.lists.entry(lid).or_insert(None);
         }
         Record::EndAru => {}
-        Record::Swap { a, b } => {
-            if state.blocks.contains_key(&a) && state.blocks.contains_key(&b) {
-                let ea = state.blocks[&a];
-                let eb = state.blocks[&b];
-                if let Some(ma) = state.blocks.get_mut(&a) {
-                    ma.seg = eb.seg;
-                    ma.offset = eb.offset;
-                    ma.stored_len = eb.stored_len;
-                    ma.logical_len = eb.logical_len;
-                }
-                if let Some(mb) = state.blocks.get_mut(&b) {
-                    mb.seg = ea.seg;
-                    mb.offset = ea.offset;
-                    mb.stored_len = ea.stored_len;
-                    mb.logical_len = ea.logical_len;
-                }
-            }
-        }
         Record::RetireSector { sector } => {
             state.bad_sectors.insert(sector);
         }

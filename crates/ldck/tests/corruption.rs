@@ -471,6 +471,51 @@ fn overlapping_extents_are_flagged() {
     );
 }
 
+/// Class 5b: a `Locate` is a `WriteBlock` that names its segment. Its
+/// no-copy form (`NO_SEG`, lengths 0, as a swap with a never-written block
+/// logs) is a valid state; any other segment past the device's end is a
+/// forgery the sweep must flag.
+#[test]
+fn locate_past_the_device_is_flagged() {
+    let (mut image, layout, view) = clean_image();
+    image[6] = 0; // Sweep mode: the forged record is the newest word.
+    let free_seg = view
+        .usage
+        .iter()
+        .position(|u| u.state == SegState::Free)
+        .expect("a free segment") as u32;
+    let base = layout.summary_base(free_seg) as usize * SECTOR_SIZE;
+    let bid = view.blocks.first().expect("a live block").0;
+    let forge = |seg: u32| {
+        let mut b = SummaryBuilder::new();
+        b.push(Stamped {
+            ts: view.ts + 10,
+            ends_aru: true,
+            aru: None,
+            rec: Record::Locate {
+                bid,
+                seg,
+                offset: 0,
+                stored_len: 0,
+                logical_len: 0,
+                compressed: false,
+            },
+        });
+        let mut forged = image.clone();
+        let summary = b.finish(view.seq + 10, layout.summary_bytes);
+        forged[base..base + layout.summary_bytes].copy_from_slice(&summary);
+        check_image(&forged, &config())
+    };
+    let no_copy = forge(lld::NO_SEG);
+    assert!(no_copy.is_clean(), "unexpected: {:?}", no_copy.findings);
+    let past_end = forge(layout.segments + 1);
+    assert!(
+        kinds(&past_end).contains(&Kind::BlockOutOfBounds),
+        "wrong findings: {:?}",
+        past_end.findings
+    );
+}
+
 /// Class 6: a summary whose physical-write sequence says "latest" but
 /// whose newest record timestamp is older than records already durable
 /// under earlier sequences — the signature of a queued segment write

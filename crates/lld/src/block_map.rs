@@ -69,6 +69,31 @@ impl BlockEntry {
     pub fn on_disk(&self) -> bool {
         self.seg != OPEN_SEG && self.seg != NO_SEG
     }
+
+    /// The record that states where block `bid`'s copy lies, as this entry
+    /// has it: a `WriteBlock` in the open segment, else a
+    /// [`Record::Locate`], the no-copy form for a block never written.
+    pub(crate) fn location(&self, bid: u64) -> Record {
+        let (seg, offset, stored_len) = (self.seg, self.offset, self.stored_len);
+        let (logical_len, compressed) = (self.logical_len, self.compressed);
+        match seg {
+            OPEN_SEG => Record::WriteBlock {
+                bid,
+                offset,
+                stored_len,
+                logical_len,
+                compressed,
+            },
+            _ => Record::Locate {
+                bid,
+                seg,
+                offset,
+                stored_len,
+                logical_len,
+                compressed,
+            },
+        }
+    }
 }
 
 /// The block-number map: logical block number → [`BlockEntry`].
@@ -549,22 +574,6 @@ pub(crate) fn apply(map: &mut BlockMap, lists: &mut ListTable, seg: u32, rec: &R
                 lists.install(lid, pred, ListHints::default());
             }
         }
-        Record::Swap { a, b } => {
-            // Exchange the physical fields; skip unless both blocks exist
-            // at this point of the log.
-            if let (Some(&ea), Some(&eb)) = (map.get(a), map.get(b)) {
-                for (bid, copy) in [(a, eb), (b, ea)] {
-                    if let Some(e) = map.get_mut(bid) {
-                        *e = BlockEntry {
-                            size_class: e.size_class,
-                            next: e.next,
-                            list: e.list,
-                            ..copy
-                        };
-                    }
-                }
-            }
-        }
         Record::EndAru | Record::RetireSector { .. } | Record::Quarantine { .. } => {}
     }
 }
@@ -579,6 +588,99 @@ fn ensure_block(map: &mut BlockMap, bid: u64) -> &mut BlockEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `Some` of a draw below `n`, or `None`.
+    fn opt(n: u64) -> impl Strategy<Value = Option<u64>> {
+        (any::<bool>(), 0..n).prop_map(|(some, v)| some.then_some(v))
+    }
+
+    /// Any summary record, over a few block, list and segment ids so that
+    /// records meet each other's entities.
+    fn record() -> impl Strategy<Value = Record> {
+        let copy = || (0u64..6, 0u32..8, 0u32..4096, any::<bool>());
+        prop_oneof![
+            (0u64..6, 0u64..3, 1u32..5).prop_map(|(bid, lid, k)| Record::NewBlock {
+                bid,
+                lid,
+                size_class: k * 1024,
+            }),
+            (0u64..6).prop_map(|bid| Record::DeleteBlock { bid }),
+            copy().prop_map(|(bid, at, len, compressed)| Record::WriteBlock {
+                bid,
+                offset: at * 4096,
+                stored_len: len,
+                logical_len: len,
+                compressed,
+            }),
+            (copy(), 0u32..4).prop_map(|((bid, at, len, compressed), seg)| match seg {
+                3 => BlockEntry::new(0, 0).location(bid),
+                seg => Record::Locate {
+                    bid,
+                    seg,
+                    offset: at * 4096,
+                    stored_len: len,
+                    logical_len: len,
+                    compressed,
+                },
+            }),
+            (0u64..6, opt(6)).prop_map(|(bid, next)| Record::Link { bid, next }),
+            (0u64..3, opt(6)).prop_map(|(lid, first)| Record::ListHead { lid, first }),
+            (0u64..3, opt(3), 0u8..8).prop_map(|(lid, pred, bits)| Record::NewList {
+                lid,
+                pred,
+                hints: ListHints::from_bits(bits),
+            }),
+            (0u64..3).prop_map(|lid| Record::DeleteList { lid }),
+            (0u64..3, opt(3)).prop_map(|(lid, pred)| Record::ListOrder { lid, pred }),
+            Just(Record::EndAru),
+            (0u64..64).prop_map(|sector| Record::RetireSector { sector }),
+            (0u32..4).prop_map(|seg| Record::Quarantine { seg }),
+        ]
+    }
+
+    type Tables = (Vec<(u64, BlockEntry)>, Vec<(u64, ListEntry)>, Vec<u64>);
+
+    /// The tables as the sweep leaves them, free stacks rebuilt.
+    fn tables(map: &mut BlockMap, lists: &mut ListTable) -> Tables {
+        map.rebuild_free_stack();
+        lists.rebuild_free_stack();
+        let blocks = map.iter().map(|(b, e)| (b, *e)).collect();
+        (
+            blocks,
+            lists.iter().map(|(l, e)| (l, *e)).collect(),
+            lists.order(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every record is an upsert: applying each record of a summary
+        /// twice in a row, as a sweep that met two physical copies of it
+        /// would, leaves the map and lists that applying it once does,
+        /// whatever state the summaries before it left.
+        #[test]
+        fn applying_each_record_twice_is_applying_it_once(
+            before in prop::collection::vec(record(), 0..24),
+            summary in prop::collection::vec(record(), 1..24),
+            seg in 0u32..4,
+        ) {
+            let replay = |copies: usize| {
+                let (mut map, mut lists) = (BlockMap::new(), ListTable::new());
+                for r in &before {
+                    apply(&mut map, &mut lists, 7, r);
+                }
+                for r in &summary {
+                    for _ in 0..copies {
+                        apply(&mut map, &mut lists, seg, r);
+                    }
+                }
+                tables(&mut map, &mut lists)
+            };
+            prop_assert_eq!(replay(2), replay(1));
+        }
+    }
 
     #[test]
     fn block_numbers_are_recycled_lowest_first_after_rebuild() {

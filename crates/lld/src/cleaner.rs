@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ld_core::Result;
 use simdisk::BlockDev;
 
-use crate::block_map::{BlockEntry, RankMemo};
+use crate::block_map::{BlockEntry, RankMemo, OPEN_SEG};
 use crate::records::Record;
 use crate::usage::SegState;
 use crate::Lld;
@@ -249,13 +249,12 @@ impl<D: BlockDev> Lld<D> {
             return Ok(false);
         }
         let offset = self.open.append_data(bytes);
-        self.commit_internal(Record::WriteBlock {
-            bid,
+        let moved = BlockEntry {
+            seg: OPEN_SEG,
             offset,
-            stored_len: old.stored_len,
-            logical_len: old.logical_len,
-            compressed: old.compressed,
-        });
+            ..old
+        };
+        self.commit_internal(moved.location(bid));
         self.usage.sub_live(old.seg, u64::from(old.stored_len));
         self.open_live += u64::from(old.stored_len);
         self.open_bids.push(bid);
@@ -269,10 +268,11 @@ impl<D: BlockDev> Lld<D> {
     /// holding a confirmed-bad sector) it must not stay the only copy of
     /// any live record. What it held cannot be read, so the whole state is
     /// re-logged once for the batch: every list and block id below the
-    /// high-water marks (live or deleted), where each on-disk copy lies
-    /// (a lost `Swap` moved copies without a `WriteBlock`), the bad-sector
-    /// table and the quarantined segments. The one retirement path of the
-    /// cleaner and scrub.
+    /// high-water marks (live or deleted), where each live block's copy
+    /// lies unless it is in the open segment (a lost swap's `Locate`s can
+    /// have been the newest word on it), the bad-sector table and the
+    /// quarantined segments. The one retirement path of the cleaner and
+    /// scrub.
     fn retire_segments(&mut self, segs: &[(u32, bool)]) -> Result<()> {
         for &(seg, _) in segs {
             self.ensure_room(0, 1)?;
@@ -312,21 +312,15 @@ impl<D: BlockDev> Lld<D> {
         Ok(())
     }
 
-    /// Logs where block `bid`'s copy lies, as a [`Record::Locate`], if it
-    /// lies on the medium. Returns the records logged.
+    /// Logs where live block `bid`'s copy lies, as a [`Record::Locate`]
+    /// (the no-copy form if it has none), unless it is in the open segment,
+    /// whose summary already says so. Returns the records logged.
     fn relog_location(&mut self, bid: u64) -> Result<u64> {
         self.ensure_room(0, 1)?;
-        let Some(&e) = self.map.get(bid).filter(|e| e.on_disk()) else {
+        let Some(&e) = self.map.get(bid).filter(|e| e.seg != OPEN_SEG) else {
             return Ok(0);
         };
-        self.log_internal(Record::Locate {
-            bid,
-            seg: e.seg,
-            offset: e.offset,
-            stored_len: e.stored_len,
-            logical_len: e.logical_len,
-            compressed: e.compressed,
-        });
+        self.log_internal(e.location(bid));
         Ok(1)
     }
 
@@ -384,20 +378,22 @@ impl<D: BlockDev> Lld<D> {
 
         // Live blocks come from the block-number map (authoritative); the
         // summary is only needed to know which entities' metadata records
-        // must be re-logged before the summary is discarded. A block can
-        // have left since `live` was gathered (an earlier victim of the
-        // batch force-forwards its Swap partners), but none can arrive:
-        // only seals fill segments, and they fill free ones.
-        live.retain(|&bid| self.map.get(bid).is_some_and(|e| e.seg == victim));
+        // must be re-logged before the summary is discarded. None has left
+        // since `live` was gathered: an earlier victim of the batch moves
+        // only its own blocks, and its seals run under `guarded`, so no
+        // nested cleaning can. None can arrive either: only seals fill
+        // segments, and they fill free ones.
+        debug_assert!(live
+            .iter()
+            .all(|&bid| self.map.get(bid).is_some_and(|e| e.seg == victim)));
 
         // Sorted and deduplicated below: nearly every record names a block,
         // and one sort is cheaper than a set insert per record.
         let mut mentioned_bids: Vec<u64> = Vec::new();
         let mut mentioned_lids: BTreeSet<u64> = BTreeSet::new();
-        let mut swap_bids: BTreeSet<u64> = BTreeSet::new();
         let mut mentioned_sectors: BTreeSet<u64> = BTreeSet::new();
         let mut mentioned_quarantines: BTreeSet<u32> = BTreeSet::new();
-        let mut located: BTreeSet<(u32, u32)> = BTreeSet::new();
+        let mut located: BTreeSet<(u64, u32, u32)> = BTreeSet::new();
         let summary = {
             let mut buf = Vec::new();
             let bytes = match span {
@@ -436,17 +432,6 @@ impl<D: BlockDev> Lld<D> {
                         mentioned_lids.insert(lid);
                     }
                     Record::EndAru => {}
-                    Record::Swap { a, b } => {
-                        // A Swap record redirects two mappings without a
-                        // WriteBlock. Once this summary is discarded, replay
-                        // would reconstruct the pre-swap mapping, so the
-                        // affected blocks' data must be forwarded to make
-                        // their current locations explicit.
-                        mentioned_bids.push(a);
-                        mentioned_bids.push(b);
-                        swap_bids.insert(a);
-                        swap_bids.insert(b);
-                    }
                     Record::RetireSector { sector } => {
                         mentioned_sectors.insert(sector);
                     }
@@ -457,7 +442,7 @@ impl<D: BlockDev> Lld<D> {
                         bid, seg, offset, ..
                     } => {
                         mentioned_bids.push(bid);
-                        located.insert((seg, offset));
+                        located.insert((bid, seg, offset));
                     }
                 }
             }
@@ -505,24 +490,6 @@ impl<D: BlockDev> Lld<D> {
             }
         }
 
-        // Force-forward live blocks whose mapping depends on a Swap record
-        // in this summary, wherever their data currently lives.
-        for bid in swap_bids {
-            let Some(e) = self.map.get(bid).copied() else {
-                continue;
-            };
-            if !e.on_disk() {
-                continue; // Already in the open buffer.
-            }
-            let Some(bytes) = self.cleaner_read_copy(&e)? else {
-                unreadable_live = true;
-                continue;
-            };
-            if self.forward(bid, e, &bytes)? {
-                self.stats.cleaner_bytes_copied += u64::from(e.stored_len);
-            }
-        }
-
         if unreadable_live {
             // Some live copy stayed unreadable after retries. Blocks
             // already forwarded are safe (their new records outrank the
@@ -539,20 +506,12 @@ impl<D: BlockDev> Lld<D> {
         for bid in mentioned_bids {
             self.stats.cleaner_records_relogged += self.relog_block(bid)?;
         }
-        // A `Locate` stands for a lost summary, whose `Swap`s moved copies
-        // without a `WriteBlock`: re-log where each located copy lies, for
-        // whichever block holds it now (later `Swap`s can have passed it on;
-        // a later `WriteBlock` or deletion leaves it to none).
-        let mut holders: Vec<u64> = Vec::new();
-        if !located.is_empty() {
-            holders.extend(
-                (self.map.iter())
-                    .filter(|(_, e)| e.on_disk() && located.contains(&(e.seg, e.offset)))
-                    .map(|(bid, _)| bid),
-            );
-        }
-        for bid in holders {
-            self.stats.cleaner_records_relogged += self.relog_location(bid)?;
+        // A `Locate` is current while its block still lies where it says
+        // (or still has no copy); any later move logged a newer record.
+        for (bid, seg, offset) in located {
+            if (self.map.get(bid)).is_some_and(|e| e.seg == seg && e.offset == offset) {
+                self.stats.cleaner_records_relogged += self.relog_location(bid)?;
+            }
         }
         for lid in mentioned_lids {
             self.stats.cleaner_records_relogged += self.relog_list(lid)?;

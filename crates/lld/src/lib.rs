@@ -1385,13 +1385,19 @@ impl<D: BlockDev> LogicalDisk for Lld<D> {
         }
         // The seal inside ensure_room may re-point open-segment copies;
         // the swap reads both entries as they are after it.
-        self.ensure_room(0, 1)?;
-        // Per-segment live bytes are unchanged (both copies stay live in
-        // their segments), but open-segment bookkeeping must see both bids
-        // so a later seal re-points whichever now lives in the buffer.
-        self.open_bids.push(a.0);
-        self.open_bids.push(b.0);
-        self.commit(Record::Swap { a: a.0, b: b.0 });
+        self.ensure_room(0, 2)?;
+        let ea = *self.map.get(a.0).ok_or(LdError::UnknownBlock(a))?;
+        let eb = *self.map.get(b.0).ok_or(LdError::UnknownBlock(b))?;
+        // Each block logs where its new copy lies, so no record depends on
+        // another. Per-segment live bytes are unchanged (both copies stay
+        // live where they are); a later seal re-points a block whose copy
+        // is now in the buffer.
+        for (bid, copy) in [(a.0, eb), (b.0, ea)] {
+            if copy.seg == OPEN_SEG {
+                self.open_bids.push(bid);
+            }
+            self.commit(copy.location(bid));
+        }
         Ok(())
     }
 

@@ -93,14 +93,6 @@ pub enum Record {
     },
     /// Explicit end of an atomic recovery unit.
     EndAru,
-    /// The physical contents of `a` and `b` traded places
-    /// (`SwapContents`, §5.4).
-    Swap {
-        /// First block.
-        a: u64,
-        /// Second block.
-        b: u64,
-    },
     /// Sector `sector` retired into the persistent bad-block remap table
     /// after a scrub confirmed it unreadable. Medium health is monotone —
     /// a retired sector never comes back — so recovery applies these
@@ -117,14 +109,16 @@ pub enum Record {
         seg: u32,
     },
     /// A [`Record::WriteBlock`] naming its segment: block `bid`'s copy lies
-    /// at `offset` in segment `seg`'s data region. Logged for every block
-    /// on the medium when a segment is retired for a lost summary (whose
-    /// `Swap`s moved copies without a `WriteBlock`), and re-logged by the
-    /// cleaner for whichever block holds that copy then.
+    /// at `offset` in segment `seg`'s data region, or, with `seg` =
+    /// [`NO_SEG`](crate::NO_SEG) and every length 0, `bid` has no copy.
+    /// `SwapContents` (§5.4) logs one per block for a copy that is not in
+    /// the open segment; a segment retired for a lost summary logs one per
+    /// live block not in the open segment; the cleaner re-logs a victim's
+    /// while its block still lies there.
     Locate {
         /// The located block.
         bid: u64,
-        /// The segment holding the copy.
+        /// The segment holding the copy, or `NO_SEG` for none.
         seg: u32,
         /// Byte offset within that segment's data region.
         offset: u32,
@@ -166,7 +160,9 @@ const T_NEW_LIST: u8 = 6;
 const T_DELETE_LIST: u8 = 7;
 const T_LIST_ORDER: u8 = 8;
 const T_END_ARU: u8 = 9;
-const T_SWAP: u8 = 10;
+// Tag 10 is reserved and never reused: older summaries carry it for a
+// swap record that named no location, and such a summary must fail to
+// decode rather than be read as some other record.
 const T_RETIRE_SECTOR: u8 = 11;
 const T_QUARANTINE: u8 = 12;
 const T_LOCATE: u8 = 13;
@@ -280,7 +276,6 @@ impl SummaryBuilder {
             Record::DeleteList { .. } => T_DELETE_LIST,
             Record::ListOrder { .. } => T_LIST_ORDER,
             Record::EndAru => T_END_ARU,
-            Record::Swap { .. } => T_SWAP,
             Record::RetireSector { .. } => T_RETIRE_SECTOR,
             Record::Quarantine { .. } => T_QUARANTINE,
             Record::Locate { .. } => T_LOCATE,
@@ -347,10 +342,6 @@ impl SummaryBuilder {
                 put_opt(&mut self.body, pred);
             }
             Record::EndAru => {}
-            Record::Swap { a, b } => {
-                put_varint(&mut self.body, a);
-                put_varint(&mut self.body, b);
-            }
             Record::RetireSector { sector } => put_varint(&mut self.body, sector),
             Record::Quarantine { seg } => put_varint(&mut self.body, u64::from(seg)),
             Record::Locate {
@@ -495,10 +486,6 @@ pub fn decode_summary(data: &[u8]) -> Option<Summary> {
                 pred: get_opt(body, &mut pos)?,
             },
             T_END_ARU => Record::EndAru,
-            T_SWAP => Record::Swap {
-                a: get_varint(body, &mut pos)?,
-                b: get_varint(body, &mut pos)?,
-            },
             T_RETIRE_SECTOR => Record::RetireSector {
                 sector: get_varint(body, &mut pos)?,
             },
@@ -617,7 +604,14 @@ mod tests {
                 ts: 113,
                 ends_aru: true,
                 aru: None,
-                rec: Record::Swap { a: 3, b: 9 },
+                rec: Record::Locate {
+                    bid: 9,
+                    seg: crate::NO_SEG,
+                    offset: 0,
+                    stored_len: 0,
+                    logical_len: 0,
+                    compressed: false,
+                },
             },
             Stamped {
                 ts: 114,
@@ -671,8 +665,26 @@ mod tests {
         let full = b.finish(42, 4096);
         let empty = SummaryBuilder::new().finish(1, 512);
         let pin = |bytes: &[u8]| (wire::le_u64(bytes, 32), wire::fnv1a64(bytes));
-        assert_eq!(pin(&full), (0xd29b_3ca4_d67d_a7e2, 0x4a83_0587_1ab1_66c8));
+        assert_eq!(pin(&full), (0x8b3e_8ff5_8690_4f36, 0x16b6_cca8_cde0_6c6f));
         assert_eq!(pin(&empty), (0x5b2a_969b_42d2_38a4, 0x3f44_e94a_7644_9665));
+    }
+
+    /// Tag 10 stays reserved (it was `Swap`): a summary carrying it does
+    /// not decode, though its checksum holds.
+    #[test]
+    fn reserved_tag_does_not_decode() {
+        let mut b = SummaryBuilder::new();
+        b.push(Stamped {
+            ts: 5,
+            ends_aru: true,
+            aru: None,
+            rec: Record::DeleteBlock { bid: 3 },
+        });
+        assert!(decode_summary(&b.finish(1, 512)).is_some());
+        // Tag, timestamp delta, bid: retag it and add a second field.
+        b.body[0] = 10 | F_ENDS_ARU;
+        b.body.push(9);
+        assert_eq!(decode_summary(&b.finish(1, 512)), None);
     }
 
     #[test]

@@ -420,8 +420,10 @@ fn replay(all: &[SortRec], without: &BTreeSet<u32>) -> Replayed {
         // A partial segment superseded by a later partial (or its seal)
         // carries the *same* records under a higher sequence number. The
         // timestamp uniquely identifies a logical record, so apply only
-        // the newest physical copy — replaying duplicates would, for
-        // non-idempotent records like Swap, undo themselves.
+        // the newest physical copy. Every record is an upsert, so applying
+        // the older copies first would leave the same tables; the skip
+        // keeps each logical record counted once, which
+        // `recovery_records_discarded` relies on.
         if records.peek().is_some_and(|next| next.ts == r.ts) {
             continue;
         }

@@ -19,11 +19,12 @@
 //!    stale cleaner rank memo fails here.
 //! 4. **Directed workloads** for list structure, ARUs, swaps, compression
 //!    and cleaning, each checked at prefixes inside the operation it is
-//!    about and at its log's end. Three of them here and
+//!    about and at its log's end. Four of them here and
 //!    `recovery_idempotent::sweep_of_a_disk_with_a_summary_in_every_segment_keeps_the_reserve`
 //!    assert that their runs sealed and cleaned segments before their
 //!    crash positions: `cleaner_reclaims_overwritten_segments`,
-//!    `swap_contents_survives_cleaning_of_the_swap_record` and
+//!    `swap_contents_survives_cleaning_of_the_swap_record`,
+//!    `swap_with_an_unwritten_block_survives_cleaning` and
 //!    `reorganize_hot_clusters_frequently_accessed_blocks`. They are the
 //!    model-checked crash images among sealed and cleaned segments that
 //!    property 2's random workloads, which seldom fill a segment, lack.
@@ -446,9 +447,10 @@ fn swap_contents_swaps_and_survives_crash() -> TestCaseResult {
     Ok(())
 }
 
-/// The Swap record redirects mappings without a WriteBlock; cleaning the
-/// segment holding it must forward the blocks so that recovery still sees
-/// the swapped state.
+/// A swap of two blocks whose copies are in the open segment logs a
+/// `WriteBlock` for each, in the summary beside both copies. Cleaning
+/// that segment forwards both as live blocks, and recovery still sees the
+/// swapped contents.
 #[test]
 fn swap_contents_survives_cleaning_of_the_swap_record() -> TestCaseResult {
     let mut run = small_run();
@@ -482,6 +484,78 @@ fn swap_contents_survives_cleaning_of_the_swap_record() -> TestCaseResult {
     }
     prop_assert!(home.is_some() && run.lld.block_segment(a) != home);
     sealed_and_cleaned(&run)?;
+    crash_in_flush(run, None)?;
+    Ok(())
+}
+
+/// Swapping a written block with one never written leaves the first with
+/// no copy. Once the cleaner reclaims the summary holding the swap, the
+/// block's older `WriteBlock`, still readable in a freed segment that no
+/// seal has overwritten yet, must not bring the old copy back: the swap
+/// logged the no-copy state itself, and the cleaner keeps it current.
+#[test]
+fn swap_with_an_unwritten_block_survives_cleaning() -> TestCaseResult {
+    let mut run = small_run();
+    let lid = run.new_list(PredList::Start, ListHints::default())?;
+    let a = run.new_block(lid, Pred::Start)?;
+    let b = run.new_block(lid, Pred::After(a))?;
+    run.write(a, &content(1, 4096))?;
+    let mut pred = Pred::After(b);
+    for seed in 0..13 {
+        let cold = run.new_block(lid, pred)?;
+        run.write(cold, &content(10 + seed, 4096))?;
+        pred = Pred::After(cold);
+    }
+    run.flush()?;
+    prop_assert_eq!(run.both(|ld| ld.swap_contents(a, b))?, Ok(()));
+    run.flush()?;
+    let mut hot = Vec::new();
+    for _ in 0..24 {
+        let h = run.new_block(lid, pred)?;
+        hot.push(h);
+        pred = Pred::After(h);
+    }
+    for round in 0..20 {
+        for &h in &hot {
+            run.write(h, &content(100 + round, 4096))?;
+        }
+        if round >= 3 {
+            run.apply(&Op::Clean { max: 1 })?;
+        }
+    }
+    sealed_and_cleaned(&run)?;
+    crash_in_flush(run, None)?;
+    Ok(())
+}
+
+/// Cleaning the segment that holds a swap's records copies none of the
+/// swapped blocks: the records state where both copies lie, in a full
+/// segment the cleaner leaves alone.
+#[test]
+fn cleaning_a_swap_record_copies_no_swapped_data() -> TestCaseResult {
+    let mut run = small_run();
+    let lid = run.new_list(PredList::Start, ListHints::default())?;
+    // Fifteen 4 KB blocks fill a segment's data region; the flush seals it.
+    let mut pred = Pred::Start;
+    for seed in 0..15 {
+        pred = Pred::After(run.new_block(lid, pred)?);
+        run.write(run.bids[seed], &content(seed as u64, 4096))?;
+    }
+    run.flush()?;
+    let (a, b) = (run.bids[0], run.bids[1]);
+    let home = run.lld.block_segment(a);
+    prop_assert!(home.is_some());
+    prop_assert_eq!(run.both(|ld| ld.swap_contents(a, b))?, Ok(()));
+    // Seal the swap's records among dead copies of one block.
+    let dead = run.new_block(lid, pred)?;
+    for seed in 0..40 {
+        run.write(dead, &content(100 + seed, 4096))?;
+    }
+    let copied = run.lld.stats().cleaner_bytes_copied;
+    let cleaned = run.maintain("clean", |lld| lld.clean(8))?;
+    prop_assert!(cleaned >= 2, "cleaned {}", cleaned);
+    prop_assert_eq!(run.lld.stats().cleaner_bytes_copied, copied);
+    prop_assert_eq!(run.lld.block_segment(a), home);
     crash_in_flush(run, None)?;
     Ok(())
 }

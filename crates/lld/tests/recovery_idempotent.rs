@@ -142,9 +142,9 @@ fn scrubbed_summary_sector_keeps_its_records() -> TestCaseResult {
     checkpoint_case(33, 3, 6_256_656_522_886_595_536, 1164, false, &[])
 }
 
-/// A lost summary can hold records that no re-log of the live lists and
-/// blocks replaces: a `Swap` of two blocks whose copies lie in another
-/// segment, and the deletion of a block and of a list created there. Scrub
+/// A lost summary can hold the newest word on what it names: the
+/// `Locate`s of a swap of two blocks whose copies lie in another segment,
+/// and the deletion of a block and of a list created there. Scrub
 /// retires the segment whose summary turns unreadable; the sweep after the
 /// restore must still see the swapped contents and neither deleted entity.
 #[test]

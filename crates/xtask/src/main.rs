@@ -3,6 +3,8 @@
 //! ```text
 //! cargo run -p xtask -- lint    # invariant lints over the workspace source
 //! cargo run -p xtask -- ci      # fmt + build + test + examples + clippy + lint + smokes
+//! cargo run -p xtask -- soak --from 0 --to 8000000 --step 1000000
+//!                               # every test in release at each case offset
 //! ```
 //!
 //! The `lint` subcommand enforces six workspace invariants that rustc and
@@ -138,8 +140,23 @@ fn main() -> ExitCode {
     match args.next().as_deref() {
         Some("lint") => lint(),
         Some("ci") => ci(),
+        Some("soak") => {
+            match soak_args(args) {
+                Ok((from, to, step)) => match soak(from, to, step) {
+                    Ok(()) => ExitCode::SUCCESS,
+                    Err(e) => {
+                        eprintln!("xtask soak: {e}");
+                        ExitCode::FAILURE
+                    }
+                },
+                Err(e) => {
+                    eprintln!("usage: cargo run -p xtask -- soak --from N --to M --step S\nxtask soak: {e}");
+                    ExitCode::from(2)
+                }
+            }
+        }
         cmd => {
-            eprintln!("usage: cargo run -p xtask -- <lint|ci>");
+            eprintln!("usage: cargo run -p xtask -- <lint|ci|soak>");
             if let Some(c) = cmd {
                 eprintln!("xtask: unknown subcommand {c:?}");
             }
@@ -589,14 +606,11 @@ fn find_simdisk_refs(code: &str) -> Vec<String> {
 // ci
 // ---------------------------------------------------------------------------
 
-/// One CI step: a cargo invocation (with extra environment variables, or
-/// none), the examples, or the baseline byte comparison.
+/// One CI step: a cargo invocation, a soak at one case offset, the
+/// examples, or the baseline byte comparison.
 enum Step {
     Cargo(&'static [&'static str]),
-    CargoEnv(
-        &'static [(&'static str, &'static str)],
-        &'static [&'static str],
-    ),
+    Soak(u64),
     Examples,
     BaselineIdentity,
 }
@@ -613,13 +627,7 @@ fn ci() -> ExitCode {
         // the plain test step never draws: the offset shifts every case
         // index (the queue, simdisk, cache and LLD differentials, the LLD
         // crash harness, the crash matrix and every other property).
-        (
-            "replay",
-            Step::CargoEnv(
-                &[("PROPTEST_CASE_OFFSET", "1000000")],
-                &["test", "-q", "--release", "--workspace"],
-            ),
-        ),
+        ("replay", Step::Soak(1_000_000)),
         // Every experiment at quick scale, through both report renderers;
         // `repro` exits non-zero when a paper claim (`ld_bench::claims`)
         // fails at this scale.
@@ -710,8 +718,8 @@ fn ci() -> ExitCode {
     ];
     for (name, step) in steps {
         let result = match step {
-            Step::Cargo(args) => cargo(name, &[], args),
-            Step::CargoEnv(env, args) => cargo(name, env, args),
+            Step::Cargo(args) => cargo(name, args),
+            Step::Soak(offset) => soak(*offset, *offset, 1),
             Step::Examples => examples(),
             Step::BaselineIdentity => baseline_identity(),
         };
@@ -724,13 +732,11 @@ fn ci() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs `cargo <args>` at the repository root, with `env` set.
-fn cargo(name: &str, env: &[(&str, &str)], args: &[&str]) -> Result<(), String> {
-    let vars: String = env.iter().map(|(k, v)| format!("{k}={v} ")).collect();
-    println!("xtask ci: {name} ({vars}cargo {})", args.join(" "));
+/// Runs `cargo <args>` at the repository root.
+fn cargo(name: &str, args: &[&str]) -> Result<(), String> {
+    println!("xtask ci: {name} (cargo {})", args.join(" "));
     match Command::new("cargo")
         .args(args)
-        .envs(env.iter().copied())
         .current_dir(repo_root())
         .status()
     {
@@ -738,6 +744,98 @@ fn cargo(name: &str, env: &[(&str, &str)], args: &[&str]) -> Result<(), String> 
         Ok(s) => Err(s.to_string()),
         Err(e) => Err(format!("cannot run cargo: {e}")),
     }
+}
+
+// ---------------------------------------------------------------------------
+// soak
+// ---------------------------------------------------------------------------
+
+/// Parses `--from N --to M --step S` (each once, `S` > 0).
+fn soak_args(mut args: impl Iterator<Item = String>) -> Result<(u64, u64, u64), String> {
+    let (mut from, mut to, mut step) = (None, None, None);
+    while let Some(flag) = args.next() {
+        let slot = match flag.as_str() {
+            "--from" => &mut from,
+            "--to" => &mut to,
+            "--step" => &mut step,
+            _ => return Err(format!("unknown argument {flag:?}")),
+        };
+        let value = args.next().ok_or(format!("{flag} needs a value"))?;
+        let n = (value.parse::<u64>()).map_err(|_| format!("{flag} {value:?} is not a count"))?;
+        if slot.replace(n).is_some() {
+            return Err(format!("{flag} given twice"));
+        }
+    }
+    match (from, to, step) {
+        (Some(from), Some(to), Some(step)) if step > 0 && from <= to => Ok((from, to, step)),
+        (Some(_), Some(_), Some(_)) => Err("needs --from <= --to and --step > 0".into()),
+        _ => Err("needs --from, --to and --step".into()),
+    }
+}
+
+/// Runs every test of the workspace in release at each
+/// `PROPTEST_CASE_OFFSET` from `from` through `to` in steps of `step`, so
+/// every property draws cases the plain test step never does. Stops at
+/// the first failing offset, with a one-line command that replays it.
+fn soak(from: u64, to: u64, step: u64) -> Result<(), String> {
+    let args = ["test", "-q", "--release", "--workspace"];
+    let mut offset = from;
+    loop {
+        println!(
+            "xtask soak: PROPTEST_CASE_OFFSET={offset} cargo {}",
+            args.join(" ")
+        );
+        let out = Command::new("cargo")
+            .args(args)
+            .env("PROPTEST_CASE_OFFSET", offset.to_string())
+            .current_dir(repo_root())
+            .output()
+            .map_err(|e| format!("cannot run cargo: {e}"))?;
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        if !out.status.success() {
+            print!("{stdout}");
+            eprint!("{stderr}");
+            return Err(format!(
+                "offset {offset} failed; replay it with:\n{}",
+                replay_command(offset, &stdout, &stderr)
+            ));
+        }
+        let passed: u64 = (stdout.lines())
+            .filter_map(|l| l.strip_prefix("test result: ok. "))
+            .filter_map(|l| l.split(' ').next()?.parse::<u64>().ok())
+            .sum();
+        println!("xtask soak: offset {offset}: {passed} tests passed");
+        match offset.checked_add(step) {
+            Some(next) if next <= to => offset = next,
+            _ => return Ok(()),
+        }
+    }
+}
+
+/// The command that replays the first failure of a `cargo test` run at
+/// case offset `offset`, from its output: the failing property's own case
+/// index as the offset (so that case runs first), the test binary cargo
+/// names for a rerun, and the failing test's name.
+fn replay_command(offset: u64, stdout: &str, stderr: &str) -> String {
+    let case = (stdout.split("case index ").nth(1))
+        .map(|rest| {
+            rest.chars()
+                .take_while(char::is_ascii_digit)
+                .collect::<String>()
+        })
+        .filter(|digits| !digits.is_empty())
+        .unwrap_or_else(|| offset.to_string());
+    let target = (stderr.split("to rerun pass `").nth(1))
+        .and_then(|rest| rest.split('`').next())
+        .unwrap_or("--workspace");
+    let filter = (stdout.lines())
+        .find_map(|l| l.strip_prefix("---- ")?.strip_suffix(" stdout ----"))
+        .map(|name| format!(" -- {name} --exact"))
+        .unwrap_or_default();
+    format!("PROPTEST_CASE_OFFSET={case} cargo test -q --release {target}{filter}")
 }
 
 /// Runs every example in release. `offline_check` writes a clean and a
@@ -765,7 +863,7 @@ fn examples() -> Result<(), String> {
             args.push("--");
             args.extend(images);
         }
-        cargo(&format!("example {name}"), &[], &args)?;
+        cargo(&format!("example {name}"), &args)?;
     }
     for image in images {
         let args = [
@@ -781,7 +879,7 @@ fn examples() -> Result<(), String> {
             "4k",
             image,
         ];
-        cargo(&format!("ldck {image}"), &[], &args)?;
+        cargo(&format!("ldck {image}"), &args)?;
     }
     Ok(())
 }
@@ -805,7 +903,7 @@ fn baseline_identity() -> Result<(), String> {
         out,
         "all",
     ];
-    cargo("baseline identity", &[], &args)?;
+    cargo("baseline identity", &args)?;
     let read = |f: &Path| {
         std::fs::read_to_string(f).map_err(|e| format!("cannot read {}: {e}", f.display()))
     };
@@ -886,6 +984,34 @@ mod tests {
 
     /// A mismatching baseline names its file, the first differing line and
     /// both versions of it; a missing experiment says so.
+    #[test]
+    fn soak_failures_replay_the_failing_case_of_the_failing_test() {
+        let stdout = "running 2 tests\n---- recovers stdout ----\n\
+                      proptest case 4/96 of `recovers` failed (case index 2000003, \
+                      PROPTEST_CASE_OFFSET=2000000): boom\n";
+        let stderr = "error: test failed, to rerun pass `-p lld --test prop`\n";
+        assert_eq!(
+            replay_command(2_000_000, stdout, stderr),
+            "PROPTEST_CASE_OFFSET=2000003 cargo test -q --release -p lld --test prop -- recovers --exact"
+        );
+        // A plain test that fails names no case: replay at the soak's offset.
+        assert_eq!(
+            replay_command(7, "---- plain stdout ----\n", ""),
+            "PROPTEST_CASE_OFFSET=7 cargo test -q --release --workspace -- plain --exact"
+        );
+    }
+
+    #[test]
+    fn soak_arguments_need_a_range_and_a_positive_step() {
+        let parse = |a: &str| soak_args(a.split_whitespace().map(String::from));
+        assert_eq!(parse("--from 0 --to 8 --step 2"), Ok((0, 8, 2)));
+        assert!(parse("--from 0 --to 8 --step 0").is_err());
+        assert!(parse("--from 9 --to 8 --step 1").is_err());
+        assert!(parse("--from 0 --to 8").is_err());
+        assert!(parse("--from 0 --from 1 --to 8 --step 1").is_err());
+        assert!(parse("--from x --to 8 --step 1").is_err());
+    }
+
     #[test]
     fn first_difference_names_the_file_and_the_first_differing_row() {
         let fresh = "[\n{\n  \"experiment\": \"a\",\n  \"rows\": [\n    {\"x\": 1}\n  ]\n},\n\
